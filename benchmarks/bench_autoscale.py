@@ -14,7 +14,7 @@ capacity and let the threshold policy scale it out.  The run *gates*
    otherwise the whole subsystem is pointless.
 
 Both invariant families (conservation ledgers, delivery guarantees)
-are re-checked on every trial via the chaos checker.
+are re-checked on every trial via the shared grid checker.
 
 Run directly (not collected by the tier-1 pytest run)::
 
@@ -33,7 +33,7 @@ from repro.autoscale.policy import AutoscaleSpec
 from repro.autoscale.scorecard import single_worker_capacity
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.generator import GeneratorConfig
-from repro.recovery.chaos import ChaosConfig, check_invariants
+from repro.grid import check_invariants
 import repro.engines.ext  # noqa: F401  (registers heron/samza)
 from repro.workloads.profiles import FlashCrowdRate
 
@@ -121,7 +121,7 @@ def main(argv=None) -> int:
             failures.append(f"{label}: trial failed: {result.failure}")
             continue
         violations = check_invariants(
-            result, ChaosConfig(latency_bound_s=20.0), label
+            result, label, workers=MAX_WORKERS, latency_bound_s=20.0
         )
         failures.extend(violations)
         events: list[RescaleMetrics] = result.autoscale or []

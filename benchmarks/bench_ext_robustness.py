@@ -17,7 +17,7 @@ from benchmarks.conftest import agg_spec, emit
 from repro.core.experiment import run_experiment
 from repro.core.generator import GeneratorConfig
 from repro.engines.flink import FlinkConfig
-from repro.sim.nodefail import NodeFailureSpec
+from repro.faults.schedule import FaultSchedule, NodeCrash
 from repro.workloads.disorder import DisorderSpec
 
 FAIL_AT_S = 80.0
@@ -35,7 +35,7 @@ def test_ext_node_failure_robustness(benchmark):
             from dataclasses import replace
 
             spec = replace(
-                spec, node_failure=NodeFailureSpec(fail_at_s=FAIL_AT_S)
+                spec, faults=FaultSchedule((NodeCrash(at_s=FAIL_AT_S),))
             )
             results[engine] = run_experiment(spec)
         return results

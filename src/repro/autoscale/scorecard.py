@@ -15,7 +15,7 @@ every engine sees the same relative overload: a flash crowd at
 ``peak_fraction`` times what one worker sustains.  Absolute rates would
 make the weakest engine drown while the strongest never scales.
 
-Invariants checked on every cell (reusing the chaos checks):
+Invariants checked on every cell (the shared grid checks plus bounds):
 
 1. conservation ledgers balance through every scale event;
 2. delivery-guarantee accounting holds (exactly-once engines lose and
@@ -25,15 +25,12 @@ Invariants checked on every cell (reusing the chaos checks):
    actually caught up, it is not quietly diverging);
 4. the cluster never leaves ``[min_workers, max_workers]``.
 
-Same determinism contract as the chaos soak: one seed yields a
-byte-identical scorecard JSON, serial or parallel, live or resumed from
-a journal -- the report absorbs per-trial *digests* in fixed grid
-order, never raw results.
+Determinism contract: :mod:`repro.grid` (one seed, one byte-identical
+scorecard JSON -- serial, parallel, or resumed from a journal).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -43,16 +40,18 @@ from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.generator import GeneratorConfig
 import repro.engines.ext  # noqa: F401  (registers heron/samza in ENGINES)
 from repro.engines import engine_class
-from repro.metrology.journal import TrialJournal
-from repro.recovery.chaos import (
-    DEFAULT_ENGINES,
-    ChaosConfig,
-    _clean,
-    _nan,
-    _round6,
+from repro.grid import (
+    GridReport,
+    canonical_json,
     check_invariants,
+    clean,
+    nan,
+    require_axis,
+    round6,
+    run_grid,
 )
-from repro.sched.pool import TrialScheduler, TrialTask
+from repro.metrology.journal import TrialJournal
+from repro.recovery.chaos import DEFAULT_ENGINES
 from repro.sim.cluster import paper_cluster
 from repro.sim.network import DataPlane, NetworkSpec
 from repro.sim.simulator import Simulator
@@ -90,22 +89,9 @@ class ElasticityConfig:
     """End-of-trial queue backlog age tolerated on surviving cells."""
 
     def __post_init__(self) -> None:
-        if not self.engines:
-            raise ValueError("need at least one engine")
-        for policy in self.policies:
-            if policy not in POLICY_NAMES:
-                raise ValueError(
-                    f"unknown policy {policy!r}; pick from {POLICY_NAMES}"
-                )
-        if not self.policies:
-            raise ValueError("need at least one policy")
-        for profile in self.profiles:
-            if profile not in PROFILE_NAMES:
-                raise ValueError(
-                    f"unknown profile {profile!r}; pick from {PROFILE_NAMES}"
-                )
-        if not self.profiles:
-            raise ValueError("need at least one profile")
+        require_axis("engine", self.engines)
+        require_axis("policy", self.policies, POLICY_NAMES)
+        require_axis("profile", self.profiles, PROFILE_NAMES)
         if self.duration_s <= 0:
             raise ValueError(f"duration_s must be > 0, got {self.duration_s}")
         if self.workers < 1:
@@ -192,10 +178,13 @@ def _trial_spec(
 def check_elasticity_invariants(
     result: TrialResult, config: ElasticityConfig, label: str
 ) -> List[str]:
-    """Chaos invariants (ledgers, guarantees, bounded end backlog) plus
+    """Grid invariants (ledgers, guarantees, bounded end backlog) plus
     the autoscale-specific ones (cluster stays inside the bounds)."""
     violations = check_invariants(
-        result, ChaosConfig(latency_bound_s=config.latency_bound_s), label
+        result,
+        label,
+        workers=config.max_workers,
+        latency_bound_s=config.latency_bound_s,
     )
     workers_end = result.diagnostics.get("cluster_workers", float("nan"))
     if workers_end == workers_end and not (
@@ -230,11 +219,11 @@ def trial_digest(
             {
                 "kind": m.kind,
                 "resustained": bool(m.resustained),
-                "detect_s": _clean(m.detect_s),
-                "provision_s": _clean(m.provision_s),
-                "migrate_s": _clean(m.migrate_s),
-                "catchup_s": _clean(m.catchup_s),
-                "time_to_resustain_s": _clean(m.time_to_resustain_s),
+                "detect_s": clean(m.detect_s),
+                "provision_s": clean(m.provision_s),
+                "migrate_s": clean(m.migrate_s),
+                "catchup_s": clean(m.catchup_s),
+                "time_to_resustain_s": clean(m.time_to_resustain_s),
                 "migrated_bytes": float(m.migrated_bytes),
             }
         )
@@ -317,7 +306,7 @@ class ElasticityScorecard:
             if event["resustained"]:
                 self.resustained += 1
                 self.resustain_s_max = max(
-                    self.resustain_s_max, _nan(event["time_to_resustain_s"])
+                    self.resustain_s_max, nan(event["time_to_resustain_s"])
                 )
                 for leg, bucket in (
                     ("detect_s", "detect_s_sum"),
@@ -325,7 +314,7 @@ class ElasticityScorecard:
                     ("migrate_s", "migrate_s_sum"),
                     ("catchup_s", "catchup_s_sum"),
                 ):
-                    value = _nan(event[leg])
+                    value = nan(event[leg])
                     if value == value:
                         setattr(
                             self, bucket, getattr(self, bucket) + value
@@ -347,44 +336,36 @@ class ElasticityScorecard:
             "blocked": self.blocked,
             "resustained": self.resustained,
             "unresustained": self.unresustained,
-            "detect_s_sum": _round6(self.detect_s_sum),
-            "provision_s_sum": _round6(self.provision_s_sum),
-            "migrate_s_sum": _round6(self.migrate_s_sum),
-            "catchup_s_sum": _round6(self.catchup_s_sum),
-            "resustain_s_max": _round6(self.resustain_s_max),
-            "migrated_bytes": _round6(self.migrated_bytes),
-            "rescale_pause_s": _round6(self.rescale_pause_s),
-            "cost_node_seconds": _round6(self.cost_node_seconds),
-            "fixed_cost_node_seconds": _round6(self.fixed_cost_node_seconds),
-            "cost_saving_fraction": _round6(
+            "detect_s_sum": round6(self.detect_s_sum),
+            "provision_s_sum": round6(self.provision_s_sum),
+            "migrate_s_sum": round6(self.migrate_s_sum),
+            "catchup_s_sum": round6(self.catchup_s_sum),
+            "resustain_s_max": round6(self.resustain_s_max),
+            "migrated_bytes": round6(self.migrated_bytes),
+            "rescale_pause_s": round6(self.rescale_pause_s),
+            "cost_node_seconds": round6(self.cost_node_seconds),
+            "fixed_cost_node_seconds": round6(self.fixed_cost_node_seconds),
+            "cost_saving_fraction": round6(
                 1.0 - self.cost_node_seconds / self.fixed_cost_node_seconds
                 if self.fixed_cost_node_seconds
                 else 0.0
             ),
-            "lost_weight": _round6(self.lost_weight),
-            "duplicated_weight": _round6(self.duplicated_weight),
-            "end_queue_delay_s_max": _round6(self.end_queue_delay_s_max),
+            "lost_weight": round6(self.lost_weight),
+            "duplicated_weight": round6(self.duplicated_weight),
+            "end_queue_delay_s_max": round6(self.end_queue_delay_s_max),
             "violations": sorted(self.violations),
         }
 
 
 @dataclass
-class ElasticityReport:
+class ElasticityReport(GridReport):
     """Everything one elasticity sweep produced."""
 
     config: ElasticityConfig
     scorecards: Dict[Tuple[str, str], ElasticityScorecard]
 
-    @property
-    def violations(self) -> List[str]:
-        out: List[str] = []
-        for card in self.scorecards.values():
-            out.extend(card.violations)
-        return sorted(out)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+    def violation_groups(self):
+        return (card.violations for card in self.scorecards.values())
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -406,7 +387,7 @@ class ElasticityReport:
 
     def to_json(self) -> str:
         """Canonical serialisation -- byte-identical for equal seeds."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return canonical_json(self.to_dict())
 
     def render(self) -> str:
         """ASCII scorecard table."""
@@ -429,15 +410,14 @@ class ElasticityReport:
                 f"{saved:>6.1%} "
                 f"{len(card.violations):>4}"
             )
-        status = "PASS" if self.ok else "FAIL"
         lines.append("-" * len(header))
-        lines.append(
-            f"{status}: {len(self.scorecards)} cells x "
-            f"{len(self.config.profiles)} profiles, seed {self.config.seed}, "
-            f"{len(self.violations)} invariant violations"
+        lines.extend(
+            self.footer(
+                f"{len(self.scorecards)} cells x "
+                f"{len(self.config.profiles)} profiles, "
+                f"seed {self.config.seed}"
+            )
         )
-        if not self.ok:
-            lines.extend(f"  ! {violation}" for violation in self.violations)
         return "\n".join(lines)
 
 
@@ -471,57 +451,38 @@ def run_elasticity(
     workers: int = 1,
 ) -> ElasticityReport:
     """Run the sweep: every engine under every policy against every
-    profile, checking invariants on every cell.  ``progress`` (if
-    given) receives a status line per cell.  With a ``journal``,
-    completed cells persist as digests and replay on resume.
-
-    ``workers > 1`` fans cells out over a
-    :class:`~repro.sched.TrialScheduler` process pool (scheduler
-    parallelism; the simulated cluster sizes itself).  Execution order
-    changes, nothing else: digests are absorbed in fixed grid order, so
-    the JSON is byte-identical to the serial sweep.
+    profile, checking invariants on every cell.  ``progress``,
+    ``journal`` and ``workers`` are :func:`repro.grid.run_grid`'s
+    (``workers`` is scheduler parallelism; the simulated cluster sizes
+    itself): the JSON is byte-identical however the cells were run.
     """
     scorecards: Dict[Tuple[str, str], ElasticityScorecard] = {
         (engine, policy): ElasticityScorecard(engine=engine, policy=policy)
         for engine in config.engines
         for policy in config.policies
     }
-    grid: List[Tuple[str, str, str]] = []  # (label, engine, policy)
-    tasks: List[TrialTask] = []
+    cards: List[ElasticityScorecard] = []  # the card each cell folds into
+    cells = []
     for engine in config.engines:
         for policy in config.policies:
             for profile in config.profiles:
-                label = _cell_label(engine, policy, profile)
-                grid.append((label, engine, policy))
-                tasks.append(
-                    TrialTask(
-                        key=label,
-                        fn=_elasticity_cell_task,
-                        payload=(config, engine, policy, profile),
+                cards.append(scorecards[(engine, policy)])
+                cells.append(
+                    (
+                        _cell_label(engine, policy, profile),
+                        _elasticity_cell_task,
+                        (config, engine, policy, profile),
                     )
                 )
 
-    def status_line(label: str, digest, replayed: str) -> str:
+    def describe(digest, replayed: str) -> str:
         status = "FAILED" if digest["failed"] else "ok"
-        count = len(digest["violations"])
         return (
-            f"{label}: {status}{replayed} "
+            f"{status}{replayed} "
             f"({digest['scale_outs']:.0f} out / {digest['scale_ins']:.0f} in)"
-            + (f" ({count} violations)" if count else "")
         )
 
-    on_result = on_replay = None
-    if progress is not None:
-        on_result = lambda label, digest: progress(  # noqa: E731
-            status_line(label, digest, "")
-        )
-        on_replay = lambda label, digest: progress(  # noqa: E731
-            status_line(label, digest, " (journal)")
-        )
-    scheduler = TrialScheduler(workers=workers, journal=journal)
-    digests = scheduler.run(tasks, on_result=on_result, on_replay=on_replay)
-    # Absorb in fixed grid order: float accumulation is order-sensitive,
-    # so completion order must never leak into the report.
-    for label, engine, policy in grid:
-        scorecards[(engine, policy)].absorb_digest(digests[label])
+    digests = run_grid(cells, describe, progress, journal, workers)
+    for card, digest in zip(cards, digests):
+        card.absorb_digest(digest)
     return ElasticityReport(config=config, scorecards=scorecards)

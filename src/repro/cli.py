@@ -466,16 +466,7 @@ def add_common_arguments(parser: argparse.ArgumentParser) -> None:
             "(default: none)"
         ),
     )
-    parser.add_argument(
-        "--detector", choices=list(DETECTOR_KINDS), default=None,
-        help=(
-            "drive suspect migrations from a heartbeat failure detector: "
-            "timeout = today's fixed-timeout semantics made explicit, "
-            "phi = Hayashibara accrual, quorum = k-of-n observers "
-            "(default: off; recovery behaviour then matches builds "
-            "without the detection plane byte for byte)"
-        ),
-    )
+    add_detector_argument(parser)
     parser.add_argument(
         "--clock-skew", type=parse_clock_skew, default=None,
         metavar="OFF_MS[:PPM[:RES_MS[:INT_S]]]",
@@ -553,6 +544,77 @@ def add_common_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def add_detector_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--detector", choices=list(DETECTOR_KINDS), default=None,
+        help=(
+            "drive suspect migrations from a heartbeat failure detector: "
+            "timeout = today's fixed-timeout semantics made explicit, "
+            "phi = Hayashibara accrual, quorum = k-of-n observers "
+            "(default: off; recovery behaviour then matches builds "
+            "without the detection plane byte for byte)"
+        ),
+    )
+
+
+def add_grid_arguments(
+    parser: argparse.ArgumentParser,
+    duration: float,
+    sut_workers: int,
+    rate: Optional[float] = None,
+) -> None:
+    """The flags ``chaos`` / ``recover`` / ``autoscale`` share, declared
+    once; the arguments are the per-command defaults (``rate=None``:
+    the command takes no ``--rate``)."""
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--engines", nargs="+", choices=sorted(ENGINES),
+        default=sorted(ENGINES),
+    )
+    parser.add_argument(
+        "--duration", type=float, default=duration,
+        help=f"simulated seconds per trial (default: {duration:g})",
+    )
+    if rate is not None:
+        parser.add_argument(
+            "--rate", type=float, default=rate,
+            help=f"offered load per trial in events/s (default: {rate:g})",
+        )
+    parser.add_argument(
+        "--sut-workers", type=int, default=sut_workers,
+        help=(
+            "simulated cluster size each trial starts with "
+            f"(default: {sut_workers})"
+        ),
+    )
+    parser.add_argument(
+        "--workers", type=int, default=1,
+        help=(
+            "scheduler parallelism: fan trials over N worker processes "
+            "(report stays byte-identical to --workers 1)"
+        ),
+    )
+    parser.add_argument(
+        "--verbose", action="store_true",
+        help="print a status line per trial",
+    )
+    parser.add_argument(
+        "--output", type=str, default=None,
+        help="write the report as JSON to this path",
+    )
+    parser.add_argument(
+        "--journal", type=str, default=None, metavar="PATH",
+        help="checkpoint each completed trial digest to this JSON journal",
+    )
+    parser.add_argument(
+        "--resume", action="store_true",
+        help=(
+            "replay completed trials from --journal instead of "
+            "re-running them (byte-identical final report)"
+        ),
+    )
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     spec = build_spec(args)
     result = build_runner(args)(spec)
@@ -607,7 +669,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     spec = build_spec(args, rate=args.high_rate)
     watchdog = build_watchdog(args)
     jobs = build_jobs(args)
-    if args.journal and (args.online or spec.resolved_faults() is not None):
+    if args.journal and (args.online or spec.faults is not None):
         raise ValueError(
             "--journal is only supported for the bisection search "
             "(not --online or --fault searches)"
@@ -638,7 +700,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             path = write_json(online_search_to_dict(online), args.output)
             print(f"wrote {path}")
         return 0
-    if spec.resolved_faults() is not None:
+    if spec.faults is not None:
         search = find_sustainable_throughput_under_faults(
             spec,
             high_rate=args.high_rate,
@@ -730,11 +792,43 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def run_grid_command(
+    args: argparse.Namespace, config, fingerprint, run
+) -> int:
+    """The body ``chaos`` / ``recover`` / ``autoscale`` share: validate
+    the shared flags, open the journal, run the grid, print the report.
+    Every flag is checked *before* the journal is opened -- a fresh
+    :class:`TrialJournal` clears stale worker shards, which a usage
+    error must never do."""
+    if args.resume and not args.journal:
+        raise ValueError("--resume requires --journal PATH")
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
+    journal = None
+    if args.journal:
+        journal = TrialJournal(
+            args.journal, fingerprint=fingerprint(config), resume=args.resume
+        )
+    report = run(
+        config,
+        progress=print if args.verbose else None,
+        journal=journal,
+        workers=args.workers,
+    )
+    if journal is not None:
+        print(
+            f"journal: {journal.hits} replayed, {journal.misses} run live"
+        )
+    print(report.render())
+    if args.output:
+        path = write_json(report.to_dict(), args.output)
+        print(f"wrote {path}")
+    return 0 if report.ok else 1
+
+
 def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.recovery.chaos import ChaosConfig, chaos_fingerprint, run_chaos
 
-    if args.resume and not args.journal:
-        raise ValueError("--resume requires --journal PATH")
     config = ChaosConfig(
         seed=args.seed,
         rounds=args.rounds,
@@ -746,28 +840,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         detector=args.detector,
         gray_faults=args.gray,
     )
-    journal = None
-    if args.journal:
-        journal = TrialJournal(
-            args.journal,
-            fingerprint=chaos_fingerprint(config),
-            resume=args.resume,
-        )
-    if args.workers < 1:
-        raise ValueError(f"--workers must be >= 1, got {args.workers}")
-    progress = print if args.verbose else None
-    report = run_chaos(
-        config, progress=progress, journal=journal, workers=args.workers
-    )
-    if journal is not None:
-        print(
-            f"journal: {journal.hits} replayed, {journal.misses} run live"
-        )
-    print(report.render())
-    if args.output:
-        path = write_json(report.to_dict(), args.output)
-        print(f"wrote {path}")
-    return 0 if report.ok else 1
+    return run_grid_command(args, config, chaos_fingerprint, run_chaos)
 
 
 def cmd_recover(args: argparse.Namespace) -> int:
@@ -777,8 +850,6 @@ def cmd_recover(args: argparse.Namespace) -> int:
         run_recovery_bench,
     )
 
-    if args.resume and not args.journal:
-        raise ValueError("--resume requires --journal PATH")
     config = RecoverConfig(
         seed=args.seed,
         engines=tuple(args.engines),
@@ -790,28 +861,9 @@ def cmd_recover(args: argparse.Namespace) -> int:
         workers=args.sut_workers,
         detector=args.detector,
     )
-    journal = None
-    if args.journal:
-        journal = TrialJournal(
-            args.journal,
-            fingerprint=recover_fingerprint(config),
-            resume=args.resume,
-        )
-    if args.workers < 1:
-        raise ValueError(f"--workers must be >= 1, got {args.workers}")
-    progress = print if args.verbose else None
-    report = run_recovery_bench(
-        config, progress=progress, journal=journal, workers=args.workers
+    return run_grid_command(
+        args, config, recover_fingerprint, run_recovery_bench
     )
-    if journal is not None:
-        print(
-            f"journal: {journal.hits} replayed, {journal.misses} run live"
-        )
-    print(report.render())
-    if args.output:
-        path = write_json(report.to_dict(), args.output)
-        print(f"wrote {path}")
-    return 0 if report.ok else 1
 
 
 def cmd_autoscale(args: argparse.Namespace) -> int:
@@ -821,8 +873,6 @@ def cmd_autoscale(args: argparse.Namespace) -> int:
         run_elasticity,
     )
 
-    if args.resume and not args.journal:
-        raise ValueError("--resume requires --journal PATH")
     config = ElasticityConfig(
         seed=args.seed,
         engines=tuple(args.engines),
@@ -833,28 +883,9 @@ def cmd_autoscale(args: argparse.Namespace) -> int:
         max_workers=args.max_nodes if args.max_nodes is not None else 6,
         cooldown_s=args.cooldown if args.cooldown is not None else 12.0,
     )
-    journal = None
-    if args.journal:
-        journal = TrialJournal(
-            args.journal,
-            fingerprint=elasticity_fingerprint(config),
-            resume=args.resume,
-        )
-    if args.workers < 1:
-        raise ValueError(f"--workers must be >= 1, got {args.workers}")
-    progress = print if args.verbose else None
-    report = run_elasticity(
-        config, progress=progress, journal=journal, workers=args.workers
+    return run_grid_command(
+        args, config, elasticity_fingerprint, run_elasticity
     )
-    if journal is not None:
-        print(
-            f"journal: {journal.hits} replayed, {journal.misses} run live"
-        )
-    print(report.render())
-    if args.output:
-        path = write_json(report.to_dict(), args.output)
-        print(f"wrote {path}")
-    return 0 if report.ok else 1
 
 
 def cmd_engines(args: argparse.Namespace) -> int:
@@ -970,41 +1001,13 @@ def build_parser() -> argparse.ArgumentParser:
             "policies with invariant checks (exit 1 on any violation)"
         ),
     )
-    chaos_parser.add_argument("--seed", type=int, default=0)
+    add_grid_arguments(
+        chaos_parser, duration=60.0, sut_workers=2, rate=30_000.0
+    )
+    add_detector_argument(chaos_parser)
     chaos_parser.add_argument(
         "--rounds", type=int, default=3,
         help="fault schedules per (engine, policy) cell (default: 3)",
-    )
-    chaos_parser.add_argument(
-        "--engines", nargs="+", choices=sorted(ENGINES),
-        default=sorted(ENGINES),
-    )
-    chaos_parser.add_argument(
-        "--duration", type=float, default=60.0,
-        help="simulated seconds per trial (default: 60)",
-    )
-    chaos_parser.add_argument(
-        "--rate", type=float, default=30_000.0,
-        help="offered load per trial in events/s (default: 30000)",
-    )
-    chaos_parser.add_argument(
-        "--workers", type=int, default=1,
-        help=(
-            "scheduler parallelism: fan grid cells over N worker "
-            "processes (scorecard stays byte-identical to --workers 1)"
-        ),
-    )
-    chaos_parser.add_argument(
-        "--sut-workers", type=int, default=2,
-        help="simulated cluster size per trial (default: 2)",
-    )
-    chaos_parser.add_argument(
-        "--verbose", action="store_true",
-        help="print a status line per trial",
-    )
-    chaos_parser.add_argument(
-        "--output", type=str, default=None,
-        help="write the scorecard report as JSON to this path",
     )
     chaos_parser.add_argument(
         "--no-driver-faults", action="store_true",
@@ -1015,29 +1018,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     chaos_parser.add_argument(
-        "--detector", choices=list(DETECTOR_KINDS), default=None,
-        help=(
-            "drive suspect migrations from this failure detector on "
-            "every trial (default: off; the scorecard is then "
-            "byte-identical to a build without the detection plane)"
-        ),
-    )
-    chaos_parser.add_argument(
         "--gray", action="store_true",
         help=(
             "mix gray failures (flapping node, fail-slow ramp, "
             "asymmetric partition) into the random schedules"
-        ),
-    )
-    chaos_parser.add_argument(
-        "--journal", type=str, default=None, metavar="PATH",
-        help="checkpoint each completed trial digest to this JSON journal",
-    )
-    chaos_parser.add_argument(
-        "--resume", action="store_true",
-        help=(
-            "replay completed trials from --journal instead of "
-            "re-running them (byte-identical final scorecard)"
         ),
     )
     chaos_parser.set_defaults(func=cmd_chaos)
@@ -1051,11 +1035,10 @@ def build_parser() -> argparse.ArgumentParser:
             "on any invariant violation)"
         ),
     )
-    recover_parser.add_argument("--seed", type=int, default=0)
-    recover_parser.add_argument(
-        "--engines", nargs="+", choices=sorted(ENGINES),
-        default=sorted(ENGINES),
+    add_grid_arguments(
+        recover_parser, duration=60.0, sut_workers=2, rate=30_000.0
     )
+    add_detector_argument(recover_parser)
     recover_parser.add_argument(
         "--policies", nargs="+",
         choices=[MODE_NONE, MODE_SPREAD, MODE_STANDBY],
@@ -1081,52 +1064,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-frontier", action="store_true",
         help="skip the checkpoint-interval sweep (grid cells only)",
     )
-    recover_parser.add_argument(
-        "--duration", type=float, default=60.0,
-        help="simulated seconds per trial (default: 60)",
-    )
-    recover_parser.add_argument(
-        "--rate", type=float, default=30_000.0,
-        help="offered load per trial in events/s (default: 30000)",
-    )
-    recover_parser.add_argument(
-        "--sut-workers", type=int, default=2,
-        help="simulated cluster size per trial (default: 2)",
-    )
-    recover_parser.add_argument(
-        "--workers", type=int, default=1,
-        help=(
-            "scheduler parallelism: fan trials over N worker processes "
-            "(report stays byte-identical to --workers 1)"
-        ),
-    )
-    recover_parser.add_argument(
-        "--verbose", action="store_true",
-        help="print a status line per trial",
-    )
-    recover_parser.add_argument(
-        "--output", type=str, default=None,
-        help="write the recovery report as JSON to this path",
-    )
-    recover_parser.add_argument(
-        "--detector", choices=list(DETECTOR_KINDS), default=None,
-        help=(
-            "drive suspect migrations from this failure detector on "
-            "every cell (default: off; the report is then "
-            "byte-identical to a build without the detection plane)"
-        ),
-    )
-    recover_parser.add_argument(
-        "--journal", type=str, default=None, metavar="PATH",
-        help="checkpoint each completed trial digest to this JSON journal",
-    )
-    recover_parser.add_argument(
-        "--resume", action="store_true",
-        help=(
-            "replay completed trials from --journal instead of "
-            "re-running them (byte-identical final report)"
-        ),
-    )
     recover_parser.set_defaults(func=cmd_recover)
 
     autoscale_parser = sub.add_parser(
@@ -1137,23 +1074,11 @@ def build_parser() -> argparse.ArgumentParser:
             "invariant violation)"
         ),
     )
-    autoscale_parser.add_argument("--seed", type=int, default=0)
-    autoscale_parser.add_argument(
-        "--engines", nargs="+", choices=sorted(ENGINES),
-        default=sorted(ENGINES),
-    )
+    add_grid_arguments(autoscale_parser, duration=120.0, sut_workers=1)
     autoscale_parser.add_argument(
         "--policies", nargs="+", choices=list(POLICY_NAMES),
         default=list(POLICY_NAMES),
         help="scaling policies to compare (default: both)",
-    )
-    autoscale_parser.add_argument(
-        "--duration", type=float, default=120.0,
-        help="simulated seconds per trial (default: 120)",
-    )
-    autoscale_parser.add_argument(
-        "--sut-workers", type=int, default=1,
-        help="initial simulated cluster size per trial (default: 1)",
     )
     autoscale_parser.add_argument(
         "--min-nodes", type=int, default=None, metavar="N",
@@ -1166,32 +1091,6 @@ def build_parser() -> argparse.ArgumentParser:
     autoscale_parser.add_argument(
         "--cooldown", type=float, default=None, metavar="SECONDS",
         help="minimum simulated time between decisions (default: 12)",
-    )
-    autoscale_parser.add_argument(
-        "--workers", type=int, default=1,
-        help=(
-            "scheduler parallelism: fan grid cells over N worker "
-            "processes (scorecard stays byte-identical to --workers 1)"
-        ),
-    )
-    autoscale_parser.add_argument(
-        "--verbose", action="store_true",
-        help="print a status line per cell",
-    )
-    autoscale_parser.add_argument(
-        "--output", type=str, default=None,
-        help="write the scorecard report as JSON to this path",
-    )
-    autoscale_parser.add_argument(
-        "--journal", type=str, default=None, metavar="PATH",
-        help="checkpoint each completed cell digest to this JSON journal",
-    )
-    autoscale_parser.add_argument(
-        "--resume", action="store_true",
-        help=(
-            "replay completed cells from --journal instead of "
-            "re-running them (byte-identical final scorecard)"
-        ),
     )
     autoscale_parser.set_defaults(func=cmd_autoscale)
     return parser

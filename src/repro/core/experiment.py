@@ -46,7 +46,6 @@ from repro.recovery.reschedule import ReschedulePolicy
 from repro.sim.clock import ClockSkewSpec
 from repro.sim.cluster import ClusterSpec, paper_cluster
 from repro.sim.network import DataPlane, NetworkSpec
-from repro.sim.nodefail import NodeFailureSpec
 from repro.sim.resources import ResourceMonitor
 from repro.sim.rng import RngRegistry
 from repro.sim.simulator import Simulator
@@ -79,9 +78,6 @@ class ExperimentSpec:
     keep_outputs: bool = False
     """Retain raw output tuples on the trial's collector (correctness
     checks and ablations; costs memory on long runs)."""
-    node_failure: Optional[NodeFailureSpec] = None
-    """Kill worker nodes mid-run (legacy one-shot form; shimmed onto
-    :attr:`faults` as a single :class:`~repro.faults.schedule.NodeCrash`)."""
     faults: Optional[FaultSchedule] = None
     """Timeline of typed fault events injected mid-trial (the fault
     recovery benchmark; see :mod:`repro.faults`)."""
@@ -120,20 +116,6 @@ class ExperimentSpec:
     detector whose verdicts drive evictions (see :mod:`repro.detect`).
     ``None`` (the default) runs without any detection plane -- the
     pre-existing fixed-timeout supervisor semantics, bit for bit."""
-
-    def resolved_faults(self) -> Optional[FaultSchedule]:
-        """The effective fault schedule: ``faults``, or ``node_failure``
-        shimmed onto the new timeline.  Setting both is ambiguous."""
-        if self.faults is not None and self.node_failure is not None:
-            raise ValueError(
-                "set either faults or node_failure, not both "
-                "(node_failure is the legacy one-shot form)"
-            )
-        if self.faults is not None:
-            return self.faults
-        if self.node_failure is not None:
-            return FaultSchedule.from_node_failure(self.node_failure)
-        return None
 
     def rate_profile(self) -> RateProfile:
         if isinstance(self.profile, RateProfile):
@@ -223,7 +205,7 @@ def run_experiment(
             brokers.append(stage)
             downstreams.append(downstream)
         sut_queues = QueueSet(downstreams)
-    faults = spec.resolved_faults()
+    faults = spec.faults
     if faults is not None:
         faults.validate_against(spec.duration_s)
     checkpoint = spec.checkpoint

@@ -614,12 +614,12 @@ def find_sustainable_throughput_under_faults(
     The Vogel et al. robustness question: not "what rate can the engine
     sustain" but "what rate can it sustain and still recover from every
     injected fault within ``max_recovery_time_s``".  ``spec`` must carry
-    a fault schedule (or the legacy ``node_failure``); the plain
+    a fault schedule; the plain
     Definition 5 criteria are extended with the recovery bound, so an
     engine that survives the faults but never catches up is judged
     unsustainable at that rate.
     """
-    if spec.resolved_faults() is None:
+    if spec.faults is None:
         raise ValueError(
             "spec has no fault schedule; use find_sustainable_throughput "
             "for fault-free search"

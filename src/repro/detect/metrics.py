@@ -32,8 +32,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 
-def _clean(value: float) -> Optional[float]:
-    """JSON-safe float: NaN/inf become None, else round to 6 places."""
+def _round_6dp(value: float) -> Optional[float]:
+    """JSON-safe float: NaN/inf become None, else round to 6 *decimal
+    places* (not :func:`repro.grid.round6`'s 6 significant digits)."""
     if value is None or not math.isfinite(value):
         return None
     return round(float(value), 6)
@@ -94,7 +95,7 @@ class DetectionMetrics:
     def to_dict(self) -> dict:
         return {
             "detector": self.detector,
-            "heartbeat_interval_s": _clean(self.heartbeat_interval_s),
+            "heartbeat_interval_s": _round_6dp(self.heartbeat_interval_s),
             "calm": self.calm,
             "episodes": self.episodes,
             "true_positives": self.true_positives,
@@ -103,14 +104,14 @@ class DetectionMetrics:
             "suspicions": self.suspicions,
             "actions": self.actions,
             "spurious_migrations": self.spurious_migrations,
-            "spurious_migration_node_s": _clean(self.spurious_migration_node_s),
-            "migration_pause_s_total": _clean(self.migration_pause_s_total),
+            "spurious_migration_node_s": _round_6dp(self.spurious_migration_node_s),
+            "migration_pause_s_total": _round_6dp(self.migration_pause_s_total),
             "cascade_depth_max": self.cascade_depth_max,
             "metastable": self.metastable,
-            "detection_latency_mean_s": _clean(self.detection_latency_mean_s),
-            "detection_latency_max_s": _clean(self.detection_latency_max_s),
+            "detection_latency_mean_s": _round_6dp(self.detection_latency_mean_s),
+            "detection_latency_max_s": _round_6dp(self.detection_latency_max_s),
             "detection_latencies_s": [
-                _clean(x) for x in self.detection_latencies_s
+                _round_6dp(x) for x in self.detection_latencies_s
             ],
             "verdicts": [list(v.to_tuple()) for v in self.verdicts],
         }

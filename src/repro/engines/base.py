@@ -115,12 +115,6 @@ class EngineConfig:
     out-of-order stragglers (the paper's future-work extension; honoured
     by the engines' window-close conditions).  Zero reproduces the
     paper's in-order setup exactly."""
-    recovery_pause_s: Optional[float] = None
-    """Explicit override of the processing outage after a worker-node
-    failure.  ``None`` (the default) derives the pause from the trial's
-    checkpoint model -- state bytes, checkpoint interval, NIC restore
-    bandwidth, and the engine's :class:`RecoverySemantics` -- instead of
-    a hardcoded constant (see :mod:`repro.faults.checkpoint`)."""
 
     def with_overrides(self, **kwargs) -> "EngineConfig":
         return replace(self, **kwargs)
@@ -525,11 +519,6 @@ class StreamingEngine(ABC):
         else:  # pragma: no cover - schedule validation prevents this
             raise TypeError(f"unknown fault event {type(event).__name__}")
 
-    def inject_node_failure(self, nodes: int = 1) -> None:
-        """Kill ``nodes`` workers now (back-compat entry point; new code
-        schedules a :class:`~repro.faults.schedule.NodeCrash`)."""
-        self._apply_crash(nodes)
-
     def _apply_crash(self, nodes: int) -> None:
         """Lose ``nodes`` workers: the engine's :class:`ReschedulePolicy`
         decides where their operator slots land (standby promotion,
@@ -897,11 +886,8 @@ class StreamingEngine(ABC):
         self._ramp_from_s = max(self._ramp_from_s, self._paused_until)
 
     def _recovery_pause_s(self, lost_fraction: float) -> float:
-        """The processing outage for one crash/restart: the explicit
-        ``EngineConfig.recovery_pause_s`` override if set, else derived
-        from the checkpoint model and this engine's recovery semantics."""
-        if self.config.recovery_pause_s is not None:
-            return self.config.recovery_pause_s
+        """The processing outage for one crash/restart, derived from
+        the checkpoint model and this engine's recovery semantics."""
         return self.checkpoint.recovery_pause_s(
             self.recovery_semantics,
             state_bytes=self.state.used_bytes,

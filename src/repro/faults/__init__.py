@@ -8,9 +8,7 @@ delivery-guarantee accounting of lost/duplicated data
 (:mod:`repro.faults.guarantees`), and driver-side recovery metrology
 (:mod:`repro.faults.metrics`).
 
-Wire a schedule into a trial via ``ExperimentSpec(faults=...)``; the
-old ``node_failure=NodeFailureSpec(...)`` keeps working as a shim for
-a single :class:`NodeCrash`.
+Wire a schedule into a trial via ``ExperimentSpec(faults=...)``.
 """
 
 from repro.faults.checkpoint import CheckpointSpec, RecoverySemantics

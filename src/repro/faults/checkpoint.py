@@ -27,9 +27,6 @@ exactly those knobs and derives both costs:
     (growing with cluster size); state is not restored at all -- the
     delivery guarantee decides whether the exposed window contents are
     lost (no acking: at-most-once) or replayed as duplicates.
-
-``EngineConfig.recovery_pause_s`` survives only as an explicit
-override: when set, it wins over the derived pause.
 """
 
 from __future__ import annotations

@@ -12,9 +12,9 @@ injected into the SUT mid-trial.
 
 Event types (all driver-side injections; the engine models react):
 
-- :class:`NodeCrash` -- permanent loss of worker nodes (the old
-  ``NodeFailureSpec`` semantics).  Killing the *last* worker is a
-  :class:`~repro.sim.failures.SutFailure`, i.e. a failed trial.
+- :class:`NodeCrash` -- permanent loss of worker nodes.  Killing the
+  *last* worker is a :class:`~repro.sim.failures.SutFailure`, i.e. a
+  failed trial.
 - :class:`ProcessRestart` -- a worker process dies and is restarted by
   the resource manager: the capacity returns after the engine's derived
   recovery pause, but in-memory state on that worker is exposed exactly
@@ -55,12 +55,9 @@ and ambiguous same-node overlaps between capacity-modulating faults
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sim.nodefail)
-    from repro.sim.nodefail import NodeFailureSpec
 
 
 @dataclass(frozen=True)
@@ -256,7 +253,7 @@ class DriverNodeSlow(_TransientFaultEvent):
 
 
 @dataclass(frozen=True)
-class _GrayFaultEvent(_TransientFaultEvent):
+class GrayFaultEvent(_TransientFaultEvent):
     """A gray failure pinned to one named worker ``node``.
 
     Unlike :class:`SlowNode` (which degrades the ``nodes`` *lowest*
@@ -281,7 +278,7 @@ class _GrayFaultEvent(_TransientFaultEvent):
 
 
 @dataclass(frozen=True)
-class FlappingNode(_GrayFaultEvent):
+class FlappingNode(GrayFaultEvent):
     """Worker ``node`` oscillates between up and down on seeded duty
     cycles for ``duration_s``.
 
@@ -328,7 +325,7 @@ class FlappingNode(_GrayFaultEvent):
 
 
 @dataclass(frozen=True)
-class DegradingNode(_GrayFaultEvent):
+class DegradingNode(GrayFaultEvent):
     """Fail-slow: worker ``node`` ramps from full speed down to
     ``floor_factor`` of its capacity over ``duration_s``.
 
@@ -371,7 +368,7 @@ class DegradingNode(_GrayFaultEvent):
 
 
 @dataclass(frozen=True)
-class AsymmetricPartition(_GrayFaultEvent):
+class AsymmetricPartition(GrayFaultEvent):
     """One-way link loss on worker ``node`` for ``duration_s``.
 
     ``direction="heartbeat"`` (default): the node's heartbeats stop
@@ -409,7 +406,7 @@ class AsymmetricPartition(_GrayFaultEvent):
 
 #: Gray faults that modulate the capacity of their named node (and so
 #: must not overlap another capacity fault on the same node).
-_GRAY_CAPACITY_KINDS = ("flap", "degrade")
+GRAY_CAPACITY_KINDS = ("flap", "degrade")
 
 
 @dataclass(frozen=True)
@@ -477,7 +474,7 @@ class FaultSchedule:
         gray = [
             e
             for e in self.ordered()
-            if isinstance(e, _GrayFaultEvent) and e.kind in _GRAY_CAPACITY_KINDS
+            if isinstance(e, GrayFaultEvent) and e.kind in GRAY_CAPACITY_KINDS
         ]
         for i, a in enumerate(gray):
             for b in gray[i + 1 :]:
@@ -504,9 +501,3 @@ class FaultSchedule:
         if not self.events:
             return "no faults"
         return "; ".join(e.describe() for e in self.ordered())
-
-    @classmethod
-    def from_node_failure(cls, spec: "NodeFailureSpec") -> "FaultSchedule":
-        """Back-compat shim: the one-shot ``NodeFailureSpec`` becomes a
-        single :class:`NodeCrash` on the new timeline."""
-        return cls(events=(NodeCrash(at_s=spec.fail_at_s, nodes=spec.nodes),))

@@ -32,8 +32,6 @@ of invariant violations (empty on a healthy build).
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -46,6 +44,7 @@ from repro.detect.plane import DETECTOR_KINDS, detector_spec
 import repro.engines.ext  # noqa: F401  (registers heron/samza in ENGINES)
 from repro.engines import engine_class
 from repro.faults.schedule import (
+    GRAY_CAPACITY_KINDS,
     AsymmetricPartition,
     DegradingNode,
     DriverNodeSlow,
@@ -54,17 +53,25 @@ from repro.faults.schedule import (
     FaultSchedule,
     FlappingNode,
     GeneratorCrash,
+    GrayFaultEvent,
     NetworkPartition,
     NodeCrash,
     ProcessRestart,
     QueueDisconnect,
     SlowNode,
-    _GRAY_CAPACITY_KINDS,
-    _GrayFaultEvent,
+)
+from repro.grid import (
+    GridReport,
+    canonical_json,
+    check_invariants,
+    clean,
+    nan,
+    require_axis,
+    round6,
+    run_grid,
 )
 from repro.metrology.journal import TrialJournal
 from repro.recovery.reschedule import MODE_STANDBY, ReschedulePolicy
-from repro.sched.pool import TrialScheduler, TrialTask
 from repro.workloads.queries import WindowSpec, WindowedAggregationQuery
 
 DEFAULT_ENGINES = ("flink", "storm", "spark", "heron", "samza")
@@ -129,17 +136,12 @@ class ChaosConfig:
     def __post_init__(self) -> None:
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
-        if not self.engines:
-            raise ValueError("need at least one engine")
-        if not self.policies:
-            raise ValueError("need at least one policy")
+        require_axis("engine", self.engines)
+        require_axis("policy", self.policies)
         if self.max_faults_per_round < 1:
             raise ValueError("max_faults_per_round must be >= 1")
-        if self.detector is not None and self.detector not in DETECTOR_KINDS:
-            raise ValueError(
-                f"unknown detector {self.detector!r}; "
-                f"expected one of {DETECTOR_KINDS}"
-            )
+        if self.detector is not None:
+            require_axis("detector", (self.detector,), DETECTOR_KINDS)
 
 
 def random_fault_schedule(
@@ -282,13 +284,13 @@ def _place_gray_faults(
     overlap constraint and pin the highest worker index.
     """
     slows = [e for e in events if isinstance(e, SlowNode)]
-    placed: List[_GrayFaultEvent] = []
+    placed: List[GrayFaultEvent] = []
     out: List[FaultEvent] = []
     for event in events:
-        if not isinstance(event, _GrayFaultEvent):
+        if not isinstance(event, GrayFaultEvent):
             out.append(event)
             continue
-        if event.kind not in _GRAY_CAPACITY_KINDS:
+        if event.kind not in GRAY_CAPACITY_KINDS:
             out.append(replace(event, node=max(0, workers - 1)))
             continue
         chosen: Optional[int] = None
@@ -315,128 +317,7 @@ def _place_gray_faults(
     return out
 
 
-# -- invariants -------------------------------------------------------------
-
-#: Ledger imbalance tolerated, relative to the trial's total weight
-#: (float accumulation over ~1e3 ticks).
-LEDGER_REL_TOL = 1e-6
-
-#: Engine name -> (loses nothing, duplicates nothing) under its default
-#: delivery guarantee.
-_GUARANTEE_RULES = {
-    "exactly-once": (True, True),
-    "at-least-once": (True, False),
-    "at-most-once": (False, True),
-}
-
-
-def check_invariants(
-    result: TrialResult, config: ChaosConfig, label: str
-) -> List[str]:
-    """All chaos invariants for one trial; returns violation strings."""
-    violations: List[str] = []
-    d = result.diagnostics
-    scale = max(1.0, d.get("conservation.ingested", 0.0))
-    tol = LEDGER_REL_TOL * scale
-
-    def balance(name: str, lhs: float, rhs: float) -> None:
-        if abs(lhs - rhs) > tol:
-            violations.append(
-                f"{label}: {name} ledger imbalance "
-                f"({lhs:.6f} != {rhs:.6f}, tol {tol:.2e})"
-            )
-
-    if "conservation.staged" in d:
-        balance(
-            "ingest",
-            d["conservation.ingested"],
-            d["conservation.staged"]
-            + d["conservation.admitted"]
-            + d["conservation.dropped"],
-        )
-        balance(
-            "window",
-            d["conservation.admitted"],
-            d["conservation.closed"]
-            + d["conservation.stored"]
-            + d["conservation.lost"],
-        )
-    driver_scale = max(1.0, d.get("driver.pushed_weight", 0.0))
-    if abs(
-        d.get("driver.pushed_weight", 0.0)
-        - d.get("driver.pulled_weight", 0.0)
-        - d.get("driver.queued_weight", 0.0)
-        - d.get("driver.shed_weight", 0.0)
-        - d.get("driver.lost_weight", 0.0)
-    ) > LEDGER_REL_TOL * driver_scale:
-        violations.append(
-            f"{label}: driver ledger imbalance "
-            "(pushed != pulled + queued + shed + lost)"
-        )
-    guarantee = engine_class(result.engine).default_guarantee.value
-    no_loss, no_dup = _GUARANTEE_RULES[guarantee]
-    if no_loss and d.get("lost_weight", 0.0) > tol:
-        violations.append(
-            f"{label}: {guarantee} engine lost "
-            f"{d['lost_weight']:.3f} weight"
-        )
-    if no_dup and d.get("duplicated_weight", 0.0) > tol:
-        violations.append(
-            f"{label}: {guarantee} engine duplicated "
-            f"{d['duplicated_weight']:.3f} weight"
-        )
-    if not result.failed:
-        end_delay = result.throughput.queue_delay_at_end()
-        if end_delay > config.latency_bound_s:
-            violations.append(
-                f"{label}: post-recovery backlog unbounded -- oldest "
-                f"queued event is {end_delay:.1f}s old at trial end "
-                f"(> {config.latency_bound_s:g}s)"
-            )
-        if result.failure_time == result.failure_time:
-            violations.append(
-                f"{label}: surviving trial carries a failure_time"
-            )
-    elif result.failure_time != result.failure_time:
-        violations.append(f"{label}: failed trial lost its failure_time")
-    detection = getattr(result, "detection", None)
-    if detection is not None:
-        if detection.calm and detection.false_positives > 0:
-            violations.append(
-                f"{label}: {detection.false_positives} false positive(s) "
-                f"under a calm schedule -- the {detection.detector} "
-                f"detector convicted a healthy node with no fault injected"
-            )
-        if detection.cascade_depth_max > config.workers:
-            violations.append(
-                f"{label}: migration cascade depth "
-                f"{detection.cascade_depth_max} exceeds the cluster size "
-                f"({config.workers}) -- suspect migrations are chaining "
-                f"past the structural bound"
-            )
-    return violations
-
-
 # -- the soak ---------------------------------------------------------------
-
-
-def _round6(value: float) -> Optional[float]:
-    """JSON-safe 6-significant-digit rounding (None for NaN/inf)."""
-    if value != value or value in (float("inf"), float("-inf")):
-        return None
-    if value == 0.0:
-        return 0.0
-    magnitude = math.floor(math.log10(abs(value)))
-    return round(value, -magnitude + 5)
-
-
-def _clean(value: float) -> Optional[float]:
-    """NaN -> None (JSON-safe, reversed by ``_nan`` on absorb)."""
-    return None if value != value else float(value)
-
-
-def _nan(value: Optional[float]) -> float:
-    return float("nan") if value is None else float(value)
 
 
 def trial_digest(result: TrialResult, violations: List[str]) -> Dict[str, object]:
@@ -449,14 +330,14 @@ def trial_digest(result: TrialResult, violations: List[str]) -> Dict[str, object
     for entry in getattr(result, "recovery", None) or []:
         recovery.append(
             {
-                "detection_s": _clean(entry.detection_s),
+                "detection_s": clean(entry.detection_s),
                 "migrated_bytes": float(getattr(entry, "migrated_bytes", 0.0)),
                 "recovered": bool(entry.recovered),
-                "recovery_time_s": _clean(entry.recovery_time_s),
-                "detection_phase_s": _clean(entry.detection_phase_s),
-                "restore_phase_s": _clean(entry.restore_phase_s),
-                "catchup_phase_s": _clean(entry.catchup_phase_s),
-                "catchup_throughput": _clean(entry.catchup_throughput),
+                "recovery_time_s": clean(entry.recovery_time_s),
+                "detection_phase_s": clean(entry.detection_phase_s),
+                "restore_phase_s": clean(entry.restore_phase_s),
+                "catchup_phase_s": clean(entry.catchup_phase_s),
+                "catchup_throughput": clean(entry.catchup_throughput),
                 "lost_weight": float(entry.lost_weight),
                 "duplicated_weight": float(entry.duplicated_weight),
             }
@@ -548,7 +429,7 @@ class Scorecard:
             )
             self.metastable += int(bool(detection["metastable"]))
         for entry in digest["recovery"]:
-            detection = _nan(entry["detection_s"])
+            detection = nan(entry["detection_s"])
             if detection == detection:
                 self.detection_s_sum += detection
             self.migrated_bytes += float(entry["migrated_bytes"])
@@ -559,17 +440,17 @@ class Scorecard:
             if entry["recovered"]:
                 self.faults_recovered += 1
                 self.recovery_s_max = max(
-                    self.recovery_s_max, _nan(entry["recovery_time_s"])
+                    self.recovery_s_max, nan(entry["recovery_time_s"])
                 )
                 for key, attr in (
                     ("detection_phase_s", "detect_phase_s_sum"),
                     ("restore_phase_s", "restore_phase_s_sum"),
                     ("catchup_phase_s", "catchup_phase_s_sum"),
                 ):
-                    phase = _nan(entry.get(key))
+                    phase = nan(entry.get(key))
                     if phase == phase:
                         setattr(self, attr, getattr(self, attr) + phase)
-                catchup = _nan(entry["catchup_throughput"])
+                catchup = nan(entry["catchup_throughput"])
                 if catchup == catchup:
                     self.catchup_rate_max = max(
                         self.catchup_rate_max, catchup
@@ -602,23 +483,23 @@ class Scorecard:
             "driver_faults_injected": self.driver_faults_injected,
             "faults_recovered": self.faults_recovered,
             "faults_unrecovered": self.faults_unrecovered,
-            "detection_s_mean": _round6(detection_mean),
-            "recovery_s_max": _round6(self.recovery_s_max),
-            "detect_phase_s_mean": _round6(self._phase_mean("detect")),
-            "restore_phase_s_mean": _round6(self._phase_mean("restore")),
-            "catchup_phase_s_mean": _round6(self._phase_mean("catchup")),
-            "fault_lost_weight": _round6(self.fault_lost_weight),
-            "fault_duplicated_weight": _round6(self.fault_duplicated_weight),
-            "catchup_rate_max": _round6(self.catchup_rate_max),
-            "shed_weight": _round6(self.shed_weight),
-            "migrated_bytes": _round6(self.migrated_bytes),
-            "standbys_promoted": _round6(self.standbys_promoted),
-            "lost_weight": _round6(self.lost_weight),
-            "duplicated_weight": _round6(self.duplicated_weight),
-            "driver_lost_weight": _round6(self.driver_lost_weight),
-            "end_queue_delay_s_max": _round6(self.end_queue_delay_s_max),
+            "detection_s_mean": round6(detection_mean),
+            "recovery_s_max": round6(self.recovery_s_max),
+            "detect_phase_s_mean": round6(self._phase_mean("detect")),
+            "restore_phase_s_mean": round6(self._phase_mean("restore")),
+            "catchup_phase_s_mean": round6(self._phase_mean("catchup")),
+            "fault_lost_weight": round6(self.fault_lost_weight),
+            "fault_duplicated_weight": round6(self.fault_duplicated_weight),
+            "catchup_rate_max": round6(self.catchup_rate_max),
+            "shed_weight": round6(self.shed_weight),
+            "migrated_bytes": round6(self.migrated_bytes),
+            "standbys_promoted": round6(self.standbys_promoted),
+            "lost_weight": round6(self.lost_weight),
+            "duplicated_weight": round6(self.duplicated_weight),
+            "driver_lost_weight": round6(self.driver_lost_weight),
+            "end_queue_delay_s_max": round6(self.end_queue_delay_s_max),
             "false_positives": self.false_positives,
-            "spurious_migration_node_s": _round6(
+            "spurious_migration_node_s": round6(
                 self.spurious_migration_node_s
             ),
             "cascade_depth_max": self.cascade_depth_max,
@@ -628,23 +509,15 @@ class Scorecard:
 
 
 @dataclass
-class ChaosReport:
+class ChaosReport(GridReport):
     """Everything one soak produced."""
 
     config: ChaosConfig
     schedules: List[str]
     scorecards: Dict[Tuple[str, str], Scorecard]
 
-    @property
-    def violations(self) -> List[str]:
-        out: List[str] = []
-        for card in self.scorecards.values():
-            out.extend(card.violations)
-        return sorted(out)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+    def violation_groups(self):
+        return (card.violations for card in self.scorecards.values())
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -663,7 +536,7 @@ class ChaosReport:
 
     def to_json(self) -> str:
         """Canonical serialisation -- byte-identical for equal seeds."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return canonical_json(self.to_dict())
 
     def render(self) -> str:
         """ASCII scorecard table."""
@@ -690,15 +563,13 @@ class ChaosReport:
                 f"{card.standbys_promoted:>8.0f} "
                 f"{len(card.violations):>4}"
             )
-        status = "PASS" if self.ok else "FAIL"
         lines.append("-" * len(header))
-        lines.append(
-            f"{status}: {len(self.scorecards)} cells, "
-            f"{self.config.rounds} rounds, seed {self.config.seed}, "
-            f"{len(self.violations)} invariant violations"
+        lines.extend(
+            self.footer(
+                f"{len(self.scorecards)} cells, "
+                f"{self.config.rounds} rounds, seed {self.config.seed}"
+            )
         )
-        if not self.ok:
-            lines.extend(f"  ! {violation}" for violation in self.violations)
         return "\n".join(lines)
 
 
@@ -781,7 +652,12 @@ def _chaos_cell_task(payload) -> Dict[str, object]:
         seed=round_seed(config.seed, round_index),
     )
     result = run_experiment(spec)
-    violations = check_invariants(result, config, label)
+    violations = check_invariants(
+        result,
+        label,
+        workers=config.workers,
+        latency_bound_s=config.latency_bound_s,
+    )
     return trial_digest(result, violations)
 
 
@@ -793,17 +669,10 @@ def run_chaos(
 ) -> ChaosReport:
     """Run the soak: for each round, draw one fault schedule and push it
     through every (engine, policy) cell, checking invariants on every
-    trial.  ``progress`` (if given) is called with a status line per
-    trial.  With a ``journal``, completed trials are persisted as
-    digests and replayed on resume -- the final scorecard JSON is
-    byte-identical to an uninterrupted run.
-
-    ``workers > 1`` fans the independent trial cells out over a
-    :class:`~repro.sched.TrialScheduler` process pool (``workers`` here
-    is scheduler parallelism; the simulated cluster size is
-    ``config.workers``).  Execution order changes, nothing else: cells
-    are absorbed into the scorecards in the fixed grid order, so the
-    scorecard JSON is byte-identical to the serial soak.
+    trial.  ``progress``, ``journal`` and ``workers`` are
+    :func:`repro.grid.run_grid`'s (``workers`` is scheduler
+    parallelism; the simulated cluster size is ``config.workers``):
+    the scorecard JSON is byte-identical however the cells were run.
     """
     scorecards: Dict[Tuple[str, str], Scorecard] = {
         (engine, policy.name): Scorecard(engine=engine, policy=policy.name)
@@ -811,44 +680,28 @@ def run_chaos(
         for policy in config.policies
     }
     schedules: List[str] = []
-    grid: List[Tuple[str, str, str]] = []  # (label, engine, policy name)
-    tasks: List[TrialTask] = []
+    cards: List[Scorecard] = []  # the scorecard each cell folds into
+    cells = []
     for round_index in range(config.rounds):
         rng = np.random.default_rng([config.seed, round_index])
         schedules.append(random_fault_schedule(rng, config).describe())
         for engine in config.engines:
             for policy in config.policies:
-                label = _cell_label(engine, policy.name, round_index)
-                grid.append((label, engine, policy.name))
-                tasks.append(
-                    TrialTask(
-                        key=label,
-                        fn=_chaos_cell_task,
-                        payload=(config, engine, policy, round_index),
+                cards.append(scorecards[(engine, policy.name)])
+                cells.append(
+                    (
+                        _cell_label(engine, policy.name, round_index),
+                        _chaos_cell_task,
+                        (config, engine, policy, round_index),
                     )
                 )
 
-    def status_line(label: str, digest, replayed: str) -> str:
-        status = "FAILED" if digest["failed"] else "ok"
-        count = len(digest["violations"])
-        return f"{label}: {status}{replayed}" + (
-            f" ({count} violations)" if count else ""
-        )
+    def describe(digest, replayed: str) -> str:
+        return ("FAILED" if digest["failed"] else "ok") + replayed
 
-    on_result = on_replay = None
-    if progress is not None:
-        on_result = lambda label, digest: progress(  # noqa: E731
-            status_line(label, digest, "")
-        )
-        on_replay = lambda label, digest: progress(  # noqa: E731
-            status_line(label, digest, " (journal)")
-        )
-    scheduler = TrialScheduler(workers=workers, journal=journal)
-    digests = scheduler.run(tasks, on_result=on_result, on_replay=on_replay)
-    # Absorb in fixed grid order: float accumulation in the scorecards
-    # is order-sensitive, so completion order must never leak in.
-    for label, engine, policy_name in grid:
-        scorecards[(engine, policy_name)].absorb_digest(digests[label])
+    digests = run_grid(cells, describe, progress, journal, workers)
+    for card, digest in zip(cards, digests):
+        card.absorb_digest(digest)
     return ChaosReport(
         config=config, schedules=schedules, scorecards=scorecards
     )

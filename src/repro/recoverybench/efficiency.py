@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.recovery.chaos import _nan, _round6
+from repro.grid import nan, round6
 
 NAN = float("nan")
 
@@ -73,17 +73,17 @@ class RecoveryEfficiency:
             "guarantee": self.guarantee,
             "failed": self.failed,
             "recovered": self.recovered,
-            "detection_s": _round6(self.detection_s),
-            "restore_s": _round6(self.restore_s),
-            "catchup_s": _round6(self.catchup_s),
-            "recovery_time_s": _round6(self.recovery_time_s),
-            "catchup_throughput": _round6(self.catchup_throughput),
-            "p99_inflation": _round6(self.p99_inflation),
-            "lost_weight": _round6(self.lost_weight),
-            "duplicated_weight": _round6(self.duplicated_weight),
-            "lost_fraction": _round6(self.lost_fraction),
-            "duplicated_fraction": _round6(self.duplicated_fraction),
-            "recovery_cost_node_s": _round6(self.recovery_cost_node_s),
+            "detection_s": round6(self.detection_s),
+            "restore_s": round6(self.restore_s),
+            "catchup_s": round6(self.catchup_s),
+            "recovery_time_s": round6(self.recovery_time_s),
+            "catchup_throughput": round6(self.catchup_throughput),
+            "p99_inflation": round6(self.p99_inflation),
+            "lost_weight": round6(self.lost_weight),
+            "duplicated_weight": round6(self.duplicated_weight),
+            "lost_fraction": round6(self.lost_fraction),
+            "duplicated_fraction": round6(self.duplicated_fraction),
+            "recovery_cost_node_s": round6(self.recovery_cost_node_s),
             "violations": sorted(self.violations),
         }
 
@@ -122,12 +122,12 @@ def efficiency_from_digest(
     """
     fault = digest.get("fault") or {}
     ingested = float(digest.get("ingested_weight", 0.0))
-    lost = _nan(fault.get("lost_weight")) if fault else 0.0
-    dup = _nan(fault.get("duplicated_weight")) if fault else 0.0
+    lost = nan(fault.get("lost_weight")) if fault else 0.0
+    dup = nan(fault.get("duplicated_weight")) if fault else 0.0
     lost = lost if lost == lost else 0.0
     dup = dup if dup == dup else 0.0
-    baseline_p99 = _nan(fault.get("baseline_p99_s"))
-    post_p99 = _nan(fault.get("post_p99_s"))
+    baseline_p99 = nan(fault.get("baseline_p99_s"))
+    post_p99 = nan(fault.get("post_p99_s"))
     inflation = (
         post_p99 / baseline_p99
         if baseline_p99 == baseline_p99 and baseline_p99 > 0.0
@@ -141,11 +141,11 @@ def efficiency_from_digest(
         guarantee=str(digest.get("guarantee", "")),
         failed=bool(digest.get("failed", False)),
         recovered=bool(fault.get("recovered", False)),
-        detection_s=_nan(fault.get("detection_phase_s")),
-        restore_s=_nan(fault.get("restore_phase_s")),
-        catchup_s=_nan(fault.get("catchup_phase_s")),
-        recovery_time_s=_nan(fault.get("recovery_time_s")),
-        catchup_throughput=_nan(fault.get("catchup_throughput")),
+        detection_s=nan(fault.get("detection_phase_s")),
+        restore_s=nan(fault.get("restore_phase_s")),
+        catchup_s=nan(fault.get("catchup_phase_s")),
+        recovery_time_s=nan(fault.get("recovery_time_s")),
+        catchup_throughput=nan(fault.get("catchup_throughput")),
         p99_inflation=inflation,
         lost_weight=lost,
         duplicated_weight=dup,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.pareto import pareto_front
-from repro.recovery.chaos import _nan, _round6
+from repro.grid import nan, round6
 
 NAN = float("nan")
 
@@ -52,8 +52,8 @@ class FrontierPoint:
             "engine": self.engine,
             "interval_s": float(self.interval_s),
             "recovered": self.recovered,
-            "recovery_time_s": _round6(self.recovery_time_s),
-            "overhead_fraction": _round6(self.overhead_fraction),
+            "recovery_time_s": round6(self.recovery_time_s),
+            "overhead_fraction": round6(self.overhead_fraction),
             "checkpoints": self.checkpoints,
         }
 
@@ -67,7 +67,7 @@ def point_from_digest(
         engine=engine,
         interval_s=float(interval_s),
         recovered=bool(fault.get("recovered", False)),
-        recovery_time_s=_nan(fault.get("recovery_time_s")),
+        recovery_time_s=nan(fault.get("recovery_time_s")),
         overhead_fraction=float(digest.get("overhead_fraction", 0.0)),
         checkpoints=int(digest.get("checkpoints", 0)),
     )

@@ -9,15 +9,12 @@ only the engine and the reschedule policy.  Each cell condenses to a
 each engine additionally runs the checkpoint-interval sensitivity
 sweep (:mod:`repro.recoverybench.frontier`).
 
-Same determinism contract as the chaos and autoscale scorecards: one
-seed yields a byte-identical report JSON, serial or ``--workers N`` or
-resumed from a journal -- the report absorbs per-trial digests in
-fixed grid order, never raw results.
+Determinism contract: :mod:`repro.grid` (one seed, one byte-identical
+report JSON -- serial, ``--workers N``, or resumed from a journal).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -37,8 +34,15 @@ from repro.faults.schedule import (
     QueueDisconnect,
     SlowNode,
 )
+from repro.grid import (
+    GridReport,
+    canonical_json,
+    check_invariants,
+    require_axis,
+    run_grid,
+)
 from repro.metrology.journal import TrialJournal
-from repro.recovery.chaos import ChaosConfig, DEFAULT_ENGINES, check_invariants
+from repro.recovery.chaos import DEFAULT_ENGINES
 from repro.recovery.reschedule import (
     MODE_NONE,
     MODE_SPREAD,
@@ -55,7 +59,6 @@ from repro.recoverybench.frontier import (
     frontier_points,
     point_from_digest,
 )
-from repro.sched.pool import TrialScheduler, TrialTask
 from repro.workloads.queries import WindowSpec, WindowedAggregationQuery
 
 #: The SUT-side fault kinds benchmarked, one deterministic injection
@@ -103,22 +106,9 @@ class RecoverConfig:
     fixed-timeout recovery semantics bit for bit."""
 
     def __post_init__(self) -> None:
-        if not self.engines:
-            raise ValueError("need at least one engine")
-        if not self.policies:
-            raise ValueError("need at least one policy")
-        for policy in self.policies:
-            if policy not in POLICY_NAMES:
-                raise ValueError(
-                    f"unknown policy {policy!r}; pick from {POLICY_NAMES}"
-                )
-        if not self.kinds:
-            raise ValueError("need at least one fault kind")
-        for kind in self.kinds:
-            if kind not in FAULT_KINDS:
-                raise ValueError(
-                    f"unknown fault kind {kind!r}; pick from {FAULT_KINDS}"
-                )
+        require_axis("engine", self.engines)
+        require_axis("policy", self.policies, POLICY_NAMES)
+        require_axis("fault kind", self.kinds, FAULT_KINDS)
         for interval in self.intervals:
             if interval <= 0:
                 raise ValueError(
@@ -132,11 +122,8 @@ class RecoverConfig:
             raise ValueError(
                 f"fault_fraction must be in (0, 1), got {self.fault_fraction}"
             )
-        if self.detector is not None and self.detector not in DETECTOR_KINDS:
-            raise ValueError(
-                f"unknown detector {self.detector!r}; "
-                f"expected one of {DETECTOR_KINDS}"
-            )
+        if self.detector is not None:
+            require_axis("detector", (self.detector,), DETECTOR_KINDS)
 
     @property
     def fault_at_s(self) -> float:
@@ -232,7 +219,10 @@ def _grid_cell_task(payload) -> Dict[str, object]:
     label = _grid_label(engine, policy, kind)
     result = run_experiment(_grid_spec(engine, policy, kind, config))
     violations = check_invariants(
-        result, ChaosConfig(latency_bound_s=config.latency_bound_s), label
+        result,
+        label,
+        workers=config.workers,
+        latency_bound_s=config.latency_bound_s,
     )
     digest = _base_digest(result, config, violations)
     fault = digest["fault"] or {}
@@ -264,7 +254,10 @@ def _frontier_cell_task(payload) -> Dict[str, object]:
     label = _frontier_label(engine, interval_s)
     result = run_experiment(_frontier_spec(engine, interval_s, config))
     violations = check_invariants(
-        result, ChaosConfig(latency_bound_s=config.latency_bound_s), label
+        result,
+        label,
+        workers=config.workers,
+        latency_bound_s=config.latency_bound_s,
     )
     digest = _base_digest(result, config, violations)
     d = result.diagnostics
@@ -289,7 +282,7 @@ def _frontier_label(engine: str, interval_s: float) -> str:
 
 
 @dataclass
-class RecoveryReport:
+class RecoveryReport(GridReport):
     """Everything one recovery benchmark produced."""
 
     config: RecoverConfig
@@ -297,16 +290,10 @@ class RecoveryReport:
     frontiers: Dict[str, List[FrontierPoint]]
     frontier_violations: List[str] = field(default_factory=list)
 
-    @property
-    def violations(self) -> List[str]:
-        out: List[str] = list(self.frontier_violations)
+    def violation_groups(self):
+        yield self.frontier_violations
         for cell in self.cells.values():
-            out.extend(cell.violations)
-        return sorted(out)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+            yield cell.violations
 
     def to_dict(self) -> Dict[str, object]:
         frontiers: Dict[str, List[Dict[str, object]]] = {}
@@ -336,7 +323,7 @@ class RecoveryReport:
 
     def to_json(self) -> str:
         """Canonical serialisation -- byte-identical for equal seeds."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return canonical_json(self.to_dict())
 
     def render(self) -> str:
         """ASCII report: efficiency table, then per-engine frontiers."""
@@ -387,16 +374,14 @@ class RecoveryReport:
                     f"{point.checkpoints:>5}"
                     + (" *" if on_front else "")
                 )
-        status = "PASS" if self.ok else "FAIL"
         lines.append("")
-        lines.append(
-            f"{status}: {len(self.cells)} cells + "
-            f"{sum(len(p) for p in self.frontiers.values())} frontier "
-            f"trials, seed {self.config.seed}, "
-            f"{len(self.violations)} invariant violations"
+        lines.extend(
+            self.footer(
+                f"{len(self.cells)} cells + "
+                f"{sum(len(p) for p in self.frontiers.values())} frontier "
+                f"trials, seed {self.config.seed}"
+            )
         )
-        if not self.ok:
-            lines.extend(f"  ! {violation}" for violation in self.violations)
         return "\n".join(lines)
 
 
@@ -421,77 +406,57 @@ def run_recovery_bench(
 ) -> RecoveryReport:
     """Run the benchmark: every engine under every reschedule policy
     against every fault kind, plus the checkpoint-interval frontier per
-    engine.  ``progress`` (if given) receives a status line per trial.
-    With a ``journal``, completed trials persist as digests and replay
-    on resume.
-
-    ``workers > 1`` fans trials out over a
-    :class:`~repro.sched.TrialScheduler` process pool.  Execution order
-    changes, nothing else: digests are absorbed in fixed grid order, so
-    the JSON is byte-identical to the serial run.
+    engine.  ``progress``, ``journal`` and ``workers`` are
+    :func:`repro.grid.run_grid`'s (``workers`` is scheduler
+    parallelism, not ``config.workers``): the JSON is byte-identical
+    however the trials were run.
     """
-    tasks: List[TrialTask] = []
+    cells = []
     grid: List[Tuple[str, str, str]] = []
     for engine in config.engines:
         for policy in config.policies:
             for kind in config.kinds:
                 grid.append((engine, policy, kind))
-                tasks.append(
-                    TrialTask(
-                        key=_grid_label(engine, policy, kind),
-                        fn=_grid_cell_task,
-                        payload=(config, engine, policy, kind),
+                cells.append(
+                    (
+                        _grid_label(engine, policy, kind),
+                        _grid_cell_task,
+                        (config, engine, policy, kind),
                     )
                 )
     sweep: List[Tuple[str, float]] = []
     for engine in config.engines:
         for interval in config.intervals:
             sweep.append((engine, interval))
-            tasks.append(
-                TrialTask(
-                    key=_frontier_label(engine, interval),
-                    fn=_frontier_cell_task,
-                    payload=(config, engine, interval),
+            cells.append(
+                (
+                    _frontier_label(engine, interval),
+                    _frontier_cell_task,
+                    (config, engine, interval),
                 )
             )
 
-    def status_line(label: str, digest, replayed: str) -> str:
+    def describe(digest, replayed: str) -> str:
         fault = digest.get("fault") or {}
         recovered = "recovered" if fault.get("recovered") else "unrecovered"
-        count = len(digest["violations"])
-        return f"{label}: {recovered}{replayed}" + (
-            f" ({count} violations)" if count else ""
-        )
+        return recovered + replayed
 
-    on_result = on_replay = None
-    if progress is not None:
-        on_result = lambda label, digest: progress(  # noqa: E731
-            status_line(label, digest, "")
-        )
-        on_replay = lambda label, digest: progress(  # noqa: E731
-            status_line(label, digest, " (journal)")
-        )
-    scheduler = TrialScheduler(workers=workers, journal=journal)
-    digests = scheduler.run(tasks, on_result=on_result, on_replay=on_replay)
-    # Absorb in fixed grid order: report assembly must never see the
-    # completion order (same contract as chaos/autoscale).
-    cells: Dict[Tuple[str, str, str], RecoveryEfficiency] = {}
-    for engine, policy, kind in grid:
-        label = _grid_label(engine, policy, kind)
-        cells[(engine, policy, kind)] = efficiency_from_digest(
-            digests[label], engine, policy, kind
+    digests = run_grid(cells, describe, progress, journal, workers)
+    efficiencies: Dict[Tuple[str, str, str], RecoveryEfficiency] = {}
+    for (engine, policy, kind), digest in zip(grid, digests):
+        efficiencies[(engine, policy, kind)] = efficiency_from_digest(
+            digest, engine, policy, kind
         )
     frontiers: Dict[str, List[FrontierPoint]] = {}
     frontier_violations: List[str] = []
-    for engine, interval in sweep:
-        digest = digests[_frontier_label(engine, interval)]
+    for (engine, interval), digest in zip(sweep, digests[len(grid):]):
         frontiers.setdefault(engine, []).append(
             point_from_digest(digest, engine, interval)
         )
         frontier_violations.extend(digest["violations"])
     return RecoveryReport(
         config=config,
-        cells=cells,
+        cells=efficiencies,
         frontiers=frontiers,
         frontier_violations=frontier_violations,
     )

@@ -14,7 +14,7 @@ from repro.autoscale.policy import AutoscaleSpec
 from repro.autoscale.scorecard import single_worker_capacity
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.generator import GeneratorConfig
-from repro.recovery.chaos import ChaosConfig, check_invariants
+from repro.grid import check_invariants
 from repro.workloads.profiles import FlashCrowdRate
 
 
@@ -76,7 +76,7 @@ class TestAutoscaledTrial:
 
     def test_ledgers_balance_through_scale_events(self, result):
         violations = check_invariants(
-            result, ChaosConfig(latency_bound_s=20.0), "autoscaled"
+            result, "autoscaled", workers=6, latency_bound_s=20.0
         )
         assert violations == []
 

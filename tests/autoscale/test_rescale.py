@@ -1,5 +1,7 @@
 """Engine-level rescale mechanics: styles, safety guards, billing."""
 
+from dataclasses import replace
+
 import pytest
 
 import repro.engines.ext  # noqa: F401  (registers heron/samza)
@@ -12,6 +14,7 @@ from repro.autoscale.rescale import (
     RescaleSemantics,
 )
 from repro.engines import engine_class
+from repro.faults.schedule import NodeCrash
 from repro.recovery.reschedule import MODE_STANDBY, ReschedulePolicy
 from repro.sim.cluster import paper_cluster
 from repro.sim.network import DataPlane, NetworkSpec
@@ -131,7 +134,8 @@ class TestScaleOut:
 
     def test_refused_when_failed(self):
         sim, engine = make_engine("flink")
-        engine.inject_node_failure(engine.active_workers)  # fatal: no standbys
+        # Losing every worker with no standbys is fatal.
+        engine.inject_fault(NodeCrash(at_s=1.0, nodes=engine.active_workers))
         assert engine.failed
         assert engine.request_scale_out(1) is None
 
@@ -207,6 +211,8 @@ class TestStyleRegistry:
     def test_all_registered_styles_have_a_branch(self):
         # Guards against adding a style without pricing it.
         _, engine = make_engine("flink")
+        # (On the instance: ``rescale`` is a class attribute shared by
+        # every Flink engine in the process.)
         for style in RESCALE_STYLES:
-            object.__setattr__(engine.rescale, "style", style)
+            engine.rescale = replace(engine.rescale, style=style)
             assert engine._rescale_style_pause_s(1e6) >= 0.0

@@ -1,6 +1,8 @@
-"""Elasticity scorecard: grid, invariants, byte-identity, resume."""
+"""Elasticity scorecard: config, grid coverage, invariants.
 
-import json
+Byte-identity (serial / parallel / resumed / golden) is the shared
+contract in ``tests/integration/test_grid_contract.py``.
+"""
 
 import pytest
 
@@ -10,7 +12,6 @@ from repro.autoscale.scorecard import (
     run_elasticity,
     single_worker_capacity,
 )
-from repro.metrology import TrialJournal
 
 SMALL = ElasticityConfig(
     seed=3, engines=("flink",), policies=("threshold",), duration_s=60.0
@@ -79,39 +80,3 @@ class TestSweep:
     def test_autoscaling_beats_fixed_provisioning(self, report):
         card = report.scorecards[("flink", "threshold")]
         assert 0.0 < card.cost_node_seconds < card.fixed_cost_node_seconds
-
-    def test_json_clean(self, report):
-        payload = report.to_dict()
-        text = json.dumps(payload, sort_keys=True)
-        assert json.loads(text) == payload
-
-    def test_byte_identical_for_equal_seeds(self, report):
-        assert run_elasticity(SMALL).to_json() == report.to_json()
-
-    def test_parallel_sweep_is_byte_identical(self, report):
-        assert (
-            run_elasticity(SMALL, workers=2).to_json() == report.to_json()
-        )
-
-    def test_render_mentions_status(self, report):
-        text = report.render()
-        assert "PASS" in text
-        assert "flink/threshold" in text
-
-    def test_journaled_sweep_resumes_byte_identical(self, report, tmp_path):
-        path = tmp_path / "elasticity.journal"
-        fingerprint = elasticity_fingerprint(SMALL)
-        first = run_elasticity(
-            SMALL, journal=TrialJournal(path, fingerprint=fingerprint)
-        )
-        assert first.to_json() == report.to_json()
-        replayed = []
-        resumed = run_elasticity(
-            SMALL,
-            journal=TrialJournal(path, fingerprint=fingerprint, resume=True),
-            progress=lambda line: replayed.append(line),
-        )
-        assert resumed.to_json() == report.to_json()
-        # Every cell came from the journal, none re-ran.
-        assert all("(journal)" in line for line in replayed)
-        assert len(replayed) == len(SMALL.profiles)

@@ -12,6 +12,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.faults.schedule import DriverNodeSlow, GeneratorCrash
+from repro.metrology.journal import shard_path
 from repro.sim.clock import ClockSkewSpec
 
 
@@ -84,6 +85,24 @@ class TestArgumentValueErrors:
         )
         assert code == 2
         assert "--journal" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["chaos", "recover", "autoscale"])
+    def test_usage_error_leaves_journal_shards_alone(
+        self, command, capsys, tmp_path
+    ):
+        # A killed parallel run's only copy of its finished trials is
+        # in the worker shards; opening a fresh journal clears them, so
+        # a rejected flag must be rejected before the journal is opened.
+        journal = tmp_path / "grid.json"
+        shard = shard_path(journal, 0)
+        shard.write_text("{}")
+        code = self.run_cli(
+            [command, "--journal", str(journal), "--workers", "0",
+             "--engines", "flink"]
+        )
+        assert code == 2
+        assert "--workers must be >= 1" in capsys.readouterr().err
+        assert shard.exists()
 
 
 class TestExecution:

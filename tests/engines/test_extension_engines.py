@@ -126,11 +126,11 @@ class TestSamza:
     def test_node_failure_loses_nothing(self):
         from dataclasses import replace
 
-        from repro.sim.nodefail import NodeFailureSpec
+        from repro.faults.schedule import FaultSchedule, NodeCrash
 
         s = replace(
             spec("samza", workers=4, profile=0.2e6, duration_s=120.0),
-            node_failure=NodeFailureSpec(fail_at_s=50.0),
+            faults=FaultSchedule((NodeCrash(at_s=50.0),)),
         )
         result = run_experiment(s)
         assert result.diagnostics["state_lost_weight"] == 0.0

@@ -13,7 +13,6 @@ from repro.faults.schedule import (
     QueueDisconnect,
     SlowNode,
 )
-from repro.sim.nodefail import NodeFailureSpec
 
 
 class TestEvents:
@@ -78,16 +77,6 @@ class TestSchedule:
         with pytest.raises(ValueError, match="crash@120s"):
             schedule.validate_against(120.0)  # at the boundary: too late
         schedule.validate_against(121.0)  # ok
-
-    def test_from_node_failure_shim(self):
-        shim = FaultSchedule.from_node_failure(
-            NodeFailureSpec(fail_at_s=45.0, nodes=2)
-        )
-        assert len(shim) == 1
-        (event,) = shim.events
-        assert isinstance(event, NodeCrash)
-        assert event.at_s == 45.0
-        assert event.nodes == 2
 
     def test_describe(self):
         assert FaultSchedule().describe() == "no faults"

@@ -13,7 +13,7 @@ from repro.core.broker import BrokerSpec
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.generator import GeneratorConfig
 from repro.core.sustainable import assess, find_sustainable_throughput
-from repro.sim.nodefail import NodeFailureSpec
+from repro.faults.schedule import FaultSchedule, NodeCrash
 from repro.workloads.disorder import DisorderSpec
 from repro.workloads.queries import (
     WindowSpec,
@@ -112,7 +112,7 @@ class TestFailureComposition:
                 engine="storm",
                 workers=2,
                 duration_s=80.0,
-                node_failure=NodeFailureSpec(fail_at_s=10.0),
+                faults=FaultSchedule((NodeCrash(at_s=10.0),)),
             ),
             high_rate=0.6e6,
             rel_tol=0.1,
@@ -127,7 +127,7 @@ class TestFailureComposition:
                 workers=4,
                 profile=0.2e6,
                 duration_s=100.0,
-                node_failure=NodeFailureSpec(fail_at_s=40.0),
+                faults=FaultSchedule((NodeCrash(at_s=40.0),)),
             )
         )
         assert not result.failed
@@ -193,7 +193,7 @@ class TestDeterminismAcrossExtensions:
                 instances=2,
                 disorder=DisorderSpec(fraction=0.2, max_delay_s=1.5),
             ),
-            node_failure=NodeFailureSpec(fail_at_s=25.0),
+            faults=FaultSchedule((NodeCrash(at_s=25.0),)),
         )
         a = run_experiment(build())
         b = run_experiment(build())

@@ -2,7 +2,7 @@
 
 Multi-fault timelines, derived recovery pauses, delivery-guarantee
 accounting, and the under-faults sustainability criteria -- everything
-above the one-shot node-failure shim covered by test_node_failures.py.
+above the single-crash robustness cases in test_node_failures.py.
 """
 
 import pytest
@@ -15,7 +15,6 @@ from repro.core.sustainable import (
     assess,
     find_sustainable_throughput_under_faults,
 )
-from repro.engines.base import EngineConfig
 from repro.faults import (
     CheckpointSpec,
     DeliveryGuarantee,
@@ -26,7 +25,6 @@ from repro.faults import (
     QueueDisconnect,
     SlowNode,
 )
-from repro.sim.nodefail import NodeFailureSpec
 from repro.workloads.queries import WindowSpec, WindowedAggregationQuery
 
 
@@ -50,27 +48,6 @@ class TestSpecWiring:
         spec = fault_spec(faults=[NodeCrash(at_s=500.0)], duration=160.0)
         with pytest.raises(ValueError, match="never fire"):
             run_experiment(spec)
-
-    def test_late_legacy_node_failure_rejected(self):
-        # The old silent no-op: fail_at_s past the end simply never fired
-        # and the "failure trial" ran as a healthy baseline.
-        spec = ExperimentSpec(
-            engine="flink",
-            duration_s=80.0,
-            profile=0.1e6,
-            node_failure=NodeFailureSpec(fail_at_s=90.0),
-            monitor_resources=False,
-        )
-        with pytest.raises(ValueError, match="never fire"):
-            run_experiment(spec)
-
-    def test_faults_and_node_failure_both_set_is_ambiguous(self):
-        spec = ExperimentSpec(
-            faults=FaultSchedule((NodeCrash(at_s=30.0),)),
-            node_failure=NodeFailureSpec(fail_at_s=30.0),
-        )
-        with pytest.raises(ValueError, match="not both"):
-            spec.resolved_faults()
 
     def test_fault_free_trial_has_no_recovery_metrics(self):
         result = run_experiment(
@@ -238,16 +215,6 @@ class TestFaultKinds:
 
 
 class TestDerivedPause:
-    def test_explicit_override_wins(self):
-        result = run_experiment(
-            fault_spec(
-                faults=[NodeCrash(at_s=70.0)],
-                engine_config=EngineConfig(recovery_pause_s=4.5),
-            )
-        )
-        (m,) = result.recovery
-        assert m.injected_pause_s == 4.5
-
     def test_longer_checkpoint_interval_longer_outage(self):
         # Crash just before the next checkpoint: the replay window (and
         # with it the derived pause) scales with the interval.

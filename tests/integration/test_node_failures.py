@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.generator import GeneratorConfig
-from repro.sim.nodefail import NodeFailureSpec
+from repro.faults.schedule import FaultSchedule, NodeCrash
 from repro.workloads.queries import WindowSpec, WindowedAggregationQuery
 
 
@@ -18,7 +18,7 @@ def run_with_failure(engine, rate, workers=4, fail_at=60.0, duration=160.0):
             duration_s=duration,
             seed=8,
             generator=GeneratorConfig(instances=2),
-            node_failure=NodeFailureSpec(fail_at_s=fail_at),
+            faults=FaultSchedule((NodeCrash(at_s=fail_at),)),
             monitor_resources=False,
         )
     )
@@ -26,15 +26,13 @@ def run_with_failure(engine, rate, workers=4, fail_at=60.0, duration=160.0):
 
 class TestSpecValidation:
     def test_defaults(self):
-        spec = NodeFailureSpec()
-        assert spec.fail_at_s == 60.0
-        assert spec.nodes == 1
+        assert NodeCrash(at_s=60.0).nodes == 1
 
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):
-            NodeFailureSpec(fail_at_s=0.0)
+            NodeCrash(at_s=0.0)
         with pytest.raises(ValueError):
-            NodeFailureSpec(nodes=0)
+            NodeCrash(at_s=60.0, nodes=0)
 
 
 class TestCapacityLoss:
@@ -63,7 +61,7 @@ class TestCapacityLoss:
                 profile=0.1e6,
                 duration_s=80.0,
                 generator=GeneratorConfig(instances=2),
-                node_failure=NodeFailureSpec(fail_at_s=30.0, nodes=5),
+                faults=FaultSchedule((NodeCrash(at_s=30.0, nodes=5),)),
                 monitor_resources=False,
             )
         )

@@ -1,10 +1,11 @@
-"""Recovery benchmark harness: grid coverage, determinism, journals."""
+"""Recovery benchmark harness: config, grid coverage, decomposition.
 
-import json
+Byte-identity (serial / parallel / resumed / golden) is the shared
+contract in ``tests/integration/test_grid_contract.py``.
+"""
 
 import pytest
 
-from repro.metrology import TrialJournal
 from repro.recoverybench import (
     FAULT_KINDS,
     POLICY_NAMES,
@@ -126,55 +127,6 @@ class TestBenchmark:
     def test_no_invariant_violations(self, report):
         assert report.ok, report.violations
 
-    def test_json_round_trips_clean(self, report):
-        payload = report.to_dict()
-        assert json.loads(json.dumps(payload, sort_keys=True)) == payload
-        assert set(payload["cells"]) == {
-            f"flink/{policy}/{kind}"
-            for policy in SMALL.policies
-            for kind in SMALL.kinds
-        }
-        for point in payload["frontiers"]["flink"]:
-            assert isinstance(point["pareto"], bool)
-
-    def test_byte_identical_for_equal_seeds(self, report):
-        rerun = run_recovery_bench(SMALL)
-        assert rerun.to_json() == report.to_json()
-
-    def test_parallel_run_is_byte_identical(self, report):
-        parallel = run_recovery_bench(SMALL, workers=3)
-        assert parallel.to_json() == report.to_json()
-
-    def test_journaled_run_resumes_byte_identical(self, report, tmp_path):
-        # Kill after two journal records, resume, and require the final
-        # report JSON byte-identical to the uninterrupted run.
-        path = tmp_path / "recover.json"
-        fingerprint = recover_fingerprint(SMALL)
-
-        class Killed(RuntimeError):
-            pass
-
-        journal = TrialJournal(path, fingerprint=fingerprint)
-        real_record, seen = journal.record, []
-
-        def record_then_die(key, entry):
-            real_record(key, entry)
-            seen.append(key)
-            if len(seen) == 2:
-                raise Killed()
-
-        journal.record = record_then_die
-        with pytest.raises(Killed):
-            run_recovery_bench(SMALL, journal=journal)
-
-        resumed_journal = TrialJournal(
-            path, fingerprint=fingerprint, resume=True
-        )
-        resumed = run_recovery_bench(SMALL, journal=resumed_journal)
-        assert resumed_journal.hits == 2
-        assert resumed_journal.misses == 6
-        assert resumed.to_json() == report.to_json()
-
     def test_progress_reports_every_trial(self, report):
         lines = []
         rerun = run_recovery_bench(SMALL, progress=lines.append)
@@ -182,14 +134,6 @@ class TestBenchmark:
         assert any("flink/standby/crash" in line for line in lines)
         assert any("frontier/flink/20s" in line for line in lines)
         assert rerun.to_json() == report.to_json()
-
-    def test_render_mentions_status_and_frontier(self, report):
-        text = report.render()
-        assert "PASS" in text
-        assert "flink/standby/restart" in text
-        assert "checkpoint-interval frontier: flink" in text
-        assert "*" in text  # at least one Pareto-efficient interval
-        assert "nan" not in text
 
 
 class TestPolicyNamesAreTheRescheduleModes:
