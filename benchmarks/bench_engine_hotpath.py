@@ -18,6 +18,13 @@ Run directly (not collected by the tier-1 pytest run)::
 
     PYTHONPATH=src python benchmarks/bench_engine_hotpath.py                 # full, 1M events
     PYTHONPATH=src python benchmarks/bench_engine_hotpath.py --events 100000  # CI smoke
+    PYTHONPATH=src python benchmarks/bench_engine_hotpath.py --engine storm --keys 4096 \
+        --rate 300000 --events 3000000                                       # CI, wide Storm
+
+``--engine`` picks the engine model (default flink).  Storm is gated
+separately because its hot path is a different loop -- the in-flight
+drain and tick-min countdown run inside the tick -- and a per-cohort
+Python loop left there is invisible to a Flink-only gate.
 
 Exit status is non-zero if the identity check fails, or if
 ``--assert-speedup X`` is given and the measured speedup is below X.
@@ -34,6 +41,7 @@ from typing import Dict, List, Tuple
 from repro.core.batch import SCALAR_ENV
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.generator import GeneratorConfig
+from repro.engines import ENGINES
 from repro.workloads.keys import UniformKeys
 from repro.workloads.queries import WindowSpec, WindowedAggregationQuery
 
@@ -46,15 +54,17 @@ WALL_CLOCK_KEYS = frozenset(
 )
 
 
-def bench_spec(events: int, rate: float, keys: int) -> ExperimentSpec:
-    """One deterministic flink aggregation trial sized to ``events``.
+def bench_spec(
+    events: int, rate: float, keys: int, engine: str = "flink"
+) -> ExperimentSpec:
+    """One deterministic aggregation trial of ``engine`` sized to ``events``.
 
     Dense mode with uniform keys keeps every tick's cohort block the
     same shape, so the scalar/vector timing difference is purely the
     per-cohort loop vs the columnar kernels.
     """
     return ExperimentSpec(
-        engine="flink",
+        engine=engine,
         query=WindowedAggregationQuery(
             window=WindowSpec(8.0, 4.0), keys=UniformKeys(keys)
         ),
@@ -155,6 +165,13 @@ def main(argv=None) -> int:
                         help="uniform key-space size (cohorts per block)")
     parser.add_argument("--repeats", type=int, default=1)
     parser.add_argument(
+        "--engine",
+        choices=sorted(ENGINES),
+        default="flink",
+        help="engine whose tick loop is gated (storm adds the in-flight "
+        "drain and its tick-min countdown to the path)",
+    )
+    parser.add_argument(
         "--assert-speedup",
         type=float,
         default=0.0,
@@ -164,9 +181,9 @@ def main(argv=None) -> int:
     if args.events < 1 or args.repeats < 1 or args.rate <= 0 or args.keys < 1:
         parser.error("--events/--repeats/--rate/--keys must be positive")
 
-    spec = bench_spec(args.events, args.rate, args.keys)
+    spec = bench_spec(args.events, args.rate, args.keys, args.engine)
     print(
-        f"== engine hot path @ {args.events:,} events "
+        f"== {args.engine} engine hot path @ {args.events:,} events "
         f"({spec.duration_s:g}s sim, {args.keys} keys) =="
     )
 

@@ -161,9 +161,14 @@ class RecordBlock:
         ]
 
     def take_prefix(self, count: int) -> "RecordBlock":
-        """The first ``count`` whole cohorts as a new block (copies)."""
+        """The first ``count`` whole cohorts as a new block.
+
+        Weights are copied (they are mutated in place by splits); keys
+        never are, so the prefix keeps a view of this block's key array
+        and a columnar store can recognise the catalog behind it.
+        """
         return RecordBlock(
-            self.keys[:count].copy(),
+            self.keys[:count],
             self.weights[:count].copy(),
             value=self.value,
             event_time=self.event_time,
@@ -172,6 +177,23 @@ class RecordBlock:
             traces=[(i, t) for i, t in self.traces if i < count],
             _checked=True,
         )
+
+    def take_all(self) -> "RecordBlock":
+        """Move every cohort into a new block, leaving this one empty."""
+        taken = RecordBlock(
+            self.keys,
+            self.weights,
+            value=self.value,
+            event_time=self.event_time,
+            stream=self.stream,
+            ingest_time=self.ingest_time,
+            traces=self.traces,
+            _checked=True,
+        )
+        self.keys = self.keys[:0]
+        self.weights = self.weights[:0]
+        self.traces = []
+        return taken
 
     def _advance(self, count: int) -> None:
         """Drop the first ``count`` cohorts in place (after a take)."""
@@ -284,9 +306,7 @@ def consume_front(
     bad = np.nonzero(violation)[0]
     if len(bad) == 0:
         # Everything fits: the whole block is taken.
-        taken = block.take_prefix(n)
-        block._advance(n)
-        return taken, float(acc[n]), True
+        return block.take_all(), float(acc[n]), True
     j = int(bad[0])
     if before[j] <= _EPS:
         # Budget exhausted before cohort j: take the clean prefix.
@@ -297,16 +317,7 @@ def consume_front(
         return taken, float(before[j]), False
     # Split cohort j: the taken part gets the remaining budget exactly.
     split_w = float(before[j])
-    taken = RecordBlock(
-        block.keys[: j + 1].copy(),
-        block.weights[: j + 1].copy(),
-        value=block.value,
-        event_time=block.event_time,
-        stream=block.stream,
-        ingest_time=block.ingest_time,
-        traces=[(i, t) for i, t in block.traces if i <= j],
-        _checked=True,
-    )
+    taken = block.take_prefix(j + 1)
     taken.weights[j] = split_w
     # Remainder: cohort j survives at reduced weight, trace gone (it
     # left with the first part, the scalar split convention).

@@ -139,9 +139,7 @@ class DataGenerator:
         # record-at-a-time in both engine modes (per-record RNG draws).
         self._vector = vector_enabled() and config.mode == DENSE
         if self._vector:
-            mask = self._pmf > 0
-            self._dense_keys = np.nonzero(mask)[0].astype(np.int64)
-            self._dense_mass = np.asarray(self._pmf, dtype=np.float64)[mask]
+            self._dense_keys, self._dense_mass = query.keys.support()
         self._mean_price = (MIN_GEM_PACK_PRICE + MAX_GEM_PACK_PRICE) / 2.0
         self._is_join = isinstance(query, WindowedJoinQuery)
         self._purchases_share = (

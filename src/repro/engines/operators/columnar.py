@@ -15,16 +15,18 @@ qualify):
   so materialized ``by_key`` dicts iterate identically and every
   left-fold over them (``WindowContents.total_weight``,
   ``stored_weight``, join key matching) reproduces the scalar fold.
-- Accumulator updates use one fancy-index ``+=`` per block; block keys
-  are unique, so each slot receives exactly one IEEE add per block, the
-  same add the scalar ``acc.value += value * weight`` performed.
+- Accumulator updates use one ``+=`` per block -- over a slot slice
+  when the block's key catalog is known to sit on consecutive slots,
+  over a slot index array otherwise; block keys are unique, so either
+  way each slot receives exactly one IEEE add per block, the same add
+  the scalar ``acc.value += value * weight`` performed.
 - Ledgers advance by strict left folds (``fold_add``) over the block's
   cohort weights, in cohort order.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -51,17 +53,22 @@ class _WindowCols:
 
     __slots__ = (
         "n", "keys", "values", "weights", "max_et", "max_pt", "_slot_table",
+        "_run_keys", "_run_start",
     )
 
     def __init__(self, key_space_hint: int = 64) -> None:
         self.n = 0
-        cap = 16
+        cap = max(1, key_space_hint)
         self.keys = np.zeros(cap, dtype=np.int64)
         self.values = np.zeros(cap)
         self.weights = np.zeros(cap)
         self.max_et = np.full(cap, float("-inf"))
         self.max_pt = np.full(cap, float("-inf"))
-        self._slot_table = np.full(max(1, key_space_hint), -1, dtype=np.int64)
+        self._slot_table = np.full(cap, -1, dtype=np.int64)
+        # The key catalog (a whole array, never a view) found to occupy
+        # the consecutive slots _run_start.. in catalog order.
+        self._run_keys: Optional[np.ndarray] = None
+        self._run_start = 0
 
     def _ensure_key_space(self, max_key: int) -> None:
         if max_key < len(self._slot_table):
@@ -85,21 +92,26 @@ class _WindowCols:
             grown[: cap] = old
             setattr(self, name, grown)
 
-    def add_cohorts(
-        self,
-        keys: np.ndarray,
-        weights: np.ndarray,
-        value: float,
-        event_time: float,
-        ingest_time: Optional[float],
-    ) -> None:
-        """Fold one block's cohorts into this window's accumulators.
+    def _locate(self, keys: np.ndarray) -> Union[slice, np.ndarray]:
+        """Where a block's cohorts accumulate: a slot run or slot indices.
 
-        Bitwise equal to ``for each cohort: acc.add(record)`` because
-        keys are unique within a block: every slot gets exactly one add.
+        Blocks carry their generator's key catalog by reference -- whole,
+        or as a contiguous view of it after a split -- and after first
+        touch a catalog's keys sit on consecutive slots in catalog
+        order.  Once a whole catalog has been seen to do so it is
+        remembered by identity, and every later block over it is
+        addressed as a slice: no table gather, no scatter.  Everything
+        else (first touch, permuted or foreign key arrays, strided
+        views, single cohorts) takes the gather path, which also assigns
+        slots to new keys.
         """
-        if len(keys) == 0:
-            return
+        base = keys.base
+        if base is None:
+            if keys is self._run_keys:
+                return slice(self._run_start, self._run_start + len(keys))
+        elif base is self._run_keys and keys.flags.c_contiguous:
+            start = int(self._slot_table[keys[0]])
+            return slice(start, start + len(keys))
         self._ensure_key_space(int(keys.max()))
         slots = self._slot_table[keys]
         fresh = np.nonzero(slots == -1)[0]
@@ -117,11 +129,38 @@ class _WindowCols:
             self.max_pt[new_slots] = float("-inf")
             self.n += count
             slots[fresh] = new_slots
-        self.values[slots] += value * weights
-        self.weights[slots] += weights
-        self.max_et[slots] = np.maximum(self.max_et[slots], event_time)
+        if self._run_keys is None and base is None and len(keys) > 1:
+            start = int(slots[0])
+            if int(slots[-1]) - start == len(keys) - 1 and np.array_equal(
+                slots, np.arange(start, start + len(keys))
+            ):
+                self._run_keys = keys
+                self._run_start = start
+        return slots
+
+    def add_cohorts(
+        self,
+        keys: np.ndarray,
+        weights: np.ndarray,
+        value: float,
+        event_time: float,
+        ingest_time: Optional[float],
+    ) -> None:
+        """Fold one block's cohorts into this window's accumulators.
+
+        Bitwise equal to ``for each cohort: acc.add(record)`` because
+        keys are unique within a block: every slot gets exactly one add
+        and one max, whether it is addressed through a slice or through
+        an index array.
+        """
+        if len(keys) == 0:
+            return
+        at = self._locate(keys)
+        self.values[at] += value * weights
+        self.weights[at] += weights
+        self.max_et[at] = np.maximum(self.max_et[at], event_time)
         if ingest_time is not None:
-            self.max_pt[slots] = np.maximum(self.max_pt[slots], ingest_time)
+            self.max_pt[at] = np.maximum(self.max_pt[at], ingest_time)
 
     def lose_fraction_fold(self, lost: float, fraction: float) -> float:
         """Scale every accumulator by ``1 - fraction``; fold the loss.

@@ -44,9 +44,6 @@ class _Event:
     args: Tuple[Any, ...]
     cancelled: bool = False
 
-    def __lt__(self, other: "_Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
 
 class Simulator:
     """A minimal, deterministic discrete-event simulator.
@@ -66,7 +63,9 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._heap: List[_Event] = []
+        # (time, seq, event): seq is unique, so ordering is decided by
+        # the first two fields in C and the event is never compared.
+        self._heap: List[Tuple[float, int, _Event]] = []
         self._seq = itertools.count()
         self._live: dict[int, _Event] = {}
         self._running = False
@@ -99,7 +98,7 @@ class Simulator:
             )
         seq = next(self._seq)
         event = _Event(time=time, seq=seq, callback=callback, args=args)
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, seq, event))
         self._live[seq] = event
         return EventHandle(time=time, seq=seq)
 
@@ -133,7 +132,7 @@ class Simulator:
 
     def _pop_next(self) -> Optional[_Event]:
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[2]
             if not event.cancelled:
                 self._live.pop(event.seq, None)
                 return event
@@ -166,11 +165,11 @@ class Simulator:
         self._running = True
         try:
             while self._running and self._heap:
-                nxt = self._heap[0]
-                if nxt.cancelled:
+                head_time, _, head = self._heap[0]
+                if head.cancelled:
                     heapq.heappop(self._heap)
                     continue
-                if nxt.time > time:
+                if head_time > time:
                     break
                 self.step()
         finally:

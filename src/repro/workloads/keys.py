@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -27,6 +28,7 @@ class KeyDistribution(ABC):
         if num_keys < 1:
             raise ValueError(f"num_keys must be >= 1, got {num_keys}")
         self.num_keys = int(num_keys)
+        self._support: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @abstractmethod
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -41,6 +43,24 @@ class KeyDistribution(ABC):
         sampling noise at benchmark scale (see
         :mod:`repro.core.generator`).
         """
+
+    def support(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(keys, masses)`` of the positive-mass keys, in key order.
+
+        Computed once and handed out by reference (read-only), so every
+        dense generator over this distribution stamps its blocks with
+        the *same* key array and a columnar store can recognise a
+        block's catalog by identity instead of by content.
+        """
+        if self._support is None:
+            pmf = np.asarray(self.pmf(), dtype=np.float64)
+            mask = pmf > 0
+            keys = np.nonzero(mask)[0].astype(np.int64)
+            masses = pmf[mask]
+            keys.flags.writeable = False
+            masses.flags.writeable = False
+            self._support = (keys, masses)
+        return self._support
 
     def hot_fraction(self) -> float:
         """Probability mass of the single most popular key."""

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.batch import vector_enabled
 from repro.core.generator import (
     DENSE,
     SAMPLED,
@@ -183,6 +184,31 @@ class TestFleet:
         sim.run_until(5.0)
         total = sum(g.generated_weight for g in fleet)
         assert total == pytest.approx(5.0 * 4000.0, rel=0.02)
+
+    @pytest.mark.skipif(
+        not vector_enabled(), reason="blocks exist on the columnar path only"
+    )
+    def test_fleet_blocks_carry_one_key_catalog(self):
+        # Columnar stores recognise a block's catalog by identity: every
+        # instance must stamp the distribution's one support array.
+        sim = Simulator()
+        rng = RngRegistry(0)
+        query = WindowedAggregationQuery()
+        fleet = build_generator_fleet(
+            sim=sim,
+            profile=ConstantRate(4000.0),
+            query=query,
+            rng_streams=[rng.stream(f"g{i}") for i in range(3)],
+            config=GeneratorConfig(instances=3),
+            horizon_s=10.0,
+        )
+        for gen in fleet:
+            gen.start()
+        sim.run_until(0.2)
+        catalog = query.keys.support()[0]
+        blocks = [b for gen in fleet for b in gen.queue.pull_blocks(1e9)]
+        assert len(blocks) >= 3
+        assert all(b.keys is catalog for b in blocks)
 
     def test_fleet_queue_capacity_from_peak(self):
         sim = Simulator()

@@ -12,13 +12,14 @@ exact equality, no tolerance.
 import numpy as np
 import pytest
 
-from repro.core.batch import RecordBlock, as_block
+from repro.core.batch import RecordBlock, as_block, consume_front
 from repro.core.records import ADS, PURCHASES, Record
 from repro.engines.operators.aggregate import BatchPartialAggregator
 from repro.engines.operators.columnar import (
     ColumnarBatchPartials,
     ColumnarJoinStore,
     ColumnarWindowStore,
+    _WindowCols,
 )
 from repro.engines.operators.join import JoinWindowStore
 from repro.engines.operators.window import KeyedWindowStore
@@ -236,3 +237,144 @@ class TestBatchPartials:
                 assert vec[idx][key].weight == sca[idx][key].weight
         assert columnar.batch_weight == 0.0
         assert columnar.drain() == {}
+
+
+class TestSlotRuns:
+    """``_WindowCols`` addresses a remembered catalog through slices.
+
+    Each case feeds one sequence of blocks twice: once with every block
+    carrying (views of) one shared key catalog -- the generator's shape,
+    eligible for slot runs -- and once with a view of a private copy of
+    its keys, which can only take the gather/scatter path.  The two
+    windows must end slot-for-slot identical.
+    """
+
+    CATALOG = np.arange(3, 11, dtype=np.int64)
+
+    @staticmethod
+    def foreign(keys):
+        """Same keys as a view of a throw-away array: never a whole
+        catalog, never a view of a remembered one."""
+        return keys.copy()[:]
+
+    @staticmethod
+    def weights_for(n, salt):
+        return (np.arange(n, dtype=np.float64) + 1.0) * (0.37 + salt)
+
+    def run_pair(self, key_arrays, hint=4):
+        fast, slow = _WindowCols(hint), _WindowCols(hint)
+        paths = []
+        for step, keys in enumerate(key_arrays):
+            w = self.weights_for(len(keys), 0.01 * step)
+            at = fast._locate(keys) if len(keys) else None
+            paths.append("run" if isinstance(at, slice) else "gather")
+            fast.add_cohorts(keys, w, 2.5, 1.0 + step, 2.0 + step)
+            other = self.foreign(keys)
+            if len(other):
+                assert not isinstance(slow._locate(other), slice)
+            slow.add_cohorts(other, w, 2.5, 1.0 + step, 2.0 + step)
+        assert fast.n == slow.n
+        n = fast.n
+        for column in ("keys", "values", "weights", "max_et", "max_pt"):
+            assert (
+                getattr(fast, column)[:n].tolist()
+                == getattr(slow, column)[:n].tolist()
+            ), column
+        return paths
+
+    def test_whole_block_after_first_touch(self):
+        c = self.CATALOG
+        assert self.run_pair([c, c, c]) == ["gather", "run", "run"]
+
+    def test_split_prefix_and_remainder(self):
+        c = self.CATALOG
+        # First touch by a split: prefix 0..4 then remainder 4..n-1 (the
+        # split cohort is in both), then the same shapes once the whole
+        # catalog has been seen in place.
+        paths = self.run_pair([c[:5], c[4:], c, c[:5], c[4:], c[7:], c[:1]])
+        assert paths == ["gather", "gather", "gather", "run", "run", "run", "run"]
+
+    def test_permuted_keys_stay_on_the_gather_path(self):
+        c = self.CATALOG
+        shuffled = c[::-1].copy()
+        assert self.run_pair([shuffled, c, c]) == ["gather"] * 3
+        # ... and a strided view of a remembered catalog is not a run.
+        assert self.run_pair([c, c, c[::2], c[::-1]]) == [
+            "gather", "run", "gather", "gather",
+        ]
+
+    def test_subset_of_keys(self):
+        c = self.CATALOG
+        subset = c[[1, 2, 5]]
+        assert self.run_pair([c, subset, c, subset]) == [
+            "gather", "gather", "run", "gather",
+        ]
+
+    def test_new_keys_appended_mid_stream(self):
+        c = self.CATALOG
+        late = np.array([40, 1, 41], dtype=np.int64)
+        wider = np.concatenate([c, late])
+        paths = self.run_pair([c, c, late, c, wider, wider, c[2:]])
+        # `wider` is verified in place but the first catalog stays the
+        # remembered one.
+        assert paths == [
+            "gather", "run", "gather", "run", "gather", "gather", "run",
+        ]
+
+    def test_capacity_growth_inside_a_run(self):
+        c = np.arange(0, 40, dtype=np.int64)
+        more = np.arange(40, 100, dtype=np.int64)
+        # hint=4: first touch regrows the columns and the slot table;
+        # `more` regrows them again while `c` is the remembered run.
+        paths = self.run_pair([c, c, more, c, c[10:], more], hint=4)
+        assert paths == ["gather", "run", "gather", "run", "run", "gather"]
+
+    def test_single_cohort_blocks_are_never_remembered(self):
+        one = np.array([5], dtype=np.int64)
+        assert self.run_pair([one, one, one]) == ["gather"] * 3
+
+    def test_store_level_sequence_matches_scalar(self):
+        # The same shapes through the public store, against the scalar
+        # store: whole, split prefix + remainder, whole again.
+        columnar, scalar = paired_stores()
+        catalog = np.arange(6, dtype=np.int64)
+        w = np.array([1.0, 0.5, 2.0, 0.25, 3.0, 1.5])
+        for step, (lo, hi) in enumerate([(0, 6), (0, 3), (2, 6), (0, 6)]):
+            blk = RecordBlock(
+                catalog[lo:hi] if (lo, hi) != (0, 6) else catalog,
+                w[lo:hi] * (1.0 + step),
+                value=1.5,
+                event_time=1.0 + 0.5 * step,
+                stream=PURCHASES,
+                ingest_time=1.2 + 0.5 * step,
+            )
+            feed_both(columnar, scalar, blk)
+        assert_ledgers_equal(columnar, scalar)
+        assert_contents_equal(columnar.close(0), scalar.close(0))
+
+
+class TestBlocksCarryTheirCatalog:
+    """Splits keep a view of the source key array; a whole take moves."""
+
+    def test_take_prefix_and_consume_front_do_not_copy_keys(self):
+        catalog = np.arange(6, dtype=np.int64)
+        blk = block(catalog, [1.0] * 6, event_time=1.0)
+        assert blk.keys is catalog
+        prefix = blk.take_prefix(2)
+        assert prefix.keys.base is catalog
+        prefix.weights[0] = 9.0  # weights are private to the prefix
+        assert blk.weights[0] == 1.0
+        taken, budget, emptied = consume_front(blk, 2.5)
+        assert (taken.keys.base is catalog, emptied, budget) == (True, False, 0.0)
+        assert taken.weights.tolist() == [1.0, 1.0, 0.5]
+        assert blk.keys.base is catalog and blk.keys.tolist() == [2, 3, 4, 5]
+        assert blk.weights.tolist() == [0.5, 1.0, 1.0, 1.0]
+
+    def test_whole_take_moves_both_arrays(self):
+        catalog = np.arange(4, dtype=np.int64)
+        blk = block(catalog, [1.0, 2.0, 3.0, 4.0], event_time=1.0)
+        weights = blk.weights
+        taken, budget, emptied = consume_front(blk, 11.0)
+        assert taken.keys is catalog and taken.weights is weights
+        assert (emptied, budget, len(blk)) == (True, 1.0, 0)
+        assert blk.traces is not taken.traces

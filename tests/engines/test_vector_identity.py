@@ -30,6 +30,7 @@ from repro.core.generator import GeneratorConfig
 from repro.faults.schedule import FaultSchedule, NodeCrash, SlowNode
 from repro.recovery.degradation import DegradationPolicy
 from repro.workloads.disorder import DisorderSpec
+from repro.workloads.keys import UniformKeys
 from repro.workloads.queries import (
     WindowSpec,
     WindowedAggregationQuery,
@@ -148,6 +149,19 @@ def test_deterministic_aggregation_identity(engine):
 @pytest.mark.parametrize("engine", ENGINES)
 def test_deterministic_join_identity(engine):
     spec = identity_spec(engine, WindowedJoinQuery(WindowSpec(8.0, 4.0)))
+    assert_identical(run_mode(spec, True), run_mode(spec, False))
+
+
+@pytest.mark.parametrize(
+    "engine, query_cls", [("storm", WindowedAggregationQuery),
+                          ("flink", WindowedJoinQuery)]
+)
+def test_deterministic_wide_key_identity(engine, query_cls):
+    """4096 uniform keys: whole-catalog blocks, long drained runs and
+    slot runs -- the benchmark's ``wide_keys`` shape, kept short (the
+    scalar reference pays per cohort)."""
+    query = query_cls(WindowSpec(2.0, 1.0), keys=UniformKeys(4096))
+    spec = identity_spec(engine, query, duration_s=4.0, rate=40_000.0)
     assert_identical(run_mode(spec, True), run_mode(spec, False))
 
 

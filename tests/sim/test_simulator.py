@@ -28,6 +28,17 @@ class TestScheduling:
         sim.run()
         assert fired == ["a", "b", "c"]
 
+    def test_same_time_events_never_compare_their_payload(self):
+        # Heap order is decided by (time, seq) alone: dict args (and the
+        # callbacks themselves) are mutually non-comparable and must
+        # never be asked.
+        sim = Simulator()
+        fired = []
+        for tag in range(8):
+            sim.schedule(1.0, lambda payload: fired.append(payload), {"tag": tag})
+        sim.run()
+        assert fired == [{"tag": tag} for tag in range(8)]
+
     def test_clock_advances_to_event_time(self):
         sim = Simulator()
         seen = []
@@ -100,6 +111,16 @@ class TestCancel:
         sim.run()
         assert sim.cancel(handle) is False
 
+    def test_cancelled_among_same_time_events_keeps_order(self):
+        sim = Simulator()
+        fired = []
+        handles = [sim.schedule(1.0, fired.append, name) for name in "abcd"]
+        sim.cancel(handles[1])
+        assert sim.pending == 3
+        sim.run()
+        assert fired == ["a", "c", "d"]
+        assert sim.pending == 0
+
     def test_pending_counts_live_events(self):
         sim = Simulator()
         h1 = sim.schedule(1.0, lambda: None)
@@ -125,6 +146,25 @@ class TestRunUntil:
         sim.schedule(2.0, fired.append, "edge")
         sim.run_until(2.0)
         assert fired == ["edge"]
+
+    def test_run_until_skips_a_cancelled_head(self):
+        sim = Simulator()
+        fired = []
+        head = sim.schedule(1.0, fired.append, "cancelled")
+        sim.schedule(1.0, fired.append, "same-time")
+        sim.schedule(3.0, fired.append, "beyond")
+        sim.cancel(head)
+        sim.run_until(2.0)
+        assert fired == ["same-time"]
+        assert sim.now == 2.0
+        assert sim.pending == 1
+
+    def test_run_until_with_only_a_cancelled_head_advances_the_clock(self):
+        sim = Simulator()
+        sim.cancel(sim.schedule(5.0, lambda: None))
+        sim.run_until(2.0)
+        assert sim.now == 2.0
+        assert sim.pending == 0
 
     def test_run_until_past_is_rejected(self):
         sim = Simulator(start_time=3.0)

@@ -39,6 +39,26 @@ class TestPmfInvariants:
         assert dist.hot_fraction() == pytest.approx(float(dist.pmf().max()))
 
 
+class TestSupport:
+    @pytest.mark.parametrize("dist", ALL_DISTRIBUTIONS, ids=lambda d: d.name)
+    def test_support_is_the_positive_mass_filter_of_the_pmf(self, dist):
+        keys, masses = dist.support()
+        pmf = dist.pmf()
+        assert keys.dtype == np.int64 and masses.dtype == np.float64
+        assert keys.tolist() == [k for k, m in enumerate(pmf) if m > 0]
+        assert masses.tolist() == [float(m) for m in pmf if m > 0]
+
+    def test_support_is_one_shared_read_only_catalog(self):
+        dist = UniformKeys(16)
+        keys, masses = dist.support()
+        again_keys, again_masses = dist.support()
+        assert again_keys is keys and again_masses is masses
+        with pytest.raises(ValueError):
+            keys[0] = 99
+        with pytest.raises(ValueError):
+            masses[0] = 0.5
+
+
 class TestSampling:
     @pytest.mark.parametrize("dist", ALL_DISTRIBUTIONS, ids=lambda d: d.name)
     def test_samples_in_range(self, dist, rng):
