@@ -20,11 +20,15 @@ Run directly (not collected by the tier-1 pytest run)::
     PYTHONPATH=src python benchmarks/bench_engine_hotpath.py --events 100000  # CI smoke
     PYTHONPATH=src python benchmarks/bench_engine_hotpath.py --engine storm --keys 4096 \
         --rate 300000 --events 3000000                                       # CI, wide Storm
+    PYTHONPATH=src python benchmarks/bench_engine_hotpath.py --query join --keys 4096 \
+        --rate 300000 --events 3000000                                       # CI, wide join
 
 ``--engine`` picks the engine model (default flink).  Storm is gated
 separately because its hot path is a different loop -- the in-flight
 drain and tick-min countdown run inside the tick -- and a per-cohort
-Python loop left there is invisible to a Flink-only gate.
+Python loop left there is invisible to a Flink-only gate.  ``--query
+join`` gates the two-stream path, where every block crosses the queue
+and store ledgers once per side and the strict folds are half the trial.
 
 Exit status is non-zero if the identity check fails, or if
 ``--assert-speedup X`` is given and the measured speedup is below X.
@@ -43,7 +47,11 @@ from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.generator import GeneratorConfig
 from repro.engines import ENGINES
 from repro.workloads.keys import UniformKeys
-from repro.workloads.queries import WindowSpec, WindowedAggregationQuery
+from repro.workloads.queries import (
+    WindowSpec,
+    WindowedAggregationQuery,
+    WindowedJoinQuery,
+)
 
 IDENTITY_TOL = 1e-9
 
@@ -54,10 +62,14 @@ WALL_CLOCK_KEYS = frozenset(
 )
 
 
+QUERIES = {"agg": WindowedAggregationQuery, "join": WindowedJoinQuery}
+
+
 def bench_spec(
-    events: int, rate: float, keys: int, engine: str = "flink"
+    events: int, rate: float, keys: int, engine: str = "flink",
+    query: str = "agg",
 ) -> ExperimentSpec:
-    """One deterministic aggregation trial of ``engine`` sized to ``events``.
+    """One deterministic ``query`` trial of ``engine`` sized to ``events``.
 
     Dense mode with uniform keys keeps every tick's cohort block the
     same shape, so the scalar/vector timing difference is purely the
@@ -65,7 +77,7 @@ def bench_spec(
     """
     return ExperimentSpec(
         engine=engine,
-        query=WindowedAggregationQuery(
+        query=QUERIES[query](
             window=WindowSpec(8.0, 4.0), keys=UniformKeys(keys)
         ),
         workers=2,
@@ -172,6 +184,12 @@ def main(argv=None) -> int:
         "drain and its tick-min countdown to the path)",
     )
     parser.add_argument(
+        "--query",
+        choices=sorted(QUERIES),
+        default="agg",
+        help="windowed aggregation or the two-stream windowed join",
+    )
+    parser.add_argument(
         "--assert-speedup",
         type=float,
         default=0.0,
@@ -181,9 +199,11 @@ def main(argv=None) -> int:
     if args.events < 1 or args.repeats < 1 or args.rate <= 0 or args.keys < 1:
         parser.error("--events/--repeats/--rate/--keys must be positive")
 
-    spec = bench_spec(args.events, args.rate, args.keys, args.engine)
+    spec = bench_spec(
+        args.events, args.rate, args.keys, args.engine, args.query
+    )
     print(
-        f"== {args.engine} engine hot path @ {args.events:,} events "
+        f"== {args.engine} engine {args.query} hot path @ {args.events:,} events "
         f"({spec.duration_s:g}s sim, {args.keys} keys) =="
     )
 

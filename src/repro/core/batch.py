@@ -26,6 +26,11 @@ scalar left-fold loops they replace:
   bitwise equal to their scalar counterparts.
 - Fancy-index ``+=`` is a single add per target slot when the indices
   are unique -- which blocks guarantee (one cohort per key).
+
+A strict fold is latency-bound and cannot be made faster, only rarer,
+so the hot path keeps a fold budget: *a strict left fold runs only
+where its result is observed and has not been computed already* (the
+per-stage table is in DESIGN.md section 14).
 """
 
 from __future__ import annotations
@@ -84,6 +89,21 @@ def fold_sub(start: float, values: np.ndarray) -> float:
     return float(buf[-1])
 
 
+def left_sum(values):
+    """``sum(values)`` as a strict left fold, on every interpreter.
+
+    The builtin is one only on CPython <= 3.11: since 3.12 it
+    compensates float sums (``sum([1e16, 1.0, -1e16])`` is ``1.0``
+    there, ``0.0`` here), which would make the scalar reference path
+    and the shared close path disagree with :func:`fold_add`.  Starts
+    from int ``0`` like the builtin, so an empty sum serialises as ``0``.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 class RecordBlock:
     """A columnar batch of same-tick cohorts (one cohort per key).
 
@@ -114,15 +134,16 @@ class RecordBlock:
         traces: Optional[List[Tuple[int, object]]] = None,
         _checked: bool = False,
     ) -> None:
-        keys = np.asarray(keys, dtype=np.int64)
-        weights = np.asarray(weights, dtype=np.float64)
-        if keys.shape != weights.shape or keys.ndim != 1:
-            raise ValueError("keys and weights must be matching 1-D arrays")
-        if not _checked and len(weights):
-            if not np.all(weights > 0):
-                raise ValueError("cohort weights must be positive")
-            if len(np.unique(keys)) != len(keys):
-                raise ValueError("block keys must be unique (one cohort/key)")
+        if not _checked:
+            keys = np.asarray(keys, dtype=np.int64)
+            weights = np.asarray(weights, dtype=np.float64)
+            if keys.shape != weights.shape or keys.ndim != 1:
+                raise ValueError("keys and weights must be matching 1-D arrays")
+            if len(weights):
+                if not np.all(weights > 0):
+                    raise ValueError("cohort weights must be positive")
+                if len(np.unique(keys)) != len(keys):
+                    raise ValueError("block keys must be unique (one cohort/key)")
         self.keys = keys
         self.weights = weights
         self.value = value
@@ -250,7 +271,7 @@ def as_block(record: Record) -> RecordBlock:
 def records_weight(items) -> float:
     """Total weight of a mixed list of records/blocks.
 
-    Bitwise equal to the scalar ``sum(r.weight for r in records)`` over
+    Bitwise equal to ``left_sum(r.weight for r in records)`` over
     the expanded cohort sequence (strict left fold, same order).
     """
     total = 0.0
@@ -290,6 +311,9 @@ def consume_front(
 
     Returns ``(taken_block_or_None, new_budget, block_emptied)``;
     ``block`` is mutated in place to hold the remainder.
+
+    Precondition: cohort weights are non-negative (blocks guarantee
+    positive); the whole-block test below is exact only then.
     """
     weights = block.weights
     n = len(weights)
@@ -301,13 +325,14 @@ def consume_front(
     acc[0] = budget
     acc[1:] = weights
     np.subtract.accumulate(acc, out=acc)
+    # Weights are non-negative, so the countdown never rises and stays
+    # negative once a cohort overshoots (fl(a - b) < 0 iff a < b): two
+    # reads decide whether the whole block fits.
+    if acc[n - 1] > _EPS and acc[n] >= 0.0:
+        return block.take_all(), float(acc[n]), True
     before = acc[:-1]
     violation = (before <= _EPS) | (weights > before)
-    bad = np.nonzero(violation)[0]
-    if len(bad) == 0:
-        # Everything fits: the whole block is taken.
-        return block.take_all(), float(acc[n]), True
-    j = int(bad[0])
+    j = int(np.nonzero(violation)[0][0])
     if before[j] <= _EPS:
         # Budget exhausted before cohort j: take the clean prefix.
         if j == 0:

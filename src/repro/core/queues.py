@@ -22,7 +22,13 @@ from typing import Deque, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.batch import RecordBlock, consume_front, fold_add, fold_sub
+from repro.core.batch import (
+    RecordBlock,
+    consume_front,
+    fold_add,
+    fold_sub,
+    left_sum,
+)
 from repro.core.records import Record
 from repro.sim.failures import ConnectionDropped
 
@@ -116,6 +122,19 @@ class DriverQueue:
         if record.event_time > self._frontier_event_time:
             self._frontier_event_time = record.event_time
 
+    def _occupancy_fold(self, weights: np.ndarray):
+        """``(acc, over)``: ``acc[i]`` is the occupancy once the first
+        ``i`` cohorts are pushed (the scalar pushes' strict left fold),
+        ``over`` the first cohort exceeding capacity, None if all fit."""
+        acc = np.empty(len(weights) + 1)
+        acc[0] = self._queued_weight
+        acc[1:] = weights
+        np.add.accumulate(acc, out=acc)
+        # Cohort weights are positive: the last entry is the largest.
+        if acc[-1] <= self.capacity_weight:
+            return acc, None
+        return acc, int(np.nonzero(acc[1:] > self.capacity_weight)[0][0])
+
     def overflow_index(self, weights: np.ndarray) -> Optional[int]:
         """Index of the first cohort whose push would overflow, or None.
 
@@ -129,14 +148,7 @@ class DriverQueue:
             return 0
         if self.capacity_weight == float("inf") or len(weights) == 0:
             return None
-        acc = np.empty(len(weights) + 1)
-        acc[0] = self._queued_weight
-        acc[1:] = weights
-        np.add.accumulate(acc, out=acc)
-        over = np.nonzero(acc[1:] > self.capacity_weight)[0]
-        if len(over) == 0:
-            return None
-        return int(over[0])
+        return self._occupancy_fold(weights)[1]
 
     def push_block(
         self, block: RecordBlock, at_time: float = float("nan")
@@ -157,7 +169,9 @@ class DriverQueue:
         if n == 0:
             return
         push_time = at_time if at_time == at_time else block.event_time
-        over = self.overflow_index(block.weights)
+        # The overflow pre-check *is* the occupancy fold: acc[admit] is
+        # the new occupancy, acc[over + 1] what cohort `over` would reach.
+        acc, over = self._occupancy_fold(block.weights)
         admit = n if over is None else over
         if admit:
             admitted = block if over is None else block.take_prefix(admit)
@@ -165,9 +179,7 @@ class DriverQueue:
             self._push_times.append(push_time)
             for _, trace in admitted.traces:
                 trace.mark("enqueued", push_time)
-            self._queued_weight = fold_add(
-                self._queued_weight, admitted.weights
-            )
+            self._queued_weight = float(acc[admit])
             self.pushed_weight = fold_add(
                 self.pushed_weight, admitted.weights
             )
@@ -175,12 +187,9 @@ class DriverQueue:
                 self._frontier_event_time = block.event_time
         if over is not None:
             self.dropped = True
-            overflow_occupancy = fold_add(
-                self._queued_weight, block.weights[over : over + 1]
-            )
             raise ConnectionDropped(
                 f"queue {self.name} overflowed "
-                f"({overflow_occupancy:.0f} events > "
+                f"({float(acc[over + 1]):.0f} events > "
                 f"capacity {self.capacity_weight:.0f})",
                 at_time=at_time,
             )
@@ -254,11 +263,14 @@ class DriverQueue:
         the head-take/split ladder, and the ledgers advance by the same
         strict left folds the per-cohort loop would have run.  Record
         heads (pushed by scalar producers into a mixed queue) pass
-        through unchanged; callers wrap them.
+        through unchanged; callers wrap them.  Nothing reads the
+        occupancy between two takes and a drained queue resets it, so
+        its countdown is owed until the loop ends.
         """
         if max_weight <= 0:
             return []
         pulled: List[Union[Record, RecordBlock]] = []
+        owed: List = []  # taken weights, not yet off _queued_weight
         remaining = max_weight
         while self._items and remaining > 1e-9:
             head = self._items[0]
@@ -279,7 +291,7 @@ class DriverQueue:
                     )
                     head.trace = None
                     head.weight -= remaining
-                self._queued_weight -= taken.weight
+                owed.append([taken.weight])
                 self.pulled_weight += taken.weight
                 remaining -= taken.weight
                 if taken.event_time > self._last_pulled_event_time:
@@ -295,9 +307,7 @@ class DriverQueue:
             if taken_block is None or len(taken_block) == 0:
                 remaining = remaining_after
                 break
-            self._queued_weight = fold_sub(
-                self._queued_weight, taken_block.weights
-            )
+            owed.append(taken_block.weights)
             self.pulled_weight = fold_add(
                 self.pulled_weight, taken_block.weights
             )
@@ -307,8 +317,11 @@ class DriverQueue:
             pulled.append(taken_block)
         if not self._items:
             self._queued_weight = 0.0
-        elif self._queued_weight < 0.0:
-            self._queued_weight = 0.0
+        else:
+            for weights in owed:
+                self._queued_weight = fold_sub(self._queued_weight, weights)
+            if self._queued_weight < 0.0:
+                self._queued_weight = 0.0
         return pulled
 
     def shed(self, max_weight: float, drop_oldest: bool = True) -> float:
@@ -461,23 +474,23 @@ class QueueSet:
 
     @property
     def total_queued_weight(self) -> float:
-        return sum(q.queued_weight for q in self.queues)
+        return left_sum(q.queued_weight for q in self.queues)
 
     @property
     def total_pulled_weight(self) -> float:
-        return sum(q.pulled_weight for q in self.queues)
+        return left_sum(q.pulled_weight for q in self.queues)
 
     @property
     def total_pushed_weight(self) -> float:
-        return sum(q.pushed_weight for q in self.queues)
+        return left_sum(q.pushed_weight for q in self.queues)
 
     @property
     def total_shed_weight(self) -> float:
-        return sum(q.shed_weight for q in self.queues)
+        return left_sum(q.shed_weight for q in self.queues)
 
     @property
     def total_lost_weight(self) -> float:
-        return sum(q.lost_weight for q in self.queues)
+        return left_sum(q.lost_weight for q in self.queues)
 
     @property
     def watermark(self) -> float:

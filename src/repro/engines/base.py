@@ -44,6 +44,7 @@ from repro.autoscale.rescale import (
 )
 from repro.core.batch import (
     RecordBlock,
+    left_sum,
     materialize_all,
     records_weight,
     vector_enabled,
@@ -180,6 +181,7 @@ class StreamingEngine(ABC):
         self._vector = vector_enabled()
         self.failure: Optional[SutFailure] = None
         self.ingested_weight = 0.0
+        self._tick_ingest_weight = 0.0
         self._active_workers = cluster.workers
         self.state_lost_weight = 0.0
         self.checkpoint = checkpoint or CheckpointSpec()
@@ -434,12 +436,10 @@ class StreamingEngine(ABC):
         return granted_bytes / self._ingest_bytes_per_event
 
     def _account_ingest(self, records: List, dt: float) -> None:
-        if self._vector:
-            # Strict left fold over the cohort sequence: bitwise equal
-            # to the scalar sum below over the expanded records.
-            weight = records_weight(records)
-        else:
-            weight = sum(r.weight for r in records)
+        # The tick's one ingest fold (strict, left, over the cohort
+        # sequence of records or blocks); a `_process` / `_process_batch`
+        # that needs the batch total (Storm) reads it back.
+        weight = self._tick_ingest_weight = records_weight(records)
         self.ingested_weight += weight
         if self.resources is not None:
             core_seconds = weight * self.cost.total_cost_us / 1e6
@@ -1340,9 +1340,9 @@ def windowed_conservation(store, staged: float = 0.0) -> Dict[str, float]:
     wpe = store.window.windows_per_event
     return {
         "staged": staged,
-        "admitted": sum(s.admitted_weight for s in sides),
-        "dropped": sum(s.dropped_weight for s in sides),
-        "closed": sum(s.closed_weight for s in sides),
-        "stored": sum(s.stored_weight() for s in sides) / wpe,
-        "lost": sum(s.lost_weight for s in sides),
+        "admitted": left_sum(s.admitted_weight for s in sides),
+        "dropped": left_sum(s.dropped_weight for s in sides),
+        "closed": left_sum(s.closed_weight for s in sides),
+        "stored": left_sum(s.stored_weight() for s in sides) / wpe,
+        "lost": left_sum(s.lost_weight for s in sides),
     }

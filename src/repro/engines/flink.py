@@ -41,7 +41,7 @@ from repro.engines.base import (
     StreamingEngine,
     windowed_conservation,
 )
-from repro.core.batch import RecordBlock
+from repro.core.batch import RecordBlock, left_sum
 from repro.engines.operators.aggregate import aggregation_outputs
 from repro.engines.operators.columnar import (
     ColumnarJoinStore,
@@ -178,7 +178,7 @@ class FlinkEngine(StreamingEngine):
 
     def _emit(self, outputs) -> None:
         assert self.sink is not None
-        weight = sum(o.weight for o in outputs)
+        weight = left_sum(o.weight for o in outputs)
         self._account_emission(weight)
         self.sink.emit(outputs, self._result_bytes_per_output_weight)
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.core.batch import left_sum
 from repro.core.records import OutputRecord, Record
 from repro.engines.operators.window import WindowAccumulator, WindowContents
 from repro.workloads.queries import WindowSpec
@@ -161,7 +162,7 @@ class WindowedPartialMerger:
         their stashed traces.
         """
         for idx, per_key in partials.items():
-            batch_weight = sum(acc.weight for acc in per_key.values())
+            batch_weight = left_sum(acc.weight for acc in per_key.values())
             if self._closed_through is not None and idx <= self._closed_through:
                 self.dropped_weight += (
                     batch_weight / self.window.windows_per_event
@@ -216,7 +217,7 @@ class WindowedPartialMerger:
         return closed
 
     def stored_weight(self) -> float:
-        return sum(
+        return left_sum(
             acc.weight
             for per_key in self._window_state.values()
             for acc in per_key.values()

@@ -34,11 +34,7 @@ from repro.core.batch import RecordBlock, as_block, fold_add
 from repro.core.records import ADS, PURCHASES, Record
 from repro.engines.operators.aggregate import BatchPartialAggregator
 from repro.engines.operators.join import JoinWindowStore
-from repro.engines.operators.window import (
-    KeyedWindowStore,
-    WindowAccumulator,
-    WindowContents,
-)
+from repro.engines.operators.window import KeyedWindowStore, WindowAccumulator
 from repro.workloads.queries import WindowSpec
 
 
@@ -156,6 +152,18 @@ class _WindowCols:
         if len(keys) == 0:
             return
         at = self._locate(keys)
+        if isinstance(at, slice):
+            # A slot run: update the column views in place -- no gather,
+            # no temporary, no scatter-copy.
+            values, held = self.values[at], self.weights[at]
+            values += value * weights
+            held += weights
+            max_et = self.max_et[at]
+            np.maximum(max_et, event_time, out=max_et)
+            if ingest_time is not None:
+                max_pt = self.max_pt[at]
+                np.maximum(max_pt, ingest_time, out=max_pt)
+            return
         self.values[at] += value * weights
         self.weights[at] += weights
         self.max_et[at] = np.maximum(self.max_et[at], event_time)
@@ -200,9 +208,9 @@ class ColumnarWindowStore(KeyedWindowStore):
     """Block-at-a-time :class:`KeyedWindowStore` (bitwise twin).
 
     ``_windows`` maps window index to :class:`_WindowCols` instead of a
-    per-key dict; ``ready_indices``/``open_indices``/ledger attributes
-    are inherited.  ``close`` materializes the scalar representation so
-    downstream output assembly is shared with the scalar path.
+    per-key dict; ``ready_indices``/``open_indices``/``close``/ledger
+    attributes are inherited.  A closing window is materialized to the
+    scalar representation, so output assembly is shared with that path.
     """
 
     def __init__(self, window: WindowSpec, key_space_hint: int = 64) -> None:
@@ -245,10 +253,6 @@ class ColumnarWindowStore(KeyedWindowStore):
                 block.ingest_time,
             )
             updates_per += 1
-        if updates_per:
-            self.total_buffered_weight = fold_add(
-                self.total_buffered_weight, block.weights
-            )
         if missed:
             self.dropped_weight = fold_add(
                 self.dropped_weight,
@@ -258,11 +262,13 @@ class ColumnarWindowStore(KeyedWindowStore):
         if updates_per:
             # Scalar adds w * (updates/wpe) per cohort unconditionally,
             # but with zero updates that is `+= 0.0` -- an exact no-op
-            # for the non-negative ledger, so it is safe to skip.
+            # for the non-negative ledger, so it is safe to skip.  So is
+            # a share of exactly 1.0 (no window already closed): w * 1.0
+            # == w bit for bit.
+            share = updates_per / self.window.windows_per_event
             self.admitted_weight = fold_add(
                 self.admitted_weight,
-                block.weights
-                * (updates_per / self.window.windows_per_event),
+                block.weights if share == 1.0 else block.weights * share,
             )
         if block.traces:
             for _, trace in block.traces:
@@ -273,30 +279,9 @@ class ColumnarWindowStore(KeyedWindowStore):
             block.traces = []
         return updates_per * n_cohorts
 
-    def close(
-        self, index: int, at_time: Optional[float] = None
-    ) -> WindowContents:
+    def _pop_by_key(self, index: int) -> Dict[int, WindowAccumulator]:
         cols = self._windows.pop(index, None)
-        per_key = cols.materialize() if cols is not None else {}
-        traces = self._traces.pop(index, [])
-        if traces and at_time is not None:
-            for trace in traces:
-                trace.mark("closed", at_time)
-        contents = WindowContents(
-            index=index,
-            end_time=self.window.window_end(index),
-            start_time=self.window.window_start(index),
-            by_key=per_key,
-            traces=traces,
-        )
-        if self._closed_through is None or index > self._closed_through:
-            self._closed_through = index
-        released = contents.total_weight / self.window.windows_per_event
-        self.closed_weight += released
-        self.total_buffered_weight = max(
-            0.0, self.total_buffered_weight - released
-        )
-        return contents
+        return cols.materialize() if cols is not None else {}
 
     def stored_weight(self) -> float:
         # Scalar: builtin sum over (window insertion order, key

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.core.batch import left_sum
 from repro.core.records import ADS, PURCHASES, OutputRecord, Record
 from repro.engines.operators.window import KeyedWindowStore, WindowContents
 from repro.workloads.queries import WindowSpec
@@ -114,7 +115,7 @@ def join_window_outputs(
         key: acc.weight for key, acc in closed.purchases.by_key.items()
     }
     a_keys = closed.ads.by_key
-    matched_purchase_weight = sum(
+    matched_purchase_weight = left_sum(
         weight for key, weight in p_keys.items() if key in a_keys
     )
     if matched_purchase_weight <= 0 or selectivity == 0:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
+from repro.core.batch import left_sum
 from repro.core.records import OutputRecord
 
 Collector = Callable[[List[OutputRecord]], None]
@@ -34,7 +35,7 @@ class Sink:
         if not outputs:
             return
         self.emitted_tuples += len(outputs)
-        weight = sum(o.weight for o in outputs)
+        weight = left_sum(o.weight for o in outputs)
         self.emitted_weight += weight
         self.emitted_bytes += weight * bytes_per_tuple
         if self._collector is not None:

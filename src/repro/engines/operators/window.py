@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
+from repro.core.batch import left_sum
 from repro.core.records import Record
 from repro.workloads.queries import WindowSpec
 
@@ -93,7 +94,7 @@ class WindowContents:
 
     @property
     def total_weight(self) -> float:
-        return sum(acc.weight for acc in self.by_key.values())
+        return left_sum(acc.weight for acc in self.by_key.values())
 
     @property
     def max_event_time(self) -> float:
@@ -124,7 +125,6 @@ class KeyedWindowStore:
         self._windows: Dict[int, Dict[int, WindowAccumulator]] = {}
         self._traces: Dict[int, List[object]] = {}
         self._closed_through: Optional[int] = None
-        self.total_buffered_weight = 0.0
         self.dropped_weight = 0.0
         """Weight of late contributions lost to already-closed windows
         (each record counts once per closed window it missed, normalised
@@ -174,8 +174,6 @@ class KeyedWindowStore:
                 per_key[record.key] = acc
             acc.add(record)
             updates += 1
-        if updates:
-            self.total_buffered_weight += record.weight
         if missed:
             self.dropped_weight += record.weight * (
                 missed / self.window.windows_per_event
@@ -204,13 +202,17 @@ class KeyedWindowStore:
         ]
         return sorted(ready)
 
+    def _pop_by_key(self, index: int) -> Dict[int, WindowAccumulator]:
+        """Remove window ``index``; its per-key accumulators."""
+        return self._windows.pop(index, {})
+
     def close(self, index: int, at_time: Optional[float] = None) -> WindowContents:
         """Pop a window's contents; further adds to it are ignored.
 
         ``at_time`` (the engine's clock at close) stamps the ``closed``
         mark on any traces buffered in this window.
         """
-        per_key = self._windows.pop(index, {})
+        per_key = self._pop_by_key(index)
         traces = self._traces.pop(index, [])
         if traces and at_time is not None:
             for trace in traces:
@@ -228,9 +230,6 @@ class KeyedWindowStore:
         # close, release this window's share of the buffered weight.
         released = contents.total_weight / self.window.windows_per_event
         self.closed_weight += released
-        self.total_buffered_weight = max(
-            0.0, self.total_buffered_weight - released
-        )
         return contents
 
     @property
@@ -246,7 +245,7 @@ class KeyedWindowStore:
         Counts each record once per containing window -- the quantity an
         engine that physically buffers tuples per window would hold.
         """
-        return sum(
+        return left_sum(
             acc.weight
             for per_key in self._windows.values()
             for acc in per_key.values()

@@ -34,7 +34,7 @@ from typing import Deque, Dict, List, Optional, Union
 from collections import deque
 
 from repro.autoscale.rescale import STYLE_MICRO_BATCH, RescaleSemantics
-from repro.core.batch import RecordBlock, fold_add
+from repro.core.batch import RecordBlock, fold_add, left_sum
 from repro.core.records import Record
 from repro.engines.backpressure import BackpressureMechanism, RateController
 from repro.engines.base import (
@@ -453,7 +453,7 @@ class SparkEngine(StreamingEngine):
                 outputs.extend(aggregation_outputs(contents, emit_time))
                 self.windows_emitted += 1
         if outputs:
-            weight = sum(o.weight for o in outputs)
+            weight = left_sum(o.weight for o in outputs)
             self._account_emission(weight)
             self.sink.emit(outputs, self._result_bytes_per_output_weight)
 
@@ -468,7 +468,7 @@ class SparkEngine(StreamingEngine):
         # state: the current (un-fired) batch's partials, then the fired
         # batch riding its queued/running job until the merger absorbs it.
         staged = self._partials.batch_weight
-        staged += sum(job.volume for job in self._job_queue)
+        staged += left_sum(job.volume for job in self._job_queue)
         if self._running_job is not None:
             staged += self._running_job.volume
         ledger.update(

@@ -40,7 +40,7 @@ from repro.core.batch import (
     consume_front,
     fold_add,
     fold_sub,
-    records_weight,
+    left_sum,
 )
 from repro.core.records import Record
 from repro.engines.backpressure import BackpressureMechanism, OnOffThrottle
@@ -259,7 +259,7 @@ class StormEngine(StreamingEngine):
         # average rate, not the instantaneous burst.
         cfg: StormConfig = self.config
         period = max(1, cfg.spout_pull_period_ticks)
-        weight = sum(r.weight for r in records)
+        weight = self._tick_ingest_weight
         self._detect_surge(weight / (dt * period), dt * period)
         if records:
             self._inflight_tick_mins.append(
@@ -276,7 +276,7 @@ class StormEngine(StreamingEngine):
         # block's minimum event time is its uniform event time).
         cfg: StormConfig = self.config
         period = max(1, cfg.spout_pull_period_ticks)
-        weight = records_weight(blocks)
+        weight = self._tick_ingest_weight
         self._detect_surge(weight / (dt * period), dt * period)
         if blocks:
             self._inflight_tick_mins.append(
@@ -469,7 +469,7 @@ class StormEngine(StreamingEngine):
 
     def _emit(self, outputs) -> None:
         assert self.sink is not None
-        weight = sum(o.weight for o in outputs)
+        weight = left_sum(o.weight for o in outputs)
         self._account_emission(weight)
         self.sink.emit(outputs, self._result_bytes_per_output_weight)
 

@@ -55,8 +55,8 @@ def feed_both(columnar, scalar, blk):
 
 
 def assert_ledgers_equal(columnar, scalar):
-    for attr in ("total_buffered_weight", "admitted_weight",
-                 "dropped_weight", "closed_weight", "lost_weight", "updates"):
+    for attr in ("admitted_weight", "dropped_weight", "closed_weight",
+                 "lost_weight", "updates"):
         assert getattr(columnar, attr) == getattr(scalar, attr), attr
     assert columnar.stored_weight() == scalar.stored_weight()
 
@@ -77,7 +77,7 @@ class TestEmptyBlock:
         columnar, _ = paired_stores()
         empty = block([], [], event_time=1.0)
         assert columnar.add_block(empty) == 0
-        assert columnar.total_buffered_weight == 0.0
+        assert columnar.admitted_weight == 0.0
         assert columnar.updates == 0
         assert columnar.stored_weight() == 0.0
         assert not list(columnar.open_indices())

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.batch import records_weight
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.generator import GeneratorConfig
 from repro.engines.storm import StormEngine
@@ -167,3 +168,51 @@ def test_empty_inflight_leaves_no_tick_min_entry():
         monitor_resources=False,
     )
     assert stale_tick_min_ticks(spec) == []
+
+
+def test_one_fold_feeds_the_ingest_ledger_and_the_tick_min_entry():
+    """A poll's weight is folded once (``_account_ingest``) and reused
+    for the tick-min entry: both must still equal the left fold over the
+    polled cohorts, bit for bit."""
+    polls: List[tuple] = []
+
+    def watch(driver) -> None:
+        engine = driver.engine
+
+        def checked(process):
+            def run(items, dt: float) -> None:
+                expected = records_weight(items)  # independent re-fold
+                process(items, dt)
+                entry = engine._inflight_tick_mins[-1]
+                polls.append(
+                    (entry[1].hex(), float(expected).hex(), entry[0])
+                )
+                assert entry[0] == min(i.event_time for i in items)
+
+            return run
+
+        account = engine._account_ingest
+
+        def checked_account(items, dt: float) -> None:
+            before = engine.ingested_weight
+            account(items, dt)
+            want = before + records_weight(items)
+            assert float(engine.ingested_weight).hex() == float(want).hex()
+
+        engine._account_ingest = checked_account
+        engine._process = checked(engine._process)
+        engine._process_batch = checked(engine._process_batch)
+
+    spec = ExperimentSpec(
+        engine="storm",
+        query=WindowedAggregationQuery(window=WindowSpec(8.0, 4.0)),
+        workers=2,
+        profile=0.3e6,
+        duration_s=12.0,
+        seed=3,
+        generator=GeneratorConfig(instances=2),
+        monitor_resources=False,
+    )
+    run_experiment(spec, driver_hook=watch)
+    assert len(polls) > 20
+    assert all(entry == expected for entry, expected, _ in polls)
