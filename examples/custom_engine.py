@@ -59,6 +59,8 @@ class PipeyEngine(StreamingEngine):
         return self._backpressure_mechanism
 
     def _process(self, records: List[Record], dt: float) -> None:
+        # The simple hook: one Record at a time.  The fast hook is
+        # _process_batch(blocks, dt) with self._store.add_block(block).
         for record in records:
             self._store.add(record)
 

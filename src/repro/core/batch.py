@@ -1,4 +1,4 @@
-"""Columnar record batches: the vectorized engine hot path's currency.
+"""Record blocks: the columnar currency of the engine data path.
 
 PR 1 vectorized the *driver-side* metrology (~12x); this module does the
 same for the *SUT side*.  The dense generator emits one uniform cohort
@@ -10,12 +10,12 @@ scalars, so queues, sources and window stores can process a whole
 emission with a handful of array operations instead of one Python-object
 round trip per cohort.
 
-Bitwise identity with the scalar path (``REPRO_ENGINE_SCALAR=1``) is a
-hard requirement, not a nicety: the conformance goldens hash sink values
-produced by the scalar code, and floats feed control flow everywhere
+Bitwise identity with the record-at-a-time reference (``tests/oracle``)
+is a hard requirement, not a nicety: the conformance goldens hash sink
+values produced by that code, and floats feed control flow everywhere
 (backlogs drive ingest budgets drive RNG draws).  The toolbox here is
 therefore restricted to operations that are *bitwise equal* to the
-scalar left-fold loops they replace:
+scalar left-fold loops they stand for:
 
 - ``np.add.accumulate`` / ``np.subtract.accumulate`` are strictly
   sequential left folds (``out[i] = op(out[i-1], a[i])``), unlike
@@ -35,30 +35,14 @@ per-stage table is in DESIGN.md section 14).
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.records import Record
 
-#: Environment flag selecting the scalar (record-at-a-time) reference
-#: path.  Checked at construction time of engines/generators, so a trial
-#: runs entirely in one mode.
-SCALAR_ENV = "REPRO_ENGINE_SCALAR"
-
 #: Same epsilon as the scalar pull/drain ladders.
 _EPS = 1e-9
-
-
-def scalar_mode() -> bool:
-    """True when the scalar reference path is selected via the env."""
-    return os.environ.get(SCALAR_ENV, "") not in ("", "0")
-
-
-def vector_enabled() -> bool:
-    """True when the columnar hot path is active (the default)."""
-    return not scalar_mode()
 
 
 def fold_add(start: float, values: np.ndarray) -> float:
@@ -94,8 +78,8 @@ def left_sum(values):
 
     The builtin is one only on CPython <= 3.11: since 3.12 it
     compensates float sums (``sum([1e16, 1.0, -1e16])`` is ``1.0``
-    there, ``0.0`` here), which would make the scalar reference path
-    and the shared close path disagree with :func:`fold_add`.  Starts
+    there, ``0.0`` here), which would make the close path (and the
+    reference in ``tests/oracle``) disagree with :func:`fold_add`.  Starts
     from int ``0`` like the builtin, so an empty sum serialises as ``0``.
     """
     total = 0
@@ -114,8 +98,8 @@ class RecordBlock:
     in the columnar window store a single add per accumulator.
 
     ``traces`` is a list of ``(cohort_index, EventTrace)`` pairs for the
-    1-in-N sampled cohorts; splits follow the scalar convention (the
-    trace rides the first part of a split cohort).
+    1-in-N sampled cohorts; splits follow the ``split_cohort``
+    convention (the trace rides the first part of a split cohort).
     """
 
     __slots__ = (
@@ -155,17 +139,12 @@ class RecordBlock:
     def __len__(self) -> int:
         return len(self.weights)
 
-    def total_weight(self) -> float:
-        """Left-fold total of the cohort weights (bitwise == scalar)."""
-        return fold_add(0.0, self.weights)
-
     def materialize(self) -> List[Record]:
         """Expand into per-cohort :class:`Record` objects.
 
-        The records are bitwise equivalent to what the scalar path would
-        have carried (same weights, times, traces-on-cohorts), so
-        engines without a columnar ``_process_batch`` can fall back to
-        their record-at-a-time pipeline without numeric divergence.
+        The records carry the cohorts' exact weights, times and traces,
+        so engines without a ``_process_batch`` can fall back to a
+        record-at-a-time ``_process`` without numeric divergence.
         """
         trace_at = dict(self.traces)
         return [
@@ -249,10 +228,11 @@ class RecordBlock:
 def as_block(record: Record) -> RecordBlock:
     """Wrap one :class:`Record` as a single-cohort block.
 
-    Used for records that enter a vector-mode queue through the scalar
-    ``push`` (sampled-mode generators, tests): downstream operators then
-    see a homogeneous stream of blocks.  The record's trace moves onto
-    the block (single ownership, like a cohort split).
+    Used for records that enter a queue through ``push`` (sampled-mode
+    generators, the broker) and for record-at-a-time ``store.add``:
+    downstream operators then see a homogeneous stream of blocks.  The
+    record's trace moves onto the block (single ownership, like a
+    cohort split).
     """
     trace = record.trace
     record.trace = None
@@ -268,29 +248,23 @@ def as_block(record: Record) -> RecordBlock:
     )
 
 
-def records_weight(items) -> float:
-    """Total weight of a mixed list of records/blocks.
+def records_weight(blocks: List[RecordBlock]) -> float:
+    """Total weight of a list of blocks.
 
     Bitwise equal to ``left_sum(r.weight for r in records)`` over
     the expanded cohort sequence (strict left fold, same order).
     """
     total = 0.0
-    for item in items:
-        if isinstance(item, RecordBlock):
-            total = fold_add(total, item.weights)
-        else:
-            total += item.weight
+    for block in blocks:
+        total = fold_add(total, block.weights)
     return total
 
 
-def materialize_all(items) -> List[Record]:
-    """Expand a mixed list of records/blocks into records, in order."""
+def materialize_all(blocks: List[RecordBlock]) -> List[Record]:
+    """Expand a list of blocks into records, in cohort order."""
     records: List[Record] = []
-    for item in items:
-        if isinstance(item, RecordBlock):
-            records.extend(item.materialize())
-        else:
-            records.append(item)
+    for block in blocks:
+        records.extend(block.materialize())
     return records
 
 
@@ -299,8 +273,8 @@ def consume_front(
 ) -> Tuple[Optional[RecordBlock], float, bool]:
     """Take cohorts from the front of ``block`` under a weight budget.
 
-    Replicates the scalar head-take ladder (queue ``pull`` / Storm
-    ``_drain_inflight``) over one block, bitwise:
+    Replicates the record-at-a-time head-take ladder (queue ``pull``)
+    over one block, bitwise:
 
     - cohort ``i`` is taken whole iff the remaining budget before it is
       ``> 1e-9`` and its weight fits;

@@ -76,7 +76,7 @@ class BrokerStage:
         self._staged.push(record, at_time=at_time)
 
     def push_block(self, block, at_time: float = float("nan")) -> None:
-        """Columnar generator-facing push (same interface as DriverQueue).
+        """Block-at-a-time generator-facing push (same interface as DriverQueue).
 
         The staged queue's scalar ``pull`` in :meth:`_forward`
         materialises block heads back into Records, so the broker's

@@ -32,7 +32,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.batch import RecordBlock, vector_enabled
+from repro.core.batch import RecordBlock
 from repro.core.queues import DriverQueue
 from repro.core.records import ADS, PURCHASES, Record
 from repro.sim.simulator import PeriodicProcess, Simulator
@@ -131,14 +131,10 @@ class DataGenerator:
         # so the 1-in-N counter runs over the global cohort sequence.
         self.sampler = sampler
         self.generated_weight = 0.0
-        self._pmf = query.keys.pmf()
-        # Columnar dense emission: one RecordBlock per (stream, tick)
-        # instead of one Record per catalog key.  Precompute the
-        # positive-mass key/mass columns once (the scalar loop's
-        # ``if mass <= 0: continue`` filter).  Sampled mode stays
-        # record-at-a-time in both engine modes (per-record RNG draws).
-        self._vector = vector_enabled() and config.mode == DENSE
-        if self._vector:
+        # Dense emission is one RecordBlock per (stream, tick) over the
+        # positive-mass key/mass columns; sampled mode is record-at-a-
+        # time (per-record RNG draws).
+        if config.mode == DENSE:
             self._dense_keys, self._dense_mass = query.keys.support()
         self._mean_price = (MIN_GEM_PACK_PRICE + MAX_GEM_PACK_PRICE) / 2.0
         self._is_join = isinstance(query, WindowedJoinQuery)
@@ -230,73 +226,14 @@ class DataGenerator:
             self._emit_sampled(stream, weight, now)
 
     def _emit_dense(self, stream: str, weight: float, now: float) -> None:
-        if self._vector:
-            self._emit_dense_block(stream, weight, now)
-            return
-        value = self._mean_price if stream == PURCHASES else 0.0
-        sampler = self.sampler
-        push = self.queue.push
-        if sampler is None:
-            for key, mass in enumerate(self._pmf):
-                if mass <= 0:
-                    continue
-                push(
-                    Record(
-                        key=key,
-                        value=value,
-                        event_time=now,
-                        weight=weight * mass,
-                        stream=stream,
-                    ),
-                    at_time=now,
-                )
-            return
-        # Batched sampling: count down a local int instead of paying a
-        # sampler call per cohort (see TraceSampler.due_in/take/sync).
-        # Unsampled cohorts build the exact Record the sampler-None loop
-        # builds -- the trace kwarg is only paid on the 1-in-N hit.
-        countdown = sampler.due_in()
-        for key, mass in enumerate(self._pmf):
-            if mass <= 0:
-                continue
-            countdown -= 1
-            if countdown:
-                push(
-                    Record(
-                        key=key,
-                        value=value,
-                        event_time=now,
-                        weight=weight * mass,
-                        stream=stream,
-                    ),
-                    at_time=now,
-                )
-                continue
-            cohort_weight = weight * mass
-            trace = sampler.take(key, stream, cohort_weight, now)
-            countdown = sampler.sample_rate
-            push(
-                Record(
-                    key=key,
-                    value=value,
-                    event_time=now,
-                    weight=cohort_weight,
-                    stream=stream,
-                    trace=trace,
-                ),
-                at_time=now,
-            )
-        sampler.sync(countdown)
+        """Dense emission: one block per (stream, tick).
 
-    def _emit_dense_block(self, stream: str, weight: float, now: float) -> None:
-        """Columnar dense emission: one block per (stream, tick).
-
-        Bitwise twin of the scalar loops above: the weights column is
-        the same element-wise ``weight * mass`` product, and the sampler
-        interaction replays the scalar countdown exactly -- including
-        the overflow quirk, where the scalar loop takes the overflowing
-        cohort's trace *before* the push raises and never reaches the
-        final ``sync`` (the counter stays stale on a dropped trial).
+        The weights column is the element-wise ``weight * mass`` product
+        and the sampler interaction replays a per-cohort 1-in-N
+        countdown exactly -- including the overflow quirk, where the
+        overflowing cohort's trace is taken *before* the push raises and
+        the final ``sync`` is never reached (the counter stays stale on
+        a dropped trial).
         """
         value = self._mean_price if stream == PURCHASES else 0.0
         weights = weight * self._dense_mass
@@ -309,8 +246,8 @@ class DataGenerator:
             due = sampler.due_in()
             rate = sampler.sample_rate
             overflow = self.queue.overflow_index(weights)
-            # Hits at the scalar countdown's zero crossings, truncated
-            # at the cohort whose push would abort the emission.
+            # Hits at the countdown's zero crossings, truncated at the
+            # cohort whose push would abort the emission.
             limit = n if overflow is None else min(n, overflow + 1)
             for h in range(due - 1, limit, rate):
                 trace = sampler.take(
@@ -328,7 +265,7 @@ class DataGenerator:
             _checked=True,
         )
         # On overflow this raises ConnectionDropped after admitting the
-        # prefix, and the sync below is skipped -- like the scalar loop.
+        # prefix, and the sync below is skipped.
         self.queue.push_block(block, at_time=now)
         if sampler is not None:
             if last_hit >= 0:

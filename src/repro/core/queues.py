@@ -47,10 +47,10 @@ class DriverQueue:
     ) -> None:
         self.name = name
         self.capacity_weight = capacity_weight
-        # Items are Records (scalar path) or RecordBlocks (columnar
-        # path); a queue may hold a mix -- the scalar ``pull`` lazily
-        # materializes a block head, and ``pull_blocks`` passes Record
-        # heads through for the source to wrap.
+        # Items are Records (sampled-mode generators, the broker) or
+        # RecordBlocks (dense generators); a queue may hold a mix --
+        # ``pull`` lazily materializes a block head, and ``pull_blocks``
+        # passes Record heads through for the source to wrap.
         self._items: Deque[Union[Record, RecordBlock]] = deque()
         # Enqueue timestamp per queued cohort, parallel to _items.  The
         # queueing wait is measured against THIS clock, not event-time:
@@ -256,7 +256,7 @@ class DriverQueue:
     def pull_blocks(
         self, max_weight: float
     ) -> List[Union[Record, RecordBlock]]:
-        """Columnar pull: dequeue up to ``max_weight`` events as blocks.
+        """Block pull: dequeue up to ``max_weight`` events as blocks.
 
         Bitwise-identical to :meth:`pull` over the expanded cohort
         sequence -- :func:`~repro.core.batch.consume_front` replicates

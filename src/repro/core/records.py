@@ -24,7 +24,7 @@ key -- for the join query.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 PURCHASES = "purchases"
 ADS = "ads"
@@ -157,11 +157,6 @@ class OutputRecord:
             f"processing_latency={self.processing_time_latency:.3f}, "
             f"weight={self.weight:g})"
         )
-
-
-def total_weight(records: Iterable[Record]) -> float:
-    """Sum of cohort weights = number of real events represented."""
-    return sum(r.weight for r in records)
 
 
 def split_cohort(record: Record, parts: int) -> List[Record]:

@@ -14,7 +14,7 @@ Shared machinery implemented here:
   asks the data plane for a grant (this is where network saturation
   binds), pulls records from the driver queues through the
   :class:`~repro.engines.operators.source.SourceSet`, and hands them to
-  the engine-specific ``_process``;
+  the engine-specific ``_process_batch``;
 - JVM pause modelling (a seeded Poisson process of lognormal pauses)
   that suspends ingest and processing -- the source of the latency tails
   in Tables II/IV;
@@ -23,7 +23,8 @@ Shared machinery implemented here:
   (Experiments 3 and 4).
 
 Subclasses implement ``_capacity_events_per_s`` (usually delegated to
-the calibrated cost model), ``_process`` (windowing pipeline), and
+the calibrated cost model), the windowing pipeline -- ``_process_batch``
+(blocks of cohorts) or, record-at-a-time, ``_process`` -- and
 ``_on_tick_end`` (window closing / job scheduling).
 """
 
@@ -47,7 +48,6 @@ from repro.core.batch import (
     left_sum,
     materialize_all,
     records_weight,
-    vector_enabled,
 )
 from repro.core.queues import QueueSet
 from repro.core.records import PURCHASES, Record
@@ -175,10 +175,6 @@ class StreamingEngine(ABC):
         )
         self.sink: Optional[Sink] = None
         self.source: Optional[SourceSet] = None
-        # Columnar (block-at-a-time) hot path; REPRO_ENGINE_SCALAR=1
-        # selects the record-at-a-time reference implementation.  The
-        # mode is latched at construction so a trial runs uniformly.
-        self._vector = vector_enabled()
         self.failure: Optional[SutFailure] = None
         self.ingested_weight = 0.0
         self._tick_ingest_weight = 0.0
@@ -403,16 +399,10 @@ class StreamingEngine(ABC):
                 budget = 0.0
             budget = self._apply_network_grant(budget)
             if budget > 0:
-                if self._vector:
-                    blocks = self.source.pull_batch(budget, ingest_time=sim.now)
-                    if blocks:
-                        self._account_ingest(blocks, dt)
-                        self._process_batch(blocks, dt)
-                else:
-                    records = self.source.pull(budget, ingest_time=sim.now)
-                    if records:
-                        self._account_ingest(records, dt)
-                        self._process(records, dt)
+                blocks = self.source.pull_batch(budget, ingest_time=sim.now)
+                if blocks:
+                    self._account_ingest(blocks, dt)
+                    self._process_batch(blocks, dt)
             self._on_tick_end(dt)
             self._backpressure().on_tick_end(sim.now)
         except SutFailure as failure:
@@ -435,11 +425,11 @@ class StreamingEngine(ABC):
         granted_bytes = self.plane.allocate(wanted_bytes, kind="ingest")
         return granted_bytes / self._ingest_bytes_per_event
 
-    def _account_ingest(self, records: List, dt: float) -> None:
+    def _account_ingest(self, blocks: List[RecordBlock], dt: float) -> None:
         # The tick's one ingest fold (strict, left, over the cohort
-        # sequence of records or blocks); a `_process` / `_process_batch`
-        # that needs the batch total (Storm) reads it back.
-        weight = self._tick_ingest_weight = records_weight(records)
+        # sequence of the blocks); a `_process_batch` that needs the
+        # batch total (Storm) reads it back.
+        weight = self._tick_ingest_weight = records_weight(blocks)
         self.ingested_weight += weight
         if self.resources is not None:
             core_seconds = weight * self.cost.total_cost_us / 1e6
@@ -1227,18 +1217,25 @@ class StreamingEngine(ABC):
         pull-rate signatures of Figure 9); default: unshaped."""
         return budget
 
-    @abstractmethod
     def _process(self, records: List[Record], dt: float) -> None:
-        """Feed ingested records into the windowing pipeline."""
+        """Feed ingested records into the windowing pipeline.
+
+        The record-at-a-time hook of the pluggable-SUT interface; only
+        reached through the default :meth:`_process_batch`.
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} must implement _process_batch (blocks "
+            "of cohorts) or _process (one Record at a time)"
+        )
 
     def _process_batch(self, blocks: List[RecordBlock], dt: float) -> None:
-        """Columnar `_process`: feed whole blocks into the pipeline.
+        """Feed the tick's ingested blocks into the windowing pipeline.
 
         The built-in engines override this with block-at-a-time window
-        updates; the default materializes records and delegates, so
-        custom engines (the pluggable-SUT interface) keep working in
-        vector mode with bitwise-identical numerics -- just without the
-        speedup.
+        updates; the default materializes records and delegates to
+        :meth:`_process`, so custom engines (the pluggable-SUT
+        interface) can stay record-at-a-time with bitwise-identical
+        numerics -- just without the speed.
         """
         self._process(materialize_all(blocks), dt)
 

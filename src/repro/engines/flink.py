@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Union
 
 from repro.autoscale.rescale import STYLE_SAVEPOINT, RescaleSemantics
-from repro.core.records import Record
 from repro.engines.backpressure import BackpressureMechanism, CreditBased
 from repro.engines.base import (
     EngineConfig,
@@ -43,10 +42,6 @@ from repro.engines.base import (
 )
 from repro.core.batch import RecordBlock, left_sum
 from repro.engines.operators.aggregate import aggregation_outputs
-from repro.engines.operators.columnar import (
-    ColumnarJoinStore,
-    ColumnarWindowStore,
-)
 from repro.engines.operators.join import JoinWindowStore, join_window_outputs
 from repro.engines.operators.window import KeyedWindowStore
 from repro.faults.checkpoint import RecoverySemantics
@@ -94,19 +89,8 @@ class FlinkEngine(StreamingEngine):
         self._backpressure_mechanism = CreditBased()
         self._is_join = isinstance(self.query, WindowedJoinQuery)
         self._store: Union[JoinWindowStore, KeyedWindowStore]
-        hint = self.query.keys.num_keys
-        if self._is_join:
-            self._store = (
-                ColumnarJoinStore(self.query.window, hint)
-                if self._vector
-                else JoinWindowStore(self.query.window)
-            )
-        else:
-            self._store = (
-                ColumnarWindowStore(self.query.window, hint)
-                if self._vector
-                else KeyedWindowStore(self.query.window)
-            )
+        store_cls = JoinWindowStore if self._is_join else KeyedWindowStore
+        self._store = store_cls(self.query.window, self.query.keys.num_keys)
         self.windows_emitted = 0
 
     @classmethod
@@ -135,11 +119,6 @@ class FlinkEngine(StreamingEngine):
         return self._backpressure_mechanism
 
     # -- pipeline ---------------------------------------------------------
-
-    def _process(self, records: List[Record], dt: float) -> None:
-        for record in records:
-            self._store.add(record)
-        self._update_state_usage(self._store.stored_weight())
 
     def _process_batch(self, blocks: List[RecordBlock], dt: float) -> None:
         for block in blocks:

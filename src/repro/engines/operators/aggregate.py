@@ -30,9 +30,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.core.batch import left_sum
+from repro.core.batch import RecordBlock, as_block, fold_add, left_sum
 from repro.core.records import OutputRecord, Record
-from repro.engines.operators.window import WindowAccumulator, WindowContents
+from repro.engines.operators.window import (
+    WindowAccumulator,
+    WindowCols,
+    WindowContents,
+)
 from repro.workloads.queries import WindowSpec
 
 
@@ -75,42 +79,59 @@ def aggregation_outputs(
 class BatchPartialAggregator:
     """Per-mini-batch partial aggregation (Spark's reduceByKey stage).
 
-    Records arriving during one batch interval are folded into per-key
+    Cohorts arriving during one batch interval are folded into per-key
     partials *per window index* (a record spans ``windows_per_event``
-    windows).  At batch end the partials are handed to the window state
-    of the job, and the partial store resets for the next batch.
+    windows), held as :class:`WindowCols`.  At batch end the partials
+    are materialized and handed to the window state of the job, and the
+    partial store resets for the next batch.
     """
 
-    def __init__(self, window: WindowSpec) -> None:
+    def __init__(self, window: WindowSpec, key_space_hint: int = 64) -> None:
         self.window = window
-        self._partials: Dict[int, Dict[int, WindowAccumulator]] = {}
+        self._key_space_hint = key_space_hint
+        self._cols: Dict[int, WindowCols] = {}
         self._traces: Dict[int, List] = {}
         self.batch_weight = 0.0
 
     def add(self, record: Record) -> int:
-        first, last = self.window.window_index_range(record.event_time)
-        updates = 0
+        """Fold one record in: :meth:`add_block` over a block of one."""
+        return self.add_block(as_block(record))
+
+    def add_block(self, block: RecordBlock) -> int:
+        n_cohorts = len(block)
+        if n_cohorts == 0:
+            return 0
+        first, last = self.window.window_index_range(block.event_time)
+        windows = 0
         for idx in range(first, last + 1):
-            per_key = self._partials.setdefault(idx, {})
-            acc = per_key.get(record.key)
-            if acc is None:
-                acc = WindowAccumulator()
-                per_key[record.key] = acc
-            acc.add(record)
-            updates += 1
-        self.batch_weight += record.weight
-        if record.trace is not None:
+            cols = self._cols.get(idx)
+            if cols is None:
+                cols = WindowCols(self._key_space_hint)
+                self._cols[idx] = cols
+            cols.add_cohorts(
+                block.keys,
+                block.weights,
+                block.value,
+                block.event_time,
+                block.ingest_time,
+            )
+            windows += 1
+        self.batch_weight = fold_add(self.batch_weight, block.weights)
+        if block.traces:
             # Same earliest-open-window rule as KeyedWindowStore; the
             # partial aggregator never closes windows itself, so the
             # earliest containing window is simply `first`.
-            self._traces.setdefault(first, []).append(record.trace)
-            record.trace = None
-        return updates
+            for _, trace in block.traces:
+                self._traces.setdefault(first, []).append(trace)
+            block.traces = []
+        return windows * n_cohorts
 
     def drain(self) -> Dict[int, Dict[int, WindowAccumulator]]:
         """Hand the batch's partials to the job and reset."""
-        partials = self._partials
-        self._partials = {}
+        partials = {
+            idx: cols.materialize() for idx, cols in self._cols.items()
+        }
+        self._cols = {}
         self.batch_weight = 0.0
         return partials
 

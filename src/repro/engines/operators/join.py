@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.core.batch import left_sum
+from repro.core.batch import RecordBlock, as_block, left_sum
 from repro.core.records import ADS, PURCHASES, OutputRecord, Record
 from repro.engines.operators.window import KeyedWindowStore, WindowContents
 from repro.workloads.queries import WindowSpec
@@ -30,18 +30,22 @@ from repro.workloads.queries import WindowSpec
 class JoinWindowStore:
     """Two keyed window stores, one per input stream."""
 
-    def __init__(self, window: WindowSpec) -> None:
+    def __init__(self, window: WindowSpec, key_space_hint: int = 64) -> None:
         self.window = window
-        self.purchases = KeyedWindowStore(window)
-        self.ads = KeyedWindowStore(window)
+        self.purchases = KeyedWindowStore(window, key_space_hint)
+        self.ads = KeyedWindowStore(window, key_space_hint)
 
     def add(self, record: Record) -> int:
-        """Route a record to its side's store; returns keyed updates."""
-        if record.stream == PURCHASES:
-            return self.purchases.add(record)
-        if record.stream == ADS:
-            return self.ads.add(record)
-        raise ValueError(f"record from unknown stream {record.stream!r}")
+        """Route one record: :meth:`add_block` over a block of one."""
+        return self.add_block(as_block(record))
+
+    def add_block(self, block: RecordBlock) -> int:
+        """Route a block to its side's store; returns keyed updates."""
+        if block.stream == PURCHASES:
+            return self.purchases.add_block(block)
+        if block.stream == ADS:
+            return self.ads.add_block(block)
+        raise ValueError(f"block from unknown stream {block.stream!r}")
 
     def ready_indices(self, watermark: float) -> List[int]:
         """Windows complete on *both* sides at the given watermark."""

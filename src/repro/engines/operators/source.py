@@ -17,7 +17,6 @@ from typing import Dict, List
 
 from repro.core.batch import RecordBlock, as_block, fold_sub
 from repro.core.queues import QueueSet
-from repro.core.records import Record
 
 
 class SourceSet:
@@ -39,54 +38,17 @@ class SourceSet:
             self._disconnected.get(index, until), until
         )
 
-    def pull(self, max_weight: float, ingest_time: float) -> List[Record]:
+    def pull_batch(
+        self, max_weight: float, ingest_time: float
+    ) -> List[RecordBlock]:
         """Pull up to ``max_weight`` events across queues, stamping them.
 
         The budget is spread round-robin in small rounds so that one
         deep queue cannot monopolise ingestion (real sources poll their
-        partitions fairly).
-        """
-        if max_weight <= 0:
-            return []
-        pulled: List[Record] = []
-        remaining = max_weight
-        n = len(self._queues)
-        share = max(1.0, max_weight / n)
-        idle_rounds = 0
-        while remaining > 1e-9 and idle_rounds < n:
-            index = self._next
-            queue = self._queues.queues[index]
-            self._next = (self._next + 1) % n
-            if self._disconnected:
-                until = self._disconnected.get(index)
-                if until is not None:
-                    if ingest_time < until:
-                        idle_rounds += 1
-                        continue
-                    del self._disconnected[index]
-            batch = queue.pull(min(share, remaining))
-            if not batch:
-                idle_rounds += 1
-                continue
-            idle_rounds = 0
-            for record in batch:
-                record.ingest_time = ingest_time
-                remaining -= record.weight
-                if record.trace is not None:
-                    record.trace.mark("ingested", ingest_time)
-            pulled.extend(batch)
-        return pulled
-
-    def pull_batch(
-        self, max_weight: float, ingest_time: float
-    ) -> List[RecordBlock]:
-        """Columnar :meth:`pull`: same round-robin ladder, block output.
-
-        Bitwise-identical to the scalar pull over the expanded cohort
-        sequence: the per-queue budgets, the budget countdown (a strict
-        left fold over each batch's cohort weights) and the trace marks
-        all replay the scalar loop.  Stray Records from mixed queues are
-        wrapped as single-cohort blocks so engines only see blocks.
+        partitions fairly); it counts down by a strict left fold over
+        each batch's cohort weights.  Stray Records (sampled-mode
+        generators, the broker) are wrapped as single-cohort blocks so
+        engines only see blocks.
         """
         if max_weight <= 0:
             return []

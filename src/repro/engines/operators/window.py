@@ -16,14 +16,25 @@ The store accumulates a SUM per (window, key) on the fly; engines that
 buffer raw tuples instead of aggregating incrementally (Storm) use the
 same store for semantics but account memory per buffered event and pay a
 bulk evaluation cost at close time (see the engine models).
+
+State is columnar: one :class:`WindowCols` per open window holds the
+per-key accumulators as slot arrays, a block of cohorts is one ``+=``
+per column (block keys are unique, so every slot gets exactly one IEEE
+add per block) and the ledgers advance by strict left folds over the
+cohort weights (:func:`repro.core.batch.fold_add`).  The numbers are
+those of the record-at-a-time fold in cohort order, bit for bit -- the
+reference in ``tests/oracle`` is that fold, and the conformance goldens
+were generated by it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Union
 
-from repro.core.batch import left_sum
+import numpy as np
+
+from repro.core.batch import RecordBlock, as_block, fold_add, left_sum
 from repro.core.records import Record
 from repro.workloads.queries import WindowSpec
 
@@ -110,19 +121,214 @@ class WindowContents:
         return max(acc.max_processing_time for acc in self.by_key.values())
 
 
+class WindowCols:
+    """Column arrays for one window: per-key accumulators in slot form.
+
+    Slots are assigned in key first-touch order -- the insertion order
+    of a per-key dict -- so a materialized ``by_key`` iterates, and
+    every left fold over it sums, in that order.  The key -> slot table
+    is direct-addressed and sized by the largest key seen, which makes
+    the lookup one fancy index: workload keys are ``[0, num_keys)``, so
+    it stays compact, but a key of 10**9 would allocate 8 GB per window
+    and a negative key is rejected (it would wrap to another key's
+    slot).
+    """
+
+    __slots__ = (
+        "n", "keys", "values", "weights", "max_et", "max_pt", "_slot_table",
+        "_run_keys", "_run_start",
+    )
+
+    def __init__(self, key_space_hint: int = 64) -> None:
+        self.n = 0
+        cap = max(1, key_space_hint)
+        self.keys = np.zeros(cap, dtype=np.int64)
+        self.values = np.zeros(cap)
+        self.weights = np.zeros(cap)
+        self.max_et = np.full(cap, float("-inf"))
+        self.max_pt = np.full(cap, float("-inf"))
+        self._slot_table = np.full(cap, -1, dtype=np.int64)
+        # The key catalog (a whole array, never a view) found to occupy
+        # the consecutive slots _run_start.. in catalog order.
+        self._run_keys: Optional[np.ndarray] = None
+        self._run_start = 0
+
+    def _ensure_key_space(self, max_key: int) -> None:
+        if max_key < len(self._slot_table):
+            return
+        grown = np.full(max(max_key + 1, 2 * len(self._slot_table)), -1,
+                        dtype=np.int64)
+        grown[: len(self._slot_table)] = self._slot_table
+        self._slot_table = grown
+
+    def _ensure_capacity(self, needed: int) -> None:
+        cap = len(self.keys)
+        if needed <= cap:
+            return
+        new_cap = cap
+        while new_cap < needed:
+            new_cap *= 2
+        for name in ("keys", "values", "weights", "max_et", "max_pt"):
+            old = getattr(self, name)
+            fill = float("-inf") if name in ("max_et", "max_pt") else 0
+            grown = np.full(new_cap, fill, dtype=old.dtype)
+            grown[: cap] = old
+            setattr(self, name, grown)
+
+    def _locate(self, keys: np.ndarray) -> Union[slice, int, np.ndarray]:
+        """Where a block's cohorts accumulate: a slot run, one slot, or
+        slot indices.
+
+        Blocks carry their generator's key catalog by reference -- whole,
+        or as a contiguous view of it after a split -- and after first
+        touch a catalog's keys sit on consecutive slots in catalog
+        order.  Once a whole catalog has been seen to do so it is
+        remembered by identity, and every later block over it is
+        addressed as a slice: no table gather, no scatter.  A single
+        cohort whose key already has a slot (a split remainder, a record
+        added on its own) is addressed by that one slot.  Everything
+        else (first touch, permuted or foreign key arrays, strided
+        views) takes the gather path, which also assigns slots to new
+        keys.
+        """
+        base = keys.base
+        if base is None:
+            if keys is self._run_keys:
+                return slice(self._run_start, self._run_start + len(keys))
+        elif base is self._run_keys and keys.flags.c_contiguous:
+            start = int(self._slot_table[keys[0]])
+            return slice(start, start + len(keys))
+        if len(keys) == 1:
+            key = int(keys[0])
+            if 0 <= key < len(self._slot_table):
+                slot = int(self._slot_table[key])
+                if slot >= 0:
+                    return slot
+        lowest = int(keys.min())
+        if lowest < 0:
+            raise ValueError(f"keys must be non-negative, got {lowest}")
+        self._ensure_key_space(int(keys.max()))
+        slots = self._slot_table[keys]
+        fresh = np.nonzero(slots == -1)[0]
+        if len(fresh):
+            count = len(fresh)
+            self._ensure_capacity(self.n + count)
+            new_slots = np.arange(self.n, self.n + count, dtype=np.int64)
+            new_keys = keys[fresh]
+            self._slot_table[new_keys] = new_slots
+            self.keys[self.n : self.n + count] = new_keys
+            # New accumulators start at WindowAccumulator's (0, 0, -inf).
+            self.values[new_slots] = 0.0
+            self.weights[new_slots] = 0.0
+            self.max_et[new_slots] = float("-inf")
+            self.max_pt[new_slots] = float("-inf")
+            self.n += count
+            slots[fresh] = new_slots
+        if self._run_keys is None and base is None and len(keys) > 1:
+            start = int(slots[0])
+            if int(slots[-1]) - start == len(keys) - 1 and np.array_equal(
+                slots, np.arange(start, start + len(keys))
+            ):
+                self._run_keys = keys
+                self._run_start = start
+        return slots
+
+    def add_cohorts(
+        self,
+        keys: np.ndarray,
+        weights: np.ndarray,
+        value: float,
+        event_time: float,
+        ingest_time: Optional[float],
+    ) -> None:
+        """Fold one block's cohorts into this window's accumulators.
+
+        Bitwise equal to ``for each cohort: acc.add(record)`` because
+        keys are unique within a block: every slot gets exactly one add
+        and one max, whether it is addressed through a slice, a scalar
+        index or an index array.
+        """
+        if len(keys) == 0:
+            return
+        at = self._locate(keys)
+        if isinstance(at, int):
+            # One cohort on a known slot: scalar reads and writes instead
+            # of a one-element gather/scatter (19.5 -> 7.1 us per record
+            # added on its own, two windows each).
+            weight = weights[0]
+            self.values[at] += value * weight
+            self.weights[at] += weight
+            if event_time > self.max_et[at]:
+                self.max_et[at] = event_time
+            if ingest_time is not None and ingest_time > self.max_pt[at]:
+                self.max_pt[at] = ingest_time
+            return
+        if isinstance(at, slice):
+            # A slot run: update the column views in place -- no gather,
+            # no temporary, no scatter-copy.
+            values, held = self.values[at], self.weights[at]
+            values += value * weights
+            held += weights
+            max_et = self.max_et[at]
+            np.maximum(max_et, event_time, out=max_et)
+            if ingest_time is not None:
+                max_pt = self.max_pt[at]
+                np.maximum(max_pt, ingest_time, out=max_pt)
+            return
+        self.values[at] += value * weights
+        self.weights[at] += weights
+        self.max_et[at] = np.maximum(self.max_et[at], event_time)
+        if ingest_time is not None:
+            self.max_pt[at] = np.maximum(self.max_pt[at], ingest_time)
+
+    def lose_fraction_fold(self, lost: float, fraction: float) -> float:
+        """Scale every accumulator by ``1 - fraction``; fold the loss.
+
+        One multiply per accumulator; the loss is folded in slot
+        (== insertion) order.
+        """
+        n = self.n
+        if n == 0:
+            return lost
+        keep = 1.0 - fraction
+        lost = fold_add(lost, self.weights[:n] * fraction)
+        self.weights[:n] *= keep
+        self.values[:n] *= keep
+        return lost
+
+    def materialize(self) -> Dict[int, WindowAccumulator]:
+        """Expand to a ``by_key`` dict of accumulators, in slot order."""
+        by_key: Dict[int, WindowAccumulator] = {}
+        n = self.n
+        keys = self.keys
+        values = self.values
+        weights = self.weights
+        max_et = self.max_et
+        max_pt = self.max_pt
+        for i in range(n):
+            acc = WindowAccumulator()
+            acc.value = float(values[i])
+            acc.weight = float(weights[i])
+            acc.max_event_time = float(max_et[i])
+            acc.max_processing_time = float(max_pt[i])
+            by_key[int(keys[i])] = acc
+        return by_key
+
+
 class KeyedWindowStore:
     """Keyed sliding-window state for one stream.
 
-    ``add`` folds a record into every window containing it.  ``close``
-    pops a window once the caller's watermark passes its end.  The store
-    never closes a window by itself -- *when* to close is an engine
-    decision (ideal watermark for Flink/Storm, batch alignment for
-    Spark).
+    ``add_block`` folds a block of cohorts into every window containing
+    its event time (``add`` is the block-of-one case).  ``close`` pops a
+    window once the caller's watermark passes its end.  The store never
+    closes a window by itself -- *when* to close is an engine decision
+    (ideal watermark for Flink/Storm, batch alignment for Spark).
     """
 
-    def __init__(self, window: WindowSpec) -> None:
+    def __init__(self, window: WindowSpec, key_space_hint: int = 64) -> None:
         self.window = window
-        self._windows: Dict[int, Dict[int, WindowAccumulator]] = {}
+        self._key_space_hint = key_space_hint
+        self._windows: Dict[int, WindowCols] = {}
         self._traces: Dict[int, List[object]] = {}
         self._closed_through: Optional[int] = None
         self.dropped_weight = 0.0
@@ -147,15 +353,24 @@ class KeyedWindowStore:
         self.lost_weight = 0.0
 
     def add(self, record: Record) -> int:
-        """Fold ``record`` into all windows containing it.
+        """Fold one record in: :meth:`add_block` over a block of one."""
+        return self.add_block(as_block(record))
 
-        Returns the number of per-window updates performed.  Records
-        whose event-time falls entirely before already-closed windows
-        are dropped (cannot happen with monotone watermarks and FIFO
-        queues; guarded for safety).
+    def add_block(self, block: RecordBlock) -> int:
+        """Fold a block into all windows containing its event time.
+
+        Returns the number of per-window updates performed.  Cohorts of
+        one block share an event time, so the window range, missed count
+        and first-open window are computed once and the ledger folds run
+        over the cohort weights in order.  Contributions to
+        already-closed windows are dropped (cannot happen with monotone
+        watermarks and FIFO queues; guarded for safety).
         """
-        first, last = self.window.window_index_range(record.event_time)
-        updates = 0
+        n_cohorts = len(block)
+        if n_cohorts == 0:
+            return 0
+        first, last = self.window.window_index_range(block.event_time)
+        updates_per = 0
         missed = 0
         first_open: Optional[int] = None
         for idx in range(first, last + 1):
@@ -164,34 +379,46 @@ class KeyedWindowStore:
                 continue
             if first_open is None:
                 first_open = idx
-            per_key = self._windows.get(idx)
-            if per_key is None:
-                per_key = {}
-                self._windows[idx] = per_key
-            acc = per_key.get(record.key)
-            if acc is None:
-                acc = WindowAccumulator()
-                per_key[record.key] = acc
-            acc.add(record)
-            updates += 1
-        if missed:
-            self.dropped_weight += record.weight * (
-                missed / self.window.windows_per_event
+            cols = self._windows.get(idx)
+            if cols is None:
+                cols = WindowCols(self._key_space_hint)
+                self._windows[idx] = cols
+            cols.add_cohorts(
+                block.keys,
+                block.weights,
+                block.value,
+                block.event_time,
+                block.ingest_time,
             )
-        self.updates += updates
-        self.admitted_weight += record.weight * (
-            updates / self.window.windows_per_event
-        )
-        if record.trace is not None:
-            # The trace waits in the *earliest* open window it landed in
+            updates_per += 1
+        if missed:
+            self.dropped_weight = fold_add(
+                self.dropped_weight,
+                block.weights * (missed / self.window.windows_per_event),
+            )
+        self.updates += updates_per * n_cohorts
+        if updates_per:
+            # Per cohort the ledger takes w * (updates/wpe); with zero
+            # updates that is `+= 0.0` -- an exact no-op for the
+            # non-negative ledger, so it is safe to skip.  So is a share
+            # of exactly 1.0 (no window already closed): w * 1.0 == w
+            # bit for bit.
+            share = updates_per / self.window.windows_per_event
+            self.admitted_weight = fold_add(
+                self.admitted_weight,
+                block.weights if share == 1.0 else block.weights * share,
+            )
+        if block.traces:
+            # A trace waits in the *earliest* open window it landed in
             # (that window's close ends the event's buffering span);
-            # fully-late records never emit, so their trace is dropped.
-            if first_open is None:
-                record.trace.drop()
-            else:
-                self._traces.setdefault(first_open, []).append(record.trace)
-            record.trace = None
-        return updates
+            # fully-late cohorts never emit, so their trace is dropped.
+            for _, trace in block.traces:
+                if first_open is None:
+                    trace.drop()
+                else:
+                    self._traces.setdefault(first_open, []).append(trace)
+            block.traces = []
+        return updates_per * n_cohorts
 
     def ready_indices(self, watermark: float) -> List[int]:
         """Window indices whose end has passed ``watermark``, oldest first."""
@@ -202,17 +429,13 @@ class KeyedWindowStore:
         ]
         return sorted(ready)
 
-    def _pop_by_key(self, index: int) -> Dict[int, WindowAccumulator]:
-        """Remove window ``index``; its per-key accumulators."""
-        return self._windows.pop(index, {})
-
     def close(self, index: int, at_time: Optional[float] = None) -> WindowContents:
         """Pop a window's contents; further adds to it are ignored.
 
         ``at_time`` (the engine's clock at close) stamps the ``closed``
         mark on any traces buffered in this window.
         """
-        per_key = self._pop_by_key(index)
+        cols = self._windows.pop(index, None)
         traces = self._traces.pop(index, [])
         if traces and at_time is not None:
             for trace in traces:
@@ -221,7 +444,7 @@ class KeyedWindowStore:
             index=index,
             end_time=self.window.window_end(index),
             start_time=self.window.window_start(index),
-            by_key=per_key,
+            by_key=cols.materialize() if cols is not None else {},
             traces=traces,
         )
         if self._closed_through is None or index > self._closed_through:
@@ -244,12 +467,13 @@ class KeyedWindowStore:
 
         Counts each record once per containing window -- the quantity an
         engine that physically buffers tuples per window would hold.
+        One chained strict left fold over (window insertion order, key
+        insertion order).
         """
-        return left_sum(
-            acc.weight
-            for per_key in self._windows.values()
-            for acc in per_key.values()
-        )
+        total = 0.0
+        for cols in self._windows.values():
+            total = fold_add(total, cols.weights[: cols.n])
+        return total
 
     def lose_fraction(self, fraction: float) -> float:
         """Discard a fraction of all open window contents.
@@ -261,11 +485,7 @@ class KeyedWindowStore:
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"fraction must be in [0, 1], got {fraction}")
         lost = 0.0
-        keep = 1.0 - fraction
-        for per_key in self._windows.values():
-            for acc in per_key.values():
-                lost += acc.weight * fraction
-                acc.weight *= keep
-                acc.value *= keep
+        for cols in self._windows.values():
+            lost = cols.lose_fraction_fold(lost, fraction)
         self.lost_weight += lost / self.window.windows_per_event
         return lost

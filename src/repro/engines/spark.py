@@ -35,7 +35,6 @@ from collections import deque
 
 from repro.autoscale.rescale import STYLE_MICRO_BATCH, RescaleSemantics
 from repro.core.batch import RecordBlock, fold_add, left_sum
-from repro.core.records import Record
 from repro.engines.backpressure import BackpressureMechanism, RateController
 from repro.engines.base import (
     EngineConfig,
@@ -46,10 +45,6 @@ from repro.engines.operators.aggregate import (
     BatchPartialAggregator,
     WindowedPartialMerger,
     aggregation_outputs,
-)
-from repro.engines.operators.columnar import (
-    ColumnarBatchPartials,
-    ColumnarJoinStore,
 )
 from repro.engines.operators.join import JoinWindowStore, join_window_outputs
 from repro.faults.checkpoint import RecoverySemantics
@@ -182,19 +177,11 @@ class SparkEngine(StreamingEngine):
         self._is_join = isinstance(self.query, WindowedJoinQuery)
         hint = self.query.keys.num_keys
         if self._is_join:
-            self._join_store = (
-                ColumnarJoinStore(self.query.window, hint)
-                if self._vector
-                else JoinWindowStore(self.query.window)
-            )
+            self._join_store = JoinWindowStore(self.query.window, hint)
             self._batch_weight = 0.0
         else:
-            self._partials = (
-                ColumnarBatchPartials(self.query.window, hint)
-                if self._vector
-                else BatchPartialAggregator(self.query.window)
-            )
-            # The merger stays scalar in both modes: it absorbs the
+            self._partials = BatchPartialAggregator(self.query.window, hint)
+            # The merger works on accumulator dicts: it absorbs the
             # drained (materialized) partials once per batch, off the
             # per-tick hot path.
             self._merger = WindowedPartialMerger(
@@ -267,16 +254,6 @@ class SparkEngine(StreamingEngine):
         return budget * factor
 
     # -- receiving ----------------------------------------------------------
-
-    def _process(self, records: List[Record], dt: float) -> None:
-        if self._is_join:
-            for record in records:
-                self._join_store.add(record)
-                self._batch_weight += record.weight
-            self._update_state_usage(self._join_store.stored_weight())
-        else:
-            for record in records:
-                self._partials.add(record)
 
     def _process_batch(self, blocks: List[RecordBlock], dt: float) -> None:
         if self._is_join:

@@ -42,7 +42,6 @@ from repro.core.batch import (
     fold_sub,
     left_sum,
 )
-from repro.core.records import Record
 from repro.engines.backpressure import BackpressureMechanism, OnOffThrottle
 from repro.engines.base import (
     EngineConfig,
@@ -50,10 +49,6 @@ from repro.engines.base import (
     windowed_conservation,
 )
 from repro.engines.operators.aggregate import aggregation_outputs
-from repro.engines.operators.columnar import (
-    ColumnarJoinStore,
-    ColumnarWindowStore,
-)
 from repro.engines.operators.join import JoinWindowStore, join_window_outputs
 from repro.engines.operators.window import KeyedWindowStore
 from repro.faults.checkpoint import RecoverySemantics
@@ -154,20 +149,9 @@ class StormEngine(StreamingEngine):
         )
         self._is_join = isinstance(self.query, WindowedJoinQuery)
         self._store: Union[JoinWindowStore, KeyedWindowStore]
-        hint = self.query.keys.num_keys
-        if self._is_join:
-            self._store = (
-                ColumnarJoinStore(self.query.window, hint)
-                if self._vector
-                else JoinWindowStore(self.query.window)
-            )
-        else:
-            self._store = (
-                ColumnarWindowStore(self.query.window, hint)
-                if self._vector
-                else KeyedWindowStore(self.query.window)
-            )
-        self._inflight: Deque[Union[Record, RecordBlock]] = deque()
+        store_cls = JoinWindowStore if self._is_join else KeyedWindowStore
+        self._store = store_cls(self.query.window, self.query.keys.num_keys)
+        self._inflight: Deque[RecordBlock] = deque()
         self._inflight_weight = 0.0
         # Per-pull (tick) minima of event time, with remaining weight:
         # pulls interleave the driver queues round-robin, so the FIFO
@@ -252,28 +236,14 @@ class StormEngine(StreamingEngine):
 
     # -- pipeline ---------------------------------------------------------
 
-    def _process(self, records: List[Record], dt: float) -> None:
+    def _process_batch(self, blocks: List[RecordBlock], dt: float) -> None:
         # The spout over-pulls into the executor queues; bolts drain them
         # at processing capacity in _on_tick_end.  Pulls arrive in
         # periodic bursts, so the surge detector sees the per-poll
-        # average rate, not the instantaneous burst.
-        cfg: StormConfig = self.config
-        period = max(1, cfg.spout_pull_period_ticks)
-        weight = self._tick_ingest_weight
-        self._detect_surge(weight / (dt * period), dt * period)
-        if records:
-            self._inflight_tick_mins.append(
-                [min(r.event_time for r in records), weight]
-            )
-        for record in records:
-            self._inflight.append(record)
-            self._inflight_weight += record.weight
-
-    def _process_batch(self, blocks: List[RecordBlock], dt: float) -> None:
-        # Columnar twin of _process: one tick-min entry per poll, the
-        # inflight ledger advanced by strict left folds over each
-        # block's cohort weights (bitwise == the per-record loop; each
-        # block's minimum event time is its uniform event time).
+        # average rate, not the instantaneous burst.  One tick-min entry
+        # per poll (a block's minimum event time is its uniform event
+        # time); the inflight ledger advances by strict left folds over
+        # each block's cohort weights.
         cfg: StormConfig = self.config
         period = max(1, cfg.spout_pull_period_ticks)
         weight = self._tick_ingest_weight
@@ -319,50 +289,24 @@ class StormEngine(StreamingEngine):
     def _drain_inflight(self, dt: float) -> None:
         budget = self._capacity_events_per_s() * dt
         while self._inflight and budget > 1e-9:
-            head = self._inflight[0]
-            if isinstance(head, RecordBlock):
-                taken, budget_after, emptied = consume_front(head, budget)
-                if emptied:
-                    self._inflight.popleft()
-                if taken is None or len(taken) == 0:
-                    budget = budget_after
-                    continue
-                self._inflight_weight = fold_sub(
-                    self._inflight_weight, taken.weights
-                )
-                budget = budget_after
-                # Count the drained cohorts off the per-poll tick minima:
-                # one subtract-accumulate per tick-min entry (the same
-                # left fold as the per-cohort `entry[1] -= w`, so
-                # bitwise), or the scalar loop itself for a short run.
-                if len(taken) < _VECTOR_COUNTDOWN_MIN_COHORTS:
-                    for w in taken.weights.tolist():
-                        self._consume_tick_min(w)
-                else:
-                    self._consume_tick_mins(taken.weights)
-                self._store.add_block(taken)
-                continue
-            if head.weight <= budget:
+            taken, budget, emptied = consume_front(self._inflight[0], budget)
+            if emptied:
                 self._inflight.popleft()
-                taken = head
+            if taken is None or len(taken) == 0:
+                continue
+            self._inflight_weight = fold_sub(
+                self._inflight_weight, taken.weights
+            )
+            # Count the drained cohorts off the per-poll tick minima:
+            # one subtract-accumulate per tick-min entry (the same left
+            # fold as the per-cohort `entry[1] -= w`, so bitwise), or
+            # the per-cohort loop itself for a short run.
+            if len(taken) < _VECTOR_COUNTDOWN_MIN_COHORTS:
+                for w in taken.weights.tolist():
+                    self._consume_tick_min(w)
             else:
-                taken = Record(
-                    key=head.key,
-                    value=head.value,
-                    event_time=head.event_time,
-                    weight=budget,
-                    stream=head.stream,
-                    ingest_time=head.ingest_time,
-                    # A trace rides the first drained part of its cohort
-                    # (same convention as split_cohort / queue splits).
-                    trace=head.trace,
-                )
-                head.trace = None
-                head.weight -= budget
-            self._inflight_weight -= taken.weight
-            budget -= taken.weight
-            self._consume_tick_min(taken.weight)
-            self._store.add(taken)
+                self._consume_tick_mins(taken.weights)
+            self._store.add_block(taken)
         self._inflight_weight = max(0.0, self._inflight_weight)
 
     def _consume_tick_min(self, weight: float) -> None:

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.batch import vector_enabled
 from repro.core.generator import (
     DENSE,
     SAMPLED,
@@ -185,9 +184,6 @@ class TestFleet:
         total = sum(g.generated_weight for g in fleet)
         assert total == pytest.approx(5.0 * 4000.0, rel=0.02)
 
-    @pytest.mark.skipif(
-        not vector_enabled(), reason="blocks exist on the columnar path only"
-    )
     def test_fleet_blocks_carry_one_key_catalog(self):
         # Columnar stores recognise a block's catalog by identity: every
         # instance must stamp the distribution's one support array.

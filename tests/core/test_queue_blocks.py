@@ -18,7 +18,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.batch import RecordBlock, fold_add, materialize_all
+from repro.core.batch import RecordBlock, fold_add
 from repro.core.queues import DriverQueue
 from repro.core.records import Record
 from repro.sim.failures import ConnectionDropped
@@ -30,10 +30,14 @@ LEDGERS = (
 
 
 def cohorts(items) -> List[tuple]:
-    """Pulled items as a flat cohort sequence, floats bit-for-bit."""
+    """Pulled items (records and blocks mixed) as a flat cohort
+    sequence, floats bit-for-bit."""
     return [
         (r.key, float(r.weight).hex(), r.event_time, r.stream)
-        for r in materialize_all(items)
+        for item in items
+        for r in (
+            item.materialize() if isinstance(item, RecordBlock) else [item]
+        )
     ]
 
 

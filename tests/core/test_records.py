@@ -10,7 +10,6 @@ from repro.core.records import (
     OutputRecord,
     Record,
     split_cohort,
-    total_weight,
 )
 
 
@@ -35,13 +34,6 @@ class TestRecord:
         r = Record(key=0, value=0.0, event_time=0.0)
         with pytest.raises(AttributeError):
             r.extra = 1
-
-    def test_total_weight(self):
-        records = [
-            Record(key=0, value=0.0, event_time=0.0, weight=2.5),
-            Record(key=1, value=0.0, event_time=0.0, weight=0.5),
-        ]
-        assert total_weight(records) == pytest.approx(3.0)
 
 
 class TestOutputRecord:
@@ -77,7 +69,7 @@ class TestSplitCohort:
         r = Record(key=1, value=2.0, event_time=3.0, weight=10.0, stream=ADS)
         parts = split_cohort(r, 4)
         assert len(parts) == 4
-        assert total_weight(parts) == pytest.approx(10.0)
+        assert sum(p.weight for p in parts) == pytest.approx(10.0)
         for p in parts:
             assert p.key == 1
             assert p.event_time == 3.0
@@ -98,4 +90,6 @@ class TestSplitCohort:
     @settings(max_examples=100, deadline=None)
     def test_split_conservation_property(self, weight, parts):
         r = Record(key=0, value=1.0, event_time=0.0, weight=weight)
-        assert total_weight(split_cohort(r, parts)) == pytest.approx(weight)
+        assert sum(
+            p.weight for p in split_cohort(r, parts)
+        ) == pytest.approx(weight)

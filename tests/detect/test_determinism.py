@@ -4,13 +4,12 @@ The plane rides the simulated clock and a dedicated seeded RNG stream,
 so its verdict stream is part of the experiment's deterministic output:
 the same spec must yield byte-identical detection metrics whether the
 soak runs serially, fanned over worker processes, or resumed from a
-journal -- and whether the engine hot path runs the columnar kernels or
-the scalar reference path (``REPRO_ENGINE_SCALAR=1``).
+journal -- and whether the engines are the production (columnar) ones
+or the record-at-a-time oracle engines (:mod:`tests.oracle`).
 """
 
 import dataclasses
 import json
-import os
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -29,6 +28,8 @@ from repro.metrology import TrialJournal
 from repro.recovery.chaos import ChaosConfig, chaos_fingerprint, run_chaos
 from repro.recovery.reschedule import MODE_STANDBY, ReschedulePolicy
 from repro.workloads.queries import WindowSpec, WindowedAggregationQuery
+
+from tests.oracle import oracle_engines
 
 FAULTS = {
     "flap": FlappingNode(
@@ -72,20 +73,13 @@ class TestScalarColumnarIdentity:
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_detection_identical_under_scalar_engine(self, detector, fault):
-        # The columnar tick loop is bitwise-identical to the scalar
-        # path (PR 8); the heartbeat plane hangs off the same simulated
-        # clock, so every verdict -- time, node, classification -- must
-        # survive the kernel swap unchanged.
+        # The columnar tick loop is bitwise-identical to the
+        # record-at-a-time oracle; the heartbeat plane hangs off the
+        # same simulated clock, so every verdict -- time, node,
+        # classification -- must survive the kernel swap unchanged.
         columnar = _detection_dict(detector, fault, seed=3)
-        previous = os.environ.get("REPRO_ENGINE_SCALAR")
-        os.environ["REPRO_ENGINE_SCALAR"] = "1"
-        try:
+        with oracle_engines():
             scalar = _detection_dict(detector, fault, seed=3)
-        finally:
-            if previous is None:
-                del os.environ["REPRO_ENGINE_SCALAR"]
-            else:
-                os.environ["REPRO_ENGINE_SCALAR"] = previous
         assert scalar == columnar
 
 

@@ -5,8 +5,9 @@ trials; these tests pin the operator-level corners down directly:
 empty blocks, single-record blocks, blocks spanning a window boundary
 (including already-closed windows), and a block sequence interrupted by
 a mid-tick fault (``lose_fraction``).  Every case is checked against
-the scalar store fed the materialized records of the same blocks --
-exact equality, no tolerance.
+the record-at-a-time oracle store (:mod:`tests.oracle.stores`) fed the
+materialized records of the same blocks -- exact equality, no
+tolerance.
 """
 
 import numpy as np
@@ -15,15 +16,15 @@ import pytest
 from repro.core.batch import RecordBlock, as_block, consume_front
 from repro.core.records import ADS, PURCHASES, Record
 from repro.engines.operators.aggregate import BatchPartialAggregator
-from repro.engines.operators.columnar import (
-    ColumnarBatchPartials,
-    ColumnarJoinStore,
-    ColumnarWindowStore,
-    _WindowCols,
-)
 from repro.engines.operators.join import JoinWindowStore
-from repro.engines.operators.window import KeyedWindowStore
+from repro.engines.operators.window import KeyedWindowStore, WindowCols
 from repro.workloads.queries import WindowSpec
+
+from tests.oracle.stores import (
+    OracleBatchPartials,
+    OracleJoinStore,
+    OracleWindowStore,
+)
 
 WINDOW = WindowSpec(8.0, 4.0)
 
@@ -42,7 +43,7 @@ def block(keys, weights, event_time, value=2.0, stream=PURCHASES,
 
 
 def paired_stores():
-    return ColumnarWindowStore(WINDOW, key_space_hint=8), KeyedWindowStore(WINDOW)
+    return KeyedWindowStore(WINDOW, key_space_hint=8), OracleWindowStore(WINDOW)
 
 
 def feed_both(columnar, scalar, blk):
@@ -83,7 +84,7 @@ class TestEmptyBlock:
         assert not list(columnar.open_indices())
 
     def test_partials_no_op(self):
-        partials = ColumnarBatchPartials(WINDOW)
+        partials = BatchPartialAggregator(WINDOW)
         assert partials.add_block(block([], [], event_time=1.0)) == 0
         assert partials.batch_weight == 0.0
         assert partials.drain() == {}
@@ -104,12 +105,72 @@ class TestSingleRecordBlock:
             assert_contents_equal(columnar.close(idx), scalar.close(idx))
         assert_ledgers_equal(columnar, scalar)
 
+    def test_record_at_a_time_sequence_matches_scalar_adds(self):
+        """``add(record)`` over and over: the first touch of a key takes
+        the gather path, every later one the single-slot path; late and
+        partially late records included."""
+        columnar, scalar = paired_stores()
+        values = (0.1, 0.7, 1e-3, 3.3)
+        for step in range(40):
+            fields = dict(
+                key=(step * 5) % 7, value=values[step % 4],
+                event_time=0.5 + 0.37 * step, weight=0.1 + 0.3 * (step % 5),
+                ingest_time=0.6 + 0.37 * step if step % 3 else None,
+            )
+            assert columnar.add(Record(**fields)) == scalar.add(Record(**fields))
+            if step in (15, 30):
+                first = min(scalar.open_indices())
+                assert_contents_equal(
+                    columnar.close(first, at_time=99.0),
+                    scalar.close(first, at_time=99.0),
+                )
+                late = dict(fields, event_time=fields["event_time"] - 6.0)
+                assert columnar.add(Record(**late)) == scalar.add(Record(**late))
+            assert_ledgers_equal(columnar, scalar)
+        for idx in list(scalar.open_indices()):
+            assert_contents_equal(columnar.close(idx), scalar.close(idx))
+        assert_ledgers_equal(columnar, scalar)
+
     def test_as_block_moves_the_trace(self):
         record = Record(key=1, value=1.0, event_time=0.5, weight=1.0)
         blk = as_block(record)
         assert len(blk) == 1
         assert blk.traces == []
         assert float(blk.weights[0]) == 1.0
+
+
+class TestNegativeKeys:
+    """The slot table is direct-addressed: a negative key would wrap
+    onto another key's slot, so the gather path rejects it."""
+
+    def test_record_with_negative_key_does_not_alias(self):
+        # Without the check: key -1 wraps to slot_table[7], the two
+        # records fold into one accumulator and close as
+        # {7: (17.0, 5.0)}; the oracle gives {7: (2.0, 2.0),
+        # -1: (15.0, 3.0)}.
+        columnar, scalar = paired_stores()
+        for store in (columnar, scalar):
+            store.add(Record(key=7, value=1.0, event_time=1.0, weight=2.0))
+        scalar.add(Record(key=-1, value=5.0, event_time=1.0, weight=3.0))
+        with pytest.raises(ValueError, match="-1"):
+            columnar.add(Record(key=-1, value=5.0, event_time=1.0, weight=3.0))
+        oracle_closed = scalar.close(1).by_key
+        assert {k: (a.value, a.weight) for k, a in oracle_closed.items()} == {
+            7: (2.0, 2.0), -1: (15.0, 3.0),
+        }
+        # The rejected record left no trace in the production store.
+        closed = columnar.close(1).by_key
+        assert {k: (a.value, a.weight) for k, a in closed.items()} == {
+            7: (2.0, 2.0),
+        }
+
+    def test_negative_key_inside_a_multi_cohort_block(self):
+        columnar, _ = paired_stores()
+        with pytest.raises(ValueError, match="-3"):
+            columnar.add_block(block([0, 5, -3, 2], [1.0] * 4, event_time=1.0))
+        partials = BatchPartialAggregator(WINDOW, key_space_hint=8)
+        with pytest.raises(ValueError, match="-3"):
+            partials.add_block(block([0, 5, -3, 2], [1.0] * 4, event_time=1.0))
 
 
 class TestWindowBoundaryBlock:
@@ -190,8 +251,8 @@ class TestMidTickFault:
 
 class TestJoinStoreRouting:
     def test_blocks_route_by_stream(self):
-        columnar = ColumnarJoinStore(WINDOW)
-        scalar = JoinWindowStore(WINDOW)
+        columnar = JoinWindowStore(WINDOW)
+        scalar = OracleJoinStore(WINDOW)
         for blk in (
             block([0, 1], [1.0, 2.0], event_time=1.0, stream=PURCHASES),
             block([1, 2], [3.0, 4.0], event_time=1.2, stream=ADS),
@@ -208,7 +269,7 @@ class TestJoinStoreRouting:
             assert_contents_equal(vec.ads, sca.ads)
 
     def test_unknown_stream_rejected(self):
-        columnar = ColumnarJoinStore(WINDOW)
+        columnar = JoinWindowStore(WINDOW)
         with pytest.raises(ValueError):
             columnar.add_block(
                 block([0], [1.0], event_time=1.0, stream="clicks")
@@ -217,8 +278,8 @@ class TestJoinStoreRouting:
 
 class TestBatchPartials:
     def test_drain_matches_scalar(self):
-        columnar = ColumnarBatchPartials(WINDOW)
-        scalar = BatchPartialAggregator(WINDOW)
+        columnar = BatchPartialAggregator(WINDOW)
+        scalar = OracleBatchPartials(WINDOW)
         for blk in (
             block([0, 1], [1.0, 2.0], event_time=1.0, ingest_time=1.1),
             block([1, 3], [0.5, 4.0], event_time=2.0, ingest_time=2.1),
@@ -240,7 +301,7 @@ class TestBatchPartials:
 
 
 class TestSlotRuns:
-    """``_WindowCols`` addresses a remembered catalog through slices.
+    """``WindowCols`` addresses a remembered catalog through slices.
 
     Each case feeds one sequence of blocks twice: once with every block
     carrying (views of) one shared key catalog -- the generator's shape,
@@ -262,7 +323,7 @@ class TestSlotRuns:
         return (np.arange(n, dtype=np.float64) + 1.0) * (0.37 + salt)
 
     def run_pair(self, key_arrays, hint=4):
-        fast, slow = _WindowCols(hint), _WindowCols(hint)
+        fast, slow = WindowCols(hint), WindowCols(hint)
         paths = []
         for step, keys in enumerate(key_arrays):
             w = self.weights_for(len(keys), 0.01 * step)

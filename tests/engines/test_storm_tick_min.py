@@ -200,7 +200,6 @@ def test_one_fold_feeds_the_ingest_ledger_and_the_tick_min_entry():
             assert float(engine.ingested_weight).hex() == float(want).hex()
 
         engine._account_ingest = checked_account
-        engine._process = checked(engine._process)
         engine._process_batch = checked(engine._process_batch)
 
     spec = ExperimentSpec(

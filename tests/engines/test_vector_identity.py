@@ -1,22 +1,22 @@
-"""Scalar <-> vector identity: the columnar tick loop is a bitwise twin.
+"""Production <-> oracle identity: the columnar tick loop is a bitwise twin.
 
-The columnar engine path (:mod:`repro.core.batch`,
-:mod:`repro.engines.operators.columnar`) re-expresses the per-record
-Python loops as NumPy column kernels built from *sequential* folds
+The engine data path (:mod:`repro.core.batch`, the column stores of
+:mod:`repro.engines.operators.window`) expresses the per-record loops
+as NumPy column kernels built from *sequential* folds
 (``np.add.accumulate``), so the float operations -- and therefore every
 downstream ledger, RNG draw, and emission -- happen in exactly the
-scalar order.  These tests run the SAME seeded trial through both paths
-(``REPRO_ENGINE_SCALAR=1`` selects the scalar reference) and assert the
-results are identical: sink tables, conservation/diagnostics ledgers,
-and latency summaries, exact to 1e-9 (and in practice bit-for-bit).
+record-at-a-time order.  These tests run the SAME seeded trial on the
+production engines and on the oracle engines (:mod:`tests.oracle`: the
+per-record stores and ``_process`` loops that generated the goldens)
+and assert the results are identical: sink tables and
+conservation/diagnostics ledgers exactly, latency summaries exactly.
 
-Hypothesis sweeps the space the refactor touches: engine x query kind
+Hypothesis sweeps the space the data path touches: engine x query kind
 x disorder x faults x degradation shedding.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Tuple
 
 import pytest
@@ -24,7 +24,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.engines.ext  # noqa: F401  (registers heron/samza)
-from repro.core.batch import SCALAR_ENV, scalar_mode, vector_enabled
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.generator import GeneratorConfig
 from repro.faults.schedule import FaultSchedule, NodeCrash, SlowNode
@@ -37,7 +36,7 @@ from repro.workloads.queries import (
     WindowedJoinQuery,
 )
 
-TOL = 1e-9
+from tests.oracle import oracle_engines
 
 #: Host wall-clock diagnostics -- legitimately differ between runs.
 WALL_CLOCK_KEYS = frozenset(
@@ -45,16 +44,9 @@ WALL_CLOCK_KEYS = frozenset(
 )
 
 
-def run_mode(spec: ExperimentSpec, scalar: bool):
-    saved = os.environ.get(SCALAR_ENV)
-    os.environ[SCALAR_ENV] = "1" if scalar else "0"
-    try:
+def run_oracle(spec: ExperimentSpec):
+    with oracle_engines():
         return run_experiment(spec)
-    finally:
-        if saved is None:
-            os.environ.pop(SCALAR_ENV, None)
-        else:
-            os.environ[SCALAR_ENV] = saved
 
 
 def sink_table(result) -> Dict[Tuple[float, int], Tuple[float, float]]:
@@ -66,38 +58,34 @@ def sink_table(result) -> Dict[Tuple[float, int], Tuple[float, float]]:
     return table
 
 
-def assert_identical(scalar, vector) -> None:
-    """Every observable of the two trials agrees to TOL (or exactly)."""
-    assert scalar.failure == vector.failure
-    assert scalar.failure_time == pytest.approx(
-        vector.failure_time, abs=TOL, nan_ok=True
-    )
+def same(a, b) -> bool:
+    """Exact equality, with nan == nan."""
+    return a == b or (a != a and b != b)
 
-    s_table, v_table = sink_table(scalar), sink_table(vector)
-    assert set(s_table) == set(v_table)
-    for key in s_table:
-        assert s_table[key][0] == pytest.approx(v_table[key][0], abs=TOL), key
-        assert s_table[key][1] == pytest.approx(v_table[key][1], abs=TOL), key
+
+def assert_identical(oracle, production) -> None:
+    """Every observable of the two trials agrees exactly."""
+    assert oracle.failure == production.failure
+    assert same(oracle.failure_time, production.failure_time)
+
+    assert sink_table(oracle) == sink_table(production)
 
     for kind in ("event_latency", "processing_latency"):
-        s_sum, v_sum = getattr(scalar, kind), getattr(vector, kind)
+        o_sum, p_sum = getattr(oracle, kind), getattr(production, kind)
         for field in ("count", "weight", "mean", "minimum", "maximum",
                       "p90", "p95", "p99", "std"):
-            s, v = getattr(s_sum, field), getattr(v_sum, field)
-            if s == v:  # covers nan-free exact equality fast path
-                continue
-            assert s == pytest.approx(v, abs=TOL, nan_ok=True), (kind, field)
+            assert same(getattr(o_sum, field), getattr(p_sum, field)), (
+                kind, field,
+            )
 
-    s_diag, v_diag = scalar.diagnostics, vector.diagnostics
-    assert set(s_diag) == set(v_diag)
-    for key, s in s_diag.items():
+    o_diag, p_diag = oracle.diagnostics, production.diagnostics
+    assert set(o_diag) == set(p_diag)
+    for key, value in o_diag.items():
         if key in WALL_CLOCK_KEYS:
             continue
-        assert s == pytest.approx(v_diag[key], abs=TOL), key
+        assert same(value, p_diag[key]), key
 
-    assert scalar.mean_ingest_rate == pytest.approx(
-        vector.mean_ingest_rate, abs=TOL, nan_ok=True
-    )
+    assert same(oracle.mean_ingest_rate, production.mean_ingest_rate)
 
 
 def identity_spec(
@@ -129,27 +117,16 @@ def identity_spec(
 ENGINES = ("flink", "storm", "spark", "heron", "samza")
 
 
-@pytest.mark.skipif(
-    os.environ.get(SCALAR_ENV, "") not in ("", "0"),
-    reason="suite deliberately forced onto the scalar path via env",
-)
-def test_vector_is_the_default():
-    """With the env var unset, engines take the columnar path."""
-    assert os.environ.get(SCALAR_ENV, "") in ("", "0")
-    assert not scalar_mode()
-    assert vector_enabled()
-
-
 @pytest.mark.parametrize("engine", ENGINES)
 def test_deterministic_aggregation_identity(engine):
     spec = identity_spec(engine, WindowedAggregationQuery(WindowSpec(8.0, 4.0)))
-    assert_identical(run_mode(spec, True), run_mode(spec, False))
+    assert_identical(run_oracle(spec), run_experiment(spec))
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_deterministic_join_identity(engine):
     spec = identity_spec(engine, WindowedJoinQuery(WindowSpec(8.0, 4.0)))
-    assert_identical(run_mode(spec, True), run_mode(spec, False))
+    assert_identical(run_oracle(spec), run_experiment(spec))
 
 
 @pytest.mark.parametrize(
@@ -159,10 +136,10 @@ def test_deterministic_join_identity(engine):
 def test_deterministic_wide_key_identity(engine, query_cls):
     """4096 uniform keys: whole-catalog blocks, long drained runs and
     slot runs -- the benchmark's ``wide_keys`` shape, kept short (the
-    scalar reference pays per cohort)."""
+    oracle pays per cohort)."""
     query = query_cls(WindowSpec(2.0, 1.0), keys=UniformKeys(4096))
     spec = identity_spec(engine, query, duration_s=4.0, rate=40_000.0)
-    assert_identical(run_mode(spec, True), run_mode(spec, False))
+    assert_identical(run_oracle(spec), run_experiment(spec))
 
 
 FAULTS = {
@@ -211,4 +188,4 @@ def test_property_identity(engine, join, seed, disorder, fault, shed):
         faults=FAULTS[fault],
         degradation=DEGRADATION[shed],
     )
-    assert_identical(run_mode(spec, True), run_mode(spec, False))
+    assert_identical(run_oracle(spec), run_experiment(spec))

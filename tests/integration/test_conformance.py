@@ -44,6 +44,8 @@ from repro.workloads.queries import (
     WindowedJoinQuery,
 )
 
+from tests.oracle import oracle_engines
+
 ENGINES = ("flink", "storm", "spark", "heron", "samza")
 PIPELINED = ("flink", "storm", "heron", "samza")
 """Record-at-a-time engines whose sink tables agree exactly."""
@@ -215,3 +217,22 @@ class TestGoldenChecksums:
             "sink contents diverged from committed goldens; if the "
             "change is intentional, regenerate with REGEN_GOLDEN=1"
         )
+
+    def test_oracle_engines_reproduce_goldens(self):
+        """The record-at-a-time oracle (:mod:`tests.oracle`) is the code
+        that generated the goldens: it must still reproduce all ten.
+        Never regenerates -- a mismatch here means the oracle drifted."""
+        golden = json.loads(GOLDEN_PATH.read_text())
+        with oracle_engines():
+            actual = {
+                kind: {
+                    engine: checksum(
+                        sink_table(
+                            run_experiment(conformance_spec(engine, query))
+                        )
+                    )
+                    for engine in ENGINES
+                }
+                for kind, query in sorted(QUERIES.items())
+            }
+        assert actual == golden

@@ -1,0 +1,23 @@
+"""The oracle tier: the record-at-a-time reference, kept out of ``src/``.
+
+Production has one engine data path (blocks of cohorts, columnar
+stores).  The per-record code it replaced -- and which generated
+``tests/golden/conformance.json`` -- lives here as a test oracle:
+
+- :mod:`tests.oracle.stores` -- dict-of-accumulator window / join /
+  batch-partial stores;
+- :mod:`tests.oracle.engines` -- the five engines on those stores and
+  their per-record ``_process`` loops, swapped into ``repro.engines.
+  ENGINES`` by :func:`oracle_engines`;
+- :mod:`tests.oracle.kernels` -- ``SourceSet.pull`` and the per-key
+  dense emit loop, compared at unit level.
+
+Whole-trial comparisons (production vs oracle, exact) are in
+``tests/engines/test_vector_identity.py``,
+``tests/detect/test_determinism.py`` and
+``tests/integration/test_conformance.py``.
+"""
+
+from tests.oracle.engines import ORACLE_ENGINES, oracle_engines
+
+__all__ = ["ORACLE_ENGINES", "oracle_engines"]

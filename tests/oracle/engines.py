@@ -1,0 +1,157 @@
+"""Oracle engines: the production engines on the record-at-a-time path.
+
+Each oracle engine subclasses its production engine and differs in
+exactly what the retired scalar mode differed in *inside the engine*:
+the stores are the dict-of-accumulator stores of
+:mod:`tests.oracle.stores`, ``_process_batch`` is the base class's
+documented fallback (``materialize_all`` -> ``_process``), and
+``_process`` -- and Storm's in-flight drain -- are the per-record loops
+moved verbatim from ``src/`` (6d71cc3).  Blocks still arrive at the
+engine door: generator, queues and source run the production code (they
+are compared at unit level in ``test_dense_emit.py`` /
+``test_source_pull.py`` and ``tests/core/test_queue_blocks.py``).
+
+Only public seams are used: the classes are registered through
+``repro.engines.ENGINES`` for the duration of :func:`oracle_engines`.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from typing import Iterator, List
+
+import repro.engines.ext  # noqa: F401  (registers heron/samza)
+from repro.core.records import Record
+from repro.engines import ENGINES
+from repro.engines.base import StreamingEngine
+from repro.engines.ext.heron import HeronEngine
+from repro.engines.ext.samza import SamzaEngine
+from repro.engines.flink import FlinkEngine
+from repro.engines.spark import SparkEngine
+from repro.engines.storm import StormConfig, StormEngine
+
+from tests.oracle.stores import (
+    OracleBatchPartials,
+    OracleJoinStore,
+    OracleWindowStore,
+)
+
+
+class _RecordAtATime:
+    """Swap in the oracle store; take the base class's record fallback."""
+
+    _process_batch = StreamingEngine._process_batch
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        store_cls = OracleJoinStore if self._is_join else OracleWindowStore
+        self._store = store_cls(self.query.window)
+
+    def _process(self, records: List[Record], dt: float) -> None:
+        for record in records:
+            self._store.add(record)
+        self._update_state_usage(self._store.stored_weight())
+
+
+class OracleFlinkEngine(_RecordAtATime, FlinkEngine):
+    pass
+
+
+class OracleSamzaEngine(_RecordAtATime, SamzaEngine):
+    pass
+
+
+class _RecordAtATimeStorm(_RecordAtATime):
+    def _process(self, records: List[Record], dt: float) -> None:
+        # The spout over-pulls into the executor queues; bolts drain them
+        # at processing capacity in _on_tick_end.  Pulls arrive in
+        # periodic bursts, so the surge detector sees the per-poll
+        # average rate, not the instantaneous burst.
+        cfg: StormConfig = self.config
+        period = max(1, cfg.spout_pull_period_ticks)
+        weight = self._tick_ingest_weight
+        self._detect_surge(weight / (dt * period), dt * period)
+        if records:
+            self._inflight_tick_mins.append(
+                [min(r.event_time for r in records), weight]
+            )
+        for record in records:
+            self._inflight.append(record)
+            self._inflight_weight += record.weight
+
+    def _drain_inflight(self, dt: float) -> None:
+        budget = self._capacity_events_per_s() * dt
+        while self._inflight and budget > 1e-9:
+            head = self._inflight[0]
+            if head.weight <= budget:
+                self._inflight.popleft()
+                taken = head
+            else:
+                taken = Record(
+                    key=head.key,
+                    value=head.value,
+                    event_time=head.event_time,
+                    weight=budget,
+                    stream=head.stream,
+                    ingest_time=head.ingest_time,
+                    # A trace rides the first drained part of its cohort
+                    # (same convention as split_cohort / queue splits).
+                    trace=head.trace,
+                )
+                head.trace = None
+                head.weight -= budget
+            self._inflight_weight -= taken.weight
+            budget -= taken.weight
+            self._consume_tick_min(taken.weight)
+            self._store.add(taken)
+        self._inflight_weight = max(0.0, self._inflight_weight)
+
+
+class OracleStormEngine(_RecordAtATimeStorm, StormEngine):
+    pass
+
+
+class OracleHeronEngine(_RecordAtATimeStorm, HeronEngine):
+    pass
+
+
+class OracleSparkEngine(SparkEngine):
+    _process_batch = StreamingEngine._process_batch
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        if self._is_join:
+            self._join_store = OracleJoinStore(self.query.window)
+        else:
+            self._partials = OracleBatchPartials(self.query.window)
+
+    def _process(self, records: List[Record], dt: float) -> None:
+        if self._is_join:
+            for record in records:
+                self._join_store.add(record)
+                self._batch_weight += record.weight
+            self._update_state_usage(self._join_store.stored_weight())
+        else:
+            for record in records:
+                self._partials.add(record)
+
+
+ORACLE_ENGINES = {
+    "flink": OracleFlinkEngine,
+    "storm": OracleStormEngine,
+    "spark": OracleSparkEngine,
+    "heron": OracleHeronEngine,
+    "samza": OracleSamzaEngine,
+}
+
+
+@contextmanager
+def oracle_engines() -> Iterator[None]:
+    """Run trials started inside the block on the oracle engines."""
+    saved = dict(ENGINES)
+    ENGINES.update(ORACLE_ENGINES)
+    try:
+        yield
+    finally:
+        ENGINES.clear()
+        ENGINES.update(saved)
