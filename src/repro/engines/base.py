@@ -22,6 +22,10 @@ Shared machinery implemented here:
 - state accounting against the engine's :class:`StateBackend`
   (Experiments 3 and 4).
 
+What happens *to* a running engine -- faults, detector verdicts,
+rescales, the checkpoint timer -- is its control plane's business
+(:mod:`repro.engines.control`); the tick only asks it four questions.
+
 Subclasses implement ``_capacity_events_per_s`` (usually delegated to
 the calibrated cost model), the windowing pipeline -- ``_process_batch``
 (blocks of cohorts) or, record-at-a-time, ``_process`` -- and
@@ -30,19 +34,13 @@ the calibrated cost model), the windowing pipeline -- ``_process_batch``
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.autoscale.rescale import (
-    STYLE_MICRO_BATCH,
-    STYLE_REPARTITION,
-    STYLE_SAVEPOINT,
-    RescaleSemantics,
-)
+from repro.autoscale.rescale import RescaleSemantics
 from repro.core.batch import (
     RecordBlock,
     left_sum,
@@ -50,32 +48,19 @@ from repro.core.batch import (
     records_weight,
 )
 from repro.core.queues import QueueSet
-from repro.core.records import PURCHASES, Record
+from repro.core.records import Record
 from repro.engines.backpressure import BackpressureMechanism
 from repro.engines.calibration import CostModel, cost_model_for
+from repro.engines.control import ControlPlane, PauseCause
 from repro.engines.operators.sink import Sink
 from repro.engines.operators.source import SourceSet
 from repro.engines.state import StateBackend, StatePolicy
 from repro.obs.context import ObsContext
 from repro.recovery.degradation import DegradationPolicy
-from repro.recovery.reschedule import (
-    MODE_NONE,
-    MODE_STANDBY,
-    ReschedulePolicy,
-)
+from repro.recovery.reschedule import ReschedulePolicy
 from repro.faults.checkpoint import CheckpointSpec, RecoverySemantics
-from repro.faults.guarantees import DeliveryGuarantee, GuaranteeAccounting
-from repro.faults.schedule import (
-    AsymmetricPartition,
-    DegradingNode,
-    FaultEvent,
-    FlappingNode,
-    NetworkPartition,
-    NodeCrash,
-    ProcessRestart,
-    QueueDisconnect,
-    SlowNode,
-)
+from repro.faults.guarantees import DeliveryGuarantee
+from repro.faults.schedule import FaultEvent
 from repro.sim.cluster import ClusterSpec
 from repro.sim.failures import SutFailure
 from repro.sim.network import DataPlane
@@ -178,59 +163,19 @@ class StreamingEngine(ABC):
         self.failure: Optional[SutFailure] = None
         self.ingested_weight = 0.0
         self._tick_ingest_weight = 0.0
-        self._active_workers = cluster.workers
-        self.state_lost_weight = 0.0
-        self.checkpoint = checkpoint or CheckpointSpec()
-        self._checkpoint_active = checkpoint is not None
-        self.guarantee = (
-            self.checkpoint.guarantee
-            if self.checkpoint.guarantee is not None
-            else self.default_guarantee
-        )
-        self.guarantees = GuaranteeAccounting(self.guarantee)
-        self.fault_log: List[Dict[str, float]] = []
-        # Recovery policies.  With no explicit policy and no standbys the
-        # defaults reproduce the legacy PR 2 behaviour exactly: capacity
-        # lost to a crash stays lost and killing the last worker is
-        # fatal.  Provisioning standbys (ClusterSpec.standby or the
-        # policy's own pool) switches the default to standby promotion.
-        if reschedule is None:
-            reschedule = ReschedulePolicy(
-                standby_nodes=cluster.standby,
-                mode=MODE_STANDBY if cluster.standby > 0 else MODE_NONE,
-            )
-        self.reschedule = reschedule
-        # Spare machines may be declared on the cluster spec or on the
-        # policy; the engine's live pool honours the larger claim.
-        self._standbys_available = max(
-            cluster.standby, reschedule.standby_nodes
-        )
-        self.standbys_promoted = 0
-        self.degradation = degradation or self.default_degradation()
+        control = self.control = ControlPlane(self, checkpoint, reschedule)
+        # Its resolved configuration and its ledgers, readable where
+        # the other layers look for them.
+        self.checkpoint, self.reschedule = control.checkpoint, control.reschedule
+        self.guarantee, self.guarantees = control.guarantee, control.guarantees
+        self.fault_log, self.rescale_log = control.fault_log, control.rescale_log
+        # The inert default (no shedding, step re-admission) keeps the
+        # paper's binary failure rule for plain trials; the chaos
+        # harness and the ``--shed`` CLI knobs opt into an engine's
+        # :meth:`recommended_degradation`.
+        self.degradation = degradation or DegradationPolicy()
         self.shed_weight = 0.0
-        self._ramp_from_s = -1.0
-        self._dead_workers = 0
-        self._slow_events: List[tuple] = []
-        self._partition_until = -1.0
-        self._last_checkpoint_s = 0.0
-        self._ckpt_ingested_weight = 0.0
-        self._checkpoints_completed = 0
-        self._checkpoint_pause_total = 0.0
-        self._recovery_pause_total = 0.0
-        self._checkpoint_process: Optional[PeriodicProcess] = None
         self._tick_process: Optional[PeriodicProcess] = None
-        self._paused_until = -1.0
-        self.rescale_log: List[Dict[str, Any]] = []
-        """One entry per elastic rescale event (decision, cutover, and
-        completion fields are filled in as the event progresses)."""
-        self._provisioning = 0
-        self._retiring = 0
-        self._rescale_busy_until = -1.0
-        self._migration_until = -1.0
-        self._rescale_pause_total = 0.0
-        self._gray_abandoned: set = set()
-        self._suspect_pause_total = 0.0
-        self._suspect_migrations = 0
         self._hot_fraction = query.keys.hot_fraction()
         self._ingest_bytes_per_event = self._mean_event_bytes()
         self._result_bytes_per_output_weight = (
@@ -245,18 +190,6 @@ class StreamingEngine(ABC):
     @classmethod
     def default_config(cls) -> EngineConfig:
         return EngineConfig()
-
-    @classmethod
-    def default_degradation(cls) -> DegradationPolicy:
-        """The engine's degradation behaviour when none is supplied.
-
-        The base default is inert (no shedding, step re-admission) so
-        plain trials keep the paper's binary failure rule; engines
-        override :meth:`recommended_degradation` with their flavoured
-        graceful-degradation settings, opted into by the chaos harness
-        and the ``--shed`` CLI knobs.
-        """
-        return DegradationPolicy()
 
     @classmethod
     def recommended_degradation(cls) -> DegradationPolicy:
@@ -296,12 +229,7 @@ class StreamingEngine(ABC):
         self._tick_process = self.sim.every(
             self.config.tick_interval_s, self._tick, start=self.sim.now
         )
-        self._last_checkpoint_s = self.sim.now
-        self._checkpoint_process = self.sim.every(
-            self.checkpoint.interval_s,
-            self._checkpoint_tick,
-            start=self.sim.now + self.checkpoint.interval_s,
-        )
+        self.control.start()
         if self.obs is not None:
             self._bind_obs_gauges(self.obs.registry)
 
@@ -309,9 +237,7 @@ class StreamingEngine(ABC):
         if self._tick_process is not None:
             self._tick_process.stop()
             self._tick_process = None
-        if self._checkpoint_process is not None:
-            self._checkpoint_process.stop()
-            self._checkpoint_process = None
+        self.control.stop()
 
     @property
     def failed(self) -> bool:
@@ -326,24 +252,10 @@ class StreamingEngine(ABC):
         (Experiment 4), and the state-pressure multiplier (spilling
         slows processing, Experiment 3).
         """
-        base = self.cost.skew_capacity_events_per_s(
-            self.cluster, self._hot_fraction
+        capacity = self.control.serving_capacity(
+            self.cost.skew_capacity_events_per_s(self.cluster, self._hot_fraction)
         )
-        base *= self._active_workers / self.cluster.workers
-        base *= self._slow_multiplier()
-        return base / self.state.cost_multiplier
-
-    def _slow_multiplier(self) -> float:
-        """Capacity multiplier from live slow-node (straggler) faults."""
-        if not self._slow_events:
-            return 1.0
-        now = self.sim.now
-        live = [(until, m) for until, m in self._slow_events if now < until]
-        self._slow_events = live
-        multiplier = 1.0
-        for _, m in live:
-            multiplier *= m
-        return multiplier
+        return capacity / self.state.cost_multiplier
 
     def _mean_event_bytes(self) -> float:
         sizes = [event_bytes(stream) for stream in self.query.streams]
@@ -355,12 +267,14 @@ class StreamingEngine(ABC):
         if self.failed:
             return
         dt = self.config.tick_interval_s
+        control = self.control
         try:
-            if self._in_gc_pause(sim.now, dt):
-                # The JVM is stopped: no ingest, no processing, no window
-                # evaluation this tick.  The flow-control clock still
-                # advances -- stall/off windows elapse in simulated time,
-                # not in ticks-that-ran (the stall-accounting drift bug).
+            if control.paused(sim.now) or self._gc_pause_begins(dt):
+                # Suspended (JVM pause, outage or checkpoint barrier): no
+                # ingest, no processing, no window evaluation this tick.
+                # The flow-control clock still advances -- stall/off
+                # windows elapse in simulated time, not in
+                # ticks-that-ran (the stall-accounting drift bug).
                 self._backpressure().on_tick_end(sim.now)
                 return
             capacity = self._capacity_events_per_s()
@@ -390,12 +304,10 @@ class StreamingEngine(ABC):
             # Post-recovery admission control: re-admit ingest along the
             # policy's ramp instead of a step (1.0 outside a ramp).
             budget *= self.degradation.admission_fraction(
-                sim.now, self._ramp_from_s
+                sim.now, control.ramp_from_s
             )
             budget = self._modulate_ingest_budget(budget, dt)
-            if sim.now < self._partition_until:
-                # Network partition between queues and workers: no new
-                # ingest, but buffered data keeps processing.
+            if control.ingest_cut(sim.now):
                 budget = 0.0
             budget = self._apply_network_grant(budget)
             if budget > 0:
@@ -444,6 +356,13 @@ class StreamingEngine(ABC):
         if self.resources is not None:
             self.resources.add_network(result_bytes)
 
+    def _emit(self, outputs) -> None:
+        """Deliver closed-window outputs (scheduled after their delay)."""
+        assert self.sink is not None
+        weight = left_sum(o.weight for o in outputs)
+        self._account_emission(weight)
+        self.sink.emit(outputs, self._result_bytes_per_output_weight)
+
     def _update_state_usage(self, stored_weight: float) -> None:
         """Reconcile the state backend with the current buffered volume."""
         target = stored_weight * self.cost.state_bytes_per_event
@@ -454,335 +373,16 @@ class StreamingEngine(ABC):
             self.state.release(-delta)
         self._last_state_bytes = target
 
-    # -- checkpointing ----------------------------------------------------------
-
-    def _checkpoint_tick(self, sim: Simulator) -> None:
-        """Complete one checkpoint: snapshot the replay frontier and --
-        when the trial opted into the fault-tolerance model -- pause the
-        pipeline for the checkpoint's synchronous part.
-
-        The bookkeeping (replay frontier) always runs so that replay
-        spans stay bounded by the interval even for engines constructed
-        without an explicit :class:`CheckpointSpec`; only the pause is
-        gated, keeping non-fault trials' numerics untouched.
-        """
-        if self.failed:
-            return
-        self._last_checkpoint_s = sim.now
-        self._ckpt_ingested_weight = self.ingested_weight
-        if (
-            self._checkpoint_active
-            and self.recovery_semantics is RecoverySemantics.CHECKPOINT_RESTORE
-        ):
-            self._checkpoints_completed += 1
-            pause = self.checkpoint.sync_pause_s(self.state.used_bytes)
-            self._checkpoint_pause_total += pause
-            self._paused_until = max(self._paused_until, sim.now + pause)
-
-    # -- fault injection --------------------------------------------------------
+    # -- what happens to the engine (forwarded to the control plane) ----------
 
     def inject_fault(self, event: FaultEvent) -> None:
         """Apply one scheduled fault event to the running engine.
 
-        Dispatches on the event type; every application appends an entry
-        to :attr:`fault_log` (kind, time, derived pause, guarantee
-        accounting) that the driver-side recovery metrology consumes.
+        Every application appends an entry to :attr:`fault_log` (kind,
+        time, derived pause, guarantee accounting) that the driver-side
+        recovery metrology consumes.
         """
-        if self.failed:
-            return
-        if isinstance(event, NodeCrash):
-            self._apply_crash(event.nodes)
-        elif isinstance(event, ProcessRestart):
-            self._apply_restart(event.nodes)
-        elif isinstance(event, SlowNode):
-            self._apply_slow(event.nodes, event.factor, event.duration_s)
-        elif isinstance(event, NetworkPartition):
-            self._apply_partition(event.duration_s)
-        elif isinstance(event, QueueDisconnect):
-            self._apply_disconnect(event.queue_index, event.duration_s)
-        elif isinstance(event, FlappingNode):
-            self._apply_flap(event)
-        elif isinstance(event, DegradingNode):
-            self._apply_degrade(event)
-        elif isinstance(event, AsymmetricPartition):
-            self._apply_asympart(event)
-        else:  # pragma: no cover - schedule validation prevents this
-            raise TypeError(f"unknown fault event {type(event).__name__}")
-
-    def _apply_crash(self, nodes: int) -> None:
-        """Lose ``nodes`` workers: the engine's :class:`ReschedulePolicy`
-        decides where their operator slots land (standby promotion,
-        spreading over survivors, or -- the legacy policy -- nowhere),
-        the engine pauses for the derived recovery time plus any state
-        migration, and the delivery guarantee decides the fate of the
-        exposed data.  Losing the last placement target (no survivors
-        and no standbys) is the one unrecoverable outcome."""
-        if self.failed or nodes <= 0:
-            return
-        active = self._active_workers
-        kill = min(nodes, active)
-        plan = self.reschedule.plan_crash(
-            kill=kill,
-            active=active,
-            standbys_left=self._standbys_available,
-            state_bytes=self.state.used_bytes,
-            node=self.cluster.node,
-        )
-        if plan.fatal:
-            # No survivors and no standbys: the trial fails -- but the
-            # fatal fault is accounted and logged FIRST so the failed
-            # TrialResult keeps its diagnostics (guarantee accounting,
-            # recovery counters) instead of losing the fault entirely.
-            exposed = self._on_node_failure(1.0)
-            lost, dup = self.guarantees.on_fault(max(0.0, exposed))
-            self.state_lost_weight += lost
-            self._dead_workers += kill
-            self._active_workers = 0
-            self._log_fault(
-                "crash",
-                pause_s=0.0,
-                detection_s=self.checkpoint.detection_timeout_s,
-                exposed_weight=max(0.0, exposed),
-                lost_weight=lost,
-                duplicated_weight=dup,
-                fatal=1.0,
-            )
-            self._fail(
-                SutFailure(
-                    f"{self.name}: node crash killed all "
-                    f"{active} remaining workers and the "
-                    f"{self.reschedule.mode!r} reschedule policy has no "
-                    "standby to promote",
-                    at_time=self.sim.now,
-                )
-            )
-            return
-        lost_fraction = kill / active
-        self._active_workers -= kill
-        self._dead_workers += kill
-        exposed = self._on_node_failure(lost_fraction)
-        lost, dup = self.guarantees.on_fault(max(0.0, exposed))
-        self.state_lost_weight += lost
-        pause = self._recovery_pause_s(lost_fraction) + plan.migration_pause_s
-        self._pause_for_recovery(pause)
-        extra: Dict[str, float] = {}
-        if plan.promoted:
-            # Promotion completes when the pause (restore + migration)
-            # ends; until then the standby is warming up and contributes
-            # no capacity.
-            self._standbys_available -= plan.promoted
-            self.sim.schedule(pause, self._promote_standbys, plan.promoted)
-            extra["promoted"] = float(plan.promoted)
-        if plan.migrated_bytes > 0:
-            extra["migrated_bytes"] = plan.migrated_bytes
-            extra["migration_s"] = plan.migration_pause_s
-        self._log_fault(
-            "crash",
-            pause_s=pause,
-            detection_s=self.checkpoint.detection_timeout_s,
-            exposed_weight=max(0.0, exposed),
-            lost_weight=lost,
-            duplicated_weight=dup,
-            **extra,
-        )
-
-    def _apply_restart(self, nodes: int) -> None:
-        """Bounce ``nodes`` worker processes: the capacity loss is
-        temporary (the supervisor restarts them after the derived
-        recovery pause), but the state consequences are the same as a
-        crash -- in-memory state on the bounced workers is gone."""
-        if self.failed or nodes <= 0:
-            return
-        if nodes >= self._active_workers:
-            # Bouncing every remaining worker leaves nothing supervising
-            # the restart: fatal under any policy.  Account and log the
-            # fault first so the failed trial keeps its diagnostics.
-            active = self._active_workers
-            exposed = self._on_node_failure(1.0)
-            lost, dup = self.guarantees.on_fault(max(0.0, exposed))
-            self.state_lost_weight += lost
-            self._log_fault(
-                "restart",
-                pause_s=0.0,
-                detection_s=self.checkpoint.detection_timeout_s,
-                exposed_weight=max(0.0, exposed),
-                lost_weight=lost,
-                duplicated_weight=dup,
-                fatal=1.0,
-            )
-            self._fail(
-                SutFailure(
-                    f"{self.name}: process restart bounced all "
-                    f"{active} remaining workers",
-                    at_time=self.sim.now,
-                )
-            )
-            return
-        lost_fraction = nodes / self._active_workers
-        self._active_workers -= nodes
-        exposed = self._on_node_failure(lost_fraction)
-        lost, dup = self.guarantees.on_fault(max(0.0, exposed))
-        self.state_lost_weight += lost
-        pause = self._recovery_pause_s(lost_fraction)
-        self._pause_for_recovery(pause)
-        self.sim.schedule(pause, self._restore_workers, nodes)
-        self._log_fault(
-            "restart",
-            pause_s=pause,
-            detection_s=self.checkpoint.detection_timeout_s,
-            exposed_weight=max(0.0, exposed),
-            lost_weight=lost,
-            duplicated_weight=dup,
-        )
-
-    def _apply_slow(self, nodes: int, factor: float, duration_s: float) -> None:
-        """Degrade ``nodes`` workers to ``factor`` of their capacity for
-        ``duration_s`` (straggler; no state is lost, no pause served).
-
-        The reschedule policy may replace detected stragglers with
-        standbys: a straggler outlasting the failure detector is
-        abandoned once its state has migrated to the promoted spare, so
-        its slowdown ends at detection + migration instead of running
-        the full fault duration.  Stragglers below the detection timeout
-        are never migrated -- the fault clears before anyone notices.
-        """
-        if self.failed or nodes <= 0:
-            return
-        nodes = min(nodes, self._active_workers)
-        if nodes <= 0:
-            return
-        active = self._active_workers
-        plan = self.reschedule.plan_straggler(
-            nodes=nodes,
-            duration_s=duration_s,
-            standbys_left=self._standbys_available,
-            state_bytes=self.state.used_bytes,
-            active=active,
-            node=self.cluster.node,
-        )
-        replaced = plan.promoted
-        riding = nodes - replaced
-        if riding > 0:
-            multiplier = (active - riding + riding * factor) / active
-            self._slow_events.append(
-                (self.sim.now + duration_s, multiplier)
-            )
-        extra: Dict[str, float] = {}
-        if replaced > 0:
-            # The replaced stragglers stay slow until the detector fires
-            # and the migration lands, whichever view of the fault ends
-            # first; the spare is consumed permanently.
-            self._standbys_available -= replaced
-            self.standbys_promoted += replaced
-            handoff_s = min(
-                duration_s,
-                self.reschedule.detection_timeout_s + plan.migration_pause_s,
-            )
-            multiplier = (active - replaced + replaced * factor) / active
-            self._slow_events.append(
-                (self.sim.now + handoff_s, multiplier)
-            )
-            extra["promoted"] = float(replaced)
-            extra["migrated_bytes"] = plan.migrated_bytes
-            extra["migration_s"] = plan.migration_pause_s
-        self._log_fault("slow", pause_s=0.0, **extra)
-
-    def _apply_partition(self, duration_s: float) -> None:
-        """Cut the network between the driver queues and the workers:
-        ingest stops for ``duration_s`` while processing of already
-        buffered data continues."""
-        if self.failed:
-            return
-        self._partition_until = max(
-            self._partition_until, self.sim.now + duration_s
-        )
-        self._log_fault("partition", pause_s=0.0)
-
-    def _apply_disconnect(self, queue_index: int, duration_s: float) -> None:
-        """Disconnect one driver queue from the source operators; its
-        partition backlogs and the watermark stalls until reconnect."""
-        if self.failed or self.source is None:
-            return
-        self.source.disconnect(queue_index, until=self.sim.now + duration_s)
-        self._log_fault("disconnect", pause_s=0.0)
-
-    def _apply_flap(self, event: FlappingNode) -> None:
-        """Worker ``event.node`` oscillates: during each seeded down
-        segment the node contributes no capacity (like a transient
-        one-node outage); between segments it is fully back.  No state
-        is exposed -- the process survives, its machine just blinks.
-        The heartbeat consequences live in :mod:`repro.detect`; here
-        only capacity is modulated, via the same ``_slow_events``
-        mechanism as stragglers."""
-        if self.failed:
-            return
-        segments = event.down_segments()
-        for start, end in segments:
-            self.sim.schedule_at(start, self._gray_segment, event.node, end, 0.0)
-        self._log_fault(
-            "flap",
-            pause_s=0.0,
-            node=float(event.node),
-            segments=float(len(segments)),
-            duration_s=event.duration_s,
-        )
-
-    def _apply_degrade(self, event: DegradingNode) -> None:
-        """Fail-slow on ``event.node``: capacity ramps down the
-        piecewise-constant schedule of ``event.segments()``.  Unlike
-        :class:`SlowNode` there is no supervisor-driven standby
-        replacement here -- a ramping gray fault is exactly what the
-        fixed-timeout supervisor cannot see; only a detection-plane
-        verdict (``apply_suspect_migration``) can end it early."""
-        if self.failed:
-            return
-        for start, end, factor in event.segments():
-            self.sim.schedule_at(
-                start, self._gray_segment, event.node, end, factor
-            )
-        self._log_fault(
-            "degrade",
-            pause_s=0.0,
-            node=float(event.node),
-            floor_factor=event.floor_factor,
-            duration_s=event.duration_s,
-        )
-
-    def _apply_asympart(self, event: AsymmetricPartition) -> None:
-        """One-way link loss on ``event.node``.  The ``data`` direction
-        cuts the node's ingest (it contributes no capacity for the
-        window, like a one-node partition); the ``heartbeat`` direction
-        is invisible to the data plane entirely -- its only effects are
-        control-plane (:mod:`repro.detect`)."""
-        if self.failed:
-            return
-        if event.direction == "data":
-            self.sim.schedule_at(
-                event.at_s, self._gray_segment, event.node, event.end_s, 0.0
-            )
-        self._log_fault(
-            "asympart",
-            pause_s=0.0,
-            node=float(event.node),
-            data_cut=1.0 if event.direction == "data" else 0.0,
-            duration_s=event.duration_s,
-        )
-
-    def _gray_segment(self, node: int, until: float, factor: float) -> None:
-        """One gray capacity segment begins on ``node``: the node runs
-        at ``factor`` of its speed until ``until`` (0.0 = down).
-        Skipped once the node has been migrated away on a detector
-        verdict -- an abandoned node degrades nothing.  A segment
-        already in effect when the node is abandoned runs out on its
-        own (bounded by the segment length); only future segments are
-        cancelled."""
-        if self.failed or node in self._gray_abandoned:
-            return
-        active = self._active_workers
-        if active <= 0:
-            return
-        multiplier = max(0.0, (active - 1 + factor) / active)
-        self._slow_events.append((until, multiplier))
+        self.control.inject(event)
 
     def apply_suspect_migration(
         self, node: int, *, spurious: bool
@@ -800,121 +400,7 @@ class StreamingEngine(ABC):
         truth); it never changes behaviour.  Returns None (and does
         nothing) when the policy declines to act.
         """
-        if self.failed or self._active_workers <= 0:
-            return None
-        active = self._active_workers
-        plan = self.reschedule.plan_suspect(
-            active=active,
-            standbys_left=self._standbys_available,
-            state_bytes=self.state.used_bytes,
-            node=self.cluster.node,
-        )
-        if plan.promoted == 0 and plan.survivors == active:
-            return None
-        self._gray_abandoned.add(node)
-        if plan.promoted:
-            # The spare takes the suspect's slots once the migration
-            # lands: headcount is unchanged, only the pause is paid.
-            self._standbys_available -= plan.promoted
-            self.standbys_promoted += plan.promoted
-        else:
-            self._active_workers -= 1
-            self._dead_workers += 1
-        pause = plan.migration_pause_s
-        self._suspect_migrations += 1
-        self._pause_for_suspect(pause)
-        self._log_fault(
-            "suspect",
-            pause_s=pause,
-            node=float(node),
-            spurious=1.0 if spurious else 0.0,
-            promoted=float(plan.promoted),
-            migrated_bytes=plan.migrated_bytes,
-            migration_s=plan.migration_pause_s,
-        )
-        return {
-            "pause_s": pause,
-            "promoted": float(plan.promoted),
-            "migrated_bytes": plan.migrated_bytes,
-        }
-
-    def _pause_for_suspect(self, pause: float) -> None:
-        """Suspend processing for a detector-driven eviction.  Billed
-        apart from both fault recovery and rescales so spurious verdict
-        cost is visible on its own line."""
-        if pause <= 0:
-            return
-        self._suspect_pause_total += pause
-        self._paused_until = max(self._paused_until, self.sim.now + pause)
-        self._ramp_from_s = max(self._ramp_from_s, self._paused_until)
-
-    def _restore_workers(self, nodes: int) -> None:
-        if self.failed:
-            return
-        ceiling = self.cluster.workers - self._dead_workers
-        self._active_workers = min(self._active_workers + nodes, ceiling)
-
-    def _promote_standbys(self, nodes: int) -> None:
-        """A standby finishes warming up: it takes over a dead node's
-        slots, so the dead count drops and capacity returns (bounded by
-        the nominal worker count -- spares replace, they never add)."""
-        if self.failed:
-            return
-        promote = min(nodes, self._dead_workers)
-        if promote <= 0:
-            return
-        self._dead_workers -= promote
-        self.standbys_promoted += promote
-        ceiling = self.cluster.workers - self._dead_workers
-        self._active_workers = min(self._active_workers + promote, ceiling)
-
-    def _pause_for_recovery(self, pause: float) -> None:
-        self._recovery_pause_total += pause
-        self._paused_until = max(self._paused_until, self.sim.now + pause)
-        # Anchor the post-recovery admission ramp at the pause end (the
-        # latest one, if pauses overlap).  Inert policies ignore it.
-        self._ramp_from_s = max(self._ramp_from_s, self._paused_until)
-
-    def _recovery_pause_s(self, lost_fraction: float) -> float:
-        """The processing outage for one crash/restart, derived from
-        the checkpoint model and this engine's recovery semantics."""
-        return self.checkpoint.recovery_pause_s(
-            self.recovery_semantics,
-            state_bytes=self.state.used_bytes,
-            node=self.cluster.node,
-            active_workers=self._active_workers,
-            workers=self.cluster.workers,
-            replay_span_s=max(0.0, self.sim.now - self._last_checkpoint_s),
-            lost_fraction=lost_fraction,
-        )
-
-    # -- elastic rescale --------------------------------------------------------
-
-    @property
-    def active_workers(self) -> int:
-        """Workers currently serving (dead and draining nodes excluded
-        once their departure completes)."""
-        return self._active_workers
-
-    @property
-    def standbys_available(self) -> int:
-        """Hot spares currently idle in the pool."""
-        return self._standbys_available
-
-    @property
-    def target_workers(self) -> int:
-        """The cluster size all in-flight rescales are steering toward
-        (what policy bounds must be checked against)."""
-        return self.cluster.workers + self._provisioning - self._retiring
-
-    @property
-    def billed_nodes(self) -> int:
-        """Machines currently costing money: serving workers, idle hot
-        spares, and nodes already provisioning toward a scale-out.
-        Draining scale-in victims keep billing until they depart."""
-        return (
-            self._active_workers + self._standbys_available + self._provisioning
-        )
+        return self.control.evict_suspect(node, spurious)
 
     def request_scale_out(
         self, nodes: int, *, reason: str = "policy", detect_s: float = 0.0
@@ -928,78 +414,7 @@ class StreamingEngine(ABC):
         keyed state migrates over their NICs and the engine pays its
         style pause; capacity is online when both complete.
         """
-        if self.failed or nodes <= 0:
-            return None
-        now = self.sim.now
-        if now < self._rescale_busy_until:
-            return None
-        spares = min(nodes, self._standbys_available)
-        lead = self.rescale.lead_s(cold=nodes - spares)
-        self._standbys_available -= spares
-        self._provisioning += nodes
-        entry: Dict[str, Any] = {
-            "kind": "scale-out",
-            "decided_at_s": now,
-            "delta": float(nodes),
-            "from_workers": float(self.cluster.workers),
-            "to_workers": float(self.cluster.workers + nodes),
-            "detect_s": float(detect_s),
-            "reason": reason,
-            "spares_used": float(spares),
-            "provision_s": lead,
-        }
-        self.rescale_log.append(entry)
-        self._rescale_busy_until = now + lead
-        if self.obs is not None:
-            self.obs.add_event(
-                "autoscale.scale-out", now, delta=float(nodes), reason=reason
-            )
-        self.sim.schedule(lead, self._cutover_scale_out, nodes, entry)
-        return entry
-
-    def _cutover_scale_out(self, nodes: int, entry: Dict[str, Any]) -> None:
-        if self.failed:
-            self._provisioning -= nodes
-            return
-        now = self.sim.now
-        moved_fraction = nodes / (self.cluster.workers + nodes)
-        migrated = max(0.0, self.state.used_bytes) * moved_fraction
-        migration_s = self.reschedule.migration_pause_s(
-            migrated, self.cluster.node, nodes
-        )
-        style_s = self._rescale_style_pause_s(migrated)
-        pause = style_s + migration_s
-        exposed = self._rescale_exposed_weight(moved_fraction)
-        lost, dup = self.guarantees.on_fault(max(0.0, exposed))
-        self.state_lost_weight += lost
-        self._pause_for_rescale(pause)
-        self._migration_until = max(self._migration_until, now + pause)
-        self._rescale_busy_until = max(self._rescale_busy_until, now + pause)
-        entry.update(
-            cutover_at_s=now,
-            migrated_bytes=migrated,
-            migration_s=migration_s,
-            style_pause_s=style_s,
-            pause_s=pause,
-            exposed_weight=max(0.0, exposed),
-            lost_weight=lost,
-            duplicated_weight=dup,
-        )
-        self.sim.schedule(pause, self._complete_scale_out, nodes, entry)
-
-    def _complete_scale_out(self, nodes: int, entry: Dict[str, Any]) -> None:
-        self._provisioning -= nodes
-        if self.failed:
-            return
-        self.cluster = self.cluster.with_workers(self.cluster.workers + nodes)
-        self._active_workers += nodes
-        entry["online_at_s"] = self.sim.now
-        if self.obs is not None:
-            self.obs.add_event(
-                "autoscale.capacity-online",
-                self.sim.now,
-                workers=float(self._active_workers),
-            )
+        return self.control.scale_out(nodes, reason, detect_s)
 
     def request_scale_in(
         self, nodes: int, *, reason: str = "policy", detect_s: float = 0.0
@@ -1014,125 +429,50 @@ class StreamingEngine(ABC):
         so releasing them needs no migration at all; only the remainder
         drains actives through :meth:`ReschedulePolicy.plan_scale_in`.
         """
-        if self.failed or nodes <= 0:
-            return None
-        now = self.sim.now
-        if now < self._rescale_busy_until or now < self._migration_until:
-            return None
-        spares = min(nodes, self._standbys_available)
-        victims = min(nodes - spares, self._active_workers - 1)
-        if spares <= 0 and victims <= 0:
-            return None
-        self._standbys_available -= spares
-        entry: Dict[str, Any] = {
-            "kind": "scale-in",
-            "decided_at_s": now,
-            "delta": -float(spares + victims),
-            "from_workers": float(self.cluster.workers),
-            "to_workers": float(self.cluster.workers - victims),
-            "detect_s": float(detect_s),
-            "reason": reason,
-            "spares_returned": float(spares),
-            "provision_s": 0.0,
-        }
-        if victims <= 0:
-            # Pure spare return: no state moves, no pause, done now.
-            entry.update(
-                cutover_at_s=now,
-                migrated_bytes=0.0,
-                migration_s=0.0,
-                style_pause_s=0.0,
-                pause_s=0.0,
-                exposed_weight=0.0,
-                lost_weight=0.0,
-                duplicated_weight=0.0,
-                online_at_s=now,
-            )
-            self.rescale_log.append(entry)
-            if self.obs is not None:
-                self.obs.add_event(
-                    "autoscale.scale-in", now, delta=-float(spares),
-                    reason=reason,
-                )
-            return entry
-        plan = self.reschedule.plan_scale_in(
-            remove=victims,
-            active=self._active_workers,
-            state_bytes=self.state.used_bytes,
-            node=self.cluster.node,
-        )
-        moved_fraction = victims / self._active_workers
-        style_s = self._rescale_style_pause_s(plan.migrated_bytes)
-        pause = style_s + plan.migration_pause_s
-        exposed = self._rescale_exposed_weight(moved_fraction)
-        lost, dup = self.guarantees.on_fault(max(0.0, exposed))
-        self.state_lost_weight += lost
-        self._pause_for_rescale(pause)
-        self._migration_until = max(self._migration_until, now + pause)
-        self._rescale_busy_until = max(self._rescale_busy_until, now + pause)
-        self._retiring += victims
-        entry.update(
-            cutover_at_s=now,
-            migrated_bytes=plan.migrated_bytes,
-            migration_s=plan.migration_pause_s,
-            style_pause_s=style_s,
-            pause_s=pause,
-            exposed_weight=max(0.0, exposed),
-            lost_weight=lost,
-            duplicated_weight=dup,
-        )
-        self.rescale_log.append(entry)
-        if self.obs is not None:
-            self.obs.add_event(
-                "autoscale.scale-in", now, delta=entry["delta"], reason=reason
-            )
-        self.sim.schedule(pause, self._complete_scale_in, victims, entry)
-        return entry
+        return self.control.scale_in(nodes, reason, detect_s)
 
-    def _complete_scale_in(self, victims: int, entry: Dict[str, Any]) -> None:
-        self._retiring -= victims
-        if self.failed:
-            return
-        # A crash may have raced the drain; never depart below one
-        # active worker however the interleaving went.
-        victims = min(victims, self._active_workers - 1, self.cluster.workers - 1)
-        if victims <= 0:
-            entry["online_at_s"] = self.sim.now
-            return
-        self._active_workers -= victims
-        self.cluster = self.cluster.with_workers(self.cluster.workers - victims)
-        entry["online_at_s"] = self.sim.now
-        if self.obs is not None:
-            self.obs.add_event(
-                "autoscale.departed",
-                self.sim.now,
-                workers=float(self._active_workers),
-            )
+    @property
+    def active_workers(self) -> int:
+        """Workers currently serving (dead and draining nodes excluded
+        once their departure completes)."""
+        return self.control.active
 
-    def _rescale_style_pause_s(self, migrated_bytes: float) -> float:
-        """The engine-style component of the cutover pause (the state
-        migration itself is priced separately, by the reschedule
-        policy's NIC math)."""
-        style = self.rescale.style
-        if style == STYLE_MICRO_BATCH:
-            # The next micro-batch plans on the new cluster; nothing to
-            # pause.
-            return 0.0
-        if style == STYLE_SAVEPOINT:
-            # Aligned savepoint over the whole state, then restart at
-            # the new parallelism.
-            return self.checkpoint.sync_pause_s(self.state.used_bytes)
-        if style == STYLE_REPARTITION:
-            # Changelog flush for the moved tasks only.
-            return self.checkpoint.sync_pause_s(migrated_bytes)
-        # STYLE_REBALANCE: a planned in-flight rebalance briefly halts
-        # the topology; far cheaper than the crash-recovery rebalance
-        # but it grows with topology size the same way.
-        return (
-            0.25
-            * self.checkpoint.rebalance_base_s
-            * math.sqrt(max(1.0, self._active_workers) / 2.0)
-        )
+    @property
+    def standbys_available(self) -> int:
+        """Hot spares currently idle in the pool."""
+        return self.control.spares
+
+    @property
+    def standbys_promoted(self) -> int:
+        """Spares that have taken over a dead or evicted worker's slots."""
+        return self.control.standbys_promoted
+
+    @property
+    def target_workers(self) -> int:
+        """The cluster size all in-flight rescales are steering toward
+        (what policy bounds must be checked against)."""
+        return self.cluster.workers + self.control.provisioning - self.control.retiring
+
+    @property
+    def billed_nodes(self) -> int:
+        """Machines currently costing money: serving workers, idle hot
+        spares, and nodes already provisioning toward a scale-out.
+        Draining scale-in victims keep billing until they depart."""
+        return self.control.active + self.control.spares + self.control.provisioning
+
+    @property
+    def state_lost_weight(self) -> float:
+        """Weight the delivery guarantee wrote off (faults, state moves)."""
+        return self.guarantees.lost_weight
+
+    def _on_node_failure(self, lost_fraction: float) -> float:
+        """State consequences of losing workers; returns the *exposed*
+        weight whose fate the delivery guarantee decides.
+
+        Default (checkpoint-restore engines): the replay window -- all
+        weight ingested since the last completed checkpoint.
+        """
+        return self.control.replay_window_weight
 
     def _rescale_exposed_weight(self, moved_fraction: float) -> float:
         """Weight whose delivery is endangered by moving
@@ -1147,46 +487,11 @@ class StreamingEngine(ABC):
         """
         return 0.0
 
-    def _pause_for_rescale(self, pause: float) -> None:
-        """Suspend processing for a rescale cutover.  Accounted apart
-        from fault recovery (``_recovery_pause_total``) so recovery
-        metrology never conflates a planned pause with a failure."""
-        if pause <= 0:
-            return
-        self._rescale_pause_total += pause
-        self._paused_until = max(self._paused_until, self.sim.now + pause)
-        self._ramp_from_s = max(self._ramp_from_s, self._paused_until)
-
-    def _log_fault(self, kind: str, **fields: float) -> None:
-        entry: Dict[str, float] = {"kind": kind, "at_s": self.sim.now}  # type: ignore[dict-item]
-        entry.update(fields)
-        self.fault_log.append(entry)
-        if self.obs is not None:
-            # Mirror every injected fault onto the observability
-            # timeline so traces alive at that moment are annotated
-            # with it; a recovery pause additionally marks when
-            # processing resumes.
-            self.obs.add_event(f"fault.{kind}", self.sim.now, **fields)
-            pause = fields.get("pause_s", 0.0)
-            if pause > 0:
-                self.obs.add_event(
-                    "recovery.resume", self.sim.now + pause, cause=kind
-                )
-
-    def _on_node_failure(self, lost_fraction: float) -> float:
-        """State consequences of losing workers; returns the *exposed*
-        weight whose fate the delivery guarantee decides.
-
-        Default (checkpoint-restore engines): the replay window -- all
-        weight ingested since the last completed checkpoint.
-        """
-        return max(0.0, self.ingested_weight - self._ckpt_ingested_weight)
-
     # -- JVM pauses ------------------------------------------------------------
 
-    def _in_gc_pause(self, now: float, dt: float) -> bool:
-        if now < self._paused_until:
-            return True
+    def _gc_pause_begins(self, dt: float) -> bool:
+        """The seeded Poisson draw for one running tick; a hit suspends
+        processing for a lognormal pause on the control plane's clock."""
         if self.config.gc_rate_per_s <= 0:
             return False
         if self.rng.random() < self.config.gc_rate_per_s * dt:
@@ -1194,8 +499,7 @@ class StreamingEngine(ABC):
             sigma = self.config.gc_pause_sigma
             # Lognormal with the configured mean: mu = ln(mean) - sigma^2/2.
             mu = np.log(max(mean, 1e-6)) - sigma**2 / 2.0
-            pause = float(self.rng.lognormal(mu, sigma))
-            self._paused_until = now + pause
+            self.control.pause(float(self.rng.lognormal(mu, sigma)), PauseCause.JVM)
             return True
         return False
 
@@ -1255,7 +559,7 @@ class StreamingEngine(ABC):
             self._internal_backlog_weight
         )
         registry.gauge("engine.active_workers").bind(
-            lambda: float(self._active_workers)
+            lambda: float(self.control.active)
         )
         registry.gauge("engine.state_bytes").bind(
             lambda: self.state.used_bytes
@@ -1295,26 +599,27 @@ class StreamingEngine(ABC):
 
     def diagnostics(self) -> Dict[str, float]:
         """Engine-internal counters for reports (never used as metrics)."""
+        control, paused_s = self.control, self.control.pause_total_s
         diag = {
             "ingested_weight": self.ingested_weight,
             "state_used_bytes": self.state.used_bytes,
             "state_peak_bytes": self.state.peak_bytes,
-            "active_workers": float(self._active_workers),
+            "active_workers": float(control.active),
             "state_lost_weight": self.state_lost_weight,
-            "faults_injected": float(len(self.fault_log)),
-            "lost_weight": self.guarantees.lost_weight,
-            "duplicated_weight": self.guarantees.duplicated_weight,
-            "checkpoints_completed": float(self._checkpoints_completed),
-            "checkpoint_pause_total_s": self._checkpoint_pause_total,
-            "recovery_pause_total_s": self._recovery_pause_total,
-            "standbys_available": float(self._standbys_available),
-            "standbys_promoted": float(self.standbys_promoted),
+            "faults_injected": float(len(control.fault_log)),
+            "lost_weight": control.guarantees.lost_weight,
+            "duplicated_weight": control.guarantees.duplicated_weight,
+            "checkpoints_completed": float(control.checkpoints_completed),
+            "checkpoint_pause_total_s": paused_s[PauseCause.CHECKPOINT],
+            "recovery_pause_total_s": paused_s[PauseCause.RECOVERY],
+            "standbys_available": float(control.spares),
+            "standbys_promoted": float(control.standbys_promoted),
             "shed_weight": self.shed_weight,
             "cluster_workers": float(self.cluster.workers),
-            "rescale_events": float(len(self.rescale_log)),
-            "rescale_pause_total_s": self._rescale_pause_total,
-            "suspect_migrations": float(self._suspect_migrations),
-            "suspect_pause_total_s": self._suspect_pause_total,
+            "rescale_events": float(len(control.rescale_log)),
+            "rescale_pause_total_s": paused_s[PauseCause.RESCALE],
+            "suspect_migrations": float(control.suspect_migrations),
+            "suspect_pause_total_s": paused_s[PauseCause.SUSPECT],
         }
         for key, value in self._backpressure().metrics().items():
             diag[f"bp.{key}"] = value

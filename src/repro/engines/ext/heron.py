@@ -30,6 +30,7 @@ from repro.engines.calibration import (
     cost_model_for,
 )
 from repro.engines.storm import StormConfig, StormEngine
+from repro.recovery.degradation import DegradationPolicy
 
 #: Assumed per-tuple overhead reduction relative to Storm 1.0.2.
 HERON_COST_FACTOR = 0.65
@@ -73,8 +74,6 @@ class HeronEngine(StormEngine):
         # Same at-most-once contract as Storm, but the smooth credit
         # backpressure holds a slightly deeper queue without collapse,
         # so the delay bound and ramp sit between Storm's and Flink's.
-        from repro.recovery.degradation import DegradationPolicy
-
         return DegradationPolicy(
             shed="oldest", max_queue_delay_s=4.0, readmission_ramp_s=1.5
         )

@@ -34,12 +34,13 @@ from repro.engines.base import (
     windowed_conservation,
 )
 from repro.engines.calibration import CostModel
-from repro.core.batch import RecordBlock, left_sum
+from repro.core.batch import RecordBlock
 from repro.engines.operators.aggregate import aggregation_outputs
 from repro.engines.operators.join import JoinWindowStore, join_window_outputs
 from repro.engines.operators.window import KeyedWindowStore
 from repro.faults.checkpoint import RecoverySemantics
 from repro.faults.guarantees import DeliveryGuarantee
+from repro.recovery.degradation import DegradationPolicy
 from repro.workloads.queries import WindowedJoinQuery
 
 
@@ -100,8 +101,6 @@ class SamzaEngine(StreamingEngine):
         # be re-read on recovery anyway, so shed from the tail (newest)
         # to avoid double work, with a patient ramp while RocksDB
         # compaction settles.
-        from repro.recovery.degradation import DegradationPolicy
-
         return DegradationPolicy(
             shed="newest", max_queue_delay_s=8.0, readmission_ramp_s=3.0
         )
@@ -174,20 +173,12 @@ class SamzaEngine(StreamingEngine):
         if outputs:
             self.sim.schedule(delay, self._emit, outputs)
 
-    def _emit(self, outputs) -> None:
-        assert self.sink is not None
-        weight = left_sum(o.weight for o in outputs)
-        self._account_emission(weight)
-        self.sink.emit(outputs, self._result_bytes_per_output_weight)
-
     def _rescale_exposed_weight(self, moved_fraction: float) -> float:
         # Moved tasks re-consume from their input topics since the last
         # committed offset: the moved share of the commit window is
         # re-delivered, which at-least-once accounting books as
         # duplicates (state itself restores intact from the changelog).
-        return moved_fraction * max(
-            0.0, self.ingested_weight - self._ckpt_ingested_weight
-        )
+        return moved_fraction * self.control.replay_window_weight
 
     def conservation(self) -> Dict[str, float]:
         ledger = super().conservation()

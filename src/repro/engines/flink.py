@@ -40,12 +40,13 @@ from repro.engines.base import (
     StreamingEngine,
     windowed_conservation,
 )
-from repro.core.batch import RecordBlock, left_sum
+from repro.core.batch import RecordBlock
 from repro.engines.operators.aggregate import aggregation_outputs
 from repro.engines.operators.join import JoinWindowStore, join_window_outputs
 from repro.engines.operators.window import KeyedWindowStore
 from repro.faults.checkpoint import RecoverySemantics
 from repro.faults.guarantees import DeliveryGuarantee
+from repro.recovery.degradation import DegradationPolicy
 from repro.sim.failures import TopologyStalled
 from repro.workloads.queries import WindowedJoinQuery
 
@@ -109,8 +110,6 @@ class FlinkEngine(StreamingEngine):
         # suffices (credit-based backpressure meters the catch-up burst
         # on its own) and shedding from the head keeps the exactly-once
         # output fresh.
-        from repro.recovery.degradation import DegradationPolicy
-
         return DegradationPolicy(
             shed="oldest", max_queue_delay_s=5.0, readmission_ramp_s=2.0
         )
@@ -154,12 +153,6 @@ class FlinkEngine(StreamingEngine):
         self._update_state_usage(self._store.stored_weight())
         if outputs:
             self.sim.schedule(delay, self._emit, outputs)
-
-    def _emit(self, outputs) -> None:
-        assert self.sink is not None
-        weight = left_sum(o.weight for o in outputs)
-        self._account_emission(weight)
-        self.sink.emit(outputs, self._result_bytes_per_output_weight)
 
     def _check_skew_join_health(self) -> None:
         """Experiment 4: a skewed join makes Flink unresponsive."""

@@ -49,6 +49,7 @@ from repro.engines.operators.aggregate import (
 from repro.engines.operators.join import JoinWindowStore, join_window_outputs
 from repro.faults.checkpoint import RecoverySemantics
 from repro.faults.guarantees import DeliveryGuarantee
+from repro.recovery.degradation import DegradationPolicy
 from repro.workloads.queries import WindowedJoinQuery
 
 
@@ -216,8 +217,6 @@ class SparkEngine(StreamingEngine):
         # the admission ramp spans two batches (the PID controller needs
         # completed batches to re-learn the rate) and the delay bound
         # tolerates a couple of queued batches before shedding.
-        from repro.recovery.degradation import DegradationPolicy
-
         interval = cls.default_config().batch_interval_s
         return DegradationPolicy(
             shed="oldest",

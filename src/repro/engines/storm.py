@@ -40,7 +40,6 @@ from repro.core.batch import (
     consume_front,
     fold_add,
     fold_sub,
-    left_sum,
 )
 from repro.engines.backpressure import BackpressureMechanism, OnOffThrottle
 from repro.engines.base import (
@@ -53,6 +52,7 @@ from repro.engines.operators.join import JoinWindowStore, join_window_outputs
 from repro.engines.operators.window import KeyedWindowStore
 from repro.faults.checkpoint import RecoverySemantics
 from repro.faults.guarantees import DeliveryGuarantee
+from repro.recovery.degradation import DegradationPolicy
 from repro.sim.failures import TopologyStalled
 from repro.workloads.queries import WindowedJoinQuery
 
@@ -181,8 +181,6 @@ class StormEngine(StreamingEngine):
         # At-most-once without acking: dropped tuples are already part
         # of the contract, so shed aggressively (tight delay bound) and
         # re-admit quickly -- Storm's on/off throttle oscillates anyway.
-        from repro.recovery.degradation import DegradationPolicy
-
         return DegradationPolicy(
             shed="oldest", max_queue_delay_s=3.0, readmission_ramp_s=1.0
         )
@@ -410,12 +408,6 @@ class StormEngine(StreamingEngine):
             delay = base_delay + spread * (i + 1) / max(n, 1)
             output.emit_time = self.sim.now + delay
             self.sim.schedule(delay, self._emit, [output])
-
-    def _emit(self, outputs) -> None:
-        assert self.sink is not None
-        weight = left_sum(o.weight for o in outputs)
-        self._account_emission(weight)
-        self.sink.emit(outputs, self._result_bytes_per_output_weight)
 
     def _check_naive_join_health(self) -> None:
         """Experiment 2: the naive join is unstable beyond 2 workers."""

@@ -55,7 +55,7 @@ and ambiguous same-node overlaps between capacity-modulating faults
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -261,6 +261,12 @@ class GrayFaultEvent(_TransientFaultEvent):
     a gray fault carries worker identity so the detection plane can
     attribute heartbeat evidence, verdicts, and false positives to a
     specific node.
+
+    To the engine a gray fault is data, not a code path: each kind
+    says when its node runs at what share of its speed
+    (:meth:`capacity_segments`) and what its fault-log entry carries
+    (:meth:`log_fields`).  No state is exposed and no pause is served
+    -- the process survives, its machine blinks or slows.
     """
 
     node: int = 0
@@ -269,6 +275,19 @@ class GrayFaultEvent(_TransientFaultEvent):
         super().__post_init__()
         if self.node < 0:
             raise ValueError(f"node must be >= 0, got {self.node}")
+
+    def capacity_segments(self) -> Tuple[Tuple[float, float, float], ...]:
+        """Absolute ``(start, end, factor)`` windows in which ``node``
+        runs at ``factor`` of its speed (0.0 = contributes nothing).
+        A pure function of the event's own fields, so the engine and
+        the detection plane derive the identical ground truth
+        independently.  Default: the data plane never notices."""
+        return ()
+
+    def log_fields(self) -> Dict[str, float]:
+        """What the engine's fault-log entry records besides kind, time
+        and pause."""
+        return {"node": float(self.node), "duration_s": self.duration_s}
 
     def describe(self) -> str:
         return (
@@ -323,6 +342,18 @@ class FlappingNode(GrayFaultEvent):
             t += cycle
         return tuple(segments)
 
+    def capacity_segments(self) -> Tuple[Tuple[float, float, float], ...]:
+        # Like a transient one-node outage during each down segment;
+        # between segments the node is fully back.
+        return tuple((start, end, 0.0) for start, end in self.down_segments())
+
+    def log_fields(self) -> Dict[str, float]:
+        return {
+            "node": float(self.node),
+            "segments": float(len(self.down_segments())),
+            "duration_s": self.duration_s,
+        }
+
 
 @dataclass(frozen=True)
 class DegradingNode(GrayFaultEvent):
@@ -350,7 +381,7 @@ class DegradingNode(GrayFaultEvent):
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
-    def segments(self) -> Tuple[Tuple[float, float, float], ...]:
+    def capacity_segments(self) -> Tuple[Tuple[float, float, float], ...]:
         """Absolute ``(start, end, factor)`` ramp segments."""
         step_s = self.duration_s / self.steps
         out: List[Tuple[float, float, float]] = []
@@ -361,10 +392,17 @@ class DegradingNode(GrayFaultEvent):
 
     def factor_at(self, now_s: float) -> float:
         """Capacity factor in effect at ``now_s`` (1.0 outside the window)."""
-        for start, end, factor in self.segments():
+        for start, end, factor in self.capacity_segments():
             if start <= now_s < end:
                 return factor
         return 1.0
+
+    def log_fields(self) -> Dict[str, float]:
+        return {
+            "node": float(self.node),
+            "floor_factor": self.floor_factor,
+            "duration_s": self.duration_s,
+        }
 
 
 @dataclass(frozen=True)
@@ -402,6 +440,21 @@ class AsymmetricPartition(GrayFaultEvent):
             f"{self.kind}@{self.at_s:g}s for {self.duration_s:g}s"
             f" on node {self.node} ({self.direction})"
         )
+
+    def capacity_segments(self) -> Tuple[Tuple[float, float, float], ...]:
+        # The ``data`` direction cuts the node's ingest for the whole
+        # window (like a one-node partition); the ``heartbeat``
+        # direction is invisible to the data plane entirely.
+        if self.direction == "data":
+            return ((self.at_s, self.end_s, 0.0),)
+        return ()
+
+    def log_fields(self) -> Dict[str, float]:
+        return {
+            "node": float(self.node),
+            "data_cut": 1.0 if self.direction == "data" else 0.0,
+            "duration_s": self.duration_s,
+        }
 
 
 #: Gray faults that modulate the capacity of their named node (and so

@@ -59,29 +59,39 @@ class TestRescaleSemantics:
 
 
 class TestStylePauses:
+    """The style component of a real cutover, read from its log entry
+    (a scale-in cuts over at the request)."""
+
+    @staticmethod
+    def cutover(name, workers=2, state_bytes=0.0):
+        _, engine = make_engine(name, workers)
+        engine.state.charge(state_bytes)
+        return engine, engine.request_scale_in(1)
+
     def test_micro_batch_is_free(self):
-        _, spark = make_engine("spark")
-        assert spark._rescale_style_pause_s(1e9) == 0.0
+        _, entry = self.cutover("spark", state_bytes=1e9)
+        assert entry["migrated_bytes"] > 0.0
+        assert entry["style_pause_s"] == 0.0
+        assert entry["pause_s"] == entry["migration_s"]
 
     def test_savepoint_pays_whole_state_sync(self):
-        _, flink = make_engine("flink")
-        expected = flink.checkpoint.sync_pause_s(flink.state.used_bytes)
-        assert flink._rescale_style_pause_s(1.0) == pytest.approx(expected)
+        flink, entry = self.cutover("flink", state_bytes=1e9)
+        whole = flink.checkpoint.sync_pause_s(flink.state.used_bytes)
+        moved = flink.checkpoint.sync_pause_s(entry["migrated_bytes"])
+        assert entry["style_pause_s"] == pytest.approx(whole)
+        assert whole > moved
 
     def test_repartition_pays_moved_share_only(self):
-        _, samza = make_engine("samza")
-        moved = 5e8
-        expected = samza.checkpoint.sync_pause_s(moved)
-        assert samza._rescale_style_pause_s(moved) == pytest.approx(expected)
+        samza, entry = self.cutover("samza", state_bytes=1e9)
+        assert entry["migrated_bytes"] == pytest.approx(5e8)
+        expected = samza.checkpoint.sync_pause_s(entry["migrated_bytes"])
+        assert entry["style_pause_s"] == pytest.approx(expected)
 
     def test_rebalance_grows_with_topology(self):
-        _, small = make_engine("storm", workers=2)
-        _, large = make_engine("storm", workers=8)
-        assert small._rescale_style_pause_s(0.0) > 0.0
-        assert (
-            large._rescale_style_pause_s(0.0)
-            > small._rescale_style_pause_s(0.0)
-        )
+        _, small = self.cutover("storm", workers=2)
+        _, large = self.cutover("storm", workers=8)
+        assert small["style_pause_s"] > 0.0
+        assert large["style_pause_s"] > small["style_pause_s"]
 
 
 class TestScaleOut:
@@ -184,10 +194,10 @@ class TestScaleIn:
         sim, engine = make_engine("flink", workers=2)
         entry = engine.request_scale_out(1)
         sim.run_until(entry["provision_s"] + 0.001)  # just past cutover
-        assert "cutover_at_s" in entry
-        if sim.now < engine._migration_until:
-            assert engine.request_scale_in(1) is None
-        sim.run_until(120.0)
+        landed_at_s = entry["cutover_at_s"] + entry["pause_s"]
+        assert sim.now < landed_at_s  # the savepoint alone outlasts 1 ms
+        assert engine.request_scale_in(1) is None
+        sim.run_until(landed_at_s)
         assert engine.request_scale_in(1) is not None
 
     def test_victims_bill_until_departure(self):
@@ -202,6 +212,23 @@ class TestScaleIn:
         assert engine.active_workers == 2
         assert engine.billed_nodes == 2
 
+    def test_spare_return_while_every_worker_is_warming_up(self):
+        # Both workers crashed and their standbys are still warming up:
+        # nothing serves, yet the third spare can be handed back -- as a
+        # pure spare return, not as "minus one victim".
+        sim, engine = make_engine(
+            "flink",
+            workers=2,
+            reschedule=ReschedulePolicy(standby_nodes=3, mode=MODE_STANDBY),
+        )
+        engine.inject_fault(NodeCrash(at_s=1.0, nodes=2))
+        assert (engine.active_workers, engine.standbys_available) == (0, 1)
+        entry = engine.request_scale_in(1)
+        assert entry["delta"] == -1.0
+        assert entry["spares_returned"] == 1.0
+        assert entry["to_workers"] == entry["from_workers"] == 2.0
+        assert entry["online_at_s"] == entry["decided_at_s"]
+
     def test_refused_below_spares_and_victims(self):
         sim, engine = make_engine("flink", workers=1)
         assert engine.request_scale_in(3) is None
@@ -215,4 +242,4 @@ class TestStyleRegistry:
         # every Flink engine in the process.)
         for style in RESCALE_STYLES:
             engine.rescale = replace(engine.rescale, style=style)
-            assert engine._rescale_style_pause_s(1e6) >= 0.0
+            assert engine.control.style_pause_s(1e6) >= 0.0

@@ -404,3 +404,70 @@ class TestTheCorpusReachesWhatItClaims:
             verdicts = [e for e in standby["fault_log"] if e["kind"] == "suspect"]
             assert [e["promoted"] for e in verdicts] == [1.0, 0.0]
             assert standby["control"]["active_workers"] == 2.0
+
+
+class TestBehaviourTheGoldenWouldNotExplain:
+    """The same branches stated as properties, so a failure says what
+    broke instead of which bytes moved."""
+
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_fatal_restart_keeps_its_entry_and_its_accounting(self, name):
+        rig = Rig(name, 2)
+        rig.fault(ProcessRestart(at_s=3.0, nodes=2))
+        rig.sim.run_until(4.0)
+        engine = rig.engine
+        assert engine.failed and "bounced all 2" in str(engine.failure)
+        (entry,) = engine.fault_log
+        assert entry["kind"] == "restart" and entry["fatal"] == 1.0
+        assert entry["pause_s"] == 0.0
+        # Accounted before the engine froze: the whole exposure went
+        # through the delivery guarantee, exactly once.
+        ledger = engine.guarantees
+        assert ledger.fault_count == 1
+        assert entry["exposed_weight"] == ledger.exposed_weight > 0.0
+        assert entry["lost_weight"] == ledger.lost_weight
+        assert entry["duplicated_weight"] == ledger.duplicated_weight
+        assert engine.state_lost_weight == ledger.lost_weight
+        assert engine.diagnostics()["faults_injected"] == 1.0
+        # A bounce is not a death: the head count is untouched.
+        assert engine.active_workers == 2
+
+    @pytest.mark.parametrize("request_n,crash_n", [(1, 1), (1, 3), (2, 2), (3, 3)])
+    def test_a_crash_racing_the_drain_never_empties_the_cluster(
+        self, request_n, crash_n
+    ):
+        rig = Rig("samza", 4)
+        rig.charge_state(2e9)
+        rig.at(2.0, "request_scale_in", request_n)
+        rig.fault(NodeCrash(at_s=2.5, nodes=crash_n))
+        rig.sim.run_until(40.0)
+        engine = rig.engine
+        (entry,) = engine.rescale_log
+        assert 2.5 < entry["online_at_s"]  # the crash did land mid-drain
+        assert not engine.failed
+        assert 1 <= engine.active_workers <= engine.cluster.workers
+        assert engine.target_workers == engine.cluster.workers
+        assert engine.billed_nodes == engine.active_workers
+
+    @pytest.mark.parametrize("name", ["storm", "heron"])
+    def test_an_outage_of_zero_seconds_anchors_no_admission_ramp(self, name):
+        # Every term of the tuple-replay recovery pause configured away:
+        # the restart costs nothing, so admission must not be throttled
+        # to the ramp floor "after" it.  (Between two ticks, so the
+        # bounced worker is back before capacity is next read.)
+        instant = CheckpointSpec(
+            detection_timeout_s=0.0, restart_base_s=0.0,
+            rebalance_base_s=0.0, replay_cost_factor=0.0,
+        )
+
+        def ingested(restart):
+            rig = Rig(name, 2, checkpoint=instant, ramp=True, saturate=True)
+            assert rig.engine.degradation.readmission_ramp_s > 0.0
+            if restart:
+                rig.fault(ProcessRestart(at_s=1.02, nodes=1))
+            rig.sim.run_until(2.0)
+            if restart:
+                assert rig.engine.fault_log[0]["pause_s"] == 0.0
+            return rig.engine.ingested_weight
+
+        assert ingested(restart=True) == ingested(restart=False)

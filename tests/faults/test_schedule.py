@@ -107,7 +107,7 @@ class TestGrayEvents:
         ramp = DegradingNode(
             at_s=10.0, duration_s=8.0, floor_factor=0.25, steps=4
         )
-        segments = ramp.segments()
+        segments = ramp.capacity_segments()
         assert len(segments) == 4
         factors = [factor for _, _, factor in segments]
         assert factors == sorted(factors, reverse=True)  # monotone ramp
