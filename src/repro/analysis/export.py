@@ -94,11 +94,14 @@ def search_to_dict(search: SustainableSearchResult) -> Dict[str, Any]:
 
     A search where no probed rate was sustainable carries
     ``sustainable_rate = NaN``; that becomes ``None`` in JSON.
+    ``simulated_s`` is what the ladder cost in simulated seconds; a
+    probe the driver stopped carries its ``stopped_at_s``.
     """
     rate = search.sustainable_rate
     return {
         "sustainable_rate": None if rate != rate else float(rate),
         "trial_count": search.trial_count,
+        "simulated_s": search.simulated_s,
         # export_entry() serialises live and journal-replayed trials
         # identically (resume byte-identity relies on this).
         "trials": [trial.export_entry() for trial in search.trials],

@@ -71,7 +71,7 @@ from repro.core.experiment import ExperimentSpec, runner_for
 from repro.core.generator import GeneratorConfig
 from repro.core.report import throughput_table
 from repro.core.sustainable import (
-    SustainabilityCriteria,
+    SearchTrial,
     find_sustainable_throughput,
     find_sustainable_throughput_online,
     find_sustainable_throughput_under_faults,
@@ -665,6 +665,21 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 1 if result.failed else 0
 
 
+def describe_probe(trial: SearchTrial) -> str:
+    """One ladder line: rate, verdict and -- for a failing probe -- why
+    (where the driver stopped it, and its first measured reason)."""
+    line = f"{trial.rate / 1e6:8.3f} M/s  "
+    if trial.verdict.sustainable:
+        return line + "sustainable"
+    reasons = trial.verdict.reasons
+    if trial.stopped_at_s is None:
+        return line + f"UNSUSTAINABLE  ({reasons[0]})"
+    # A stopped probe's leading reason only restates the stop time.
+    return line + (
+        f"UNSUSTAINABLE  (stopped at {trial.stopped_at_s:g} s: {reasons[1]})"
+    )
+
+
 def cmd_search(args: argparse.Namespace) -> int:
     spec = build_spec(args, rate=args.high_rate)
     watchdog = build_watchdog(args)
@@ -710,24 +725,19 @@ def cmd_search(args: argparse.Namespace) -> int:
             watchdog=watchdog,
         )
     else:
+        # One set of search arguments for the journal's identity and the
+        # search it guards; everything else is both functions' defaults.
+        settings = dict(high_rate=args.high_rate, rel_tol=args.tolerance)
         journal = None
         if args.journal:
             journal = TrialJournal(
                 args.journal,
-                fingerprint=search_fingerprint(
-                    spec,
-                    high_rate=args.high_rate,
-                    low_rate=0.0,
-                    rel_tol=args.tolerance,
-                    criteria=SustainabilityCriteria(),
-                    max_trials=12,
-                ),
+                fingerprint=search_fingerprint(spec, **settings),
                 resume=args.resume,
             )
         search = find_sustainable_throughput(
             spec,
-            high_rate=args.high_rate,
-            rel_tol=args.tolerance,
+            **settings,
             journal=journal,
             workers=jobs,
             watchdog=watchdog,
@@ -738,11 +748,11 @@ def cmd_search(args: argparse.Namespace) -> int:
                 f"{journal.misses} run live"
             )
     for trial in search.trials:
-        verdict = "sustainable" if trial.verdict.sustainable else "UNSUSTAINABLE"
-        print(f"  {trial.rate / 1e6:8.3f} M/s  {verdict}")
+        print(f"  {describe_probe(trial)}")
     print(
         f"sustainable throughput: {search.sustainable_rate / 1e6:.3f} M/s "
-        f"({search.trial_count} trials)"
+        f"({search.trial_count} trials, simulated "
+        f"{search.simulated_s:g} of {search.planned_s:g} s)"
     )
     if args.output:
         path = write_json(search_to_dict(search), args.output)

@@ -31,6 +31,7 @@ from repro.core.generator import (
     build_generator_fleet,
 )
 from repro.autoscale.metrics import RescaleMetrics
+from repro.core.criteria import SustainabilityCriteria
 from repro.core.latency import EVENT_TIME, PROCESSING_TIME, LatencyCollector
 from repro.core.metrics import StatSummary
 from repro.core.queues import QueueSet
@@ -97,6 +98,12 @@ class TrialResult:
     detection: Optional["DetectionMetrics"] = None
     """Detection-quality metrology (populated when the trial ran with an
     :class:`~repro.detect.plane.DetectorSpec`; ``None`` otherwise)."""
+    stopped_at_s: Optional[float] = None
+    """Simulated time at which the driver stopped the trial because its
+    Definition 5 verdict was settled as "unsustainable" (``None`` for a
+    full-length trial).  ``duration_s`` / ``warmup_s`` stay as planned;
+    the summaries cover ``[warmup_s, stopped_at_s]``.  Not a failure:
+    the SUT did not fail, the driver stopped asking."""
 
     @property
     def failed(self) -> bool:
@@ -130,7 +137,12 @@ class BenchmarkDriver:
         keep_outputs: bool = False,
         obs: Optional[ObsContext] = None,
         skew: Optional[SkewModel] = None,
+        judged_by: Optional[SustainabilityCriteria] = None,
     ) -> None:
+        """``judged_by`` (if given) makes this an *anytime* trial: the
+        driver stops it at the first throughput sample where the
+        verdict under those criteria is settled as "unsustainable"
+        (see :meth:`ThroughputMonitor.verdict_settled`)."""
         if duration_s <= 0:
             raise ValueError("duration_s must be positive")
         if not 0 <= warmup_fraction < 1:
@@ -153,8 +165,13 @@ class BenchmarkDriver:
             self.sink = Sink(self._collect_traced)
         else:
             self.sink = Sink(self.collector.collect)
+        self.judged_by = judged_by
+        self.stopped_at_s: Optional[float] = None
         self.monitor = ThroughputMonitor(
-            sim, self.queues, interval_s=throughput_interval_s
+            sim,
+            self.queues,
+            interval_s=throughput_interval_s,
+            on_sample=self._check_verdict if judged_by is not None else None,
         )
         if obs is not None:
             self._bind_driver_gauges(obs.registry)
@@ -232,6 +249,14 @@ class BenchmarkDriver:
         """Halt the run as soon as the SUT has failed (Section VI-A)."""
         if self.engine.failed:
             self._failure = self.engine.failure
+            sim.stop()
+
+    def _check_verdict(self, sim: Simulator) -> None:
+        """Halt the run as soon as its verdict is settled (anytime
+        Definition 5): the search needs a failing probe's verdict,
+        never its tail."""
+        if self.monitor.verdict_settled(self.judged_by, self.warmup_s):
+            self.stopped_at_s = sim.now
             sim.stop()
 
     # -- driver-side fault injection --------------------------------------
@@ -397,6 +422,8 @@ class BenchmarkDriver:
             diagnostics["driver.offered_shortfall_frac"] = (
                 self._offered_shortfall_frac
             )
+        if self.stopped_at_s is not None:
+            diagnostics["driver.stopped_at_s"] = self.stopped_at_s
         observability = self.obs.finalize() if self.obs is not None else None
         return TrialResult(
             engine=self.engine.name,
@@ -415,4 +442,5 @@ class BenchmarkDriver:
             resources=self.engine.resources,
             diagnostics=diagnostics,
             observability=observability,
+            stopped_at_s=self.stopped_at_s,
         )

@@ -22,6 +22,7 @@ from repro.autoscale.metrics import (
 from repro.autoscale.policy import AutoscaleSpec
 from repro.autoscale.rescale import Autoscaler
 from repro.core.broker import BrokerSpec, BrokerStage
+from repro.core.criteria import SustainabilityCriteria
 from repro.core.driver import BenchmarkDriver, TrialResult
 from repro.core.generator import GeneratorConfig, build_generator_fleet
 from repro.core.queues import DriverQueue, QueueSet
@@ -116,6 +117,13 @@ class ExperimentSpec:
     detector whose verdicts drive evictions (see :mod:`repro.detect`).
     ``None`` (the default) runs without any detection plane -- the
     pre-existing fixed-timeout supervisor semantics, bit for bit."""
+    judged_by: Optional[SustainabilityCriteria] = None
+    """The Definition 5 criteria this trial will be judged by.  When
+    set, the driver stops the trial once its verdict is settled as
+    "unsustainable" (``TrialResult.stopped_at_s``).  The sustainable-
+    throughput search sets it on the probes where that is sound (see
+    :func:`repro.core.sustainable.anytime_spec`); ``None`` (the default)
+    always runs the full ``duration_s``."""
 
     def rate_profile(self) -> RateProfile:
         if isinstance(self.profile, RateProfile):
@@ -249,6 +257,7 @@ def run_experiment(
         keep_outputs=spec.keep_outputs,
         obs=obs,
         skew=skew,
+        judged_by=spec.judged_by,
     )
     if faults is not None:
         # Driver-side faults route to the driver, not the engine: the

@@ -9,8 +9,8 @@ generation rate.  We allow for some fluctuation, i.e., we allow a
 maximum number of events to be queued, as soon as the queue does not
 continuously increase."
 
-A trial is judged sustainable from three driver-side signals, plus the
-hard failure rules:
+A trial is judged sustainable (:func:`assess`) from three driver-side
+signals, plus the hard failure rules:
 
 1. no SUT failure (dropped queue connection, stall, OOM);
 2. the queue backlog does not continuously increase (occupancy trend
@@ -21,6 +21,18 @@ hard failure rules:
 The search itself refines the rate by bisection between a known-good
 floor and the probe ceiling, which is the paper's decrease-until-
 sustained procedure with logarithmically fewer trials.
+
+The procedure needs only the *verdict* of a failing probe, never its
+tail, so a probe may stop early (anytime Definition 5): the search
+hands each probe its criteria (:func:`anytime_spec`), and the driver
+halts the trial at the first throughput sample where signal 2 has
+already failed for good -- the oldest queued event too old and not
+getting younger, the backlog still rising -- by the rule of
+:meth:`~repro.core.throughput.ThroughputMonitor.verdict_settled`.
+:func:`assess` still judges every probe exactly once, on whatever the
+trial measured; a sustained probe is never cut, and a probe is only
+ever cut on a fault-free, fixed-size, constant-rate trial, where
+nothing but the offered rate moves the backlog.
 """
 
 from __future__ import annotations
@@ -28,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Tuple
 
+from repro.core.criteria import SustainabilityCriteria
 from repro.core.driver import TrialResult
 from repro.core.experiment import ExperimentSpec, run_experiment, runner_for
 from repro.core.latency import EVENT_TIME
@@ -36,32 +49,7 @@ from repro.metrology.watchdog import WatchdogSpec
 from repro.obs.context import ObsSpec
 from repro.recovery.aimd import AimdConfig, AimdController, AimdDecision
 from repro.sched.pool import TrialScheduler, TrialTask
-from repro.workloads.profiles import AdaptiveRate
-
-
-@dataclass(frozen=True)
-class SustainabilityCriteria:
-    """Tolerances of the sustainability judgement."""
-
-    max_occupancy_slope_frac: float = 0.005
-    """Queue growth tolerated, as a fraction of the offered rate (a
-    sub-percent persistent drift is "fluctuation", more is divergence --
-    at the paper's rates a 2% drift would add seconds of queueing
-    latency within a trial, saturating the "sustainable" maximum)."""
-    max_queue_delay_s: float = 5.0
-    """Age of the oldest queued event, averaged over the final quarter
-    of the run -- the "maximum number of events queued" rule."""
-    max_latency_slope: float = 0.03
-    """Tolerated event-time latency growth (seconds per second)."""
-    min_outputs: int = 1
-    """The SUT must have produced at least this many output tuples."""
-    max_recovery_time_s: Optional[float] = None
-    """Under-faults mode: every injected fault must recover (latency
-    back in its pre-fault band) within this many seconds.  ``None``
-    ignores recovery metrics entirely (the plain Definition 5)."""
-    max_lost_weight: Optional[float] = None
-    """Under-faults mode: tolerated data loss across all faults (e.g.
-    ``0.0`` demands exactly-once/at-least-once behaviour)."""
+from repro.workloads.profiles import AdaptiveRate, ConstantRate
 
 
 @dataclass(frozen=True)
@@ -88,7 +76,7 @@ def assess(
         if slope > criteria.max_occupancy_slope_frac * offered:
             reasons.append(
                 f"queue backlog grows at {slope:.0f} events/s "
-                f"(> {criteria.max_occupancy_slope_frac:.0%} of offered "
+                f"(> {criteria.max_occupancy_slope_frac:.1%} of offered "
                 f"{offered:.0f}/s)"
             )
     queue_delay = result.throughput.queue_delay_at_end()
@@ -133,26 +121,60 @@ def probe_key(rate: float) -> str:
     return f"rate={rate!r}"
 
 
-def _export_entry(
-    rate: float, verdict: "SustainabilityVerdict", result: TrialResult
-) -> dict:
-    """The JSON-safe per-probe dict the search report serialises.  The
-    serial path, the journal, and scheduler workers all build exactly
-    this dict, so every route to a report is byte-identical."""
-    return {
-        "rate": rate,
-        "sustainable": verdict.sustainable,
-        "reasons": list(verdict.reasons),
-        "mean_ingest_rate": result.mean_ingest_rate,
-        "event_latency": result.event_latency.to_dict(),
-    }
+def anytime_spec(
+    spec: ExperimentSpec, criteria: SustainabilityCriteria
+) -> ExperimentSpec:
+    """``spec`` as one search probe runs it: carrying ``criteria`` so the
+    driver stops the trial once its verdict is settled -- wherever that
+    is sound, and at full length everywhere else.
+
+    The anytime rule reads a rising backlog under an ageing queue as
+    overload, which holds only while nothing but the offered rate can
+    move the backlog.  A recovery pause looks exactly like overload for
+    as long as it lasts (Storm, ``NodeCrash`` at 80 s with a standby:
+    the full trial recovers and is sustainable, the rule would fire at
+    95 s), so the criteria are withheld from any trial with faults,
+    rescaling, a detector, load shedding, checkpoint pauses, a broker
+    stage or skewed clocks, any non-constant load, and any judgement
+    that includes recovery or loss bounds.
+    """
+    moves_backlog = (
+        spec.faults, spec.autoscale, spec.detector, spec.degradation,
+        spec.checkpoint, spec.broker, spec.clock_skew,
+        criteria.max_recovery_time_s, criteria.max_lost_weight,
+    )
+    sound = all(part is None for part in moves_backlog) and isinstance(
+        spec.rate_profile(), ConstantRate
+    )
+    return replace(spec, judged_by=criteria if sound else None)
+
+
+def _run_probe(
+    run: Callable[[ExperimentSpec], TrialResult],
+    spec: ExperimentSpec,
+    rate: float,
+    criteria: SustainabilityCriteria,
+) -> "SearchTrial":
+    """Run and judge one rate probe -- the one body behind the serial
+    search, scheduler workers and (through the serial search) sweep
+    cells.  :func:`assess` is called exactly once, on what the trial
+    measured; a probe the driver stopped says so in a leading reason."""
+    result = run(anytime_spec(spec.with_rate(rate), criteria))
+    verdict = assess(result, criteria)
+    if result.stopped_at_s is not None:
+        stopped = (
+            f"stopped at {result.stopped_at_s:.1f}s of "
+            f"{result.duration_s:.1f}s: verdict settled"
+        )
+        verdict = replace(verdict, reasons=[stopped, *verdict.reasons])
+    return SearchTrial(rate=rate, result=result, verdict=verdict)
 
 
 def _probe_task(payload) -> dict:
     """Scheduler worker body: run one rate probe, return its entry."""
     spec, rate, criteria, watchdog = payload
-    result = runner_for(watchdog)(spec.with_rate(rate))
-    return _export_entry(rate, assess(result, criteria), result)
+    trial = _run_probe(runner_for(watchdog), spec, rate, criteria)
+    return trial.export_entry()
 
 
 def _trial_from_entry(rate: float, entry: dict) -> "SearchTrial":
@@ -180,14 +202,32 @@ class SearchTrial:
     """The journaled export entry this trial replayed, if any."""
 
     def export_entry(self) -> dict:
-        """The per-trial dict the search report serialises.  Journaled
-        trials return their stored entry verbatim; live trials build it
-        from the result.  JSON round-trips floats exactly, so the two
-        paths are byte-identical for the same trial."""
+        """The JSON-safe per-trial dict the search report serialises.
+        Journaled and worker-probed trials return their stored entry
+        verbatim; live trials build it from the result.  JSON
+        round-trips floats exactly, so every route to a report is
+        byte-identical for the same trial.  ``stopped_at_s`` appears
+        only on a probe the driver stopped (the summaries then cover
+        ``[warmup_s, stopped_at_s]``)."""
         if self.cached is not None:
             return self.cached
-        assert self.result is not None
-        return _export_entry(self.rate, self.verdict, self.result)
+        result = self.result
+        assert result is not None
+        entry = {
+            "rate": self.rate,
+            "sustainable": self.verdict.sustainable,
+            "reasons": list(self.verdict.reasons),
+            "mean_ingest_rate": result.mean_ingest_rate,
+            "event_latency": result.event_latency.to_dict(),
+        }
+        if result.stopped_at_s is not None:
+            entry["stopped_at_s"] = result.stopped_at_s
+        return entry
+
+    @property
+    def stopped_at_s(self) -> Optional[float]:
+        """Where the driver stopped this probe (``None``: full length)."""
+        return self.export_entry().get("stopped_at_s")
 
 
 @dataclass
@@ -200,11 +240,28 @@ class SustainableSearchResult:
     """
 
     sustainable_rate: float
+    probe_duration_s: float
+    """Planned simulated length of every probe (``spec.duration_s``)."""
     trials: List[SearchTrial] = field(default_factory=list)
 
     @property
     def trial_count(self) -> int:
         return len(self.trials)
+
+    @property
+    def planned_s(self) -> float:
+        """Simulated seconds the ladder would cost at full length."""
+        return self.trial_count * self.probe_duration_s
+
+    @property
+    def simulated_s(self) -> float:
+        """:attr:`planned_s` less what stopping settled probes saved."""
+        return sum(
+            self.probe_duration_s
+            if trial.stopped_at_s is None
+            else trial.stopped_at_s
+            for trial in self.trials
+        )
 
     @property
     def found(self) -> bool:
@@ -222,17 +279,25 @@ class SustainableSearchResult:
 def search_fingerprint(
     spec: ExperimentSpec,
     high_rate: float,
-    low_rate: float,
-    rel_tol: float,
-    criteria: SustainabilityCriteria,
-    max_trials: int,
+    low_rate: float = 0.0,
+    rel_tol: float = 0.05,
+    criteria: SustainabilityCriteria = SustainabilityCriteria(),
+    max_trials: int = 12,
 ) -> str:
     """Identity of one search for the resume journal: everything that
-    shapes which rates get probed and how they are judged."""
+    shapes which rates get probed, what a probe runs and how it is
+    judged.  Same defaults as :func:`find_sustainable_throughput`
+    (pinned by a test), so a caller passes both the same arguments.
+
+    The experiment is identified by the full ``repr`` of the ceiling
+    probe's spec -- every field, the anytime criteria included -- and
+    not by a summary of it: a journal written for 20-second probes must
+    refuse to replay into a search of 60-second ones.
+    """
+    ceiling = anytime_spec(spec.with_rate(high_rate), criteria)
     return (
-        f"search|{spec.label()}|seed={spec.seed}|high={high_rate!r}"
-        f"|low={low_rate!r}|tol={rel_tol!r}|max_trials={max_trials}"
-        f"|criteria={criteria!r}"
+        f"search|v2|{ceiling!r}|low={low_rate!r}|tol={rel_tol!r}"
+        f"|max_trials={max_trials}|criteria={criteria!r}"
     )
 
 
@@ -304,16 +369,14 @@ def find_sustainable_throughput(
                 trial = _trial_from_entry(rate, entry)
                 trials.append(trial)
                 return trial.verdict
-        result = run(spec.with_rate(rate))
-        verdict = assess(result, criteria)
-        trial = SearchTrial(rate=rate, result=result, verdict=verdict)
+        trial = _run_probe(run, spec, rate, criteria)
         trials.append(trial)
         if journal is not None:
             journal.record(probe_key(rate), trial.export_entry())
-        return verdict
+        return trial.verdict
 
     if probe(high_rate).sustainable:
-        return SustainableSearchResult(sustainable_rate=high_rate, trials=trials)
+        return SustainableSearchResult(high_rate, spec.duration_s, trials)
     # Bisection: ``lo`` is the highest rate that has actually been probed
     # and sustained (no separate ``best`` bookkeeping -- ``lo`` only ever
     # advances on a sustained probe, so the two were always equal).
@@ -330,7 +393,7 @@ def find_sustainable_throughput(
     # returning low_rate (a rate that was never run) would fabricate a
     # result.  NaN marks "not found" honestly.
     rate = lo if floor_sustained else float("nan")
-    return SustainableSearchResult(sustainable_rate=rate, trials=trials)
+    return SustainableSearchResult(rate, spec.duration_s, trials)
 
 
 # -- parallel (speculative) bisection ---------------------------------------
@@ -464,8 +527,9 @@ def _parallel_search(
         # the true path -- the loop always terminates.
         cache.update(scheduler.run(batch))
     return SustainableSearchResult(
-        sustainable_rate=walk.rate,
-        trials=[_trial_from_entry(rate, entry) for rate, entry in walk.trials],
+        walk.rate,
+        spec.duration_s,
+        [_trial_from_entry(rate, entry) for rate, entry in walk.trials],
     )
 
 

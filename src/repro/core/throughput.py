@@ -7,15 +7,30 @@ generator and the SUT" -- throughput is the rate at which the SUT
 about prior work).  The same monitor samples queue occupancy, which is
 the raw signal behind the sustainable-throughput test and behind
 "observing backpressure" from outside the SUT (Experiment 7).
+
+The monitor also answers, at any sample, whether the trial's
+Definition 5 verdict is already settled as "unsustainable"
+(:meth:`ThroughputMonitor.verdict_settled`) -- the anytime rule the
+driver uses to stop a search probe whose tail nobody needs.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
+from repro.core.criteria import SustainabilityCriteria
 from repro.core.metrics import TimeSeries
 from repro.core.queues import QueueSet
 from repro.sim.simulator import PeriodicProcess, Simulator
+
+SETTLE_SAMPLES = 10
+"""Horizon ``H`` of the anytime rule (:meth:`ThroughputMonitor.
+verdict_settled`): the verdict counts as settled only after this many
+consecutive post-warm-up samples agree.  A constant, not an option: at
+ten 1 s samples no fault-free constant-rate probe of the Table I / III
+sweeps is cut before its verdict is final (DESIGN.md section 19); a
+recovery pause outlasts any horizon worth having, which is why the
+search never installs the rule on a trial that can have one."""
 
 
 class ThroughputMonitor:
@@ -40,12 +55,17 @@ class ThroughputMonitor:
         sim: Simulator,
         queues: QueueSet,
         interval_s: float = 1.0,
+        on_sample: Optional[Callable[[Simulator], None]] = None,
     ) -> None:
+        """``on_sample`` (if given) runs at the end of every sampling
+        tick, after the four series took their sample -- it sees the
+        current sample and costs no simulator event of its own."""
         if interval_s <= 0:
             raise ValueError("interval_s must be positive")
         self._sim = sim
         self._queues = queues
         self.interval_s = interval_s
+        self._on_sample = on_sample
         self.ingest_series = TimeSeries()
         self.offered_series = TimeSeries()
         self.occupancy_series = TimeSeries()
@@ -71,6 +91,8 @@ class ThroughputMonitor:
         )
         self._last_pulled = pulled
         self._last_pushed = pushed
+        if self._on_sample is not None:
+            self._on_sample(sim)
 
     def stop(self) -> None:
         if self._process is not None:
@@ -109,6 +131,45 @@ class ThroughputMonitor:
         cut = t1 - (t1 - t0) * tail_fraction
         tail = series.window(cut)
         return tail.mean() if len(tail) else 0.0
+
+    def verdict_settled(
+        self, criteria: SustainabilityCriteria, warmup_s: float
+    ) -> bool:
+        """Whether Definition 5 can no longer come out "sustainable".
+
+        True at a sample taken ``SETTLE_SAMPLES`` intervals or more
+        after warm-up iff, over the last ``SETTLE_SAMPLES`` samples,
+        (a) the oldest queued event was always older than
+        ``max_queue_delay_s``, (b) that age is not shrinking, (c) the
+        backlog rose faster than the tolerated drift, and (d) the
+        backlog trend over the whole measurement period so far exceeds
+        the tolerated drift too.  (d) is the very comparison
+        ``assess()`` makes on the backlog, on the same samples, so a
+        trial stopped here *is* unsustainable by that rule; (a)-(c) are
+        what makes it safe to assume the full-length trial would be.
+        Nothing is evaluated during warm-up: the SUT is not yet itself.
+        """
+        horizon = SETTLE_SAMPLES
+        ages = self.queue_delay_series
+        if len(ages) < horizon:
+            return False
+        if ages.times[-1] < warmup_s + horizon * self.interval_s:
+            return False
+        recent = ages.values[-horizon:]
+        if not (recent > criteria.max_queue_delay_s).all():
+            return False
+        if recent[-1] < recent[0]:
+            return False
+        offered = self.offered_series.window(warmup_s).mean()
+        if not offered > 0:
+            return False
+        tolerated = criteria.max_occupancy_slope_frac * offered
+        backlog = self.occupancy_series
+        times = backlog.times[-horizon:]
+        values = backlog.values[-horizon:]
+        if not (values[-1] - values[0]) > tolerated * (times[-1] - times[0]):
+            return False
+        return self.occupancy_slope(warmup_s) > tolerated
 
     @staticmethod
     def _queues_window(series: TimeSeries, start_time: float) -> TimeSeries:

@@ -70,6 +70,17 @@ class KeyDistribution(ABC):
     def name(self) -> str:
         return type(self).__name__
 
+    def __repr__(self) -> str:
+        """The distribution's parameters, e.g. ``UniformKeys(num_keys=64)``
+        -- stable across processes, so a spec's ``repr`` can identify an
+        experiment (the search journal's fingerprint relies on it)."""
+        params = ", ".join(
+            f"{name}={value!r}"
+            for name, value in vars(self).items()
+            if not name.startswith("_")
+        )
+        return f"{type(self).__name__}({params})"
+
 
 class NormalKeys(KeyDistribution):
     """Keys drawn from a (truncated, discretised) normal distribution.

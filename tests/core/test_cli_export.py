@@ -18,6 +18,19 @@ from repro.core.sustainable import find_sustainable_throughput
 from repro.workloads.queries import WindowSpec, WindowedAggregationQuery
 
 
+OVERLOADED_STORM = ExperimentSpec(
+    engine="storm",
+    query=WindowedAggregationQuery(window=WindowSpec(8, 4)),
+    workers=2,
+    duration_s=40.0,
+    generator=GeneratorConfig(instances=2),
+    monitor_resources=False,
+)
+"""1.6 M/s and 0.8 M/s are four and two times what this sustains: both
+probes settle at the first sample the rule may speak (warm-up 10 s +
+10 samples)."""
+
+
 @pytest.fixture(scope="module")
 def small_trial():
     return run_experiment(
@@ -80,6 +93,23 @@ class TestExport:
         d = search_to_dict(search)
         assert d["trial_count"] == len(d["trials"])
         assert all("rate" in t for t in d["trials"])
+        # Nothing was stopped: the ladder cost its planned length.
+        assert d["simulated_s"] == 30.0 * d["trial_count"]
+        assert all("stopped_at_s" not in t for t in d["trials"])
+
+    def test_search_dict_says_where_probes_stopped(self):
+        search = find_sustainable_throughput(
+            OVERLOADED_STORM, high_rate=1.6e6, max_trials=2
+        )
+        d = search_to_dict(search)
+        first, second = d["trials"]
+        assert first["stopped_at_s"] == 20.0
+        assert first["reasons"][0] == (
+            "stopped at 20.0s of 40.0s: verdict settled"
+        )
+        assert second["stopped_at_s"] == 20.0
+        assert d["simulated_s"] == 40.0 < 2 * 40.0
+        json.dumps(d)
 
 
 class TestCliParser:
@@ -148,6 +178,60 @@ class TestCliExecution:
         )
         assert code == 0
         assert "sustainable throughput" in capsys.readouterr().out
+
+    def test_search_says_why_and_what_it_cost(self, capsys):
+        code = self.run_cli(
+            [
+                "search",
+                "--engine", "storm",
+                "--high-rate", "1600000",
+                "--duration", "40",
+                "--generators", "2",
+                "--no-resources",
+            ]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        ceiling = next(line for line in lines if "1.600 M/s" in line)
+        assert "UNSUSTAINABLE  (stopped at 20 s: queue backlog" in ceiling
+        # A failing probe that ran its full length still says why.
+        marginal = [
+            line for line in lines
+            if "UNSUSTAINABLE" in line and "stopped at" not in line
+        ]
+        assert marginal and all("  (" in line for line in marginal)
+        summary = lines[-1]
+        assert summary.startswith("sustainable throughput: ")
+        probes = sum("M/s  " in line for line in lines)
+        assert f"of {40 * probes} s)" in summary
+        simulated = float(summary.split("simulated ")[1].split(" of")[0])
+        assert simulated < 40 * probes
+
+    def test_resume_refuses_the_journal_of_a_different_experiment(
+        self, capsys, tmp_path
+    ):
+        """Regression: the fingerprint named the spec by engine /
+        workers / query kind only, so 20-second probes of one query
+        replayed as the result of 60-second probes of another."""
+        journal = str(tmp_path / "j.json")
+        first = ["search", "--engine", "flink", "--duration", "20",
+                 "--journal", journal]
+        assert self.run_cli(first) == 0
+        assert "0 replayed" in capsys.readouterr().out
+        code = self.run_cli(
+            [
+                "search", "--engine", "flink", "--duration", "60",
+                "--window-size", "16", "--keys", "uniform",
+                "--num-keys", "1024", "--journal", journal, "--resume",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "written by a different experiment" in captured.err
+        assert "replayed" not in captured.out
+        # The same experiment still resumes, replaying every probe.
+        assert self.run_cli(first + ["--resume"]) == 0
+        assert "0 run live" in capsys.readouterr().out
 
     def test_run_with_recovery_knobs(self, capsys):
         # Standby pool + recommended shedding through the CLI: the

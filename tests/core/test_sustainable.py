@@ -1,16 +1,20 @@
 """Unit tests for the sustainability judgement and throughput search."""
 
+import inspect
+import json
 import math
 
 import pytest
 
-from repro.core.experiment import ExperimentSpec
+from repro.analysis.export import search_to_dict
+from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.generator import GeneratorConfig
 from repro.core.sustainable import (
     SustainabilityCriteria,
     SustainableSearchResult,
     assess,
     find_sustainable_throughput,
+    search_fingerprint,
 )
 from repro.core.driver import TrialResult
 from repro.core.latency import LatencyCollector
@@ -18,7 +22,11 @@ from repro.core.metrics import weighted_summary
 from repro.core.queues import DriverQueue, QueueSet
 from repro.core.records import OutputRecord, Record
 from repro.core.throughput import ThroughputMonitor
+from repro.engines.base import EngineConfig
+from repro.metrology import TrialJournal
+from repro.sim.network import NetworkSpec
 from repro.sim.simulator import Simulator
+from repro.workloads.keys import NormalKeys, UniformKeys
 from repro.workloads.profiles import ConstantRate
 from repro.workloads.queries import WindowedAggregationQuery, WindowSpec
 
@@ -228,3 +236,161 @@ class TestSearch:
             rel_tol=1e-6,
         )
         assert result.trial_count <= 3
+
+
+class TestStoppedProbesAcrossRoutes:
+    """A ladder with stopped probes (ceiling 1.6 M/s, four times what
+    Storm sustains) is the same bytes by every route to a report."""
+
+    HIGH_RATE = 1.6e6
+
+    def storm(self):
+        return ExperimentSpec(
+            engine="storm",
+            query=WindowedAggregationQuery(window=WindowSpec(8.0, 4.0)),
+            workers=2,
+            duration_s=40.0,
+            seed=5,
+            generator=GeneratorConfig(instances=2),
+            monitor_resources=False,
+        )
+
+    def as_bytes(self, search):
+        return json.dumps(search_to_dict(search), indent=2, sort_keys=True)
+
+    @pytest.fixture(scope="class")
+    def serial(self):
+        return find_sustainable_throughput(
+            self.storm(), high_rate=self.HIGH_RATE
+        )
+
+    def test_the_ladder_contains_stopped_and_full_length_probes(self, serial):
+        stops = [trial.stopped_at_s for trial in serial.trials]
+        assert stops[0] == 20.0  # warm-up 10 s + 10 samples
+        assert None in stops
+        assert serial.found
+        assert serial.simulated_s < serial.planned_s == 40.0 * len(stops)
+
+    def test_a_stopped_probe_names_its_stop_first(self, serial):
+        ceiling = serial.trials[0]
+        assert not ceiling.verdict.sustainable
+        assert ceiling.verdict.reasons[0] == (
+            "stopped at 20.0s of 40.0s: verdict settled"
+        )
+        # ...and then what assess() measured on the truncated trial.
+        assert ceiling.verdict.reasons[1:] == assess(ceiling.result).reasons
+        assert ceiling.result.failure is None
+        assert ceiling.result.duration_s == 40.0
+        assert ceiling.result.warmup_s == 10.0
+        assert ceiling.export_entry()["stopped_at_s"] == 20.0
+        assert ceiling.result.throughput.sample_count == 20
+
+    def test_parallel_search_is_byte_identical(self, serial):
+        parallel = find_sustainable_throughput(
+            self.storm(), high_rate=self.HIGH_RATE, workers=2
+        )
+        assert self.as_bytes(parallel) == self.as_bytes(serial)
+
+    def test_killed_after_three_probes_then_resumed(self, serial, tmp_path):
+        spec = self.storm()
+        fingerprint = search_fingerprint(spec, high_rate=self.HIGH_RATE)
+        live = []
+
+        def dies_on_the_fourth(probe):
+            if len(live) == 3:
+                raise KeyboardInterrupt
+            live.append(probe)
+            return run_experiment(probe)
+
+        with pytest.raises(KeyboardInterrupt):
+            find_sustainable_throughput(
+                spec,
+                high_rate=self.HIGH_RATE,
+                run=dies_on_the_fourth,
+                journal=TrialJournal(tmp_path / "j.json", fingerprint),
+            )
+        journal = TrialJournal(tmp_path / "j.json", fingerprint, resume=True)
+        resumed = find_sustainable_throughput(
+            spec, high_rate=self.HIGH_RATE, journal=journal
+        )
+        assert journal.hits == 3
+        assert self.as_bytes(resumed) == self.as_bytes(serial)
+        # The replayed ceiling probe still knows where it stopped.
+        replayed = resumed.trials[0]
+        assert replayed.result is None
+        assert replayed.stopped_at_s == 20.0
+        assert replayed.verdict.reasons == serial.trials[0].verdict.reasons
+
+
+class TestFingerprint:
+    def spec(self, **overrides):
+        fields = dict(
+            engine="flink",
+            query=WindowedAggregationQuery(window=WindowSpec(8.0, 4.0)),
+            duration_s=20.0,
+        )
+        fields.update(overrides)
+        return ExperimentSpec(**fields)
+
+    def test_versioned_and_stable_across_processes(self):
+        fingerprint = search_fingerprint(self.spec(), high_rate=1e6)
+        assert fingerprint.startswith("search|v2|")
+        # No default object repr (an address would never match again).
+        assert " at 0x" not in fingerprint
+        assert fingerprint == search_fingerprint(self.spec(), high_rate=1e6)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(duration_s=60.0),
+            dict(warmup_fraction=0.5),
+            dict(seed=2),
+            dict(workers=4),
+            dict(query=WindowedAggregationQuery(window=WindowSpec(16.0, 4.0))),
+            dict(
+                query=WindowedAggregationQuery(
+                    window=WindowSpec(8.0, 4.0), keys=UniformKeys(1024)
+                )
+            ),
+            dict(
+                query=WindowedAggregationQuery(
+                    window=WindowSpec(8.0, 4.0), keys=NormalKeys(1024)
+                )
+            ),
+            dict(generator=GeneratorConfig(instances=2)),
+            dict(network=NetworkSpec(segment_gbps=10.0)),
+            dict(engine_config=EngineConfig()),
+            dict(throughput_interval_s=0.5),
+            dict(standby=1),
+        ],
+        ids=lambda change: next(iter(change)),
+    )
+    def test_covers_everything_that_shapes_a_probe(self, change):
+        assert search_fingerprint(
+            self.spec(**change), high_rate=1e6
+        ) != search_fingerprint(self.spec(), high_rate=1e6)
+
+    def test_covers_the_search_arguments_and_the_anytime_rule(self):
+        base = search_fingerprint(self.spec(), high_rate=1e6)
+        assert search_fingerprint(self.spec(), high_rate=2e6) != base
+        assert search_fingerprint(self.spec(), 1e6, low_rate=1.0) != base
+        assert search_fingerprint(self.spec(), 1e6, rel_tol=0.1) != base
+        assert search_fingerprint(self.spec(), 1e6, max_trials=9) != base
+        bounded = SustainabilityCriteria(max_lost_weight=0.0)
+        assert "judged_by=Sustainability" in base
+        assert "judged_by=None" in search_fingerprint(
+            self.spec(), 1e6, criteria=bounded
+        )
+
+    def test_the_offered_load_of_the_spec_is_not_part_of_it(self):
+        # The search overrides the profile on every probe.
+        assert search_fingerprint(
+            self.spec(profile=123.0), high_rate=1e6
+        ) == search_fingerprint(self.spec(profile=456.0), high_rate=1e6)
+
+    def test_defaults_cannot_drift_from_the_search_they_identify(self):
+        search = inspect.signature(find_sustainable_throughput).parameters
+        for name, parameter in inspect.signature(
+            search_fingerprint
+        ).parameters.items():
+            assert parameter.default == search[name].default, name

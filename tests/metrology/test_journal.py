@@ -9,7 +9,6 @@ from repro.analysis.export import search_to_dict
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.generator import GeneratorConfig
 from repro.core.sustainable import (
-    SustainabilityCriteria,
     find_sustainable_throughput,
     search_fingerprint,
 )
@@ -34,14 +33,7 @@ def _spec() -> ExperimentSpec:
 
 
 def _fingerprint(spec) -> str:
-    return search_fingerprint(
-        spec,
-        high_rate=HIGH_RATE,
-        low_rate=0.0,
-        rel_tol=0.05,
-        criteria=SustainabilityCriteria(),
-        max_trials=12,
-    )
+    return search_fingerprint(spec, high_rate=HIGH_RATE)
 
 
 class TestJournalBasics:

@@ -8,7 +8,6 @@ from repro.analysis.export import search_to_dict
 from repro.core.experiment import ExperimentSpec
 from repro.core.generator import GeneratorConfig
 from repro.core.sustainable import (
-    SustainabilityCriteria,
     find_sustainable_throughput,
     search_fingerprint,
     sweep_sustainable_rates,
@@ -33,14 +32,7 @@ def _spec(engine="storm", workers=2) -> ExperimentSpec:
 
 
 def _fingerprint(spec) -> str:
-    return search_fingerprint(
-        spec,
-        high_rate=HIGH_RATE,
-        low_rate=0.0,
-        rel_tol=0.05,
-        criteria=SustainabilityCriteria(),
-        max_trials=12,
-    )
+    return search_fingerprint(spec, high_rate=HIGH_RATE)
 
 
 def _as_bytes(search) -> str:
