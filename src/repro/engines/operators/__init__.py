@@ -19,18 +19,13 @@
 from repro.engines.operators.join import JoinWindowStore, join_window_outputs
 from repro.engines.operators.sink import Sink
 from repro.engines.operators.source import SourceSet
-from repro.engines.operators.window import (
-    KeyedWindowStore,
-    WindowAccumulator,
-    WindowContents,
-)
+from repro.engines.operators.window import KeyedWindowStore, WindowContents
 
 __all__ = [
     "JoinWindowStore",
     "KeyedWindowStore",
     "Sink",
     "SourceSet",
-    "WindowAccumulator",
     "WindowContents",
     "join_window_outputs",
 ]

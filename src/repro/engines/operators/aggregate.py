@@ -30,12 +30,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.core.batch import RecordBlock, as_block, fold_add, left_sum
+from repro.core.batch import RecordBlock, as_block, fold_add
 from repro.core.records import OutputRecord, Record
 from repro.engines.operators.window import (
-    WindowAccumulator,
     WindowCols,
     WindowContents,
+    close_window,
 )
 from repro.workloads.queries import WindowSpec
 
@@ -55,22 +55,27 @@ def aggregation_outputs(
         traces_by_key = {}
         for trace in contents.traces:
             traces_by_key.setdefault(trace.key, []).append(trace)
+    end_time = contents.end_time
     outputs = []
-    for key, acc in contents.by_key.items():
+    for key, value, event_time, processing_time in zip(
+        contents.keys.tolist(),
+        contents.values.tolist(),
+        contents.max_event_times.tolist(),
+        contents.max_processing_times.tolist(),
+    ):
+        # Positional: a keyword call costs twice as much per tuple.
         outputs.append(
             OutputRecord(
-                key=key,
-                value=acc.value,
-                event_time=acc.max_event_time,
-                processing_time=acc.max_processing_time,
-                emit_time=emit_time,
-                weight=1.0,
-                window_end=contents.end_time,
-                traces=(
-                    traces_by_key.pop(key, None)
-                    if traces_by_key is not None
-                    else None
-                ),
+                key,
+                value,
+                event_time,
+                processing_time,
+                emit_time,
+                1.0,
+                end_time,
+                traces_by_key.pop(key, None)
+                if traces_by_key is not None
+                else None,
             )
         )
     return outputs
@@ -82,8 +87,8 @@ class BatchPartialAggregator:
     Cohorts arriving during one batch interval are folded into per-key
     partials *per window index* (a record spans ``windows_per_event``
     windows), held as :class:`WindowCols`.  At batch end the partials
-    are materialized and handed to the window state of the job, and the
-    partial store resets for the next batch.
+    are handed to the window state of the job, and the partial store
+    resets for the next batch.
     """
 
     def __init__(self, window: WindowSpec, key_space_hint: int = 64) -> None:
@@ -126,11 +131,9 @@ class BatchPartialAggregator:
             block.traces = []
         return windows * n_cohorts
 
-    def drain(self) -> Dict[int, Dict[int, WindowAccumulator]]:
+    def drain(self) -> Dict[int, WindowCols]:
         """Hand the batch's partials to the job and reset."""
-        partials = {
-            idx: cols.materialize() for idx, cols in self._cols.items()
-        }
+        partials = self._cols
         self._cols = {}
         self.batch_weight = 0.0
         return partials
@@ -146,19 +149,16 @@ class WindowedPartialMerger:
     """Merges mini-batch partials into full window results.
 
     This is the Spark window operator: window results are assembled from
-    the partial aggregates of the batches spanning the window.  With
-    ``inverse_reduce=False`` the merger keeps every batch's partials
-    alive until all windows they touch have closed (the cached-RDD
-    memory profile); with ``inverse_reduce=True`` partials are folded
-    into per-window state immediately and released (the paper's fix).
-    Both modes produce identical results; they differ in state held and
-    (in the engine model) in per-batch cost.
+    the partial aggregates of the batches spanning the window.  Each
+    absorbed partial is folded into its window's columns at once and
+    released; what caching the batches' RDDs instead would cost (state
+    held, per-batch work) is modelled in the engine from
+    ``SparkConfig.inverse_reduce``.
     """
 
-    def __init__(self, window: WindowSpec, inverse_reduce: bool = False) -> None:
+    def __init__(self, window: WindowSpec) -> None:
         self.window = window
-        self.inverse_reduce = inverse_reduce
-        self._window_state: Dict[int, Dict[int, WindowAccumulator]] = {}
+        self._window_state: Dict[int, WindowCols] = {}
         self._traces: Dict[int, List] = {}
         self._closed_through: Optional[int] = None
         self.dropped_weight = 0.0
@@ -172,7 +172,7 @@ class WindowedPartialMerger:
 
     def absorb(
         self,
-        partials: Dict[int, Dict[int, WindowAccumulator]],
+        partials: Dict[int, WindowCols],
         traces: Optional[Dict[int, List]] = None,
     ) -> None:
         """Fold one batch's per-window partials into window state.
@@ -182,8 +182,8 @@ class WindowedPartialMerger:
         like :class:`KeyedWindowStore` drops late adds -- and so are
         their stashed traces.
         """
-        for idx, per_key in partials.items():
-            batch_weight = left_sum(acc.weight for acc in per_key.values())
+        for idx, partial in partials.items():
+            batch_weight = partial.total_weight()
             if self._closed_through is not None and idx <= self._closed_through:
                 self.dropped_weight += (
                     batch_weight / self.window.windows_per_event
@@ -193,13 +193,11 @@ class WindowedPartialMerger:
                         trace.drop()
                 continue
             self.absorbed_weight += batch_weight / self.window.windows_per_event
-            state = self._window_state.setdefault(idx, {})
-            for key, acc in per_key.items():
-                existing = state.get(key)
-                if existing is None:
-                    existing = WindowAccumulator()
-                    state[key] = existing
-                existing.merge(acc)
+            state = self._window_state.get(idx)
+            if state is None:
+                state = WindowCols(partial.n)
+                self._window_state[idx] = state
+            state.merge(partial)
         if traces:
             for idx, idx_traces in traces.items():
                 self._traces.setdefault(idx, []).extend(idx_traces)
@@ -222,12 +220,8 @@ class WindowedPartialMerger:
             if traces and at_time is not None:
                 for trace in traces:
                     trace.mark("closed", at_time)
-            contents = WindowContents(
-                index=idx,
-                end_time=self.window.window_end(idx),
-                start_time=self.window.window_start(idx),
-                by_key=self._window_state.pop(idx),
-                traces=traces,
+            contents = close_window(
+                self.window, idx, self._window_state.pop(idx), traces
             )
             self.closed_weight += (
                 contents.total_weight / self.window.windows_per_event
@@ -238,11 +232,12 @@ class WindowedPartialMerger:
         return closed
 
     def stored_weight(self) -> float:
-        return left_sum(
-            acc.weight
-            for per_key in self._window_state.values()
-            for acc in per_key.values()
-        )
+        """Weight held across open windows: one chained strict left fold
+        over (window insertion order, key first-touch order)."""
+        total = 0.0
+        for cols in self._window_state.values():
+            total = fold_add(total, cols.weights[: cols.n])
+        return total
 
     @property
     def open_window_count(self) -> int:

@@ -19,9 +19,11 @@ sides, proportionally to the purchase weight.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
-from repro.core.batch import RecordBlock, as_block, left_sum
+import numpy as np
+
+from repro.core.batch import RecordBlock, as_block, fold_add
 from repro.core.records import ADS, PURCHASES, OutputRecord, Record
 from repro.engines.operators.window import KeyedWindowStore, WindowContents
 from repro.workloads.queries import WindowSpec
@@ -115,49 +117,51 @@ def join_window_outputs(
     """
     if selectivity < 0:
         raise ValueError(f"selectivity must be >= 0, got {selectivity}")
-    p_keys: Dict[int, float] = {
-        key: acc.weight for key, acc in closed.purchases.by_key.items()
-    }
-    a_keys = closed.ads.by_key
-    matched_purchase_weight = left_sum(
-        weight for key, weight in p_keys.items() if key in a_keys
-    )
+    purchases = closed.purchases
+    # Matched keys stay in purchase first-touch order: the fold below
+    # and the sink see them in the order the purchases side met them.
+    matched = np.isin(purchases.keys, closed.ads.keys)
+    matched_weights = purchases.weights[matched]
+    matched_purchase_weight = fold_add(0.0, matched_weights)
     if matched_purchase_weight <= 0 or selectivity == 0:
         return []
-    total_output_weight = selectivity * closed.purchases.total_weight
+    total_output_weight = selectivity * purchases.total_weight
+    out_weights = total_output_weight * (
+        matched_weights / matched_purchase_weight
+    )
     event_time = closed.max_event_time
     processing_time = closed.max_processing_time
+    end_time = closed.end_time
     traces_by_key = None
-    all_traces = closed.purchases.traces + closed.ads.traces
+    all_traces = purchases.traces + closed.ads.traces
     if all_traces:
         traces_by_key = {}
         for trace in all_traces:
             traces_by_key.setdefault(trace.key, []).append(trace)
     outputs = []
-    for key, p_weight in p_keys.items():
-        a_acc = a_keys.get(key)
-        if a_acc is None:
-            continue
-        out_weight = total_output_weight * (p_weight / matched_purchase_weight)
+    for key, value, out_weight in zip(
+        purchases.keys[matched].tolist(),
+        purchases.values[matched].tolist(),
+        out_weights.tolist(),
+    ):
         if out_weight <= 0:
             continue
+        # Positional: a keyword call costs twice as much per tuple.
         outputs.append(
             OutputRecord(
-                key=key,
-                value=closed.purchases.by_key[key].value,
-                event_time=event_time,
-                processing_time=processing_time,
-                emit_time=emit_time,
-                weight=out_weight,
-                window_end=closed.end_time,
+                key,
+                value,
+                event_time,
+                processing_time,
+                emit_time,
+                out_weight,
+                end_time,
                 # Traces from either side of the window whose key joined
                 # (an unmatched key's trace stays incomplete -- its
                 # events produced no output).
-                traces=(
-                    traces_by_key.pop(key, None)
-                    if traces_by_key is not None
-                    else None
-                ),
+                traces_by_key.pop(key, None)
+                if traces_by_key is not None
+                else None,
             )
         )
     return outputs

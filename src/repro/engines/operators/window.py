@@ -17,14 +17,16 @@ buffer raw tuples instead of aggregating incrementally (Storm) use the
 same store for semantics but account memory per buffered event and pay a
 bulk evaluation cost at close time (see the engine models).
 
-State is columnar: one :class:`WindowCols` per open window holds the
-per-key accumulators as slot arrays, a block of cohorts is one ``+=``
-per column (block keys are unique, so every slot gets exactly one IEEE
-add per block) and the ledgers advance by strict left folds over the
-cohort weights (:func:`repro.core.batch.fold_add`).  The numbers are
+State is columnar from ``add_block`` to the sink: one
+:class:`WindowCols` per open window holds the per-key accumulators as
+slot arrays, a block of cohorts is one ``+=`` per column (block keys
+are unique, so every slot gets exactly one IEEE add per block), the
+ledgers advance by strict left folds over the cohort weights
+(:func:`repro.core.batch.fold_add`), and a closed window
+(:class:`WindowContents`) *is* its trimmed columns.  The numbers are
 those of the record-at-a-time fold in cohort order, bit for bit -- the
-reference in ``tests/oracle`` is that fold, and the conformance goldens
-were generated by it.
+reference in ``tests/oracle`` is that fold over a dict of per-key
+accumulators, and the conformance goldens were generated by it.
 """
 
 from __future__ import annotations
@@ -34,99 +36,47 @@ from typing import Dict, Iterator, List, Optional, Union
 
 import numpy as np
 
-from repro.core.batch import RecordBlock, as_block, fold_add, left_sum
+from repro.core.batch import RecordBlock, as_block, fold_add
 from repro.core.records import Record
 from repro.workloads.queries import WindowSpec
 
 
-class WindowAccumulator:
-    """Per-(window, key) running aggregate and latency anchors."""
-
-    __slots__ = ("value", "weight", "max_event_time", "max_processing_time")
-
-    def __init__(self) -> None:
-        self.value = 0.0
-        self.weight = 0.0
-        self.max_event_time = float("-inf")
-        self.max_processing_time = float("-inf")
-
-    def add(self, record: Record) -> None:
-        """Fold one record (cohort) into the accumulator.
-
-        A cohort of weight ``w`` contributes ``w * value`` to the SUM --
-        the cohort stands for ``w`` events each carrying ``value``.
-        """
-        self.value += record.value * record.weight
-        self.weight += record.weight
-        if record.event_time > self.max_event_time:
-            self.max_event_time = record.event_time
-        ingest = record.ingest_time
-        if ingest is not None and ingest > self.max_processing_time:
-            self.max_processing_time = ingest
-
-    def merge(self, other: "WindowAccumulator") -> None:
-        """Combine two partial accumulators (used by mini-batch partials)."""
-        self.value += other.value
-        self.weight += other.weight
-        self.max_event_time = max(self.max_event_time, other.max_event_time)
-        self.max_processing_time = max(
-            self.max_processing_time, other.max_processing_time
-        )
-
-    def subtract(self, other: "WindowAccumulator") -> None:
-        """Inverse-reduce: remove a partial that slid out of the window.
-
-        Only the additive fields can be inverted; the max-time anchors
-        are *not* restored (the real inverse-reduce has the same
-        limitation, which is acceptable because evicted data is always
-        older than retained data, so the maxima are unaffected).
-        """
-        self.value -= other.value
-        self.weight -= other.weight
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"WindowAccumulator(value={self.value:g}, weight={self.weight:g}, "
-            f"max_event_time={self.max_event_time:g})"
-        )
-
-
 @dataclass
 class WindowContents:
-    """Everything known about one closed window."""
+    """Everything known about one closed window.
+
+    The five columns are parallel, one entry per key, in key first-touch
+    order -- the order the sink sees the window's outputs in.  The three
+    window-level figures are computed once, when the window closes
+    (:func:`close_window`).
+    """
 
     index: int
     end_time: float
     start_time: float
-    by_key: Dict[int, WindowAccumulator] = field(default_factory=dict)
+    keys: np.ndarray
+    values: np.ndarray
+    weights: np.ndarray
+    max_event_times: np.ndarray
+    max_processing_times: np.ndarray
+    total_weight: float
+    """Strict left fold of ``weights``.  An empty window folds to the
+    builtin ``sum``'s int ``0`` (it serialises as ``0``)."""
+    max_event_time: float
+    """Window-level maximum event-time (used by join outputs); ``-inf``
+    for an empty window, like ``max_processing_time``."""
+    max_processing_time: float
     traces: List[object] = field(default_factory=list)
     """Lifecycle traces of sampled cohorts whose *first* open window was
     this one (observability; empty unless tracing is enabled)."""
-
-    @property
-    def total_weight(self) -> float:
-        return left_sum(acc.weight for acc in self.by_key.values())
-
-    @property
-    def max_event_time(self) -> float:
-        """Window-level maximum event-time (used by join outputs)."""
-        if not self.by_key:
-            return float("-inf")
-        return max(acc.max_event_time for acc in self.by_key.values())
-
-    @property
-    def max_processing_time(self) -> float:
-        if not self.by_key:
-            return float("-inf")
-        return max(acc.max_processing_time for acc in self.by_key.values())
 
 
 class WindowCols:
     """Column arrays for one window: per-key accumulators in slot form.
 
     Slots are assigned in key first-touch order -- the insertion order
-    of a per-key dict -- so a materialized ``by_key`` iterates, and
-    every left fold over it sums, in that order.  The key -> slot table
+    of a per-key dict -- so a closed window lists its keys, and every
+    left fold over it sums, in that order.  The key -> slot table
     is direct-addressed and sized by the largest key seen, which makes
     the lookup one fancy index: workload keys are ``[0, num_keys)``, so
     it stays compact, but a key of 10**9 would allocate 8 GB per window
@@ -217,7 +167,7 @@ class WindowCols:
             new_keys = keys[fresh]
             self._slot_table[new_keys] = new_slots
             self.keys[self.n : self.n + count] = new_keys
-            # New accumulators start at WindowAccumulator's (0, 0, -inf).
+            # New accumulators start at (0, 0, -inf, -inf).
             self.values[new_slots] = 0.0
             self.weights[new_slots] = 0.0
             self.max_et[new_slots] = float("-inf")
@@ -296,23 +246,60 @@ class WindowCols:
         self.values[:n] *= keep
         return lost
 
-    def materialize(self) -> Dict[int, WindowAccumulator]:
-        """Expand to a ``by_key`` dict of accumulators, in slot order."""
-        by_key: Dict[int, WindowAccumulator] = {}
-        n = self.n
-        keys = self.keys
-        values = self.values
-        weights = self.weights
-        max_et = self.max_et
-        max_pt = self.max_pt
-        for i in range(n):
-            acc = WindowAccumulator()
-            acc.value = float(values[i])
-            acc.weight = float(weights[i])
-            acc.max_event_time = float(max_et[i])
-            acc.max_processing_time = float(max_pt[i])
-            by_key[int(keys[i])] = acc
-        return by_key
+    def merge(self, other: "WindowCols") -> None:
+        """Fold another window's accumulators into this one, key by key.
+
+        ``other``'s keys are unique, so every slot gets exactly one add
+        and one max per column; keys new to this window take the next
+        slots, in ``other``'s slot order.
+        """
+        n = other.n
+        if n == 0:
+            return
+        at = self._locate(other.keys[:n])
+        if isinstance(at, int):
+            at = slice(at, at + 1)
+        self.values[at] += other.values[:n]
+        self.weights[at] += other.weights[:n]
+        self.max_et[at] = np.maximum(self.max_et[at], other.max_et[:n])
+        self.max_pt[at] = np.maximum(self.max_pt[at], other.max_pt[:n])
+
+    def total_weight(self) -> float:
+        """Strict left fold of the weights, in slot order."""
+        return fold_add(0.0, self.weights[: self.n])
+
+
+def close_window(
+    window: WindowSpec,
+    index: int,
+    cols: Optional[WindowCols],
+    traces: List[object],
+) -> WindowContents:
+    """Window ``index`` as closed contents: ``cols`` trimmed to its slots.
+
+    ``cols`` is ``None`` for a window that never opened, and must not be
+    written to afterwards -- the contents' columns are views of its
+    arrays.
+    """
+    if cols is None:
+        cols = WindowCols(1)
+    n = cols.n
+    max_event_times, max_processing_times = cols.max_et[:n], cols.max_pt[:n]
+    never = float("-inf")
+    return WindowContents(
+        index=index,
+        end_time=window.window_end(index),
+        start_time=window.window_start(index),
+        keys=cols.keys[:n],
+        values=cols.values[:n],
+        weights=cols.weights[:n],
+        max_event_times=max_event_times,
+        max_processing_times=max_processing_times,
+        total_weight=cols.total_weight() if n else 0,
+        max_event_time=float(max_event_times.max(initial=never)),
+        max_processing_time=float(max_processing_times.max(initial=never)),
+        traces=traces,
+    )
 
 
 class KeyedWindowStore:
@@ -440,13 +427,7 @@ class KeyedWindowStore:
         if traces and at_time is not None:
             for trace in traces:
                 trace.mark("closed", at_time)
-        contents = WindowContents(
-            index=index,
-            end_time=self.window.window_end(index),
-            start_time=self.window.window_start(index),
-            by_key=cols.materialize() if cols is not None else {},
-            traces=traces,
-        )
+        contents = close_window(self.window, index, cols, traces)
         if self._closed_through is None or index > self._closed_through:
             self._closed_through = index
         # A record contributes its weight once per containing window; on

@@ -122,7 +122,12 @@ class SparkConfig(EngineConfig):
 
 
 class _SparkJob:
-    """One mini-batch job waiting for / running on the DAG scheduler."""
+    """One mini-batch job waiting for / running on the DAG scheduler.
+
+    ``partials`` is the batch's ``{window index: WindowCols}`` for an
+    aggregation, ``None`` for a join (join records enter the window
+    store on ingest).
+    """
 
     __slots__ = (
         "batch_end",
@@ -182,12 +187,7 @@ class SparkEngine(StreamingEngine):
             self._batch_weight = 0.0
         else:
             self._partials = BatchPartialAggregator(self.query.window, hint)
-            # The merger works on accumulator dicts: it absorbs the
-            # drained (materialized) partials once per batch, off the
-            # per-tick hot path.
-            self._merger = WindowedPartialMerger(
-                self.query.window, inverse_reduce=cfg.inverse_reduce
-            )
+            self._merger = WindowedPartialMerger(self.query.window)
         self._next_batch_end = self._align_up(self.sim.now, cfg.batch_interval_s)
         self._job_queue: Deque[_SparkJob] = deque()
         self._running_job: Optional[_SparkJob] = None

@@ -58,7 +58,9 @@ class TestBatchPartials:
         agg.add(rec(1, 10.0, 9.0))  # windows 3 (end 12) and 4 (end 16)
         partials = agg.drain()
         assert set(partials) == {3, 4}
-        assert partials[3][1].value == pytest.approx(10.0)
+        assert partials[3].n == 1
+        assert partials[3].keys[0] == 1
+        assert partials[3].values[0] == pytest.approx(10.0)
 
     def test_drain_resets(self):
         agg = BatchPartialAggregator(WindowSpec(4, 4))
@@ -102,9 +104,12 @@ class TestMerger:
         for idx in list(direct.open_indices()):
             expected = direct.close(idx)
             got = merged[idx]
-            for key, acc in expected.by_key.items():
-                assert got.by_key[key].value == pytest.approx(acc.value)
-                assert got.by_key[key].max_event_time == acc.max_event_time
+            assert got.keys.tolist() == expected.keys.tolist()
+            assert got.values.tolist() == pytest.approx(expected.values.tolist())
+            assert (
+                got.max_event_times.tolist()
+                == expected.max_event_times.tolist()
+            )
 
     def test_pop_ready_only_closed_windows(self):
         merger = WindowedPartialMerger(WindowSpec(4, 4))
@@ -129,6 +134,23 @@ class TestMerger:
         assert merger.open_window_count == 0
         assert merger.stored_weight() == 0.0
 
+    def test_pop_ready_when_every_partial_of_a_window_was_late(self):
+        window = WindowSpec(4, 4)
+        merger = WindowedPartialMerger(window)
+        agg = BatchPartialAggregator(window)
+        agg.add(rec(1, 1.0, 5.0, weight=2.0))   # window 2
+        merger.absorb(agg.drain())
+        assert [c.index for c in merger.pop_ready(8.0)] == [2]
+        # Window 1 never held anything; both its partials arrive after
+        # the frontier passed it.
+        for weight in (3.0, 0.5):
+            agg.add(rec(1, 9.0, 2.0, weight=weight))
+            merger.absorb(agg.drain())
+        assert merger.pop_ready(8.0) == []
+        assert merger.dropped_weight == 3.5
+        assert merger.absorbed_weight == merger.closed_weight == 2.0
+        assert merger.open_window_count == 0
+
     def test_stored_weight(self):
         merger = WindowedPartialMerger(WindowSpec(8, 4))
         agg = BatchPartialAggregator(WindowSpec(8, 4))
@@ -136,15 +158,3 @@ class TestMerger:
         merger.absorb(agg.drain())
         assert merger.stored_weight() == pytest.approx(4.0)
 
-    def test_inverse_reduce_flag_preserves_results(self):
-        window = WindowSpec(8, 4)
-        for flag in (False, True):
-            merger = WindowedPartialMerger(window, inverse_reduce=flag)
-            agg = BatchPartialAggregator(window)
-            agg.add(rec(1, 7.0, 5.0))
-            merger.absorb(agg.drain())
-            windows = merger.pop_ready(1e9)
-            total = sum(
-                acc.value for c in windows for acc in c.by_key.values()
-            )
-            assert total == pytest.approx(14.0)  # 2 windows x 7.0

@@ -63,14 +63,16 @@ def assert_ledgers_equal(columnar, scalar):
 
 
 def assert_contents_equal(vec_contents, sca_contents):
-    assert list(vec_contents.by_key) == list(sca_contents.by_key)
-    for key, sca_acc in sca_contents.by_key.items():
-        vec_acc = vec_contents.by_key[key]
-        assert vec_acc.value == sca_acc.value
-        assert vec_acc.weight == sca_acc.weight
-        assert vec_acc.max_event_time == sca_acc.max_event_time
-        assert vec_acc.max_processing_time == sca_acc.max_processing_time
-    assert vec_contents.total_weight == sca_contents.total_weight
+    """Production's closed window against the oracle's (the dict of
+    accumulators it folded, copied into columns): slot for slot."""
+    for column in ("keys", "values", "weights", "max_event_times",
+                   "max_processing_times"):
+        assert (
+            getattr(vec_contents, column).tolist()
+            == getattr(sca_contents, column).tolist()
+        ), column
+    for figure in ("total_weight", "max_event_time", "max_processing_time"):
+        assert getattr(vec_contents, figure) == getattr(sca_contents, figure)
 
 
 class TestEmptyBlock:
@@ -154,15 +156,16 @@ class TestNegativeKeys:
         scalar.add(Record(key=-1, value=5.0, event_time=1.0, weight=3.0))
         with pytest.raises(ValueError, match="-1"):
             columnar.add(Record(key=-1, value=5.0, event_time=1.0, weight=3.0))
-        oracle_closed = scalar.close(1).by_key
+        oracle_closed = scalar.close_by_key(1).by_key
         assert {k: (a.value, a.weight) for k, a in oracle_closed.items()} == {
             7: (2.0, 2.0), -1: (15.0, 3.0),
         }
         # The rejected record left no trace in the production store.
-        closed = columnar.close(1).by_key
-        assert {k: (a.value, a.weight) for k, a in closed.items()} == {
-            7: (2.0, 2.0),
-        }
+        closed = columnar.close(1)
+        assert closed.keys.tolist() == [7]
+        assert (closed.values.tolist(), closed.weights.tolist()) == (
+            [2.0], [2.0],
+        )
 
     def test_negative_key_inside_a_multi_cohort_block(self):
         columnar, _ = paired_stores()
@@ -292,10 +295,11 @@ class TestBatchPartials:
         vec, sca = columnar.drain(), scalar.drain()
         assert list(vec) == list(sca)
         for idx in sca:
-            assert list(vec[idx]) == list(sca[idx])
-            for key in sca[idx]:
-                assert vec[idx][key].value == sca[idx][key].value
-                assert vec[idx][key].weight == sca[idx][key].weight
+            n = vec[idx].n
+            assert vec[idx].keys[:n].tolist() == list(sca[idx])
+            accs = sca[idx].values()
+            assert vec[idx].values[:n].tolist() == [a.value for a in accs]
+            assert vec[idx].weights[:n].tolist() == [a.weight for a in accs]
         assert columnar.batch_weight == 0.0
         assert columnar.drain() == {}
 

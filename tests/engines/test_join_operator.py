@@ -1,5 +1,8 @@
 """Unit tests for the windowed join operator (Figure 2 semantics)."""
 
+import warnings
+
+import numpy as np
 import pytest
 
 from repro.core.records import ADS, PURCHASES, Record
@@ -35,8 +38,8 @@ class TestRouting:
         store.add(purchase(1, 10.0, 1.0))
         store.add(ad(1, 2.0))
         closed = store.close(1)
-        assert 1 in closed.purchases.by_key
-        assert 1 in closed.ads.by_key
+        assert closed.purchases.keys.tolist() == [1]
+        assert closed.ads.keys.tolist() == [1]
 
     def test_unknown_stream_rejected(self):
         store = JoinWindowStore(WindowSpec(4, 4))
@@ -102,6 +105,35 @@ class TestFigure2Semantics:
         store = JoinWindowStore(WindowSpec(4, 4))
         store.add(purchase(1, 1.0, 1.0))
         assert join_window_outputs(store.close(1), 1.0, 5.0) == []
+
+    @pytest.mark.parametrize(
+        "records",
+        [
+            [purchase(1, 1.0, 1.0), purchase(2, 1.0, 2.0)],
+            [ad(1, 1.0), ad(2, 2.0)],
+            [purchase(1, 1.0, 1.0), purchase(3, 1.0, 1.5), ad(2, 2.0), ad(4, 2.5)],
+        ],
+        ids=["purchases-only", "ads-only", "disjoint-keys"],
+    )
+    def test_no_match_never_divides_by_the_zero_matched_weight(self, records):
+        store = JoinWindowStore(WindowSpec(4, 4))
+        for record in records:
+            store.add(record)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            assert join_window_outputs(store.close(1), 1.0, 5.0) == []
+
+    def test_output_weight_underflowing_to_zero_is_skipped(self):
+        """Key 1 joins, but its share of a tiny output weight underflows
+        to exactly 0.0: no zero-weight tuple reaches the sink."""
+        store = JoinWindowStore(WindowSpec(4, 4))
+        store.add(purchase(1, 1.0, 1.0, weight=1e-320))
+        store.add(purchase(2, 1.0, 1.0, weight=1.0))
+        store.add(ad(1, 2.0))
+        store.add(ad(2, 2.0))
+        outputs = join_window_outputs(store.close(1), 1e-10, 5.0)
+        assert [o.key for o in outputs] == [2]
+        assert outputs[0].weight == 1e-10
 
     def test_zero_selectivity_produces_no_output(self):
         store = JoinWindowStore(WindowSpec(4, 4))

@@ -131,15 +131,22 @@ def test_deterministic_join_identity(engine):
 
 @pytest.mark.parametrize(
     "engine, query_cls", [("storm", WindowedAggregationQuery),
-                          ("flink", WindowedJoinQuery)]
+                          ("flink", WindowedJoinQuery),
+                          ("spark", WindowedAggregationQuery)]
 )
 def test_deterministic_wide_key_identity(engine, query_cls):
-    """4096 uniform keys: whole-catalog blocks, long drained runs and
-    slot runs -- the benchmark's ``wide_keys`` shape, kept short (the
-    oracle pays per cohort)."""
+    """4096 uniform keys: whole-catalog blocks, long drained runs, slot
+    runs and (Spark) 4096-key partials merged into window state -- the
+    benchmark's ``wide_keys`` shape, kept short (the oracle pays per
+    cohort)."""
     query = query_cls(WindowSpec(2.0, 1.0), keys=UniformKeys(4096))
-    spec = identity_spec(engine, query, duration_s=4.0, rate=40_000.0)
-    assert_identical(run_oracle(spec), run_experiment(spec))
+    # Spark's first job runs after its 4 s batch: three batches so that
+    # windows absorb partials from two of them.
+    duration_s = 12.0 if engine == "spark" else 4.0
+    spec = identity_spec(engine, query, duration_s=duration_s, rate=40_000.0)
+    production = run_experiment(spec)
+    assert production.collector.outputs
+    assert_identical(run_oracle(spec), production)
 
 
 FAULTS = {

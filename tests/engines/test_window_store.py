@@ -1,12 +1,17 @@
 """Unit and property tests for the keyed window store (Definitions 3/4)."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.records import Record
-from repro.engines.operators.window import KeyedWindowStore, WindowAccumulator
+from repro.engines.operators.aggregate import aggregation_outputs
+from repro.engines.operators.window import KeyedWindowStore
 from repro.workloads.queries import WindowSpec
+
+from tests.oracle.stores import WindowAccumulator
 
 
 def rec(key, value, event_time, weight=1.0, ingest_time=None):
@@ -19,7 +24,14 @@ def rec(key, value, event_time, weight=1.0, ingest_time=None):
     )
 
 
+def per_key(contents, column):
+    return dict(zip(contents.keys.tolist(), getattr(contents, column).tolist()))
+
+
 class TestAccumulator:
+    """The per-key accumulator of the record-at-a-time oracle
+    (:mod:`tests.oracle.stores`): what one slot of the columns does."""
+
     def test_add_folds_weighted_value(self):
         acc = WindowAccumulator()
         acc.add(rec(0, 10.0, 1.0, weight=3.0))
@@ -90,8 +102,7 @@ class TestStore:
         store.add(rec(2, 20.0, 2.0))
         store.add(rec(1, 5.0, 3.0))
         contents = store.close(1)
-        assert contents.by_key[1].value == pytest.approx(15.0)
-        assert contents.by_key[2].value == pytest.approx(20.0)
+        assert per_key(contents, "values") == pytest.approx({1: 15.0, 2: 20.0})
         assert contents.end_time == 4.0
         assert contents.start_time == 0.0
 
@@ -143,9 +154,31 @@ class TestStore:
     def test_empty_window_contents(self):
         store = KeyedWindowStore(WindowSpec(4, 4))
         contents = store.close(5)
-        assert contents.by_key == {}
-        assert contents.total_weight == 0.0
+        assert contents.keys.tolist() == []
+        # An empty fold starts from the builtin sum's int 0: it
+        # serialises as "0", not "0.0".
+        assert json.dumps(contents.total_weight) == "0"
         assert contents.max_event_time == float("-inf")
+        assert contents.max_processing_time == float("-inf")
+
+    def test_closing_a_never_opened_window(self):
+        store = KeyedWindowStore(WindowSpec(4, 4))
+        store.add(rec(1, 1.0, 1.0, weight=2.0))  # window 1
+        contents = store.close(3)  # never opened, beyond window 1
+        assert (contents.index, contents.start_time, contents.end_time) == (
+            3, 8.0, 12.0,
+        )
+        assert contents.total_weight == 0
+        assert contents.traces == []
+        assert aggregation_outputs(contents, emit_time=13.0) == []
+        assert store.closed_weight == 0.0
+        # The close still moved the frontier: adds to windows 1..3 are
+        # late now, dropped and counted.
+        assert store.add(rec(1, 1.0, 9.0, weight=3.0)) == 0
+        assert store.add(rec(1, 1.0, 2.0, weight=0.5)) == 0
+        assert store.dropped_weight == 3.5
+        assert store.admitted_weight == 2.0
+        assert store.add(rec(1, 1.0, 13.0)) == 1  # window 4 is open
 
 
 class TestStoreProperties:
@@ -172,9 +205,7 @@ class TestStoreProperties:
         total_in_windows = 0.0
         for idx in list(store.open_indices()):
             contents = store.close(idx)
-            total_in_windows += sum(
-                acc.value for acc in contents.by_key.values()
-            )
+            total_in_windows += sum(contents.values.tolist())
         expected = sum(v * w for _, v, _, w in events) * window.windows_per_event
         assert total_in_windows == pytest.approx(expected, rel=1e-9)
 
@@ -188,7 +219,7 @@ class TestStoreProperties:
         for t in times:
             store.add(rec(0, 1.0, t))
         contents = store.close(1)
-        assert contents.by_key[0].max_event_time == pytest.approx(max(times))
+        assert per_key(contents, "max_event_times") == {0: max(times)}
 
 
 class TestLoseFraction:
@@ -200,15 +231,15 @@ class TestLoseFraction:
         lost = store.lose_fraction(0.25)
         assert lost == pytest.approx(2.0)
         contents = store.close(1)
-        assert contents.by_key[1].weight == pytest.approx(6.0)
-        assert contents.by_key[1].value == pytest.approx(60.0)
+        assert per_key(contents, "weights") == pytest.approx({1: 6.0})
+        assert per_key(contents, "values") == pytest.approx({1: 60.0})
 
     def test_zero_and_full_loss(self):
         store = KeyedWindowStore(WindowSpec(4, 4))
         store.add(rec(1, 1.0, 1.0, weight=4.0))
         assert store.lose_fraction(0.0) == 0.0
         assert store.lose_fraction(1.0) == pytest.approx(4.0)
-        assert store.close(1).by_key[1].weight == pytest.approx(0.0)
+        assert per_key(store.close(1), "weights") == pytest.approx({1: 0.0})
 
     def test_invalid_fraction_rejected(self):
         store = KeyedWindowStore(WindowSpec(4, 4))

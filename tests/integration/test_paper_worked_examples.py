@@ -58,15 +58,16 @@ class TestFigure1Aggregation:
 
     def test_sums_match_figure(self):
         contents = self.build_window()
-        assert contents.by_key[GER].value == pytest.approx(83.0)
-        assert contents.by_key[US].value == pytest.approx(42.0)
-        assert contents.by_key[JPN].value == pytest.approx(130.0)
+        sums = dict(zip(contents.keys.tolist(), contents.values.tolist()))
+        assert sums[GER] == pytest.approx(83.0)
+        assert sums[US] == pytest.approx(42.0)
+        assert sums[JPN] == pytest.approx(130.0)
 
     def test_output_event_times_are_per_key_maxima(self):
         contents = self.build_window()
-        assert contents.by_key[GER].max_event_time == 595.0
-        assert contents.by_key[US].max_event_time == 600.0
-        assert contents.by_key[JPN].max_event_time == 599.0
+        assert dict(
+            zip(contents.keys.tolist(), contents.max_event_times.tolist())
+        ) == {GER: 595.0, US: 600.0, JPN: 599.0}
 
     def test_latencies_at_emission_610(self):
         outputs = {

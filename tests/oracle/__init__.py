@@ -5,12 +5,14 @@ stores).  The per-record code it replaced -- and which generated
 ``tests/golden/conformance.json`` -- lives here as a test oracle:
 
 - :mod:`tests.oracle.stores` -- dict-of-accumulator window / join /
-  batch-partial stores;
+  batch-partial stores and partial merger, the ``WindowAccumulator``
+  they are made of and the dict-shaped closed window;
 - :mod:`tests.oracle.engines` -- the five engines on those stores and
   their per-record ``_process`` loops, swapped into ``repro.engines.
   ENGINES`` by :func:`oracle_engines`;
-- :mod:`tests.oracle.kernels` -- ``SourceSet.pull`` and the per-key
-  dense emit loop, compared at unit level.
+- :mod:`tests.oracle.kernels` -- ``SourceSet.pull``, the per-key dense
+  emit loop and the dict-walking output builders, compared at unit
+  level.
 
 Whole-trial comparisons (production vs oracle, exact) are in
 ``tests/engines/test_vector_identity.py``,

@@ -10,6 +10,10 @@ moved verbatim from ``src/`` (6d71cc3).  Blocks still arrive at the
 engine door: generator, queues and source run the production code (they
 are compared at unit level in ``test_dense_emit.py`` /
 ``test_source_pull.py`` and ``tests/core/test_queue_blocks.py``).
+Windows accumulate -- and Spark's partials merge -- in dicts of per-key
+accumulators; a close copies them into production's ``WindowContents``
+columns, from where the engines' own ``_close_window`` bodies and output
+builders take over (compared at unit level in ``test_close_kernels.py``).
 
 Only public seams are used: the classes are registered through
 ``repro.engines.ENGINES`` for the duration of :func:`oracle_engines`.
@@ -33,6 +37,7 @@ from repro.engines.storm import StormConfig, StormEngine
 from tests.oracle.stores import (
     OracleBatchPartials,
     OracleJoinStore,
+    OraclePartialMerger,
     OracleWindowStore,
 )
 
@@ -124,6 +129,7 @@ class OracleSparkEngine(SparkEngine):
             self._join_store = OracleJoinStore(self.query.window)
         else:
             self._partials = OracleBatchPartials(self.query.window)
+            self._merger = OraclePartialMerger(self.query.window)
 
     def _process(self, records: List[Record], dt: float) -> None:
         if self._is_join:
