@@ -72,6 +72,7 @@ from repro.core.generator import GeneratorConfig
 from repro.core.report import throughput_table
 from repro.core.sustainable import (
     SearchTrial,
+    aimed_cell,
     find_sustainable_throughput,
     find_sustainable_throughput_online,
     find_sustainable_throughput_under_faults,
@@ -715,19 +716,18 @@ def cmd_search(args: argparse.Namespace) -> int:
             path = write_json(online_search_to_dict(online), args.output)
             print(f"wrote {path}")
         return 0
+    # One set of search arguments for the search, the journal's identity
+    # and the aim line; everything else is those functions' defaults.
+    settings = dict(high_rate=args.high_rate, rel_tol=args.tolerance)
     if spec.faults is not None:
         search = find_sustainable_throughput_under_faults(
             spec,
-            high_rate=args.high_rate,
-            rel_tol=args.tolerance,
+            **settings,
             max_recovery_time_s=args.max_recovery,
             workers=jobs,
             watchdog=watchdog,
         )
     else:
-        # One set of search arguments for the journal's identity and the
-        # search it guards; everything else is both functions' defaults.
-        settings = dict(high_rate=args.high_rate, rel_tol=args.tolerance)
         journal = None
         if args.journal:
             journal = TrialJournal(
@@ -747,6 +747,13 @@ def cmd_search(args: argparse.Namespace) -> int:
                 f"  journal: {journal.hits} replayed, "
                 f"{journal.misses} run live"
             )
+    aim = aimed_cell(search, **settings)
+    if aim is not None:
+        ingested, lo, hi = aim
+        print(
+            f"  ceiling ingested {ingested / 1e6:.3f} M/s -> "
+            f"aiming at ({lo / 1e6:.4f}, {hi / 1e6:.4f}] M/s"
+        )
     for trial in search.trials:
         print(f"  {describe_probe(trial)}")
     print(

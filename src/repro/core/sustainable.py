@@ -18,9 +18,21 @@ signals, plus the hard failure rules:
    delay stays bounded (the "maximum number of events queued" tolerance);
 3. the event-time latency trend over the measurement period stays flat.
 
-The search itself refines the rate by bisection between a known-good
-floor and the probe ceiling, which is the paper's decrease-until-
-sustained procedure with logarithmically fewer trials.
+The search itself returns what bisection between ``low_rate`` and the
+probe ceiling returns -- the paper's decrease-until-sustained procedure
+with logarithmically fewer trials -- but does not walk there from cold.
+The ceiling probe already measured what the overloaded SUT ingested at
+the driver queues, which is the answer to within a few percent, so the
+search aims: it runs the bisection on paper against "the SUT sustains
+exactly that", and probes the two edges of the cell that walk ends in.
+If the upper edge fails and the lower one holds, every midpoint on the
+way is settled by monotonicity (sustained at ``r``: sustained below it;
+unsustainable at ``r``: unsustainable above it -- what bisection assumes
+whenever it discards half a bracket) and the search is over in three
+probes; if not, it re-aims from what the probes so far say
+(:func:`_aim`) -- on credit: it never runs more than :data:`AIM_SLACK`
+probes beyond what the cold bisection would have -- and whatever the
+aim, the bisection loop has the last word (:func:`_next_probe`).
 
 The procedure needs only the *verdict* of a failing probe, never its
 tail, so a probe may stop early (anytime Definition 5): the search
@@ -37,8 +49,9 @@ nothing but the offered rate moves the backlog.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.criteria import SustainabilityCriteria
 from repro.core.driver import TrialResult
@@ -50,6 +63,11 @@ from repro.obs.context import ObsSpec
 from repro.recovery.aimd import AimdConfig, AimdController, AimdDecision
 from repro.sched.pool import TrialScheduler, TrialTask
 from repro.workloads.profiles import AdaptiveRate, ConstantRate
+
+
+SUT_FAILURE = "SUT failure"
+"""How :func:`assess` opens the reason of a failed trial; a probe that
+carries it measured a crash, not a throughput."""
 
 
 @dataclass(frozen=True)
@@ -68,7 +86,7 @@ def assess(
     """Judge one trial against Definition 5."""
     reasons: List[str] = []
     if result.failed:
-        reasons.append(f"SUT failure: {result.failure}")
+        reasons.append(f"{SUT_FAILURE}: {result.failure}")
     start = result.measurement_start
     offered = result.throughput.offered_series.window(start).mean()
     if offered and offered > 0:
@@ -296,7 +314,7 @@ def search_fingerprint(
     """
     ceiling = anytime_spec(spec.with_rate(high_rate), criteria)
     return (
-        f"search|v2|{ceiling!r}|low={low_rate!r}|tol={rel_tol!r}"
+        f"search|v3|{ceiling!r}|low={low_rate!r}|tol={rel_tol!r}"
         f"|max_trials={max_trials}|criteria={criteria!r}"
     )
 
@@ -318,25 +336,29 @@ def find_sustainable_throughput(
     ``spec``'s profile is overridden with constant rates.  The probe
     starts at ``high_rate`` ("a very high generation rate"); if the SUT
     sustains it, that rate is returned (the ceiling -- e.g. Flink's
-    network bound).  Otherwise the rate is refined by bisection until
-    the bracket is within ``rel_tol`` of itself.  If no probed rate is
-    sustainable within ``max_trials``, ``sustainable_rate`` is NaN.
+    network bound).  Otherwise the search returns what bisecting
+    ``[low_rate, high_rate]`` down to ``rel_tol`` in at most
+    ``max_trials`` steps returns, and gets there by aiming (see the
+    module docstring and :func:`_next_probe`): at most ``max_trials``
+    probes run, ``trials`` holds exactly those, in the order they ran,
+    and ``sustainable_rate`` is one of them, judged sustained -- or NaN
+    if none was.
 
     With a ``journal``, each completed probe's exported outcome is
     checkpointed immediately; a later run with the same journal (and
     fingerprint) replays journaled probes instead of re-running them --
-    the bisection re-derives the same rates in the same order, so an
-    interrupted search resumes exactly where it died and its final
-    report is byte-identical to an uninterrupted run.
+    the next rate is a function of the probes so far, so an interrupted
+    search resumes exactly where it died and its final report is
+    byte-identical to an uninterrupted run.
 
-    With ``workers > 1`` the search evaluates bisection probes
-    *speculatively* in parallel (see :func:`_speculative_rates`): each
-    wave runs the rate the serial walk needs next plus the rates it
-    could need after it, over a :class:`~repro.sched.TrialScheduler`
-    process pool.  Speculation only changes which probes run and when;
-    the reported trial ladder, probed rates, and final report are
-    byte-identical to the serial search.  The parallel path requires
-    the default runner (pass ``watchdog=`` instead of wrapping ``run``).
+    With ``workers > 1`` the search evaluates probes *speculatively* in
+    parallel (see :func:`_plan`): each wave runs the rate the serial
+    search needs next plus the rates it could need after it, over a
+    :class:`~repro.sched.TrialScheduler` process pool.  Speculation only
+    changes which probes run and when; the reported trial ladder, probed
+    rates, and final report are byte-identical to the serial search.
+    The parallel path requires the default runner (pass ``watchdog=``
+    instead of wrapping ``run``).
     """
     if high_rate <= low_rate:
         raise ValueError(
@@ -349,188 +371,336 @@ def find_sustainable_throughput(
             )
         if workers <= 1:
             run = runner_for(watchdog)
-    if workers > 1:
-        if run is not run_experiment:
-            raise ValueError(
-                "workers > 1 requires the default run_experiment runner "
-                "(trial bodies must be picklable); pass watchdog= for "
-                "retry behaviour"
-            )
-        return _parallel_search(
-            spec, high_rate, low_rate, rel_tol, criteria, max_trials,
-            journal, workers, watchdog,
+    if workers > 1 and run is not run_experiment:
+        raise ValueError(
+            "workers > 1 requires the default run_experiment runner "
+            "(trial bodies must be picklable); pass watchdog= for "
+            "retry behaviour"
         )
-    trials: List[SearchTrial] = []
+    live: Dict[float, SearchTrial] = {}
 
-    def probe(rate: float) -> SustainabilityVerdict:
+    def probe_here(rates: List[float]) -> Dict[float, dict]:
+        (rate,) = rates
+        entry = MISSING
         if journal is not None:
             entry = journal.get(probe_key(rate), MISSING)
-            if entry is not MISSING:
-                trial = _trial_from_entry(rate, entry)
-                trials.append(trial)
-                return trial.verdict
-        trial = _run_probe(run, spec, rate, criteria)
-        trials.append(trial)
-        if journal is not None:
-            journal.record(probe_key(rate), trial.export_entry())
-        return trial.verdict
+        if entry is MISSING:
+            live[rate] = _run_probe(run, spec, rate, criteria)
+            entry = live[rate].export_entry()
+            if journal is not None:
+                journal.record(probe_key(rate), entry)
+        return {rate: entry}
 
-    if probe(high_rate).sustainable:
-        return SustainableSearchResult(high_rate, spec.duration_s, trials)
-    # Bisection: ``lo`` is the highest rate that has actually been probed
-    # and sustained (no separate ``best`` bookkeeping -- ``lo`` only ever
-    # advances on a sustained probe, so the two were always equal).
-    lo, hi = low_rate, high_rate
-    floor_sustained = False
-    while len(trials) < max_trials and (hi - lo) > rel_tol * hi:
-        mid = (lo + hi) / 2.0
-        if probe(mid).sustainable:
-            lo = mid
-            floor_sustained = True
-        else:
-            hi = mid
-    # If every probe failed, no sustainable rate was ever OBSERVED;
-    # returning low_rate (a rate that was never run) would fabricate a
-    # result.  NaN marks "not found" honestly.
-    rate = lo if floor_sustained else float("nan")
-    return SustainableSearchResult(rate, spec.duration_s, trials)
+    def probe_in_pool(rates: List[float]) -> Dict[float, dict]:
+        wave = {probe_key(rate): rate for rate in rates}
+        outcomes = scheduler.run(
+            [
+                TrialTask(
+                    key=key,
+                    fn=_probe_task,
+                    payload=(spec, rate, criteria, watchdog),
+                )
+                for key, rate in wave.items()
+            ]
+        )
+        return {wave[key]: entry for key, entry in outcomes.items()}
 
-
-# -- parallel (speculative) bisection ---------------------------------------
-
-
-@dataclass
-class _Walk:
-    """One replay of the serial bisection over a cache of entries."""
-
-    trials: List[Tuple[float, dict]]
-    done: bool
-    rate: float = float("nan")
-    bracket: Optional[Tuple[float, float]] = None
-    """Bracket whose midpoint needs a live probe (``None``: the root
-    ``high_rate`` probe itself is missing)."""
-
-
-def _replay_walk(
-    cache: dict,
-    high_rate: float,
-    low_rate: float,
-    rel_tol: float,
-    max_trials: int,
-) -> _Walk:
-    """Re-run the exact serial bisection against cached entries.
-
-    Stops at the first probe the cache cannot answer.  Because this is
-    the verbatim serial control flow, the trials it assembles -- rates,
-    order, and count -- are exactly the serial search's.
-    """
-    trials: List[Tuple[float, dict]] = []
-    entry = cache.get(probe_key(high_rate))
-    if entry is None:
-        return _Walk(trials=trials, done=False, bracket=None)
-    trials.append((high_rate, entry))
-    if entry["sustainable"]:
-        return _Walk(trials=trials, done=True, rate=high_rate)
-    lo, hi = low_rate, high_rate
-    floor_sustained = False
-    while len(trials) < max_trials and (hi - lo) > rel_tol * hi:
-        mid = (lo + hi) / 2.0
-        entry = cache.get(probe_key(mid))
-        if entry is None:
-            return _Walk(trials=trials, done=False, bracket=(lo, hi))
-        trials.append((mid, entry))
-        if entry["sustainable"]:
-            lo = mid
-            floor_sustained = True
-        else:
-            hi = mid
-    return _Walk(
-        trials=trials,
-        done=True,
-        rate=lo if floor_sustained else float("nan"),
-    )
-
-
-def _speculative_rates(
-    lo: float,
-    hi: float,
-    trial_count: int,
-    rel_tol: float,
-    max_trials: int,
-    budget: int,
-) -> List[float]:
-    """Breadth-first frontier of the bisection tree under ``(lo, hi)``.
-
-    The serial walk's next probe is the bracket midpoint; depending on
-    its verdict the walk recurses into ``(mid, hi)`` (sustained) or
-    ``(lo, mid)`` (not).  Enumerating that binary tree breadth-first
-    yields every rate the serial search *could* probe next, nearest
-    first -- evaluating the first ``budget`` of them keeps a worker
-    pool busy while guaranteeing the true path is always among them.
-    Branches that would terminate the serial loop (bracket within
-    ``rel_tol``, trial budget exhausted) are pruned exactly as the
-    serial loop would.
-    """
-    out: List[float] = []
-    frontier = [(lo, hi, trial_count)]
-    while frontier and len(out) < budget:
-        lo_, hi_, count = frontier.pop(0)
-        if count >= max_trials or (hi_ - lo_) <= rel_tol * hi_:
-            continue
-        mid = (lo_ + hi_) / 2.0
-        out.append(mid)
-        frontier.append((mid, hi_, count + 1))
-        frontier.append((lo_, mid, count + 1))
-    return out
-
-
-def _parallel_search(
-    spec: ExperimentSpec,
-    high_rate: float,
-    low_rate: float,
-    rel_tol: float,
-    criteria: SustainabilityCriteria,
-    max_trials: int,
-    journal: Optional[TrialJournal],
-    workers: int,
-    watchdog: Optional[WatchdogSpec],
-) -> SustainableSearchResult:
-    """Speculative bisection over a scheduler pool (see caller)."""
-    scheduler = TrialScheduler(workers=workers, journal=journal)
-    cache: dict = {}
+    probe = probe_here
+    if workers > 1:
+        scheduler = TrialScheduler(workers=workers, journal=journal)
+        probe = probe_in_pool
+    entries: Dict[float, dict] = {}
     while True:
-        walk = _replay_walk(cache, high_rate, low_rate, rel_tol, max_trials)
-        if walk.done:
+        ladder, candidates = _plan(
+            entries, high_rate, low_rate, rel_tol, max_trials,
+            width=max(workers, 1),
+        )
+        if not candidates:
             break
-        if walk.bracket is None:
-            # Root wave: the ceiling probe plus, speculatively, the
-            # bisection frontier it opens if it proves unsustainable.
-            rates = [high_rate] + _speculative_rates(
-                low_rate, high_rate, 1, rel_tol, max_trials, workers - 1
-            )
-        else:
-            lo, hi = walk.bracket
-            rates = _speculative_rates(
-                lo, hi, len(walk.trials), rel_tol, max_trials, workers
-            )
-        batch = [
-            TrialTask(
-                key=probe_key(rate),
-                fn=_probe_task,
-                payload=(spec, rate, criteria, watchdog),
-            )
-            for rate in rates
-            if probe_key(rate) not in cache
-        ]
-        # The walk stopped on an uncached probe, and that probe leads
-        # every frontier, so each wave strictly extends the cache along
-        # the true path -- the loop always terminates.
-        cache.update(scheduler.run(batch))
-    return SustainableSearchResult(
-        walk.rate,
-        spec.duration_s,
-        [_trial_from_entry(rate, entry) for rate, entry in walk.trials],
+        # The rate the search needs next leads the candidates, so each
+        # round strictly extends the ladder -- the loop always terminates.
+        entries.update(probe(candidates))
+    trials = [
+        live.get(rate) or _trial_from_entry(rate, entries[rate])
+        for rate in ladder
+    ]
+    # Every probe is a midpoint of the one bisection tree and the walk
+    # ended in a leaf of it, so no sustained probe lies above the leaf's
+    # lower edge: what bisection found is the highest rate that was
+    # probed and sustained.  If every probe failed, no sustainable rate
+    # was ever OBSERVED; returning low_rate (a rate that was never run)
+    # would fabricate a result.  NaN marks "not found" honestly.
+    found = max(
+        (trial.rate for trial in trials if trial.verdict.sustainable),
+        default=float("nan"),
     )
+    return SustainableSearchResult(found, spec.duration_s, trials)
+
+
+# -- which rate to probe next -----------------------------------------------
+
+
+def _judged(known: Dict[float, bool], rate: float) -> Optional[bool]:
+    """The verdict at ``rate`` as far as the probes so far settle it:
+    probed there, else inferred by monotonicity -- unsustainable at ``r``
+    means unsustainable above ``r``, sustained at ``r`` means sustained
+    below it -- else ``None``.  This is the assumption bisection makes
+    whenever it discards half a bracket, written down once.
+
+    A rate is only ever probed where this returns ``None``, so the
+    probes never contradict each other and the two rules never both
+    apply."""
+    verdict = known.get(rate)
+    if verdict is not None:
+        return verdict
+    if any(not ok and probed <= rate for probed, ok in known.items()):
+        return False
+    if any(ok and probed >= rate for probed, ok in known.items()):
+        return True
+    return None
+
+
+def _bisect(
+    known: Dict[float, bool],
+    high_rate: float,
+    low_rate: float,
+    rel_tol: float,
+    max_trials: int,
+    guess: Optional[float] = None,
+) -> Tuple[float, float, Optional[float], int]:
+    """The search's one bisection loop: ``(lo, hi, unsettled, steps)``.
+
+    The ceiling probe counts as step one and every midpoint as one
+    more, whoever answers it, so where a walk ends -- bracket within
+    ``rel_tol``, or ``max_trials`` steps -- depends on the bracket alone:
+    every walk ends in a leaf of the same tree, and every rate the
+    search probes is a midpoint of that tree.
+
+    A midpoint is answered by :func:`_judged` where the probes so far
+    settle it.  Where they do not, the walk stops there and returns it
+    as ``unsettled`` (``guess=None``: the live search), or supposes the
+    SUT sustains exactly ``guess`` and walks on to the cell ``(lo, hi]``
+    that puts the threshold in (aiming).  ``steps`` is how far the walk
+    got -- the probes a cold bisection has run when it stands there.
+    """
+    lo, hi = low_rate, high_rate
+    steps = 1
+    while steps < max_trials and (hi - lo) > rel_tol * hi:
+        mid = (lo + hi) / 2.0
+        verdict = _judged(known, mid)
+        if verdict is None:
+            if guess is None:
+                return lo, hi, mid, steps
+            verdict = mid <= guess
+        steps += 1
+        if verdict:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, None, steps
+
+
+AIM_SLACK = 3
+"""How many probes aiming may put a search behind the cold bisection
+(:func:`_next_probe`)."""
+
+
+def _aim(
+    ladder: List[Tuple[float, dict]],
+    high_rate: float,
+    low_rate: float,
+    rel_tol: float,
+) -> float:
+    """The rate to aim at, NaN if the probes so far give none.
+
+    A failing probe measured a throughput at the driver queues, and
+    where that lies clearly below what the probe was offered -- by more
+    than ``rel_tol``, a terminal cell -- the SUT was overloaded and the
+    number is a hint at what it sustains.  A probe that ingested what it
+    was offered measured no capacity: it failed on something else (a
+    recovery bound, lost events, a latency trend) or stands right at the
+    threshold, and its verdict is all it knows.  Nor is a number at or
+    below ``low_rate`` a hint, or one from a failed SUT (it measured a
+    crash).
+
+    A hint stands while it lies strictly inside the bracket the probes
+    leave open (above the highest sustained rate, below the lowest
+    failing one); the aim is the first standing hint, in the order the
+    probes ran, so a cell is kept until both its edges failed and only
+    then gives way to a later hint.
+
+    With every hint refuted, the nearest one is reflected about the
+    probe that refuted it: a probe sustained above it, so the aim moves
+    as far above that probe again; or a probe failed below it, and the
+    aim moves as far below.  Each further miss doubles the distance,
+    until the aim would cross the middle of the open bracket -- from
+    there on bisecting is the better move.
+    """
+    sustained = [rate for rate, entry in ladder if entry["sustainable"]]
+    floor = max(sustained, default=low_rate)
+    ceiling = min(rate for rate, entry in ladder if not entry["sustainable"])
+    hints = [
+        entry["mean_ingest_rate"]
+        for rate, entry in ladder
+        if not entry["sustainable"]
+        and low_rate < entry["mean_ingest_rate"] < rate * (1.0 - rel_tol)
+        and not any(r.startswith(SUT_FAILURE) for r in entry["reasons"])
+    ]
+    for hint in hints:
+        if floor < hint < ceiling:
+            return hint
+    middle = (floor + ceiling) / 2.0
+    too_low = [hint for hint in hints if hint <= floor]
+    if too_low and 2.0 * floor - max(too_low) < middle:
+        return 2.0 * floor - max(too_low)
+    too_high = [hint for hint in hints if hint >= ceiling]
+    if too_high and 2.0 * ceiling - min(too_high) > middle:
+        return 2.0 * ceiling - min(too_high)
+    return float("nan")
+
+
+def _cell(
+    ladder: List[Tuple[float, dict]],
+    high_rate: float,
+    low_rate: float,
+    rel_tol: float,
+    max_trials: int,
+) -> Optional[Tuple[float, float, float]]:
+    """``(aim, lo, hi)``: where the probes so far aim the search, and
+    the cell ``(lo, hi]`` the bisection ends in if the SUT sustains
+    exactly that -- ``None`` with nothing to aim at."""
+    aim = _aim(ladder, high_rate, low_rate, rel_tol)
+    if aim != aim:
+        return None
+    known = {rate: bool(entry["sustainable"]) for rate, entry in ladder}
+    lo, hi, _, _ = _bisect(
+        known, high_rate, low_rate, rel_tol, max_trials, guess=aim
+    )
+    return aim, lo, hi
+
+
+def _next_probe(
+    ladder: List[Tuple[float, dict]],
+    high_rate: float,
+    low_rate: float,
+    rel_tol: float,
+    max_trials: int,
+) -> Optional[float]:
+    """The rate to probe after the probes in ``ladder`` -- ``(rate,
+    export entry)`` pairs in the order they ran -- or ``None`` once they
+    finish the search.  A pure function of the ladder, which is what
+    lets a journal or a worker pool replay it.
+
+    The search is done when :func:`_bisect` runs to its end over the
+    probes so far, so what it found is by construction what bisection
+    finds over their verdicts; until then the walk's first unsettled
+    midpoint is always a probe worth running.  Aiming only gets ahead
+    of it: the edges of the aimed :func:`_cell` -- upper edge first --
+    are probed where nothing settles them yet.  Two edges that hold
+    settle every midpoint on the way there by inference.  With nothing
+    to aim at, the search is the cold bisection, probe for probe.
+
+    Aiming is on credit.  The walk has got ``steps`` far, which a cold
+    bisection does in ``steps`` probes; this search has run
+    ``len(ladder)``.  Probing the walk's own midpoint never widens the
+    gap between the two, an aimed probe that settles nothing on the
+    walk widens it by one, and once it is :data:`AIM_SLACK` the search
+    walks until inference has paid some of it back.  So whatever the
+    hints say, a search runs at most ``AIM_SLACK`` probes more than the
+    cold bisection over the same monotone SUT, and one the cold
+    bisection finishes in ``max_trials - AIM_SLACK`` probes finishes
+    here too, on the same rate.  Nearer the budget than that, missed
+    aims can use it up: a search that runs out stops where it is.
+    """
+    bracket = (high_rate, low_rate, rel_tol, max_trials)
+    if not ladder:
+        return high_rate
+    known = {rate: bool(entry["sustainable"]) for rate, entry in ladder}
+    _, _, unsettled, steps = _bisect(known, *bracket)
+    if known[high_rate] or unsettled is None or len(ladder) >= max_trials:
+        return None
+    if len(ladder) - steps < AIM_SLACK:
+        cell = _cell(ladder, *bracket)
+        if cell is not None:
+            _, lo, hi = cell
+            for edge in (hi, lo):
+                if edge != low_rate and _judged(known, edge) is None:
+                    return edge
+    return unsettled
+
+
+def aimed_cell(
+    search: SustainableSearchResult,
+    high_rate: float,
+    low_rate: float = 0.0,
+    rel_tol: float = 0.05,
+    max_trials: int = 12,
+) -> Optional[Tuple[float, float, float]]:
+    """``(ingested, lo, hi)``: what ``search``'s ceiling probe ingested
+    and the cell ``(lo, hi]`` that aimed its second probe at, for a
+    report to say where the ladder comes from -- ``None`` where the
+    ceiling sustained or gave no usable hint (a cold bisection).  Takes
+    the search's own arguments, with its defaults (pinned by a test),
+    like :func:`search_fingerprint`."""
+    ceiling = search.trials[0]
+    if ceiling.verdict.sustainable:
+        return None
+    return _cell(
+        [(high_rate, ceiling.export_entry())],
+        high_rate, low_rate, rel_tol, max_trials,
+    )
+
+
+def _plan(
+    entries: Dict[float, dict],
+    high_rate: float,
+    low_rate: float,
+    rel_tol: float,
+    max_trials: int,
+    width: int = 1,
+) -> Tuple[List[float], List[float]]:
+    """Replay the search over ``entries`` (rate -> export entry, in any
+    order, extras ignored) up to the first rate it has no entry for:
+    ``(ladder, candidates)`` -- the rates the search probed, in the
+    order it needed them, and up to ``width`` unprobed rates worth
+    probing now (none: the search is done).
+
+    The first candidate is the rate the search needs; the rest are
+    found breadth-first over what it would ask for next if a candidate
+    came back sustained, or unsustainable having ingested what the
+    search is aiming at -- whichever of the two the aim itself expects
+    first.  Running them all keeps a worker pool busy; the ladder is
+    the sequence of first candidates either way.  The ceiling probe
+    runs alone: whether it holds, and what it ingested if not, decides
+    everything after it.
+    """
+    bracket = (high_rate, low_rate, rel_tol, max_trials)
+    ladder: List[Tuple[float, dict]] = []
+    while True:
+        ask = _next_probe(ladder, *bracket)
+        if ask is None or ask not in entries:
+            break
+        ladder.append((ask, entries[ask]))
+    candidates: List[float] = []
+    frontier = deque([ladder])
+    while frontier and len(candidates) < width:
+        supposed = frontier.popleft()
+        ask = _next_probe(supposed, *bracket)
+        if ask is None:
+            continue
+        if ask in entries:
+            frontier.append(supposed + [(ask, entries[ask])])
+            continue
+        if ask not in candidates:
+            candidates.append(ask)
+        if not supposed:
+            break
+        aim = _aim(supposed, high_rate, low_rate, rel_tol)
+        holds = {"sustainable": True}
+        fails = {"sustainable": False, "reasons": [], "mean_ingest_rate": aim}
+        for entry in (holds, fails) if ask <= aim else (fails, holds):
+            frontier.append(supposed + [(ask, entry)])
+    return [rate for rate, _ in ladder], candidates
 
 
 def _sweep_cell_task(payload) -> dict:
@@ -566,7 +736,7 @@ def sweep_sustainable_rates(
 
     ``cells`` is a sequence of ``(key, spec)`` pairs (e.g. one per
     (engine, cluster-size) corner of a Table-I sweep).  Each cell runs
-    one full bisection search; with ``workers > 1`` whole cells fan out
+    one full search; with ``workers > 1`` whole cells fan out
     over the scheduler pool -- coarser-grained than per-probe
     speculation and perfectly parallel, which is why the benchmark
     suite and ``repro sweep`` parallelise at this level.  Results map

@@ -192,6 +192,14 @@ class TestCliExecution:
         )
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
+        # Before the ladder, where it comes from: the second probe is
+        # the upper edge of the cell the ceiling's ingest rate aims at.
+        aim = lines[0].split()
+        assert aim[:2] == ["ceiling", "ingested"] and aim[3] == "M/s"
+        assert aim[4:7] == ["->", "aiming", "at"] and aim[9] == "M/s"
+        lo, hi = float(aim[7].strip("(,")), float(aim[8].strip("]"))
+        assert lo < float(aim[2]) <= hi
+        assert lines[2].split()[0] == f"{hi:.3f}"
         ceiling = next(line for line in lines if "1.600 M/s" in line)
         assert "UNSUSTAINABLE  (stopped at 20 s: queue backlog" in ceiling
         # A failing probe that ran its full length still says why.

@@ -12,6 +12,7 @@ from repro.core.generator import GeneratorConfig
 from repro.core.sustainable import (
     SustainabilityCriteria,
     SustainableSearchResult,
+    aimed_cell,
     assess,
     find_sustainable_throughput,
     search_fingerprint,
@@ -334,7 +335,7 @@ class TestFingerprint:
 
     def test_versioned_and_stable_across_processes(self):
         fingerprint = search_fingerprint(self.spec(), high_rate=1e6)
-        assert fingerprint.startswith("search|v2|")
+        assert fingerprint.startswith("search|v3|")
         # No default object repr (an address would never match again).
         assert " at 0x" not in fingerprint
         assert fingerprint == search_fingerprint(self.spec(), high_rate=1e6)
@@ -389,8 +390,11 @@ class TestFingerprint:
         ) == search_fingerprint(self.spec(profile=456.0), high_rate=1e6)
 
     def test_defaults_cannot_drift_from_the_search_they_identify(self):
+        # ``aimed_cell`` too takes the search's own arguments a second
+        # time (after the result it explains).
         search = inspect.signature(find_sustainable_throughput).parameters
-        for name, parameter in inspect.signature(
-            search_fingerprint
-        ).parameters.items():
-            assert parameter.default == search[name].default, name
+        for helper, skip in ((search_fingerprint, 0), (aimed_cell, 1)):
+            described = list(inspect.signature(helper).parameters.items())
+            assert len(described) > skip + 1
+            for name, parameter in described[skip:]:
+                assert parameter.default == search[name].default, name

@@ -16,7 +16,7 @@ from repro.metrology import JournalMismatch, TrialJournal
 from repro.metrology.journal import MISSING, shard_path
 from repro.workloads.queries import WindowSpec, WindowedAggregationQuery
 
-HIGH_RATE = 400_000.0
+HIGH_RATE = 800_000.0
 
 
 def _spec() -> ExperimentSpec:

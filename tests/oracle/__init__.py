@@ -12,7 +12,10 @@ stores).  The per-record code it replaced -- and which generated
   ENGINES`` by :func:`oracle_engines`;
 - :mod:`tests.oracle.kernels` -- ``SourceSet.pull``, the per-key dense
   emit loop and the dict-walking output builders, compared at unit
-  level.
+  level;
+- :mod:`tests.oracle.search` -- the cold bisection of
+  ``find_sustainable_throughput``, which production now aims
+  (``test_aimed_search.py``).
 
 Whole-trial comparisons (production vs oracle, exact) are in
 ``tests/engines/test_vector_identity.py``,

@@ -15,7 +15,7 @@ from repro.core.sustainable import (
 from repro.metrology import TrialJournal
 from repro.workloads.queries import WindowSpec, WindowedAggregationQuery
 
-HIGH_RATE = 400_000.0
+HIGH_RATE = 800_000.0
 
 
 def _spec(engine="storm", workers=2) -> ExperimentSpec:
@@ -48,7 +48,7 @@ class TestParallelSearch:
         # The byte-identity claim below is vacuous on a 1-trial search.
         assert reference.trial_count > 1
 
-    @pytest.mark.parametrize("jobs", [2, 3])
+    @pytest.mark.parametrize("jobs", [2, 3, 4])
     def test_parallel_search_is_byte_identical(self, reference, jobs):
         parallel = find_sustainable_throughput(
             _spec(), high_rate=HIGH_RATE, workers=jobs
