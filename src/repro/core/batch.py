@@ -228,11 +228,9 @@ class RecordBlock:
 def as_block(record: Record) -> RecordBlock:
     """Wrap one :class:`Record` as a single-cohort block.
 
-    Used for records that enter a queue through ``push`` (sampled-mode
-    generators, the broker) and for record-at-a-time ``store.add``:
-    downstream operators then see a homogeneous stream of blocks.  The
-    record's trace moves onto the block (single ownership, like a
-    cohort split).
+    Used by record-at-a-time ``store.add``, so the stores see only
+    blocks.  The record's trace moves onto the block (single ownership,
+    like a cohort split).
     """
     trace = record.trace
     record.trace = None

@@ -18,10 +18,12 @@ forwarding capacity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
+import numpy as np
+
+from repro.core.batch import RecordBlock, fold_add
 from repro.core.queues import DriverQueue
-from repro.core.records import Record
 from repro.sim.simulator import PeriodicProcess, Simulator
 
 
@@ -65,26 +67,18 @@ class BrokerStage:
         self.downstream = downstream
         self.share = share
         self._staged = DriverQueue(name=f"{downstream.name}-broker")
-        self._released_through = 0.0
         self.forwarded_weight = 0.0
         self._process: Optional[PeriodicProcess] = sim.every(
             spec.tick_interval_s, self._forward
         )
 
-    def push(self, record: Record, at_time: float = float("nan")) -> None:
+    def push_block(
+        self, block: RecordBlock, at_time: float = float("nan")
+    ) -> None:
         """Generator-facing push (same interface as DriverQueue)."""
-        self._staged.push(record, at_time=at_time)
-
-    def push_block(self, block, at_time: float = float("nan")) -> None:
-        """Block-at-a-time generator-facing push (same interface as DriverQueue).
-
-        The staged queue's scalar ``pull`` in :meth:`_forward`
-        materialises block heads back into Records, so the broker's
-        per-record persistence/repartition split is unchanged.
-        """
         self._staged.push_block(block, at_time=at_time)
 
-    def overflow_index(self, weights):
+    def overflow_index(self, weights: np.ndarray) -> Optional[int]:
         """Delegate capacity probing to the staged queue."""
         return self._staged.overflow_index(weights)
 
@@ -94,38 +88,57 @@ class BrokerStage:
             * self.share
             * self.spec.tick_interval_s
         )
-        now = sim.now
-        for record in self._staged.pull(budget):
-            # Only events past their persistence (+ repartition) delay
-            # may be served; later-generated ones wait a tick.
-            delay = self.spec.persistence_delay_s
-            # A deterministic share of the weight pays the extra hop.
-            direct = record.weight * (1.0 - self.spec.repartition_fraction)
-            rerouted = record.weight - direct
-            if direct > 0:
-                self._release(record, direct, now + delay)
-            if rerouted > 0:
-                self._release(
-                    record,
-                    rerouted,
-                    now + delay + self.spec.repartition_delay_s,
-                )
+        # Only events past their persistence (+ repartition) delay may
+        # be served; later-generated ones wait a tick.
+        persisted = sim.now + self.spec.persistence_delay_s
+        rerouted_at = persisted + self.spec.repartition_delay_s
+        keep = 1.0 - self.spec.repartition_fraction
+        for block in self._staged.pull_blocks(budget):
+            # A deterministic share of each cohort's weight pays the
+            # extra hop; a trace rides the first non-empty part.
+            direct = block.weights * keep
+            rerouted = block.weights - direct
+            direct_traces, rerouted_traces = [], []
+            for i, trace in block.traces:
+                hop = direct_traces if direct[i] > 0 else rerouted_traces
+                hop.append((i, trace))
+            self._release(block, direct, direct_traces, persisted)
+            self._release(block, rerouted, rerouted_traces, rerouted_at)
 
-    def _release(self, record: Record, weight: float, at_time: float) -> None:
-        clone = Record(
-            key=record.key,
-            value=record.value,
-            event_time=record.event_time,
-            weight=weight,
-            stream=record.stream,
+    def _release(
+        self,
+        block: RecordBlock,
+        weights: np.ndarray,
+        traces: List[Tuple[int, object]],
+        at_time: float,
+    ) -> None:
+        """Schedule one hop of ``block``: the cohorts whose part of the
+        weight is positive (a zero part is dropped per cohort)."""
+        keys = block.keys
+        positive = weights > 0
+        if not positive.all():
+            if not positive.any():
+                return
+            index = np.cumsum(positive) - 1
+            traces = [(int(index[i]), trace) for i, trace in traces]
+            keys, weights = keys[positive], weights[positive]
+        part = RecordBlock(
+            keys,
+            weights,
+            value=block.value,
+            event_time=block.event_time,
+            stream=block.stream,
+            traces=traces,
+            _checked=True,
         )
-        self.sim.schedule_at(
-            max(at_time, self.sim.now), self._deliver, clone
-        )
+        self.sim.schedule_at(max(at_time, self.sim.now), self._deliver, part)
 
-    def _deliver(self, record: Record) -> None:
-        self.downstream.push(record, at_time=self.sim.now)
-        self.forwarded_weight += record.weight
+    def _deliver(self, block: RecordBlock) -> None:
+        # On overflow push_block admits the prefix that fits, then raises.
+        over = self.downstream.overflow_index(block.weights)
+        admitted = block.weights if over is None else block.weights[:over]
+        self.forwarded_weight = fold_add(self.forwarded_weight, admitted)
+        self.downstream.push_block(block, at_time=self.sim.now)
 
     @property
     def staged_weight(self) -> float:

@@ -12,17 +12,12 @@ Yahoo streaming benchmark), with these properties, all implemented here:
   so generation never bottlenecks a trial;
 - every event timestamped at generation time -- the event-time anchor.
 
-Two key-emission modes:
-
-- ``dense`` (benchmark default): each tick emits one weighted cohort per
-  catalog key, with weights following the key distribution's pmf.  This
-  is the fluid limit of the real generator: at the paper's event rates
-  (~10^5..10^6 events/s) every key receives many events per tick, so the
-  deterministic weights match the law of large numbers and the per-key
-  max-event-time anchors are exact.
-- ``sampled``: each tick draws ``keys_per_cohort`` random keys and
-  splits the tick's weight among them -- retains sampling noise; used by
-  tests and the small-scale examples.
+Each tick emits one :class:`~repro.core.batch.RecordBlock` per stream:
+one weighted cohort per catalog key, with weights following the key
+distribution's pmf.  This is the fluid limit of the real generator: at
+the paper's event rates (~10^5..10^6 events/s) every key receives many
+events per tick, so the deterministic weights match the law of large
+numbers and the per-key max-event-time anchors are exact.
 """
 
 from __future__ import annotations
@@ -34,26 +29,20 @@ import numpy as np
 
 from repro.core.batch import RecordBlock
 from repro.core.queues import DriverQueue
-from repro.core.records import ADS, PURCHASES, Record
+from repro.core.records import ADS, PURCHASES
 from repro.sim.simulator import PeriodicProcess, Simulator
 from repro.workloads.disorder import DisorderSpec
 from repro.workloads.events import MAX_GEM_PACK_PRICE, MIN_GEM_PACK_PRICE
 from repro.workloads.profiles import RateProfile
 from repro.workloads.queries import Query, WindowedJoinQuery
 
-DENSE = "dense"
-SAMPLED = "sampled"
-
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Sizing and mode of the generator fleet."""
+    """Sizing of the generator fleet."""
 
     instances: int = 4
     tick_interval_s: float = 0.05
-    mode: str = DENSE
-    keys_per_cohort: int = 8
-    """Keys drawn per tick in ``sampled`` mode."""
     queue_capacity_seconds: float = 120.0
     """Driver-queue capacity in seconds of peak generation; exceeding it
     is the paper's dropped-connection failure."""
@@ -77,10 +66,6 @@ class GeneratorConfig:
             raise ValueError(
                 f"tick_interval_s must be positive, got {self.tick_interval_s}"
             )
-        if self.mode not in (DENSE, SAMPLED):
-            raise ValueError(f"mode must be 'dense' or 'sampled', got {self.mode!r}")
-        if self.keys_per_cohort < 1:
-            raise ValueError("keys_per_cohort must be >= 1")
         if self.queue_capacity_seconds <= 0:
             raise ValueError(
                 f"queue_capacity_seconds must be positive, "
@@ -131,11 +116,9 @@ class DataGenerator:
         # so the 1-in-N counter runs over the global cohort sequence.
         self.sampler = sampler
         self.generated_weight = 0.0
-        # Dense emission is one RecordBlock per (stream, tick) over the
-        # positive-mass key/mass columns; sampled mode is record-at-a-
-        # time (per-record RNG draws).
-        if config.mode == DENSE:
-            self._dense_keys, self._dense_mass = query.keys.support()
+        # Emission is one RecordBlock per (stream, tick) over the
+        # positive-mass key/mass columns.
+        self._dense_keys, self._dense_mass = query.keys.support()
         self._mean_price = (MIN_GEM_PACK_PRICE + MAX_GEM_PACK_PRICE) / 2.0
         self._is_join = isinstance(query, WindowedJoinQuery)
         self._purchases_share = (
@@ -214,19 +197,13 @@ class DataGenerator:
             weight -= late_weight
             lag = disorder.sample_delay(self.rng)
             late_time = max(0.0, now - lag)
-            if self.config.mode == DENSE:
-                self._emit_dense(stream, late_weight, late_time)
-            else:
-                self._emit_sampled(stream, late_weight, late_time)
+            self._emit_dense(stream, late_weight, late_time)
         if weight <= 0:
             return
-        if self.config.mode == DENSE:
-            self._emit_dense(stream, weight, now)
-        else:
-            self._emit_sampled(stream, weight, now)
+        self._emit_dense(stream, weight, now)
 
     def _emit_dense(self, stream: str, weight: float, now: float) -> None:
-        """Dense emission: one block per (stream, tick).
+        """One block per (stream, tick) over the positive-mass catalog.
 
         The weights column is the element-wise ``weight * mass`` product
         and the sampler interaction replays a per-cohort 1-in-N
@@ -272,35 +249,6 @@ class DataGenerator:
                 sampler.sync(rate - (n - 1 - last_hit))
             else:
                 sampler.sync(due - n)
-
-    def _emit_sampled(self, stream: str, weight: float, now: float) -> None:
-        k = self.config.keys_per_cohort
-        keys = self.query.keys.sample(self.rng, k)
-        per_key_weight = weight / k
-        sampler = self.sampler
-        for key in keys:
-            if stream == PURCHASES:
-                value = float(
-                    self.rng.uniform(MIN_GEM_PACK_PRICE, MAX_GEM_PACK_PRICE)
-                )
-            else:
-                value = 0.0
-            trace = (
-                sampler.maybe_trace(int(key), stream, per_key_weight, now)
-                if sampler is not None
-                else None
-            )
-            self.queue.push(
-                Record(
-                    key=int(key),
-                    value=value,
-                    event_time=now,
-                    weight=per_key_weight,
-                    stream=stream,
-                    trace=trace,
-                ),
-                at_time=now,
-            )
 
 
 def build_generator_fleet(

@@ -18,7 +18,7 @@ exactly that connection drop.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Tuple, Union
+from typing import Deque, List, Optional
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from repro.core.batch import (
     fold_sub,
     left_sum,
 )
-from repro.core.records import Record
 from repro.sim.failures import ConnectionDropped
 
 
@@ -47,11 +46,10 @@ class DriverQueue:
     ) -> None:
         self.name = name
         self.capacity_weight = capacity_weight
-        # Items are Records (sampled-mode generators, the broker) or
-        # RecordBlocks (dense generators); a queue may hold a mix --
-        # ``pull`` lazily materializes a block head, and ``pull_blocks``
-        # passes Record heads through for the source to wrap.
-        self._items: Deque[Union[Record, RecordBlock]] = deque()
+        # One item kind: each push appends one RecordBlock (a generator
+        # emission or a broker hop), split and trimmed in place by pulls
+        # and sheds.
+        self._items: Deque[RecordBlock] = deque()
         # Enqueue timestamp per queued cohort, parallel to _items.  The
         # queueing wait is measured against THIS clock, not event-time:
         # under the disorder workloads a late-but-freshly-pushed record
@@ -92,39 +90,9 @@ class DriverQueue:
             return self._frontier_event_time
         return self._last_pulled_event_time
 
-    def push(self, record: Record, at_time: float = float("nan")) -> None:
-        """Generator side: enqueue one cohort.
-
-        Raises :class:`ConnectionDropped` when the queue overflows --
-        the paper's SUT-cannot-sustain failure condition.
-        """
-        if self.dropped:
-            raise ConnectionDropped(
-                f"queue {self.name} connection already dropped", at_time=at_time
-            )
-        if self._queued_weight + record.weight > self.capacity_weight:
-            self.dropped = True
-            raise ConnectionDropped(
-                f"queue {self.name} overflowed "
-                f"({self._queued_weight + record.weight:.0f} events > "
-                f"capacity {self.capacity_weight:.0f})",
-                at_time=at_time,
-            )
-        self._items.append(record)
-        # NaN at_time (no driver clock supplied) falls back to the
-        # cohort's event_time -- the pre-disorder-aware behaviour.
-        push_time = at_time if at_time == at_time else record.event_time
-        self._push_times.append(push_time)
-        if record.trace is not None:
-            record.trace.mark("enqueued", push_time)
-        self._queued_weight += record.weight
-        self.pushed_weight += record.weight
-        if record.event_time > self._frontier_event_time:
-            self._frontier_event_time = record.event_time
-
     def _occupancy_fold(self, weights: np.ndarray):
         """``(acc, over)``: ``acc[i]`` is the occupancy once the first
-        ``i`` cohorts are pushed (the scalar pushes' strict left fold),
+        ``i`` cohorts are pushed (the per-cohort pushes' strict left fold),
         ``over`` the first cohort exceeding capacity, None if all fit."""
         acc = np.empty(len(weights) + 1)
         acc[0] = self._queued_weight
@@ -138,11 +106,10 @@ class DriverQueue:
     def overflow_index(self, weights: np.ndarray) -> Optional[int]:
         """Index of the first cohort whose push would overflow, or None.
 
-        A pure pre-check for the columnar generator: pushing cohorts of
-        ``weights`` in order, which one trips the scalar ``push``
-        overflow test?  Returns 0 when the connection is already
-        dropped.  Bitwise-faithful because the running occupancy is the
-        same strict left fold the scalar pushes would have produced.
+        A pure pre-check for the generator's sampler and the broker's
+        ledger: pushing cohorts of ``weights`` in order, which one
+        trips the overflow test of :meth:`push_block`?  Returns 0 when
+        the connection is already dropped.
         """
         if self.dropped:
             return 0
@@ -155,11 +122,13 @@ class DriverQueue:
     ) -> None:
         """Generator side: enqueue a whole columnar block at once.
 
-        Semantically ``for each cohort: push(...)``: on overflow at
-        cohort ``j`` the prefix ``[0, j)`` is admitted (ledgers, traces,
-        frontier updated exactly as the scalar loop would have left
-        them) and :class:`ConnectionDropped` is raised with the same
-        message the scalar push would have produced for cohort ``j``.
+        Semantically the record-at-a-time push of each cohort in turn
+        (``tests/oracle/queues.py``): on overflow at cohort ``j`` the
+        prefix ``[0, j)`` is admitted (ledgers, traces, frontier updated
+        exactly as that loop would have left them) and
+        :class:`ConnectionDropped` is raised -- the paper's
+        SUT-cannot-sustain failure condition -- with the message that
+        loop would have produced for cohort ``j``.
         """
         if self.dropped:
             raise ConnectionDropped(
@@ -194,110 +163,26 @@ class DriverQueue:
                 at_time=at_time,
             )
 
-    def _materialize_head(self) -> None:
-        """Expand a block at the head into Records (scalar-pull compat).
-
-        The expansion is bitwise-neutral: the records carry exactly the
-        cohort weights/times the scalar path would have queued, and the
-        block's single push time is shared by every cohort (the scalar
-        generator pushes a whole emission at one driver timestamp).
-        """
-        head = self._items.popleft()
-        push_time = self._push_times.popleft()
-        records = head.materialize()
-        self._items.extendleft(reversed(records))
-        self._push_times.extendleft([push_time] * len(records))
-
-    def pull(self, max_weight: float) -> List[Record]:
-        """SUT side: dequeue up to ``max_weight`` events (FIFO).
+    def pull_blocks(self, max_weight: float) -> List[RecordBlock]:
+        """SUT side: dequeue up to ``max_weight`` events (FIFO) as blocks.
 
         The head cohort is split if only part of it fits the budget;
-        total weight is conserved exactly.
+        total weight is conserved exactly.  Bitwise-identical to the
+        record-at-a-time pull over the expanded cohort sequence
+        (``tests/oracle/queues.py``) -- :func:`~repro.core.batch.
+        consume_front` replicates its head-take/split ladder, and the
+        ledgers advance by the same strict left folds the per-cohort
+        loop would have run.  Nothing reads the occupancy between two
+        takes and a drained queue resets it, so its countdown is owed
+        until the loop ends.
         """
         if max_weight <= 0:
             return []
-        pulled: List[Record] = []
+        pulled: List[RecordBlock] = []
+        owed: List[np.ndarray] = []  # taken weights, not yet off _queued_weight
         remaining = max_weight
         while self._items and remaining > 1e-9:
             head = self._items[0]
-            if isinstance(head, RecordBlock):
-                self._materialize_head()
-                head = self._items[0]
-            if head.weight <= remaining:
-                self._items.popleft()
-                self._push_times.popleft()
-                taken = head
-            else:
-                taken = Record(
-                    key=head.key,
-                    value=head.value,
-                    event_time=head.event_time,
-                    weight=remaining,
-                    stream=head.stream,
-                    # The trace leaves with the first (admitted) part so
-                    # it observes the earliest ingestion of the cohort.
-                    trace=head.trace,
-                )
-                head.trace = None
-                head.weight -= remaining
-            self._queued_weight -= taken.weight
-            self.pulled_weight += taken.weight
-            remaining -= taken.weight
-            if taken.event_time > self._last_pulled_event_time:
-                self._last_pulled_event_time = taken.event_time
-            pulled.append(taken)
-        if not self._items:
-            # Clear float residue so emptiness and zero weight agree.
-            self._queued_weight = 0.0
-        elif self._queued_weight < 0.0:
-            self._queued_weight = 0.0
-        return pulled
-
-    def pull_blocks(
-        self, max_weight: float
-    ) -> List[Union[Record, RecordBlock]]:
-        """Block pull: dequeue up to ``max_weight`` events as blocks.
-
-        Bitwise-identical to :meth:`pull` over the expanded cohort
-        sequence -- :func:`~repro.core.batch.consume_front` replicates
-        the head-take/split ladder, and the ledgers advance by the same
-        strict left folds the per-cohort loop would have run.  Record
-        heads (pushed by scalar producers into a mixed queue) pass
-        through unchanged; callers wrap them.  Nothing reads the
-        occupancy between two takes and a drained queue resets it, so
-        its countdown is owed until the loop ends.
-        """
-        if max_weight <= 0:
-            return []
-        pulled: List[Union[Record, RecordBlock]] = []
-        owed: List = []  # taken weights, not yet off _queued_weight
-        remaining = max_weight
-        while self._items and remaining > 1e-9:
-            head = self._items[0]
-            if not isinstance(head, RecordBlock):
-                # Verbatim scalar head handling for a stray Record.
-                if head.weight <= remaining:
-                    self._items.popleft()
-                    self._push_times.popleft()
-                    taken = head
-                else:
-                    taken = Record(
-                        key=head.key,
-                        value=head.value,
-                        event_time=head.event_time,
-                        weight=remaining,
-                        stream=head.stream,
-                        trace=head.trace,
-                    )
-                    head.trace = None
-                    head.weight -= remaining
-                owed.append([taken.weight])
-                self.pulled_weight += taken.weight
-                remaining -= taken.weight
-                if taken.event_time > self._last_pulled_event_time:
-                    self._last_pulled_event_time = taken.event_time
-                pulled.append(taken)
-                continue
             taken_block, remaining_after, emptied = consume_front(
                 head, remaining
             )
@@ -324,6 +209,12 @@ class DriverQueue:
                 self._queued_weight = 0.0
         return pulled
 
+    # Aliases with no body of their own: ``benchmarks/perf/boundaries.py``
+    # times the queue by these names and fails on a missing one.  They
+    # leave with that script's side doors (ROADMAP item 3c).
+    push = push_block
+    pull = pull_blocks
+
     def shed(self, max_weight: float, drop_oldest: bool = True) -> float:
         """Load shedding: discard up to ``max_weight`` queued events.
 
@@ -341,48 +232,27 @@ class DriverQueue:
         remaining = max_weight
         while self._items and remaining > 1e-9:
             victim = self._items[0] if drop_oldest else self._items[-1]
-            if isinstance(victim, RecordBlock):
-                # Per-cohort shedding over the block edge, replicating
-                # the scalar victim loop (full cohorts drop their trace,
-                # a boundary cohort is trimmed and keeps it).
-                edge = 0 if drop_oldest else len(victim.weights) - 1
-                w = float(victim.weights[edge])
-                if w <= remaining:
-                    if drop_oldest:
-                        victim.drop_front_cohort()
-                    else:
-                        victim.drop_back_cohort()
-                    if len(victim) == 0:
-                        if drop_oldest:
-                            self._items.popleft()
-                            self._push_times.popleft()
-                        else:
-                            self._items.pop()
-                            self._push_times.pop()
-                    dropped = w
-                else:
-                    victim.weights[edge] = victim.weights[edge] - remaining
-                    dropped = remaining
-                self._queued_weight -= dropped
-                self.shed_weight += dropped
-                shed += dropped
-                remaining -= dropped
-                continue
-            if victim.weight <= remaining:
+            # One cohort at a time over the block edge: a whole cohort
+            # leaves with its trace dropped; a boundary cohort is
+            # trimmed and keeps its trace -- part of the traced arrival
+            # is still queued and may yet complete its lifecycle.
+            edge = 0 if drop_oldest else len(victim.weights) - 1
+            w = float(victim.weights[edge])
+            if w <= remaining:
                 if drop_oldest:
-                    self._items.popleft()
-                    self._push_times.popleft()
+                    victim.drop_front_cohort()
                 else:
-                    self._items.pop()
-                    self._push_times.pop()
-                if victim.trace is not None:
-                    victim.trace.drop()
-                dropped = victim.weight
+                    victim.drop_back_cohort()
+                if len(victim) == 0:
+                    if drop_oldest:
+                        self._items.popleft()
+                        self._push_times.popleft()
+                    else:
+                        self._items.pop()
+                        self._push_times.pop()
+                dropped = w
             else:
-                # Partial shed: the cohort survives at reduced weight
-                # and keeps its trace -- part of the traced arrival is
-                # still queued and may yet complete its lifecycle.
-                victim.weight -= remaining
+                victim.weights[edge] = victim.weights[edge] - remaining
                 dropped = remaining
             self._queued_weight -= dropped
             self.shed_weight += dropped
@@ -407,12 +277,9 @@ class DriverQueue:
         """
         if not self._items:
             return 0.0
-        for record in self._items:
-            if isinstance(record, RecordBlock):
-                for _, trace in record.traces:
-                    trace.drop()
-            elif record.trace is not None:
-                record.trace.drop()
+        for block in self._items:
+            for _, trace in block.traces:
+                trace.drop()
         self._items.clear()
         self._push_times.clear()
         lost = self._queued_weight

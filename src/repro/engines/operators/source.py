@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.core.batch import RecordBlock, as_block, fold_sub
+from repro.core.batch import RecordBlock, fold_sub
 from repro.core.queues import QueueSet
 
 
@@ -46,9 +46,7 @@ class SourceSet:
         The budget is spread round-robin in small rounds so that one
         deep queue cannot monopolise ingestion (real sources poll their
         partitions fairly); it counts down by a strict left fold over
-        each batch's cohort weights.  Stray Records (sampled-mode
-        generators, the broker) are wrapped as single-cohort blocks so
-        engines only see blocks.
+        each batch's cohort weights.
         """
         if max_weight <= 0:
             return []
@@ -73,12 +71,7 @@ class SourceSet:
                 idle_rounds += 1
                 continue
             idle_rounds = 0
-            for item in batch:
-                block = (
-                    item
-                    if isinstance(item, RecordBlock)
-                    else as_block(item)
-                )
+            for block in batch:
                 block.ingest_time = ingest_time
                 remaining = fold_sub(remaining, block.weights)
                 for _, trace in block.traces:

@@ -3,11 +3,14 @@
 Aggregate trial statistics (Tables I-IV) say *how much* latency there
 is; a trace says *where* it comes from.  A deterministic 1-in-N sampler
 attaches an :class:`EventTrace` to generator cohorts; the trace rides
-the :class:`~repro.core.records.Record` through the pipeline and
-collects timestamped **marks** at every lifecycle boundary:
+its cohort (an entry of a :class:`~repro.core.batch.RecordBlock`'s
+``traces``) through the pipeline and collects timestamped **marks** at
+every lifecycle boundary:
 
 - ``created``   -- generation (the event-time anchor, Definition 1);
-- ``enqueued``  -- push into the driver queue (Section III-B);
+- ``enqueued``  -- push into the driver queue (Section III-B); a
+  brokered cohort is marked again when the broker releases it to the
+  SUT-facing queue, so the broker hop is a span of its own;
 - ``ingested``  -- pulled by the SUT source operator (Definition 2's
   anchor);
 - ``closed``    -- the first containing window closes;
@@ -24,7 +27,7 @@ spans just become finer.
 Design constraints (the hot path must not notice tracing):
 
 - when sampling is off, no trace objects exist anywhere -- the only
-  residual cost is ``record.trace is None`` checks at the lifecycle
+  residual cost is empty ``traces`` lists at the lifecycle
   boundaries;
 - the sampler is deterministic (a cohort counter, not an RNG draw), so
   trials are bit-for-bit reproducible at any sample rate;
@@ -34,7 +37,7 @@ Design constraints (the hot path must not notice tracing):
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 # Canonical mark names, in lifecycle order.
 CREATED = "created"
@@ -178,23 +181,11 @@ class TraceSampler:
         self._next_id = 0
         self.log = log
 
-    def maybe_trace(
-        self, key: int, stream: str, weight: float, event_time: float
-    ) -> Optional[EventTrace]:
-        """Return a started trace for every N-th cohort, else None."""
-        self._counter += 1
-        if self._counter < self.sample_rate:
-            return None
-        self._counter = 0
-        return self.take(key, stream, weight, event_time)
-
-    # -- batched fast path ------------------------------------------------
-    #
-    # A per-cohort ``maybe_trace`` call costs a Python method call even
-    # for the (sample_rate - 1)-in-N cohorts that are not sampled.  Hot
-    # emit loops instead read ``due_in()`` once, count down a local int,
-    # call ``take`` only when it reaches zero, and ``sync`` the counter
-    # back afterwards -- bit-for-bit the same sampling decisions.
+    # The counter is never stepped per cohort: an emission reads
+    # ``due_in()`` once, takes the cohorts at the countdown's zero
+    # crossings and ``sync``s the counter back afterwards -- the same
+    # decisions as stepping it cohort by cohort (the per-cohort
+    # reference is ``maybe_trace`` in ``tests/oracle/kernels.py``).
 
     def due_in(self) -> int:
         """Cohorts left until the next sampled one (always >= 1)."""

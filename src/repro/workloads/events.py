@@ -44,7 +44,7 @@ DEFAULT_GEM_PACK_COUNT = 64
 """Number of distinct gem packs (grouping keys) in the synthetic catalog.
 
 The paper does not report its key-space size.  We default to a modest
-catalog so that the generator's dense mode (one weighted cohort per key
+catalog so that the generator's emission (one weighted cohort per key
 per tick) stays cheap; at the paper's event rates every key is hot
 regardless of catalog size, so the latency anchors (max event-time per
 key per window) are insensitive to this constant."""

@@ -6,10 +6,10 @@ Section VI-A: "We generate events with normal distribution on key field."
 :class:`SingleKey`.  Uniform and Zipf distributions are provided for
 sweeps beyond the paper.
 
-A distribution maps a key-space size to integer keys in
-``[0, num_keys)``.  ``sample`` returns ``n`` keys; ``hot_fraction``
-reports the probability mass of the most popular key, which the engine
-models use to locate the keyed-stage bottleneck under skew.
+A distribution is a pmf over integer keys in ``[0, num_keys)``;
+``hot_fraction`` reports the probability mass of the most popular key,
+which the engine models use to locate the keyed-stage bottleneck under
+skew.
 """
 
 from __future__ import annotations
@@ -31,17 +31,12 @@ class KeyDistribution(ABC):
         self._support: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @abstractmethod
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw ``n`` keys as an int array."""
-
-    @abstractmethod
     def pmf(self) -> np.ndarray:
         """Per-key probability masses (length ``num_keys``, sums to 1).
 
-        Used by the generator's *dense* mode, which emits one weighted
-        cohort per key per tick instead of sampling keys -- removing
-        sampling noise at benchmark scale (see
-        :mod:`repro.core.generator`).
+        The generator emits one cohort per key per tick weighted by
+        this pmf instead of sampling keys -- no sampling noise at
+        benchmark scale (see :mod:`repro.core.generator`).
         """
 
     def support(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -106,7 +101,7 @@ class NormalKeys(KeyDistribution):
             return 0.5 * (1.0 + math.erf((x - centre) / (sigma * math.sqrt(2.0))))
 
         # Key i gets the mass of (i - 0.5, i + 0.5]; the boundary keys
-        # absorb the clipped tails, matching sample()'s np.clip.
+        # absorb the tails clipped to the key space.
         masses = np.array(
             [cdf(i + 0.5) - cdf(i - 0.5) for i in range(self.num_keys)]
         )
@@ -114,21 +109,12 @@ class NormalKeys(KeyDistribution):
         masses[-1] += 1.0 - cdf(self.num_keys - 0.5)
         return masses / masses.sum()
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        centre = (self.num_keys - 1) / 2.0
-        sigma = self.spread_fraction * self.num_keys
-        draws = rng.normal(loc=centre, scale=sigma, size=n)
-        return np.clip(np.rint(draws), 0, self.num_keys - 1).astype(np.int64)
-
     def pmf(self) -> np.ndarray:
         return self._pmf
 
 
 class UniformKeys(KeyDistribution):
     """Uniform keys: the no-skew baseline."""
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.integers(0, self.num_keys, size=n, dtype=np.int64)
 
     def pmf(self) -> np.ndarray:
         return np.full(self.num_keys, 1.0 / self.num_keys)
@@ -146,9 +132,6 @@ class SingleKey(KeyDistribution):
         if not 0 <= key < self.num_keys:
             raise ValueError(f"key {key} outside [0, {self.num_keys})")
         self.key = int(key)
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.full(n, self.key, dtype=np.int64)
 
     def pmf(self) -> np.ndarray:
         masses = np.zeros(self.num_keys)
@@ -172,9 +155,6 @@ class ZipfKeys(KeyDistribution):
         ranks = np.arange(1, self.num_keys + 1, dtype=np.float64)
         weights = ranks**-self.exponent
         self._probs = weights / weights.sum()
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.choice(self.num_keys, size=n, p=self._probs).astype(np.int64)
 
     def pmf(self) -> np.ndarray:
         return self._probs.copy()

@@ -5,12 +5,9 @@ import pytest
 
 from repro.core.broker import BrokerSpec, BrokerStage
 from repro.core.queues import DriverQueue
-from repro.core.records import Record
 from repro.sim.simulator import Simulator
 
-
-def record(event_time=0.0, weight=100.0):
-    return Record(key=0, value=1.0, event_time=event_time, weight=weight)
+from tests.cohorts import cohort, expand
 
 
 @pytest.fixture
@@ -33,7 +30,7 @@ def rig():
 class TestForwarding:
     def test_events_arrive_after_persistence_delay(self, rig):
         sim, downstream, stage = rig
-        stage.push(record(event_time=0.0, weight=10.0))
+        stage.push_block(cohort(event_time=0.0, weight=10.0))
         sim.run_until(0.1)
         assert downstream.queued_weight == 0.0  # still persisting
         sim.run_until(0.5)
@@ -41,7 +38,7 @@ class TestForwarding:
 
     def test_repartitioned_share_arrives_later(self, rig):
         sim, downstream, stage = rig
-        stage.push(record(weight=10.0))
+        stage.push_block(cohort(weight=10.0))
         # After persistence (0.1 s past the first forward tick) only the
         # direct half is there; the rerouted half needs +0.2 s more.
         sim.run_until(0.2)
@@ -51,15 +48,15 @@ class TestForwarding:
 
     def test_event_time_preserved(self, rig):
         sim, downstream, stage = rig
-        stage.push(record(event_time=0.33, weight=4.0))
+        stage.push_block(cohort(event_time=0.33, weight=4.0))
         sim.run_until(1.0)
-        pulled = downstream.pull(1e9)
+        pulled = expand(downstream.pull_blocks(1e9))
         assert all(r.event_time == pytest.approx(0.33) for r in pulled)
 
     def test_forward_capacity_caps_rate(self, rig):
         sim, downstream, stage = rig
         # Push 10k events at once; capacity is 1000/s.
-        stage.push(record(weight=10_000.0))
+        stage.push_block(cohort(weight=10_000.0))
         sim.run_until(5.0)
         assert downstream.pushed_weight == pytest.approx(5000.0, rel=0.05)
         assert stage.staged_weight == pytest.approx(5000.0, rel=0.05)
@@ -68,7 +65,7 @@ class TestForwarding:
         sim, downstream, stage = rig
         total = 0.0
         for i in range(5):
-            stage.push(record(event_time=i * 0.1, weight=50.0))
+            stage.push_block(cohort(event_time=i * 0.1, weight=50.0))
             total += 50.0
         sim.run_until(3.0)
         assert downstream.pushed_weight == pytest.approx(total)
@@ -76,7 +73,7 @@ class TestForwarding:
 
     def test_stop_halts_forwarding(self, rig):
         sim, downstream, stage = rig
-        stage.push(record(weight=10.0))
+        stage.push_block(cohort(weight=10.0))
         stage.stop()
         sim.run_until(2.0)
         assert downstream.pushed_weight == 0.0

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.core.generator import (
-    DENSE,
-    SAMPLED,
     DataGenerator,
     GeneratorConfig,
     build_generator_fleet,
@@ -17,10 +15,12 @@ from repro.workloads.keys import SingleKey
 from repro.workloads.profiles import ConstantRate
 from repro.workloads.queries import WindowedAggregationQuery, WindowedJoinQuery
 
+from tests.cohorts import expand
 
-def make_generator(sim, query=None, rate=1000.0, mode=DENSE, share=1.0, **cfg):
+
+def make_generator(sim, query=None, rate=1000.0, share=1.0):
     query = query or WindowedAggregationQuery()
-    config = GeneratorConfig(instances=1, mode=mode, **cfg)
+    config = GeneratorConfig(instances=1)
     queue = DriverQueue("q", capacity_weight=float("inf"))
     gen = DataGenerator(
         sim=sim,
@@ -62,7 +62,7 @@ class TestRates:
         gen, queue = make_generator(sim, rate=100.0)
         gen.start()
         sim.run_until(1.0)
-        records = queue.pull(1e9)
+        records = expand(queue.pull_blocks(1e9))
         times = {r.event_time for r in records}
         # All event times are generation tick times within the run
         # (generation starts immediately at t=0).
@@ -77,7 +77,7 @@ class TestDenseMode:
         gen, queue = make_generator(sim, query=query, rate=6400.0)
         gen.start()
         sim.run_until(gen.config.tick_interval_s)
-        records = queue.pull(1e9)
+        records = expand(queue.pull_blocks(1e9))
         keys = {r.key for r in records}
         positive_mass_keys = {
             i for i, m in enumerate(query.keys.pmf()) if m > 0
@@ -90,7 +90,7 @@ class TestDenseMode:
         gen, queue = make_generator(sim, query=query, rate=6400.0)
         gen.start()
         sim.run_until(gen.config.tick_interval_s)
-        records = queue.pull(1e9)
+        records = expand(queue.pull_blocks(1e9))
         pmf = query.keys.pmf()
         tick_weight = 6400.0 * gen.config.tick_interval_s
         for r in records:
@@ -102,33 +102,9 @@ class TestDenseMode:
         gen, queue = make_generator(sim, query=query, rate=100.0)
         gen.start()
         sim.run_until(gen.config.tick_interval_s * 0.5)
-        records = queue.pull(1e9)
+        records = expand(queue.pull_blocks(1e9))
         assert len(records) == 1
         assert records[0].key == 0
-
-
-class TestSampledMode:
-    def test_sampled_emits_k_records_per_tick(self):
-        sim = Simulator()
-        gen, queue = make_generator(
-            sim, rate=100.0, mode=SAMPLED, keys_per_cohort=5
-        )
-        gen.start()
-        sim.run_until(gen.config.tick_interval_s * 0.5)
-        records = queue.pull(1e9)
-        assert len(records) == 5
-
-    def test_sampled_weight_split_evenly(self):
-        sim = Simulator()
-        gen, queue = make_generator(
-            sim, rate=100.0, mode=SAMPLED, keys_per_cohort=4
-        )
-        gen.start()
-        sim.run_until(gen.config.tick_interval_s)
-        records = queue.pull(1e9)
-        tick_weight = 100.0 * gen.config.tick_interval_s
-        for r in records:
-            assert r.weight == pytest.approx(tick_weight / 4)
 
 
 class TestJoinStreams:
@@ -138,7 +114,7 @@ class TestJoinStreams:
         gen, queue = make_generator(sim, query=query, rate=1000.0)
         gen.start()
         sim.run_until(1.0)
-        records = queue.pull(1e9)
+        records = expand(queue.pull_blocks(1e9))
         by_stream = {}
         for r in records:
             by_stream[r.stream] = by_stream.get(r.stream, 0.0) + r.weight
@@ -150,7 +126,7 @@ class TestJoinStreams:
         gen, queue = make_generator(sim, query=query, rate=1000.0)
         gen.start()
         sim.run_until(1.0)
-        records = queue.pull(1e9)
+        records = expand(queue.pull_blocks(1e9))
         purchases = sum(r.weight for r in records if r.stream == PURCHASES)
         total = sum(r.weight for r in records)
         assert purchases / total == pytest.approx(0.75, rel=0.01)
@@ -160,7 +136,7 @@ class TestJoinStreams:
         gen, queue = make_generator(sim, query=WindowedJoinQuery(), rate=100.0)
         gen.start()
         sim.run_until(0.5)
-        for r in queue.pull(1e9):
+        for r in expand(queue.pull_blocks(1e9)):
             if r.stream == ADS:
                 assert r.value == 0.0
 
@@ -249,10 +225,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             GeneratorConfig(queue_capacity_seconds=-5.0)
         with pytest.raises(ValueError):
-            GeneratorConfig(mode="other")
-        with pytest.raises(ValueError):
-            GeneratorConfig(keys_per_cohort=0)
-        with pytest.raises(ValueError):
             GeneratorConfig(overprovision_factor=0.5)
         with pytest.raises(ValueError):
             GeneratorConfig(rebalance_detection_s=0.0)
@@ -262,8 +234,8 @@ class TestValidation:
         # they must say what was wrong, not just that something was.
         with pytest.raises(ValueError, match="-3"):
             GeneratorConfig(instances=-3)
-        with pytest.raises(ValueError, match="other"):
-            GeneratorConfig(mode="other")
+        with pytest.raises(ValueError, match="0.5"):
+            GeneratorConfig(overprovision_factor=0.5)
 
     def test_max_share_capped_by_overprovision(self):
         assert GeneratorConfig(

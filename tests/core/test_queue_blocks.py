@@ -1,16 +1,16 @@
-"""The columnar queue against the scalar queue, ledger by ledger.
+"""The columnar queue against the record-at-a-time queue, ledger by ledger.
 
 A :class:`DriverQueue` fed ``push_block`` / ``pull_blocks`` must leave
-every ledger exactly where the same queue fed the materialised records
-through ``push`` / ``pull`` leaves it -- after *every* step, not only at
-the end of a trial.  ``push_block`` takes its occupancy from the overflow
-pre-check and ``pull_blocks`` defers the occupancy countdown to the end
-of the pull; both are pinned here by ``float.hex``.
+every ledger exactly where the reference :class:`~tests.oracle.queues.
+RecordQueue` fed the materialised records through ``push`` / ``pull``
+leaves it -- after *every* step, not only at the end of a trial.
+``push_block`` takes its occupancy from the overflow pre-check and
+``pull_blocks`` defers the occupancy countdown to the end of the pull;
+both are pinned here by ``float.hex``.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from typing import List, Optional
 
@@ -23,30 +23,26 @@ from repro.core.queues import DriverQueue
 from repro.core.records import Record
 from repro.sim.failures import ConnectionDropped
 
+from tests.cohorts import cohort, expand
+from tests.oracle.queues import RecordQueue
+
 LEDGERS = (
     "queued_weight", "pushed_weight", "pulled_weight", "shed_weight",
     "lost_weight", "watermark", "frontier_event_time", "dropped",
 )
 
 
-def cohorts(items) -> List[tuple]:
-    """Pulled items (records and blocks mixed) as a flat cohort
-    sequence, floats bit-for-bit."""
-    return [
-        (r.key, float(r.weight).hex(), r.event_time, r.stream)
-        for item in items
-        for r in (
-            item.materialize() if isinstance(item, RecordBlock) else [item]
-        )
-    ]
+def cohorts(records: List[Record]) -> List[tuple]:
+    """Pulled records as a cohort sequence, floats bit-for-bit."""
+    return [(r.key, float(r.weight).hex(), r.event_time, r.stream) for r in records]
 
 
 class QueuePair:
-    """One columnar and one scalar queue driven in lockstep."""
+    """The production queue and the reference queue driven in lockstep."""
 
     def __init__(self, capacity: float = float("inf")) -> None:
         self.blocks = DriverQueue("q", capacity_weight=capacity)
-        self.records = DriverQueue("q", capacity_weight=capacity)
+        self.records = RecordQueue("q", capacity_weight=capacity)
         self.clock = 0.0
 
     def check(self) -> None:
@@ -92,18 +88,19 @@ class QueuePair:
         )
 
     def push_record(self, weight: float) -> Optional[str]:
-        """A scalar producer's Record lands in both queues."""
+        """One cohort: a block of one here, a Record in the reference."""
         self.clock += 1.0
         now = self.clock
         record = Record(key=7, value=1.0, event_time=now, weight=weight)
-        twin = copy.copy(record)
         return self._push(
-            lambda: self.records.push(twin, at_time=now),
-            lambda: self.blocks.push(record, at_time=now),
+            lambda: self.records.push(record, at_time=now),
+            lambda: self.blocks.push_block(
+                cohort(key=7, event_time=now, weight=weight), at_time=now
+            ),
         )
 
     def pull(self, budget: float) -> List[tuple]:
-        got = cohorts(self.blocks.pull_blocks(budget))
+        got = cohorts(expand(self.blocks.pull_blocks(budget)))
         assert got == cohorts(self.records.pull(budget))
         self.check()
         return got
@@ -194,8 +191,8 @@ class TestPull:
         pair.push_block([0.1, 0.2])
         pair.push_record(0.3)
         pair.push_block([0.4, 0.5])
-        # Stops inside the last block: block, Record and block weights
-        # must come off the occupancy in exactly that order.
+        # Stops inside the last block: block, single cohort and block
+        # weights must come off the occupancy in exactly that order.
         got = pair.pull(0.1 + 0.2 + 0.3 + 0.4 + 0.25)
         assert len(got) == 5
         pair.pull(0.1)

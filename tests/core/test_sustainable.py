@@ -21,7 +21,7 @@ from repro.core.driver import TrialResult
 from repro.core.latency import LatencyCollector
 from repro.core.metrics import weighted_summary
 from repro.core.queues import DriverQueue, QueueSet
-from repro.core.records import OutputRecord, Record
+from repro.core.records import OutputRecord
 from repro.core.throughput import ThroughputMonitor
 from repro.engines.base import EngineConfig
 from repro.metrology import TrialJournal
@@ -30,6 +30,8 @@ from repro.sim.simulator import Simulator
 from repro.workloads.keys import NormalKeys, UniformKeys
 from repro.workloads.profiles import ConstantRate
 from repro.workloads.queries import WindowedAggregationQuery, WindowSpec
+
+from tests.cohorts import cohort
 
 
 def synthetic_result(
@@ -54,17 +56,11 @@ def synthetic_result(
 
     def step(s):
         t = s.now
-        queue.push(
-            Record(
-                key=0,
-                value=1.0,
-                event_time=t - disorder_lag,
-                weight=offered,
-            ),
-            at_time=t,
+        queue.push_block(
+            cohort(event_time=t - disorder_lag, weight=offered), at_time=t
         )
         keep = backlog_growth
-        queue.pull(max(0.0, offered - keep))
+        queue.pull_blocks(max(0.0, offered - keep))
 
     sim.every(1.0, step)
     sim.run_until(duration)

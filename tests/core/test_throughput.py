@@ -4,13 +4,10 @@ import pytest
 
 from repro.core.criteria import SustainabilityCriteria
 from repro.core.queues import DriverQueue, QueueSet
-from repro.core.records import Record
 from repro.core.throughput import SETTLE_SAMPLES, ThroughputMonitor
 from repro.sim.simulator import Simulator
 
-
-def make_record(event_time, weight=1.0):
-    return Record(key=0, value=1.0, event_time=event_time, weight=weight)
+from tests.cohorts import cohort
 
 
 @pytest.fixture
@@ -27,8 +24,8 @@ class TestSampling:
         sim, queue, monitor = rig
 
         def produce_and_consume(s):
-            queue.push(make_record(event_time=s.now, weight=100.0))
-            queue.pull(100.0)
+            queue.push_block(cohort(event_time=s.now, weight=100.0))
+            queue.pull_blocks(100.0)
 
         sim.every(0.5, produce_and_consume)
         sim.run_until(3.0)
@@ -38,7 +35,7 @@ class TestSampling:
 
     def test_occupancy_tracks_backlog(self, rig):
         sim, queue, monitor = rig
-        sim.every(0.5, lambda s: queue.push(make_record(s.now, weight=10.0)))
+        sim.every(0.5, lambda s: queue.push_block(cohort(s.now, weight=10.0)))
         sim.run_until(2.0)
         # Pushes at 0.5/1.0/1.5/2.0; the monitor's 2.0 sample fires
         # before the co-timed push (it was scheduled earlier), so the
@@ -48,7 +45,7 @@ class TestSampling:
 
     def test_queue_delay_series(self, rig):
         sim, queue, monitor = rig
-        queue.push(make_record(event_time=0.0))
+        queue.push_block(cohort(event_time=0.0))
         sim.run_until(3.0)
         assert monitor.queue_delay_series.values[-1] == pytest.approx(3.0)
 
@@ -60,8 +57,8 @@ class TestSampling:
         sim, queue, monitor = rig
 
         def push_late(s):
-            queue.push(
-                make_record(event_time=s.now - 100.0), at_time=s.now
+            queue.push_block(
+                cohort(event_time=s.now - 100.0), at_time=s.now
             )
 
         sim.every(0.5, push_late)
@@ -74,8 +71,8 @@ class TestSampling:
         sim, queue, monitor = rig
 
         def consume(s):
-            queue.push(make_record(s.now, weight=50.0))
-            queue.pull(50.0)
+            queue.push_block(cohort(s.now, weight=50.0))
+            queue.pull_blocks(50.0)
 
         sim.every(1.0, consume, start=0.2)
         sim.run_until(10.0)
@@ -84,7 +81,7 @@ class TestSampling:
 
     def test_occupancy_slope_positive_under_overload(self, rig):
         sim, queue, monitor = rig
-        sim.every(1.0, lambda s: queue.push(make_record(s.now, weight=30.0)))
+        sim.every(1.0, lambda s: queue.push_block(cohort(s.now, weight=30.0)))
         sim.run_until(10.0)
         assert monitor.occupancy_slope() == pytest.approx(30.0, rel=0.1)
 
@@ -103,7 +100,7 @@ class TestSampling:
 
     def test_queue_delay_at_end_uses_tail(self, rig):
         sim, queue, monitor = rig
-        queue.push(make_record(event_time=0.0))
+        queue.push_block(cohort(event_time=0.0))
         sim.run_until(10.0)
         # Oldest event is 10 s old at the end; tail mean is close to that.
         assert monitor.queue_delay_at_end() > 8.0

@@ -25,7 +25,6 @@ import pytest
 
 import repro.engines.ext  # noqa: F401  (registers heron/samza)
 from repro.core.queues import DriverQueue, QueueSet
-from repro.core.records import Record
 from repro.engines import engine_class
 from repro.engines.operators.sink import Sink
 from repro.faults.checkpoint import CheckpointSpec
@@ -50,6 +49,8 @@ from repro.sim.network import DataPlane, NetworkSpec
 from repro.sim.rng import RngRegistry
 from repro.sim.simulator import Simulator
 from repro.workloads.queries import WindowedAggregationQuery
+
+from tests.cohorts import cohort
 
 GOLDEN = pathlib.Path(__file__).parent.parent / "golden" / "control_plane.json"
 ENGINES = ("flink", "heron", "samza", "spark", "storm")
@@ -99,10 +100,9 @@ class Rig:
     def _feed(self, sim):
         for queue in self.queues:
             for key in range(3):
-                queue.push(
-                    Record(
-                        key=key, value=1.0, event_time=sim.now,
-                        weight=self.cohort_weight,
+                queue.push_block(
+                    cohort(
+                        key=key, event_time=sim.now, weight=self.cohort_weight
                     ),
                     at_time=sim.now,
                 )

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.queues import DriverQueue, QueueSet
-from repro.core.records import Record
 from repro.engines.backpressure import CreditBased
 from repro.engines.base import EngineConfig, StreamingEngine
 from repro.engines.calibration import CostModel
@@ -13,6 +12,8 @@ from repro.sim.network import DataPlane, NetworkSpec
 from repro.sim.rng import RngRegistry
 from repro.sim.simulator import Simulator
 from repro.workloads.queries import WindowSpec, WindowedAggregationQuery
+
+from tests.cohorts import cohort
 
 
 class RecordingEngine(StreamingEngine):
@@ -74,7 +75,7 @@ class TestLifecycle:
     def test_stop_halts_ticking(self, rig):
         sim, engine, queue, queues, sink = rig
         engine.start(queues, sink)
-        queue.push(Record(key=0, value=1.0, event_time=0.0, weight=10.0))
+        queue.push_block(cohort(event_time=0.0, weight=10.0))
         engine.stop()
         sim.run_until(1.0)
         assert engine.ingested_weight == 0.0
@@ -84,7 +85,7 @@ class TestIngestion:
     def test_records_stamped_with_ingest_time(self, rig):
         sim, engine, queue, queues, sink = rig
         engine.start(queues, sink)
-        queue.push(Record(key=0, value=1.0, event_time=0.0, weight=5.0))
+        queue.push_block(cohort(event_time=0.0, weight=5.0))
         sim.run_until(0.2)
         assert engine.processed
         for record in engine.processed:
@@ -96,8 +97,8 @@ class TestIngestion:
         sim, engine, queue, queues, sink = rig
         engine.start(queues, sink)
         # Offer far above the 0.32 M/s capacity for 2 simulated seconds.
-        sim.every(0.1, lambda s: queue.push(
-            Record(key=0, value=1.0, event_time=s.now, weight=100_000.0)
+        sim.every(0.1, lambda s: queue.push_block(
+            cohort(event_time=s.now, weight=100_000.0)
         ))
         sim.run_until(2.0)
         # Ingest rate ~ capacity * elapsed (within tick granularity).
@@ -117,8 +118,8 @@ class TestIngestion:
             scaling_efficiency={2: 1.0},
         )
         engine.start(queues, sink)
-        sim.every(0.1, lambda s: queue.push(
-            Record(key=0, value=1.0, event_time=s.now, weight=100_000.0)
+        sim.every(0.1, lambda s: queue.push_block(
+            cohort(event_time=s.now, weight=100_000.0)
         ))
         sim.run_until(2.0)
         rate = engine.ingested_weight / 2.0
@@ -132,8 +133,8 @@ class TestGcPauses:
             gc_rate_per_s=100.0, gc_pause_mean_s=10.0, gc_pause_sigma=0.01
         )
         engine.start(queues, sink)
-        sim.every(0.1, lambda s: queue.push(
-            Record(key=0, value=1.0, event_time=s.now, weight=1000.0)
+        sim.every(0.1, lambda s: queue.push_block(
+            cohort(event_time=s.now, weight=1000.0)
         ))
         sim.run_until(2.0)
         # With a guaranteed immediate 10 s pause, nothing is ingested.
@@ -143,7 +144,7 @@ class TestGcPauses:
         sim, engine, queue, queues, sink = rig
         assert engine.config.gc_rate_per_s == 0.0
         engine.start(queues, sink)
-        queue.push(Record(key=0, value=1.0, event_time=0.0, weight=10.0))
+        queue.push_block(cohort(event_time=0.0, weight=10.0))
         sim.run_until(0.5)
         assert engine.ingested_weight > 0.0
 
@@ -170,7 +171,7 @@ class TestFailureHandling:
 
         engine._process = poisoned_process
         engine.start(queues, sink)
-        queue.push(Record(key=0, value=1.0, event_time=0.0, weight=10.0))
+        queue.push_block(cohort(event_time=0.0, weight=10.0))
         sim.run_until(1.0)
         assert engine.failed
         assert "boom" in str(engine.failure)

@@ -23,6 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.engines.ext  # noqa: F401  (registers heron/samza)
+from repro.core.broker import BrokerSpec
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.generator import GeneratorConfig
 from repro.faults.schedule import (
@@ -97,29 +98,54 @@ def workloads(draw):
     )
 
 
+def assert_span_geometry(log):
+    """Marks in time order, spans contiguous, and a complete trace's
+    spans telescoping to its event-time latency within 1e-9."""
+    assert log.started, "sampler produced no traces at rate 50"
+    for trace in log.started:
+        # Marks are non-decreasing in time.
+        times = [t for _, t in trace.marks]
+        assert times == sorted(times)
+        # Spans are contiguous (non-overlapping, no gaps).
+        spans = trace.spans()
+        for (_, _, end), (_, start, _) in zip(spans, spans[1:]):
+            assert end == start
+    for trace in log.completed:
+        assert trace.marks[0][0] == "created"
+        assert trace.marks[-1][0] == "emitted"
+        span_sum = sum(t1 - t0 for _, t0, t1 in trace.spans())
+        assert span_sum == pytest.approx(
+            trace.event_time_latency, abs=SPAN_TOL
+        )
+
+
 class TestTraceProperties:
     @trial_settings
     @given(spec=workloads())
     def test_spans_ordered_contiguous_and_telescoping(self, spec):
-        result = run_experiment(spec)
-        log = result.observability.trace_log
-        assert log.started, "sampler produced no traces at rate 50"
-        for trace in log.started:
-            # Marks are non-decreasing in time.
-            times = [t for _, t in trace.marks]
-            assert times == sorted(times)
-            # Spans are contiguous (non-overlapping, no gaps).
-            spans = trace.spans()
-            for (_, _, end), (_, start, _) in zip(spans, spans[1:]):
-                assert end == start
-        completed = log.completed
-        for trace in completed:
-            assert trace.marks[0][0] == "created"
-            assert trace.marks[-1][0] == "emitted"
-            span_sum = sum(t1 - t0 for _, t0, t1 in trace.spans())
-            assert span_sum == pytest.approx(
-                trace.event_time_latency, abs=SPAN_TOL
-            )
+        assert_span_geometry(run_experiment(spec).observability.trace_log)
+
+    def test_brokered_traces_complete_with_a_broker_span(self):
+        """A trace routed through the broker rides the direct part of
+        its cohort: it completes, and the broker hop is its own span
+        between the generator-side and the SUT-side ``enqueued``."""
+        spec = ExperimentSpec(
+            engine="flink",
+            workers=2,
+            profile=30_000.0,
+            duration_s=30.0,
+            generator=GeneratorConfig(instances=2),
+            monitor_resources=False,
+            broker=BrokerSpec(),
+            observability=ObsSpec(trace_sample_rate=50),
+        )
+        log = run_experiment(spec).observability.trace_log
+        assert log.completed, "no brokered trace completed"
+        assert_span_geometry(log)
+        for trace in log.completed:
+            names = [name for name, _ in trace.marks]
+            assert names[:4] == ["created", "enqueued", "enqueued", "ingested"]
+            assert "enqueued->enqueued" in trace.span_durations()
 
     @trial_settings
     @given(spec=workloads())

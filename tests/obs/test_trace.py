@@ -12,6 +12,8 @@ from repro.obs.trace import (
     TraceSampler,
 )
 
+from tests.oracle.kernels import maybe_trace
+
 
 def make_trace(**kwargs):
     defaults = dict(trace_id=0, key=1, stream="purchases", weight=2.0)
@@ -78,7 +80,7 @@ class TestTraceSampler:
         log = TraceLog()
         sampler = TraceSampler(1, log)
         traces = [
-            sampler.maybe_trace(k, "purchases", 1.0, 0.0) for k in range(5)
+            maybe_trace(sampler, k, "purchases", 1.0, 0.0) for k in range(5)
         ]
         assert all(t is not None for t in traces)
         assert [t.trace_id for t in traces] == list(range(5))
@@ -87,7 +89,7 @@ class TestTraceSampler:
         log = TraceLog()
         sampler = TraceSampler(3, log)
         hits = [
-            sampler.maybe_trace(k, "purchases", 1.0, 0.0) is not None
+            maybe_trace(sampler, k, "purchases", 1.0, 0.0) is not None
             for k in range(9)
         ]
         assert hits == [False, False, True] * 3
@@ -98,7 +100,7 @@ class TestTraceSampler:
 
     def test_started_trace_carries_created_mark(self):
         sampler = TraceSampler(1, TraceLog())
-        trace = sampler.maybe_trace(7, "ads", 3.0, 12.5)
+        trace = maybe_trace(sampler, 7, "ads", 3.0, 12.5)
         assert trace.marks == [(CREATED, 12.5)]
         assert trace.key == 7
         assert trace.stream == "ads"
@@ -111,16 +113,17 @@ class TestTraceSampler:
         ),
     )
     def test_batched_countdown_equals_per_cohort_path(self, rate, batches):
-        """The generator's countdown fast path (due_in/take/sync) must
-        make bit-identical sampling decisions to maybe_trace, for any
-        rate and any batch segmentation of the cohort sequence."""
+        """The generator's countdown (due_in/take/sync) must make
+        bit-identical sampling decisions to the per-cohort reference
+        ``maybe_trace``, for any rate and any batch segmentation of the
+        cohort sequence."""
         ref_sampler = TraceSampler(rate, TraceLog())
         fast_sampler = TraceSampler(rate, TraceLog())
         ref_hits, fast_hits = [], []
         for batch in batches:
             for i in range(batch):
                 ref_hits.append(
-                    ref_sampler.maybe_trace(i, "purchases", 1.0, 0.0)
+                    maybe_trace(ref_sampler, i, "purchases", 1.0, 0.0)
                     is not None
                 )
             countdown = fast_sampler.due_in()
@@ -143,7 +146,7 @@ class TestTraceLog:
         log = TraceLog(max_traces=2)
         sampler = TraceSampler(1, log)
         for k in range(5):
-            sampler.maybe_trace(k, "purchases", 1.0, 0.0)
+            maybe_trace(sampler, k, "purchases", 1.0, 0.0)
         assert len(log.started) == 2
         assert log.overflow == 3
         assert log.started_count == 5

@@ -11,8 +11,12 @@ stores).  The per-record code it replaced -- and which generated
   their per-record ``_process`` loops, swapped into ``repro.engines.
   ENGINES`` by :func:`oracle_engines`;
 - :mod:`tests.oracle.kernels` -- ``SourceSet.pull``, the per-key dense
-  emit loop and the dict-walking output builders, compared at unit
-  level;
+  emit loop, the per-cohort ``TraceSampler.maybe_trace`` and the
+  dict-walking output builders, compared at unit level;
+- :mod:`tests.oracle.queues` -- ``RecordQueue``, the record-at-a-time
+  driver queue (one ``Record`` per cohort) the first two kernels run on
+  and ``tests/core/test_queue_blocks.py`` compares the block queue
+  with;
 - :mod:`tests.oracle.search` -- the cold bisection of
   ``find_sustainable_throughput``, which production now aims
   (``test_aimed_search.py``).

@@ -3,10 +3,15 @@
 ``SourceSet.pull`` and the per-key loops of ``DataGenerator._emit_dense``
 (6d71cc3), verbatim, as plain functions over the production objects
 (``self`` is the ``SourceSet`` / ``DataGenerator`` they were methods
-of).  The oracle engines receive blocks at the engine door, so these two
-are compared against production at unit level (``test_source_pull.py``,
-``test_dense_emit.py``), the way ``tests/core/test_queue_blocks.py``
-compares the queue.
+of), running on the record-at-a-time :class:`~tests.oracle.queues.
+RecordQueue`.  The oracle engines receive blocks at the engine door, so
+these two are compared against production at unit level
+(``test_source_pull.py``, ``test_dense_emit.py``), the way
+``tests/core/test_queue_blocks.py`` compares the queue.
+
+``TraceSampler.maybe_trace`` (61fc6e0), verbatim: the per-cohort step of
+the 1-in-N counter that production's ``due_in`` / ``take`` / ``sync``
+countdown replaces (``tests/obs/test_trace.py``).
 
 ``aggregation_outputs`` and ``join_window_outputs`` (0920fa1), verbatim,
 over the dict-shaped closed windows of :mod:`tests.oracle.stores`.  The
@@ -18,13 +23,14 @@ output builders, so these two -- with the dict ``close``, ``absorb``,
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.core.batch import left_sum
 from repro.core.generator import DataGenerator
 from repro.core.records import PURCHASES, OutputRecord, Record
 from repro.engines.operators.join import ClosedJoinWindow
 from repro.engines.operators.source import SourceSet
+from repro.obs.trace import EventTrace, TraceSampler
 
 from tests.oracle.stores import DictWindowContents
 
@@ -130,6 +136,17 @@ def emit_dense(
             at_time=now,
         )
     sampler.sync(countdown)
+
+
+def maybe_trace(
+    self: TraceSampler, key: int, stream: str, weight: float, event_time: float
+) -> Optional[EventTrace]:
+    """Return a started trace for every N-th cohort, else None."""
+    self._counter += 1
+    if self._counter < self.sample_rate:
+        return None
+    self._counter = 0
+    return self.take(key, stream, weight, event_time)
 
 
 def aggregation_outputs_by_key(

@@ -1,9 +1,10 @@
 """``DataGenerator._emit_dense`` against the per-key loop it replaced.
 
 Twin generators (own queue, own sampler and trace log) emit the same
-ticks: one through the production block emission, the other through
-the oracle ``emit_dense`` loop (:mod:`tests.oracle.kernels`) that pushed
-one ``Record`` per catalog key.  Queue ledgers, the sampler's counter
+ticks: one through the production block emission into a
+:class:`DriverQueue`, the other through the oracle ``emit_dense`` loop
+(:mod:`tests.oracle.kernels`) that pushed one ``Record`` per catalog key
+into a :class:`~tests.oracle.queues.RecordQueue`.  Queue ledgers, the sampler's counter
 and id sequence, every trace and the queued cohort sequence must agree
 after every emission, floats by ``float.hex``.
 """
@@ -25,18 +26,22 @@ from repro.workloads.keys import NormalKeys, SingleKey, UniformKeys
 from repro.workloads.profiles import ConstantRate
 from repro.workloads.queries import WindowedAggregationQuery
 
+from tests.cohorts import expand
 from tests.oracle.kernels import emit_dense
+from tests.oracle.queues import RecordQueue
 
 LEDGERS = ("queued_weight", "pushed_weight", "frontier_event_time", "dropped")
 
 
-def twin(keys, sample_rate: Optional[int], capacity: float) -> DataGenerator:
+def twin(
+    keys, sample_rate: Optional[int], capacity: float, queue_kind
+) -> DataGenerator:
     sampler = (
         None if sample_rate is None else TraceSampler(sample_rate, TraceLog())
     )
     return DataGenerator(
         sim=Simulator(),
-        queue=DriverQueue("q", capacity_weight=capacity),
+        queue=queue_kind("q", capacity_weight=capacity),
         profile=ConstantRate(1000.0),
         query=WindowedAggregationQuery(keys=keys),
         rng=RngRegistry(0).stream("g"),
@@ -48,8 +53,8 @@ def twin(keys, sample_rate: Optional[int], capacity: float) -> DataGenerator:
 
 class EmitPair:
     def __init__(self, keys, sample_rate=None, capacity=float("inf")) -> None:
-        self.production = twin(keys, sample_rate, capacity)
-        self.oracle = twin(keys, sample_rate, capacity)
+        self.production = twin(keys, sample_rate, capacity, DriverQueue)
+        self.oracle = twin(keys, sample_rate, capacity, RecordQueue)
 
     def emit(self, stream: str, weight: float, now: float) -> Optional[str]:
         """One emission on both; the (identical) overflow, if any."""
@@ -86,9 +91,12 @@ class EmitPair:
             [
                 (r.key, r.value, float(r.weight).hex(), r.event_time,
                  r.stream, None if r.trace is None else r.trace.trace_id)
-                for r in gen.queue.pull(float("inf"))
+                for r in records
             ]
-            for gen in (self.production, self.oracle)
+            for records in (
+                expand(self.production.queue.pull_blocks(float("inf"))),
+                self.oracle.queue.pull(float("inf")),
+            )
         )
         assert got == want
         return got

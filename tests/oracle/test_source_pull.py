@@ -1,8 +1,10 @@
 """``SourceSet.pull_batch`` against the record-at-a-time pull it replaced.
 
-Twin :class:`QueueSet` fleets are fed identical blocks; one is pulled
-through the production ``pull_batch``, the other through the oracle
-``source_pull`` (:mod:`tests.oracle.kernels`).  After every pull the
+Twin :class:`QueueSet` fleets are fed identical cohorts -- blocks into
+production :class:`DriverQueue` s, the same cohorts as records into
+:class:`~tests.oracle.queues.RecordQueue` s; one is pulled through the
+production ``pull_batch``, the other through the oracle ``source_pull``
+(:mod:`tests.oracle.kernels`).  After every pull the
 expanded cohort sequences, ingest stamps, trace marks, the round-robin
 cursor, the disconnect table and every queue ledger must agree, floats
 by ``float.hex``.
@@ -22,6 +24,7 @@ from repro.engines.operators.source import SourceSet
 from repro.obs.trace import EventTrace
 
 from tests.oracle.kernels import source_pull
+from tests.oracle.queues import RecordQueue
 
 LEDGERS = ("queued_weight", "pulled_weight", "watermark")
 
@@ -41,8 +44,8 @@ class SourcePair:
 
     def __init__(self, n_queues: int) -> None:
         self.fleets = [
-            QueueSet([DriverQueue(f"q{i}") for i in range(n_queues)])
-            for _ in range(2)
+            QueueSet([kind(f"q{i}") for i in range(n_queues)])
+            for kind in (DriverQueue, RecordQueue)
         ]
         self.production = SourceSet(self.fleets[0])
         self.oracle = SourceSet(self.fleets[1])
@@ -64,17 +67,20 @@ class SourcePair:
                 trace.mark("created", self.clock)
                 traces.append(trace)
                 riders.append((index, trace))
-            fleet.queues[queue].push_block(
-                RecordBlock(
-                    np.arange(len(weights), dtype=np.int64),
-                    np.array(weights, dtype=np.float64),
-                    value=1.0,
-                    event_time=self.clock,
-                    stream="purchases",
-                    traces=riders,
-                ),
-                at_time=self.clock,
+            block = RecordBlock(
+                np.arange(len(weights), dtype=np.int64),
+                np.array(weights, dtype=np.float64),
+                value=1.0,
+                event_time=self.clock,
+                stream="purchases",
+                traces=riders,
             )
+            target = fleet.queues[queue]
+            if isinstance(target, RecordQueue):
+                for record in block.materialize():
+                    target.push(record, at_time=self.clock)
+            else:
+                target.push_block(block, at_time=self.clock)
 
     def disconnect(self, queue: int, until: float) -> None:
         self.production.disconnect(queue, until)

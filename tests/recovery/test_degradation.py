@@ -3,13 +3,14 @@
 import pytest
 
 from repro.core.queues import DriverQueue
-from repro.core.records import Record
 from repro.recovery.degradation import (
     SHED_NEWEST,
     SHED_NONE,
     SHED_OLDEST,
     DegradationPolicy,
 )
+
+from tests.cohorts import cohort, expand
 
 
 class TestPolicyValidation:
@@ -74,8 +75,8 @@ class TestAdmissionFraction:
 def filled_queue(weights, capacity=1e9):
     queue = DriverQueue("q0", capacity_weight=capacity)
     for i, weight in enumerate(weights):
-        queue.push(
-            Record(key=i, value=1.0, event_time=float(i), weight=weight),
+        queue.push_block(
+            cohort(key=i, event_time=float(i), weight=weight),
             at_time=float(i),
         )
     return queue
@@ -88,21 +89,21 @@ class TestQueueShedding:
         assert dropped == pytest.approx(10.0)
         assert queue.shed_weight == pytest.approx(10.0)
         # The head cohort (event_time 0) is gone.
-        remaining = queue.pull(1e9)
+        remaining = expand(queue.pull_blocks(1e9))
         assert [r.event_time for r in remaining] == [1.0, 2.0]
 
     def test_shed_newest_pops_tail(self):
         queue = filled_queue([10.0, 20.0, 30.0])
         dropped = queue.shed(30.0, drop_oldest=False)
         assert dropped == pytest.approx(30.0)
-        remaining = queue.pull(1e9)
+        remaining = expand(queue.pull_blocks(1e9))
         assert [r.event_time for r in remaining] == [0.0, 1.0]
 
     def test_partial_cohort_shed_splits(self):
         queue = filled_queue([10.0, 20.0])
         dropped = queue.shed(15.0, drop_oldest=True)
         assert dropped == pytest.approx(15.0)
-        remaining = queue.pull(1e9)
+        remaining = expand(queue.pull_blocks(1e9))
         # First cohort fully shed, second reduced to 15.
         assert len(remaining) == 1
         assert remaining[0].weight == pytest.approx(15.0)
@@ -110,7 +111,7 @@ class TestQueueShedding:
     def test_conservation_ledger_balances(self):
         queue = filled_queue([10.0, 20.0, 30.0])
         queue.shed(25.0)
-        queue.pull(12.0)
+        queue.pull_blocks(12.0)
         assert queue.pushed_weight == pytest.approx(
             queue.pulled_weight + queue.queued_weight + queue.shed_weight
         )

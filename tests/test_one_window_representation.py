@@ -13,8 +13,8 @@ import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).parent.parent / "src" / "repro"
-#: ``RecordBlock.materialize()`` (blocks -> records at the queue's and
-#: the engine's record-at-a-time doors) is a different method, in core/.
+#: ``RecordBlock.materialize()`` (blocks -> records at the engine's
+#: record-at-a-time door) is a different method, in core/.
 WINDOW_CODE = SRC / "engines"
 
 
