@@ -1,0 +1,168 @@
+"""Direct engine trials, pinned byte for byte, three hashes per case.
+
+Each engine's window pipeline -- ingest, store, close, emit delay,
+sink -- is pinned here on short seeded trials fed straight from the
+generators (no broker).  Every case stores three separate hashes so a
+change shows where it landed:
+
+- ``sink``: the failure message and the output table, every float by
+  ``float.hex``;
+- ``latency``: the event- and processing-time latency summaries plus
+  the mean ingest rate;
+- ``diagnostics``: the engine's full diagnostics (host-clock keys
+  excepted).
+
+A diagnostics-only change (a new counter, a ledger term) moves one
+hash and leaves the other two alone.  The cases cover both queries on
+every engine, disorder with and without allowed lateness, Storm's
+spillable state, Spark's inverse reduce, four-worker clusters, the two
+modelled stalls (Storm's naive join beyond two workers, Flink's skewed
+join) and every engine given a plain :class:`EngineConfig`.
+Regenerate after an *intentional* change with::
+
+    REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest \
+        tests/integration/test_engine_digest.py
+"""
+
+import hashlib
+import json
+import os
+import pathlib
+
+import pytest
+
+import repro.engines.ext  # noqa: F401  (registers heron/samza)
+from repro.core.experiment import ExperimentSpec, run_experiment
+from repro.core.generator import GeneratorConfig
+from repro.engines.base import EngineConfig
+from repro.engines.ext.samza import SamzaConfig
+from repro.engines.flink import FlinkConfig
+from repro.engines.spark import SparkConfig
+from repro.engines.storm import StormConfig
+from repro.workloads.disorder import DisorderSpec
+from repro.workloads.keys import SingleKey
+from repro.workloads.queries import (
+    WindowSpec,
+    WindowedAggregationQuery,
+    WindowedJoinQuery,
+)
+
+GOLDEN_PATH = (
+    pathlib.Path(__file__).parent.parent / "golden" / "engine_trials.json"
+)
+ENGINES = ("flink", "storm", "spark", "samza", "heron")
+WINDOW = WindowSpec(4.0, 2.0)
+AGG = WindowedAggregationQuery(window=WINDOW)
+JOIN = WindowedJoinQuery(window=WINDOW)
+DISORDER = GeneratorConfig(
+    instances=2, disorder=DisorderSpec(fraction=0.2, max_delay_s=2.0)
+)
+HOST_CLOCK_KEYS = frozenset(
+    {"driver.summary_s", "collector.collect_s", "collector.samples_per_s"}
+)
+
+
+def trial(engine, query=AGG, workers=2, profile=30_000.0, duration_s=20.0,
+          **overrides) -> ExperimentSpec:
+    fields = dict(
+        engine=engine,
+        query=query,
+        workers=workers,
+        profile=profile,
+        duration_s=duration_s,
+        seed=29,
+        generator=GeneratorConfig(instances=2),
+        monitor_resources=False,
+        keep_outputs=True,
+    )
+    fields.update(overrides)
+    return ExperimentSpec(**fields)
+
+
+CASES = {
+    **{f"{engine}_agg": trial(engine) for engine in ENGINES},
+    **{f"{engine}_join": trial(engine, JOIN) for engine in ENGINES},
+    "flink_disorder_lateness": trial(
+        "flink", generator=DISORDER,
+        engine_config=FlinkConfig(allowed_lateness_s=1.0),
+    ),
+    "storm_disorder_lateness": trial(
+        "storm", generator=DISORDER,
+        engine_config=StormConfig(allowed_lateness_s=1.0),
+    ),
+    "spark_disorder_lateness": trial(
+        "spark", generator=DISORDER,
+        engine_config=SparkConfig(allowed_lateness_s=1.0),
+    ),
+    "samza_disorder": trial("samza", generator=DISORDER),
+    "samza_join_disorder_lateness": trial(
+        "samza", JOIN, generator=DISORDER,
+        engine_config=SamzaConfig(allowed_lateness_s=1.0),
+    ),
+    "storm_advanced_state": trial(
+        "storm", engine_config=StormConfig(advanced_state=True)
+    ),
+    "spark_inverse_reduce": trial(
+        "spark", engine_config=SparkConfig(inverse_reduce=True)
+    ),
+    "storm_agg_w4": trial("storm", workers=4),
+    "flink_agg_w4": trial("flink", workers=4),
+    "storm_naive_join_stall": trial(
+        "storm", JOIN, workers=4, profile=0.2e6, duration_s=60.0
+    ),
+    "flink_skewed_join_stall": trial(
+        "flink",
+        WindowedJoinQuery(window=WINDOW, keys=SingleKey()),
+        profile=0.6e6,
+        duration_s=120.0,
+    ),
+    **{
+        f"{engine}_plain_config": trial(
+            engine,
+            engine_config=EngineConfig(
+                gc_rate_per_s=0.0, emit_jitter_sigma=0.0
+            ),
+        )
+        for engine in ENGINES
+    },
+}
+
+
+def _sha(payload) -> str:
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def trial_digest(result) -> dict:
+    outputs = [
+        [o.key, float(o.value).hex(), float(o.weight).hex(),
+         float(o.event_time).hex(), float(o.processing_time).hex(),
+         float(o.emit_time).hex(), float(o.window_end).hex()]
+        for o in result.collector.outputs
+    ]
+    return {
+        "sink": _sha({"failure": result.failure, "outputs": outputs}),
+        "latency": _sha({
+            "event_latency": result.event_latency.to_dict(),
+            "processing_latency": result.processing_latency.to_dict(),
+            "mean_ingest_rate": float(result.mean_ingest_rate).hex(),
+        }),
+        "diagnostics": _sha({
+            key: float(value).hex()
+            for key, value in sorted(result.diagnostics.items())
+            if key not in HOST_CLOCK_KEYS
+        }),
+    }
+
+
+def test_engine_trials_match_goldens():
+    actual = {
+        name: trial_digest(run_experiment(spec))
+        for name, spec in CASES.items()
+    }
+    if os.environ.get("REGEN_GOLDEN"):
+        GOLDEN_PATH.write_text(
+            json.dumps(actual, indent=2, sort_keys=True) + "\n"
+        )
+        pytest.skip(f"regenerated goldens at {GOLDEN_PATH}")
+    assert actual == json.loads(GOLDEN_PATH.read_text())
