@@ -58,7 +58,7 @@ BASE = dict(
 
 POLICIES = {
     "backpressure": {},
-    "shed": {"degradation": engine_class("flink").recommended_degradation()},
+    "shed": {"degradation": engine_class("flink").recommended_degradation},
     "standby": {"standby": 3},
 }
 

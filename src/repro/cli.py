@@ -319,7 +319,7 @@ def build_degradation(args: argparse.Namespace):
     if shed in (None, "none"):
         return None  # engine default: inert policy (no shedding)
     if shed == "recommended":
-        return engine_class(args.engine).recommended_degradation()
+        return engine_class(args.engine).recommended_degradation
     return DegradationPolicy(
         shed=SHED_OLDEST if shed == "oldest" else SHED_NEWEST
     )

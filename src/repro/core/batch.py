@@ -143,8 +143,8 @@ class RecordBlock:
         """Expand into per-cohort :class:`Record` objects.
 
         The records carry the cohorts' exact weights, times and traces,
-        so engines without a ``_process_batch`` can fall back to a
-        record-at-a-time ``_process`` without numeric divergence.
+        so a record-at-a-time reading of a block (the oracle engines in
+        ``tests/oracle``) sees the same numbers the block holds.
         """
         trace_at = dict(self.traces)
         return [
@@ -256,14 +256,6 @@ def records_weight(blocks: List[RecordBlock]) -> float:
     for block in blocks:
         total = fold_add(total, block.weights)
     return total
-
-
-def materialize_all(blocks: List[RecordBlock]) -> List[Record]:
-    """Expand a list of blocks into records, in cohort order."""
-    records: List[Record] = []
-    for block in blocks:
-        records.extend(block.materialize())
-    return records
 
 
 def consume_front(

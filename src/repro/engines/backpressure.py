@@ -31,6 +31,15 @@ import numpy as np
 class BackpressureMechanism(ABC):
     """Flow control: converts capacity + buffer state into an ingest grant."""
 
+    stall_count = 0
+    """Topology stalls so far."""
+
+    @classmethod
+    def for_engine(cls, engine) -> "BackpressureMechanism":
+        """The mechanism as ``engine`` runs it (an engine names its
+        mechanism in ``backpressure_cls``); default: no parameters."""
+        return cls()
+
     @abstractmethod
     def ingest_budget(
         self,
@@ -58,6 +67,12 @@ class BackpressureMechanism(ABC):
         """Flow-control counters published to the metrics registry
         (stall/off/limited time in *simulated seconds*); default none."""
         return {}
+
+    def force_stall(self, duration_s: Optional[float] = None) -> None:
+        """Stall the topology now (Storm's surge detector asks).  A
+        mechanism without a stall state absorbs the request: it is
+        counted, and ingest goes on."""
+        self.stall_count += 1
 
 
 class CreditBased(BackpressureMechanism):
@@ -137,6 +152,22 @@ class OnOffThrottle(BackpressureMechanism):
         self.off_s = 0.0
         """Simulated seconds the throttle spent *off* (above the high
         watermark, not counting stall time)."""
+
+    @classmethod
+    def for_engine(cls, engine) -> "OnOffThrottle":
+        """Storm's throttle: watermarks and burst from the engine
+        config; the stall hazard grows linearly with workers/2, the
+        stall length with its square root (more executors, longer
+        recovery coordination)."""
+        cfg, workers = engine.config, engine.cluster.workers
+        return cls(
+            high_watermark=cfg.high_watermark,
+            low_watermark=cfg.low_watermark,
+            burst_factor=cfg.burst_factor,
+            stall_rng=engine.rng,
+            stall_rate_per_s=cfg.stall_rate_per_s * workers / 2.0,
+            stall_duration_s=cfg.stall_duration_s * (workers / 2.0) ** 0.5,
+        )
 
     @property
     def emitting(self) -> bool:
@@ -259,6 +290,11 @@ class RateController(BackpressureMechanism):
         self.rate_limited_s = 0.0
         """Simulated time during which the controller's rate limit (not
         capacity or buffer headroom) was the binding constraint."""
+
+    @classmethod
+    def for_engine(cls, engine) -> "RateController":
+        """Spark's controller, updated once per batch interval."""
+        return cls(batch_interval_s=engine.config.batch_interval_s)
 
     def ingest_budget(
         self,

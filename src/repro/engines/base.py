@@ -26,34 +26,36 @@ What happens *to* a running engine -- faults, detector verdicts,
 rescales, the checkpoint timer -- is its control plane's business
 (:mod:`repro.engines.control`); the tick only asks it four questions.
 
-Subclasses implement ``_capacity_events_per_s`` (usually delegated to
-the calibrated cost model), the windowing pipeline -- ``_process_batch``
-(blocks of cohorts) or, record-at-a-time, ``_process`` -- and
-``_on_tick_end`` (window closing / job scheduling).
+The base also owns the window pipeline every engine shares: ingested
+blocks fold into one window store (keyed, or two-sided for the join),
+ready windows close against the source watermark (less the allowed
+lateness), the closed window's outputs leave after an emit delay, and
+the sink receives them; the conservation ledger and the late-drop
+count are derived from that store.  An engine is a declaration --
+``config_cls``, ``backpressure_cls``, ``supports_spill``,
+``recommended_degradation``, its cost model and recovery semantics --
+plus code for what is irreducibly its own (DESIGN.md, "Engines as
+declarations").
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from repro.autoscale.rescale import RescaleSemantics
-from repro.core.batch import (
-    RecordBlock,
-    left_sum,
-    materialize_all,
-    records_weight,
-)
+from repro.core.batch import RecordBlock, left_sum, records_weight
 from repro.core.queues import QueueSet
-from repro.core.records import Record
-from repro.engines.backpressure import BackpressureMechanism
+from repro.engines.backpressure import BackpressureMechanism, CreditBased
 from repro.engines.calibration import CostModel, cost_model_for
 from repro.engines.control import ControlPlane, PauseCause
+from repro.engines.operators.aggregate import aggregation_outputs
+from repro.engines.operators.join import JoinWindowStore, join_window_outputs
 from repro.engines.operators.sink import Sink
 from repro.engines.operators.source import SourceSet
+from repro.engines.operators.window import KeyedWindowStore
 from repro.engines.state import StateBackend, StatePolicy
 from repro.obs.context import ObsContext
 from repro.recovery.degradation import DegradationPolicy
@@ -106,8 +108,8 @@ class EngineConfig:
         return replace(self, **kwargs)
 
 
-class StreamingEngine(ABC):
-    """Abstract system under test.
+class StreamingEngine:
+    """The system under test.
 
     Lifecycle: construct -> ``start(queues, sink)`` -> (simulator runs;
     the engine ticks itself) -> ``stop()``.  A failure during the run
@@ -127,6 +129,22 @@ class StreamingEngine(ABC):
     """How this engine executes an elastic rescale (style of the cutover
     pause, provisioning lead time); engines override with their own
     semantics -- see :mod:`repro.autoscale.rescale`."""
+    config_cls = EngineConfig
+    """The engine's configuration class.  A trial without a config runs
+    on ``config_cls()``; any other config is copied into it field by
+    field, so a plain :class:`EngineConfig` keeps its values and gains
+    the engine's own knobs at their defaults."""
+    backpressure_cls: type = CreditBased
+    """The engine's flow-control mechanism, built once per engine by
+    ``backpressure_cls.for_engine(engine)``."""
+    supports_spill = True
+    """Whether operator state can spill to disk (Experiment 3)."""
+    recommended_degradation = DegradationPolicy(
+        shed="oldest", max_queue_delay_s=5.0, readmission_ramp_s=2.0
+    )
+    """A sensible graceful-degradation configuration for this engine --
+    what a production deployment of it would run with.  Engines tune
+    the ramp to their scheduling granularity."""
 
     def __init__(
         self,
@@ -149,15 +167,27 @@ class StreamingEngine(ABC):
         self.plane = plane
         self.rng = rng
         self.resources = resources
-        self.config = config or self.default_config()
+        config_cls = self.config_cls
+        if config is None:
+            config = config_cls()
+        elif not isinstance(config, config_cls):
+            config = config_cls(**vars(config))
+        self.config = config
         self.cost: CostModel = self._resolve_cost_model()
         self.state = StateBackend(
             cluster,
             StatePolicy(
-                can_spill=self.supports_spill(),
-                heap_fraction=self.config.heap_fraction,
+                can_spill=self.supports_spill,
+                heap_fraction=config.heap_fraction,
             ),
         )
+        self.backpressure: BackpressureMechanism = (
+            self.backpressure_cls.for_engine(self)
+        )
+        self._is_join = isinstance(query, WindowedJoinQuery)
+        store_cls = JoinWindowStore if self._is_join else KeyedWindowStore
+        self._store = store_cls(query.window, query.keys.num_keys)
+        self.windows_emitted = 0
         self.sink: Optional[Sink] = None
         self.source: Optional[SourceSet] = None
         self.failure: Optional[SutFailure] = None
@@ -172,33 +202,18 @@ class StreamingEngine(ABC):
         # The inert default (no shedding, step re-admission) keeps the
         # paper's binary failure rule for plain trials; the chaos
         # harness and the ``--shed`` CLI knobs opt into an engine's
-        # :meth:`recommended_degradation`.
+        # ``recommended_degradation``.
         self.degradation = degradation or DegradationPolicy()
         self.shed_weight = 0.0
         self._tick_process: Optional[PeriodicProcess] = None
         self._hot_fraction = query.keys.hot_fraction()
         self._ingest_bytes_per_event = self._mean_event_bytes()
         self._result_bytes_per_output_weight = (
-            JOIN_RESULT_BYTES
-            if isinstance(query, WindowedJoinQuery)
-            else AGG_RESULT_BYTES
+            JOIN_RESULT_BYTES if self._is_join else AGG_RESULT_BYTES
         )
         self._last_state_bytes = 0.0
 
     # -- configuration hooks -------------------------------------------------
-
-    @classmethod
-    def default_config(cls) -> EngineConfig:
-        return EngineConfig()
-
-    @classmethod
-    def recommended_degradation(cls) -> DegradationPolicy:
-        """A sensible graceful-degradation configuration for this
-        engine -- what a production deployment of it would run with.
-        Engines tune the ramp to their scheduling granularity."""
-        return DegradationPolicy(
-            shed="oldest", max_queue_delay_s=5.0, readmission_ramp_s=2.0
-        )
 
     def _resolve_cost_model(self) -> CostModel:
         """Look up this engine's performance characterisation.
@@ -209,15 +224,6 @@ class StreamingEngine(ABC):
         override this hook to return one directly.
         """
         return cost_model_for(self.name, self.query.kind)
-
-    @classmethod
-    def supports_spill(cls) -> bool:
-        """Whether operator state can spill to disk (Experiment 3)."""
-        return True
-
-    @abstractmethod
-    def _backpressure(self) -> BackpressureMechanism:
-        """The engine's flow-control mechanism."""
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -275,7 +281,7 @@ class StreamingEngine(ABC):
                 # The flow-control clock still advances -- stall/off
                 # windows elapse in simulated time, not in
                 # ticks-that-ran (the stall-accounting drift bug).
-                self._backpressure().on_tick_end(sim.now)
+                self.backpressure.on_tick_end(sim.now)
                 return
             capacity = self._capacity_events_per_s()
             assert self.source is not None
@@ -293,7 +299,7 @@ class StreamingEngine(ABC):
                     self.shed_weight += self.source.shed(
                         excess, drop_oldest=self.degradation.drop_oldest
                     )
-            budget = self._backpressure().ingest_budget(
+            budget = self.backpressure.ingest_budget(
                 dt=dt,
                 capacity_events_per_s=capacity,
                 buffered_events=self._internal_backlog_weight(),
@@ -316,7 +322,7 @@ class StreamingEngine(ABC):
                     self._account_ingest(blocks, dt)
                     self._process_batch(blocks, dt)
             self._on_tick_end(dt)
-            self._backpressure().on_tick_end(sim.now)
+            self.backpressure.on_tick_end(sim.now)
         except SutFailure as failure:
             self._fail(failure)
 
@@ -521,30 +527,65 @@ class StreamingEngine(ABC):
         pull-rate signatures of Figure 9); default: unshaped."""
         return budget
 
-    def _process(self, records: List[Record], dt: float) -> None:
-        """Feed ingested records into the windowing pipeline.
+    def _staged_weight(self) -> float:
+        """Ingested weight not yet offered to the window store (the
+        conservation ledger's ``staged``); default: the internal
+        backlog."""
+        return self._internal_backlog_weight()
 
-        The record-at-a-time hook of the pluggable-SUT interface; only
-        reached through the default :meth:`_process_batch`.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} must implement _process_batch (blocks "
-            "of cohorts) or _process (one Record at a time)"
-        )
+    # -- the window pipeline ---------------------------------------------------
 
     def _process_batch(self, blocks: List[RecordBlock], dt: float) -> None:
-        """Feed the tick's ingested blocks into the windowing pipeline.
-
-        The built-in engines override this with block-at-a-time window
-        updates; the default materializes records and delegates to
-        :meth:`_process`, so custom engines (the pluggable-SUT
-        interface) can stay record-at-a-time with bitwise-identical
-        numerics -- just without the speed.
-        """
-        self._process(materialize_all(blocks), dt)
+        """Fold the tick's ingested blocks into the window store."""
+        for block in blocks:
+            self._store.add_block(block)
+        self._update_state_usage(self._store.stored_weight())
 
     def _on_tick_end(self, dt: float) -> None:
-        """Close ready windows / advance jobs; default no-op."""
+        """Close the windows the source watermark has passed."""
+        assert self.source is not None
+        self._close_ready(self.source.watermark)
+
+    def _close_ready(self, watermark: float) -> None:
+        """Close every window ready at ``watermark`` less the allowed
+        lateness, oldest first."""
+        watermark -= self.config.allowed_lateness_s
+        for index in self._store.ready_indices(watermark):
+            self._close_window(index)
+
+    def _close_window(self, index: int) -> None:
+        """Close one window and schedule its outputs: close, emit delay,
+        outputs, count, state usage, schedule."""
+        closed = self._store.close(index, at_time=self.sim.now)
+        delay = self._emit_delay(closed)
+        outputs = self._outputs(closed, self.sim.now + delay)
+        self.windows_emitted += 1
+        self._update_state_usage(self._store.stored_weight())
+        if outputs:
+            self.sim.schedule(delay, self._emit, outputs)
+
+    def _emit_delay(self, closed) -> float:
+        """Seconds from a window's close until its outputs leave.
+
+        Default (pipelined): the pipeline delay, jittered; a join first
+        probes the closed window in bulk, so it pays the bulk pass
+        (jittered) on top of an unjittered pipeline delay.
+        """
+        if self._is_join:
+            return (
+                self.config.pipeline_delay_s
+                + self.cost.bulk_emit_delay_s(closed.total_weight, self.cluster)
+                * self._emit_jitter()
+            )
+        return self.config.pipeline_delay_s * self._emit_jitter()
+
+    def _outputs(self, closed, emit_time: float):
+        """The query's result tuples for one closed window."""
+        if self._is_join:
+            return join_window_outputs(
+                closed, self.query.selectivity, emit_time
+            )
+        return aggregation_outputs(closed, emit_time)
 
     def _bind_obs_gauges(self, registry) -> None:
         """Publish engine-side instruments as polled gauges.
@@ -567,7 +608,7 @@ class StreamingEngine(ABC):
         registry.gauge("engine.capacity_events_per_s").bind(
             self._capacity_events_per_s
         )
-        bp = self._backpressure()
+        bp = self.backpressure
         for key in bp.metrics():
             registry.gauge(f"bp.{key}").bind(
                 lambda k=key: bp.metrics().get(k, 0.0)
@@ -579,8 +620,8 @@ class StreamingEngine(ABC):
 
     def conservation(self) -> Dict[str, float]:
         """Per-operator weight-conservation ledger (all in event weight,
-        each record counted once).  Engines with window state override
-        this; the invariants tested against it:
+        each record counted once), derived from the window store and
+        :meth:`_staged_weight`; the invariants tested against it:
 
         - ``ingested == staged + admitted + dropped`` -- every ingested
           record is either still in transit inside the engine
@@ -595,7 +636,9 @@ class StreamingEngine(ABC):
         (``pushed == pulled + queued + shed``) and never enters the
         processing-side invariants above.
         """
-        return {"ingested": self.ingested_weight, "shed": self.shed_weight}
+        ledger = {"ingested": self.ingested_weight, "shed": self.shed_weight}
+        ledger.update(windowed_conservation(self._store, self._staged_weight()))
+        return ledger
 
     def diagnostics(self) -> Dict[str, float]:
         """Engine-internal counters for reports (never used as metrics)."""
@@ -621,20 +664,23 @@ class StreamingEngine(ABC):
             "suspect_migrations": float(control.suspect_migrations),
             "suspect_pause_total_s": paused_s[PauseCause.SUSPECT],
         }
-        for key, value in self._backpressure().metrics().items():
+        for key, value in self.backpressure.metrics().items():
             diag[f"bp.{key}"] = value
         for key, value in self.conservation().items():
             diag[f"conservation.{key}"] = value
+        diag["windows_emitted"] = float(self.windows_emitted)
         return diag
 
 
 def windowed_conservation(store, staged: float = 0.0) -> Dict[str, float]:
     """Conservation ledger terms for a windowed store.
 
-    Accepts a :class:`~repro.engines.operators.window.KeyedWindowStore`
-    or a :class:`~repro.engines.operators.join.JoinWindowStore` (summed
-    over both sides).  ``staged`` is weight the engine has ingested but
-    not yet offered to the store (in-flight tuples, un-fired batches).
+    Accepts a :class:`~repro.engines.operators.window.KeyedWindowStore`,
+    a :class:`~repro.engines.operators.join.JoinWindowStore` (summed
+    over both sides) or Spark's
+    :class:`~repro.engines.operators.aggregate.WindowedPartialMerger`.
+    ``staged`` is weight the engine has ingested but not yet offered to
+    the store (in-flight tuples, un-fired batches).
     """
     sides = (
         [store.purchases, store.ads] if hasattr(store, "purchases") else [store]

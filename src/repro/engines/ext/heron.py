@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.autoscale.rescale import STYLE_REBALANCE, RescaleSemantics
-from repro.engines.backpressure import BackpressureMechanism, CreditBased
+from repro.engines.backpressure import CreditBased
 from repro.engines.calibration import (
     AGGREGATION,
     JOIN,
@@ -60,23 +60,25 @@ class HeronEngine(StormEngine):
         style=STYLE_REBALANCE, provision_s=10.0, warmup_s=1.5
     )
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        # Replace Storm's on/off throttle with smooth rate control.
-        self._credit = CreditBased()
+    config_cls = HeronConfig
+    # Smooth spout rate control instead of Storm's on/off throttle.
+    backpressure_cls = CreditBased
+    # Same at-most-once contract as Storm, but the smooth credit
+    # backpressure holds a slightly deeper queue without collapse, so
+    # the delay bound and ramp sit between Storm's and Flink's.
+    recommended_degradation = DegradationPolicy(
+        shed="oldest", max_queue_delay_s=4.0, readmission_ramp_s=1.5
+    )
+    # Heron inherits Storm's lack of a built-in windowed join, but its
+    # container scheduler keeps the naive join from stalling the whole
+    # topology; it is merely slow.
+    naive_join_stalls = False
 
-    @classmethod
-    def default_config(cls) -> "HeronConfig":
-        return HeronConfig()
-
-    @classmethod
-    def recommended_degradation(cls):
-        # Same at-most-once contract as Storm, but the smooth credit
-        # backpressure holds a slightly deeper queue without collapse,
-        # so the delay bound and ramp sit between Storm's and Flink's.
-        return DegradationPolicy(
-            shed="oldest", max_queue_delay_s=4.0, readmission_ramp_s=1.5
-        )
+    def __init__(self, *args, config=None, **kwargs) -> None:
+        # A config that is not a StormConfig runs on Storm's defaults.
+        if config is not None and not isinstance(config, StormConfig):
+            config = StormConfig(**vars(config))
+        super().__init__(*args, config=config, **kwargs)
 
     def _resolve_cost_model(self) -> CostModel:
         storm = cost_model_for("storm", self.query.kind)
@@ -93,12 +95,3 @@ class HeronEngine(StormEngine):
                 for workers, eff in storm.scaling_efficiency.items()
             },
         )
-
-    def _backpressure(self) -> BackpressureMechanism:
-        return self._credit
-
-    def _check_naive_join_health(self) -> None:
-        # Heron inherits Storm's lack of a built-in windowed join, but
-        # its container scheduler keeps the naive join from stalling the
-        # whole topology; it is merely slow.
-        return None

@@ -24,24 +24,13 @@ inline; nothing here reproduces a published number.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Union
 
 from repro.autoscale.rescale import STYLE_REPARTITION, RescaleSemantics
-from repro.engines.backpressure import BackpressureMechanism, CreditBased
-from repro.engines.base import (
-    EngineConfig,
-    StreamingEngine,
-    windowed_conservation,
-)
+from repro.engines.base import EngineConfig, StreamingEngine
 from repro.engines.calibration import CostModel
-from repro.core.batch import RecordBlock
-from repro.engines.operators.aggregate import aggregation_outputs
-from repro.engines.operators.join import JoinWindowStore, join_window_outputs
-from repro.engines.operators.window import KeyedWindowStore
 from repro.faults.checkpoint import RecoverySemantics
 from repro.faults.guarantees import DeliveryGuarantee
 from repro.recovery.degradation import DegradationPolicy
-from repro.workloads.queries import WindowedJoinQuery
 
 
 @dataclass(frozen=True)
@@ -75,35 +64,16 @@ class SamzaEngine(StreamingEngine):
         style=STYLE_REPARTITION, provision_s=15.0, warmup_s=2.0
     )
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        if not isinstance(self.config, SamzaConfig):
-            self.config = SamzaConfig(**vars(self.config))  # type: ignore[arg-type]
-        self._credit = CreditBased()
-        self._is_join = isinstance(self.query, WindowedJoinQuery)
-        self._store: Union[JoinWindowStore, KeyedWindowStore]
-        store_cls = JoinWindowStore if self._is_join else KeyedWindowStore
-        self._store = store_cls(self.query.window, self.query.keys.num_keys)
-        self.windows_emitted = 0
-
-    @classmethod
-    def default_config(cls) -> "SamzaConfig":
-        return SamzaConfig()
-
-    @classmethod
-    def supports_spill(cls) -> bool:
-        # RocksDB state is disk-backed by design.
-        return True
-
-    @classmethod
-    def recommended_degradation(cls):
-        # At-least-once via the changelog: history already queued will
-        # be re-read on recovery anyway, so shed from the tail (newest)
-        # to avoid double work, with a patient ramp while RocksDB
-        # compaction settles.
-        return DegradationPolicy(
-            shed="newest", max_queue_delay_s=8.0, readmission_ramp_s=3.0
-        )
+    # Pipelined per-partition processing: credit-like flow control (the
+    # base default); RocksDB state is disk-backed by design (spills).
+    config_cls = SamzaConfig
+    # At-least-once via the changelog: history already queued will be
+    # re-read on recovery anyway, so shed from the tail (newest) to
+    # avoid double work, with a patient ramp while RocksDB compaction
+    # settles.
+    recommended_degradation = DegradationPolicy(
+        shed="newest", max_queue_delay_s=8.0, readmission_ramp_s=3.0
+    )
 
     def _resolve_cost_model(self) -> CostModel:
         # Assumptions: heavier per-event cost than Flink (serde through
@@ -129,49 +99,18 @@ class SamzaEngine(StreamingEngine):
             state_bytes_per_event=120.0,
         )
 
-    def _backpressure(self) -> BackpressureMechanism:
-        return self._credit
-
-    def _process_batch(self, blocks: List[RecordBlock], dt: float) -> None:
-        for block in blocks:
-            self._store.add_block(block)
-        self._update_state_usage(self._store.stored_weight())
-
-    def _on_tick_end(self, dt: float) -> None:
-        assert self.source is not None
-        watermark = self.source.watermark - self.config.allowed_lateness_s
-        for index in self._store.ready_indices(watermark):
-            self._close_window(index)
-
-    def _next_commit_delay(self) -> float:
-        """Time until the next task commit makes output visible."""
-        cfg: SamzaConfig = self.config
-        interval = cfg.commit_interval_s
-        if interval <= 0:
-            return 0.0
-        phase = self.sim.now % interval
-        return interval - phase
-
-    def _close_window(self, index: int) -> None:
-        assert self.sink is not None
-        delay = self.config.pipeline_delay_s + self._next_commit_delay()
+    def _emit_delay(self, closed) -> float:
+        # Output becomes visible at the next task commit; a join pays its
+        # bulk probe (jittered) on top.  Aggregates draw no jitter.
+        delay = self.config.pipeline_delay_s
+        interval = self.config.commit_interval_s
+        if interval > 0:
+            delay += interval - self.sim.now % interval
         if self._is_join:
-            closed = self._store.close(index, at_time=self.sim.now)
             delay += self.cost.bulk_emit_delay_s(
                 closed.total_weight, self.cluster
             ) * self._emit_jitter()
-            emit_time = self.sim.now + delay
-            outputs = join_window_outputs(
-                closed, self.query.selectivity, emit_time
-            )
-        else:
-            contents = self._store.close(index, at_time=self.sim.now)
-            emit_time = self.sim.now + delay
-            outputs = aggregation_outputs(contents, emit_time)
-        self.windows_emitted += 1
-        self._update_state_usage(self._store.stored_weight())
-        if outputs:
-            self.sim.schedule(delay, self._emit, outputs)
+        return delay
 
     def _rescale_exposed_weight(self, moved_fraction: float) -> float:
         # Moved tasks re-consume from their input topics since the last
@@ -179,13 +118,3 @@ class SamzaEngine(StreamingEngine):
         # re-delivered, which at-least-once accounting books as
         # duplicates (state itself restores intact from the changelog).
         return moved_fraction * self.control.replay_window_weight
-
-    def conservation(self) -> Dict[str, float]:
-        ledger = super().conservation()
-        ledger.update(windowed_conservation(self._store))
-        return ledger
-
-    def diagnostics(self) -> Dict[str, float]:
-        diag = super().diagnostics()
-        diag["windows_emitted"] = float(self.windows_emitted)
-        return diag

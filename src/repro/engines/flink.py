@@ -31,24 +31,13 @@ Architectural traits reproduced (all from the paper's analysis):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Union
+from typing import Dict
 
 from repro.autoscale.rescale import STYLE_SAVEPOINT, RescaleSemantics
-from repro.engines.backpressure import BackpressureMechanism, CreditBased
-from repro.engines.base import (
-    EngineConfig,
-    StreamingEngine,
-    windowed_conservation,
-)
-from repro.core.batch import RecordBlock
-from repro.engines.operators.aggregate import aggregation_outputs
-from repro.engines.operators.join import JoinWindowStore, join_window_outputs
-from repro.engines.operators.window import KeyedWindowStore
+from repro.engines.base import EngineConfig, StreamingEngine
 from repro.faults.checkpoint import RecoverySemantics
 from repro.faults.guarantees import DeliveryGuarantee
-from repro.recovery.degradation import DegradationPolicy
 from repro.sim.failures import TopologyStalled
-from repro.workloads.queries import WindowedJoinQuery
 
 
 @dataclass(frozen=True)
@@ -81,78 +70,23 @@ class FlinkEngine(StreamingEngine):
         style=STYLE_SAVEPOINT, provision_s=15.0, warmup_s=3.0
     )
 
+    # Credit-based flow control (the base default), and state spills:
+    # "Flink (as well as Spark) has built-in data structures that can
+    # spill to disk when needed" (Experiment 3).  Its degradation is the
+    # base default too: credit-based backpressure meters the catch-up
+    # burst on its own, so a short ramp suffices, and shedding from the
+    # head keeps the exactly-once output fresh.  Emission is the base
+    # default as well: incremental aggregates leave at close after the
+    # jittered pipeline delay, a join after its bulk probe.
+    config_cls = FlinkConfig
+
     #: Driver-queue backlog (in seconds of single-slot capacity) beyond
     #: which a skewed join is declared unresponsive (Experiment 4).
     SKEW_JOIN_STALL_BACKLOG_S = 30.0
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._backpressure_mechanism = CreditBased()
-        self._is_join = isinstance(self.query, WindowedJoinQuery)
-        self._store: Union[JoinWindowStore, KeyedWindowStore]
-        store_cls = JoinWindowStore if self._is_join else KeyedWindowStore
-        self._store = store_cls(self.query.window, self.query.keys.num_keys)
-        self.windows_emitted = 0
-
-    @classmethod
-    def default_config(cls) -> FlinkConfig:
-        return FlinkConfig()
-
-    @classmethod
-    def supports_spill(cls) -> bool:
-        # "Flink (as well as Spark) has built-in data structures that can
-        # spill to disk when needed" (Experiment 3).
-        return True
-
-    @classmethod
-    def recommended_degradation(cls):
-        # Pipelined engine with fine-grained flow control: a short ramp
-        # suffices (credit-based backpressure meters the catch-up burst
-        # on its own) and shedding from the head keeps the exactly-once
-        # output fresh.
-        return DegradationPolicy(
-            shed="oldest", max_queue_delay_s=5.0, readmission_ramp_s=2.0
-        )
-
-    def _backpressure(self) -> BackpressureMechanism:
-        return self._backpressure_mechanism
-
-    # -- pipeline ---------------------------------------------------------
-
-    def _process_batch(self, blocks: List[RecordBlock], dt: float) -> None:
-        for block in blocks:
-            self._store.add_block(block)
-        self._update_state_usage(self._store.stored_weight())
-
     def _on_tick_end(self, dt: float) -> None:
-        assert self.source is not None
         self._check_skew_join_health()
-        watermark = self.source.watermark - self.config.allowed_lateness_s
-        for index in self._store.ready_indices(watermark):
-            self._close_window(index)
-
-    def _close_window(self, index: int) -> None:
-        assert self.sink is not None
-        if self._is_join:
-            closed = self._store.close(index, at_time=self.sim.now)
-            delay = (
-                self.config.pipeline_delay_s
-                + self.cost.bulk_emit_delay_s(closed.total_weight, self.cluster)
-                * self._emit_jitter()
-            )
-            emit_time = self.sim.now + delay
-            outputs = join_window_outputs(
-                closed, self.query.selectivity, emit_time
-            )
-        else:
-            contents = self._store.close(index, at_time=self.sim.now)
-            delay = self.config.pipeline_delay_s * self._emit_jitter()
-            emit_time = self.sim.now + delay
-            outputs = aggregation_outputs(contents, emit_time)
-        self.windows_emitted += 1
-        self._update_state_usage(self._store.stored_weight())
-        if outputs:
-            self.sim.schedule(delay, self._emit, outputs)
+        super()._on_tick_end(dt)
 
     def _check_skew_join_health(self) -> None:
         """Experiment 4: a skewed join makes Flink unresponsive."""
@@ -169,20 +103,14 @@ class FlinkEngine(StreamingEngine):
                 at_time=self.sim.now,
             )
 
-    def conservation(self) -> Dict[str, float]:
-        ledger = super().conservation()
-        ledger.update(windowed_conservation(self._store))
-        return ledger
-
     def diagnostics(self) -> Dict[str, float]:
         diag = super().diagnostics()
-        diag["windows_emitted"] = float(self.windows_emitted)
-        if isinstance(self._store, KeyedWindowStore):
-            diag["keyed_updates"] = float(self._store.updates)
-            diag["late_dropped_weight"] = self._store.dropped_weight
-        else:
+        if self._is_join:
             diag["late_dropped_weight"] = (
                 self._store.purchases.dropped_weight
                 + self._store.ads.dropped_weight
             )
+        else:
+            diag["keyed_updates"] = float(self._store.updates)
+            diag["late_dropped_weight"] = self._store.dropped_weight
         return diag

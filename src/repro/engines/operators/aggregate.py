@@ -164,11 +164,16 @@ class WindowedPartialMerger:
         self.dropped_weight = 0.0
         """Weight of late partials lost to already-emitted windows
         (normalised like KeyedWindowStore.dropped_weight)."""
-        self.absorbed_weight = 0.0
+        self.admitted_weight = 0.0
         """Per-record weight folded into window state (normalised by
         windows_per_event), the merger-side conservation input."""
         self.closed_weight = 0.0
         """Normalised weight released by pop_ready."""
+
+    lost_weight = 0.0
+    """Nothing the merger holds is ever destroyed (Spark recomputes lost
+    partitions from lineage); kept so the merger reads like the other
+    window stores in a conservation ledger."""
 
     def absorb(
         self,
@@ -192,7 +197,7 @@ class WindowedPartialMerger:
                     for trace in traces.pop(idx, []):
                         trace.drop()
                 continue
-            self.absorbed_weight += batch_weight / self.window.windows_per_event
+            self.admitted_weight += batch_weight / self.window.windows_per_event
             state = self._window_state.get(idx)
             if state is None:
                 state = WindowCols(partial.n)

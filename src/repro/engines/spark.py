@@ -29,28 +29,21 @@ Architectural traits reproduced (from the paper's analysis):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Union
 from collections import deque
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional
 
 from repro.autoscale.rescale import STYLE_MICRO_BATCH, RescaleSemantics
 from repro.core.batch import RecordBlock, fold_add, left_sum
-from repro.engines.backpressure import BackpressureMechanism, RateController
-from repro.engines.base import (
-    EngineConfig,
-    StreamingEngine,
-    windowed_conservation,
-)
+from repro.engines.backpressure import RateController
+from repro.engines.base import EngineConfig, StreamingEngine
 from repro.engines.operators.aggregate import (
     BatchPartialAggregator,
     WindowedPartialMerger,
-    aggregation_outputs,
 )
-from repro.engines.operators.join import JoinWindowStore, join_window_outputs
 from repro.faults.checkpoint import RecoverySemantics
 from repro.faults.guarantees import DeliveryGuarantee
 from repro.recovery.degradation import DegradationPolicy
-from repro.workloads.queries import WindowedJoinQuery
 
 
 @dataclass(frozen=True)
@@ -174,24 +167,37 @@ class SparkEngine(StreamingEngine):
         style=STYLE_MICRO_BATCH, provision_s=15.0, warmup_s=1.0
     )
 
+    config_cls = SparkConfig
+    backpressure_cls = RateController
+    # "Spark will spill the memory store to disk once it is full" (the
+    # base default).  Micro-batching coarsens every reaction to the
+    # batch interval: the admission ramp spans two batches (the PID
+    # controller needs completed batches to re-learn the rate) and the
+    # delay bound tolerates a couple of queued batches before shedding.
+    recommended_degradation = DegradationPolicy(
+        shed="oldest",
+        max_queue_delay_s=2.0 * SparkConfig.batch_interval_s,
+        readmission_ramp_s=2.0 * SparkConfig.batch_interval_s,
+    )
+
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        if not isinstance(self.config, SparkConfig):
-            self.config = SparkConfig(**vars(self.config))  # type: ignore[arg-type]
         cfg: SparkConfig = self.config
-        self._controller = RateController(batch_interval_s=cfg.batch_interval_s)
-        self._is_join = isinstance(self.query, WindowedJoinQuery)
-        hint = self.query.keys.num_keys
         if self._is_join:
-            self._join_store = JoinWindowStore(self.query.window, hint)
+            # Join records enter the window store on ingest; the batch
+            # counter sizes the job.
             self._batch_weight = 0.0
         else:
-            self._partials = BatchPartialAggregator(self.query.window, hint)
-            self._merger = WindowedPartialMerger(self.query.window)
+            # Aggregation records fold into the current batch's
+            # partials; a finished job hands them to the merger, which
+            # is the aggregation's window store.
+            self._partials = BatchPartialAggregator(
+                self.query.window, self.query.keys.num_keys
+            )
+            self._store = WindowedPartialMerger(self.query.window)
         self._next_batch_end = self._align_up(self.sim.now, cfg.batch_interval_s)
         self._job_queue: Deque[_SparkJob] = deque()
         self._running_job: Optional[_SparkJob] = None
-        self.windows_emitted = 0
         self.job_log: List[Dict[str, float]] = []
         """Per-job record: batch_end, sched_delay, duration, volume --
         the raw series behind Figure 11."""
@@ -202,31 +208,6 @@ class SparkEngine(StreamingEngine):
 
         return math.ceil((time + 1e-9) / interval) * interval
 
-    @classmethod
-    def default_config(cls) -> "SparkConfig":
-        return SparkConfig()
-
-    @classmethod
-    def supports_spill(cls) -> bool:
-        # "Spark will spill the memory store to disk once it is full."
-        return True
-
-    @classmethod
-    def recommended_degradation(cls):
-        # Micro-batching coarsens every reaction to the batch interval:
-        # the admission ramp spans two batches (the PID controller needs
-        # completed batches to re-learn the rate) and the delay bound
-        # tolerates a couple of queued batches before shedding.
-        interval = cls.default_config().batch_interval_s
-        return DegradationPolicy(
-            shed="oldest",
-            max_queue_delay_s=2.0 * interval,
-            readmission_ramp_s=2.0 * interval,
-        )
-
-    def _backpressure(self) -> BackpressureMechanism:
-        return self._controller
-
     def _internal_backlog_weight(self) -> float:
         if self._is_join:
             return self._batch_weight
@@ -236,11 +217,21 @@ class SparkEngine(StreamingEngine):
         # The dead workers' partitions are re-derived from cached lineage
         # deterministically; the exposure is just those partitions' share
         # of the buffered mini-batch state.
+        return lost_fraction * (
+            self._store.stored_weight() + self._internal_backlog_weight()
+        )
+
+    def _staged_weight(self) -> float:
         if self._is_join:
-            stored = self._join_store.stored_weight() + self._batch_weight
-        else:
-            stored = self._merger.stored_weight() + self._partials.batch_weight
-        return lost_fraction * stored
+            return 0.0
+        # Aggregation records are staged twice before reaching window
+        # state: the current (un-fired) batch's partials, then the fired
+        # batch riding its queued/running job until the merger absorbs it.
+        staged = self._partials.batch_weight
+        staged += left_sum(job.volume for job in self._job_queue)
+        if self._running_job is not None:
+            staged += self._running_job.volume
+        return staged
 
     def _modulate_ingest_budget(self, budget: float, dt: float) -> float:
         cfg: SparkConfig = self.config
@@ -257,11 +248,11 @@ class SparkEngine(StreamingEngine):
     def _process_batch(self, blocks: List[RecordBlock], dt: float) -> None:
         if self._is_join:
             for block in blocks:
-                self._join_store.add_block(block)
+                self._store.add_block(block)
                 self._batch_weight = fold_add(
                     self._batch_weight, block.weights
                 )
-            self._update_state_usage(self._join_store.stored_weight())
+            self._update_state_usage(self._store.stored_weight())
         else:
             for block in blocks:
                 self._partials.add_block(block)
@@ -289,7 +280,7 @@ class SparkEngine(StreamingEngine):
         if self.sim.now + 1e-9 >= self._next_batch_end:
             self._fire_batch()
         if not self._is_join:
-            stored = self._merger.stored_weight() + self._partials.batch_weight
+            stored = self._store.stored_weight() + self._partials.batch_weight
             self._update_state_usage(stored * self._cache_retention_factor())
 
     def _fire_batch(self) -> None:
@@ -321,8 +312,8 @@ class SparkEngine(StreamingEngine):
             # the receiver rate so the scheduler can drain (the paper's
             # "queued mini-batch jobs will increase over time" failure
             # mode, pre-empted).
-            self._controller.rate_limit = max(
-                self._controller.min_rate, self._controller.rate_limit * 0.5
+            self.backpressure.rate_limit = max(
+                self.backpressure.min_rate, self.backpressure.rate_limit * 0.5
             )
         self._maybe_start_job()
 
@@ -373,7 +364,7 @@ class SparkEngine(StreamingEngine):
         if not self._is_join and not cfg.inverse_reduce:
             # Recompute/cache the windowed state over the whole retained
             # volume -- the Experiment 3 pathology.
-            stored = self._merger.stored_weight() + job.volume
+            stored = self._store.stored_weight() + job.volume
             budget_us_per_s = (
                 self.cluster.worker_cores
                 * 1e6
@@ -392,7 +383,7 @@ class SparkEngine(StreamingEngine):
             return
         self._running_job = None
         self._emit_ready_windows(job)
-        self._controller.on_batch_complete(
+        self.backpressure.on_batch_complete(
             processing_time_s=job.sched_delay + duration,
             batch_events=max(job.volume, 1.0),
             queued_jobs=len(self._job_queue),
@@ -400,7 +391,6 @@ class SparkEngine(StreamingEngine):
         self._maybe_start_job()
 
     def _emit_ready_windows(self, job: _SparkJob) -> None:
-        assert self.sink is not None
         cfg: SparkConfig = self.config
         # Close windows the batch was responsible for: up to the batch
         # boundary, provided ingestion is within the slack of it.
@@ -411,72 +401,36 @@ class SparkEngine(StreamingEngine):
         emit_time = self.sim.now
         outputs = []
         if self._is_join:
-            for index in self._join_store.ready_indices(effective_watermark):
-                closed = self._join_store.close(index, at_time=emit_time)
-                outputs.extend(
-                    join_window_outputs(
-                        closed, self.query.selectivity, emit_time
-                    )
-                )
+            for index in self._store.ready_indices(effective_watermark):
+                closed = self._store.close(index, at_time=emit_time)
+                outputs.extend(self._outputs(closed, emit_time))
                 self.windows_emitted += 1
-            self._update_state_usage(self._join_store.stored_weight())
+            self._update_state_usage(self._store.stored_weight())
         else:
             if job.partials:
-                self._merger.absorb(job.partials, traces=job.traces)
-            for contents in self._merger.pop_ready(
+                self._store.absorb(job.partials, traces=job.traces)
+            for contents in self._store.pop_ready(
                 effective_watermark, at_time=emit_time
             ):
-                outputs.extend(aggregation_outputs(contents, emit_time))
+                outputs.extend(self._outputs(contents, emit_time))
                 self.windows_emitted += 1
         if outputs:
-            weight = left_sum(o.weight for o in outputs)
-            self._account_emission(weight)
-            self.sink.emit(outputs, self._result_bytes_per_output_weight)
-
-    def conservation(self) -> Dict[str, float]:
-        ledger = super().conservation()
-        if self._is_join:
-            # Join records enter the window store on ingest; the batch
-            # counter is bookkeeping, not a separate stage.
-            ledger.update(windowed_conservation(self._join_store))
-            return ledger
-        # Aggregation records are staged twice before reaching window
-        # state: the current (un-fired) batch's partials, then the fired
-        # batch riding its queued/running job until the merger absorbs it.
-        staged = self._partials.batch_weight
-        staged += left_sum(job.volume for job in self._job_queue)
-        if self._running_job is not None:
-            staged += self._running_job.volume
-        ledger.update(
-            staged=staged,
-            admitted=self._merger.absorbed_weight,
-            dropped=self._merger.dropped_weight,
-            closed=self._merger.closed_weight,
-            stored=(
-                self._merger.stored_weight()
-                / self.query.window.windows_per_event
-            ),
-            # Lineage recompute re-derives lost partitions exactly; no
-            # weight is ever destroyed.
-            lost=0.0,
-        )
-        return ledger
+            self._emit(outputs)
 
     def diagnostics(self) -> Dict[str, float]:
         diag = super().diagnostics()
-        diag["windows_emitted"] = float(self.windows_emitted)
         if self._is_join:
             diag["late_dropped_weight"] = (
-                self._join_store.purchases.dropped_weight
-                + self._join_store.ads.dropped_weight
+                self._store.purchases.dropped_weight
+                + self._store.ads.dropped_weight
             )
         else:
-            diag["late_dropped_weight"] = self._merger.dropped_weight
+            diag["late_dropped_weight"] = self._store.dropped_weight
         diag["jobs_run"] = float(len(self.job_log))
         diag["queued_jobs"] = float(len(self._job_queue))
         diag["rate_limit"] = (
-            self._controller.rate_limit
-            if self._controller.rate_limit != float("inf")
+            self.backpressure.rate_limit
+            if self.backpressure.rate_limit != float("inf")
             else -1.0
         )
         return diag

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Deque, Dict, List, Union
+from typing import Deque, Dict, List
 
 import numpy as np
 
@@ -41,20 +41,12 @@ from repro.core.batch import (
     fold_add,
     fold_sub,
 )
-from repro.engines.backpressure import BackpressureMechanism, OnOffThrottle
-from repro.engines.base import (
-    EngineConfig,
-    StreamingEngine,
-    windowed_conservation,
-)
-from repro.engines.operators.aggregate import aggregation_outputs
-from repro.engines.operators.join import JoinWindowStore, join_window_outputs
-from repro.engines.operators.window import KeyedWindowStore
+from repro.engines.backpressure import OnOffThrottle
+from repro.engines.base import EngineConfig, StreamingEngine
 from repro.faults.checkpoint import RecoverySemantics
 from repro.faults.guarantees import DeliveryGuarantee
 from repro.recovery.degradation import DegradationPolicy
 from repro.sim.failures import TopologyStalled
-from repro.workloads.queries import WindowedJoinQuery
 
 
 @dataclass(frozen=True)
@@ -133,24 +125,22 @@ class StormEngine(StreamingEngine):
         style=STYLE_REBALANCE, provision_s=15.0, warmup_s=2.0
     )
 
+    config_cls = StormConfig
+    backpressure_cls = OnOffThrottle
+    # Experiment 3: "Otherwise, we encountered memory exceptions."
+    supports_spill = False
+    # At-most-once without acking: dropped tuples are already part of
+    # the contract, so shed aggressively (tight delay bound) and
+    # re-admit quickly -- Storm's on/off throttle oscillates anyway.
+    recommended_degradation = DegradationPolicy(
+        shed="oldest", max_queue_delay_s=3.0, readmission_ramp_s=1.0
+    )
+    naive_join_stalls = True
+    """Experiment 2: the naive join is unstable beyond
+    ``naive_join_stable_workers``."""
+
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        if not isinstance(self.config, StormConfig):
-            self.config = StormConfig(**vars(self.config))  # type: ignore[arg-type]
-        cfg: StormConfig = self.config
-        self._backpressure_mechanism = OnOffThrottle(
-            high_watermark=cfg.high_watermark,
-            low_watermark=cfg.low_watermark,
-            burst_factor=cfg.burst_factor,
-            stall_rng=self.rng,
-            stall_rate_per_s=cfg.stall_rate_per_s * self.cluster.workers / 2.0,
-            stall_duration_s=cfg.stall_duration_s
-            * (self.cluster.workers / 2.0) ** 0.5,
-        )
-        self._is_join = isinstance(self.query, WindowedJoinQuery)
-        self._store: Union[JoinWindowStore, KeyedWindowStore]
-        store_cls = JoinWindowStore if self._is_join else KeyedWindowStore
-        self._store = store_cls(self.query.window, self.query.keys.num_keys)
         self._inflight: Deque[RecordBlock] = deque()
         self._inflight_weight = 0.0
         # Per-pull (tick) minima of event time, with remaining weight:
@@ -161,32 +151,9 @@ class StormEngine(StreamingEngine):
         self._pull_budget_banked = 0.0
         self._ingest_rate_ema = 0.0
         self._surge_cooldown_until = 0.0
-        self.windows_emitted = 0
-        self._advanced_state = cfg.advanced_state
         # The user-supplied spillable structure changes the state policy.
-        if self._advanced_state:
+        if self.config.advanced_state:
             self.state.set_policy(replace(self.state.policy, can_spill=True))
-
-    @classmethod
-    def default_config(cls) -> "StormConfig":
-        return StormConfig()
-
-    @classmethod
-    def supports_spill(cls) -> bool:
-        # Experiment 3: "Otherwise, we encountered memory exceptions."
-        return False
-
-    @classmethod
-    def recommended_degradation(cls):
-        # At-most-once without acking: dropped tuples are already part
-        # of the contract, so shed aggressively (tight delay bound) and
-        # re-admit quickly -- Storm's on/off throttle oscillates anyway.
-        return DegradationPolicy(
-            shed="oldest", max_queue_delay_s=3.0, readmission_ramp_s=1.0
-        )
-
-    def _backpressure(self) -> BackpressureMechanism:
-        return self._backpressure_mechanism
 
     def _emit_jitter(self) -> float:
         cfg: StormConfig = self.config
@@ -270,7 +237,7 @@ class StormEngine(StreamingEngine):
         if surging and self.rng.random() < cfg.surge_stall_prob:
             # Surge-induced stalls are the severe case: the topology
             # wedges while re-balancing to the new rate.
-            self._backpressure_mechanism.force_stall(
+            self.backpressure.force_stall(
                 2.0
                 * cfg.stall_duration_s
                 * (self.cluster.workers / 2.0) ** 0.5
@@ -353,17 +320,12 @@ class StormEngine(StreamingEngine):
             w = w[j + 1 :]
 
     def _on_tick_end(self, dt: float) -> None:
-        assert self.source is not None
         self._drain_inflight(dt)
         self._update_state_usage(
             self._store.stored_weight() + self._inflight_weight
         )
         self._check_naive_join_health()
-        watermark = (
-            self._processed_watermark() - self.config.allowed_lateness_s
-        )
-        for index in self._store.ready_indices(watermark):
-            self._close_window(index)
+        self._close_ready(self._processed_watermark())
 
     def _processed_watermark(self) -> float:
         """Event-time through which tuples reached the window bolt.
@@ -393,12 +355,7 @@ class StormEngine(StreamingEngine):
         # the first keys are emitted almost immediately, the last after
         # the full pass -- which is why Storm's minimum latencies in
         # Table II are near zero while the average carries the bulk cost.
-        if self._is_join:
-            probe_outputs = join_window_outputs(
-                closed, self.query.selectivity, emit_time=0.0
-            )
-        else:
-            probe_outputs = aggregation_outputs(closed, emit_time=0.0)
+        probe_outputs = self._outputs(closed, emit_time=0.0)
         self.windows_emitted += 1
         self._update_state_usage(
             self._store.stored_weight() + self._inflight_weight
@@ -412,7 +369,7 @@ class StormEngine(StreamingEngine):
     def _check_naive_join_health(self) -> None:
         """Experiment 2: the naive join is unstable beyond 2 workers."""
         cfg: StormConfig = self.config
-        if not self._is_join:
+        if not (self._is_join and self.naive_join_stalls):
             return
         if self.cluster.workers <= cfg.naive_join_stable_workers:
             return
@@ -425,25 +382,15 @@ class StormEngine(StreamingEngine):
                 at_time=self.sim.now,
             )
 
-    def conservation(self) -> Dict[str, float]:
-        # Spout-pulled tuples wait in the executor queues (inflight)
-        # before the bolt folds them into window state.
-        ledger = super().conservation()
-        ledger.update(
-            windowed_conservation(self._store, staged=self._inflight_weight)
-        )
-        return ledger
-
     def diagnostics(self) -> Dict[str, float]:
         diag = super().diagnostics()
-        diag["windows_emitted"] = float(self.windows_emitted)
         diag["inflight_weight"] = self._inflight_weight
-        diag["stall_count"] = float(self._backpressure_mechanism.stall_count)
-        if isinstance(self._store, KeyedWindowStore):
-            diag["late_dropped_weight"] = self._store.dropped_weight
-        else:
+        diag["stall_count"] = float(self.backpressure.stall_count)
+        if self._is_join:
             diag["late_dropped_weight"] = (
                 self._store.purchases.dropped_weight
                 + self._store.ads.dropped_weight
             )
+        else:
+            diag["late_dropped_weight"] = self._store.dropped_weight
         return diag

@@ -84,7 +84,7 @@ class ChaosPolicy:
     name: str
     standby: int = 0
     shed: bool = False
-    """Use the engine's :meth:`recommended_degradation` (load shedding
+    """Use the engine's ``recommended_degradation`` (load shedding
     + admission ramp) instead of the inert default."""
 
     def reschedule_policy(self) -> Optional[ReschedulePolicy]:
@@ -581,7 +581,7 @@ def _trial_spec(
     seed: int,
 ) -> ExperimentSpec:
     degradation = (
-        engine_class(engine).recommended_degradation() if policy.shed else None
+        engine_class(engine).recommended_degradation if policy.shed else None
     )
     return ExperimentSpec(
         engine=engine,

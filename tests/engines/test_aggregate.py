@@ -148,7 +148,7 @@ class TestMerger:
             merger.absorb(agg.drain())
         assert merger.pop_ready(8.0) == []
         assert merger.dropped_weight == 3.5
-        assert merger.absorbed_weight == merger.closed_weight == 2.0
+        assert merger.admitted_weight == merger.closed_weight == 2.0
         assert merger.open_window_count == 0
 
     def test_stored_weight(self):

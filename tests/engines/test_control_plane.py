@@ -87,7 +87,7 @@ class Rig:
             rng=RngRegistry(0).stream("control-plane"),
             checkpoint=checkpoint,
             reschedule=reschedule,
-            degradation=cls.recommended_degradation() if ramp else None,
+            degradation=cls.recommended_degradation if ramp else None,
         )
         self.cohort_weight = 60000.0 if saturate else 10000.0
         self.queues = [DriverQueue("q0"), DriverQueue("q1")]

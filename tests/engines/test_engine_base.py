@@ -1,9 +1,10 @@
 """Unit tests for the shared engine machinery (StreamingEngine)."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.core.queues import DriverQueue, QueueSet
-from repro.engines.backpressure import CreditBased
 from repro.engines.base import EngineConfig, StreamingEngine
 from repro.engines.calibration import CostModel
 from repro.engines.operators.sink import Sink
@@ -13,17 +14,22 @@ from repro.sim.rng import RngRegistry
 from repro.sim.simulator import Simulator
 from repro.workloads.queries import WindowSpec, WindowedAggregationQuery
 
-from tests.cohorts import cohort
+from tests.cohorts import cohort, expand
+
+
+@dataclass(frozen=True)
+class RecordingConfig(EngineConfig):
+    gc_rate_per_s: float = 0.0
 
 
 class RecordingEngine(StreamingEngine):
     """Minimal concrete engine for exercising the base machinery."""
 
     name = "recording"
+    config_cls = RecordingConfig
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._bp = CreditBased()
         self.processed = []
 
     def _resolve_cost_model(self) -> CostModel:
@@ -36,15 +42,8 @@ class RecordingEngine(StreamingEngine):
             scaling_efficiency={2: 1.0},
         )
 
-    @classmethod
-    def default_config(cls) -> EngineConfig:
-        return EngineConfig(gc_rate_per_s=0.0)
-
-    def _backpressure(self):
-        return self._bp
-
-    def _process(self, records, dt):
-        self.processed.extend(records)
+    def _process_batch(self, blocks, dt):
+        self.processed.extend(expand(blocks))
 
 
 @pytest.fixture
@@ -166,10 +165,10 @@ class TestFailureHandling:
 
         sim, engine, queue, queues, sink = rig
 
-        def poisoned_process(records, dt):
+        def poisoned_process(blocks, dt):
             raise TopologyStalled("boom", at_time=sim.now)
 
-        engine._process = poisoned_process
+        engine._process_batch = poisoned_process
         engine.start(queues, sink)
         queue.push_block(cohort(event_time=0.0, weight=10.0))
         sim.run_until(1.0)

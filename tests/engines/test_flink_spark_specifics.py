@@ -35,10 +35,10 @@ def build(engine_cls, query=None, workers=2, config=None):
 class TestFlinkConstruction:
     def test_backpressure_is_credit_based(self):
         engine = build(FlinkEngine)
-        assert isinstance(engine._backpressure(), CreditBased)
+        assert isinstance(engine.backpressure, CreditBased)
 
     def test_supports_spill(self):
-        assert FlinkEngine.supports_spill()
+        assert FlinkEngine.supports_spill
 
     def test_join_uses_join_store(self):
         from repro.engines.operators.join import JoinWindowStore
@@ -56,10 +56,10 @@ class TestFlinkConstruction:
 class TestStormConstruction:
     def test_backpressure_is_on_off(self):
         engine = build(StormEngine)
-        assert isinstance(engine._backpressure(), OnOffThrottle)
+        assert isinstance(engine.backpressure, OnOffThrottle)
 
     def test_no_spill_by_default(self):
-        assert not StormEngine.supports_spill()
+        assert not StormEngine.supports_spill
         engine = build(StormEngine)
         assert not engine.state.policy.can_spill
 
@@ -86,7 +86,7 @@ class TestStormConstruction:
 class TestSparkConstruction:
     def test_backpressure_is_rate_controller(self):
         engine = build(SparkEngine)
-        assert isinstance(engine._backpressure(), RateController)
+        assert isinstance(engine.backpressure, RateController)
 
     def test_batch_alignment(self):
         assert SparkEngine._align_up(0.0, 4.0) == pytest.approx(4.0) or (

@@ -158,7 +158,7 @@ class TestLoadShedding:
             make_spec(
                 profile=2.5e6,
                 duration_s=40.0,
-                degradation=engine_class("flink").recommended_degradation(),
+                degradation=engine_class("flink").recommended_degradation,
             )
         )
         # Shedding holds the queueing delay inside the policy bound

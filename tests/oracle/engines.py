@@ -3,10 +3,11 @@
 Each oracle engine subclasses its production engine and differs in
 exactly what the retired scalar mode differed in *inside the engine*:
 the stores are the dict-of-accumulator stores of
-:mod:`tests.oracle.stores`, ``_process_batch`` is the base class's
-documented fallback (``materialize_all`` -> ``_process``), and
-``_process`` -- and Storm's in-flight drain -- are the per-record loops
-moved verbatim from ``src/`` (6d71cc3).  Blocks still arrive at the
+:mod:`tests.oracle.stores`, ``_process_batch`` is the record-at-a-time
+fallback production's base class used to carry (:func:`materialize_all`
+-> ``_process``, now :class:`_RecordAtATime`), and ``_process`` -- and
+Storm's in-flight drain -- are the per-record loops moved verbatim from
+``src/`` (6d71cc3).  Blocks still arrive at the
 engine door: generator, queues and source run the production code (they
 are compared at unit level in ``test_dense_emit.py`` /
 ``test_source_pull.py`` and ``tests/core/test_queue_blocks.py``).
@@ -25,9 +26,9 @@ from contextlib import contextmanager
 from typing import Iterator, List
 
 import repro.engines.ext  # noqa: F401  (registers heron/samza)
+from repro.core.batch import RecordBlock
 from repro.core.records import Record
 from repro.engines import ENGINES
-from repro.engines.base import StreamingEngine
 from repro.engines.ext.heron import HeronEngine
 from repro.engines.ext.samza import SamzaEngine
 from repro.engines.flink import FlinkEngine
@@ -42,10 +43,28 @@ from tests.oracle.stores import (
 )
 
 
-class _RecordAtATime:
-    """Swap in the oracle store; take the base class's record fallback."""
+def materialize_all(blocks: List[RecordBlock]) -> List[Record]:
+    """Expand a list of blocks into records, in cohort order."""
+    records: List[Record] = []
+    for block in blocks:
+        records.extend(block.materialize())
+    return records
 
-    _process_batch = StreamingEngine._process_batch
+
+class _RecordAtATime:
+    """Each tick's blocks reach a per-record ``_process`` as records.
+
+    The records carry the cohorts' exact weights, times and traces, so
+    a record-at-a-time engine runs with bitwise-identical numerics --
+    just without the speed.
+    """
+
+    def _process_batch(self, blocks: List[RecordBlock], dt: float) -> None:
+        self._process(materialize_all(blocks), dt)
+
+
+class _OracleWindows(_RecordAtATime):
+    """Swap in the oracle store; fold one record at a time."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -58,15 +77,15 @@ class _RecordAtATime:
         self._update_state_usage(self._store.stored_weight())
 
 
-class OracleFlinkEngine(_RecordAtATime, FlinkEngine):
+class OracleFlinkEngine(_OracleWindows, FlinkEngine):
     pass
 
 
-class OracleSamzaEngine(_RecordAtATime, SamzaEngine):
+class OracleSamzaEngine(_OracleWindows, SamzaEngine):
     pass
 
 
-class _RecordAtATimeStorm(_RecordAtATime):
+class _RecordAtATimeStorm(_OracleWindows):
     def _process(self, records: List[Record], dt: float) -> None:
         # The spout over-pulls into the executor queues; bolts drain them
         # at processing capacity in _on_tick_end.  Pulls arrive in
@@ -120,23 +139,21 @@ class OracleHeronEngine(_RecordAtATimeStorm, HeronEngine):
     pass
 
 
-class OracleSparkEngine(SparkEngine):
-    _process_batch = StreamingEngine._process_batch
-
+class OracleSparkEngine(_RecordAtATime, SparkEngine):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         if self._is_join:
-            self._join_store = OracleJoinStore(self.query.window)
+            self._store = OracleJoinStore(self.query.window)
         else:
             self._partials = OracleBatchPartials(self.query.window)
-            self._merger = OraclePartialMerger(self.query.window)
+            self._store = OraclePartialMerger(self.query.window)
 
     def _process(self, records: List[Record], dt: float) -> None:
         if self._is_join:
             for record in records:
-                self._join_store.add(record)
+                self._store.add(record)
                 self._batch_weight += record.weight
-            self._update_state_usage(self._join_store.stored_weight())
+            self._update_state_usage(self._store.stored_weight())
         else:
             for record in records:
                 self._partials.add(record)

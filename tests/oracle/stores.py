@@ -452,7 +452,7 @@ class OraclePartialMerger(WindowedPartialMerger):
         self.dropped_weight = 0.0
         """Weight of late partials lost to already-emitted windows
         (normalised like KeyedWindowStore.dropped_weight)."""
-        self.absorbed_weight = 0.0
+        self.admitted_weight = 0.0
         """Per-record weight folded into window state (normalised by
         windows_per_event), the merger-side conservation input."""
         self.closed_weight = 0.0
@@ -480,7 +480,7 @@ class OraclePartialMerger(WindowedPartialMerger):
                     for trace in traces.pop(idx, []):
                         trace.drop()
                 continue
-            self.absorbed_weight += batch_weight / self.window.windows_per_event
+            self.admitted_weight += batch_weight / self.window.windows_per_event
             state = self._window_state.setdefault(idx, {})
             for key, acc in per_key.items():
                 existing = state.get(key)

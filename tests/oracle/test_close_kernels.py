@@ -231,7 +231,7 @@ def test_store_close_and_output_builders(early, late, lose, selectivity):
 
 
 MERGER_LEDGERS = (
-    "dropped_weight", "absorbed_weight", "closed_weight", "open_window_count",
+    "dropped_weight", "admitted_weight", "closed_weight", "open_window_count",
 )
 
 
