@@ -74,12 +74,6 @@ class HeronEngine(StormEngine):
     # topology; it is merely slow.
     naive_join_stalls = False
 
-    def __init__(self, *args, config=None, **kwargs) -> None:
-        # A config that is not a StormConfig runs on Storm's defaults.
-        if config is not None and not isinstance(config, StormConfig):
-            config = StormConfig(**vars(config))
-        super().__init__(*args, config=config, **kwargs)
-
     def _resolve_cost_model(self) -> CostModel:
         storm = cost_model_for("storm", self.query.kind)
         return replace(

@@ -6,8 +6,13 @@ import repro.engines.ext  # noqa: F401  (registers the engines)
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.generator import GeneratorConfig
 from repro.engines import ENGINES, engine_class
-from repro.engines.ext.heron import HERON_COST_FACTOR, HeronEngine
+from repro.engines.base import EngineConfig
+from repro.engines.ext.heron import HERON_COST_FACTOR, HeronConfig, HeronEngine
 from repro.engines.ext.samza import SamzaEngine
+from repro.sim.cluster import paper_cluster
+from repro.sim.network import DataPlane, NetworkSpec
+from repro.sim.rng import RngRegistry
+from repro.sim.simulator import Simulator
 from repro.workloads.queries import (
     WindowSpec,
     WindowedAggregationQuery,
@@ -44,6 +49,30 @@ class TestRegistration:
 
 
 class TestHeron:
+    def test_plain_config_runs_on_heron_defaults(self):
+        """A plain EngineConfig keeps its own values and gains Heron's
+        knobs -- not Storm's, which Heron's are there to replace."""
+        sim = Simulator()
+        engine = HeronEngine(
+            sim=sim,
+            cluster=paper_cluster(2),
+            query=WindowedAggregationQuery(window=WindowSpec(4, 2)),
+            plane=DataPlane(sim, NetworkSpec()),
+            rng=RngRegistry(0).stream("e"),
+            config=EngineConfig(gc_rate_per_s=0.0, emit_jitter_sigma=0.0),
+        )
+        heron = HeronConfig()
+        assert isinstance(engine.config, HeronConfig)
+        assert engine.config.gc_rate_per_s == 0.0
+        assert engine.config.emit_jitter_sigma == 0.0
+        for knob in (
+            "coordination_delay_base_s",
+            "emit_jitter_per_worker",
+            "stall_rate_per_s",
+            "surge_stall_prob",
+        ):
+            assert getattr(engine.config, knob) == getattr(heron, knob), knob
+
     def test_runs_and_emits(self):
         result = run_experiment(spec("heron"))
         assert not result.failed
