@@ -666,9 +666,11 @@ class StreamingEngine:
         }
         for key, value in self.backpressure.metrics().items():
             diag[f"bp.{key}"] = value
-        for key, value in self.conservation().items():
+        ledger = self.conservation()
+        for key, value in ledger.items():
             diag[f"conservation.{key}"] = value
         diag["windows_emitted"] = float(self.windows_emitted)
+        diag["late_dropped_weight"] = ledger["dropped"]
         return diag
 
 

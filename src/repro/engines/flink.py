@@ -105,12 +105,6 @@ class FlinkEngine(StreamingEngine):
 
     def diagnostics(self) -> Dict[str, float]:
         diag = super().diagnostics()
-        if self._is_join:
-            diag["late_dropped_weight"] = (
-                self._store.purchases.dropped_weight
-                + self._store.ads.dropped_weight
-            )
-        else:
+        if not self._is_join:
             diag["keyed_updates"] = float(self._store.updates)
-            diag["late_dropped_weight"] = self._store.dropped_weight
         return diag

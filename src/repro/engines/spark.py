@@ -419,13 +419,6 @@ class SparkEngine(StreamingEngine):
 
     def diagnostics(self) -> Dict[str, float]:
         diag = super().diagnostics()
-        if self._is_join:
-            diag["late_dropped_weight"] = (
-                self._store.purchases.dropped_weight
-                + self._store.ads.dropped_weight
-            )
-        else:
-            diag["late_dropped_weight"] = self._store.dropped_weight
         diag["jobs_run"] = float(len(self.job_log))
         diag["queued_jobs"] = float(len(self._job_queue))
         diag["rate_limit"] = (

@@ -386,11 +386,4 @@ class StormEngine(StreamingEngine):
         diag = super().diagnostics()
         diag["inflight_weight"] = self._inflight_weight
         diag["stall_count"] = float(self.backpressure.stall_count)
-        if self._is_join:
-            diag["late_dropped_weight"] = (
-                self._store.purchases.dropped_weight
-                + self._store.ads.dropped_weight
-            )
-        else:
-            diag["late_dropped_weight"] = self._store.dropped_weight
         return diag

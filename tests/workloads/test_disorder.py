@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.engines.ext  # noqa: F401  (registers heron/samza)
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.generator import GeneratorConfig
 from repro.sim.rng import RngRegistry
@@ -98,7 +99,9 @@ class TestLateEventHandling:
         )
         assert result.diagnostics["late_dropped_weight"] == 0.0
 
-    @pytest.mark.parametrize("engine", ["storm", "spark"])
+    @pytest.mark.parametrize(
+        "engine", ["storm", "spark", "samza", "heron", "flink"]
+    )
     def test_other_engines_report_drop_metric(self, engine):
         result = run_with_disorder(lateness_s=0.0, engine=engine)
         assert not result.failed
