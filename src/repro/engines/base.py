@@ -636,9 +636,20 @@ class StreamingEngine:
         (``pushed == pulled + queued + shed``) and never enters the
         processing-side invariants above.
         """
-        ledger = {"ingested": self.ingested_weight, "shed": self.shed_weight}
-        ledger.update(windowed_conservation(self._store, self._staged_weight()))
-        return ledger
+        store = self._store
+        # A join store's ledger is the sum of its two sides'.
+        sides = [store.purchases, store.ads] if self._is_join else [store]
+        return {
+            "ingested": self.ingested_weight,
+            "shed": self.shed_weight,
+            "staged": self._staged_weight(),
+            "admitted": left_sum(s.admitted_weight for s in sides),
+            "dropped": left_sum(s.dropped_weight for s in sides),
+            "closed": left_sum(s.closed_weight for s in sides),
+            "stored": left_sum(s.stored_weight() for s in sides)
+            / store.window.windows_per_event,
+            "lost": left_sum(s.lost_weight for s in sides),
+        }
 
     def diagnostics(self) -> Dict[str, float]:
         """Engine-internal counters for reports (never used as metrics)."""
@@ -672,27 +683,3 @@ class StreamingEngine:
         diag["windows_emitted"] = float(self.windows_emitted)
         diag["late_dropped_weight"] = ledger["dropped"]
         return diag
-
-
-def windowed_conservation(store, staged: float = 0.0) -> Dict[str, float]:
-    """Conservation ledger terms for a windowed store.
-
-    Accepts a :class:`~repro.engines.operators.window.KeyedWindowStore`,
-    a :class:`~repro.engines.operators.join.JoinWindowStore` (summed
-    over both sides) or Spark's
-    :class:`~repro.engines.operators.aggregate.WindowedPartialMerger`.
-    ``staged`` is weight the engine has ingested but not yet offered to
-    the store (in-flight tuples, un-fired batches).
-    """
-    sides = (
-        [store.purchases, store.ads] if hasattr(store, "purchases") else [store]
-    )
-    wpe = store.window.windows_per_event
-    return {
-        "staged": staged,
-        "admitted": left_sum(s.admitted_weight for s in sides),
-        "dropped": left_sum(s.dropped_weight for s in sides),
-        "closed": left_sum(s.closed_weight for s in sides),
-        "stored": left_sum(s.stored_weight() for s in sides) / wpe,
-        "lost": left_sum(s.lost_weight for s in sides),
-    }

@@ -23,12 +23,7 @@ from dataclasses import dataclass, replace
 
 from repro.autoscale.rescale import STYLE_REBALANCE, RescaleSemantics
 from repro.engines.backpressure import CreditBased
-from repro.engines.calibration import (
-    AGGREGATION,
-    JOIN,
-    CostModel,
-    cost_model_for,
-)
+from repro.engines.calibration import CostModel, cost_model_for
 from repro.engines.storm import StormConfig, StormEngine
 from repro.recovery.degradation import DegradationPolicy
 

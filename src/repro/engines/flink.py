@@ -35,6 +35,11 @@ from typing import Dict
 
 from repro.autoscale.rescale import STYLE_SAVEPOINT, RescaleSemantics
 from repro.engines.base import EngineConfig, StreamingEngine
+
+# Flink's window operator, still importable from the engine module
+# (benchmarks/perf/tests/test_boundaries.py wraps it here); the engine
+# itself closes windows through the base pipeline.
+from repro.engines.operators.aggregate import aggregation_outputs  # noqa: F401
 from repro.faults.checkpoint import RecoverySemantics
 from repro.faults.guarantees import DeliveryGuarantee
 from repro.sim.failures import TopologyStalled
@@ -70,14 +75,13 @@ class FlinkEngine(StreamingEngine):
         style=STYLE_SAVEPOINT, provision_s=15.0, warmup_s=3.0
     )
 
-    # Credit-based flow control (the base default), and state spills:
-    # "Flink (as well as Spark) has built-in data structures that can
-    # spill to disk when needed" (Experiment 3).  Its degradation is the
-    # base default too: credit-based backpressure meters the catch-up
-    # burst on its own, so a short ramp suffices, and shedding from the
-    # head keeps the exactly-once output fresh.  Emission is the base
-    # default as well: incremental aggregates leave at close after the
-    # jittered pipeline delay, a join after its bulk probe.
+    # Everything else is the base default: credit-based flow control;
+    # spillable state ("Flink (as well as Spark) has built-in data
+    # structures that can spill to disk when needed", Experiment 3); a
+    # short re-admission ramp, since credits meter the catch-up burst on
+    # their own, shedding from the head to keep exactly-once output
+    # fresh; and emission at close after the jittered pipeline delay
+    # (incremental aggregates), a join after its bulk probe.
     config_cls = FlinkConfig
 
     #: Driver-queue backlog (in seconds of single-slot capacity) beyond

@@ -223,7 +223,7 @@ class SparkEngine(StreamingEngine):
 
     def _staged_weight(self) -> float:
         if self._is_join:
-            return 0.0
+            return 0.0  # join records enter the window store on ingest
         # Aggregation records are staged twice before reaching window
         # state: the current (un-fired) batch's partials, then the fired
         # batch riding its queued/running job until the merger absorbs it.

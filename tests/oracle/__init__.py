@@ -9,7 +9,9 @@ stores).  The per-record code it replaced -- and which generated
   they are made of and the dict-shaped closed window;
 - :mod:`tests.oracle.engines` -- the five engines on those stores and
   their per-record ``_process`` loops, swapped into ``repro.engines.
-  ENGINES`` by :func:`oracle_engines`;
+  ENGINES`` by :func:`oracle_engines`; its ``_RecordAtATime`` mixin and
+  ``materialize_all`` are the record-at-a-time fallback that
+  production's base class no longer carries;
 - :mod:`tests.oracle.kernels` -- ``SourceSet.pull``, the per-key dense
   emit loop, the per-cohort ``TraceSampler.maybe_trace`` and the
   dict-walking output builders, compared at unit level;
