@@ -40,10 +40,11 @@ faults into the benchmark harness itself, ``--trial-timeout`` /
 ``--retry-backoff``), and ``--journal PATH`` / ``--resume`` checkpoint
 ``search`` and ``chaos`` sweeps for byte-identical resume.
 
-Parallel trial scheduling (PR 6): ``search --jobs N`` runs speculative
-bisection probes in N worker processes, ``sweep --jobs N`` fans sweep
-cells out the same way, and ``chaos --workers N`` parallelises the
-chaos grid (``--sut-workers`` now carries the simulated cluster size).
+Parallel trial scheduling: ``sweep --jobs N`` fans whole sweep cells
+(one full search each) over N worker processes, and ``chaos
+--workers N`` parallelises the chaos grid (``--sut-workers`` carries
+the simulated cluster size).  A single ``search`` runs its probes one
+after another: each rate follows from the verdicts before it.
 Parallel runs are byte-identical to serial ones; with ``--journal``
 each worker checkpoints to its own shard, merged on completion or on
 ``--resume``.
@@ -257,16 +258,9 @@ def build_watchdog(args: argparse.Namespace) -> Optional[WatchdogSpec]:
 
 
 def build_runner(args: argparse.Namespace):
-    """The trial runner ``run`` uses: plain, or watchdog-wrapped."""
+    """The trial runner ``run`` and ``search`` use: plain, or
+    watchdog-wrapped."""
     return runner_for(build_watchdog(args))
-
-
-def build_jobs(args: argparse.Namespace) -> int:
-    """Scheduler parallelism (``--jobs`` / chaos ``--workers``)."""
-    jobs = getattr(args, "jobs", None) or 1
-    if jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {jobs}")
-    return jobs
 
 
 def build_checkpoint(args: argparse.Namespace):
@@ -683,8 +677,7 @@ def describe_probe(trial: SearchTrial) -> str:
 
 def cmd_search(args: argparse.Namespace) -> int:
     spec = build_spec(args, rate=args.high_rate)
-    watchdog = build_watchdog(args)
-    jobs = build_jobs(args)
+    run = build_runner(args)
     if args.journal and (args.online or spec.faults is not None):
         raise ValueError(
             "--journal is only supported for the bisection search "
@@ -692,10 +685,6 @@ def cmd_search(args: argparse.Namespace) -> int:
         )
     if args.resume and not args.journal:
         raise ValueError("--resume requires --journal PATH")
-    if args.online and jobs > 1:
-        raise ValueError(
-            "--jobs does not apply to --online (a single-trial probe)"
-        )
     if args.online:
         online = find_sustainable_throughput_online(
             spec, high_rate=args.high_rate
@@ -724,8 +713,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             spec,
             **settings,
             max_recovery_time_s=args.max_recovery,
-            workers=jobs,
-            watchdog=watchdog,
+            run=run,
         )
     else:
         journal = None
@@ -738,9 +726,8 @@ def cmd_search(args: argparse.Namespace) -> int:
         search = find_sustainable_throughput(
             spec,
             **settings,
+            run=run,
             journal=journal,
-            workers=jobs,
-            watchdog=watchdog,
         )
         if journal is not None:
             print(
@@ -768,6 +755,8 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     cells = []
     for engine in args.engines:
         for workers in args.worker_counts:
@@ -780,7 +769,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         cells,
         high_rate=args.high_rate,
         rel_tol=args.tolerance,
-        workers=build_jobs(args),
+        workers=args.jobs,
         watchdog=build_watchdog(args),
     )
     measured = {}
@@ -973,13 +962,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "replay completed probes from --journal instead of "
             "re-running them (byte-identical final report)"
-        ),
-    )
-    search_parser.add_argument(
-        "--jobs", type=int, default=1,
-        help=(
-            "run up to N speculative bisection probes in parallel worker "
-            "processes; the report stays byte-identical to --jobs 1"
         ),
     )
     search_parser.set_defaults(func=cmd_search)

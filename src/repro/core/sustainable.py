@@ -49,7 +49,6 @@ nothing but the offered rate moves the backlog.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -135,7 +134,9 @@ def assess(
 
 
 def probe_key(rate: float) -> str:
-    """Journal key of one rate probe (shared by serial and parallel)."""
+    """Journal key of one rate probe.  Keyed by rate, not by position,
+    so a search reads only the rates its ladder asks for and ignores
+    any other entries in the journal."""
     return f"rate={rate!r}"
 
 
@@ -173,10 +174,10 @@ def _run_probe(
     rate: float,
     criteria: SustainabilityCriteria,
 ) -> "SearchTrial":
-    """Run and judge one rate probe -- the one body behind the serial
-    search, scheduler workers and (through the serial search) sweep
-    cells.  :func:`assess` is called exactly once, on what the trial
-    measured; a probe the driver stopped says so in a leading reason."""
+    """Run and judge one rate probe -- the one body behind every live
+    probe, sweep cells included (each runs the search in full).
+    :func:`assess` is called exactly once, on what the trial measured;
+    a probe the driver stopped says so in a leading reason."""
     result = run(anytime_spec(spec.with_rate(rate), criteria))
     verdict = assess(result, criteria)
     if result.stopped_at_s is not None:
@@ -188,15 +189,8 @@ def _run_probe(
     return SearchTrial(rate=rate, result=result, verdict=verdict)
 
 
-def _probe_task(payload) -> dict:
-    """Scheduler worker body: run one rate probe, return its entry."""
-    spec, rate, criteria, watchdog = payload
-    trial = _run_probe(runner_for(watchdog), spec, rate, criteria)
-    return trial.export_entry()
-
-
 def _trial_from_entry(rate: float, entry: dict) -> "SearchTrial":
-    """Rebuild a :class:`SearchTrial` from a journaled/worker entry."""
+    """Rebuild a :class:`SearchTrial` from a journaled entry."""
     return SearchTrial(
         rate=rate,
         result=None,
@@ -212,20 +206,19 @@ def _trial_from_entry(rate: float, entry: dict) -> "SearchTrial":
 class SearchTrial:
     rate: float
     result: Optional[TrialResult]
-    """``None`` when the trial was replayed from a resume journal or
-    probed by a scheduler worker (the exported outcome lives in
-    :attr:`cached` instead)."""
+    """``None`` when the trial was replayed from a resume journal (the
+    exported outcome lives in :attr:`cached` instead)."""
     verdict: SustainabilityVerdict
     cached: Optional[dict] = None
     """The journaled export entry this trial replayed, if any."""
 
     def export_entry(self) -> dict:
         """The JSON-safe per-trial dict the search report serialises.
-        Journaled and worker-probed trials return their stored entry
-        verbatim; live trials build it from the result.  JSON
-        round-trips floats exactly, so every route to a report is
-        byte-identical for the same trial.  ``stopped_at_s`` appears
-        only on a probe the driver stopped (the summaries then cover
+        Journaled trials return their stored entry verbatim; live
+        trials build it from the result.  JSON round-trips floats
+        exactly, so every route to a report is byte-identical for the
+        same trial.  ``stopped_at_s`` appears only on a probe the
+        driver stopped (the summaries then cover
         ``[warmup_s, stopped_at_s]``)."""
         if self.cached is not None:
             return self.cached
@@ -328,8 +321,6 @@ def find_sustainable_throughput(
     max_trials: int = 12,
     run: Callable[[ExperimentSpec], TrialResult] = run_experiment,
     journal: Optional[TrialJournal] = None,
-    workers: int = 1,
-    watchdog: Optional[WatchdogSpec] = None,
 ) -> SustainableSearchResult:
     """Find the highest sustainable constant rate for ``spec``.
 
@@ -351,79 +342,28 @@ def find_sustainable_throughput(
     search resumes exactly where it died and its final report is
     byte-identical to an uninterrupted run.
 
-    With ``workers > 1`` the search evaluates probes *speculatively* in
-    parallel (see :func:`_plan`): each wave runs the rate the serial
-    search needs next plus the rates it could need after it, over a
-    :class:`~repro.sched.TrialScheduler` process pool.  Speculation only
-    changes which probes run and when; the reported trial ladder, probed
-    rates, and final report are byte-identical to the serial search.
-    The parallel path requires the default runner (pass ``watchdog=``
-    instead of wrapping ``run``).
+    Callers that want a trial watchdog pass ``run=runner_for(watchdog)``.
     """
     if high_rate <= low_rate:
         raise ValueError(
             f"need high_rate > low_rate, got ({low_rate}, {high_rate})"
         )
-    if watchdog is not None:
-        if run is not run_experiment:
-            raise ValueError(
-                "pass either a custom run callable or watchdog=, not both"
-            )
-        if workers <= 1:
-            run = runner_for(watchdog)
-    if workers > 1 and run is not run_experiment:
-        raise ValueError(
-            "workers > 1 requires the default run_experiment runner "
-            "(trial bodies must be picklable); pass watchdog= for "
-            "retry behaviour"
-        )
-    live: Dict[float, SearchTrial] = {}
-
-    def probe_here(rates: List[float]) -> Dict[float, dict]:
-        (rate,) = rates
+    bracket = (high_rate, low_rate, rel_tol, max_trials)
+    ladder: List[Tuple[float, dict]] = []
+    trials: List[SearchTrial] = []
+    while (rate := _next_probe(ladder, *bracket)) is not None:
         entry = MISSING
         if journal is not None:
             entry = journal.get(probe_key(rate), MISSING)
         if entry is MISSING:
-            live[rate] = _run_probe(run, spec, rate, criteria)
-            entry = live[rate].export_entry()
+            trial = _run_probe(run, spec, rate, criteria)
+            entry = trial.export_entry()
             if journal is not None:
                 journal.record(probe_key(rate), entry)
-        return {rate: entry}
-
-    def probe_in_pool(rates: List[float]) -> Dict[float, dict]:
-        wave = {probe_key(rate): rate for rate in rates}
-        outcomes = scheduler.run(
-            [
-                TrialTask(
-                    key=key,
-                    fn=_probe_task,
-                    payload=(spec, rate, criteria, watchdog),
-                )
-                for key, rate in wave.items()
-            ]
-        )
-        return {wave[key]: entry for key, entry in outcomes.items()}
-
-    probe = probe_here
-    if workers > 1:
-        scheduler = TrialScheduler(workers=workers, journal=journal)
-        probe = probe_in_pool
-    entries: Dict[float, dict] = {}
-    while True:
-        ladder, candidates = _plan(
-            entries, high_rate, low_rate, rel_tol, max_trials,
-            width=max(workers, 1),
-        )
-        if not candidates:
-            break
-        # The rate the search needs next leads the candidates, so each
-        # round strictly extends the ladder -- the loop always terminates.
-        entries.update(probe(candidates))
-    trials = [
-        live.get(rate) or _trial_from_entry(rate, entries[rate])
-        for rate in ladder
-    ]
+        else:
+            trial = _trial_from_entry(rate, entry)
+        ladder.append((rate, entry))
+        trials.append(trial)
     # Every probe is a midpoint of the one bisection tree and the walk
     # ended in a leaf of it, so no sustained probe lies above the leaf's
     # lower edge: what bisection found is the highest rate that was
@@ -589,7 +529,7 @@ def _next_probe(
     """The rate to probe after the probes in ``ladder`` -- ``(rate,
     export entry)`` pairs in the order they ran -- or ``None`` once they
     finish the search.  A pure function of the ladder, which is what
-    lets a journal or a worker pool replay it.
+    lets a journal replay it.
 
     The search is done when :func:`_bisect` runs to its end over the
     probes so far, so what it found is by construction what bisection
@@ -651,58 +591,6 @@ def aimed_cell(
     )
 
 
-def _plan(
-    entries: Dict[float, dict],
-    high_rate: float,
-    low_rate: float,
-    rel_tol: float,
-    max_trials: int,
-    width: int = 1,
-) -> Tuple[List[float], List[float]]:
-    """Replay the search over ``entries`` (rate -> export entry, in any
-    order, extras ignored) up to the first rate it has no entry for:
-    ``(ladder, candidates)`` -- the rates the search probed, in the
-    order it needed them, and up to ``width`` unprobed rates worth
-    probing now (none: the search is done).
-
-    The first candidate is the rate the search needs; the rest are
-    found breadth-first over what it would ask for next if a candidate
-    came back sustained, or unsustainable having ingested what the
-    search is aiming at -- whichever of the two the aim itself expects
-    first.  Running them all keeps a worker pool busy; the ladder is
-    the sequence of first candidates either way.  The ceiling probe
-    runs alone: whether it holds, and what it ingested if not, decides
-    everything after it.
-    """
-    bracket = (high_rate, low_rate, rel_tol, max_trials)
-    ladder: List[Tuple[float, dict]] = []
-    while True:
-        ask = _next_probe(ladder, *bracket)
-        if ask is None or ask not in entries:
-            break
-        ladder.append((ask, entries[ask]))
-    candidates: List[float] = []
-    frontier = deque([ladder])
-    while frontier and len(candidates) < width:
-        supposed = frontier.popleft()
-        ask = _next_probe(supposed, *bracket)
-        if ask is None:
-            continue
-        if ask in entries:
-            frontier.append(supposed + [(ask, entries[ask])])
-            continue
-        if ask not in candidates:
-            candidates.append(ask)
-        if not supposed:
-            break
-        aim = _aim(supposed, high_rate, low_rate, rel_tol)
-        holds = {"sustainable": True}
-        fails = {"sustainable": False, "reasons": [], "mean_ingest_rate": aim}
-        for entry in (holds, fails) if ask <= aim else (fails, holds):
-            frontier.append(supposed + [(ask, entry)])
-    return [rate for rate, _ in ladder], candidates
-
-
 def _sweep_cell_task(payload) -> dict:
     """Scheduler worker body: one full (serial) search for one cell."""
     spec, high_rate, low_rate, rel_tol, criteria, max_trials, watchdog = payload
@@ -713,7 +601,7 @@ def _sweep_cell_task(payload) -> dict:
         rel_tol=rel_tol,
         criteria=criteria,
         max_trials=max_trials,
-        watchdog=watchdog,
+        run=runner_for(watchdog),
     )
     rate = search.sustainable_rate
     return {
@@ -736,10 +624,11 @@ def sweep_sustainable_rates(
 
     ``cells`` is a sequence of ``(key, spec)`` pairs (e.g. one per
     (engine, cluster-size) corner of a Table-I sweep).  Each cell runs
-    one full search; with ``workers > 1`` whole cells fan out
-    over the scheduler pool -- coarser-grained than per-probe
-    speculation and perfectly parallel, which is why the benchmark
-    suite and ``repro sweep`` parallelise at this level.  Results map
+    one full search; with ``workers > 1`` whole cells fan out over the
+    scheduler pool.  This is the one place search parallelism lives: a
+    search's probes are sequential (each rate follows from the verdicts
+    before it), whole cells are independent.  Each worker builds its
+    trial runner from the picklable ``watchdog``.  Results map
     ``key -> sustainable rate`` (NaN when a cell found none) in the
     order ``cells`` was given, regardless of completion order.
     """
@@ -840,8 +729,6 @@ def find_sustainable_throughput_under_faults(
     max_recovery_time_s: float = 60.0,
     max_trials: int = 12,
     run: Callable[[ExperimentSpec], TrialResult] = run_experiment,
-    workers: int = 1,
-    watchdog: Optional[WatchdogSpec] = None,
 ) -> SustainableSearchResult:
     """Sustainable throughput *while surviving the fault schedule*.
 
@@ -869,6 +756,4 @@ def find_sustainable_throughput_under_faults(
         criteria=base,
         max_trials=max_trials,
         run=run,
-        workers=workers,
-        watchdog=watchdog,
     )

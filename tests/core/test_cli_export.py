@@ -317,18 +317,31 @@ class TestCliExecution:
         capsys.readouterr()
         assert serial.read_bytes() == parallel.read_bytes()
 
-    def test_search_jobs_conflicts_with_online(self, capsys):
-        code = self.run_cli(
-            [
-                "search",
-                "--engine", "flink",
-                "--high-rate", "20000",
-                "--online",
-                "--jobs", "2",
-            ]
+    def test_sweep_parallel_matches_serial_output(self, capsys, tmp_path):
+        # Sweep cells are where search parallelism lives: --jobs N only
+        # changes wall-clock, never a byte of the export.  Two cells, so
+        # the pool really forks (a lone cell runs inline).
+        base = [
+            "sweep",
+            "--engines", "flink", "storm",
+            "--worker-counts", "2",
+            "--high-rate", "1600000",
+            "--duration", "30",
+            "--generators", "1",
+            "--no-resources",
+        ]
+        serial, parallel = tmp_path / "serial.json", tmp_path / "par.json"
+        assert (
+            self.run_cli(base + ["--jobs", "1", "--output", str(serial)])
+            == 0
         )
-        assert code == 2
-        assert "--jobs" in capsys.readouterr().err
+        assert (
+            self.run_cli(base + ["--jobs", "2", "--output", str(parallel)])
+            == 0
+        )
+        capsys.readouterr()
+        assert serial.read_bytes() == parallel.read_bytes()
+        assert list(json.loads(serial.read_text())) == ["flink/2", "storm/2"]
 
     def test_run_failure_exit_code(self, capsys):
         # Grossly overloaded with a tiny queue: the trial fails and the

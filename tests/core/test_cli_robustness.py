@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core import experiment, sustainable
 from repro.faults.schedule import DriverNodeSlow, GeneratorCrash
 from repro.metrology.journal import shard_path
 from repro.sim.clock import ClockSkewSpec
@@ -56,6 +57,13 @@ class TestParsing:
     def test_unknown_driver_fault_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--driver-fault", "crash@20"])
+
+    def test_search_has_no_jobs_flag(self):
+        # A search's probes run one after another; parallelism is per
+        # sweep cell (``sweep --jobs``).
+        with pytest.raises(SystemExit) as exit_:
+            build_parser().parse_args(["search", "--jobs", "2"])
+        assert exit_.value.code == 2
 
 
 class TestArgumentValueErrors:
@@ -104,6 +112,15 @@ class TestArgumentValueErrors:
         assert "--workers must be >= 1" in capsys.readouterr().err
         assert shard.exists()
 
+    def test_sweep_jobs_below_one_exits_2(self, capsys):
+        code = self.run_cli(
+            ["sweep", "--jobs", "0", "--engines", "flink",
+             "--worker-counts", "2", "--high-rate", "20000",
+             "--duration", "30", "--generators", "1", "--no-resources"]
+        )
+        assert code == 2
+        assert "--jobs must be >= 1" in capsys.readouterr().err
+
 
 class TestExecution:
     def run_cli(self, argv):
@@ -143,6 +160,49 @@ class TestExecution:
         )
         assert code == 0
         assert "gencrash" in capsys.readouterr().out
+
+    def test_the_watchdog_reaches_every_search_probe(
+        self, capsys, monkeypatch
+    ):
+        # ``--trial-timeout`` wraps each probe of a search, and of each
+        # sweep cell's search, in the watchdog -- not one probe, not none.
+        watched, judged = [], []
+        watchdog_run = experiment.run_experiment_with_watchdog
+        assess = sustainable.assess
+
+        def counting_watchdog(spec, **kwargs):
+            watched.append(spec)
+            return watchdog_run(spec, **kwargs)
+
+        def counting_assess(result, criteria):
+            judged.append(result)
+            return assess(result, criteria)
+
+        monkeypatch.setattr(
+            experiment, "run_experiment_with_watchdog", counting_watchdog
+        )
+        monkeypatch.setattr(sustainable, "assess", counting_assess)
+        cell = [
+            "--high-rate", "1600000",
+            "--duration", "30",
+            "--generators", "1",
+            "--no-resources",
+            "--trial-timeout", "600",
+        ]
+        assert self.run_cli(["search", "--engine", "flink", *cell]) == 0
+        summary = capsys.readouterr().out.splitlines()[-1]
+        probes = int(summary.split("(")[1].split()[0])
+        assert probes > 1
+        assert len(watched) == len(judged) == probes
+
+        watched.clear()
+        judged.clear()
+        assert self.run_cli(
+            ["sweep", "--jobs", "1", "--engines", "flink",
+             "--worker-counts", "2", *cell]
+        ) == 0
+        assert len(judged) > 1
+        assert len(watched) == len(judged)
 
     def test_search_journal_resume_round_trip(self, capsys, tmp_path):
         journal = tmp_path / "journal.json"

@@ -32,6 +32,7 @@ from repro.workloads.profiles import ConstantRate
 from repro.workloads.queries import WindowedAggregationQuery, WindowSpec
 
 from tests.cohorts import cohort
+from tests.oracle.search import cold_search
 
 
 def synthetic_result(
@@ -237,7 +238,7 @@ class TestSearch:
 
 class TestStoppedProbesAcrossRoutes:
     """A ladder with stopped probes (ceiling 1.6 M/s, four times what
-    Storm sustains) is the same bytes by every route to a report."""
+    Storm sustains) is the same bytes live and killed-then-resumed."""
 
     HIGH_RATE = 1.6e6
 
@@ -281,12 +282,6 @@ class TestStoppedProbesAcrossRoutes:
         assert ceiling.result.warmup_s == 10.0
         assert ceiling.export_entry()["stopped_at_s"] == 20.0
         assert ceiling.result.throughput.sample_count == 20
-
-    def test_parallel_search_is_byte_identical(self, serial):
-        parallel = find_sustainable_throughput(
-            self.storm(), high_rate=self.HIGH_RATE, workers=2
-        )
-        assert self.as_bytes(parallel) == self.as_bytes(serial)
 
     def test_killed_after_three_probes_then_resumed(self, serial, tmp_path):
         spec = self.storm()
@@ -387,9 +382,13 @@ class TestFingerprint:
 
     def test_defaults_cannot_drift_from_the_search_they_identify(self):
         # ``aimed_cell`` too takes the search's own arguments a second
-        # time (after the result it explains).
+        # time (after the result it explains); the cold oracle takes
+        # all of them but the journal.
         search = inspect.signature(find_sustainable_throughput).parameters
-        for helper, skip in ((search_fingerprint, 0), (aimed_cell, 1)):
+        oracle = inspect.signature(cold_search).parameters
+        assert list(search) == [*oracle, "journal"]
+        helpers = ((search_fingerprint, 0), (aimed_cell, 1), (cold_search, 0))
+        for helper, skip in helpers:
             described = list(inspect.signature(helper).parameters.items())
             assert len(described) > skip + 1
             for name, parameter in described[skip:]:

@@ -1,4 +1,5 @@
-"""Parallel speculative bisection: byte-identity with the serial path."""
+"""Search parallelism lives at the cell level; a journal an old
+speculative per-probe run left behind still resumes byte-identically."""
 
 import json
 
@@ -9,6 +10,7 @@ from repro.core.experiment import ExperimentSpec
 from repro.core.generator import GeneratorConfig
 from repro.core.sustainable import (
     find_sustainable_throughput,
+    probe_key,
     search_fingerprint,
     sweep_sustainable_rates,
 )
@@ -48,43 +50,45 @@ class TestParallelSearch:
         # The byte-identity claim below is vacuous on a 1-trial search.
         assert reference.trial_count > 1
 
-    @pytest.mark.parametrize("jobs", [2, 3, 4])
-    def test_parallel_search_is_byte_identical(self, reference, jobs):
-        parallel = find_sustainable_throughput(
-            _spec(), high_rate=HIGH_RATE, workers=jobs
-        )
-        assert _as_bytes(parallel) == _as_bytes(reference)
-
     def test_parallel_journal_resumes_serially(self, reference, tmp_path):
-        # A parallel run's journal is interchangeable with a serial
-        # one: resume it with workers=1 and replay everything.
+        # Speculative runs journaled rates off the serial ladder too.
+        # Such a journal must resume with every ladder probe replayed
+        # and the extras never read: they claim "sustained" at every
+        # off-ladder midpoint, which would change the report if the
+        # search read any of them.
         path = tmp_path / "journal.json"
         spec = _spec()
         find_sustainable_throughput(
             spec,
             high_rate=HIGH_RATE,
-            workers=2,
             journal=TrialJournal(path, fingerprint=_fingerprint(spec)),
         )
+        old_run = TrialJournal(
+            path, fingerprint=_fingerprint(spec), resume=True
+        )
+        ladder = {trial.rate for trial in reference.trials}
+        extras = [HIGH_RATE * k / 16 for k in range(1, 16)]
+        extras = [rate for rate in extras if rate not in ladder]
+        for rate in extras:
+            old_run.record(
+                probe_key(rate),
+                {
+                    "rate": rate,
+                    "sustainable": True,
+                    "reasons": [],
+                    "mean_ingest_rate": rate,
+                    "event_latency": {},
+                },
+            )
+        assert len(old_run) == len(ladder) + len(extras) > len(ladder)
         resumed_journal = TrialJournal(
             path, fingerprint=_fingerprint(spec), resume=True
         )
         resumed = find_sustainable_throughput(
             spec, high_rate=HIGH_RATE, journal=resumed_journal
         )
-        # Every trial on the serial bisection path must be a replay
-        # (speculative extras in the journal are harmless overshoot).
         assert resumed_journal.misses == 0
         assert _as_bytes(resumed) == _as_bytes(reference)
-
-    def test_custom_run_callable_cannot_be_parallel(self):
-        with pytest.raises(ValueError):
-            find_sustainable_throughput(
-                _spec(),
-                high_rate=HIGH_RATE,
-                workers=2,
-                run=lambda spec: None,
-            )
 
 
 class TestParallelSweep:
