@@ -1,53 +1,32 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands mirror the framework's workflow:
-
-- ``run``     -- one trial: engine, query, workers, rate, duration.
-- ``search``  -- sustainable-throughput search for a deployment.
-- ``sweep``   -- a Table-I style sweep over engines and cluster sizes.
+- ``run``     -- one trial: engine, query, workers, offered rate and
+  duration, plus any faults, self-healing, measurement-plane,
+  observability and autoscaling flags.
+- ``search``  -- the sustainable throughput of one deployment
+  (Definition 5): an aimed bisection of one trial per probed rate, or
+  with ``--online`` a single trial steered by an AIMD controller.  With
+  ``--fault`` a rate must also recover from every fault within
+  ``--max-recovery`` seconds.
+- ``sweep``   -- a Table-I style grid of searches over engines x cluster
+  sizes, judged like ``search``; ``--jobs N`` fans whole cells over N
+  worker processes.
 - ``engines`` -- list registered engines and their cost models.
 - ``chaos``   -- seeded chaos soak: randomized fault schedules over
   engines x recovery policies with invariant checks and a scorecard.
-- ``autoscale`` -- cross-engine elasticity scorecard: engines x scaling
-  policies x diurnal/flash-crowd workloads, with time-to-resustain
-  metrology and node-second cost accounting.
 - ``recover`` -- recovery-efficiency scorecard: one deterministic fault
-  per (engine x reschedule policy x fault kind) cell with detection /
-  restore / catch-up decomposition and node-second recovery cost, plus
-  the checkpoint-interval sensitivity frontier per engine.
+  per (engine x reschedule policy x fault kind) cell, plus the
+  checkpoint-interval sensitivity frontier per engine.
+- ``autoscale`` -- elasticity scorecard: engines x scaling policies x
+  diurnal/flash-crowd workloads.
 
-Elastic autoscaling (PR 7) rides on ``run`` via ``--autoscale POLICY``
-(with ``--min-nodes`` / ``--max-nodes`` / ``--cooldown``): a policy
-watches the obs-registry signals and scales the simulated cluster
-out/in mid-trial, paying each engine's rescale semantics.
-
-Fault benchmarking rides on ``run`` and ``search`` via repeatable
-``--fault KIND@T[:DURATION]`` options (e.g. ``--fault crash@60
---fault partition@100:10``) plus ``--checkpoint-interval`` and
-``--guarantee``; with faults, ``search`` switches to the
-sustainable-under-faults mode (recovery within ``--max-recovery``).
-
-Self-healing knobs (PR 4) ride on every trial-running command:
-``--standby N`` provisions hot standby nodes, ``--reschedule`` picks
-the migration policy for dead operator slots, ``--shed`` enables
-bounded-latency load shedding at the sources.  ``search --online``
-switches to the single-trial AIMD probe.
-
-Measurement-plane hardening (PR 5): ``--clock-skew`` models per-node
-clock error on the measurement plane, ``--driver-fault`` injects
-faults into the benchmark harness itself, ``--trial-timeout`` /
-``--trial-stall`` arm the trial watchdog (with ``--retries`` and
-``--retry-backoff``), and ``--journal PATH`` / ``--resume`` checkpoint
-``search`` and ``chaos`` sweeps for byte-identical resume.
-
-Parallel trial scheduling: ``sweep --jobs N`` fans whole sweep cells
-(one full search each) over N worker processes, and ``chaos
---workers N`` parallelises the chaos grid (``--sut-workers`` carries
-the simulated cluster size).  A single ``search`` runs its probes one
-after another: each rate follows from the verdicts before it.
-Parallel runs are byte-identical to serial ones; with ``--journal``
-each worker checkpoints to its own shard, merged on completion or on
-``--resume``.
+Each flag is declared once, and every default and choice list the
+library owns is read from the object that owns it (the search's
+signature, the grid configs, :class:`AutoscaleSpec`,
+:class:`WatchdogSpec`, :class:`CheckpointSpec`, ...); only defaults
+that belong to the command line itself are written here.  ``search``
+and the three grid commands checkpoint to ``--journal PATH`` and replay
+it with ``--resume``; parallel runs are byte-identical to serial ones.
 
 Every command prints paper-style output and can export JSON via
 ``--output``.  Bad argument *values* (not just syntax) exit 2 with a
@@ -57,10 +36,14 @@ one-line error instead of a traceback.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import inspect
 import sys
-from typing import List, Optional
+from dataclasses import replace
+from typing import Callable, Iterator, List, Optional
 
 import repro.engines.ext  # noqa: F401  (registers heron/samza in ENGINES)
+from repro import recoverybench
 from repro.analysis.export import (
     online_search_to_dict,
     search_to_dict,
@@ -68,6 +51,11 @@ from repro.analysis.export import (
     write_json,
 )
 from repro.autoscale.policy import POLICY_NAMES, AutoscaleSpec
+from repro.autoscale.scorecard import (
+    ElasticityConfig,
+    elasticity_fingerprint,
+    run_elasticity,
+)
 from repro.core.experiment import ExperimentSpec, runner_for
 from repro.core.generator import GeneratorConfig
 from repro.core.report import throughput_table
@@ -80,8 +68,9 @@ from repro.core.sustainable import (
     search_fingerprint,
     sweep_sustainable_rates,
 )
-from repro.engines import ENGINES, engine_class
 from repro.detect.plane import DETECTOR_KINDS, detector_spec
+from repro.engines import ENGINES, engine_class
+from repro.engines.calibration import registered_models
 from repro.faults import (
     AsymmetricPartition,
     CheckpointSpec,
@@ -98,23 +87,28 @@ from repro.faults import (
     QueueDisconnect,
     SlowNode,
 )
+from repro.grid import run_grid
 from repro.metrology import TrialJournal, WatchdogSpec
-from repro.sim.clock import ClockSkewSpec
-from repro.engines.calibration import registered_models
 from repro.obs.context import ObsSpec
+from repro.recovery.chaos import ChaosConfig, chaos_fingerprint, run_chaos
 from repro.recovery.degradation import (
     SHED_NEWEST,
+    SHED_NONE,
     SHED_OLDEST,
     DegradationPolicy,
 )
-from repro.recovery.reschedule import (
-    MODE_NONE,
-    MODE_SPREAD,
-    MODE_STANDBY,
-    ReschedulePolicy,
+from repro.recovery.reschedule import RESCHEDULE_MODES, ReschedulePolicy
+from repro.recoverybench import (
+    RecoverConfig,
+    recover_fingerprint,
+    run_recovery_bench,
 )
+from repro.sim.cluster import PAPER_CLUSTER_SIZES
+from repro.sim.clock import ClockSkewSpec
+from repro.workloads.events import DEFAULT_GEM_PACK_COUNT
 from repro.workloads.keys import NormalKeys, SingleKey, UniformKeys, ZipfKeys
 from repro.workloads.queries import (
+    PAPER_DEFAULT_WINDOW,
     WindowSpec,
     WindowedAggregationQuery,
     WindowedJoinQuery,
@@ -128,41 +122,23 @@ KEY_DISTRIBUTIONS = {
 }
 
 
+def library_default(function: Callable, name: str):
+    """The default of ``function``'s parameter ``name``."""
+    return inspect.signature(function).parameters[name].default
+
+
 FAULT_KINDS = {
     "crash": lambda at, dur: NodeCrash(at_s=at),
     "restart": lambda at, dur: ProcessRestart(at_s=at),
     "slow": lambda at, dur: SlowNode(at_s=at, duration_s=dur or 30.0),
     "partition": lambda at, dur: NetworkPartition(at_s=at, duration_s=dur or 10.0),
     "disconnect": lambda at, dur: QueueDisconnect(at_s=at, duration_s=dur or 10.0),
-    # Gray failures (PR 10): node 0 by default; target other nodes by
+    # Gray failures: node 0 by default; target other nodes by
     # constructing the event in Python (see examples/gray_failure.py).
     "flap": lambda at, dur: FlappingNode(at_s=at, duration_s=dur or 20.0),
     "degrade": lambda at, dur: DegradingNode(at_s=at, duration_s=dur or 20.0),
     "asympart": lambda at, dur: AsymmetricPartition(at_s=at, duration_s=dur or 10.0),
 }
-
-
-def parse_fault(text: str):
-    """Parse one ``--fault`` value: ``KIND@T`` or ``KIND@T:DURATION``."""
-    try:
-        kind, _, when = text.partition("@")
-        if not when:
-            raise ValueError("missing '@TIME'")
-        when, _, duration = when.partition(":")
-        builder = FAULT_KINDS.get(kind)
-        if builder is None:
-            raise ValueError(
-                f"unknown kind {kind!r} (choose from "
-                f"{', '.join(sorted(FAULT_KINDS))})"
-            )
-        return builder(float(when), float(duration) if duration else None)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"invalid fault {text!r}: {exc} "
-            "(examples: crash@60, slow@30:20, partition@100:10, "
-            "flap@40:20, degrade@40:20, asympart@40:10)"
-        ) from None
-
 
 DRIVER_FAULT_KINDS = {
     "gencrash": lambda at, dur: GeneratorCrash(at_s=at),
@@ -171,42 +147,66 @@ DRIVER_FAULT_KINDS = {
 }
 
 
-def parse_driver_fault(text: str):
-    """Parse one ``--driver-fault`` value: ``KIND@T[:DURATION]``."""
+def parse_timed_fault(text: str, kinds: dict, what: str, examples: str):
+    """Parse ``KIND@T`` or ``KIND@T:DURATION`` into the event ``kinds``
+    builds for ``KIND``."""
     try:
         kind, _, when = text.partition("@")
         if not when:
             raise ValueError("missing '@TIME'")
         when, _, duration = when.partition(":")
-        builder = DRIVER_FAULT_KINDS.get(kind)
+        builder = kinds.get(kind)
         if builder is None:
             raise ValueError(
                 f"unknown kind {kind!r} (choose from "
-                f"{', '.join(sorted(DRIVER_FAULT_KINDS))})"
+                f"{', '.join(sorted(kinds))})"
             )
         return builder(float(when), float(duration) if duration else None)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
-            f"invalid driver fault {text!r}: {exc} "
-            "(examples: gencrash@60, queueloss@70, driverslow@30:20)"
+            f"invalid {what} {text!r}: {exc} (examples: {examples})"
         ) from None
 
 
+def parse_fault(text: str):
+    """Parse one ``--fault`` value."""
+    return parse_timed_fault(
+        text, FAULT_KINDS, "fault",
+        "crash@60, slow@30:20, partition@100:10, "
+        "flap@40:20, degrade@40:20, asympart@40:10",
+    )
+
+
+def parse_driver_fault(text: str):
+    """Parse one ``--driver-fault`` value."""
+    return parse_timed_fault(
+        text, DRIVER_FAULT_KINDS, "driver fault",
+        "gencrash@60, queueloss@70, driverslow@30:20",
+    )
+
+
+#: ``--clock-skew``'s fields in order, each with the divisor from its
+#: command-line unit to the :class:`ClockSkewSpec` field's.
+CLOCK_SKEW_FIELDS = (
+    ("offset_s", 1e3),
+    ("drift_ppm", 1.0),
+    ("ntp_residual_s", 1e3),
+    ("ntp_interval_s", 1.0),
+)
+
+
 def parse_clock_skew(text: str) -> ClockSkewSpec:
-    """Parse ``--clock-skew``: ``OFFSET_MS[:DRIFT_PPM[:RESID_MS[:INT_S]]]``."""
+    """Parse ``--clock-skew``: ``OFFSET_MS[:DRIFT_PPM[:RESID_MS[:INT_S]]]``;
+    a field left out keeps :class:`ClockSkewSpec`'s default."""
     try:
         parts = text.split(":")
-        if len(parts) > 4:
+        if len(parts) > len(CLOCK_SKEW_FIELDS):
             raise ValueError("too many fields")
-        offset_ms = float(parts[0])
-        drift_ppm = float(parts[1]) if len(parts) > 1 else 20.0
-        residual_ms = float(parts[2]) if len(parts) > 2 else 0.5
-        interval_s = float(parts[3]) if len(parts) > 3 else 30.0
         return ClockSkewSpec(
-            offset_s=offset_ms / 1e3,
-            drift_ppm=drift_ppm,
-            ntp_residual_s=residual_ms / 1e3,
-            ntp_interval_s=interval_s,
+            **{
+                name: float(part) / divisor
+                for (name, divisor), part in zip(CLOCK_SKEW_FIELDS, parts)
+            }
         )
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
@@ -216,44 +216,34 @@ def parse_clock_skew(text: str) -> ClockSkewSpec:
         ) from None
 
 
-def build_faults(args: argparse.Namespace):
-    events = list(getattr(args, "fault", None) or [])
-    events.extend(getattr(args, "driver_fault", None) or [])
+def build_faults(args: argparse.Namespace) -> Optional[FaultSchedule]:
+    events = [*(args.fault or ()), *(args.driver_fault or ())]
     if not events:
         return None
     return FaultSchedule(events=tuple(events))
 
 
-def build_clock_skew(args: argparse.Namespace):
-    skew = getattr(args, "clock_skew", None)
-    if skew is None:
-        if getattr(args, "uncorrected_clocks", False):
+def build_clock_skew(args: argparse.Namespace) -> Optional[ClockSkewSpec]:
+    if args.clock_skew is None:
+        if args.uncorrected_clocks:
             raise ValueError(
                 "--uncorrected-clocks requires --clock-skew "
                 "(there is no clock model to leave uncorrected)"
             )
         return None
-    if getattr(args, "uncorrected_clocks", False):
-        return ClockSkewSpec(
-            offset_s=skew.offset_s,
-            drift_ppm=skew.drift_ppm,
-            ntp_residual_s=skew.ntp_residual_s,
-            ntp_interval_s=skew.ntp_interval_s,
-            corrected=False,
-        )
-    return skew
+    if args.uncorrected_clocks:
+        return replace(args.clock_skew, corrected=False)
+    return args.clock_skew
 
 
 def build_watchdog(args: argparse.Namespace) -> Optional[WatchdogSpec]:
-    timeout = getattr(args, "trial_timeout", None)
-    stall = getattr(args, "trial_stall", None)
-    if timeout is None and stall is None:
+    if args.trial_timeout is None and args.trial_stall is None:
         return None
     return WatchdogSpec(
-        timeout_s=timeout,
-        stall_s=stall,
-        max_attempts=1 + (getattr(args, "retries", None) or 0),
-        backoff_base_s=getattr(args, "retry_backoff", None) or 0.1,
+        timeout_s=args.trial_timeout,
+        stall_s=args.trial_stall,
+        max_attempts=1 + args.retries,
+        backoff_base_s=args.retry_backoff,
     )
 
 
@@ -263,27 +253,26 @@ def build_runner(args: argparse.Namespace):
     return runner_for(build_watchdog(args))
 
 
-def build_checkpoint(args: argparse.Namespace):
-    interval = getattr(args, "checkpoint_interval", None)
-    guarantee = getattr(args, "guarantee", None)
-    if interval is None and guarantee is None:
+def build_checkpoint(args: argparse.Namespace) -> Optional[CheckpointSpec]:
+    if args.checkpoint_interval is None and args.guarantee is None:
         return None
     kwargs = {}
-    if interval is not None:
-        kwargs["interval_s"] = interval
-    if guarantee is not None:
-        kwargs["guarantee"] = DeliveryGuarantee.parse(guarantee)
+    if args.checkpoint_interval is not None:
+        kwargs["interval_s"] = args.checkpoint_interval
+    if args.guarantee is not None:
+        kwargs["guarantee"] = DeliveryGuarantee.parse(args.guarantee)
     return CheckpointSpec(**kwargs)
 
 
-def build_observability(args: argparse.Namespace):
-    sample_rate = getattr(args, "trace_sample_rate", 0) or 0
-    interval = getattr(args, "metrics_interval", None)
-    if sample_rate <= 0 and interval is None:
+def build_observability(args: argparse.Namespace) -> Optional[ObsSpec]:
+    if (
+        args.trace_sample_rate == ObsSpec.trace_sample_rate
+        and args.metrics_interval is None
+    ):
         return None
-    kwargs = {"trace_sample_rate": int(sample_rate)}
-    if interval is not None:
-        kwargs["metrics_interval_s"] = interval
+    kwargs = {"trace_sample_rate": args.trace_sample_rate}
+    if args.metrics_interval is not None:
+        kwargs["metrics_interval_s"] = args.metrics_interval
     return ObsSpec(**kwargs)
 
 
@@ -295,55 +284,76 @@ def build_query(args: argparse.Namespace):
     return WindowedJoinQuery(window=window, keys=keys)
 
 
-def build_reschedule(args: argparse.Namespace):
-    mode = getattr(args, "reschedule", None)
-    standby = getattr(args, "standby", 0) or 0
-    if mode is None:
+def build_reschedule(args: argparse.Namespace) -> Optional[ReschedulePolicy]:
+    if args.reschedule is None:
         return None  # engine default: standby mode iff standbys exist
-    return ReschedulePolicy(
-        standby_nodes=standby,
-        mode={"none": MODE_NONE, "spread": MODE_SPREAD, "standby": MODE_STANDBY}[
-            mode
-        ],
-    )
+    return ReschedulePolicy(standby_nodes=args.standby, mode=args.reschedule)
 
 
-def build_degradation(args: argparse.Namespace):
-    shed = getattr(args, "shed", None)
-    if shed in (None, "none"):
+def build_degradation(args: argparse.Namespace, engine: str):
+    if args.shed in (None, SHED_NONE):
         return None  # engine default: inert policy (no shedding)
-    if shed == "recommended":
-        return engine_class(args.engine).recommended_degradation
-    return DegradationPolicy(
-        shed=SHED_OLDEST if shed == "oldest" else SHED_NEWEST
-    )
+    if args.shed == "recommended":
+        return engine_class(engine).recommended_degradation
+    return DegradationPolicy(shed=args.shed)
+
+
+#: ``(flag, dest, AutoscaleSpec / ElasticityConfig field, type, metavar,
+#: what it bounds)`` for the autoscaler's bounds.
+AUTOSCALE_BOUNDS = (
+    ("--min-nodes", "min_nodes", "min_workers", int, "N", "scale-in floor"),
+    ("--max-nodes", "max_nodes", "max_workers", int, "N", "scale-out ceiling"),
+    (
+        "--cooldown", "cooldown", "cooldown_s", float, "SECONDS",
+        "minimum simulated time between scaling decisions",
+    ),
+)
+
+
+def autoscale_bounds(args: argparse.Namespace) -> dict:
+    """The bounds given on the command line, as ``{field: value}`` --
+    a bound left out keeps the library default."""
+    given = vars(args)
+    return {
+        field: given[dest]
+        for _, dest, field, *_ in AUTOSCALE_BOUNDS
+        if given[dest] is not None
+    }
 
 
 def build_autoscale(args: argparse.Namespace) -> Optional[AutoscaleSpec]:
-    policy = getattr(args, "autoscale", None)
-    if policy is None:
-        for flag in ("min_nodes", "max_nodes", "cooldown"):
-            if getattr(args, flag, None) is not None:
-                raise ValueError(
-                    f"--{flag.replace('_', '-')} requires --autoscale POLICY"
-                )
+    bounds = autoscale_bounds(args)
+    if args.autoscale is None:
+        for flag, _, field, *_ in AUTOSCALE_BOUNDS:
+            if field in bounds:
+                raise ValueError(f"{flag} requires --autoscale POLICY")
         return None
-    kwargs = {"policy": policy}
-    if getattr(args, "min_nodes", None) is not None:
-        kwargs["min_workers"] = args.min_nodes
-    if getattr(args, "max_nodes", None) is not None:
-        kwargs["max_workers"] = args.max_nodes
-    if getattr(args, "cooldown", None) is not None:
-        kwargs["cooldown_s"] = args.cooldown
-    return AutoscaleSpec(**kwargs)
+    return AutoscaleSpec(policy=args.autoscale, **bounds)
 
 
-def build_spec(args: argparse.Namespace, rate: Optional[float] = None):
+def build_criteria(args: argparse.Namespace):
+    """Definition 5's criteria; with faults, every fault must also
+    recover within ``--max-recovery`` seconds."""
+    criteria = library_default(find_sustainable_throughput, "criteria")
+    if build_faults(args) is None:
+        return criteria
+    return replace(criteria, max_recovery_time_s=args.max_recovery)
+
+
+def build_spec(
+    args: argparse.Namespace,
+    engine: Optional[str] = None,
+    workers: Optional[int] = None,
+    rate: Optional[float] = None,
+) -> ExperimentSpec:
+    """The trial ``args`` declare; ``engine`` / ``workers`` / ``rate``
+    override the flags of the same name (one sweep cell, one probe)."""
+    engine = args.engine if engine is None else engine
     return ExperimentSpec(
-        engine=args.engine,
+        engine=engine,
         query=build_query(args),
-        workers=args.workers,
-        profile=rate if rate is not None else args.rate,
+        workers=args.workers if workers is None else workers,
+        profile=args.rate if rate is None else rate,
         duration_s=args.duration,
         seed=args.seed,
         generator=GeneratorConfig(instances=args.generators),
@@ -351,49 +361,161 @@ def build_spec(args: argparse.Namespace, rate: Optional[float] = None):
         faults=build_faults(args),
         checkpoint=build_checkpoint(args),
         observability=build_observability(args),
-        standby=getattr(args, "standby", 0) or 0,
+        standby=args.standby,
         reschedule=build_reschedule(args),
-        degradation=build_degradation(args),
+        degradation=build_degradation(args, engine),
         clock_skew=build_clock_skew(args),
         autoscale=build_autoscale(args),
-        detector=detector_spec(getattr(args, "detector", None)),
+        detector=detector_spec(args.detector),
     )
 
 
-def add_common_arguments(parser: argparse.ArgumentParser) -> None:
+def add_trial_arguments(
+    parser: argparse.ArgumentParser,
+    seed: int,
+    duration: float,
+    rate: Optional[float] = None,
+) -> None:
+    """``--seed``, ``--duration``, ``--output`` and (unless ``rate`` is
+    ``None``) ``--rate``, with the command's defaults."""
+    parser.add_argument("--seed", type=int, default=seed)
     parser.add_argument(
-        "--engine", choices=sorted(ENGINES), default="flink",
-        help="system under test (default: flink)",
+        "--duration", type=float, default=duration,
+        help=(
+            f"simulated seconds per trial, "
+            f"{ExperimentSpec.warmup_fraction:.0%}% warmup "
+            f"(default: {duration:g})"
+        ),
+    )
+    if rate is not None:
+        parser.add_argument(
+            "--rate", type=float, default=rate,
+            help=f"offered load per trial in events/s (default: {rate:g})",
+        )
+    parser.add_argument(
+        "--output", type=str, default=None,
+        help="write the result as JSON to this path",
+    )
+
+
+def add_engines_argument(parser: argparse.ArgumentParser, default) -> None:
+    parser.add_argument(
+        "--engines", nargs="+", choices=sorted(ENGINES), default=list(default),
+        help=f"engines to compare (default: {' '.join(default)})",
+    )
+
+
+def add_autoscale_bounds(
+    parser: argparse.ArgumentParser, defaults, scope: str = ""
+) -> None:
+    """``--min-nodes`` / ``--max-nodes`` / ``--cooldown``; the help
+    quotes ``defaults``' fields (an :class:`AutoscaleSpec` or an
+    :class:`ElasticityConfig`).  Unset, each parses to ``None`` and the
+    library default applies."""
+    for flag, _, field, type_, metavar, what in AUTOSCALE_BOUNDS:
+        parser.add_argument(
+            flag, type=type_, default=None, metavar=metavar,
+            help=f"{scope}{what} (default: {getattr(defaults, field):g})",
+        )
+
+
+def add_search_arguments(parser: argparse.ArgumentParser) -> None:
+    """The search settings ``search`` and ``sweep`` share."""
+    parser.add_argument(
+        "--high-rate", type=float, default=1.6e6,
+        help="probe ceiling in events/s (default: 1.6e6)",
+    )
+    tolerance = library_default(find_sustainable_throughput, "rel_tol")
+    parser.add_argument(
+        "--tolerance", type=float, default=tolerance,
+        help=f"relative width the bisection stops at (default: {tolerance:g})",
+    )
+
+
+def add_journal_arguments(parser: argparse.ArgumentParser, unit: str) -> None:
+    """``--journal`` / ``--resume``; ``unit`` is what one journal entry
+    records (a probe, a trial)."""
+    parser.add_argument(
+        "--journal", type=str, default=None, metavar="PATH",
+        help=f"checkpoint each completed {unit} to this JSON journal",
+    )
+    parser.add_argument(
+        "--resume", action="store_true",
+        help=(
+            f"replay completed {unit}s from --journal instead of "
+            "re-running them (byte-identical final report)"
+        ),
+    )
+
+
+@contextlib.contextmanager
+def opened_journal(
+    args: argparse.Namespace, fingerprint: Callable[[], str], indent: str = ""
+) -> Iterator[Optional[TrialJournal]]:
+    """The ``--journal`` / ``--resume`` pair, opened for the body of the
+    ``with`` and reported after it.  Check every other flag *before*
+    entering: a fresh :class:`TrialJournal` clears stale worker shards,
+    which a usage error must never do."""
+    if args.resume and not args.journal:
+        raise ValueError("--resume requires --journal PATH")
+    journal = None
+    if args.journal:
+        journal = TrialJournal(
+            args.journal, fingerprint=fingerprint(), resume=args.resume
+        )
+    yield journal
+    if journal is not None:
+        print(
+            f"{indent}journal: {journal.hits} replayed, "
+            f"{journal.misses} run live"
+        )
+
+
+def add_common_arguments(
+    parser: argparse.ArgumentParser, rate: Optional[float] = None
+) -> None:
+    """The flags of the commands that build :class:`ExperimentSpec`\\ s
+    from their arguments (``run``, ``search``, ``sweep``)."""
+    parser.add_argument(
+        "--engine", choices=sorted(ENGINES), default=ExperimentSpec.engine,
+        help=f"system under test (default: {ExperimentSpec.engine})",
     )
     parser.add_argument(
         "--query", choices=["aggregation", "join"], default="aggregation",
         help="paper query template (default: aggregation)",
     )
     parser.add_argument(
-        "--workers", type=int, default=2,
-        help="worker-node count; the paper sweeps 2/4/8 (default: 2)",
+        "--workers", type=int, default=ExperimentSpec.workers,
+        help=(
+            "worker-node count; the paper sweeps 2/4/8 "
+            f"(default: {ExperimentSpec.workers})"
+        ),
     )
     parser.add_argument(
-        "--window-size", type=float, default=8.0,
-        help="window size in seconds (default: 8)",
+        "--window-size", type=float, default=PAPER_DEFAULT_WINDOW.size_s,
+        help=(
+            "window size in seconds "
+            f"(default: {PAPER_DEFAULT_WINDOW.size_s:g})"
+        ),
     )
     parser.add_argument(
-        "--window-slide", type=float, default=4.0,
-        help="window slide in seconds (default: 4)",
+        "--window-slide", type=float, default=PAPER_DEFAULT_WINDOW.slide_s,
+        help=(
+            "window slide in seconds "
+            f"(default: {PAPER_DEFAULT_WINDOW.slide_s:g})"
+        ),
     )
     parser.add_argument(
         "--keys", choices=sorted(KEY_DISTRIBUTIONS), default="normal",
         help="key distribution (default: normal, as in the paper)",
     )
     parser.add_argument(
-        "--num-keys", type=int, default=64,
-        help="key-space size (default: 64)",
+        "--num-keys", type=int, default=DEFAULT_GEM_PACK_COUNT,
+        help=f"key-space size (default: {DEFAULT_GEM_PACK_COUNT})",
     )
-    parser.add_argument(
-        "--duration", type=float, default=160.0,
-        help="simulated seconds per trial, 25%% warmup (default: 160)",
+    add_trial_arguments(
+        parser, seed=ExperimentSpec.seed, duration=160.0, rate=rate
     )
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument(
         "--generators", type=int, default=2,
         help="parallel generator instances (default: 2)",
@@ -402,21 +524,28 @@ def add_common_arguments(parser: argparse.ArgumentParser) -> None:
         "--no-resources", action="store_true",
         help="skip CPU/network sampling (slightly faster)",
     )
-    parser.add_argument(
-        "--output", type=str, default=None,
-        help="write the result as JSON to this path",
-    )
-    parser.add_argument(
-        "--fault", action="append", type=parse_fault, default=None,
-        metavar="KIND@T[:DUR]",
-        help=(
+    for flag, parse, what in (
+        (
+            "--fault", parse_fault,
             "inject a fault at T seconds (repeatable): crash@60, "
-            "restart@90, slow@30:20, partition@100:10, disconnect@50:10"
+            "restart@90, slow@30:20, partition@100:10, disconnect@50:10",
         ),
-    )
+        (
+            "--driver-fault", parse_driver_fault,
+            "inject a fault into the benchmark harness itself "
+            "(repeatable): gencrash@60, queueloss@70, driverslow@30:20",
+        ),
+    ):
+        parser.add_argument(
+            flag, action="append", type=parse, default=None,
+            metavar="KIND@T[:DUR]", help=what,
+        )
     parser.add_argument(
         "--checkpoint-interval", type=float, default=None,
-        help="checkpoint interval in seconds (default: model default 10)",
+        help=(
+            "checkpoint interval in seconds "
+            f"(default: model default {CheckpointSpec.interval_s:g})"
+        ),
     )
     parser.add_argument(
         "--guarantee", default=None,
@@ -424,28 +553,31 @@ def add_common_arguments(parser: argparse.ArgumentParser) -> None:
         help="override the engine's delivery guarantee",
     )
     parser.add_argument(
-        "--trace-sample-rate", type=int, default=0, metavar="N",
+        "--trace-sample-rate", type=int, default=ObsSpec.trace_sample_rate,
+        metavar="N",
         help=(
             "trace every N-th generated cohort through the pipeline "
-            "(0 disables tracing; try 1000)"
+            f"({ObsSpec.trace_sample_rate} disables tracing; try 1000)"
         ),
     )
     parser.add_argument(
         "--metrics-interval", type=float, default=None, metavar="SECONDS",
         help=(
             "sample the metrics registry every this many simulated "
-            "seconds (enables the registry; default when enabled: 1.0)"
+            "seconds (enables the registry; default when enabled: "
+            f"{ObsSpec.metrics_interval_s:g})"
         ),
     )
     parser.add_argument(
-        "--standby", type=int, default=0, metavar="N",
+        "--standby", type=int, default=ExperimentSpec.standby, metavar="N",
         help=(
             "hot standby nodes: a crash promotes a standby (paying the "
-            "state-migration cost) instead of losing capacity (default: 0)"
+            "state-migration cost) instead of losing capacity "
+            f"(default: {ExperimentSpec.standby})"
         ),
     )
     parser.add_argument(
-        "--reschedule", choices=["none", "spread", "standby"], default=None,
+        "--reschedule", choices=list(RESCHEDULE_MODES), default=None,
         help=(
             "policy for a dead operator slot: none = capacity lost (legacy), "
             "spread = migrate over survivors, standby = promote from the "
@@ -453,7 +585,7 @@ def add_common_arguments(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--shed", choices=["none", "recommended", "oldest", "newest"],
+        "--shed", choices=[SHED_NONE, "recommended", SHED_OLDEST, SHED_NEWEST],
         default=None,
         help=(
             "load shedding at the sources: recommended = engine-tuned "
@@ -481,14 +613,6 @@ def add_common_arguments(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--driver-fault", action="append", type=parse_driver_fault,
-        default=None, metavar="KIND@T[:DUR]",
-        help=(
-            "inject a fault into the benchmark harness itself "
-            "(repeatable): gencrash@60, queueloss@70, driverslow@30:20"
-        ),
-    )
-    parser.add_argument(
         "--trial-timeout", type=float, default=None, metavar="SECONDS",
         help=(
             "wall-clock budget per trial; the watchdog aborts and "
@@ -502,16 +626,21 @@ def add_common_arguments(parser: argparse.ArgumentParser) -> None:
             "watchdog declares the trial stalled (default: off)"
         ),
     )
+    retries = WatchdogSpec.max_attempts - 1
     parser.add_argument(
-        "--retries", type=int, default=2, metavar="N",
+        "--retries", type=int, default=retries, metavar="N",
         help=(
             "extra attempts after a watchdog-aborted trial, with capped "
-            "exponential backoff (default: 2)"
+            f"exponential backoff (default: {retries})"
         ),
     )
     parser.add_argument(
-        "--retry-backoff", type=float, default=0.1, metavar="SECONDS",
-        help="base backoff before the first retry (default: 0.1)",
+        "--retry-backoff", type=float, default=WatchdogSpec.backoff_base_s,
+        metavar="SECONDS",
+        help=(
+            "base backoff before the first retry; 0 retries at once "
+            f"(default: {WatchdogSpec.backoff_base_s:g})"
+        ),
     )
     parser.add_argument(
         "--autoscale", choices=list(POLICY_NAMES), default=None,
@@ -522,21 +651,7 @@ def add_common_arguments(parser: argparse.ArgumentParser) -> None:
             "enables metrics sampling automatically"
         ),
     )
-    parser.add_argument(
-        "--min-nodes", type=int, default=None, metavar="N",
-        help="with --autoscale: scale-in floor (default: 1)",
-    )
-    parser.add_argument(
-        "--max-nodes", type=int, default=None, metavar="N",
-        help="with --autoscale: scale-out ceiling (default: 16)",
-    )
-    parser.add_argument(
-        "--cooldown", type=float, default=None, metavar="SECONDS",
-        help=(
-            "with --autoscale: minimum simulated time between scaling "
-            "decisions (default: 20)"
-        ),
-    )
+    add_autoscale_bounds(parser, AutoscaleSpec, scope="with --autoscale: ")
 
 
 def add_detector_argument(parser: argparse.ArgumentParser) -> None:
@@ -552,38 +667,26 @@ def add_detector_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def add_grid_arguments(
-    parser: argparse.ArgumentParser,
-    duration: float,
-    sut_workers: int,
-    rate: Optional[float] = None,
-) -> None:
-    """The flags ``chaos`` / ``recover`` / ``autoscale`` share, declared
-    once; the arguments are the per-command defaults (``rate=None``:
-    the command takes no ``--rate``)."""
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--engines", nargs="+", choices=sorted(ENGINES),
-        default=sorted(ENGINES),
+def add_grid_arguments(parser: argparse.ArgumentParser, config) -> None:
+    """The flags ``chaos`` / ``recover`` / ``autoscale`` share, with the
+    defaults of the command's ``config`` class (its ``rate``, if it has
+    one, declares ``--rate``)."""
+    add_trial_arguments(
+        parser,
+        seed=config.seed,
+        duration=config.duration_s,
+        rate=getattr(config, "rate", None),
     )
+    add_engines_argument(parser, sorted(ENGINES))
     parser.add_argument(
-        "--duration", type=float, default=duration,
-        help=f"simulated seconds per trial (default: {duration:g})",
-    )
-    if rate is not None:
-        parser.add_argument(
-            "--rate", type=float, default=rate,
-            help=f"offered load per trial in events/s (default: {rate:g})",
-        )
-    parser.add_argument(
-        "--sut-workers", type=int, default=sut_workers,
+        "--sut-workers", type=int, default=config.workers,
         help=(
             "simulated cluster size each trial starts with "
-            f"(default: {sut_workers})"
+            f"(default: {config.workers})"
         ),
     )
     parser.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=int, default=library_default(run_grid, "workers"),
         help=(
             "scheduler parallelism: fan trials over N worker processes "
             "(report stays byte-identical to --workers 1)"
@@ -593,21 +696,7 @@ def add_grid_arguments(
         "--verbose", action="store_true",
         help="print a status line per trial",
     )
-    parser.add_argument(
-        "--output", type=str, default=None,
-        help="write the report as JSON to this path",
-    )
-    parser.add_argument(
-        "--journal", type=str, default=None, metavar="PATH",
-        help="checkpoint each completed trial digest to this JSON journal",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help=(
-            "replay completed trials from --journal instead of "
-            "re-running them (byte-identical final report)"
-        ),
-    )
+    add_journal_arguments(parser, "trial")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -675,66 +764,52 @@ def describe_probe(trial: SearchTrial) -> str:
     )
 
 
+def cmd_search_online(args: argparse.Namespace, spec: ExperimentSpec) -> int:
+    if args.journal or args.resume:
+        raise ValueError(
+            "--journal / --resume are only supported for the bisection "
+            "search (not --online)"
+        )
+    online = find_sustainable_throughput_online(spec, high_rate=args.high_rate)
+    for decision in online.decisions:
+        print(
+            f"  t={decision.at_s:6.1f}s rate={decision.rate / 1e6:7.3f} "
+            f"M/s wait={decision.oldest_wait_s:5.2f}s "
+            f"{decision.action}"
+        )
+    rate = online.sustainable_rate
+    shown = f"{rate / 1e6:.3f} M/s" if rate == rate else "not found"
+    print(
+        f"sustainable throughput (online AIMD): {shown} "
+        f"({online.decision_count} control decisions, 1 trial)"
+    )
+    if args.output:
+        path = write_json(online_search_to_dict(online), args.output)
+        print(f"wrote {path}")
+    return 0
+
+
 def cmd_search(args: argparse.Namespace) -> int:
     spec = build_spec(args, rate=args.high_rate)
-    run = build_runner(args)
-    if args.journal and (args.online or spec.faults is not None):
-        raise ValueError(
-            "--journal is only supported for the bisection search "
-            "(not --online or --fault searches)"
-        )
-    if args.resume and not args.journal:
-        raise ValueError("--resume requires --journal PATH")
     if args.online:
-        online = find_sustainable_throughput_online(
-            spec, high_rate=args.high_rate
-        )
-        for decision in online.decisions:
-            print(
-                f"  t={decision.at_s:6.1f}s rate={decision.rate / 1e6:7.3f} "
-                f"M/s wait={decision.oldest_wait_s:5.2f}s "
-                f"{decision.action}"
-            )
-        rate = online.sustainable_rate
-        shown = f"{rate / 1e6:.3f} M/s" if rate == rate else "not found"
-        print(
-            f"sustainable throughput (online AIMD): {shown} "
-            f"({online.decision_count} control decisions, 1 trial)"
-        )
-        if args.output:
-            path = write_json(online_search_to_dict(online), args.output)
-            print(f"wrote {path}")
-        return 0
+        return cmd_search_online(args, spec)
     # One set of search arguments for the search, the journal's identity
     # and the aim line; everything else is those functions' defaults.
-    settings = dict(high_rate=args.high_rate, rel_tol=args.tolerance)
-    if spec.faults is not None:
-        search = find_sustainable_throughput_under_faults(
-            spec,
-            **settings,
-            max_recovery_time_s=args.max_recovery,
-            run=run,
-        )
-    else:
-        journal = None
-        if args.journal:
-            journal = TrialJournal(
-                args.journal,
-                fingerprint=search_fingerprint(spec, **settings),
-                resume=args.resume,
-            )
+    bracket = dict(high_rate=args.high_rate, rel_tol=args.tolerance)
+    criteria = build_criteria(args)
+    with opened_journal(
+        args,
+        lambda: search_fingerprint(spec, criteria=criteria, **bracket),
+        indent="  ",
+    ) as journal:
         search = find_sustainable_throughput(
             spec,
-            **settings,
-            run=run,
+            criteria=criteria,
+            run=build_runner(args),
             journal=journal,
+            **bracket,
         )
-        if journal is not None:
-            print(
-                f"  journal: {journal.hits} replayed, "
-                f"{journal.misses} run live"
-            )
-    aim = aimed_cell(search, **settings)
+    aim = aimed_cell(search, **bracket)
     if aim is not None:
         ingested, lo, hi = aim
         print(
@@ -757,28 +832,23 @@ def cmd_search(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    cells = []
-    for engine in args.engines:
-        for workers in args.worker_counts:
-            sweep_args = argparse.Namespace(**vars(args))
-            sweep_args.engine = engine
-            sweep_args.workers = workers
-            spec = build_spec(sweep_args, rate=args.high_rate)
-            cells.append(((engine, workers), spec))
-    rates = sweep_sustainable_rates(
+    cells = [
+        (
+            (engine, workers),
+            build_spec(args, engine=engine, workers=workers, rate=args.high_rate),
+        )
+        for engine in args.engines
+        for workers in args.worker_counts
+    ]
+    measured = sweep_sustainable_rates(
         cells,
         high_rate=args.high_rate,
         rel_tol=args.tolerance,
         workers=args.jobs,
         watchdog=build_watchdog(args),
     )
-    measured = {}
-    for (engine, workers), _spec in cells:
-        measured[(engine, workers)] = rates[(engine, workers)]
-        print(
-            f"  {engine}/{workers}w: "
-            f"{rates[(engine, workers)] / 1e6:.3f} M/s"
-        )
+    for (engine, workers), rate in measured.items():
+        print(f"  {engine}/{workers}w: {rate / 1e6:.3f} M/s")
     print()
     print(
         throughput_table(
@@ -802,28 +872,16 @@ def run_grid_command(
     args: argparse.Namespace, config, fingerprint, run
 ) -> int:
     """The body ``chaos`` / ``recover`` / ``autoscale`` share: validate
-    the shared flags, open the journal, run the grid, print the report.
-    Every flag is checked *before* the journal is opened -- a fresh
-    :class:`TrialJournal` clears stale worker shards, which a usage
-    error must never do."""
-    if args.resume and not args.journal:
-        raise ValueError("--resume requires --journal PATH")
+    the shared flags, open the journal, run the grid, print the
+    report."""
     if args.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
-    journal = None
-    if args.journal:
-        journal = TrialJournal(
-            args.journal, fingerprint=fingerprint(config), resume=args.resume
-        )
-    report = run(
-        config,
-        progress=print if args.verbose else None,
-        journal=journal,
-        workers=args.workers,
-    )
-    if journal is not None:
-        print(
-            f"journal: {journal.hits} replayed, {journal.misses} run live"
+    with opened_journal(args, lambda: fingerprint(config)) as journal:
+        report = run(
+            config,
+            progress=print if args.verbose else None,
+            journal=journal,
+            workers=args.workers,
         )
     print(report.render())
     if args.output:
@@ -833,8 +891,6 @@ def run_grid_command(
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.recovery.chaos import ChaosConfig, chaos_fingerprint, run_chaos
-
     config = ChaosConfig(
         seed=args.seed,
         rounds=args.rounds,
@@ -850,12 +906,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_recover(args: argparse.Namespace) -> int:
-    from repro.recoverybench import (
-        RecoverConfig,
-        recover_fingerprint,
-        run_recovery_bench,
-    )
-
     config = RecoverConfig(
         seed=args.seed,
         engines=tuple(args.engines),
@@ -873,21 +923,13 @@ def cmd_recover(args: argparse.Namespace) -> int:
 
 
 def cmd_autoscale(args: argparse.Namespace) -> int:
-    from repro.autoscale.scorecard import (
-        ElasticityConfig,
-        elasticity_fingerprint,
-        run_elasticity,
-    )
-
     config = ElasticityConfig(
         seed=args.seed,
         engines=tuple(args.engines),
         policies=tuple(args.policies),
         duration_s=args.duration,
         workers=args.sut_workers,
-        min_workers=args.min_nodes if args.min_nodes is not None else 1,
-        max_workers=args.max_nodes if args.max_nodes is not None else 6,
-        cooldown_s=args.cooldown if args.cooldown is not None else 12.0,
+        **autoscale_bounds(args),
     )
     return run_grid_command(
         args, config, elasticity_fingerprint, run_elasticity
@@ -920,27 +962,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_parser = sub.add_parser("run", help="run one benchmark trial")
-    add_common_arguments(run_parser)
-    run_parser.add_argument(
-        "--rate", type=float, default=0.3e6,
-        help="offered load in events/s (default: 300000)",
-    )
+    add_common_arguments(run_parser, rate=0.3e6)
     run_parser.set_defaults(func=cmd_run)
 
     search_parser = sub.add_parser(
         "search", help="find the sustainable throughput (Definition 5)"
     )
     add_common_arguments(search_parser)
-    search_parser.add_argument(
-        "--high-rate", type=float, default=1.6e6,
-        help="probe ceiling in events/s (default: 1.6e6)",
+    add_search_arguments(search_parser)
+    recovery = library_default(
+        find_sustainable_throughput_under_faults, "max_recovery_time_s"
     )
-    search_parser.add_argument("--tolerance", type=float, default=0.05)
     search_parser.add_argument(
-        "--max-recovery", type=float, default=60.0,
+        "--max-recovery", type=float, default=recovery,
         help=(
             "with --fault: seconds within which every fault must recover "
-            "for a rate to count as sustainable (default: 60)"
+            f"for a rate to count as sustainable (default: {recovery:g})"
         ),
     )
     search_parser.add_argument(
@@ -950,37 +987,22 @@ def build_parser() -> argparse.ArgumentParser:
             "instead of one trial per bisection step"
         ),
     )
-    search_parser.add_argument(
-        "--journal", type=str, default=None, metavar="PATH",
-        help=(
-            "checkpoint each completed probe to this JSON journal "
-            "(bisection search only)"
-        ),
-    )
-    search_parser.add_argument(
-        "--resume", action="store_true",
-        help=(
-            "replay completed probes from --journal instead of "
-            "re-running them (byte-identical final report)"
-        ),
-    )
+    add_journal_arguments(search_parser, "probe")
     search_parser.set_defaults(func=cmd_search)
 
     sweep_parser = sub.add_parser(
         "sweep", help="Table-I style sweep over engines and cluster sizes"
     )
     add_common_arguments(sweep_parser)
+    add_search_arguments(sweep_parser)
+    add_engines_argument(sweep_parser, sorted(ENGINES))
     sweep_parser.add_argument(
-        "--engines", nargs="+", choices=sorted(ENGINES),
-        default=sorted(ENGINES),
+        "--worker-counts", nargs="+", type=int,
+        default=list(PAPER_CLUSTER_SIZES),
     )
     sweep_parser.add_argument(
-        "--worker-counts", nargs="+", type=int, default=[2, 4, 8]
-    )
-    sweep_parser.add_argument("--high-rate", type=float, default=1.6e6)
-    sweep_parser.add_argument("--tolerance", type=float, default=0.05)
-    sweep_parser.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=int,
+        default=library_default(sweep_sustainable_rates, "workers"),
         help=(
             "fan sweep cells over N worker processes (results stay "
             "byte-identical to --jobs 1)"
@@ -1000,20 +1022,20 @@ def build_parser() -> argparse.ArgumentParser:
             "policies with invariant checks (exit 1 on any violation)"
         ),
     )
-    add_grid_arguments(
-        chaos_parser, duration=60.0, sut_workers=2, rate=30_000.0
-    )
+    add_grid_arguments(chaos_parser, ChaosConfig)
     add_detector_argument(chaos_parser)
     chaos_parser.add_argument(
-        "--rounds", type=int, default=3,
-        help="fault schedules per (engine, policy) cell (default: 3)",
+        "--rounds", type=int, default=ChaosConfig.rounds,
+        help=(
+            "fault schedules per (engine, policy) cell "
+            f"(default: {ChaosConfig.rounds})"
+        ),
     )
     chaos_parser.add_argument(
         "--no-driver-faults", action="store_true",
         help=(
-            "draw only SUT-side faults (legacy PR 4 mix) instead of "
-            "also injecting generator crashes, driver queue loss and "
-            "slow driver nodes"
+            "draw only SUT-side faults instead of also injecting "
+            "generator crashes, driver queue loss and slow driver nodes"
         ),
     )
     chaos_parser.add_argument(
@@ -1034,29 +1056,28 @@ def build_parser() -> argparse.ArgumentParser:
             "on any invariant violation)"
         ),
     )
-    add_grid_arguments(
-        recover_parser, duration=60.0, sut_workers=2, rate=30_000.0
-    )
+    add_grid_arguments(recover_parser, RecoverConfig)
     add_detector_argument(recover_parser)
     recover_parser.add_argument(
         "--policies", nargs="+",
-        choices=[MODE_NONE, MODE_SPREAD, MODE_STANDBY],
-        default=[MODE_NONE, MODE_SPREAD, MODE_STANDBY],
-        help="reschedule policies to compare (default: all three)",
+        choices=list(recoverybench.POLICY_NAMES),
+        default=list(RecoverConfig.policies),
+        help="reschedule policies to compare (default: all)",
     )
     recover_parser.add_argument(
         "--kinds", nargs="+",
-        choices=["crash", "restart", "slow", "partition", "disconnect"],
-        default=["crash", "restart", "slow", "partition", "disconnect"],
-        help="SUT fault kinds to benchmark (default: all five)",
+        choices=list(recoverybench.FAULT_KINDS),
+        default=list(RecoverConfig.kinds),
+        help="SUT fault kinds to benchmark (default: all)",
     )
+    intervals = RecoverConfig.intervals
     recover_parser.add_argument(
         "--intervals", nargs="+", type=float,
-        default=[2.5, 5.0, 10.0, 20.0, 40.0], metavar="SECONDS",
+        default=list(intervals), metavar="SECONDS",
         help=(
             "checkpoint intervals swept per engine for the "
             "recovery-time vs. overhead frontier (default: log grid "
-            "2.5..40)"
+            f"{intervals[0]:g}..{intervals[-1]:g})"
         ),
     )
     recover_parser.add_argument(
@@ -1073,24 +1094,13 @@ def build_parser() -> argparse.ArgumentParser:
             "invariant violation)"
         ),
     )
-    add_grid_arguments(autoscale_parser, duration=120.0, sut_workers=1)
+    add_grid_arguments(autoscale_parser, ElasticityConfig)
     autoscale_parser.add_argument(
         "--policies", nargs="+", choices=list(POLICY_NAMES),
-        default=list(POLICY_NAMES),
-        help="scaling policies to compare (default: both)",
+        default=list(ElasticityConfig.policies),
+        help="scaling policies to compare (default: all)",
     )
-    autoscale_parser.add_argument(
-        "--min-nodes", type=int, default=None, metavar="N",
-        help="scale-in floor (default: 1)",
-    )
-    autoscale_parser.add_argument(
-        "--max-nodes", type=int, default=None, metavar="N",
-        help="scale-out ceiling (default: 6)",
-    )
-    autoscale_parser.add_argument(
-        "--cooldown", type=float, default=None, metavar="SECONDS",
-        help="minimum simulated time between decisions (default: 12)",
-    )
+    add_autoscale_bounds(autoscale_parser, ElasticityConfig)
     autoscale_parser.set_defaults(func=cmd_autoscale)
     return parser
 

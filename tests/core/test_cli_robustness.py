@@ -121,6 +121,25 @@ class TestArgumentValueErrors:
         assert code == 2
         assert "--jobs must be >= 1" in capsys.readouterr().err
 
+    def test_negative_trace_sample_rate_exits_2(self, capsys):
+        # Not "tracing off": 0 is the off value, below it is an error.
+        code = self.run_cli(
+            ["run", "--trace-sample-rate", "-3", "--duration", "10",
+             "--no-resources"]
+        )
+        assert code == 2
+        assert "trace_sample_rate must be >= 0" in capsys.readouterr().err
+
+    def test_online_search_refuses_a_journal(self, capsys, tmp_path):
+        journal = tmp_path / "journal.json"
+        code = self.run_cli(
+            ["search", "--online", "--journal", str(journal),
+             "--duration", "10", "--no-resources"]
+        )
+        assert code == 2
+        assert "--online" in capsys.readouterr().err
+        assert not journal.exists()
+
 
 class TestExecution:
     def run_cli(self, argv):
@@ -221,4 +240,43 @@ class TestExecution:
             self.run_cli(argv + ["--resume", "--output", str(second)]) == 0
         )
         assert "replayed" in capsys.readouterr().out
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_zero_retry_backoff_means_no_wait(self, monkeypatch):
+        specs = []
+        watchdog_run = experiment.run_experiment_with_watchdog
+
+        def recording_watchdog(spec, watchdog, **kwargs):
+            specs.append(watchdog)
+            return watchdog_run(spec, watchdog=watchdog, **kwargs)
+
+        monkeypatch.setattr(
+            experiment, "run_experiment_with_watchdog", recording_watchdog
+        )
+        assert self.run_cli(
+            ["run", "--trial-timeout", "600", "--retry-backoff", "0",
+             "--rate", "10000", "--duration", "10", "--generators", "1",
+             "--no-resources"]
+        ) == 0
+        assert [spec.backoff_base_s for spec in specs] == [0.0]
+
+    def test_fault_search_journal_round_trip(self, capsys, tmp_path):
+        journal = tmp_path / "journal.json"
+        argv = [
+            "search",
+            "--engine", "flink",
+            "--fault", "crash@15",
+            "--high-rate", "200000",
+            "--duration", "30",
+            "--generators", "1",
+            "--no-resources",
+            "--journal", str(journal),
+        ]
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        assert self.run_cli(argv + ["--output", str(first)]) == 0
+        capsys.readouterr()
+        assert (
+            self.run_cli(argv + ["--resume", "--output", str(second)]) == 0
+        )
+        assert ", 0 run live" in capsys.readouterr().out
         assert first.read_bytes() == second.read_bytes()
