@@ -430,6 +430,16 @@ def add_search_arguments(parser: argparse.ArgumentParser) -> None:
         "--tolerance", type=float, default=tolerance,
         help=f"relative width the bisection stops at (default: {tolerance:g})",
     )
+    recovery = library_default(
+        find_sustainable_throughput_under_faults, "max_recovery_time_s"
+    )
+    parser.add_argument(
+        "--max-recovery", type=float, default=recovery,
+        help=(
+            "with --fault: seconds within which every fault must recover "
+            f"for a rate to count as sustainable (default: {recovery:g})"
+        ),
+    )
 
 
 def add_journal_arguments(parser: argparse.ArgumentParser, unit: str) -> None:
@@ -677,7 +687,7 @@ def add_grid_arguments(parser: argparse.ArgumentParser, config) -> None:
         duration=config.duration_s,
         rate=getattr(config, "rate", None),
     )
-    add_engines_argument(parser, sorted(ENGINES))
+    add_engines_argument(parser, config.engines)
     parser.add_argument(
         "--sut-workers", type=int, default=config.workers,
         help=(
@@ -844,6 +854,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         cells,
         high_rate=args.high_rate,
         rel_tol=args.tolerance,
+        criteria=build_criteria(args),
         workers=args.jobs,
         watchdog=build_watchdog(args),
     )
@@ -970,16 +981,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_common_arguments(search_parser)
     add_search_arguments(search_parser)
-    recovery = library_default(
-        find_sustainable_throughput_under_faults, "max_recovery_time_s"
-    )
-    search_parser.add_argument(
-        "--max-recovery", type=float, default=recovery,
-        help=(
-            "with --fault: seconds within which every fault must recover "
-            f"for a rate to count as sustainable (default: {recovery:g})"
-        ),
-    )
     search_parser.add_argument(
         "--online", action="store_true",
         help=(

@@ -7,11 +7,15 @@ through the real commands.
 """
 
 import json
+import math
 
 import pytest
 
+from repro.autoscale.scorecard import ElasticityConfig
 from repro.cli import build_parser, main
 from repro.core import experiment, sustainable
+from repro.recovery.chaos import ChaosConfig
+from repro.recoverybench import RecoverConfig
 from repro.faults.schedule import DriverNodeSlow, GeneratorCrash
 from repro.metrology.journal import shard_path
 from repro.sim.clock import ClockSkewSpec
@@ -64,6 +68,22 @@ class TestParsing:
         with pytest.raises(SystemExit) as exit_:
             build_parser().parse_args(["search", "--jobs", "2"])
         assert exit_.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("chaos", ChaosConfig),
+            ("recover", RecoverConfig),
+            ("autoscale", ElasticityConfig),
+        ],
+    )
+    def test_grid_commands_default_to_their_configs_engines(
+        self, command, config
+    ):
+        # One default grid, one cell order: ``repro chaos`` and
+        # ``run_chaos(ChaosConfig())`` write the same report bytes.
+        args = build_parser().parse_args([command])
+        assert tuple(args.engines) == config().engines
 
 
 class TestArgumentValueErrors:
@@ -280,3 +300,34 @@ class TestExecution:
         )
         assert ", 0 run live" in capsys.readouterr().out
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("bound", [[], ["--max-recovery", "0.5"]])
+    def test_a_faulted_sweep_cell_reports_what_search_reports(
+        self, bound, capsys, tmp_path
+    ):
+        # The recovery bound judges a sweep cell as it judges a search:
+        # a restart takes seconds to recover, so a 0.5 s bound leaves no
+        # sustainable rate in either.
+        cell = [
+            "--fault", "restart@30",
+            "--duration", "60",
+            "--high-rate", "1600000",
+            "--generators", "1",
+            "--no-resources",
+            *bound,
+        ]
+        searched, swept = tmp_path / "search.json", tmp_path / "sweep.json"
+        assert self.run_cli(
+            ["search", "--engine", "flink", "--workers", "2", *cell,
+             "--output", str(searched)]
+        ) == 0
+        assert self.run_cli(
+            ["sweep", "--engines", "flink", "--worker-counts", "2", *cell,
+             "--output", str(swept)]
+        ) == 0
+        expected = json.loads(searched.read_text())["sustainable_rate"]
+        (reported,) = json.loads(swept.read_text()).values()
+        if bound:
+            assert expected is None and math.isnan(reported)
+        else:
+            assert expected > 0 and reported == expected
