@@ -17,7 +17,8 @@ hash and leaves the other two alone.  The cases cover both queries on
 every engine, disorder with and without allowed lateness, Storm's
 spillable state, Spark's inverse reduce, four-worker clusters, the two
 modelled stalls (Storm's naive join beyond two workers, Flink's skewed
-join) and every engine given a plain :class:`EngineConfig`.
+join), every engine given a plain :class:`EngineConfig`, and Storm and
+Heron at the paper's rate (0.3 M ev/s, 120 s, two seeds).
 Regenerate after an *intentional* change with::
 
     REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest \
@@ -54,6 +55,9 @@ ENGINES = ("flink", "storm", "spark", "samza", "heron")
 WINDOW = WindowSpec(4.0, 2.0)
 AGG = WindowedAggregationQuery(window=WINDOW)
 JOIN = WindowedJoinQuery(window=WINDOW)
+PAPER_WINDOW = WindowSpec(8.0, 4.0)
+PAPER_AGG = WindowedAggregationQuery(window=PAPER_WINDOW)
+PAPER_JOIN = WindowedJoinQuery(window=PAPER_WINDOW)
 DISORDER = GeneratorConfig(
     instances=2, disorder=DisorderSpec(fraction=0.2, max_delay_s=2.0)
 )
@@ -124,6 +128,17 @@ CASES = {
             ),
         )
         for engine in ENGINES
+    },
+    # Paper-rate cells, shaped like the perf benchmark's agg_steady
+    # trials: long and fast enough for Storm's in-flight watermark bound
+    # to move latency.
+    **{
+        f"{engine}_{name}_paper_s{seed}": trial(
+            engine, query, profile=0.3e6, duration_s=120.0, seed=seed
+        )
+        for engine in ("storm", "heron")
+        for name, query in (("agg", PAPER_AGG), ("join", PAPER_JOIN))
+        for seed in (17, 31)
     },
 }
 
