@@ -32,7 +32,6 @@ from repro.core import (
     TrialResult,
     assess,
     find_sustainable_throughput,
-    find_sustainable_throughput_under_faults,
     run_experiment,
 )
 from repro.engines import ENGINES, engine_class
@@ -75,7 +74,6 @@ __all__ = [
     "assess",
     "engine_class",
     "find_sustainable_throughput",
-    "find_sustainable_throughput_under_faults",
     "run_experiment",
     "__version__",
 ]

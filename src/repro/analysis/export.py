@@ -16,7 +16,7 @@ from typing import Any, Dict, Union
 from repro.core.driver import TrialResult
 from repro.core.latency import EVENT_TIME, PROCESSING_TIME
 from repro.core.metrics import StatSummary
-from repro.core.sustainable import OnlineSearchResult, SustainableSearchResult
+from repro.core.sustainable import SustainableSearchResult
 
 
 def summary_to_dict(summary: StatSummary) -> Dict[str, Any]:
@@ -105,32 +105,6 @@ def search_to_dict(search: SustainableSearchResult) -> Dict[str, Any]:
         # export_entry() serialises live and journal-replayed trials
         # identically (resume byte-identity relies on this).
         "trials": [trial.export_entry() for trial in search.trials],
-    }
-
-
-def online_search_to_dict(search: OnlineSearchResult) -> Dict[str, Any]:
-    """Serialise a single-trial AIMD probe: the estimate, every control
-    decision, and the applied rate trajectory (figure-ready)."""
-    rate = search.sustainable_rate
-    return {
-        "sustainable_rate": None if rate != rate else float(rate),
-        "decision_count": search.decision_count,
-        "decisions": [
-            {
-                "at_s": d.at_s,
-                "rate": d.rate,
-                "oldest_wait_s": d.oldest_wait_s,
-                "wait_slope": d.wait_slope,
-                "healthy": d.healthy,
-                "action": d.action,
-                "next_rate": d.next_rate,
-            }
-            for d in search.decisions
-        ],
-        "trajectory": [
-            {"t": t, "rate": r} for t, r in search.trajectory
-        ],
-        "trial": trial_to_dict(search.result),
     }
 
 

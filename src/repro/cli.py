@@ -4,9 +4,8 @@
   duration, plus any faults, self-healing, measurement-plane,
   observability and autoscaling flags.
 - ``search``  -- the sustainable throughput of one deployment
-  (Definition 5): an aimed bisection of one trial per probed rate, or
-  with ``--online`` a single trial steered by an AIMD controller.  With
-  ``--fault`` a rate must also recover from every fault within
+  (Definition 5): an aimed bisection of one trial per probed rate.
+  With ``--fault`` a rate must also recover from every fault within
   ``--max-recovery`` seconds.
 - ``sweep``   -- a Table-I style grid of searches over engines x cluster
   sizes, judged like ``search``; ``--jobs N`` fans whole cells over N
@@ -45,7 +44,6 @@ from typing import Callable, Iterator, List, Optional
 import repro.engines.ext  # noqa: F401  (registers heron/samza in ENGINES)
 from repro import recoverybench
 from repro.analysis.export import (
-    online_search_to_dict,
     search_to_dict,
     trial_to_dict,
     write_json,
@@ -63,8 +61,6 @@ from repro.core.sustainable import (
     SearchTrial,
     aimed_cell,
     find_sustainable_throughput,
-    find_sustainable_throughput_online,
-    find_sustainable_throughput_under_faults,
     search_fingerprint,
     sweep_sustainable_rates,
 )
@@ -430,14 +426,13 @@ def add_search_arguments(parser: argparse.ArgumentParser) -> None:
         "--tolerance", type=float, default=tolerance,
         help=f"relative width the bisection stops at (default: {tolerance:g})",
     )
-    recovery = library_default(
-        find_sustainable_throughput_under_faults, "max_recovery_time_s"
-    )
+    # The library's criteria carry no recovery bound (plain
+    # Definition 5); this one belongs to the command line.
     parser.add_argument(
-        "--max-recovery", type=float, default=recovery,
+        "--max-recovery", type=float, default=60.0,
         help=(
             "with --fault: seconds within which every fault must recover "
-            f"for a rate to count as sustainable (default: {recovery:g})"
+            "for a rate to count as sustainable (default: 60)"
         ),
     )
 
@@ -774,35 +769,8 @@ def describe_probe(trial: SearchTrial) -> str:
     )
 
 
-def cmd_search_online(args: argparse.Namespace, spec: ExperimentSpec) -> int:
-    if args.journal or args.resume:
-        raise ValueError(
-            "--journal / --resume are only supported for the bisection "
-            "search (not --online)"
-        )
-    online = find_sustainable_throughput_online(spec, high_rate=args.high_rate)
-    for decision in online.decisions:
-        print(
-            f"  t={decision.at_s:6.1f}s rate={decision.rate / 1e6:7.3f} "
-            f"M/s wait={decision.oldest_wait_s:5.2f}s "
-            f"{decision.action}"
-        )
-    rate = online.sustainable_rate
-    shown = f"{rate / 1e6:.3f} M/s" if rate == rate else "not found"
-    print(
-        f"sustainable throughput (online AIMD): {shown} "
-        f"({online.decision_count} control decisions, 1 trial)"
-    )
-    if args.output:
-        path = write_json(online_search_to_dict(online), args.output)
-        print(f"wrote {path}")
-    return 0
-
-
 def cmd_search(args: argparse.Namespace) -> int:
     spec = build_spec(args, rate=args.high_rate)
-    if args.online:
-        return cmd_search_online(args, spec)
     # One set of search arguments for the search, the journal's identity
     # and the aim line; everything else is those functions' defaults.
     bracket = dict(high_rate=args.high_rate, rel_tol=args.tolerance)
@@ -981,13 +949,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_common_arguments(search_parser)
     add_search_arguments(search_parser)
-    search_parser.add_argument(
-        "--online", action="store_true",
-        help=(
-            "probe in a single trial with the AIMD rate controller "
-            "instead of one trial per bisection step"
-        ),
-    )
     add_journal_arguments(search_parser, "probe")
     search_parser.set_defaults(func=cmd_search)
 

@@ -43,7 +43,6 @@ from repro.core.sustainable import (
     SustainableSearchResult,
     assess,
     find_sustainable_throughput,
-    find_sustainable_throughput_under_faults,
 )
 from repro.core.throughput import ThroughputMonitor
 
@@ -68,7 +67,6 @@ __all__ = [
     "TrialResult",
     "assess",
     "find_sustainable_throughput",
-    "find_sustainable_throughput_under_faults",
     "run_experiment",
     "weighted_summary",
 ]

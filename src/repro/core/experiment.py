@@ -162,8 +162,8 @@ def run_experiment(
 
     ``driver_hook`` (if given) is called with the assembled
     :class:`BenchmarkDriver` just before the trial runs -- the seam the
-    online AIMD rate controller uses to install itself on the driver
-    side without the engine ever seeing it.
+    trial watchdog uses to install itself on the driver side without
+    the engine ever seeing it.
     """
     sim = Simulator()
     rng = RngRegistry(seed=spec.seed)

@@ -58,10 +58,8 @@ from repro.core.experiment import ExperimentSpec, run_experiment, runner_for
 from repro.core.latency import EVENT_TIME
 from repro.metrology.journal import MISSING, TrialJournal
 from repro.metrology.watchdog import WatchdogSpec
-from repro.obs.context import ObsSpec
-from repro.recovery.aimd import AimdConfig, AimdController, AimdDecision
 from repro.sched.pool import TrialScheduler, TrialTask
-from repro.workloads.profiles import AdaptiveRate, ConstantRate
+from repro.workloads.profiles import ConstantRate
 
 
 SUT_FAILURE = "SUT failure"
@@ -649,111 +647,3 @@ def sweep_sustainable_rates(
         rate = results[key]["sustainable_rate"]
         out[key] = float("nan") if rate is None else float(rate)
     return out
-
-
-@dataclass
-class OnlineSearchResult:
-    """Outcome of the single-trial AIMD probe.
-
-    ``sustainable_rate`` follows the same contract as the offline
-    search: NaN when no rate was ever observed sustainable.
-    """
-
-    sustainable_rate: float
-    result: TrialResult
-    decisions: List[AimdDecision]
-    trajectory: List[Tuple[float, float]]
-    """Applied ``(time, rate)`` control trajectory."""
-
-    @property
-    def found(self) -> bool:
-        return self.sustainable_rate == self.sustainable_rate
-
-    @property
-    def decision_count(self) -> int:
-        return len(self.decisions)
-
-
-def find_sustainable_throughput_online(
-    spec: ExperimentSpec,
-    high_rate: float,
-    config: Optional[AimdConfig] = None,
-    run=run_experiment,
-) -> OnlineSearchResult:
-    """Probe the sustainable rate in a **single trial** (AIMD).
-
-    Where :func:`find_sustainable_throughput` runs one full trial per
-    probed rate, this starts one trial at ``high_rate`` and lets an
-    additive-increase / multiplicative-decrease controller steer the
-    offered load against live backpressure signals from the obs
-    registry (see :mod:`repro.recovery.aimd`).  The estimate converges
-    to within a probe-step of the offline bisection at a fraction of
-    the cost -- the cross-validation test pins the two against each
-    other.
-
-    Observability is required (the controller reads registry gauges);
-    a metrics-only :class:`ObsSpec` is injected when ``spec`` has none.
-    """
-    if high_rate <= 0:
-        raise ValueError(f"high_rate must be positive, got {high_rate}")
-    profile = AdaptiveRate(initial=high_rate, ceiling=high_rate)
-    obs = spec.observability or ObsSpec(metrics_interval_s=0.5)
-    trial_spec = replace(spec, profile=profile, observability=obs)
-    controllers: List[AimdController] = []
-
-    def install(driver) -> None:
-        controller = AimdController(
-            profile, driver.obs.registry, config=config
-        )
-        controller.install(driver.sim)
-        controllers.append(controller)
-
-    result = run(trial_spec, driver_hook=install)
-    assert controllers, "driver_hook never ran"
-    controller = controllers[0]
-    controller.stop()
-    return OnlineSearchResult(
-        sustainable_rate=controller.estimate,
-        result=result,
-        decisions=controller.decisions,
-        trajectory=controller.trajectory(),
-    )
-
-
-def find_sustainable_throughput_under_faults(
-    spec: ExperimentSpec,
-    high_rate: float,
-    low_rate: float = 0.0,
-    rel_tol: float = 0.05,
-    criteria: Optional[SustainabilityCriteria] = None,
-    max_recovery_time_s: float = 60.0,
-    max_trials: int = 12,
-    run: Callable[[ExperimentSpec], TrialResult] = run_experiment,
-) -> SustainableSearchResult:
-    """Sustainable throughput *while surviving the fault schedule*.
-
-    The Vogel et al. robustness question: not "what rate can the engine
-    sustain" but "what rate can it sustain and still recover from every
-    injected fault within ``max_recovery_time_s``".  ``spec`` must carry
-    a fault schedule; the plain
-    Definition 5 criteria are extended with the recovery bound, so an
-    engine that survives the faults but never catches up is judged
-    unsustainable at that rate.
-    """
-    if spec.faults is None:
-        raise ValueError(
-            "spec has no fault schedule; use find_sustainable_throughput "
-            "for fault-free search"
-        )
-    base = criteria or SustainabilityCriteria()
-    if base.max_recovery_time_s is None:
-        base = replace(base, max_recovery_time_s=max_recovery_time_s)
-    return find_sustainable_throughput(
-        spec,
-        high_rate,
-        low_rate=low_rate,
-        rel_tol=rel_tol,
-        criteria=base,
-        max_trials=max_trials,
-        run=run,
-    )

@@ -3,7 +3,8 @@
 A sweep is only as robust as its slowest trial: one wedged run (a
 pathological parameter draw, an engine bug, a host hiccup) stalls the
 whole bisection.  The watchdog rides on the driver via the same
-``driver_hook`` seam the AIMD controller uses and enforces two budgets:
+``driver_hook`` seam of :func:`~repro.core.experiment.run_experiment`
+and enforces two budgets:
 
 - **deadline** (``timeout_s``): wall-clock seconds one attempt may take;
 - **progress** (``stall_s``): simulated seconds the driver queues may go

@@ -9,14 +9,10 @@ about them.  Leaf policy modules (importable from anywhere, including
 - :mod:`repro.recovery.degradation` -- load shedding and admission
   ramps (:class:`~repro.recovery.degradation.DegradationPolicy`).
 
-Heavier modules sit above the core experiment stack and must be
-imported directly (not re-exported here, to keep the engine layer free
-of import cycles):
-
-- :mod:`repro.recovery.aimd` -- the online AIMD rate controller used by
-  :func:`repro.core.sustainable.find_sustainable_throughput_online`;
-- :mod:`repro.recovery.chaos` -- the seeded chaos soak harness behind
-  ``repro chaos``.
+The seeded chaos soak harness behind ``repro chaos``,
+:mod:`repro.recovery.chaos`, sits above the core experiment stack and
+must be imported directly (not re-exported here, to keep the engine
+layer free of import cycles).
 """
 
 from repro.recovery.degradation import (

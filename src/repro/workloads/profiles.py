@@ -130,46 +130,6 @@ class StepRate(RateProfile):
         return best
 
 
-class AdaptiveRate(RateProfile):
-    """A mutable profile driven by an online controller.
-
-    The generator reads ``profile.rate_at(sim.now)`` every tick, so a
-    controller (the AIMD sustainable-throughput probe,
-    :mod:`repro.recovery.aimd`) can steer the offered load *during* a
-    trial by calling :meth:`set_rate`.  ``ceiling`` bounds the rate for
-    the trial's whole horizon -- driver-queue capacity is provisioned
-    from :meth:`peak` before the run, so the controller must never be
-    allowed to out-run the queues it is probing with.
-    """
-
-    def __init__(self, initial: float, ceiling: float) -> None:
-        if initial < 0:
-            raise ValueError(f"initial rate must be >= 0, got {initial}")
-        if ceiling < initial:
-            raise ValueError(
-                f"ceiling ({ceiling}) must be >= initial rate ({initial})"
-            )
-        self.ceiling = float(ceiling)
-        self._rate = float(initial)
-        self.changes: List[Tuple[float, float]] = []
-        """Every ``set_rate`` as ``(time, rate)`` -- the controller's
-        trajectory, exported with search results."""
-
-    @property
-    def rate(self) -> float:
-        return self._rate
-
-    def set_rate(self, rate: float, at_time: float) -> None:
-        self._rate = min(max(0.0, float(rate)), self.ceiling)
-        self.changes.append((float(at_time), self._rate))
-
-    def rate_at(self, t: float) -> float:
-        return self._rate
-
-    def peak(self, horizon_s: float, resolution_s: float = 1.0) -> float:
-        return self.ceiling
-
-
 class FluctuatingRate(RateProfile):
     """High / low / high rate with configurable phase lengths.
 

@@ -262,21 +262,6 @@ class TestCliExecution:
         assert code == 0
         assert "fault recovery" in capsys.readouterr().out
 
-    def test_search_online(self, capsys):
-        code = self.run_cli(
-            [
-                "search",
-                "--engine", "flink",
-                "--high-rate", "20000",
-                "--duration", "40",
-                "--generators", "1",
-                "--no-resources",
-                "--online",
-            ]
-        )
-        assert code == 0
-        assert "online AIMD" in capsys.readouterr().out
-
     def test_chaos_command_small(self, capsys, tmp_path):
         code = self.run_cli(
             [

@@ -150,16 +150,6 @@ class TestArgumentValueErrors:
         assert code == 2
         assert "trace_sample_rate must be >= 0" in capsys.readouterr().err
 
-    def test_online_search_refuses_a_journal(self, capsys, tmp_path):
-        journal = tmp_path / "journal.json"
-        code = self.run_cli(
-            ["search", "--online", "--journal", str(journal),
-             "--duration", "10", "--no-resources"]
-        )
-        assert code == 2
-        assert "--online" in capsys.readouterr().err
-        assert not journal.exists()
-
 
 class TestExecution:
     def run_cli(self, argv):

@@ -22,7 +22,6 @@ from repro.core.sustainable import (
     anytime_spec,
     assess,
     find_sustainable_throughput,
-    find_sustainable_throughput_under_faults,
 )
 from repro.faults import FaultSchedule, NodeCrash
 from repro.workloads.profiles import StepRate
@@ -187,8 +186,8 @@ class TestStaysOff:
         assert self.forced_verdict(spec.with_rate(0.3e6), criteria) == (
             95.0, False,
         )
-        search = find_sustainable_throughput_under_faults(
-            spec, high_rate=0.3e6, max_recovery_time_s=120.0
+        search = find_sustainable_throughput(
+            spec, high_rate=0.3e6, criteria=criteria
         )
         (trial,) = search.trials
         assert trial.stopped_at_s is None
@@ -408,13 +407,11 @@ def test_a_faults_search_finds_what_cold_bisection_finds(trial):
         "storm", "aggregation", workers=4, standby=1, duration_s=duration_s,
         faults=FaultSchedule([NodeCrash(at_s=crash_at_s)]),
     )
-    aimed = find_sustainable_throughput_under_faults(
-        spec, high_rate=1.6e6, max_recovery_time_s=bound_s
+    criteria = SustainabilityCriteria(max_recovery_time_s=bound_s)
+    aimed = find_sustainable_throughput(
+        spec, high_rate=1.6e6, criteria=criteria
     )
-    cold = cold_search(
-        spec, high_rate=1.6e6,
-        criteria=SustainabilityCriteria(max_recovery_time_s=bound_s),
-    )
+    cold = cold_search(spec, high_rate=1.6e6, criteria=criteria)
     assert (
         (cold.sustainable_rate, cold.trial_count),
         (aimed.sustainable_rate, aimed.trial_count),

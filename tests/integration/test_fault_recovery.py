@@ -13,7 +13,6 @@ from repro.core.generator import GeneratorConfig
 from repro.core.sustainable import (
     SustainabilityCriteria,
     assess,
-    find_sustainable_throughput_under_faults,
 )
 from repro.faults import (
     CheckpointSpec,
@@ -245,12 +244,6 @@ class TestDerivedPause:
 
 
 class TestUnderFaultsCriteria:
-    def test_wrapper_requires_faults(self):
-        with pytest.raises(ValueError, match="no fault schedule"):
-            find_sustainable_throughput_under_faults(
-                ExperimentSpec(engine="flink"), high_rate=1e6
-            )
-
     def test_recovered_trial_passes_recovery_bound(self):
         result = run_experiment(fault_spec(faults=[NodeCrash(at_s=70.0)]))
         criteria = SustainabilityCriteria(
