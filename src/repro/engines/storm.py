@@ -273,6 +273,10 @@ class StormEngine(StreamingEngine):
                 self._consume_tick_mins(taken.weights)
             self._store.add_block(taken)
         self._inflight_weight = max(0.0, self._inflight_weight)
+        if not self._inflight:
+            # Float residue of the countdown may leave an entry behind a
+            # fully drained poll; it would pin the watermark.
+            self._inflight_tick_mins.clear()
 
     def _consume_tick_min(self, weight: float) -> None:
         while weight > 1e-9 and self._inflight_tick_mins:

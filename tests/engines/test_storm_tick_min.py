@@ -108,7 +108,8 @@ def test_vector_countdown_is_bitwise_the_scalar_loop(case):
         ([[0.0, 5.0], [1.0, 5.0]], [1e-10, 4.0, 0.0, 1.0, 1e-9, 2.0]),  # no-ops
         ([[0.0, 1e-12], [1.0, 3.0]], [1.0, 1.0]),  # stale head residue
         # Residue above epsilon survives the cohort that "should" have
-        # emptied the entry (the quirk the xfail test below records).
+        # emptied the entry (the engine clears it once ``_inflight``
+        # drains; see test_empty_inflight_leaves_no_tick_min_entry).
         ([[0.0, 0.3]], [0.1, 0.1, 0.1 - 1.13e-8]),
     ],
 )
@@ -147,22 +148,17 @@ def stale_tick_min_ticks(spec: ExperimentSpec) -> List[float]:
     return stale
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known boundary bug (ROADMAP item 4): float residue of the "
-    "per-cohort subtractions leaves a tick-min entry behind a fully "
-    "drained poll, pinning the processed watermark until the next poll",
-)
 def test_empty_inflight_leaves_no_tick_min_entry():
-    """Intended invariant: ``_inflight`` empty => no tick-min entry
-    bounds the watermark.  Recorded, not fixed, because the fix moves
-    simulated bytes (conformance goldens, sim_digest)."""
+    """``_inflight`` empty => no tick-min entry bounds the watermark.
+    Float residue of the per-cohort subtractions used to leave an entry
+    behind a fully drained poll, pinning the processed watermark until
+    the next poll."""
     spec = ExperimentSpec(
         engine="storm",
         query=WindowedAggregationQuery(window=WindowSpec(8.0, 4.0)),
         workers=2,
         profile=0.3e6,
-        duration_s=120.0,  # 536 of this trial's 2 360 ticks end stale
+        duration_s=120.0,  # 536 of its 2 360 ticks ended stale
         seed=17,
         generator=GeneratorConfig(instances=2),
         monitor_resources=False,
