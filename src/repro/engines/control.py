@@ -364,7 +364,8 @@ class ControlPlane:
         a promoted standby serves once the pause ends.  A **restart**
         is temporary: the supervisor brings the same workers back after
         the pause.  Losing the last placement target (a crash with no
-        survivors and no standbys; a restart of every worker, which
+        survivors and no standbys; a crash while no worker is serving,
+        the rest still recovering; a restart of every worker, which
         leaves nothing supervising it) is the one unrecoverable
         outcome."""
         engine, active, nodes = self.engine, self.active, event.nodes
@@ -372,6 +373,7 @@ class ControlPlane:
         fatal, migration_s = nodes >= active, 0.0
         if crash:
             nodes = min(nodes, active)
+        if crash and active:
             plan = self.reschedule.plan_crash(
                 kill=nodes,
                 active=active,
@@ -394,6 +396,8 @@ class ControlPlane:
                     f"node crash killed all {active} remaining workers "
                     f"and the {self.reschedule.mode!r} reschedule policy "
                     "has no standby to promote"
+                    if active
+                    else "node crash while no worker is serving"
                 )
             else:
                 why = f"process restart bounced all {active} remaining workers"

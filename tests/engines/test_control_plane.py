@@ -45,6 +45,7 @@ from repro.recovery.reschedule import (
     ReschedulePolicy,
 )
 from repro.sim.cluster import paper_cluster
+from repro.sim.failures import SutFailure
 from repro.sim.network import DataPlane, NetworkSpec
 from repro.sim.rng import RngRegistry
 from repro.sim.simulator import Simulator
@@ -431,6 +432,26 @@ class TestBehaviourTheGoldenWouldNotExplain:
         assert engine.diagnostics()["faults_injected"] == 1.0
         # A bounce is not a death: the head count is untouched.
         assert engine.active_workers == 2
+
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_a_crash_while_no_worker_serves_is_fatal(self, name):
+        # One worker, one spare: the first crash promotes the spare,
+        # which warms up through the recovery pause, and a second crash
+        # inside that pause finds no worker serving.
+        rig = Rig(
+            name, 1,
+            reschedule=ReschedulePolicy(standby_nodes=1, mode=MODE_STANDBY),
+        )
+        rig.fault(NodeCrash(at_s=2.0))
+        rig.fault(NodeCrash(at_s=3.0))
+        rig.sim.run_until(4.0)
+        engine = rig.engine
+        first, second = engine.fault_log
+        assert first["promoted"] == 1.0 and first["pause_s"] > 1.0
+        assert second["kind"] == "crash" and second["fatal"] == 1.0
+        assert engine.failed and isinstance(engine.failure, SutFailure)
+        assert "no worker is serving" in str(engine.failure)
+        assert engine.active_workers == 0
 
     @pytest.mark.parametrize("request_n,crash_n", [(1, 1), (1, 3), (2, 2), (3, 3)])
     def test_a_crash_racing_the_drain_never_empties_the_cluster(
