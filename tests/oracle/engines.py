@@ -129,6 +129,8 @@ class _RecordAtATimeStorm(_OracleWindows):
             self._consume_tick_min(taken.weight)
             self._store.add(taken)
         self._inflight_weight = max(0.0, self._inflight_weight)
+        if not self._inflight:
+            self._inflight_tick_mins.clear()
 
 
 class OracleStormEngine(_RecordAtATimeStorm, StormEngine):
