@@ -185,8 +185,7 @@ class StreamingEngine:
             self.backpressure_cls.for_engine(self)
         )
         self._is_join = isinstance(query, WindowedJoinQuery)
-        store_cls = JoinWindowStore if self._is_join else KeyedWindowStore
-        self._store = store_cls(query.window, query.keys.num_keys)
+        self._store = self._window_store()
         self.windows_emitted = 0
         self.sink: Optional[Sink] = None
         self.source: Optional[SourceSet] = None
@@ -224,6 +223,12 @@ class StreamingEngine:
         override this hook to return one directly.
         """
         return cost_model_for(self.name, self.query.kind)
+
+    def _window_store(self):
+        """The store this engine's windows fold into and close from,
+        built once per engine."""
+        store_cls = JoinWindowStore if self._is_join else KeyedWindowStore
+        return store_cls(self.query.window, self.query.keys.num_keys)
 
     # -- lifecycle ------------------------------------------------------------
 

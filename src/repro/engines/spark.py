@@ -189,18 +189,23 @@ class SparkEngine(StreamingEngine):
             self._batch_weight = 0.0
         else:
             # Aggregation records fold into the current batch's
-            # partials; a finished job hands them to the merger, which
-            # is the aggregation's window store.
+            # partials; a finished job hands them to the merger.
             self._partials = BatchPartialAggregator(
                 self.query.window, self.query.keys.num_keys
             )
-            self._store = WindowedPartialMerger(self.query.window)
         self._next_batch_end = self._align_up(self.sim.now, cfg.batch_interval_s)
         self._job_queue: Deque[_SparkJob] = deque()
         self._running_job: Optional[_SparkJob] = None
         self.job_log: List[Dict[str, float]] = []
         """Per-job record: batch_end, sched_delay, duration, volume --
         the raw series behind Figure 11."""
+
+    def _window_store(self):
+        if self._is_join:
+            return super()._window_store()
+        # The merger of finished jobs' partials is the aggregation's
+        # window store.
+        return WindowedPartialMerger(self.query.window)
 
     @staticmethod
     def _align_up(time: float, interval: float) -> float:

@@ -64,12 +64,11 @@ class _RecordAtATime:
 
 
 class _OracleWindows(_RecordAtATime):
-    """Swap in the oracle store; fold one record at a time."""
+    """Build the oracle store; fold one record at a time."""
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def _window_store(self):
         store_cls = OracleJoinStore if self._is_join else OracleWindowStore
-        self._store = store_cls(self.query.window)
+        return store_cls(self.query.window)
 
     def _process(self, records: List[Record], dt: float) -> None:
         for record in records:
@@ -144,11 +143,13 @@ class OracleHeronEngine(_RecordAtATimeStorm, HeronEngine):
 class OracleSparkEngine(_RecordAtATime, SparkEngine):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        if self._is_join:
-            self._store = OracleJoinStore(self.query.window)
-        else:
+        if not self._is_join:
             self._partials = OracleBatchPartials(self.query.window)
-            self._store = OraclePartialMerger(self.query.window)
+
+    def _window_store(self):
+        if self._is_join:
+            return OracleJoinStore(self.query.window)
+        return OraclePartialMerger(self.query.window)
 
     def _process(self, records: List[Record], dt: float) -> None:
         if self._is_join:
