@@ -319,8 +319,8 @@ def test_table_cells_find_the_same_rates_with_and_without_stops(
 #: as (cold bisection's rate, aimed search's rate); the paper has 0.40 M.
 #: The cold walk comes down through 200 k, 150 k and 137.5 k, each judged
 #: unsustainable on a backlog that grows by 1-2 k events/s, and settles
-#: under them; the aimed search probes 387.5 k, which sustains.  The
-#: suspect is Storm's stale tick-min entry (ROADMAP item 1a).
+#: under them; the aimed search probes 387.5 k, which sustains.  Clearing
+#: Storm's stale tick-min entry did not change it.
 NOT_MONOTONE = {("storm", "aggregation", 2, 31): (131_250.0, 387_500.0)}
 
 
