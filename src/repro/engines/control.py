@@ -373,15 +373,15 @@ class ControlPlane:
         fatal, migration_s = nodes >= active, 0.0
         if crash:
             nodes = min(nodes, active)
-        if crash and active:
-            plan = self.reschedule.plan_crash(
-                kill=nodes,
-                active=active,
-                standbys_left=self.spares,
-                state_bytes=engine.state.used_bytes,
-                node=engine.cluster.node,
-            )
-            fatal, migration_s = plan.fatal, plan.migration_pause_s
+            if active:
+                plan = self.reschedule.plan_crash(
+                    kill=nodes,
+                    active=active,
+                    standbys_left=self.spares,
+                    state_bytes=engine.state.used_bytes,
+                    node=engine.cluster.node,
+                )
+                fatal, migration_s = plan.fatal, plan.migration_pause_s
         detection_s = self.checkpoint.detection_timeout_s
         if fatal:
             # The trial fails -- but the fatal fault is accounted and

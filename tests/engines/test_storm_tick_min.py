@@ -150,9 +150,9 @@ def stale_tick_min_ticks(spec: ExperimentSpec) -> List[float]:
 
 def test_empty_inflight_leaves_no_tick_min_entry():
     """``_inflight`` empty => no tick-min entry bounds the watermark.
-    Float residue of the per-cohort subtractions used to leave an entry
-    behind a fully drained poll, pinning the processed watermark until
-    the next poll."""
+    Float residue of the per-cohort subtractions can leave an entry
+    behind a fully drained poll, which would pin the processed watermark
+    until the next poll."""
     spec = ExperimentSpec(
         engine="storm",
         query=WindowedAggregationQuery(window=WindowSpec(8.0, 4.0)),
