@@ -18,7 +18,8 @@ every engine, disorder with and without allowed lateness, Storm's
 spillable state, Spark's inverse reduce, four-worker clusters, the two
 modelled stalls (Storm's naive join beyond two workers, Flink's skewed
 join), every engine given a plain :class:`EngineConfig`, and Storm and
-Heron at the paper's rate (0.3 M ev/s, 120 s, two seeds).
+Heron at the paper's rate (0.3 M ev/s, 120 s, two seeds), overloaded
+(1.6 M ev/s, 40 s) and under it (Storm at 0.2 M ev/s, 120 s).
 Regenerate after an *intentional* change with::
 
     REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest \
@@ -139,6 +140,21 @@ CASES = {
         for engine in ("storm", "heron")
         for name, query in (("agg", PAPER_AGG), ("join", PAPER_JOIN))
         for seed in (17, 31)
+    },
+    # Storm's in-flight bound where it drains slowest: overloaded (the
+    # ceiling probe of a search) and, on the non-monotone search cell,
+    # under it; Heron as the control.
+    **{
+        f"{engine}_agg_{rate // 1000}k_s{seed}": trial(
+            engine, PAPER_AGG, profile=float(rate), duration_s=duration_s,
+            seed=seed,
+        )
+        for engine, rate, duration_s, seed in (
+            ("storm", 1_600_000, 40.0, 17),
+            ("storm", 1_600_000, 40.0, 31),
+            ("storm", 200_000, 120.0, 31),
+            ("heron", 1_600_000, 40.0, 17),
+        )
     },
 }
 
