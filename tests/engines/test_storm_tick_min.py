@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from types import SimpleNamespace
-from typing import List
+from typing import Dict, List, Tuple
 
 import numpy as np
 import pytest
@@ -211,3 +211,93 @@ def test_one_fold_feeds_the_ingest_ledger_and_the_tick_min_entry():
     run_experiment(spec, driver_hook=watch)
     assert len(polls) > 20
     assert all(entry == expected for entry, expected, _ in polls)
+
+
+def watermark_misses(spec: ExperimentSpec) -> Tuple[int, int, float]:
+    """(tick ends whose processed watermark is wrong, tick ends, largest
+    error in s) against the oldest poll with a block still in flight.
+
+    Each block's poll minimum is recorded by identity as the poll
+    arrives; ``consume_front`` shrinks the head block in place, so a
+    block keeps its identity until it leaves ``_inflight``."""
+    poll_min: Dict[int, Tuple[object, float]] = {}
+    ticks = [0]
+    misses: List[float] = []
+
+    def watch(driver) -> None:
+        engine = driver.engine
+        process = engine._process_batch
+        tick_end = engine._on_tick_end
+
+        def recorded(blocks, dt: float) -> None:
+            if blocks:
+                oldest = min(block.event_time for block in blocks)
+                for block in blocks:
+                    poll_min[id(block)] = (block, oldest)
+            process(blocks, dt)
+
+        def checked(dt: float) -> None:
+            tick_end(dt)
+            live = {id(b): poll_min[id(b)] for b in engine._inflight}
+            poll_min.clear()
+            poll_min.update(live)
+            want = engine.source.watermark
+            if live:
+                oldest = min(low for _, low in live.values())
+                want = min(want, oldest - 1e-9)
+            got = engine._processed_watermark()
+            ticks[0] += 1
+            if got != want:
+                misses.append(abs(got - want))
+
+        engine._process_batch = recorded
+        engine._on_tick_end = checked
+
+    run_experiment(spec, driver_hook=watch)
+    return len(misses), ticks[0], max(misses, default=0.0)
+
+
+@pytest.mark.parametrize(
+    "engine, rate, duration_s, seed",
+    [
+        pytest.param(
+            "storm", 1.6e6, 40.0, 17,
+            marks=pytest.mark.xfail(strict=True, reason="82 of 786 wrong"),
+        ),
+        pytest.param(
+            "storm", 1.6e6, 40.0, 31,
+            marks=pytest.mark.xfail(strict=True, reason="27 of 801 wrong"),
+        ),
+        pytest.param(
+            "storm", 0.2e6, 120.0, 31,
+            marks=pytest.mark.xfail(
+                strict=True, reason="356 of 2 369 wrong, by up to 0.45 s"
+            ),
+        ),
+        pytest.param(
+            "storm", 0.3e6, 120.0, 17,
+            marks=pytest.mark.xfail(strict=True, reason="3 of 2 360 wrong"),
+        ),
+        ("heron", 1.6e6, 40.0, 17),
+    ],
+)
+def test_processed_watermark_is_the_oldest_undrained_poll(
+    engine, rate, duration_s, seed
+):
+    """A window closes once no older tuple is in flight (Definitions
+    3-4): at every tick end the processed watermark is the source's,
+    bounded by the minimum event time of the oldest poll that still has
+    a block in the executor queues."""
+    spec = ExperimentSpec(
+        engine=engine,
+        query=WindowedAggregationQuery(window=WindowSpec(8.0, 4.0)),
+        workers=2,
+        profile=rate,
+        duration_s=duration_s,
+        seed=seed,
+        generator=GeneratorConfig(instances=2),
+        monitor_resources=False,
+    )
+    wrong, ticks, worst = watermark_misses(spec)
+    assert ticks > 20 * duration_s * 0.9
+    assert wrong == 0, f"{wrong} of {ticks} tick ends wrong, up to {worst} s"
