@@ -32,8 +32,6 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Deque, Dict, List
 
-import numpy as np
-
 from repro.autoscale.rescale import STYLE_REBALANCE, RescaleSemantics
 from repro.core.batch import (
     RecordBlock,
@@ -103,13 +101,6 @@ class StormConfig(EngineConfig):
     """The naive join is only stable up to this many workers."""
 
 
-#: Drained runs shorter than this replay the tick-min countdown per
-#: cohort: the vector form costs ~10 us of NumPy calls however short
-#: the run, the scalar loop ~0.3 us per cohort (measured break-even
-#: ~32 cohorts; overload splits 64-key blocks into runs well below it).
-_VECTOR_COUNTDOWN_MIN_COHORTS = 32
-
-
 class StormEngine(StreamingEngine):
     """Tuple-at-a-time engine with on/off backpressure."""
 
@@ -143,10 +134,11 @@ class StormEngine(StreamingEngine):
         super().__init__(*args, **kwargs)
         self._inflight: Deque[RecordBlock] = deque()
         self._inflight_weight = 0.0
-        # Per-pull (tick) minima of event time, with remaining weight:
-        # pulls interleave the driver queues round-robin, so the FIFO
-        # head alone does not bound the oldest inflight event time.
-        self._inflight_tick_mins: Deque[List[float]] = deque()
+        # Per-poll minima of event time, with the count of the poll's
+        # blocks still in ``_inflight``: pulls interleave the driver
+        # queues round-robin, so the FIFO head alone does not bound the
+        # oldest inflight event time.
+        self._inflight_tick_mins: Deque[List] = deque()
         self._tick_counter = 0
         self._pull_budget_banked = 0.0
         self._ingest_rate_ema = 0.0
@@ -207,15 +199,15 @@ class StormEngine(StreamingEngine):
         # periodic bursts, so the surge detector sees the per-poll
         # average rate, not the instantaneous burst.  One tick-min entry
         # per poll (a block's minimum event time is its uniform event
-        # time); the inflight ledger advances by strict left folds over
-        # each block's cohort weights.
+        # time), counting the poll's blocks; the inflight ledger
+        # advances by strict left folds over each block's cohort weights.
         cfg: StormConfig = self.config
         period = max(1, cfg.spout_pull_period_ticks)
         weight = self._tick_ingest_weight
         self._detect_surge(weight / (dt * period), dt * period)
         if blocks:
             self._inflight_tick_mins.append(
-                [min(b.event_time for b in blocks), weight]
+                [min(b.event_time for b in blocks), len(blocks)]
             )
         for block in blocks:
             self._inflight.append(block)
@@ -256,72 +248,19 @@ class StormEngine(StreamingEngine):
         while self._inflight and budget > 1e-9:
             taken, budget, emptied = consume_front(self._inflight[0], budget)
             if emptied:
+                # The head block belongs to the oldest poll in flight.
                 self._inflight.popleft()
+                head = self._inflight_tick_mins[0]
+                head[1] -= 1
+                if head[1] == 0:
+                    self._inflight_tick_mins.popleft()
             if taken is None or len(taken) == 0:
                 continue
             self._inflight_weight = fold_sub(
                 self._inflight_weight, taken.weights
             )
-            # Count the drained cohorts off the per-poll tick minima:
-            # one subtract-accumulate per tick-min entry (the same left
-            # fold as the per-cohort `entry[1] -= w`, so bitwise), or
-            # the per-cohort loop itself for a short run.
-            if len(taken) < _VECTOR_COUNTDOWN_MIN_COHORTS:
-                for w in taken.weights.tolist():
-                    self._consume_tick_min(w)
-            else:
-                self._consume_tick_mins(taken.weights)
             self._store.add_block(taken)
         self._inflight_weight = max(0.0, self._inflight_weight)
-        if not self._inflight:
-            # Float residue of the countdown may leave an entry behind a
-            # fully drained poll; it would pin the watermark.
-            self._inflight_tick_mins.clear()
-
-    def _consume_tick_min(self, weight: float) -> None:
-        while weight > 1e-9 and self._inflight_tick_mins:
-            entry = self._inflight_tick_mins[0]
-            if entry[1] > weight + 1e-9:
-                entry[1] -= weight
-                return
-            weight -= entry[1]
-            self._inflight_tick_mins.popleft()
-
-    def _consume_tick_mins(self, weights: np.ndarray) -> None:
-        """``for w in weights: self._consume_tick_min(w)`` in one NumPy
-        pass per tick-min entry instead of one Python call per cohort.
-
-        Bitwise, because the scalar countdown against one entry *is* a
-        strict left fold: every cohort that does not exhaust the head
-        entry performs ``entry[1] -= w``, which is what
-        ``np.subtract.accumulate`` computes element by element.  Only
-        the epsilon merge -- a cohort that exhausts the entry, pops it
-        and carries its remainder into the following entries -- is
-        sequential, and it happens once per entry, not once per cohort.
-        Cohorts of weight ``<= 1e-9`` never enter the scalar loop; they
-        fold as ``0.0`` (``x - 0.0 == x`` exactly) and never stop it.
-        """
-        mins = self._inflight_tick_mins
-        w = weights  # the cohorts not yet counted off
-        while len(w) and mins:
-            entry = mins[0]
-            live = w > 1e-9
-            # acc[k] = entry[1] before cohort k, acc[-1] after the last.
-            acc = np.empty(len(w) + 1)
-            acc[0] = entry[1]
-            acc[1:] = w if live.all() else np.where(live, w, 0.0)
-            np.subtract.accumulate(acc, out=acc)
-            before = acc[:-1]
-            exhausts = np.nonzero(live & ~(before > w + 1e-9))[0]
-            if len(exhausts) == 0:
-                entry[1] = float(acc[-1])
-                return
-            j = int(exhausts[0])
-            # Cohort j exhausts the head: pop it and let the scalar loop
-            # carry what is left of the cohort into the entries behind.
-            mins.popleft()
-            self._consume_tick_min(float(w[j] - before[j]))
-            w = w[j + 1 :]
 
     def _on_tick_end(self, dt: float) -> None:
         self._drain_inflight(dt)
@@ -335,8 +274,9 @@ class StormEngine(StreamingEngine):
         """Event-time through which tuples reached the window bolt.
 
         The source watermark, bounded by the oldest event time that may
-        still sit in the executor queues (tracked per pull tick): a
-        window may only close when no older tuple is inflight.
+        still sit in the executor queues (tracked per spout poll while
+        a block of the poll is in flight): a window may only close when
+        no older tuple is inflight.
         """
         assert self.source is not None
         watermark = self.source.watermark

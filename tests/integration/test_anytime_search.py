@@ -315,15 +315,6 @@ def test_table_cells_find_the_same_rates_with_and_without_stops(
 
 # -- (iv) the same sweep, aimed vs the cold bisection it replaced -----------
 
-#: The one cell where what the SUT sustains is not monotone in the rate,
-#: as (cold bisection's rate, aimed search's rate); the paper has 0.40 M.
-#: The cold walk comes down through 200 k, 150 k and 137.5 k, each judged
-#: unsustainable on a backlog that grows by 1-2 k events/s, and settles
-#: under them; the aimed search probes 387.5 k, which sustains.  Clearing
-#: Storm's stale tick-min entry did not change it.
-NOT_MONOTONE = {("storm", "aggregation", 2, 31): (131_250.0, 387_500.0)}
-
-
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", [17, 31])
 @pytest.mark.parametrize("engine,kind,workers", TABLE_CELLS)
@@ -331,10 +322,9 @@ def test_table_cells_find_what_cold_bisection_finds(
     engine, kind, workers, seed
 ):
     """A probe's outcome does not depend on the ladder it sits in, so
-    wherever both searches probed they agree to the byte; and wherever
-    the verdicts of both ladders together are monotone in the rate, the
-    aimed search finds the cold bisection's rate -- everywhere but the
-    cell named above, which says so."""
+    wherever both searches probed they agree to the byte; the verdicts
+    of both ladders together are monotone in the rate, and the aimed
+    search finds the cold bisection's rate."""
     spec = cell(engine, kind, workers=workers, seed=seed)
     settings = dict(high_rate=1.6e6, rel_tol=0.05, max_trials=9)
     aimed = find_sustainable_throughput(spec, **settings)
@@ -350,21 +340,8 @@ def test_table_cells_find_what_cold_bisection_finds(
     verdicts = verdicts_by_rate(aimed, cold)
     sustained = [rate for rate, seen in verdicts.items() if True in seen]
     failing = [rate for rate, seen in verdicts.items() if False in seen]
-    monotone = max(sustained) < min(failing)
-    found = (cold.sustainable_rate, aimed.sustainable_rate)
-    if (engine, kind, workers, seed) in NOT_MONOTONE:
-        assert not monotone
-        assert found == NOT_MONOTONE[engine, kind, workers, seed]
-        assert {200_000.0, 150_000.0, 137_500.0} <= set(failing)
-        for rate in (200_000.0, 150_000.0, 137_500.0):
-            (backlog,) = cold_by_rate[rate].verdict.reasons
-            slope = float(backlog.split()[4])
-            assert backlog.startswith("queue backlog grows at")
-            assert 1_000.0 < slope < 2_500.0
-        assert abs(found[1] - 0.40e6) < abs(found[0] - 0.40e6)
-    else:
-        assert monotone
-        assert found[0] == found[1]
+    assert max(sustained) < min(failing)
+    assert cold.sustainable_rate == aimed.sustainable_rate
 
 
 # -- (v) a search whose probes fail on something other than throughput ------

@@ -96,7 +96,7 @@ class _RecordAtATimeStorm(_OracleWindows):
         self._detect_surge(weight / (dt * period), dt * period)
         if records:
             self._inflight_tick_mins.append(
-                [min(r.event_time for r in records), weight]
+                [min(r.event_time for r in records), len(records)]
             )
         for record in records:
             self._inflight.append(record)
@@ -109,6 +109,11 @@ class _RecordAtATimeStorm(_OracleWindows):
             if head.weight <= budget:
                 self._inflight.popleft()
                 taken = head
+                # The head record belongs to the oldest poll in flight.
+                poll = self._inflight_tick_mins[0]
+                poll[1] -= 1
+                if poll[1] == 0:
+                    self._inflight_tick_mins.popleft()
             else:
                 taken = Record(
                     key=head.key,
@@ -125,11 +130,8 @@ class _RecordAtATimeStorm(_OracleWindows):
                 head.weight -= budget
             self._inflight_weight -= taken.weight
             budget -= taken.weight
-            self._consume_tick_min(taken.weight)
             self._store.add(taken)
         self._inflight_weight = max(0.0, self._inflight_weight)
-        if not self._inflight:
-            self._inflight_tick_mins.clear()
 
 
 class OracleStormEngine(_RecordAtATimeStorm, StormEngine):

@@ -2,13 +2,12 @@
 
 The production engines must stay well ahead of the record-at-a-time
 oracle engines on the three shapes whose hot loops differ: Flink's
-store adds on 500-key blocks, Storm's in-flight drain and tick-min
-countdown on 4096-key blocks (a loop the Flink shape never enters), and
-the two-stream join, where every block crosses the store ledgers once
-per side.  A quiet machine measures 18x / 25x / 51x; the floors leave
-at least a factor of two for shared CI runners.  Identity of the two
-runs is ``tests/engines/test_vector_identity.py``'s job, not this
-test's.
+store adds on 500-key blocks, Storm's in-flight drain on 4096-key
+blocks (a loop the Flink shape never enters), and the two-stream join,
+where every block crosses the store ledgers once per side.  A quiet
+machine measures 18x / 25x / 51x; the floors leave at least a factor of
+two for shared CI runners.  Identity of the two runs is
+``tests/engines/test_vector_identity.py``'s job, not this test's.
 
 The oracle engines close into production's columns, so the close path
 has its own floor at unit level: one 4096-key join window pair, closed
