@@ -453,6 +453,29 @@ class TestBehaviourTheGoldenWouldNotExplain:
         assert "no worker is serving" in str(engine.failure)
         assert engine.active_workers == 0
 
+    @pytest.mark.xfail(
+        strict=True, reason="a promoted standby stops billing while warming"
+    )
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_a_warming_standby_keeps_billing(self, name):
+        # Three workers, one spare, two crash: the spare is promoted and
+        # warms up through the recovery pause, a machine billed all the
+        # while, then serves.
+        rig = Rig(
+            name, 3,
+            reschedule=ReschedulePolicy(standby_nodes=1, mode=MODE_STANDBY),
+        )
+        rig.charge_state(4e8)
+        rig.fault(NodeCrash(at_s=3.0, nodes=2))
+        rig.sim.run_until(3.5)
+        engine = rig.engine
+        (entry,) = engine.fault_log
+        assert entry["promoted"] == 1.0 and entry["pause_s"] > 0.5
+        assert (engine.active_workers, engine.billed_nodes) == (1, 2)
+        rig.sim.run_until(3.0 + entry["pause_s"] + 0.5)
+        assert (engine.active_workers, engine.billed_nodes) == (2, 2)
+        assert engine.standbys_available == 0
+
     @pytest.mark.parametrize("request_n,crash_n", [(1, 1), (1, 3), (2, 2), (3, 3)])
     def test_a_crash_racing_the_drain_never_empties_the_cluster(
         self, request_n, crash_n
