@@ -467,9 +467,14 @@ class StreamingEngine:
     @property
     def billed_nodes(self) -> int:
         """Machines currently costing money: serving workers, idle hot
-        spares, and nodes already provisioning toward a scale-out.
-        Draining scale-in victims keep billing until they depart."""
-        return self.control.active + self.control.spares + self.control.provisioning
+        spares, standbys warming up to replace crashed workers, and nodes
+        already provisioning toward a scale-out.  Draining scale-in
+        victims keep billing until they depart."""
+        control = self.control
+        return (
+            control.active + control.spares + control.warming
+            + control.provisioning
+        )
 
     @property
     def state_lost_weight(self) -> float:

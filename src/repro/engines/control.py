@@ -113,6 +113,9 @@ class ControlPlane:
         # policy; the live pool honours the larger claim.
         self.spares = max(cluster.standby, reschedule.standby_nodes)
         self.standbys_promoted = 0
+        self.warming = 0
+        """Standbys promoted on a crash, warming up through its pause:
+        billed, not yet serving."""
         self.provisioning = 0
         self.retiring = 0
         # -- the pause clock
@@ -230,6 +233,8 @@ class ControlPlane:
         restart, or (``promoted``) standbys finish warming up and take
         over dead nodes' slots.  Either way bounded by the nominal
         worker count minus the dead -- spares replace, they never add."""
+        if promoted:
+            self.warming -= nodes
         if self.engine.failed:
             return
         if promoted:
@@ -434,6 +439,7 @@ class ControlPlane:
             # ends; until then the standby is warming up and contributes
             # no capacity.
             self.spares -= plan.promoted
+            self.warming += plan.promoted
             self.sim.schedule(pause, self._workers_return, plan.promoted, True)
             extra["promoted"] = float(plan.promoted)
         if crash and plan.migrated_bytes > 0:

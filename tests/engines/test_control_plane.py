@@ -453,9 +453,6 @@ class TestBehaviourTheGoldenWouldNotExplain:
         assert "no worker is serving" in str(engine.failure)
         assert engine.active_workers == 0
 
-    @pytest.mark.xfail(
-        strict=True, reason="a promoted standby stops billing while warming"
-    )
     @pytest.mark.parametrize("name", ENGINES)
     def test_a_warming_standby_keeps_billing(self, name):
         # Three workers, one spare, two crash: the spare is promoted and
