@@ -57,9 +57,7 @@ def stale_tick_min_ticks(spec: ExperimentSpec) -> List[float]:
 
 def test_empty_inflight_leaves_no_tick_min_entry():
     """``_inflight`` empty => no tick-min entry bounds the watermark: an
-    entry leaves with its poll's last block.  (The float weight
-    countdown this replaced left residue behind a fully drained poll on
-    536 of this spec's 2 360 ticks.)"""
+    entry leaves with its poll's last block."""
     spec = paper_agg("storm", 0.3e6, 120.0, 17)
     assert stale_tick_min_ticks(spec) == []
 
@@ -100,8 +98,9 @@ def watermark_misses(spec: ExperimentSpec) -> Tuple[int, int, float]:
     error in s) against the oldest poll with a block still in flight.
 
     Each block's poll minimum is recorded by identity as the poll
-    arrives; ``consume_front`` shrinks the head block in place, so a
-    block keeps its identity until it leaves ``_inflight``."""
+    arrives (the block is kept with it, so its id is not reused);
+    ``consume_front`` shrinks the head block in place, so a block keeps
+    its identity until it leaves ``_inflight``."""
     poll_min: Dict[int, Tuple[object, float]] = {}
     ticks = [0]
     misses: List[float] = []
@@ -142,13 +141,11 @@ def watermark_misses(spec: ExperimentSpec) -> Tuple[int, int, float]:
 @pytest.mark.parametrize(
     "engine, rate, duration_s, seed",
     [
-        # Tick ends the float weight countdown got wrong: 82 of 786,
-        # 27 of 801, 356 of 2 369 (by up to 0.45 s) and 3 of 2 360.
         ("storm", 1.6e6, 40.0, 17),
         ("storm", 1.6e6, 40.0, 31),
         ("storm", 0.2e6, 120.0, 31),
         ("storm", 0.3e6, 120.0, 17),
-        ("heron", 1.6e6, 40.0, 17),  # the control: 0 of 801 before too
+        ("heron", 1.6e6, 40.0, 17),
     ],
 )
 def test_processed_watermark_is_the_oldest_undrained_poll(
