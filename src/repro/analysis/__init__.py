@@ -5,12 +5,16 @@
 - :mod:`repro.analysis.timeseries` -- alignment/resampling helpers for
   building the paper's figure panels.
 - :mod:`repro.analysis.ascii_plots` -- terminal rendering of series so
-  the benchmark harness can show figure shapes without a plotting stack.
+  ``repro paper`` and ``repro run`` can show figure shapes without a
+  plotting stack.
 - :mod:`repro.analysis.pareto` -- Pareto-front extraction for benchmark
   trade-off frontiers (recovery time vs. checkpoint overhead).
 - :mod:`repro.analysis.paper_values` -- every number published in the
   paper's Tables I-IV and the headline Experiment 3/4 figures, for
   side-by-side shape comparison.
+- :mod:`repro.analysis.paper` -- the paper's evaluation declared once:
+  every table, figure, experiment, ablation and extension as cells,
+  paper values and named checks (``python -m repro paper``).
 """
 
 from repro.analysis.ascii_plots import render_series, sparkline

@@ -117,11 +117,3 @@ def write_json(
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 
-
-def export_trial(
-    result: TrialResult,
-    path: Union[str, pathlib.Path],
-    include_series: bool = True,
-) -> pathlib.Path:
-    """Convenience: trial -> JSON file."""
-    return write_json(trial_to_dict(result, include_series=include_series), path)

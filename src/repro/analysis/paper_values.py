@@ -1,9 +1,10 @@
 """Every number the paper publishes, transcribed for shape comparison.
 
-Benchmarks print these side by side with measured values.  Nothing in
-the framework or the engine simulations reads this module; it exists so
-EXPERIMENTS.md and the bench output can show paper-vs-measured without
-anyone re-reading the PDF.
+``repro paper`` (:mod:`repro.analysis.paper`) prints these side by side
+with measured values.  Nothing in the framework or the engine
+simulations reads this module; it exists so EXPERIMENTS.md and the
+paper report can show paper-vs-measured without anyone re-reading the
+PDF.
 
 Units: throughputs in events/s; latency tuples are
 (avg, min, max, q90, q95, q99) in seconds.

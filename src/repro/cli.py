@@ -10,6 +10,10 @@
 - ``sweep``   -- a Table-I style grid of searches over engines x cluster
   sizes, judged like ``search``; ``--jobs N`` fans whole cells over N
   worker processes.
+- ``paper``   -- the paper's evaluation (Tables I-IV, Figures 4-11,
+  Experiments 3-4, the ablations and extensions) from its one
+  declaration in :mod:`repro.analysis.paper`, every shape check judged;
+  exits 1 if any check fails.
 - ``engines`` -- list registered engines and their cost models.
 - ``chaos``   -- seeded chaos soak: randomized fault schedules over
   engines x recovery policies with invariant checks and a scorecard.
@@ -43,6 +47,7 @@ from typing import Callable, Iterator, List, Optional
 
 import repro.engines.ext  # noqa: F401  (registers heron/samza in ENGINES)
 from repro import recoverybench
+from repro.analysis import paper
 from repro.analysis.export import (
     search_to_dict,
     trial_to_dict,
@@ -369,20 +374,22 @@ def build_spec(
 def add_trial_arguments(
     parser: argparse.ArgumentParser,
     seed: int,
-    duration: float,
+    duration: Optional[float] = None,
     rate: Optional[float] = None,
 ) -> None:
-    """``--seed``, ``--duration``, ``--output`` and (unless ``rate`` is
-    ``None``) ``--rate``, with the command's defaults."""
+    """``--seed``, ``--output`` and (unless ``duration`` / ``rate`` is
+    ``None``) ``--duration`` / ``--rate``, with the command's
+    defaults."""
     parser.add_argument("--seed", type=int, default=seed)
-    parser.add_argument(
-        "--duration", type=float, default=duration,
-        help=(
-            f"simulated seconds per trial, "
-            f"{ExperimentSpec.warmup_fraction:.0%}% warmup "
-            f"(default: {duration:g})"
-        ),
-    )
+    if duration is not None:
+        parser.add_argument(
+            "--duration", type=float, default=duration,
+            help=(
+                f"simulated seconds per trial, "
+                f"{ExperimentSpec.warmup_fraction:.0%}% warmup "
+                f"(default: {duration:g})"
+            ),
+        )
     if rate is not None:
         parser.add_argument(
             "--rate", type=float, default=rate,
@@ -391,6 +398,17 @@ def add_trial_arguments(
     parser.add_argument(
         "--output", type=str, default=None,
         help="write the result as JSON to this path",
+    )
+
+
+def add_jobs_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--jobs", type=int,
+        default=library_default(sweep_sustainable_rates, "workers"),
+        help=(
+            "fan independent searches and trials over N worker processes "
+            "(results stay byte-identical to --jobs 1)"
+        ),
     )
 
 
@@ -807,9 +825,13 @@ def cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def check_jobs(args: argparse.Namespace) -> None:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    check_jobs(args)
     cells = [
         (
             (engine, workers),
@@ -818,7 +840,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for engine in args.engines
         for workers in args.worker_counts
     ]
-    measured = sweep_sustainable_rates(
+    searches = sweep_sustainable_rates(
         cells,
         high_rate=args.high_rate,
         rel_tol=args.tolerance,
@@ -826,6 +848,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         workers=args.jobs,
         watchdog=build_watchdog(args),
     )
+    measured = {key: s["sustainable_rate"] for key, s in searches.items()}
     for (engine, workers), rate in measured.items():
         print(f"  {engine}/{workers}w: {rate / 1e6:.3f} M/s")
     print()
@@ -845,6 +868,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         path = write_json(payload, args.output)
         print(f"wrote {path}")
     return 0
+
+
+def cmd_paper(args: argparse.Namespace) -> int:
+    check_jobs(args)
+    report = paper.run_paper(seed=args.seed, jobs=args.jobs)
+    print(paper.render_paper(report))
+    if args.output:
+        path = write_json(report, args.output)
+        print(f"wrote {path}")
+    return 1 if report["failed_checks"] else 0
 
 
 def run_grid_command(
@@ -962,15 +995,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--worker-counts", nargs="+", type=int,
         default=list(PAPER_CLUSTER_SIZES),
     )
-    sweep_parser.add_argument(
-        "--jobs", type=int,
-        default=library_default(sweep_sustainable_rates, "workers"),
+    add_jobs_argument(sweep_parser)
+    sweep_parser.set_defaults(func=cmd_sweep)
+
+    paper_parser = sub.add_parser(
+        "paper",
         help=(
-            "fan sweep cells over N worker processes (results stay "
-            "byte-identical to --jobs 1)"
+            "regenerate the paper's tables, figures, experiments and "
+            "ablations and judge their checks (exit 1 on any failed check)"
         ),
     )
-    sweep_parser.set_defaults(func=cmd_sweep)
+    add_trial_arguments(paper_parser, seed=paper.SEED)
+    add_jobs_argument(paper_parser)
+    paper_parser.set_defaults(func=cmd_paper)
 
     engines_parser = sub.add_parser(
         "engines", help="list engines and calibrated cost models"

@@ -21,7 +21,6 @@ influence measurement.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -396,17 +395,14 @@ class BenchmarkDriver:
         failure_time = (
             self._failure.at_time if self._failure is not None else float("nan")
         )
-        summaries_start = time.perf_counter()
         event_latency = self.collector.summary(EVENT_TIME, self.warmup_s)
         processing_latency = self.collector.summary(
             PROCESSING_TIME, self.warmup_s
         )
         mean_ingest_rate = self.monitor.mean_ingest_rate(self.warmup_s)
-        metrology_s = time.perf_counter() - summaries_start
         diagnostics: Dict[str, float] = dict(self.engine.diagnostics())
         diagnostics.update(self.collector.perf_counters())
         diagnostics.update(self.monitor.perf_counters())
-        diagnostics["driver.summary_s"] = metrology_s
         # Driver-side weight-conservation ledger: everything generated
         # is still queued, ingested by the SUT, shed by the degradation
         # policy, or lost to a driver fault

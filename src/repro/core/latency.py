@@ -27,7 +27,6 @@ warmup cut be a binary search instead of a full boolean mask.
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -91,14 +90,12 @@ class LatencyCollector:
         self._summary_cache: Dict[Tuple[str, float], StatSummary] = {}
         # Perf counters (exposed via perf_counters()).
         self.collect_calls = 0
-        self.collect_time_s = 0.0
         self.consolidations = 0
         self.keep_outputs = keep_outputs
         self.outputs: List[OutputRecord] = []
 
     def collect(self, outputs: List[OutputRecord]) -> None:
         """Sink callback: record one emission bundle."""
-        t_start = time.perf_counter()
         append_emit = self._stage_emit.append
         append_event = self._stage_event.append
         append_proc = self._stage_proc.append
@@ -136,7 +133,6 @@ class LatencyCollector:
         if self.keep_outputs:
             self.outputs.extend(outputs)
         self.collect_calls += 1
-        self.collect_time_s += time.perf_counter() - t_start
 
     def __len__(self) -> int:
         return self._count
@@ -202,14 +198,9 @@ class LatencyCollector:
     def perf_counters(self) -> Dict[str, float]:
         """Driver-side metrology counters (merged into
         :attr:`TrialResult.diagnostics` by the driver)."""
-        collect_s = self.collect_time_s
         counters = {
             "collector.samples": float(self._count),
             "collector.collect_calls": float(self.collect_calls),
-            "collector.collect_s": collect_s,
-            "collector.samples_per_s": (
-                self._count / collect_s if collect_s > 0 else float("inf")
-            ),
             "collector.memory_bytes": float(self.memory_bytes),
             "collector.consolidations": float(self.consolidations),
         }

@@ -1,17 +1,17 @@
-"""Rendering of paper-style tables and figure series.
+"""Rendering of paper-style tables and shape checks.
 
-Every benchmark prints its results through these helpers so that the
-output lines up visually with the paper's Tables I-IV and carries the
-published values side by side for shape comparison ("paper" columns are
-for orientation only -- this substrate is a simulator, not the authors'
-testbed; the claim is about shape, not absolute numbers).
+``repro paper`` and ``repro sweep`` print through these helpers so that
+the output lines up visually with the paper's Tables I-IV and carries
+the published values side by side for shape comparison ("paper" columns
+are for orientation only -- this substrate is a simulator, not the
+authors' testbed; the claim is about shape, not absolute numbers).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
-from repro.core.metrics import StatSummary, TimeSeries
+from repro.core.metrics import StatSummary
 
 
 def _format_rate(rate: float) -> str:
@@ -80,43 +80,6 @@ def latency_table(
                     f"({q90:.2g}, {q95:.2g}, {q99:.2g})"
                 )
             lines.append(line)
-    return "\n".join(lines)
-
-
-def series_table(
-    title: str,
-    series: Mapping[str, TimeSeries],
-    bin_s: Optional[float] = None,
-    max_rows: int = 40,
-    unit: str = "",
-) -> str:
-    """Render labelled time series as aligned text columns.
-
-    Used for the figure benchmarks: each paper figure panel becomes a
-    labelled column; ``bin_s`` resamples before printing.
-    """
-    prepared: Dict[str, TimeSeries] = {}
-    for label, ts in series.items():
-        prepared[label] = ts if bin_s is None else ts.binned(bin_s)
-    all_times = sorted({t for ts in prepared.values() for t in ts.times})
-    if len(all_times) > max_rows:
-        stride = (len(all_times) + max_rows - 1) // max_rows
-        all_times = all_times[::stride]
-    labels = list(prepared)
-    lines = [title]
-    header = "time(s)".rjust(9) + "".join(lbl.rjust(16) for lbl in labels)
-    lines.append(header)
-    lookup = {
-        label: dict(zip(ts.times, ts.values)) for label, ts in prepared.items()
-    }
-    for t in all_times:
-        row = f"{t:9.1f}"
-        for label in labels:
-            value = lookup[label].get(t)
-            row += (f"{value:14.3f}{unit}" if value is not None else "--".rjust(16))[
-                -16:
-            ].rjust(16)
-        lines.append(row)
     return "\n".join(lines)
 
 

@@ -605,6 +605,7 @@ def _sweep_cell_task(payload) -> dict:
     return {
         "sustainable_rate": None if rate != rate else float(rate),
         "trial_count": search.trial_count,
+        "simulated_s": search.simulated_s,
     }
 
 
@@ -617,7 +618,7 @@ def sweep_sustainable_rates(
     max_trials: int = 12,
     workers: int = 1,
     watchdog: Optional[WatchdogSpec] = None,
-) -> "dict[str, float]":
+) -> "dict[str, dict]":
     """Sustainable-throughput searches for many independent cells.
 
     ``cells`` is a sequence of ``(key, spec)`` pairs (e.g. one per
@@ -626,9 +627,10 @@ def sweep_sustainable_rates(
     scheduler pool.  This is the one place search parallelism lives: a
     search's probes are sequential (each rate follows from the verdicts
     before it), whole cells are independent.  Each worker builds its
-    trial runner from the picklable ``watchdog``.  Results map
-    ``key -> sustainable rate`` (NaN when a cell found none) in the
-    order ``cells`` was given, regardless of completion order.
+    trial runner from the picklable ``watchdog``.  Results map ``key ->
+    {"sustainable_rate", "trial_count", "simulated_s"}`` (the rate NaN
+    when a cell found none) in the order ``cells`` was given,
+    regardless of completion order.
     """
     tasks = [
         TrialTask(
@@ -644,6 +646,8 @@ def sweep_sustainable_rates(
     results = TrialScheduler(workers=workers).run(tasks)
     out = {}
     for key, _spec in cells:
-        rate = results[key]["sustainable_rate"]
-        out[key] = float("nan") if rate is None else float(rate)
+        cell = dict(results[key])
+        rate = cell["sustainable_rate"]
+        cell["sustainable_rate"] = float("nan") if rate is None else float(rate)
+        out[key] = cell
     return out

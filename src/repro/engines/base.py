@@ -40,7 +40,7 @@ declarations").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -103,9 +103,6 @@ class EngineConfig:
     out-of-order stragglers (the paper's future-work extension; honoured
     by the engines' window-close conditions).  Zero reproduces the
     paper's in-order setup exactly."""
-
-    def with_overrides(self, **kwargs) -> "EngineConfig":
-        return replace(self, **kwargs)
 
 
 class StreamingEngine:

@@ -43,7 +43,6 @@ produce byte-identical reports -- the property the chaos CI smoke
 from __future__ import annotations
 
 import multiprocessing
-import os
 import queue as queue_module
 import traceback
 from collections import deque
@@ -73,11 +72,8 @@ class TrialTask:
 
 def _preferred_context() -> multiprocessing.context.BaseContext:
     """``fork`` where available (fast start, no re-import); else spawn."""
-    method = os.environ.get("REPRO_SCHED_START")
-    if method is None:
-        methods = multiprocessing.get_all_start_methods()
-        method = "fork" if "fork" in methods else methods[0]
-    return multiprocessing.get_context(method)
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
 def _worker_main(

@@ -104,16 +104,7 @@ class TestAutoscaledTrial:
         rerun = run_experiment(flash_crowd_spec())
 
         def canonical(res):
-            payload = trial_to_dict(res)
-            # Host-performance counters measure wall-clock, not the
-            # simulation; everything else must replay bit-for-bit.
-            for key in (
-                "collector.collect_s",
-                "collector.samples_per_s",
-                "driver.summary_s",
-            ):
-                payload["diagnostics"].pop(key, None)
-            return json.dumps(payload, sort_keys=True)
+            return json.dumps(trial_to_dict(res), sort_keys=True)
 
         assert canonical(result) == canonical(rerun)
 

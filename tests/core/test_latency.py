@@ -148,10 +148,14 @@ class TestHotPath:
         c.collect([out(10.0, 9.0, 9.0), out(11.0, 9.0, 10.0)])
         c.summary(EVENT_TIME)
         counters = c.perf_counters()
+        assert set(counters) == {
+            "collector.samples",
+            "collector.collect_calls",
+            "collector.memory_bytes",
+            "collector.consolidations",
+        }
         assert counters["collector.samples"] == 2.0
         assert counters["collector.collect_calls"] == 1.0
-        assert counters["collector.collect_s"] >= 0.0
-        assert counters["collector.samples_per_s"] > 0.0
         assert counters["collector.memory_bytes"] > 0.0
         assert counters["collector.consolidations"] >= 1.0
 

@@ -1,12 +1,7 @@
 """Unit tests for paper-style table rendering."""
 
-from repro.core.metrics import TimeSeries, weighted_summary
-from repro.core.report import (
-    latency_table,
-    series_table,
-    shape_check,
-    throughput_table,
-)
+from repro.core.metrics import weighted_summary
+from repro.core.report import latency_table, shape_check, throughput_table
 
 
 class TestThroughputTable:
@@ -60,23 +55,6 @@ class TestLatencyTable:
         )
         assert "paper:" in table
         assert "12" in table
-
-
-class TestSeriesTable:
-    def test_columns_per_label(self):
-        a = TimeSeries(times=[0.0, 5.0], values=[1.0, 2.0])
-        b = TimeSeries(times=[0.0, 5.0], values=[3.0, 4.0])
-        table = series_table("Fig", {"storm": a, "flink": b})
-        assert "storm" in table and "flink" in table
-        assert "time(s)" in table
-
-    def test_row_count_capped(self):
-        long_series = TimeSeries(
-            times=[float(i) for i in range(1000)],
-            values=[0.0] * 1000,
-        )
-        table = series_table("Fig", {"x": long_series}, max_rows=20)
-        assert len(table.splitlines()) <= 25
 
 
 class TestShapeCheck:

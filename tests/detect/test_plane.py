@@ -180,14 +180,10 @@ class TestByteIdentity:
         assert timed.detection.spurious_migration_node_s == 0.0
 
         def measured(diag):
-            # Drop the harness' wall-clock self-instrumentation (it
-            # differs between any two runs) and the detect.* keys the
-            # plane itself adds; everything *simulated* must match.
+            # Drop the detect.* keys the plane itself adds; everything
+            # else must match.
             return {
-                k: v
-                for k, v in diag.items()
-                if not k.startswith(("detect.", "collector."))
-                and k != "driver.summary_s"
+                k: v for k, v in diag.items() if not k.startswith("detect.")
             }
 
         assert measured(timed.diagnostics) == measured(plain.diagnostics)

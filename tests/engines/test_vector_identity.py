@@ -38,11 +38,6 @@ from repro.workloads.queries import (
 
 from tests.oracle import oracle_engines
 
-#: Host wall-clock diagnostics -- legitimately differ between runs.
-WALL_CLOCK_KEYS = frozenset(
-    {"driver.summary_s", "collector.collect_s", "collector.samples_per_s"}
-)
-
 
 def run_oracle(spec: ExperimentSpec):
     with oracle_engines():
@@ -81,8 +76,6 @@ def assert_identical(oracle, production) -> None:
     o_diag, p_diag = oracle.diagnostics, production.diagnostics
     assert set(o_diag) == set(p_diag)
     for key, value in o_diag.items():
-        if key in WALL_CLOCK_KEYS:
-            continue
         assert same(value, p_diag[key]), key
 
     assert same(oracle.mean_ingest_rate, production.mean_ingest_rate)

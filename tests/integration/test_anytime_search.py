@@ -12,6 +12,7 @@ from dataclasses import replace
 import pytest
 
 import repro.engines.ext  # noqa: F401  (registers heron/samza)
+from repro.analysis import paper
 from repro.autoscale.policy import AutoscaleSpec
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.generator import GeneratorConfig
@@ -253,14 +254,17 @@ class TestStaysOff:
 
 # -- (iii) the Table I / III sweep, full-length vs anytime ------------------
 
+#: Every Table I / III cell ``repro paper`` sweeps, as it declares them.
 TABLE_CELLS = [
-    (engine, "aggregation", workers)
-    for engine in ("storm", "spark", "flink")
-    for workers in (2, 4, 8)
-] + [
-    (engine, "join", workers)
-    for engine in ("spark", "flink")
-    for workers in (2, 4, 8)
+    pytest.param(
+        search,
+        id=f"{search.spec.engine}-{search.spec.query.kind}-"
+        f"{search.spec.workers}",
+    )
+    for artifact in (paper.TABLE1, paper.TABLE3)
+    for search in artifact.cells.values()
+    if isinstance(search, paper.Search)
+    and search.high_rate == paper.TABLE_SEARCH["high_rate"]
 ]
 
 
@@ -275,19 +279,17 @@ def verdicts_by_rate(*searches) -> dict:
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", [17, 31])
-@pytest.mark.parametrize("engine,kind,workers", TABLE_CELLS)
-def test_table_cells_find_the_same_rates_with_and_without_stops(
-    engine, kind, workers, seed
-):
-    """Every Table I / III cell as ``benchmarks/conftest.py`` searches
-    it: the anytime search reaches the same found rate as the
+@pytest.mark.parametrize("search", TABLE_CELLS)
+def test_table_cells_find_the_same_rates_with_and_without_stops(search, seed):
+    """Every Table I / III cell as ``repro paper`` searches it: the
+    anytime search reaches the same found rate as the
     full-length search and the same verdict at every rate both probed,
     and every such probe it did not stop is byte-identical.  The two
     ladders need not be the same rates: a ceiling probe that ran its
     full length measured another ``mean_ingest_rate`` than one that was
     stopped, and may aim the search at the neighbouring cell."""
-    spec = cell(engine, kind, workers=workers, seed=seed)
-    settings = dict(high_rate=1.6e6, rel_tol=0.05, max_trials=9)
+    spec = search.spec.with_seed(seed)
+    settings = paper.TABLE_SEARCH
     anytime = find_sustainable_throughput(spec, **settings)
     full = find_sustainable_throughput(spec, run=run_full_length, **settings)
     assert as_bytes({"r": anytime.sustainable_rate}) == as_bytes(
@@ -317,16 +319,14 @@ def test_table_cells_find_the_same_rates_with_and_without_stops(
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", [17, 31])
-@pytest.mark.parametrize("engine,kind,workers", TABLE_CELLS)
-def test_table_cells_find_what_cold_bisection_finds(
-    engine, kind, workers, seed
-):
+@pytest.mark.parametrize("search", TABLE_CELLS)
+def test_table_cells_find_what_cold_bisection_finds(search, seed):
     """A probe's outcome does not depend on the ladder it sits in, so
     wherever both searches probed they agree to the byte; the verdicts
     of both ladders together are monotone in the rate, and the aimed
     search finds the cold bisection's rate."""
-    spec = cell(engine, kind, workers=workers, seed=seed)
-    settings = dict(high_rate=1.6e6, rel_tol=0.05, max_trials=9)
+    spec = search.spec.with_seed(seed)
+    settings = paper.TABLE_SEARCH
     aimed = find_sustainable_throughput(spec, **settings)
     cold = cold_search(spec, **settings)
     cold_by_rate = {trial.rate: trial for trial in cold.trials}

@@ -40,9 +40,6 @@ GOLDEN_PATH = (
     pathlib.Path(__file__).parent.parent / "golden" / "broker_trials.json"
 )
 WINDOW = WindowSpec(4.0, 2.0)
-HOST_CLOCK_KEYS = frozenset(
-    {"driver.summary_s", "collector.collect_s", "collector.samples_per_s"}
-)
 
 
 def brokered(engine="flink", query=None, profile=30_000.0, generator=None,
@@ -99,7 +96,6 @@ def trial_digest(result) -> str:
         "diagnostics": {
             key: float(value).hex()
             for key, value in sorted(result.diagnostics.items())
-            if key not in HOST_CLOCK_KEYS
         },
     }
     text = json.dumps(stats, sort_keys=True, separators=(",", ":"))

@@ -9,8 +9,7 @@ change shows where it landed:
   ``float.hex``;
 - ``latency``: the event- and processing-time latency summaries plus
   the mean ingest rate;
-- ``diagnostics``: the engine's full diagnostics (host-clock keys
-  excepted).
+- ``diagnostics``: the engine's full diagnostics.
 
 A diagnostics-only change (a new counter, a ledger term) moves one
 hash and leaves the other two alone.  The cases cover both queries on
@@ -61,9 +60,6 @@ PAPER_AGG = WindowedAggregationQuery(window=PAPER_WINDOW)
 PAPER_JOIN = WindowedJoinQuery(window=PAPER_WINDOW)
 DISORDER = GeneratorConfig(
     instances=2, disorder=DisorderSpec(fraction=0.2, max_delay_s=2.0)
-)
-HOST_CLOCK_KEYS = frozenset(
-    {"driver.summary_s", "collector.collect_s", "collector.samples_per_s"}
 )
 
 
@@ -181,7 +177,6 @@ def trial_digest(result) -> dict:
         "diagnostics": _sha({
             key: float(value).hex()
             for key, value in sorted(result.diagnostics.items())
-            if key not in HOST_CLOCK_KEYS
         }),
     }
 

@@ -105,4 +105,8 @@ class TestParallelSweep:
         assert parallel == serial
         for key, spec in cells:
             alone = find_sustainable_throughput(spec, high_rate=HIGH_RATE)
-            assert serial[key] == alone.sustainable_rate
+            assert serial[key] == {
+                "sustainable_rate": alone.sustainable_rate,
+                "trial_count": alone.trial_count,
+                "simulated_s": alone.simulated_s,
+            }
