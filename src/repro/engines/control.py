@@ -698,8 +698,12 @@ class ControlPlane:
             return
         entry["online_at_s"] = self.sim.now
         # A crash may have raced the drain; never depart below one
-        # active worker however the interleaving went.
-        victims = min(victims, self.active - 1, engine.cluster.workers - 1)
-        if victims <= 0:
-            return
-        self._resize(-victims, "autoscale.departed")
+        # active worker however the interleaving went, and log the
+        # workers that did depart, not the ones the decision meant to.
+        departing = max(
+            0, min(victims, self.active - 1, engine.cluster.workers - 1)
+        )
+        entry["delta"] += victims - departing
+        entry["to_workers"] += victims - departing
+        if departing > 0:
+            self._resize(-departing, "autoscale.departed")

@@ -490,6 +490,27 @@ class TestBehaviourTheGoldenWouldNotExplain:
         assert engine.target_workers == engine.cluster.workers
         assert engine.billed_nodes == engine.active_workers
 
+    @pytest.mark.parametrize("request_n,crash_n", [(1, 1), (2, 2), (1, 3)])
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_a_drain_cut_short_by_a_crash_logs_who_departed(
+        self, name, request_n, crash_n
+    ):
+        # A crash mid-drain can leave fewer active workers than the
+        # scale-in meant to retire; the log says how many did depart.
+        rig = Rig(name, 4)
+        rig.charge_state(2e9)
+        rig.at(2.0, "request_scale_in", request_n)
+        rig.fault(NodeCrash(at_s=2.5, nodes=crash_n))
+        rig.sim.run_until(40.0)
+        engine = rig.engine
+        (entry,) = engine.rescale_log
+        assert 2.5 < entry["online_at_s"]  # the crash did land mid-drain
+        departed = 4 - engine.cluster.workers
+        assert departed == min(request_n, 4 - crash_n - 1)
+        assert entry["from_workers"] == 4.0
+        assert entry["to_workers"] == engine.cluster.workers
+        assert entry["delta"] == -departed
+
     @pytest.mark.parametrize("name", ["storm", "heron"])
     def test_an_outage_of_zero_seconds_anchors_no_admission_ramp(self, name):
         # Every term of the tuple-replay recovery pause configured away:
