@@ -7,7 +7,7 @@ sustainability arguments, and simple robust summaries.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -73,21 +73,3 @@ def iqr(values: Sequence[float]) -> float:
         return float("nan")
     q75, q25 = np.percentile(arr, [75, 25])
     return float(q75 - q25)
-
-
-def crossover_time(
-    a: TimeSeries, b: TimeSeries, bin_s: float = 5.0
-) -> Tuple[bool, float]:
-    """First bin where series ``a`` drops below series ``b``.
-
-    Returns (found, time).  Used by shape checks of the form "X wins
-    until t, then Y wins".
-    """
-    a_bins = a.binned(bin_s)
-    b_bins = b.binned(bin_s)
-    a_binned = dict(zip(a_bins.times.tolist(), a_bins.values.tolist()))
-    b_binned = dict(zip(b_bins.times.tolist(), b_bins.values.tolist()))
-    for t in sorted(set(a_binned) & set(b_binned)):
-        if a_binned[t] < b_binned[t]:
-            return True, t
-    return False, float("nan")

@@ -48,31 +48,3 @@ def align_series(
         key: resample(s, step_s, start=start) if len(s) else TimeSeries()
         for key, s in series.items()
     }
-
-
-def normalise_time(series: TimeSeries) -> TimeSeries:
-    """Shift a series so it starts at t=0 (figure-friendly)."""
-    if not len(series):
-        return TimeSeries()
-    times = series.times
-    return TimeSeries.from_arrays(times - times[0], series.values)
-
-
-def moving_average(series: TimeSeries, window: int) -> TimeSeries:
-    """Centered moving average with edge shrinkage.
-
-    Computed with a prefix sum: each output is the mean over
-    ``[i - window//2, i + window//2]`` clipped to the series bounds.
-    """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if not len(series):
-        return TimeSeries()
-    values = series.values
-    n = values.size
-    half = window // 2
-    prefix = np.concatenate(([0.0], np.cumsum(values)))
-    lo = np.clip(np.arange(n) - half, 0, n)
-    hi = np.clip(np.arange(n) + half + 1, 0, n)
-    smoothed = (prefix[hi] - prefix[lo]) / (hi - lo)
-    return TimeSeries.from_arrays(series.times, smoothed)

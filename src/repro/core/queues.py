@@ -378,9 +378,5 @@ class QueueSet:
             return min(q.watermark for q in self.queues)
         return min(q.watermark for q in live)
 
-    @property
-    def any_dropped(self) -> bool:
-        return any(q.dropped for q in self.queues)
-
     def max_oldest_wait(self, now: float) -> float:
         return max(q.oldest_wait(now) for q in self.queues)

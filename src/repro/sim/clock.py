@@ -169,9 +169,3 @@ class NodeClock:
     def read(self, t: float) -> float:
         """The timestamp this clock stamps at true time ``t``."""
         return t + self.measurement_error(t)
-
-    @property
-    def error_bound_s(self) -> float:
-        """A-priori bound on this clock's *disciplined* error (what the
-        NTP methodology promises; an uncorrected clock may exceed it)."""
-        return self.spec.disciplined_error_bound_s

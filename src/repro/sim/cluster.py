@@ -63,15 +63,6 @@ class ClusterSpec:
             raise ValueError(f"standby must be >= 0, got {self.standby}")
 
     @property
-    def total_nodes(self) -> int:
-        return (
-            self.workers
-            + self.drivers
-            + self.standby
-            + (1 if self.has_dedicated_master else 0)
-        )
-
-    @property
     def worker_cores(self) -> int:
         """Total cores available to the SUT."""
         return self.workers * self.node.cores
@@ -80,11 +71,6 @@ class ClusterSpec:
     def worker_ram_bytes(self) -> float:
         """Total RAM available to the SUT across worker nodes."""
         return self.workers * self.node.ram_bytes
-
-    @property
-    def sut_ingress_bytes_per_s(self) -> float:
-        """Aggregate NIC ingress capacity across the worker nodes."""
-        return self.workers * self.node.nic_bytes_per_s
 
     def with_workers(self, workers: int) -> "ClusterSpec":
         """This deployment resized to ``workers`` worker nodes.

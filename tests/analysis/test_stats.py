@@ -7,7 +7,6 @@ from repro.analysis.stats import (
     FLAT,
     INCREASING,
     coefficient_of_variation,
-    crossover_time,
     iqr,
     relative_error,
     trend_classification,
@@ -70,18 +69,3 @@ class TestDispersion:
     def test_iqr(self):
         values = list(range(101))
         assert iqr(values) == pytest.approx(50.0)
-
-
-class TestCrossover:
-    def test_crossover_found(self):
-        a = TimeSeries(times=[0.0, 10.0, 20.0], values=[5.0, 3.0, 1.0])
-        b = TimeSeries(times=[0.0, 10.0, 20.0], values=[2.0, 2.0, 2.0])
-        found, t = crossover_time(a, b, bin_s=10.0)
-        assert found
-        assert t == 20.0
-
-    def test_no_crossover(self):
-        a = TimeSeries(times=[0.0, 10.0], values=[5.0, 5.0])
-        b = TimeSeries(times=[0.0, 10.0], values=[1.0, 1.0])
-        found, _ = crossover_time(a, b, bin_s=10.0)
-        assert not found

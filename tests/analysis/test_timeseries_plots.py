@@ -5,8 +5,6 @@ import pytest
 from repro.analysis.ascii_plots import render_panels, render_series, sparkline
 from repro.analysis.timeseries import (
     align_series,
-    moving_average,
-    normalise_time,
     resample,
 )
 from repro.core.metrics import TimeSeries
@@ -47,28 +45,6 @@ class TestAlign:
             step_s=1.0,
         )
         assert len(aligned["b"]) == 0
-
-
-class TestNormalise:
-    def test_starts_at_zero(self):
-        ts = TimeSeries(times=[5.0, 7.0], values=[1.0, 2.0])
-        out = normalise_time(ts)
-        assert out.times.tolist() == [0.0, 2.0]
-
-
-class TestMovingAverage:
-    def test_smoothing(self):
-        ts = TimeSeries(times=[0.0, 1.0, 2.0], values=[0.0, 10.0, 0.0])
-        out = moving_average(ts, window=3)
-        assert out.values[1] == pytest.approx(10.0 / 3)
-
-    def test_window_one_identity(self):
-        ts = TimeSeries(times=[0.0, 1.0], values=[1.0, 2.0])
-        assert moving_average(ts, 1).values.tolist() == [1.0, 2.0]
-
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            moving_average(TimeSeries(), 0)
 
 
 class TestSparkline:

@@ -153,12 +153,6 @@ class TestQueueSet:
         q2.pull_blocks(10.0)
         assert qs.watermark == pytest.approx(1.0)
 
-    def test_any_dropped(self):
-        qs, q1, q2 = self.make_set()
-        assert not qs.any_dropped
-        q1.dropped = True
-        assert qs.any_dropped
-
     def test_max_oldest_wait(self):
         qs, q1, q2 = self.make_set()
         assert qs.max_oldest_wait(now=10.0) == pytest.approx(9.0)

@@ -30,7 +30,6 @@ class TestClusterSpec:
         assert cluster.workers == 4
         assert cluster.drivers == 4
         assert cluster.has_dedicated_master
-        assert cluster.total_nodes == 9
 
     def test_worker_cores(self):
         assert paper_cluster(2).worker_cores == 32
@@ -38,9 +37,6 @@ class TestClusterSpec:
 
     def test_worker_ram(self):
         assert paper_cluster(2).worker_ram_bytes == 2 * 16 * 1024**3
-
-    def test_ingress_capacity_scales_with_workers(self):
-        assert paper_cluster(4).sut_ingress_bytes_per_s == pytest.approx(500e6)
 
     def test_zero_workers_rejected(self):
         with pytest.raises(ValueError):
@@ -57,7 +53,3 @@ class TestClusterSpec:
 
     def test_paper_sizes(self):
         assert PAPER_CLUSTER_SIZES == [2, 4, 8]
-
-    def test_no_master_reduces_total(self):
-        cluster = ClusterSpec(workers=2, drivers=2, has_dedicated_master=False)
-        assert cluster.total_nodes == 4
