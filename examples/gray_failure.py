@@ -82,7 +82,7 @@ def main() -> None:
     print(
         "phi convicts the flapping node earlier than the fixed timeout\n"
         "and is the only single-observer detector that catches the\n"
-        "fail-slow ramp; benchmarks/bench_detection.py gates both claims."
+        "fail-slow ramp; `repro paper`'s ext_detection checks both claims."
     )
 
 

@@ -2,7 +2,7 @@
 
 Every artifact of the evaluation -- Tables I-IV, Figures 4-11,
 Experiments 3 and 4, the five ablations of the paper's design decisions
-and the two extensions -- is one :class:`Artifact`:
+and the five extensions -- is one :class:`Artifact`:
 
 - its **cells**: each a :class:`Search` (a sustainable-throughput
   search, Definition 5) or a :class:`Trial` (one run of an
@@ -23,7 +23,10 @@ distinct trial once through :func:`~repro.core.experiment.run_experiment` (Table
 and Figure 4 share their runs), fanning both over ``jobs`` scheduler
 workers, and returns one JSON-safe report: the same for any ``jobs``,
 and nothing in it read from the host clock.  The cells are declared at
-:data:`SEED`; another seed re-seeds every spec.
+:data:`SEED`; another seed re-seeds every spec.  It replaces
+``ExperimentSpec.seed`` only: a seed that belongs to a cell's profile or
+fault (the flash crowd's burst, a flapping node's duty cycle) is part of
+the cell and stays as declared.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
+import repro.engines.ext  # noqa: F401  (registers heron/samza)
 from repro.analysis.ascii_plots import sparkline
 from repro.analysis.paper_values import (
     PAPER_EXP4_FLINK_SKEW_THROUGHPUT,
@@ -49,6 +53,8 @@ from repro.analysis.stats import (
     relative_error,
     within_factor,
 )
+from repro.autoscale.policy import AutoscaleSpec
+from repro.autoscale.scorecard import single_worker_capacity
 from repro.core.broker import BrokerSpec
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.generator import GeneratorConfig
@@ -59,14 +65,28 @@ from repro.core.sustainable import (
     SustainabilityCriteria,
     sweep_sustainable_rates,
 )
+from repro.detect.plane import detector_spec
 from repro.engines.flink import FlinkConfig
 from repro.engines.spark import SparkConfig
 from repro.engines.storm import StormConfig
-from repro.faults.schedule import FaultSchedule, NodeCrash
+from repro.faults.checkpoint import CheckpointSpec
+from repro.faults.schedule import (
+    DegradingNode,
+    FaultSchedule,
+    FlappingNode,
+    NodeCrash,
+)
+from repro.grid import check_invariants
+from repro.recovery.reschedule import MODE_STANDBY, ReschedulePolicy
+from repro.recoverybench.scorecard import (
+    RecoverConfig,
+    frontier_digest,
+    frontier_spec,
+)
 from repro.sched.pool import TrialScheduler, TrialTask
 from repro.workloads.disorder import DisorderSpec
 from repro.workloads.keys import SingleKey
-from repro.workloads.profiles import fig6_profile
+from repro.workloads.profiles import FlashCrowdRate, fig6_profile
 from repro.workloads.queries import (
     LARGE_WINDOW,
     PAPER_DEFAULT_WINDOW,
@@ -301,14 +321,20 @@ EXT_FAIL_AT_S = 80.0
 
 def failure_excess(result, engine) -> Dict[str, Any]:
     """Extension: mean binned latency after a crash at
-    :data:`EXT_FAIL_AT_S` minus before it, state lost, ingest kept."""
+    :data:`EXT_FAIL_AT_S` minus before it, state lost, ingest kept, and
+    the driver's ledger of the crash: weight lost and duplicated, and
+    whether latency re-entered its pre-crash band."""
     series = result.collector.binned_series(bin_s=5.0, start_time=0.0)
     before = series.window(30.0, EXT_FAIL_AT_S - 2).mean()
     after = series.window(EXT_FAIL_AT_S + 5, result.duration_s).mean()
+    crash = result.recovery[0]
     return {
         "excess": after - before,
         "state_lost": result.diagnostics["state_lost_weight"],
         "ingest_rate": result.mean_ingest_rate,
+        "lost": crash.lost_weight,
+        "duplicated": crash.duplicated_weight,
+        "recovered": crash.recovered,
     }
 
 
@@ -317,6 +343,65 @@ def late_drops(result, engine) -> Dict[str, Any]:
     return {
         "dropped": result.diagnostics["late_dropped_weight"],
         "event_mean": result.event_latency.mean,
+    }
+
+
+FRONTIER = RecoverConfig(seed=SEED, duration_s=60.0)
+"""``repro recover``'s checkpoint-interval frontier: a process restart
+at 24 s of a 60 s, 30 k events/s, 2-worker trial, per interval of
+``FRONTIER.intervals``."""
+
+
+def checkpoint_tradeoff(result, engine) -> Dict[str, Any]:
+    """Extension: one frontier point, digested as ``repro recover``
+    digests it; ``recovery_s`` is ``None`` when the fault never
+    recovered."""
+    digest = frontier_digest(result, FRONTIER, engine.name)
+    fault = digest["fault"] or {}
+    return {
+        "recovered": bool(fault.get("recovered", False)),
+        "recovery_s": fault.get("recovery_time_s"),
+        "overhead": digest["overhead_fraction"],
+        "violations": len(digest["violations"]),
+    }
+
+
+FLASH_CROWD_S = 180.0
+FLASH_CROWD_MAX_WORKERS = 6
+
+
+def elasticity(result, engine) -> Dict[str, Any]:
+    """Extension: scale-outs under a flash crowd, the slowest settled
+    resustain (``None`` when the final scale-out never settled; an
+    earlier step of a ramp is cut short by the next decision, so only
+    the last one must settle), the node-second bill and the invariant
+    violations."""
+    outs = [m for m in result.autoscale or [] if m.kind == "scale-out"]
+    settled = [m.time_to_resustain_s for m in outs if m.resustained]
+    unsettled = bool(outs) and not outs[-1].resustained
+    return {
+        "failure": result.failure,
+        "scale_outs": len(outs),
+        "worst_resustain_s": None if unsettled else max(settled, default=0.0),
+        "cost_node_s": result.diagnostics["autoscale.cost_node_seconds"],
+        "violations": len(check_invariants(
+            result, engine.name,
+            workers=FLASH_CROWD_MAX_WORKERS, latency_bound_s=20.0,
+        )),
+    }
+
+
+def detection_quality(result, engine) -> Dict[str, Any]:
+    """Extension: a detector's false positives, missed episodes, the
+    detection latency of each caught one, and its deepest cascade of
+    suspect migrations."""
+    detection = result.detection
+    return {
+        "failure": result.failure,
+        "false_positives": detection.false_positives,
+        "missed": detection.false_negatives,
+        "latencies_s": list(detection.detection_latencies_s),
+        "cascade": detection.cascade_depth_max,
     }
 
 
@@ -344,6 +429,23 @@ def below(a, b) -> bool:
 
 def above(a, b) -> bool:
     return a > b
+
+
+def each(test: Callable[[Any], bool]) -> Callable[..., bool]:
+    """Every input passes ``test``."""
+    return lambda *values: all(test(v) for v in values)
+
+
+every = each(bool)
+zero = each(lambda v: v == 0)
+
+
+def non_decreasing(tol: float) -> Callable[..., bool]:
+    return lambda *values: all(b >= a - tol for a, b in zip(values, values[1:]))
+
+
+def non_increasing(tol: float) -> Callable[..., bool]:
+    return lambda *values: all(b <= a + tol for a, b in zip(values, values[1:]))
 
 
 def completion_check(cells: Mapping[str, Cell]) -> Check:
@@ -1111,6 +1213,20 @@ EXT_NODE_FAILURES = Artifact(
             ("spark.state_lost", "flink.state_lost"),
             lambda spark, flink: spark == 0 and flink == 0,
         ),
+        Check(
+            "every engine re-enters its band",
+            tuple(f"{engine}.recovered" for engine in AGG_ENGINES), every,
+        ),
+        Check(
+            "spark and flink lose and duplicate nothing",
+            ("spark.lost", "spark.duplicated", "flink.lost", "flink.duplicated"),
+            zero,
+        ),
+        Check("storm duplicates nothing", ("storm.duplicated",), zero),
+        Check(
+            "storm loses weight (lost > 0)", ("storm.lost",),
+            lambda lost: lost > 0,
+        ),
     ),
 )
 
@@ -1146,6 +1262,226 @@ EXT_LATE_EVENTS = Artifact(
 )
 
 
+
+def frontier_key(engine: str, interval_s: float) -> str:
+    return f"{engine}/{interval_s * 1e3:g}ms"
+
+
+def frontier_checks(engine: str) -> Tuple[Check, ...]:
+    """Vogel et al.'s trade-off along one engine's interval grid."""
+    points = [frontier_key(engine, i) for i in FRONTIER.intervals]
+    return (
+        Check(
+            f"{engine}: every interval recovers",
+            tuple(f"{p}.recovered" for p in points), every,
+        ),
+        Check(
+            f"{engine}: recovery time never falls as the interval grows "
+            "(1e-9 s)",
+            tuple(f"{p}.recovery_s" for p in points), non_decreasing(1e-9),
+        ),
+        Check(
+            f"{engine}: overhead never rises as the interval grows (1e-12)",
+            tuple(f"{p}.overhead" for p in points), non_increasing(1e-12),
+        ),
+        Check(
+            f"{engine}: no invariant violation",
+            tuple(f"{p}.violations" for p in points), zero,
+        ),
+    )
+
+
+EXT_CHECKPOINT_FRONTIER = Artifact(
+    "ext_checkpoint_frontier",
+    "Extension: checkpoint interval vs recovery time and overhead "
+    "(restart at 24 s, 2 nodes, 30 k/s)",
+    cells={
+        frontier_key(engine, interval): Trial(
+            frontier_spec(engine, interval, FRONTIER), checkpoint_tradeoff
+        )
+        for engine in ("flink", "spark")
+        for interval in FRONTIER.intervals
+    },
+    checks=frontier_checks("flink")
+    + frontier_checks("spark")
+    + (
+        Check(
+            "flink (checkpoint restore) pays overhead at every interval",
+            tuple(
+                f"{frontier_key('flink', i)}.overhead"
+                for i in FRONTIER.intervals
+            ),
+            each(lambda overhead: overhead > 0),
+        ),
+    ),
+)
+
+
+def flash_crowd(engine: str) -> ExperimentSpec:
+    """One worker, autoscaled up to :data:`FLASH_CROWD_MAX_WORKERS`, hit
+    by a 25 s burst at twice its capacity over a base of 0.4x.  Where the
+    burst lands is seeded by the profile's own :data:`SEED`, which
+    ``repro paper --seed`` does not replace."""
+    capacity = single_worker_capacity(engine)
+    return agg_spec(
+        engine, 1,
+        profile=FlashCrowdRate(
+            base=0.4 * capacity,
+            spike=2.0 * capacity,
+            horizon_s=FLASH_CROWD_S / 2.0,
+            spikes=1,
+            spike_duration_s=25.0,
+            seed=SEED,
+        ),
+        duration_s=FLASH_CROWD_S,
+        autoscale=AutoscaleSpec(
+            policy="threshold",
+            min_workers=1,
+            max_workers=FLASH_CROWD_MAX_WORKERS,
+            cooldown_s=12.0,
+        ),
+    )
+
+
+ELASTIC_ENGINES = ("flink", "storm", "spark", "heron", "samza")
+FIXED_PEAK_NODE_S = FLASH_CROWD_MAX_WORKERS * FLASH_CROWD_S
+EXT_AUTOSCALE_CELLS = {
+    e: Trial(flash_crowd(e), elasticity) for e in ELASTIC_ENGINES
+}
+EXT_AUTOSCALE = Artifact(
+    "ext_autoscale",
+    "Extension: threshold autoscaling under a 2x flash crowd "
+    "(1 -> 6 workers, 180 s)",
+    cells=EXT_AUTOSCALE_CELLS,
+    checks=(
+        completion_check(EXT_AUTOSCALE_CELLS),
+        Check(
+            "every engine scales out",
+            tuple(f"{e}.scale_outs" for e in ELASTIC_ENGINES),
+            each(lambda outs: outs > 0),
+        ),
+        Check(
+            "worst resustain within 75 s (a final scale-out that never "
+            "settles fails)",
+            tuple(f"{e}.worst_resustain_s" for e in ELASTIC_ENGINES),
+            each(lambda worst: worst <= 75.0),
+        ),
+        Check(
+            f"autoscaled bill below a fixed peak cluster's "
+            f"{FIXED_PEAK_NODE_S:g} node-seconds",
+            tuple(f"{e}.cost_node_s" for e in ELASTIC_ENGINES),
+            each(lambda cost: cost < FIXED_PEAK_NODE_S),
+        ),
+        Check(
+            "no invariant violation",
+            tuple(f"{e}.violations" for e in ELASTIC_ENGINES), zero,
+        ),
+    ),
+)
+
+
+DETECTORS = ("timeout", "phi", "quorum")
+GRAY_FAULTS = {  # the flaps' duty-cycle seeds do not follow --seed
+    "flap": FlappingNode(
+        at_s=12.0, duration_s=16.0, node=1, period_s=6.0, duty=0.5, seed=7
+    ),
+    "degrade-20%": DegradingNode(
+        at_s=12.0, duration_s=14.0, node=1, floor_factor=0.2
+    ),
+    "flap-fast": FlappingNode(
+        at_s=12.0, duration_s=16.0, node=1, period_s=4.0, duty=0.4, seed=3
+    ),
+    "degrade-30%": DegradingNode(
+        at_s=12.0, duration_s=14.0, node=1, floor_factor=0.3
+    ),
+}
+MISSED_EPISODE_S = tuple(
+    fault.duration_s + CheckpointSpec().detection_timeout_s
+    for fault in GRAY_FAULTS.values()
+)
+"""What a missed episode costs the latency contest: the earliest a
+detector that slept through the whole episode could have acted."""
+
+
+def detection_spec(detector: str, fault) -> ExperimentSpec:
+    """Flink on 2 nodes and one standby at 20 k/s for 40 s, its
+    suspects convicted by ``detector``."""
+    return agg_spec(
+        "flink", 2, profile=20_000.0, duration_s=40.0,
+        faults=None if fault is None else FaultSchedule((fault,)),
+        standby=1,
+        reschedule=ReschedulePolicy(standby_nodes=1, mode=MODE_STANDBY),
+        detector=detector_spec(detector),
+    )
+
+
+def penalised_mean(fields) -> float:
+    """Mean detection latency over the gray scenarios, each missed
+    episode charged :data:`MISSED_EPISODE_S`; ``fields`` alternate each
+    scenario's latencies and missed count."""
+    charged: list = []
+    for latencies, missed, penalty in zip(
+        fields[::2], fields[1::2], MISSED_EPISODE_S
+    ):
+        charged += list(latencies) + [penalty] * missed
+    return sum(charged) / len(charged)
+
+
+def phi_against_timeout(
+    name: str, field_names: Tuple[str, ...], holds: Callable[[Any, Any], bool]
+) -> Check:
+    """``holds(phi's fields, timeout's fields)`` over the gray scenarios."""
+    phi, timeout = (
+        tuple(
+            f"{scenario}/{detector}.{field_name}"
+            for scenario in GRAY_FAULTS
+            for field_name in field_names
+        )
+        for detector in ("phi", "timeout")
+    )
+    return Check(
+        name, phi + timeout, lambda *v: holds(v[:len(phi)], v[len(phi):])
+    )
+
+
+EXT_DETECTION_CELLS = {
+    f"{scenario}/{detector}": Trial(
+        detection_spec(detector, fault), detection_quality
+    )
+    for scenario, fault in {**GRAY_FAULTS, "calm": None}.items()
+    for detector in DETECTORS
+}
+EXT_DETECTION = Artifact(
+    "ext_detection",
+    "Extension: failure detectors under gray failures (Flink 2 nodes, "
+    "one standby, 20 k/s)",
+    cells=EXT_DETECTION_CELLS,
+    checks=(
+        completion_check(EXT_DETECTION_CELLS),
+        Check(
+            "no detector convicts anything on a calm trial",
+            tuple(f"calm/{d}.false_positives" for d in DETECTORS), zero,
+        ),
+        phi_against_timeout(
+            "phi's false positives no more than timeout's",
+            ("false_positives",),
+            lambda phi, timeout: sum(phi) <= sum(timeout),
+        ),
+        phi_against_timeout(
+            "phi detects strictly sooner than timeout on the mean (a "
+            "missed episode costs its duration + the detection timeout)",
+            ("latencies_s", "missed"),
+            lambda phi, timeout: penalised_mean(phi) < penalised_mean(timeout),
+        ),
+        Check(
+            "cascade depth at most 2 everywhere",
+            tuple(f"{key}.cascade" for key in EXT_DETECTION_CELLS),
+            each(lambda depth: depth <= 2),
+        ),
+    ),
+)
+
+
 ARTIFACTS: Tuple[Artifact, ...] = (
     TABLE1, TABLE2, TABLE3, TABLE4,
     FIG4, FIG5, FIG6, FIG7, FIG8, FIG9, FIG10, FIG11,
@@ -1157,6 +1493,9 @@ ARTIFACTS: Tuple[Artifact, ...] = (
     ABLATION_SPARK_BATCH_INTERVAL,
     EXT_NODE_FAILURES,
     EXT_LATE_EVENTS,
+    EXT_CHECKPOINT_FRONTIER,
+    EXT_AUTOSCALE,
+    EXT_DETECTION,
 )
 
 

@@ -17,7 +17,7 @@ the same instruments the rest of the harness uses:
 Frontier trials pin ``gc_rate_per_s = 0`` and zero emit jitter:
 checkpoint pauses shift how many RNG draws the GC process makes, so
 leaving GC on would smear seeded noise *across* interval settings and
-drown the monotone trend the CI gate checks.  Engines whose recovery
+drown the monotone trend ``repro paper`` checks.  Engines whose recovery
 semantics ignore the interval (Spark's lineage recompute, Storm/Heron
 tuple replay) produce a flat frontier -- itself a finding the Pareto
 extraction preserves (the cheapest flat point dominates the rest).

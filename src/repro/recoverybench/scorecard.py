@@ -174,9 +174,11 @@ def _grid_spec(
     )
 
 
-def _frontier_spec(
+def frontier_spec(
     engine: str, interval_s: float, config: RecoverConfig
 ) -> ExperimentSpec:
+    """One frontier trial: a restart at ``config.fault_at_s`` under
+    checkpoints every ``interval_s``."""
     # GC and emit jitter off: checkpoint pauses shift the GC process's
     # RNG draw count, so seeded pause noise would differ *per interval*
     # and smear the monotone trend the frontier exists to expose.
@@ -251,8 +253,15 @@ def _grid_cell_task(payload) -> Dict[str, object]:
 def _frontier_cell_task(payload) -> Dict[str, object]:
     """Scheduler worker body for one (engine, interval) frontier trial."""
     config, engine, interval_s = payload
-    label = _frontier_label(engine, interval_s)
-    result = run_experiment(_frontier_spec(engine, interval_s, config))
+    result = run_experiment(frontier_spec(engine, interval_s, config))
+    return frontier_digest(result, config, _frontier_label(engine, interval_s))
+
+
+def frontier_digest(
+    result, config: RecoverConfig, label: str
+) -> Dict[str, object]:
+    """One finished frontier trial, reduced: its fault's recovery, the
+    checkpoint overhead fraction, and its invariant violations."""
     violations = check_invariants(
         result,
         label,

@@ -92,7 +92,8 @@ class TestFlapScenario:
         assert result.diagnostics["detect.actions"] >= 1
 
     def test_phi_beats_timeout_on_gray_faults(self):
-        # The headline claim (gated for real in bench_detection.py):
+        # The headline claim (checked over five scenarios by
+        # `repro paper`'s ext_detection):
         # at zero false positives, phi convicts earlier than the fixed
         # timeout on a flapping node, and still convicts a fail-slow
         # ramp shallow enough that the timeout never fires at all.
