@@ -8,7 +8,7 @@ dropping in and out. The same flapping-node trial (Flink, 2 workers, a
 hot standby) is run under each detector the plane ships:
 
 - **timeout**: the fixed heartbeat deadline the harness always had --
-  a conviction requires a full ``detection_timeout_s`` of silence;
+  a conviction requires a full ``DETECTION_TIMEOUT_S`` of silence;
 - **phi**: phi-accrual over the inter-arrival history -- suspicion
   grows continuously, so convictions land earlier at the same
   false-positive budget;
@@ -27,9 +27,9 @@ Run:  PYTHONPATH=src python examples/gray_failure.py
 
 from repro import ExperimentSpec, FaultSchedule, run_experiment
 from repro.core.generator import GeneratorConfig
-from repro.detect.plane import DETECTOR_KINDS, detector_spec
+from repro.detect.plane import DETECTOR_KINDS
 from repro.faults.schedule import DegradingNode, FlappingNode
-from repro.recovery.reschedule import MODE_STANDBY, ReschedulePolicy
+from repro.recovery.reschedule import MODE_STANDBY
 from repro.workloads import WindowSpec, WindowedAggregationQuery
 
 SCENARIOS = {
@@ -51,7 +51,7 @@ BASE = dict(
     generator=GeneratorConfig(instances=2),
     monitor_resources=False,
     standby=1,
-    reschedule=ReschedulePolicy(standby_nodes=1, mode=MODE_STANDBY),
+    reschedule=MODE_STANDBY,
 )
 
 
@@ -66,7 +66,7 @@ def main() -> None:
             result = run_experiment(
                 ExperimentSpec(
                     faults=FaultSchedule((fault,)),
-                    detector=detector_spec(kind),
+                    detector=kind,
                     **BASE,
                 )
             )

@@ -65,11 +65,10 @@ from repro.core.sustainable import (
     SustainabilityCriteria,
     sweep_sustainable_rates,
 )
-from repro.detect.plane import detector_spec
 from repro.engines.flink import FlinkConfig
 from repro.engines.spark import SparkConfig
 from repro.engines.storm import StormConfig
-from repro.faults.checkpoint import CheckpointSpec
+from repro.faults.checkpoint import DETECTION_TIMEOUT_S
 from repro.faults.schedule import (
     DegradingNode,
     FaultSchedule,
@@ -77,7 +76,6 @@ from repro.faults.schedule import (
     NodeCrash,
 )
 from repro.grid import check_invariants
-from repro.recovery.reschedule import MODE_STANDBY, ReschedulePolicy
 from repro.recoverybench.scorecard import (
     RecoverConfig,
     frontier_digest,
@@ -1396,7 +1394,7 @@ GRAY_FAULTS = {  # the flaps' duty-cycle seeds do not follow --seed
     ),
 }
 MISSED_EPISODE_S = tuple(
-    fault.duration_s + CheckpointSpec().detection_timeout_s
+    fault.duration_s + DETECTION_TIMEOUT_S
     for fault in GRAY_FAULTS.values()
 )
 """What a missed episode costs the latency contest: the earliest a
@@ -1410,8 +1408,7 @@ def detection_spec(detector: str, fault) -> ExperimentSpec:
         "flink", 2, profile=20_000.0, duration_s=40.0,
         faults=None if fault is None else FaultSchedule((fault,)),
         standby=1,
-        reschedule=ReschedulePolicy(standby_nodes=1, mode=MODE_STANDBY),
-        detector=detector_spec(detector),
+        detector=detector,
     )
 
 
@@ -1545,7 +1542,7 @@ def run_trials(
     """Every trial cell, re-seeded and placed at its found rate; each
     distinct spec runs once, whatever number of cells observe it.  A
     cell whose search found no rate is not run (``None``)."""
-    runs: Dict[str, Tuple[ExperimentSpec, list]] = {}
+    runs: Dict[ExperimentSpec, list] = {}
     observed: Dict[Where, Optional[dict]] = {}
     for where, cell in _cells(Trial).items():
         spec = cell.spec.with_seed(seed)
@@ -1555,17 +1552,17 @@ def run_trials(
                 observed[where] = None
                 continue
             spec = spec.with_rate(rate * cell.at[2])
-        runs.setdefault(repr(spec), (spec, []))[1].append((where, cell.observe))
+        runs.setdefault(spec, []).append((where, cell.observe))
     tasks = [
         TrialTask(
             key=str(index),
             fn=observe_trial,
             payload=(spec, tuple(observe for _, observe in users)),
         )
-        for index, (spec, users) in enumerate(runs.values())
+        for index, (spec, users) in enumerate(runs.items())
     ]
     results = TrialScheduler(workers=jobs).run(tasks)
-    for task, (_, users) in zip(tasks, runs.values()):
+    for task, users in zip(tasks, runs.values()):
         for (where, _), observation in zip(users, results[task.key]):
             observed[where] = observation
     return observed

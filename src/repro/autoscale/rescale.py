@@ -9,9 +9,9 @@ elasticity is not booting machines, it is **redistributing keyed state**
     accumulated while paused)
 
 with the migration leg reusing the exact
-:meth:`~repro.recovery.reschedule.ReschedulePolicy.migration_pause_s`
-math the self-healing layer uses for crash migrations: moved bytes over
-the receivers' NICs at a configured fraction of line rate.
+:func:`~repro.recovery.reschedule.migration_pause_s` math the
+self-healing layer uses for crash migrations: moved bytes over the
+receivers' NICs at a fixed fraction of line rate.
 
 Per-engine **styles** (:class:`RescaleSemantics`, a class attribute on
 each engine):

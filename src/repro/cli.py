@@ -59,6 +59,7 @@ from repro.autoscale.scorecard import (
     elasticity_fingerprint,
     run_elasticity,
 )
+from repro.core.driver import WARMUP_FRACTION
 from repro.core.experiment import ExperimentSpec, runner_for
 from repro.core.generator import GeneratorConfig
 from repro.core.report import throughput_table
@@ -69,7 +70,7 @@ from repro.core.sustainable import (
     search_fingerprint,
     sweep_sustainable_rates,
 )
-from repro.detect.plane import DETECTOR_KINDS, detector_spec
+from repro.detect.plane import DETECTOR_KINDS
 from repro.engines import ENGINES, engine_class
 from repro.engines.calibration import registered_models
 from repro.faults import (
@@ -98,7 +99,7 @@ from repro.recovery.degradation import (
     SHED_OLDEST,
     DegradationPolicy,
 )
-from repro.recovery.reschedule import RESCHEDULE_MODES, ReschedulePolicy
+from repro.recovery.reschedule import RESCHEDULE_MODES
 from repro.recoverybench import (
     RecoverConfig,
     recover_fingerprint,
@@ -285,12 +286,6 @@ def build_query(args: argparse.Namespace):
     return WindowedJoinQuery(window=window, keys=keys)
 
 
-def build_reschedule(args: argparse.Namespace) -> Optional[ReschedulePolicy]:
-    if args.reschedule is None:
-        return None  # engine default: standby mode iff standbys exist
-    return ReschedulePolicy(standby_nodes=args.standby, mode=args.reschedule)
-
-
 def build_degradation(args: argparse.Namespace, engine: str):
     if args.shed in (None, SHED_NONE):
         return None  # engine default: inert policy (no shedding)
@@ -363,11 +358,11 @@ def build_spec(
         checkpoint=build_checkpoint(args),
         observability=build_observability(args),
         standby=args.standby,
-        reschedule=build_reschedule(args),
+        reschedule=args.reschedule,
         degradation=build_degradation(args, engine),
         clock_skew=build_clock_skew(args),
         autoscale=build_autoscale(args),
-        detector=detector_spec(args.detector),
+        detector=args.detector,
     )
 
 
@@ -386,7 +381,7 @@ def add_trial_arguments(
             "--duration", type=float, default=duration,
             help=(
                 f"simulated seconds per trial, "
-                f"{ExperimentSpec.warmup_fraction:.0%}% warmup "
+                f"{WARMUP_FRACTION:.0%}% warmup "
                 f"(default: {duration:g})"
             ),
         )

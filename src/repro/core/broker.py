@@ -140,11 +140,6 @@ class BrokerStage:
         self.forwarded_weight = fold_add(self.forwarded_weight, admitted)
         self.downstream.push_block(block, at_time=self.sim.now)
 
-    @property
-    def staged_weight(self) -> float:
-        """Events sitting inside the broker (its own backlog)."""
-        return self._staged.queued_weight
-
     def stop(self) -> None:
         if self._process is not None:
             self._process.stop()

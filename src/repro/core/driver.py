@@ -24,11 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.generator import (
-    DataGenerator,
-    GeneratorConfig,
-    build_generator_fleet,
-)
+from repro.core.generator import DataGenerator
 from repro.autoscale.metrics import RescaleMetrics
 from repro.core.criteria import SustainabilityCriteria
 from repro.core.latency import EVENT_TIME, PROCESSING_TIME, LatencyCollector
@@ -95,8 +91,8 @@ class TrialResult:
     trial ran with an :class:`~repro.autoscale.policy.AutoscaleSpec`;
     ``None`` for fixed-size trials)."""
     detection: Optional["DetectionMetrics"] = None
-    """Detection-quality metrology (populated when the trial ran with an
-    :class:`~repro.detect.plane.DetectorSpec`; ``None`` otherwise)."""
+    """Detection-quality metrology (populated when the trial ran with a
+    failure detector, ``ExperimentSpec.detector``; ``None`` otherwise)."""
     stopped_at_s: Optional[float] = None
     """Simulated time at which the driver stopped the trial because its
     Definition 5 verdict was settled as "unsustainable" (``None`` for a
@@ -121,6 +117,14 @@ class TrialResult:
         )
 
 
+#: Leading share of every trial excluded from the measurements (the
+#: engine's warm-up).
+WARMUP_FRACTION = 0.25
+#: Seconds before the fleet supervisor notices a dead generator and
+#: rebalances its share over the survivors.
+REBALANCE_DETECTION_S = 2.0
+
+
 class BenchmarkDriver:
     """Runs one trial: generators + queues + one engine + measurement."""
 
@@ -130,8 +134,6 @@ class BenchmarkDriver:
         engine: StreamingEngine,
         generators: List[DataGenerator],
         duration_s: float,
-        warmup_fraction: float = 0.25,
-        throughput_interval_s: float = 1.0,
         queues: Optional[QueueSet] = None,
         keep_outputs: bool = False,
         obs: Optional[ObsContext] = None,
@@ -144,8 +146,6 @@ class BenchmarkDriver:
         (see :meth:`ThroughputMonitor.verdict_settled`)."""
         if duration_s <= 0:
             raise ValueError("duration_s must be positive")
-        if not 0 <= warmup_fraction < 1:
-            raise ValueError("warmup_fraction must be in [0, 1)")
         self.sim = sim
         self.engine = engine
         self.generators = generators
@@ -153,7 +153,7 @@ class BenchmarkDriver:
         # mediator stage (the broker ablation) interposes its own queues.
         self.queues = queues or QueueSet([g.queue for g in generators])
         self.duration_s = duration_s
-        self.warmup_s = duration_s * warmup_fraction
+        self.warmup_s = duration_s * WARMUP_FRACTION
         self.skew = skew
         self.collector = LatencyCollector(keep_outputs=keep_outputs, skew=skew)
         self.obs = obs
@@ -169,7 +169,6 @@ class BenchmarkDriver:
         self.monitor = ThroughputMonitor(
             sim,
             self.queues,
-            interval_s=throughput_interval_s,
             on_sample=self._check_verdict if judged_by is not None else None,
         )
         if obs is not None:
@@ -297,7 +296,7 @@ class BenchmarkDriver:
         # The fleet supervisor notices the dead instance only after the
         # detection window, then rebalances its share over survivors.
         self.sim.schedule(
-            generator.config.rebalance_detection_s, self._rebalance_generators
+            REBALANCE_DETECTION_S, self._rebalance_generators
         )
 
     def _rebalance_generators(self) -> None:

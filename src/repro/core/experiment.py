@@ -26,7 +26,7 @@ from repro.core.criteria import SustainabilityCriteria
 from repro.core.driver import BenchmarkDriver, TrialResult
 from repro.core.generator import GeneratorConfig, build_generator_fleet
 from repro.core.queues import DriverQueue, QueueSet
-from repro.detect.plane import DetectionPlane, DetectorSpec
+from repro.detect.plane import DetectionPlane
 from repro.engines import engine_class
 from repro.engines.base import EngineConfig
 from repro.faults.checkpoint import CheckpointSpec
@@ -43,7 +43,6 @@ from repro.metrology.watchdog import (
 )
 from repro.obs.context import ObsContext, ObsSpec
 from repro.recovery.degradation import DegradationPolicy
-from repro.recovery.reschedule import ReschedulePolicy
 from repro.sim.clock import ClockSkewSpec
 from repro.sim.cluster import ClusterSpec, paper_cluster
 from repro.sim.network import DataPlane, NetworkSpec
@@ -64,13 +63,9 @@ class ExperimentSpec:
     profile: Union[RateProfile, float] = 0.5e6
     """Offered load: a :class:`RateProfile` or an events/s constant."""
     duration_s: float = 240.0
-    warmup_fraction: float = 0.25
     seed: int = 1
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     engine_config: Optional[EngineConfig] = None
-    network: NetworkSpec = field(default_factory=NetworkSpec)
-    throughput_interval_s: float = 1.0
-    resource_interval_s: float = 5.0
     monitor_resources: bool = True
     broker: Optional[BrokerSpec] = None
     """Insert a message-broker mediator between generators and the SUT
@@ -91,13 +86,16 @@ class ExperimentSpec:
     (the default) runs with observability fully disabled -- the hot
     path is byte-identical to a pre-observability build."""
     standby: int = 0
-    """Hot spare worker nodes (``--standby N``).  With spares, the
-    default reschedule policy promotes them after a NodeCrash instead
-    of permanently losing the capacity (see :mod:`repro.recovery`)."""
-    reschedule: Optional[ReschedulePolicy] = None
-    """How failed capacity is replaced.  ``None`` derives a policy from
-    :attr:`standby`: standby promotion when spares exist, else the
-    legacy lose-capacity/fail-on-last-worker behaviour."""
+    """Hot spare worker nodes (``--standby N``): the cluster's standby
+    pool, the only one.  With spares, the default reschedule mode
+    promotes them after a NodeCrash instead of permanently losing the
+    capacity (see :mod:`repro.recovery`)."""
+    reschedule: Optional[str] = None
+    """How failed capacity is replaced: a mode of
+    :data:`~repro.recovery.reschedule.RESCHEDULE_MODES` (``none``,
+    ``spread``, ``standby``; ``--reschedule``).  ``None`` derives it
+    from :attr:`standby`: standby promotion when spares exist, else the
+    legacy lose-capacity/fail-on-last-worker ``none``."""
     degradation: Optional[DegradationPolicy] = None
     """Load shedding + admission-ramp behaviour.  ``None`` is inert
     (the paper's binary failure rule)."""
@@ -112,11 +110,13 @@ class ExperimentSpec:
     from obs-registry signals (see :mod:`repro.autoscale`).  Requires
     metrics sampling; when :attr:`observability` is ``None`` a
     metrics-only ObsSpec is enabled automatically."""
-    detector: Optional[DetectorSpec] = None
-    """Failure-detection plane: seeded heartbeats feeding a pluggable
-    detector whose verdicts drive evictions (see :mod:`repro.detect`).
-    ``None`` (the default) runs without any detection plane -- the
-    pre-existing fixed-timeout supervisor semantics, bit for bit."""
+    detector: Optional[str] = None
+    """Failure-detection plane: seeded heartbeats feeding the detector
+    of this kind (one of :data:`~repro.detect.plane.DETECTOR_KINDS`:
+    ``timeout``, ``phi``, ``quorum``; ``--detector``) whose verdicts
+    drive evictions (see :mod:`repro.detect`).  ``None`` (the default)
+    runs without any detection plane -- the pre-existing fixed-timeout
+    supervisor semantics, bit for bit."""
     judged_by: Optional[SustainabilityCriteria] = None
     """The Definition 5 criteria this trial will be judged by.  When
     set, the driver stops the trial once its verdict is settled as
@@ -168,9 +168,9 @@ def run_experiment(
     sim = Simulator()
     rng = RngRegistry(seed=spec.seed)
     cluster = spec.cluster()
-    plane = DataPlane(sim, spec.network)
+    plane = DataPlane(sim, NetworkSpec())
     resources = (
-        ResourceMonitor(sim, cluster, sample_interval_s=spec.resource_interval_s)
+        ResourceMonitor(sim, cluster)
         if spec.monitor_resources
         else None
     )
@@ -251,8 +251,6 @@ def run_experiment(
         engine=engine,
         generators=generators,
         duration_s=spec.duration_s,
-        warmup_fraction=spec.warmup_fraction,
-        throughput_interval_s=spec.throughput_interval_s,
         queues=sut_queues,
         keep_outputs=spec.keep_outputs,
         obs=obs,
@@ -276,7 +274,7 @@ def run_experiment(
         detection = DetectionPlane(
             sim=sim,
             engine=engine,
-            spec=spec.detector,
+            kind=spec.detector,
             schedule=faults,
             rng=rng.stream("detect"),
             duration_s=spec.duration_s,
@@ -343,21 +341,17 @@ def run_experiment_with_watchdog(
     (via the same seam as ``driver_hook``, which still runs if given).
     An attempt aborted by the watchdog is retried up to
     ``watchdog.max_attempts`` total attempts with capped exponential
-    backoff between them, bumping the seed per attempt when
-    ``watchdog.reseed`` (a deterministic stall replays bit-for-bit
-    otherwise).  Per-attempt records are kept on the returned result
-    (``result.attempts``) and summarised in its diagnostics -- a trial
-    that needed three tries is a different measurement than one that
-    passed first time, and the report must say so.
+    backoff between them, bumping the seed per attempt (a deterministic
+    stall replays bit-for-bit otherwise).  Per-attempt records are kept
+    on the returned result (``result.attempts``) and summarised in its
+    diagnostics -- a trial that needed three tries is a different
+    measurement than one that passed first time, and the report must
+    say so.
     """
     attempts: list = []
     result: Optional[TrialResult] = None
     for attempt in range(watchdog.max_attempts):
-        attempt_spec = (
-            spec.with_seed(spec.seed + attempt)
-            if watchdog.reseed and attempt
-            else spec
-        )
+        attempt_spec = spec.with_seed(spec.seed + attempt) if attempt else spec
         dog = TrialWatchdog(watchdog)
 
         def hook(driver, dog=dog):

@@ -36,57 +36,42 @@ from repro.workloads.events import MAX_GEM_PACK_PRICE, MIN_GEM_PACK_PRICE
 from repro.workloads.profiles import RateProfile
 from repro.workloads.queries import Query, WindowedJoinQuery
 
+#: Simulated seconds between two emissions of one generator instance.
+TICK_INTERVAL_S = 0.05
+#: How much faster than its fair share each instance can generate.
+#: The paper provisions generators "faster than the fastest SUT"; this
+#: makes that headroom explicit so the fleet can redistribute a dead
+#: instance's share over survivors -- and so the harness can *check*
+#: when redistribution exceeds the provisioned capacity.
+OVERPROVISION_FACTOR = 2.0
+
 
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Sizing of the generator fleet."""
 
     instances: int = 4
-    tick_interval_s: float = 0.05
     queue_capacity_seconds: float = 120.0
     """Driver-queue capacity in seconds of peak generation; exceeding it
     is the paper's dropped-connection failure."""
     disorder: Optional[DisorderSpec] = None
     """Emit a fraction of events with lagged event times (out-of-order
     streams -- the paper's future-work extension)."""
-    overprovision_factor: float = 2.0
-    """How much faster than its fair share each instance can generate.
-    The paper provisions generators "faster than the fastest SUT"; this
-    makes that headroom explicit so the fleet can redistribute a dead
-    instance's share over survivors -- and so the harness can *check*
-    when redistribution exceeds the provisioned capacity."""
-    rebalance_detection_s: float = 2.0
-    """Seconds before the fleet supervisor notices a dead generator and
-    rebalances its share over the survivors."""
 
     def __post_init__(self) -> None:
         if self.instances < 1:
             raise ValueError(f"instances must be >= 1, got {self.instances}")
-        if self.tick_interval_s <= 0:
-            raise ValueError(
-                f"tick_interval_s must be positive, got {self.tick_interval_s}"
-            )
         if self.queue_capacity_seconds <= 0:
             raise ValueError(
                 f"queue_capacity_seconds must be positive, "
                 f"got {self.queue_capacity_seconds}"
-            )
-        if self.overprovision_factor < 1.0:
-            raise ValueError(
-                f"overprovision_factor must be >= 1, "
-                f"got {self.overprovision_factor}"
-            )
-        if self.rebalance_detection_s <= 0:
-            raise ValueError(
-                f"rebalance_detection_s must be positive, "
-                f"got {self.rebalance_detection_s}"
             )
 
     @property
     def max_share(self) -> float:
         """Largest rate share one instance can serve within its
         provisioned capacity."""
-        return min(1.0, self.overprovision_factor / self.instances)
+        return min(1.0, OVERPROVISION_FACTOR / self.instances)
 
 
 class DataGenerator:
@@ -135,7 +120,7 @@ class DataGenerator:
         if self.crashed:
             return
         self._process = self.sim.every(
-            self.config.tick_interval_s, self._tick, start=self.sim.now
+            TICK_INTERVAL_S, self._tick, start=self.sim.now
         )
 
     def stop(self) -> None:
@@ -175,7 +160,7 @@ class DataGenerator:
         rate = self.profile.rate_at(sim.now) * self.share
         if sim.now < self._slow_until:
             rate *= self._slow_factor
-        weight = rate * self.config.tick_interval_s
+        weight = rate * TICK_INTERVAL_S
         if weight <= 0:
             return
         now = sim.now

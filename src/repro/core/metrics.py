@@ -111,15 +111,6 @@ def weighted_quantiles(
     return sorted_values[idx]
 
 
-def weighted_quantile(
-    values: np.ndarray, weights: np.ndarray, q: float
-) -> float:
-    """Single weighted quantile (see :func:`weighted_quantiles`)."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must be in [0, 1], got {q}")
-    return float(weighted_quantiles(values, weights, (q,))[0])
-
-
 def weighted_summary(
     values: Sequence[float], weights: Optional[Sequence[float]] = None
 ) -> StatSummary:

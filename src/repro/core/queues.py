@@ -291,12 +291,6 @@ class DriverQueue:
         """Mark the feeding generator as permanently gone."""
         self.retired = True
 
-    def head_event_time(self) -> Optional[float]:
-        """Event-time of the oldest queued record, or None when empty."""
-        if not self._items:
-            return None
-        return self._items[0].event_time
-
     def head_push_time(self) -> Optional[float]:
         """Enqueue time of the oldest queued cohort, or None when empty.
 

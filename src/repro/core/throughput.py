@@ -32,6 +32,10 @@ sweeps is cut before its verdict is final (DESIGN.md section 19); a
 recovery pause outlasts any horizon worth having, which is why the
 search never installs the rule on a trial that can have one."""
 
+THROUGHPUT_INTERVAL_S = 1.0
+"""Simulated seconds between two samples of a trial's throughput
+monitor."""
+
 
 class ThroughputMonitor:
     """Periodic sampler of the driver queues.
@@ -54,7 +58,7 @@ class ThroughputMonitor:
         self,
         sim: Simulator,
         queues: QueueSet,
-        interval_s: float = 1.0,
+        interval_s: float = THROUGHPUT_INTERVAL_S,
         on_sample: Optional[Callable[[Simulator], None]] = None,
     ) -> None:
         """``on_sample`` (if given) runs at the end of every sampling

@@ -35,6 +35,19 @@ from abc import ABC, abstractmethod
 from collections import deque
 from typing import Deque, Dict, Tuple
 
+#: Phi-accrual conviction level (``phi >= PHI_THRESHOLD`` suspects).
+PHI_THRESHOLD = 8.0
+#: Inter-arrival intervals a phi-accrual detector remembers per node.
+PHI_WINDOW = 64
+#: Floor of the phi-accrual model's deviation.
+PHI_MIN_STD_S = 0.02
+#: Cap of the phi-accrual model's deviation.
+PHI_MAX_STD_S = 0.1
+#: Independent control-plane observers of the quorum detector.
+OBSERVERS = 3
+#: Observers that must agree before the quorum detector suspects.
+QUORUM_K = 2
+
 
 class FailureDetector(ABC):
     """Verdict contract shared by every detector implementation."""
@@ -110,10 +123,10 @@ class PhiAccrualDetector(FailureDetector):
 
     def __init__(
         self,
-        threshold: float = 8.0,
-        window: int = 64,
-        min_std_s: float = 0.02,
-        max_std_s: float = 0.1,
+        threshold: float = PHI_THRESHOLD,
+        window: int = PHI_WINDOW,
+        min_std_s: float = PHI_MIN_STD_S,
+        max_std_s: float = PHI_MAX_STD_S,
         min_history: int = 3,
     ) -> None:
         if threshold <= 0:
@@ -173,7 +186,9 @@ class QuorumDetector(FailureDetector):
 
     name = "quorum"
 
-    def __init__(self, timeout_s: float, observers: int = 3, k: int = 2) -> None:
+    def __init__(
+        self, timeout_s: float, observers: int = OBSERVERS, k: int = QUORUM_K
+    ) -> None:
         if timeout_s <= 0:
             raise ValueError(f"timeout_s must be positive, got {timeout_s}")
         if observers < 1:

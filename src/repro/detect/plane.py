@@ -1,13 +1,15 @@
 """The failure-detection plane: seeded heartbeats, verdicts, actions.
 
 A :class:`DetectionPlane` is an optional control-plane overlay on one
-trial (``ExperimentSpec(detector=DetectorSpec(...))``).  It simulates a
-per-worker heartbeat agent and a :class:`~repro.detect.detectors.
-FailureDetector` consuming the arrivals, then routes suspicion
-verdicts into the engine through
-:meth:`~repro.recovery.reschedule.ReschedulePolicy.plan_suspect` -- so
-a *false* positive costs the same NIC-bounded migration pause as a
-true one.
+trial (``ExperimentSpec(detector="timeout" | "phi" | "quorum")``).  It
+simulates a per-worker heartbeat agent and a
+:class:`~repro.detect.detectors.FailureDetector` consuming the
+arrivals, then routes suspicion verdicts into the engine through
+:func:`~repro.recovery.reschedule.plan_suspect` -- so a *false*
+positive costs the same NIC-bounded migration pause as a true one.
+Every detector kind runs at the constants below; the timeout detectors
+convict at :data:`~repro.faults.checkpoint.DETECTION_TIMEOUT_S`, the
+one detection delay of the fault model.
 
 Modelling contract (every rule below is load-bearing for the
 "``--detector timeout`` is byte-identical to no detector on fail-stop
@@ -56,6 +58,7 @@ import numpy as np
 
 from repro.core.latency import EVENT_TIME
 from repro.detect.detectors import (
+    OBSERVERS,
     FailureDetector,
     PhiAccrualDetector,
     QuorumDetector,
@@ -66,6 +69,7 @@ from repro.detect.metrics import (
     VerdictEvent,
     latency_band_reentered,
 )
+from repro.faults.checkpoint import DETECTION_TIMEOUT_S
 from repro.faults.schedule import (
     AsymmetricPartition,
     DegradingNode,
@@ -82,64 +86,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Detector kinds selectable on the ``--detector`` axis.
 DETECTOR_KINDS = ("timeout", "phi", "quorum")
-
-
-@dataclass(frozen=True)
-class DetectorSpec:
-    """Configuration of the detection plane for one trial."""
-
-    kind: str = "timeout"
-    heartbeat_interval_s: float = 0.5
-    timeout_s: Optional[float] = None
-    """Fixed-timeout threshold (timeout/quorum).  ``None`` inherits the
-    trial's ``CheckpointSpec.detection_timeout_s`` so the default
-    detector replicates today's semantics bit for bit."""
-    phi_threshold: float = 8.0
-    phi_window: int = 64
-    phi_min_std_s: float = 0.02
-    phi_max_std_s: float = 0.1
-    observers: int = 3
-    quorum_k: int = 2
-    delay_base_s: float = 0.02
-    """Nominal control-network delay per heartbeat."""
-    delay_jitter: float = 0.25
-    """Relative jitter on the delay, drawn per beat from the plane's
-    dedicated ``detect`` RNG stream (never perturbs other streams)."""
-    act: bool = True
-    """Route verdicts into the reschedule seam.  False = observe-only
-    (used by benchmarks that want pure detection quality)."""
-    cascade_window_s: float = 5.0
-    """A detector-driven migration starting within this window after the
-    previous migration's pause ended is chained to it."""
-
-    def __post_init__(self) -> None:
-        if self.kind not in DETECTOR_KINDS:
-            raise ValueError(
-                f"kind must be one of {DETECTOR_KINDS}, got {self.kind!r}"
-            )
-        if self.heartbeat_interval_s <= 0:
-            raise ValueError(
-                "heartbeat_interval_s must be positive, "
-                f"got {self.heartbeat_interval_s}"
-            )
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError(f"timeout_s must be positive, got {self.timeout_s}")
-        if self.observers < 1:
-            raise ValueError(f"observers must be >= 1, got {self.observers}")
-        if not 1 <= self.quorum_k <= self.observers:
-            raise ValueError(
-                f"quorum_k must be in [1, observers={self.observers}], "
-                f"got {self.quorum_k}"
-            )
-        if self.delay_base_s < 0 or self.delay_jitter < 0:
-            raise ValueError("delay_base_s and delay_jitter must be >= 0")
-
-
-def detector_spec(kind: Optional[str]) -> Optional[DetectorSpec]:
-    """CLI shim: a detector name becomes a default spec, None stays None."""
-    if kind is None:
-        return None
-    return DetectorSpec(kind=kind)
+#: Seconds between two heartbeats of one worker's agent.
+HEARTBEAT_INTERVAL_S = 0.5
+#: Nominal control-network delay per heartbeat.
+DELAY_BASE_S = 0.02
+#: Relative jitter on the delay, drawn per beat from the plane's
+#: dedicated ``detect`` RNG stream (never perturbs other streams).
+DELAY_JITTER = 0.25
+#: A detector-driven migration starting within this window after the
+#: previous migration's pause ended is chained to it.
+CASCADE_WINDOW_S = 5.0
 
 
 @dataclass
@@ -160,14 +116,18 @@ class DetectionPlane:
         self,
         sim: "Simulator",
         engine: "StreamingEngine",
-        spec: DetectorSpec,
+        kind: str,
         schedule: Optional[FaultSchedule],
         rng: np.random.Generator,
         duration_s: float,
     ) -> None:
+        if kind not in DETECTOR_KINDS:
+            raise ValueError(
+                f"detector must be one of {DETECTOR_KINDS}, got {kind!r}"
+            )
         self.sim = sim
         self.engine = engine
-        self.spec = spec
+        self.kind = kind
         self.rng = rng
         self.duration_s = duration_s
         workers = engine.cluster.workers
@@ -176,7 +136,7 @@ class DetectionPlane:
         self._down_until: Dict[int, float] = {}
         self._suspected: Set[int] = set()
         self._next_emit: Dict[int, float] = {
-            n: spec.heartbeat_interval_s for n in range(workers)
+            n: HEARTBEAT_INTERVAL_S for n in range(workers)
         }
         self._migration_until = 0.0
         self._chain_until = float("-inf")
@@ -189,17 +149,11 @@ class DetectionPlane:
         self._spurious_migrations = 0
         self._spurious_node_s = 0.0
         self._cascade_depth_max = 0
-        timeout = (
-            spec.timeout_s
-            if spec.timeout_s is not None
-            else engine.checkpoint.detection_timeout_s
-        )
-        self.timeout_s = timeout
-        self.detector = self._build_detector(spec, timeout)
+        self.detector = self._build_detector(kind)
         # Episode grace: the fault may end just before detection lands;
         # a suspicion within one timeout + a couple of beats of the end
         # still counts as detecting *that* episode.
-        self._grace_s = timeout + 2.0 * spec.heartbeat_interval_s
+        self._grace_s = DETECTION_TIMEOUT_S + 2.0 * HEARTBEAT_INTERVAL_S
         events = list(schedule.ordered()) if schedule is not None else []
         sut_events = [e for e in events if not e.driver_side]
         self._flap_down: Dict[int, Tuple[Tuple[float, float], ...]] = {}
@@ -243,25 +197,18 @@ class DetectionPlane:
                     self.sim.schedule_at(event.at_s, self._open_episode, event)
 
     @staticmethod
-    def _build_detector(spec: DetectorSpec, timeout_s: float) -> FailureDetector:
-        if spec.kind == "timeout":
-            return TimeoutDetector(timeout_s)
-        if spec.kind == "phi":
-            return PhiAccrualDetector(
-                threshold=spec.phi_threshold,
-                window=spec.phi_window,
-                min_std_s=spec.phi_min_std_s,
-                max_std_s=spec.phi_max_std_s,
-            )
-        return QuorumDetector(
-            timeout_s, observers=spec.observers, k=spec.quorum_k
-        )
+    def _build_detector(kind: str) -> FailureDetector:
+        if kind == "timeout":
+            return TimeoutDetector(DETECTION_TIMEOUT_S)
+        if kind == "phi":
+            return PhiAccrualDetector()
+        return QuorumDetector(DETECTION_TIMEOUT_S)
 
     def install(self) -> None:
         """Start the sampling clock.  The plane reads the engine, never
         writes it, except through :meth:`StreamingEngine.
         apply_suspect_migration` on a raise verdict."""
-        self.sim.every(self.spec.heartbeat_interval_s, self._tick)
+        self.sim.every(HEARTBEAT_INTERVAL_S, self._tick)
 
     # -- ground truth ------------------------------------------------------
 
@@ -375,10 +322,8 @@ class DetectionPlane:
         self._evaluate(now)
 
     def _emit_heartbeats(self, now: float) -> None:
-        interval = self.spec.heartbeat_interval_s
-        observers = (
-            self.spec.observers if self.spec.kind == "quorum" else 1
-        )
+        interval = HEARTBEAT_INTERVAL_S
+        observers = OBSERVERS if self.kind == "quorum" else 1
         for node in sorted(self._tracked):
             if node in self._dead:
                 continue
@@ -394,8 +339,8 @@ class DetectionPlane:
                 # Fail-slow stretches the agent's event loop: beats are
                 # produced every interval / factor -- late, never silent.
                 self._next_emit[node] = t_emit + interval / max(factor, 1e-6)
-                delay = self.spec.delay_base_s * (
-                    1.0 + self.spec.delay_jitter * float(self.rng.random())
+                delay = DELAY_BASE_S * (
+                    1.0 + DELAY_JITTER * float(self.rng.random())
                 )
                 if t_emit < self._migration_until:
                     # Detector-driven state migration saturates the
@@ -441,7 +386,7 @@ class DetectionPlane:
                 and episode.start_s <= now <= episode.detect_end_s
             ):
                 episode.detected_at_s = now
-        if not self.spec.act or not self._structurally_live(node, now):
+        if not self._structurally_live(node, now):
             return
         outcome = self.engine.apply_suspect_migration(node, spurious=not faulty)
         if outcome is None:
@@ -452,7 +397,7 @@ class DetectionPlane:
         if not faulty:
             self._spurious_migrations += 1
             self._spurious_node_s += pause * float(self.engine.billed_nodes)
-        if now <= self._chain_until + self.spec.cascade_window_s:
+        if now <= self._chain_until + CASCADE_WINDOW_S:
             self._chain_depth += 1
         else:
             self._chain_depth = 1
@@ -501,8 +446,8 @@ class DetectionPlane:
             )
             metastable = reentered is False
         return DetectionMetrics(
-            detector=self.spec.kind,
-            heartbeat_interval_s=self.spec.heartbeat_interval_s,
+            detector=self.kind,
+            heartbeat_interval_s=HEARTBEAT_INTERVAL_S,
             calm=self.calm,
             episodes=len(self._episodes),
             true_positives=true_pos,

@@ -59,7 +59,6 @@ from repro.engines.operators.window import KeyedWindowStore
 from repro.engines.state import StateBackend, StatePolicy
 from repro.obs.context import ObsContext
 from repro.recovery.degradation import DegradationPolicy
-from repro.recovery.reschedule import ReschedulePolicy
 from repro.faults.checkpoint import CheckpointSpec, RecoverySemantics
 from repro.faults.guarantees import DeliveryGuarantee
 from repro.faults.schedule import FaultEvent
@@ -154,7 +153,7 @@ class StreamingEngine:
         config: Optional[EngineConfig] = None,
         checkpoint: Optional[CheckpointSpec] = None,
         obs: Optional["ObsContext"] = None,
-        reschedule: Optional[ReschedulePolicy] = None,
+        reschedule: Optional[str] = None,
         degradation: Optional[DegradationPolicy] = None,
     ) -> None:
         self.sim = sim
@@ -192,7 +191,7 @@ class StreamingEngine:
         control = self.control = ControlPlane(self, checkpoint, reschedule)
         # Its resolved configuration and its ledgers, readable where
         # the other layers look for them.
-        self.checkpoint, self.reschedule = control.checkpoint, control.reschedule
+        self.checkpoint = control.checkpoint
         self.guarantee, self.guarantees = control.guarantee, control.guarantees
         self.fault_log, self.rescale_log = control.fault_log, control.rescale_log
         # The inert default (no shedding, step re-admission) keeps the
@@ -400,13 +399,14 @@ class StreamingEngine:
         This is the verdict-to-action seam of :mod:`repro.detect`.  The
         scheduler cannot distinguish a true conviction from a false
         positive, so the cost is identical either way: the suspect's
-        state moves over the NIC (``ReschedulePolicy.plan_suspect``)
-        onto a promoted standby when one is available -- else spread
-        over the survivors, shrinking the cluster by one -- and the
-        pipeline pauses for the migration.  ``spurious`` is carried
-        into the fault log purely as metrology (the plane's ground
-        truth); it never changes behaviour.  Returns None (and does
-        nothing) when the policy declines to act.
+        state moves over the NIC
+        (:func:`~repro.recovery.reschedule.plan_suspect`) onto a promoted
+        standby when one is available -- else spread over the survivors,
+        shrinking the cluster by one -- and the pipeline pauses for the
+        migration.  ``spurious`` is carried into the fault log purely as
+        metrology (the plane's ground truth); it never changes behaviour.
+        Returns None (and does nothing) when the reschedule mode
+        declines to act.
         """
         return self.control.evict_suspect(node, spurious)
 
@@ -435,7 +435,8 @@ class StreamingEngine:
         un-migrated state), never the last active worker.  Idle standbys
         are returned *first* -- they cost node-seconds but hold no state,
         so releasing them needs no migration at all; only the remainder
-        drains actives through :meth:`ReschedulePolicy.plan_scale_in`.
+        drains actives through
+        :func:`~repro.recovery.reschedule.plan_scale_in`.
         """
         return self.control.scale_in(nodes, reason, detect_s)
 

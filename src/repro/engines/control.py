@@ -32,7 +32,14 @@ from repro.autoscale.rescale import (
     STYLE_REPARTITION,
     STYLE_SAVEPOINT,
 )
-from repro.faults.checkpoint import CheckpointSpec, RecoverySemantics
+from repro.faults.checkpoint import (
+    DETECTION_TIMEOUT_S,
+    REBALANCE_BASE_S,
+    CheckpointSpec,
+    RecoverySemantics,
+    recovery_pause_s,
+    sync_pause_s,
+)
 from repro.faults.guarantees import GuaranteeAccounting
 from repro.faults.schedule import (
     FaultEvent,
@@ -44,9 +51,12 @@ from repro.faults.schedule import (
     SlowNode,
 )
 from repro.recovery.reschedule import (
-    MODE_NONE,
-    MODE_STANDBY,
-    ReschedulePolicy,
+    migration_pause_s,
+    plan_crash,
+    plan_scale_in,
+    plan_straggler,
+    plan_suspect,
+    resolve_mode,
 )
 from repro.sim.failures import SutFailure
 from repro.sim.simulator import PeriodicProcess, Simulator
@@ -82,7 +92,7 @@ class ControlPlane:
         self,
         engine: "StreamingEngine",
         checkpoint: Optional[CheckpointSpec],
-        reschedule: Optional[ReschedulePolicy],
+        reschedule: Optional[str],
     ) -> None:
         self.engine = engine
         self.sim: Simulator = engine.sim
@@ -95,23 +105,11 @@ class ControlPlane:
             else engine.default_guarantee
         )
         self.guarantees = GuaranteeAccounting(self.guarantee)
-        # Recovery policies.  With no explicit policy and no standbys the
-        # defaults reproduce the legacy PR 2 behaviour exactly: capacity
-        # lost to a crash stays lost and killing the last worker is
-        # fatal.  Provisioning standbys (ClusterSpec.standby or the
-        # policy's own pool) switches the default to standby promotion.
-        if reschedule is None:
-            reschedule = ReschedulePolicy(
-                standby_nodes=cluster.standby,
-                mode=MODE_STANDBY if cluster.standby > 0 else MODE_NONE,
-            )
-        self.reschedule = reschedule
+        self.mode = resolve_mode(reschedule, cluster.standby)
         # -- the worker pool
         self.active = cluster.workers
         self.dead = 0
-        # Spare machines may be declared on the cluster spec or on the
-        # policy; the live pool honours the larger claim.
-        self.spares = max(cluster.standby, reschedule.standby_nodes)
+        self.spares = cluster.standby
         self.standbys_promoted = 0
         self.warming = 0
         """Standbys promoted on a crash, warming up through its pause:
@@ -296,8 +294,8 @@ class ControlPlane:
 
     def style_pause_s(self, migrated_bytes: float) -> float:
         """The engine-style component of the cutover pause (the state
-        migration itself is priced separately, by the reschedule
-        policy's NIC math)."""
+        migration itself is priced separately, by
+        :func:`~repro.recovery.reschedule.migration_pause_s`)."""
         engine = self.engine
         style = engine.rescale.style
         if style == STYLE_MICRO_BATCH:
@@ -307,16 +305,16 @@ class ControlPlane:
         if style == STYLE_SAVEPOINT:
             # Aligned savepoint over the whole state, then restart at
             # the new parallelism.
-            return self.checkpoint.sync_pause_s(engine.state.used_bytes)
+            return sync_pause_s(engine.state.used_bytes)
         if style == STYLE_REPARTITION:
             # Changelog flush for the moved tasks only.
-            return self.checkpoint.sync_pause_s(migrated_bytes)
+            return sync_pause_s(migrated_bytes)
         # STYLE_REBALANCE: a planned in-flight rebalance briefly halts
         # the topology; far cheaper than the crash-recovery rebalance
         # but it grows with topology size the same way.
         return (
             0.25
-            * self.checkpoint.rebalance_base_s
+            * REBALANCE_BASE_S
             * math.sqrt(max(1.0, self.active) / 2.0)
         )
 
@@ -363,7 +361,7 @@ class ControlPlane:
         ``_on_node_failure`` hook names the exposed weight, the
         delivery guarantee decides its fate, and processing pauses for
         the derived recovery time.  A **crash** is permanent: the
-        :class:`ReschedulePolicy` decides where the dead slots land
+        reschedule mode decides where the dead slots land
         (standby promotion, spreading over survivors, or -- the legacy
         policy -- nowhere), the pause grows by the state migration, and
         a promoted standby serves once the pause ends.  A **restart**
@@ -379,7 +377,8 @@ class ControlPlane:
         if crash:
             nodes = min(nodes, active)
             if active:
-                plan = self.reschedule.plan_crash(
+                plan = plan_crash(
+                    self.mode,
                     kill=nodes,
                     active=active,
                     standbys_left=self.spares,
@@ -387,7 +386,7 @@ class ControlPlane:
                     node=engine.cluster.node,
                 )
                 fatal, migration_s = plan.fatal, plan.migration_pause_s
-        detection_s = self.checkpoint.detection_timeout_s
+        detection_s = DETECTION_TIMEOUT_S
         if fatal:
             # The trial fails -- but the fatal fault is accounted and
             # logged FIRST so the failed TrialResult keeps its
@@ -399,7 +398,7 @@ class ControlPlane:
                 self.active = 0
                 why = (
                     f"node crash killed all {active} remaining workers "
-                    f"and the {self.reschedule.mode!r} reschedule policy "
+                    f"and the {self.mode!r} reschedule policy "
                     "has no standby to promote"
                     if active
                     else "node crash while no worker is serving"
@@ -421,7 +420,7 @@ class ControlPlane:
         exposure = self._expose(engine._on_node_failure(lost_fraction))
         # The processing outage, derived from the checkpoint model and
         # this engine's recovery semantics, plus slot placement.
-        pause = self.checkpoint.recovery_pause_s(
+        pause = recovery_pause_s(
             engine.recovery_semantics,
             state_bytes=engine.state.used_bytes,
             node=engine.cluster.node,
@@ -455,7 +454,7 @@ class ControlPlane:
         capacity for ``event.duration_s`` (no state is lost, no pause
         served).
 
-        The reschedule policy may replace detected stragglers with
+        The reschedule mode may replace detected stragglers with
         standbys: a straggler outlasting the failure detector is
         abandoned once its state has migrated to the promoted spare, so
         its slowdown ends at detection + migration instead of running
@@ -467,7 +466,8 @@ class ControlPlane:
         if nodes <= 0:
             return
         factor, duration_s = event.factor, event.duration_s
-        plan = self.reschedule.plan_straggler(
+        plan = plan_straggler(
+            self.mode,
             nodes=nodes,
             duration_s=duration_s,
             standbys_left=self.spares,
@@ -488,7 +488,7 @@ class ControlPlane:
             self.standbys_promoted += replaced
             handoff_s = min(
                 duration_s,
-                self.reschedule.detection_timeout_s + plan.migration_pause_s,
+                DETECTION_TIMEOUT_S + plan.migration_pause_s,
             )
             self._derate(now + handoff_s, replaced, factor)
             extra["promoted"] = float(replaced)
@@ -502,7 +502,8 @@ class ControlPlane:
         engine, active = self.engine, self.active
         if engine.failed or active <= 0:
             return None
-        plan = self.reschedule.plan_suspect(
+        plan = plan_suspect(
+            self.mode,
             active=active,
             standbys_left=self.spares,
             state_bytes=engine.state.used_bytes,
@@ -560,7 +561,7 @@ class ControlPlane:
         ):
             self.checkpoints_completed += 1
             self.pause(
-                self.checkpoint.sync_pause_s(engine.state.used_bytes),
+                sync_pause_s(engine.state.used_bytes),
                 PauseCause.CHECKPOINT,
             )
 
@@ -621,7 +622,7 @@ class ControlPlane:
             return
         moved_fraction = nodes / (engine.cluster.workers + nodes)
         migrated = max(0.0, engine.state.used_bytes) * moved_fraction
-        migration_s = self.reschedule.migration_pause_s(
+        migration_s = migration_pause_s(
             migrated, engine.cluster.node, nodes
         )
         pause = self._cutover(entry, moved_fraction, migrated, migration_s)
@@ -675,7 +676,7 @@ class ControlPlane:
                 online_at_s=now,
             )
             return entry
-        plan = self.reschedule.plan_scale_in(
+        plan = plan_scale_in(
             remove=victims,
             active=self.active,
             state_bytes=engine.state.used_bytes,

@@ -74,10 +74,6 @@ class StateBackend:
         """Per-event cost multiplier given current memory pressure."""
         return self._policy.spill_slowdown if self.spilling else 1.0
 
-    @property
-    def in_memory_bytes(self) -> float:
-        return self.used_bytes - self.spilled_bytes
-
     def charge(self, nbytes: float, at_time: float = float("nan")) -> None:
         """Account ``nbytes`` of new state; may spill or raise OutOfMemory."""
         if nbytes < 0:

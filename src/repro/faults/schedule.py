@@ -191,7 +191,7 @@ class GeneratorCrash(FaultEvent):
     this fault tests that assumption: after a detection window the
     fleet rebalances the dead instance's rate share over the survivors
     (capped by their provisioned headroom,
-    :attr:`~repro.core.generator.GeneratorConfig.overprovision_factor`),
+    :data:`~repro.core.generator.OVERPROVISION_FACTOR`),
     and the dead instance's queue is retired once drained so the SUT's
     watermark is not wedged forever.  Without redistribution the trial
     would silently measure a *lower* offered rate than reported."""

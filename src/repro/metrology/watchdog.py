@@ -26,54 +26,49 @@ from typing import Any, Dict, Optional
 
 from repro.sim.failures import MeasurementFault, TrialStalled, TrialTimeout
 
+#: Simulated seconds between watchdog checks.
+CHECK_INTERVAL_S = 1.0
+#: Multiplier applied to the backoff sleep per further retry.
+BACKOFF_FACTOR = 2.0
+#: Upper bound on any single backoff sleep.
+BACKOFF_CAP_S = 30.0
+
 
 @dataclass(frozen=True)
 class WatchdogSpec:
-    """Budgets and retry policy for watched trials."""
+    """Budgets and retry policy for watched trials.
+
+    Every retry bumps the spec seed: a deterministic simulator replays
+    the same wedge bit-for-bit, so retrying the identical seed could
+    only help against *wall-clock* flakiness, not stalls."""
 
     timeout_s: Optional[float] = None
     """Wall-clock budget per attempt (``None`` disables the deadline)."""
     stall_s: Optional[float] = None
     """Simulated seconds without driver progress before aborting
     (``None`` disables progress checking)."""
-    check_interval_s: float = 1.0
-    """Simulated seconds between watchdog checks."""
     max_attempts: int = 3
     """Total attempts (first run + retries)."""
     backoff_base_s: float = 0.1
     """Wall-clock sleep before the first retry."""
-    backoff_factor: float = 2.0
-    """Multiplier applied to the sleep per further retry."""
-    backoff_cap_s: float = 30.0
-    """Upper bound on any single backoff sleep."""
-    reseed: bool = True
-    """Bump the spec seed per retry: a deterministic simulator replays
-    the same wedge bit-for-bit, so retrying the identical seed can only
-    help against *wall-clock* flakiness, not stalls."""
 
     def __post_init__(self) -> None:
         if self.timeout_s is not None and self.timeout_s < 0:
             raise ValueError(f"timeout_s must be >= 0, got {self.timeout_s}")
         if self.stall_s is not None and self.stall_s <= 0:
             raise ValueError(f"stall_s must be positive, got {self.stall_s}")
-        if self.check_interval_s <= 0:
-            raise ValueError("check_interval_s must be positive")
         if self.max_attempts < 1:
             raise ValueError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
         if self.backoff_base_s < 0:
             raise ValueError("backoff_base_s must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-        if self.backoff_cap_s < 0:
-            raise ValueError("backoff_cap_s must be >= 0")
 
     def backoff_s(self, retry_index: int) -> float:
         """Capped exponential backoff before retry ``retry_index`` (0-based)."""
         return min(
-            self.backoff_cap_s,
-            self.backoff_base_s * self.backoff_factor**retry_index,
+            BACKOFF_CAP_S,
+            self.backoff_base_s * BACKOFF_FACTOR**retry_index,
         )
 
 
@@ -121,7 +116,7 @@ class TrialWatchdog:
         self._wall_start = time.monotonic()
         self._last_progress_t = driver.sim.now
         self._process = driver.sim.every(
-            self.spec.check_interval_s, self._check
+            CHECK_INTERVAL_S, self._check
         )
 
     def _check(self, sim) -> None:

@@ -100,10 +100,6 @@ class ObsReport:
     registry: MetricsRegistry
     trace_log: TraceLog
 
-    @property
-    def completed_traces(self):
-        return self.trace_log.completed
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "trace_sample_rate": self.spec.trace_sample_rate,

@@ -5,7 +5,8 @@ about them.  Leaf policy modules (importable from anywhere, including
 ``engines.base``):
 
 - :mod:`repro.recovery.reschedule` -- standby pools and operator
-  rescheduling (:class:`~repro.recovery.reschedule.ReschedulePolicy`);
+  rescheduling: one planning function per event kind, each a function
+  of the reschedule mode (``none`` / ``spread`` / ``standby``);
 - :mod:`repro.recovery.degradation` -- load shedding and admission
   ramps (:class:`~repro.recovery.degradation.DegradationPolicy`).
 
@@ -28,13 +29,11 @@ from repro.recovery.reschedule import (
     MODE_STANDBY,
     RESCHEDULE_MODES,
     ReschedulePlan,
-    ReschedulePolicy,
 )
 
 __all__ = [
     "DegradationPolicy",
     "ReschedulePlan",
-    "ReschedulePolicy",
     "RESCHEDULE_MODES",
     "SHED_MODES",
     "MODE_NONE",

@@ -40,7 +40,7 @@ import numpy as np
 from repro.core.driver import TrialResult
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.generator import GeneratorConfig
-from repro.detect.plane import DETECTOR_KINDS, detector_spec
+from repro.detect.plane import DETECTOR_KINDS
 import repro.engines.ext  # noqa: F401  (registers heron/samza in ENGINES)
 from repro.engines import engine_class
 from repro.faults.schedule import (
@@ -71,7 +71,6 @@ from repro.grid import (
     run_grid,
 )
 from repro.metrology.journal import TrialJournal
-from repro.recovery.reschedule import MODE_STANDBY, ReschedulePolicy
 from repro.workloads.queries import WindowSpec, WindowedAggregationQuery
 
 DEFAULT_ENGINES = ("flink", "storm", "spark", "heron", "samza")
@@ -83,14 +82,11 @@ class ChaosPolicy:
 
     name: str
     standby: int = 0
+    """Hot spares; with any, the trial runs the ``standby`` reschedule
+    mode (the default a standby pool selects), else ``none``."""
     shed: bool = False
     """Use the engine's ``recommended_degradation`` (load shedding
     + admission ramp) instead of the inert default."""
-
-    def reschedule_policy(self) -> Optional[ReschedulePolicy]:
-        if self.standby <= 0:
-            return None
-        return ReschedulePolicy(standby_nodes=self.standby, mode=MODE_STANDBY)
 
 
 #: The three policy corners the scorecard compares: the legacy
@@ -594,9 +590,8 @@ def _trial_spec(
         monitor_resources=False,
         faults=schedule,
         standby=policy.standby,
-        reschedule=policy.reschedule_policy(),
         degradation=degradation,
-        detector=detector_spec(config.detector),
+        detector=config.detector,
     )
 
 

@@ -11,25 +11,28 @@ over the survivors.  Vogel et al. (arXiv:2404.06203) show the recovery
 post-fault latency, so it must be a benchmark knob, not a hardcoded
 behaviour.
 
-:class:`ReschedulePolicy` is that knob.  Given a crash it produces a
-:class:`ReschedulePlan`:
+The reschedule **mode** is that knob (``ExperimentSpec.reschedule``,
+``--reschedule``); the standby pool is the cluster's
+(``ExperimentSpec.standby``, ``--standby``).  Given a crash,
+:func:`plan_crash` produces a :class:`ReschedulePlan`:
 
 - how many standbys are promoted (capacity returns once migration
   completes);
 - whether the remaining dead slots spread over survivors (the job keeps
-  running at reduced capacity) or the policy gives up
-  (``mode="none"``: the legacy PR 2 behaviour, where losing the last
-  worker is fatal);
+  running at reduced capacity) or the mode gives up (``none``: the
+  legacy behaviour, where losing the last worker is fatal);
 - the **state-migration pause**: the dead nodes' share of operator
   state (``state_bytes * lost_fraction``) pulled over the receiving
-  nodes' NICs at ``migration_nic_fraction`` of line rate.  This is the
-  *slot placement* cost, additional to the engine's checkpoint-derived
-  recovery pause (which models state *reconstruction*, not placement).
+  nodes' NICs at :data:`MIGRATION_NIC_FRACTION` of line rate.  This is
+  the *slot placement* cost, additional to the engine's
+  checkpoint-derived recovery pause (which models state
+  *reconstruction*, not placement).
 
 Transient faults are planned too: a :class:`~repro.faults.schedule.
-SlowNode` that outlasts the failure detector can be masked by promoting
-a standby in place of the straggler; one that clears before the
-detector fires must **not** trigger a migration (moving state for a
+SlowNode` that outlasts the failure detector
+(:data:`~repro.faults.checkpoint.DETECTION_TIMEOUT_S`) is masked by
+promoting a standby in place of the straggler; one that clears before
+the detector fires must **not** trigger a migration (moving state for a
 blip costs more than riding it out).  Network partitions never migrate:
 no node is at fault, so there is nothing to reschedule.
 """
@@ -37,7 +40,9 @@ no node is at fault, so there is nothing to reschedule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
+from repro.faults.checkpoint import DETECTION_TIMEOUT_S
 from repro.sim.cluster import NodeSpec
 
 #: Legacy behaviour: no standbys are promoted and nothing is spread --
@@ -53,7 +58,7 @@ RESCHEDULE_MODES = (MODE_NONE, MODE_SPREAD, MODE_STANDBY)
 
 @dataclass(frozen=True)
 class ReschedulePlan:
-    """The policy's decision for one crash (or detected straggler)."""
+    """The decision for one crash (or detected straggler)."""
 
     promoted: int
     """Standby nodes promoted into the dead nodes' slots."""
@@ -94,241 +99,217 @@ class ReschedulePlan:
         return self.survivors + self.promoted
 
 
-@dataclass(frozen=True)
-class ReschedulePolicy:
-    """How a deployment replaces failed capacity."""
+#: Fraction of the receiving nodes' NIC bandwidth available to a state
+#: migration (the rest keeps serving ingest).
+MIGRATION_NIC_FRACTION = 0.8
 
-    standby_nodes: int = 0
-    """Hot spare nodes held out of the job until a fault promotes them.
-    Standbys are *extra* machines: they do not contribute capacity (or
-    cost model scaling) until promoted."""
-    mode: str = MODE_STANDBY
-    """What happens to dead slots beyond the standby pool: ``spread``
-    over survivors, or ``none`` (the legacy fail-on-last-worker
-    behaviour).  ``standby`` implies ``spread`` for the leftover."""
-    detection_timeout_s: float = 2.0
-    """Failure-detector delay: transient faults shorter than this are
-    never detected, so they never trigger a migration."""
-    migration_nic_fraction: float = 0.8
-    """Fraction of the receiving nodes' NIC bandwidth available to the
-    state migration (the rest keeps serving ingest)."""
-    migrate_stragglers: bool = True
-    """Replace a detected :class:`~repro.faults.schedule.SlowNode` with
-    a standby (capacity restored after the migration) instead of riding
-    out the straggler."""
 
-    def __post_init__(self) -> None:
-        if self.standby_nodes < 0:
-            raise ValueError(
-                f"standby_nodes must be >= 0, got {self.standby_nodes}"
-            )
-        if self.mode not in RESCHEDULE_MODES:
-            raise ValueError(
-                f"mode must be one of {RESCHEDULE_MODES}, got {self.mode!r}"
-            )
-        if self.detection_timeout_s < 0:
-            raise ValueError(
-                "detection_timeout_s must be >= 0, "
-                f"got {self.detection_timeout_s}"
-            )
-        if not 0 < self.migration_nic_fraction <= 1:
-            raise ValueError(
-                "migration_nic_fraction must be in (0, 1], "
-                f"got {self.migration_nic_fraction}"
-            )
-
-    # -- planning ----------------------------------------------------------
-
-    def migration_pause_s(
-        self, migrated_bytes: float, node: NodeSpec, receivers: int
-    ) -> float:
-        """Time to move ``migrated_bytes`` onto ``receivers`` nodes' NICs."""
-        if migrated_bytes <= 0 or receivers <= 0:
-            return 0.0
-        bandwidth = (
-            receivers * node.nic_bytes_per_s * self.migration_nic_fraction
+def resolve_mode(mode: Optional[str], standby: int) -> str:
+    """The mode a trial runs under: ``mode`` when one is given, else
+    standby promotion when ``standby`` spares exist and ``none``
+    otherwise -- with no spares the legacy behaviour, where
+    capacity lost to a crash stays lost and killing the last worker is
+    fatal."""
+    if mode is None:
+        return MODE_STANDBY if standby > 0 else MODE_NONE
+    if mode not in RESCHEDULE_MODES:
+        raise ValueError(
+            f"reschedule must be one of {RESCHEDULE_MODES}, got {mode!r}"
         )
-        return migrated_bytes / bandwidth
+    return mode
 
-    def plan_crash(
-        self,
-        *,
-        kill: int,
-        active: int,
-        standbys_left: int,
-        state_bytes: float,
-        node: NodeSpec,
-    ) -> ReschedulePlan:
-        """Place the slots of ``kill`` dead workers (out of ``active``)."""
-        if kill <= 0 or active <= 0:
-            raise ValueError(f"need kill > 0 and active > 0, got ({kill}, {active})")
-        kill = min(kill, active)
-        survivors = active - kill
-        promoted = 0
-        if self.mode == MODE_STANDBY:
-            promoted = min(kill, max(0, standbys_left))
-        if survivors + promoted <= 0:
-            # No placement target exists; the job is unrecoverable.
-            return ReschedulePlan(
-                promoted=0,
-                survivors=0,
-                migrated_bytes=0.0,
-                migration_pause_s=0.0,
-                fatal=True,
-            )
-        if self.mode == MODE_NONE:
-            # Legacy semantics: survivors keep their own slots, the dead
-            # slots are implicitly absorbed at zero modelled cost.
-            return ReschedulePlan(
-                promoted=0,
-                survivors=survivors,
-                migrated_bytes=0.0,
-                migration_pause_s=0.0,
-                fatal=survivors <= 0,
-            )
-        migrated = max(0.0, state_bytes) * (kill / active)
-        pause = self.migration_pause_s(migrated, node, survivors + promoted)
-        return ReschedulePlan(
-            promoted=promoted,
-            survivors=survivors,
-            migrated_bytes=migrated,
-            migration_pause_s=pause,
-            fatal=False,
-        )
 
-    def plan_scale_in(
-        self,
-        *,
-        remove: int,
-        active: int,
-        state_bytes: float,
-        node: NodeSpec,
-    ) -> ReschedulePlan:
-        """Plan a *voluntary* departure of ``remove`` workers.
+def migration_pause_s(
+    migrated_bytes: float, node: NodeSpec, receivers: int
+) -> float:
+    """Time to move ``migrated_bytes`` onto ``receivers`` nodes' NICs."""
+    if migrated_bytes <= 0 or receivers <= 0:
+        return 0.0
+    bandwidth = receivers * node.nic_bytes_per_s * MIGRATION_NIC_FRACTION
+    return migrated_bytes / bandwidth
 
-        Unlike :meth:`plan_crash` the victims are healthy: their keyed
-        state is drained onto the survivors over the NIC before the
-        slots are released, so nothing is exposed to the delivery
-        ledger by the plan itself (engines may still replay or drop
-        in-flight work per their own rescale semantics).  Removing the
-        last worker is a caller error, never a fatal plan -- an
-        autoscaler has no business emptying the cluster.
-        """
-        if remove <= 0:
-            raise ValueError(f"remove must be > 0, got {remove}")
-        if remove >= active:
-            raise ValueError(
-                f"scale-in may not remove the last worker "
-                f"(remove={remove}, active={active})"
-            )
-        survivors = active - remove
-        migrated = max(0.0, state_bytes) * (remove / active)
-        pause = self.migration_pause_s(migrated, node, survivors)
+
+def plan_crash(
+    mode: str,
+    *,
+    kill: int,
+    active: int,
+    standbys_left: int,
+    state_bytes: float,
+    node: NodeSpec,
+) -> ReschedulePlan:
+    """Place the slots of ``kill`` dead workers (out of ``active``)."""
+    if kill <= 0 or active <= 0:
+        raise ValueError(f"need kill > 0 and active > 0, got ({kill}, {active})")
+    kill = min(kill, active)
+    survivors = active - kill
+    promoted = 0
+    if mode == MODE_STANDBY:
+        promoted = min(kill, max(0, standbys_left))
+    if survivors + promoted <= 0:
+        # No placement target exists; the job is unrecoverable.
         return ReschedulePlan(
             promoted=0,
-            survivors=survivors,
-            migrated_bytes=migrated,
-            migration_pause_s=pause,
-            fatal=False,
-        )
-
-    def plan_straggler(
-        self,
-        *,
-        nodes: int,
-        duration_s: float,
-        standbys_left: int,
-        state_bytes: float,
-        active: int,
-        node: NodeSpec,
-    ) -> ReschedulePlan:
-        """Decide whether to replace ``nodes`` stragglers with standbys.
-
-        A straggler is only ever migrated away from when (1) the policy
-        opts in, (2) the degradation outlasts the failure detector --
-        below ``detection_timeout_s`` the fault clears before anyone
-        notices -- and (3) a standby is available.  The plan's
-        ``promoted`` count says how many stragglers get replaced;
-        ``migration_pause_s`` is when their capacity is clean again
-        (measured from detection, not injection).
-        """
-        no_migration = ReschedulePlan(
-            promoted=0,
-            survivors=active,
+            survivors=0,
             migrated_bytes=0.0,
             migration_pause_s=0.0,
-            fatal=False,
+            fatal=True,
         )
-        if not self.migrate_stragglers or self.mode != MODE_STANDBY:
-            return no_migration
-        # Strictly shorter than the timeout clears before detection; a
-        # fault lasting *exactly* detection_timeout_s is detected at the
-        # instant it ends and still triggers the migration (the old
-        # ``<=`` silently dropped that boundary case).
-        if duration_s < self.detection_timeout_s:
-            return no_migration
-        promoted = min(nodes, max(0, standbys_left))
-        if promoted <= 0 or active <= 0:
-            return no_migration
-        migrated = max(0.0, state_bytes) * (promoted / active)
-        pause = self.migration_pause_s(migrated, node, promoted)
+    if mode == MODE_NONE:
+        # Legacy semantics: survivors keep their own slots, the dead
+        # slots are implicitly absorbed at zero modelled cost.
         return ReschedulePlan(
-            promoted=promoted,
-            survivors=active,
-            migrated_bytes=migrated,
-            migration_pause_s=pause,
-            fatal=False,
-        )
-
-    def plan_suspect(
-        self,
-        *,
-        active: int,
-        standbys_left: int,
-        state_bytes: float,
-        node: NodeSpec,
-    ) -> ReschedulePlan:
-        """Plan the eviction of one *suspected* (but possibly healthy)
-        worker, on a failure detector's verdict (:mod:`repro.detect`).
-
-        This is the seam that makes detector quality cost real time: the
-        scheduler cannot tell a true conviction from a false positive,
-        so either way the suspect's partitions are moved -- onto a
-        promoted standby when one is available, else spread over the
-        survivors (shrinking capacity by one worker).  The migration
-        pause is the same NIC-bounded transfer used by crashes and
-        rescales; a *spurious* verdict therefore bills the full pause
-        for nothing.  Returns a no-op plan (``promoted == 0`` and
-        ``survivors == active``) when the policy has nowhere to put the
-        suspect's slots: under ``mode="none"``, or in spread mode with
-        no survivor left to absorb them.
-        """
-        if active <= 0:
-            raise ValueError(f"active must be > 0, got {active}")
-        refuse = ReschedulePlan(
             promoted=0,
-            survivors=active,
+            survivors=survivors,
             migrated_bytes=0.0,
             migration_pause_s=0.0,
-            fatal=False,
+            fatal=survivors <= 0,
         )
-        if self.mode == MODE_NONE:
-            return refuse
-        promoted = 0
-        if self.mode == MODE_STANDBY:
-            promoted = min(1, max(0, standbys_left))
-        survivors = active - 1
-        receivers = survivors + promoted
-        if receivers <= 0:
-            # Evicting the last worker with no spare would kill the job
-            # on a suspicion; the policy declines instead.
-            return refuse
-        migrated = max(0.0, state_bytes) * (1.0 / active)
-        pause = self.migration_pause_s(migrated, node, receivers)
-        return ReschedulePlan(
-            promoted=promoted,
-            survivors=survivors,
-            migrated_bytes=migrated,
-            migration_pause_s=pause,
-            fatal=False,
+    migrated = max(0.0, state_bytes) * (kill / active)
+    pause = migration_pause_s(migrated, node, survivors + promoted)
+    return ReschedulePlan(
+        promoted=promoted,
+        survivors=survivors,
+        migrated_bytes=migrated,
+        migration_pause_s=pause,
+        fatal=False,
+    )
+
+
+def plan_scale_in(
+    *,
+    remove: int,
+    active: int,
+    state_bytes: float,
+    node: NodeSpec,
+) -> ReschedulePlan:
+    """Plan a *voluntary* departure of ``remove`` workers.
+
+    Unlike :func:`plan_crash` the victims are healthy: their keyed
+    state is drained onto the survivors over the NIC before the slots
+    are released, so nothing is exposed to the delivery ledger by the
+    plan itself (engines may still replay or drop in-flight work per
+    their own rescale semantics).  Removing the last worker is a caller
+    error, never a fatal plan -- an autoscaler has no business emptying
+    the cluster.  Every mode drains the same way, so none is asked for.
+    """
+    if remove <= 0:
+        raise ValueError(f"remove must be > 0, got {remove}")
+    if remove >= active:
+        raise ValueError(
+            f"scale-in may not remove the last worker "
+            f"(remove={remove}, active={active})"
         )
+    survivors = active - remove
+    migrated = max(0.0, state_bytes) * (remove / active)
+    pause = migration_pause_s(migrated, node, survivors)
+    return ReschedulePlan(
+        promoted=0,
+        survivors=survivors,
+        migrated_bytes=migrated,
+        migration_pause_s=pause,
+        fatal=False,
+    )
+
+
+def plan_straggler(
+    mode: str,
+    *,
+    nodes: int,
+    duration_s: float,
+    standbys_left: int,
+    state_bytes: float,
+    active: int,
+    node: NodeSpec,
+) -> ReschedulePlan:
+    """Decide whether to replace ``nodes`` stragglers with standbys.
+
+    A straggler is only ever migrated away from when (1) the mode is
+    ``standby``, (2) the degradation outlasts the failure detector --
+    below :data:`~repro.faults.checkpoint.DETECTION_TIMEOUT_S` the
+    fault clears before anyone notices -- and (3) a standby is
+    available.  The plan's ``promoted`` count says how many stragglers
+    get replaced; ``migration_pause_s`` is when their capacity is clean
+    again (measured from detection, not injection).
+    """
+    no_migration = ReschedulePlan(
+        promoted=0,
+        survivors=active,
+        migrated_bytes=0.0,
+        migration_pause_s=0.0,
+        fatal=False,
+    )
+    if mode != MODE_STANDBY:
+        return no_migration
+    # Strictly shorter than the timeout clears before detection; a
+    # fault lasting *exactly* DETECTION_TIMEOUT_S is detected at the
+    # instant it ends and still triggers the migration (the old ``<=``
+    # silently dropped that boundary case).
+    if duration_s < DETECTION_TIMEOUT_S:
+        return no_migration
+    promoted = min(nodes, max(0, standbys_left))
+    if promoted <= 0 or active <= 0:
+        return no_migration
+    migrated = max(0.0, state_bytes) * (promoted / active)
+    pause = migration_pause_s(migrated, node, promoted)
+    return ReschedulePlan(
+        promoted=promoted,
+        survivors=active,
+        migrated_bytes=migrated,
+        migration_pause_s=pause,
+        fatal=False,
+    )
+
+
+def plan_suspect(
+    mode: str,
+    *,
+    active: int,
+    standbys_left: int,
+    state_bytes: float,
+    node: NodeSpec,
+) -> ReschedulePlan:
+    """Plan the eviction of one *suspected* (but possibly healthy)
+    worker, on a failure detector's verdict (:mod:`repro.detect`).
+
+    This is the seam that makes detector quality cost real time: the
+    scheduler cannot tell a true conviction from a false positive, so
+    either way the suspect's partitions are moved -- onto a promoted
+    standby when one is available, else spread over the survivors
+    (shrinking capacity by one worker).  The migration pause is the
+    same NIC-bounded transfer used by crashes and rescales; a
+    *spurious* verdict therefore bills the full pause for nothing.
+    Returns a no-op plan (``promoted == 0`` and ``survivors ==
+    active``) when the mode has nowhere to put the suspect's slots:
+    under ``none``, or in spread mode with no survivor left to absorb
+    them.
+    """
+    if active <= 0:
+        raise ValueError(f"active must be > 0, got {active}")
+    refuse = ReschedulePlan(
+        promoted=0,
+        survivors=active,
+        migrated_bytes=0.0,
+        migration_pause_s=0.0,
+        fatal=False,
+    )
+    if mode == MODE_NONE:
+        return refuse
+    promoted = 0
+    if mode == MODE_STANDBY:
+        promoted = min(1, max(0, standbys_left))
+    survivors = active - 1
+    receivers = survivors + promoted
+    if receivers <= 0:
+        # Evicting the last worker with no spare would kill the job on
+        # a suspicion; the mode declines instead.
+        return refuse
+    migrated = max(0.0, state_bytes) * (1.0 / active)
+    pause = migration_pause_s(migrated, node, receivers)
+    return ReschedulePlan(
+        promoted=promoted,
+        survivors=survivors,
+        migrated_bytes=migrated,
+        migration_pause_s=pause,
+        fatal=False,
+    )

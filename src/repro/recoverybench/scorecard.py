@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.generator import GeneratorConfig
-from repro.detect.plane import DETECTOR_KINDS, detector_spec
+from repro.detect.plane import DETECTOR_KINDS
 import repro.engines.ext  # noqa: F401  (registers heron/samza in ENGINES)
 from repro.engines import engine_class
 from repro.engines.base import EngineConfig
@@ -47,7 +47,6 @@ from repro.recovery.reschedule import (
     MODE_NONE,
     MODE_SPREAD,
     MODE_STANDBY,
-    ReschedulePolicy,
 )
 from repro.recoverybench.efficiency import (
     RecoveryEfficiency,
@@ -129,10 +128,6 @@ class RecoverConfig:
     def fault_at_s(self) -> float:
         return float(round(self.duration_s * self.fault_fraction, 3))
 
-    def reschedule_policy(self, policy: str) -> ReschedulePolicy:
-        standby = 1 if policy == MODE_STANDBY else 0
-        return ReschedulePolicy(standby_nodes=standby, mode=policy)
-
     def billed_nodes(self, policy: str) -> int:
         """Nodes paid for by the cell: workers plus hot standbys (the
         autoscale scorecard's node-second billing unit)."""
@@ -169,8 +164,8 @@ def _grid_spec(
         monitor_resources=False,
         faults=FaultSchedule((fault_event(kind, config.fault_at_s),)),
         standby=standby,
-        reschedule=config.reschedule_policy(policy),
-        detector=detector_spec(config.detector),
+        reschedule=policy,
+        detector=config.detector,
     )
 
 
@@ -196,7 +191,7 @@ def frontier_spec(
             (fault_event(FRONTIER_KIND, config.fault_at_s),)
         ),
         checkpoint=CheckpointSpec(interval_s=interval_s),
-        detector=detector_spec(config.detector),
+        detector=config.detector,
     )
 
 

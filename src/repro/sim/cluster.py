@@ -51,8 +51,8 @@ class ClusterSpec:
     standby: int = 0
     """Hot spare worker nodes provisioned but idle: they run no
     operators (and contribute no capacity, cores, or NIC ingress) until
-    a :class:`~repro.recovery.reschedule.ReschedulePolicy` promotes
-    them after a fault."""
+    the ``standby`` reschedule mode (:mod:`repro.recovery.reschedule`)
+    promotes them after a fault.  The engine's only standby pool."""
 
     def __post_init__(self) -> None:
         if self.workers < 1:

@@ -68,12 +68,6 @@ class DataPlane:
             )
             self._last_refill = now
 
-    @property
-    def available_bytes(self) -> float:
-        """Capacity currently banked in the bucket."""
-        self._refill()
-        return self._available
-
     def allocate(self, wanted_bytes: float, kind: str = "ingest") -> float:
         """Grant up to ``wanted_bytes`` of link capacity; returns granted.
 
@@ -91,9 +85,3 @@ class DataPlane:
         else:
             self.total_ingest_bytes += granted
         return granted
-
-    def events_capacity_per_s(self, bytes_per_event: float) -> float:
-        """Steady-state event rate the plane supports at a given size."""
-        if bytes_per_event <= 0:
-            raise ValueError("bytes_per_event must be positive")
-        return self.spec.segment_bytes_per_s / bytes_per_event

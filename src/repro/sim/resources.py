@@ -13,11 +13,15 @@ for less throughput.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.sim.cluster import ClusterSpec
 from repro.sim.simulator import Simulator
+
+#: Simulated seconds between two CPU/network samples of a trial's
+#: resource monitor (Figure 10).
+RESOURCE_INTERVAL_S = 5.0
 
 
 @dataclass(frozen=True)
@@ -44,7 +48,7 @@ class ResourceMonitor:
         self,
         sim: Simulator,
         cluster: ClusterSpec,
-        sample_interval_s: float = 5.0,
+        sample_interval_s: float = RESOURCE_INTERVAL_S,
     ) -> None:
         self._sim = sim
         self._cluster = cluster

@@ -65,16 +65,34 @@ class KeyDistribution(ABC):
     def name(self) -> str:
         return type(self).__name__
 
+    def _params(self) -> Tuple[Tuple[str, object], ...]:
+        """The public parameters, in definition order: what identifies
+        the distribution (cached pmfs and supports are derived)."""
+        return tuple(
+            (name, value)
+            for name, value in vars(self).items()
+            if not name.startswith("_")
+        )
+
     def __repr__(self) -> str:
         """The distribution's parameters, e.g. ``UniformKeys(num_keys=64)``
         -- stable across processes, so a spec's ``repr`` can identify an
         experiment (the search journal's fingerprint relies on it)."""
         params = ", ".join(
-            f"{name}={value!r}"
-            for name, value in vars(self).items()
-            if not name.startswith("_")
+            f"{name}={value!r}" for name, value in self._params()
         )
         return f"{type(self).__name__}({params})"
+
+    def __eq__(self, other: object) -> bool:
+        """Equal when of one type with equal parameters -- the same test
+        :meth:`__repr__` makes, so two independently built specs of one
+        experiment compare (and hash) equal."""
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._params() == other._params()
+
+    def __hash__(self) -> int:
+        return hash((type(self), self._params()))
 
 
 class NormalKeys(KeyDistribution):

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -87,14 +87,19 @@ class ScaledRate(RateProfile):
         return self.base.peak(horizon_s, resolution_s) * self.factor
 
 
+@dataclass(frozen=True)
 class StepRate(RateProfile):
-    """Piecewise-constant rate: a list of ``(start_time, rate)`` steps.
+    """Piecewise-constant rate: a sequence of ``(start_time, rate)``
+    steps (kept as a tuple of float pairs).
 
     Steps must be in increasing time order; the first step should start
     at 0.  The rate holds until the next step begins.
     """
 
-    def __init__(self, steps: Sequence[Tuple[float, float]]) -> None:
+    steps: Sequence[Tuple[float, float]]
+
+    def __post_init__(self) -> None:
+        steps = self.steps
         if not steps:
             raise ValueError("need at least one (start_time, rate) step")
         times = [t for t, _ in steps]
@@ -102,9 +107,9 @@ class StepRate(RateProfile):
             raise ValueError("steps must be in increasing time order")
         if any(rate < 0 for _, rate in steps):
             raise ValueError("rates must be >= 0")
-        self.steps: List[Tuple[float, float]] = [
-            (float(t), float(r)) for t, r in steps
-        ]
+        object.__setattr__(
+            self, "steps", tuple((float(t), float(r)) for t, r in steps)
+        )
 
     def rate_at(self, t: float) -> float:
         rate = self.steps[0][1]
@@ -130,6 +135,7 @@ class StepRate(RateProfile):
         return best
 
 
+@dataclass(frozen=True)
 class FluctuatingRate(RateProfile):
     """High / low / high rate with configurable phase lengths.
 
@@ -138,22 +144,24 @@ class FluctuatingRate(RateProfile):
     at ``recover_at``.
     """
 
-    def __init__(
-        self,
-        high: float,
-        low: float,
-        drop_at: float,
-        recover_at: float,
-    ) -> None:
+    high: float
+    low: float
+    drop_at: float
+    recover_at: float
+    _step: StepRate = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        high, low = self.high, self.low
+        drop_at, recover_at = self.drop_at, self.recover_at
         if low > high:
             raise ValueError(f"low ({low}) must be <= high ({high})")
         if not 0 <= drop_at < recover_at:
             raise ValueError("need 0 <= drop_at < recover_at")
-        self._step = StepRate([(0.0, high), (drop_at, low), (recover_at, high)])
-        self.high = high
-        self.low = low
-        self.drop_at = drop_at
-        self.recover_at = recover_at
+        object.__setattr__(
+            self,
+            "_step",
+            StepRate([(0.0, high), (drop_at, low), (recover_at, high)]),
+        )
 
     def rate_at(self, t: float) -> float:
         return self._step.rate_at(t)
@@ -201,6 +209,7 @@ class DiurnalRate(RateProfile):
         return max(self.rate_at(0.0), self.rate_at(horizon_s))
 
 
+@dataclass(frozen=True)
 class FlashCrowdRate(RateProfile):
     """Baseline load plus seeded rectangular spike bursts.
 
@@ -212,15 +221,23 @@ class FlashCrowdRate(RateProfile):
     exact regardless.
     """
 
-    def __init__(
-        self,
-        base: float,
-        spike: float,
-        horizon_s: float,
-        spikes: int = 2,
-        spike_duration_s: float = 8.0,
-        seed: int = 0,
-    ) -> None:
+    base: float
+    spike: float
+    horizon_s: float
+    spikes: int = 2
+    spike_duration_s: float = 8.0
+    seed: int = 0
+    bursts: Tuple[Tuple[float, float], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    """Each flash crowd as ``(start, end)``, in time order (derived
+    from the parameters above)."""
+
+    def __post_init__(self) -> None:
+        base, spike, horizon_s = self.base, self.spike, self.horizon_s
+        spikes, spike_duration_s, seed = (
+            self.spikes, self.spike_duration_s, self.seed
+        )
         if base < 0:
             raise ValueError(f"base must be >= 0, got {base}")
         if spike < base:
@@ -235,18 +252,16 @@ class FlashCrowdRate(RateProfile):
                 f"spike_duration_s must be in (0, horizon_s/spikes="
                 f"{segment}], got {spike_duration_s}"
             )
-        self.base = float(base)
-        self.spike = float(spike)
-        self.horizon_s = float(horizon_s)
-        self.spike_duration_s = float(spike_duration_s)
-        self.seed = int(seed)
+        for name in ("base", "spike", "horizon_s", "spike_duration_s"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "seed", int(seed))
         rng = np.random.default_rng([int(seed), spikes])
-        self.bursts: List[Tuple[float, float]] = []
-        """Each flash crowd as ``(start, end)``, in time order."""
+        bursts = []
         for index in range(spikes):
             slack = segment - spike_duration_s
             start = index * segment + float(rng.uniform(0.0, slack))
-            self.bursts.append((start, start + spike_duration_s))
+            bursts.append((start, start + spike_duration_s))
+        object.__setattr__(self, "bursts", tuple(bursts))
 
     def rate_at(self, t: float) -> float:
         for start, end in self.bursts:

@@ -14,8 +14,8 @@ from repro.autoscale.rescale import (
     RescaleSemantics,
 )
 from repro.engines import engine_class
+from repro.faults.checkpoint import sync_pause_s
 from repro.faults.schedule import NodeCrash
-from repro.recovery.reschedule import MODE_STANDBY, ReschedulePolicy
 from repro.sim.cluster import paper_cluster
 from repro.sim.network import DataPlane, NetworkSpec
 from repro.sim.rng import RngRegistry
@@ -23,15 +23,14 @@ from repro.sim.simulator import Simulator
 from repro.workloads.queries import WindowedAggregationQuery
 
 
-def make_engine(name="flink", workers=2, reschedule=None):
+def make_engine(name="flink", workers=2, standby=0):
     sim = Simulator()
     engine = engine_class(name)(
         sim=sim,
-        cluster=paper_cluster(workers),
+        cluster=replace(paper_cluster(workers), standby=standby),
         query=WindowedAggregationQuery(),
         plane=DataPlane(sim, NetworkSpec()),
         rng=RngRegistry(0).stream("rescale-test"),
-        reschedule=reschedule,
     )
     return sim, engine
 
@@ -76,15 +75,15 @@ class TestStylePauses:
 
     def test_savepoint_pays_whole_state_sync(self):
         flink, entry = self.cutover("flink", state_bytes=1e9)
-        whole = flink.checkpoint.sync_pause_s(flink.state.used_bytes)
-        moved = flink.checkpoint.sync_pause_s(entry["migrated_bytes"])
+        whole = sync_pause_s(flink.state.used_bytes)
+        moved = sync_pause_s(entry["migrated_bytes"])
         assert entry["style_pause_s"] == pytest.approx(whole)
         assert whole > moved
 
     def test_repartition_pays_moved_share_only(self):
         samza, entry = self.cutover("samza", state_bytes=1e9)
         assert entry["migrated_bytes"] == pytest.approx(5e8)
-        expected = samza.checkpoint.sync_pause_s(entry["migrated_bytes"])
+        expected = sync_pause_s(entry["migrated_bytes"])
         assert entry["style_pause_s"] == pytest.approx(expected)
 
     def test_rebalance_grows_with_topology(self):
@@ -125,7 +124,7 @@ class TestScaleOut:
         sim, engine = make_engine(
             "flink",
             workers=2,
-            reschedule=ReschedulePolicy(standby_nodes=2, mode=MODE_STANDBY),
+            standby=2,
         )
         entry = engine.request_scale_out(3)
         assert entry["spares_used"] == 2.0
@@ -137,7 +136,7 @@ class TestScaleOut:
         sim, engine = make_engine(
             "flink",
             workers=2,
-            reschedule=ReschedulePolicy(standby_nodes=2, mode=MODE_STANDBY),
+            standby=2,
         )
         entry = engine.request_scale_out(2)
         assert entry["provision_s"] == engine.rescale.warmup_s
@@ -177,7 +176,7 @@ class TestScaleIn:
         sim, engine = make_engine(
             "flink",
             workers=2,
-            reschedule=ReschedulePolicy(standby_nodes=2, mode=MODE_STANDBY),
+            standby=2,
         )
         billed_before = engine.billed_nodes
         entry = engine.request_scale_in(2)
@@ -219,7 +218,7 @@ class TestScaleIn:
         sim, engine = make_engine(
             "flink",
             workers=2,
-            reschedule=ReschedulePolicy(standby_nodes=3, mode=MODE_STANDBY),
+            standby=3,
         )
         engine.inject_fault(NodeCrash(at_s=1.0, nodes=2))
         assert (engine.active_workers, engine.standbys_available) == (0, 1)

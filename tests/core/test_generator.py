@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.generator import (
+    OVERPROVISION_FACTOR,
+    TICK_INTERVAL_S,
     DataGenerator,
     GeneratorConfig,
     build_generator_fleet,
@@ -76,7 +78,7 @@ class TestDenseMode:
         query = WindowedAggregationQuery()
         gen, queue = make_generator(sim, query=query, rate=6400.0)
         gen.start()
-        sim.run_until(gen.config.tick_interval_s)
+        sim.run_until(TICK_INTERVAL_S)
         records = expand(queue.pull_blocks(1e9))
         keys = {r.key for r in records}
         positive_mass_keys = {
@@ -89,10 +91,10 @@ class TestDenseMode:
         query = WindowedAggregationQuery()
         gen, queue = make_generator(sim, query=query, rate=6400.0)
         gen.start()
-        sim.run_until(gen.config.tick_interval_s)
+        sim.run_until(TICK_INTERVAL_S)
         records = expand(queue.pull_blocks(1e9))
         pmf = query.keys.pmf()
-        tick_weight = 6400.0 * gen.config.tick_interval_s
+        tick_weight = 6400.0 * TICK_INTERVAL_S
         for r in records:
             assert r.weight == pytest.approx(tick_weight * pmf[r.key])
 
@@ -101,7 +103,7 @@ class TestDenseMode:
         query = WindowedAggregationQuery(keys=SingleKey())
         gen, queue = make_generator(sim, query=query, rate=100.0)
         gen.start()
-        sim.run_until(gen.config.tick_interval_s * 0.5)
+        sim.run_until(TICK_INTERVAL_S * 0.5)
         records = expand(queue.pull_blocks(1e9))
         assert len(records) == 1
         assert records[0].key == 0
@@ -217,30 +219,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             GeneratorConfig(instances=-2)
         with pytest.raises(ValueError):
-            GeneratorConfig(tick_interval_s=0.0)
-        with pytest.raises(ValueError):
-            GeneratorConfig(tick_interval_s=-1.0)
-        with pytest.raises(ValueError):
             GeneratorConfig(queue_capacity_seconds=0.0)
         with pytest.raises(ValueError):
             GeneratorConfig(queue_capacity_seconds=-5.0)
-        with pytest.raises(ValueError):
-            GeneratorConfig(overprovision_factor=0.5)
-        with pytest.raises(ValueError):
-            GeneratorConfig(rebalance_detection_s=0.0)
 
     def test_validation_messages_name_the_value(self):
         # The CLI surfaces these messages verbatim as argument errors;
         # they must say what was wrong, not just that something was.
         with pytest.raises(ValueError, match="-3"):
             GeneratorConfig(instances=-3)
-        with pytest.raises(ValueError, match="0.5"):
-            GeneratorConfig(overprovision_factor=0.5)
+        with pytest.raises(ValueError, match="-0.5"):
+            GeneratorConfig(queue_capacity_seconds=-0.5)
 
     def test_max_share_capped_by_overprovision(self):
-        assert GeneratorConfig(
-            instances=4, overprovision_factor=2.0
-        ).max_share == pytest.approx(0.5)
+        assert GeneratorConfig(instances=4).max_share == pytest.approx(
+            OVERPROVISION_FACTOR / 4
+        )
         # A single instance can always serve the whole profile.
         assert GeneratorConfig(instances=1).max_share == 1.0
 

@@ -8,10 +8,14 @@ from hypothesis import strategies as st
 from repro.core.metrics import (
     StatSummary,
     TimeSeries,
-    weighted_quantile,
     weighted_quantiles,
     weighted_summary,
 )
+
+
+def weighted_quantile(values, weights, q):
+    """One quantile through the fused path, as a float."""
+    return float(weighted_quantiles(values, weights, (q,))[0])
 
 
 class TestWeightedSummary:

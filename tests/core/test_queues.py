@@ -91,8 +91,8 @@ class TestWatermark:
         q.push_block(cohort(event_time=2.0), at_time=10.0)
         assert q.oldest_wait(now=10.5) == pytest.approx(0.5)
         assert q.head_push_time() == pytest.approx(10.0)
-        # Event-time is still visible for watermark purposes.
-        assert q.head_event_time() == pytest.approx(2.0)
+        # Event-time is still what the generation frontier records.
+        assert q.frontier_event_time == pytest.approx(2.0)
 
     def test_oldest_wait_falls_back_to_event_time_without_clock(self):
         q = DriverQueue("q")
@@ -105,12 +105,6 @@ class TestWatermark:
         q.pull_blocks(4.0)  # splits the head; remainder waited since t=1
         assert q.head_push_time() == pytest.approx(1.0)
         assert q.oldest_wait(now=6.0) == pytest.approx(5.0)
-
-    def test_head_event_time(self):
-        q = DriverQueue("q")
-        assert q.head_event_time() is None
-        q.push_block(cohort(event_time=4.0))
-        assert q.head_event_time() == pytest.approx(4.0)
 
 
 class TestConnectionDrop:
@@ -220,6 +214,6 @@ class TestQueueProperties:
             assert q.pulled_weight == pytest.approx(pulled)
             assert q.queued_weight == pytest.approx(pushed - pulled, abs=1e-6)
             # The push-time ledger stays aligned with the cohort deque.
-            assert (q.head_push_time() is None) == (q.head_event_time() is None)
+            assert len(q._push_times) == len(q._items)
         remainder = sum(r.weight for r in expand(q.pull_blocks(float("inf"))))
         assert pulled + remainder == pytest.approx(pushed)

@@ -25,7 +25,6 @@ from repro.core.records import OutputRecord
 from repro.core.throughput import ThroughputMonitor
 from repro.engines.base import EngineConfig
 from repro.metrology import TrialJournal
-from repro.sim.network import NetworkSpec
 from repro.sim.simulator import Simulator
 from repro.workloads.keys import NormalKeys, UniformKeys
 from repro.workloads.profiles import ConstantRate
@@ -335,7 +334,6 @@ class TestFingerprint:
         "change",
         [
             dict(duration_s=60.0),
-            dict(warmup_fraction=0.5),
             dict(seed=2),
             dict(workers=4),
             dict(query=WindowedAggregationQuery(window=WindowSpec(16.0, 4.0))),
@@ -350,9 +348,7 @@ class TestFingerprint:
                 )
             ),
             dict(generator=GeneratorConfig(instances=2)),
-            dict(network=NetworkSpec(segment_gbps=10.0)),
             dict(engine_config=EngineConfig()),
-            dict(throughput_interval_s=0.5),
             dict(standby=1),
         ],
         ids=lambda change: next(iter(change)),

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import repro.engines.ext  # noqa: F401  (registers heron/samza)
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.generator import GeneratorConfig
-from repro.detect.plane import DETECTOR_KINDS, detector_spec
+from repro.detect.plane import DETECTOR_KINDS
 from repro.faults.schedule import (
     AsymmetricPartition,
     DegradingNode,
@@ -26,7 +26,6 @@ from repro.faults.schedule import (
 )
 from repro.metrology import TrialJournal
 from repro.recovery.chaos import ChaosConfig, chaos_fingerprint, run_chaos
-from repro.recovery.reschedule import MODE_STANDBY, ReschedulePolicy
 from repro.workloads.queries import WindowSpec, WindowedAggregationQuery
 
 from tests.oracle import oracle_engines
@@ -56,8 +55,7 @@ def _detection_dict(detector, fault_name, seed):
         monitor_resources=False,
         faults=FaultSchedule((FAULTS[fault_name],)),
         standby=1,
-        reschedule=ReschedulePolicy(standby_nodes=1, mode=MODE_STANDBY),
-        detector=detector_spec(detector),
+        detector=detector,
     )
     return run_experiment(spec).detection.to_dict()
 

@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.generator import GeneratorConfig
-from repro.detect.plane import DETECTOR_KINDS, DetectorSpec, detector_spec
+from repro.detect.plane import DETECTOR_KINDS
 from repro.faults.schedule import (
     AsymmetricPartition,
     DegradingNode,
@@ -27,7 +27,6 @@ from repro.faults.schedule import (
     FlappingNode,
     NodeCrash,
 )
-from repro.recovery.reschedule import MODE_STANDBY, ReschedulePolicy
 from repro.workloads.queries import WindowSpec, WindowedAggregationQuery
 
 
@@ -43,11 +42,7 @@ def _trial(detector, faults=None, **overrides):
         monitor_resources=False,
         faults=FaultSchedule(tuple(faults)) if faults else None,
         standby=1,
-        reschedule=ReschedulePolicy(standby_nodes=1, mode=MODE_STANDBY),
-        detector=(
-            detector if isinstance(detector, (DetectorSpec, type(None)))
-            else detector_spec(detector)
-        ),
+        detector=detector,
     )
     kwargs.update(overrides)
     return run_experiment(ExperimentSpec(**kwargs))
@@ -59,20 +54,11 @@ FLAP = FlappingNode(
 
 
 class TestSpec:
-    def test_detector_spec_shim(self):
-        assert detector_spec(None) is None
-        for kind in DETECTOR_KINDS:
-            assert detector_spec(kind).kind == kind
-        with pytest.raises(ValueError):
-            detector_spec("bogus")
-
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            DetectorSpec(kind="bogus")
-        with pytest.raises(ValueError):
-            DetectorSpec(heartbeat_interval_s=0.0)
-        with pytest.raises(ValueError):
-            DetectorSpec(observers=3, quorum_k=4)
+        # The plane rejects an unknown kind as it is built, before the
+        # trial simulates anything.
+        with pytest.raises(ValueError, match="bogus"):
+            _trial("bogus")
 
 
 class TestFlapScenario:

@@ -20,6 +20,7 @@ import hashlib
 import json
 import os
 import pathlib
+from dataclasses import replace
 
 import pytest
 
@@ -27,6 +28,7 @@ import repro.engines.ext  # noqa: F401  (registers heron/samza)
 from repro.core.queues import DriverQueue, QueueSet
 from repro.engines import engine_class
 from repro.engines.operators.sink import Sink
+from repro.faults import checkpoint as checkpoint_model
 from repro.faults.checkpoint import CheckpointSpec
 from repro.faults.schedule import (
     AsymmetricPartition,
@@ -42,7 +44,6 @@ from repro.recovery.reschedule import (
     MODE_NONE,
     MODE_SPREAD,
     MODE_STANDBY,
-    ReschedulePolicy,
 )
 from repro.sim.cluster import paper_cluster
 from repro.sim.failures import SutFailure
@@ -75,14 +76,14 @@ class Rig:
     the ingested weight follows whatever capacity is left."""
 
     def __init__(
-        self, name, workers, *, reschedule=None, checkpoint=None, ramp=False,
-        saturate=False,
+        self, name, workers, *, standby=0, reschedule=None, checkpoint=None,
+        ramp=False, saturate=False,
     ):
         cls = engine_class(name)
         self.sim = Simulator()
         self.engine = cls(
             sim=self.sim,
-            cluster=paper_cluster(workers),
+            cluster=replace(paper_cluster(workers), standby=standby),
             query=WindowedAggregationQuery(),
             plane=DataPlane(self.sim, NetworkSpec()),
             rng=RngRegistry(0).stream("control-plane"),
@@ -159,7 +160,7 @@ def fatal_restart(name):
 
 
 def fatal_crash_mode_none(name):
-    rig = Rig(name, 3, reschedule=ReschedulePolicy(mode=MODE_NONE))
+    rig = Rig(name, 3, reschedule=MODE_NONE)
     rig.fault(NodeCrash(at_s=2.0, nodes=1))
     rig.fault(NodeCrash(at_s=13.0, nodes=2))
     return rig.record(15.0)
@@ -170,7 +171,7 @@ def crash_standby_then_spread(name):
     # other spreads; checkpoints (2 s) bound the replay span.
     rig = Rig(
         name, 3,
-        reschedule=ReschedulePolicy(standby_nodes=1, mode=MODE_STANDBY),
+        standby=1, reschedule=MODE_STANDBY,
         checkpoint=CheckpointSpec(interval_s=2.0),
         ramp=True,
     )
@@ -183,7 +184,7 @@ def suspect_spread(name):
     # Spread mode never promotes: the idle spare stays idle, every
     # eviction shrinks the pool, and the last worker is never evicted.
     rig = Rig(
-        name, 3, reschedule=ReschedulePolicy(standby_nodes=1, mode=MODE_SPREAD)
+        name, 3, standby=1, reschedule=MODE_SPREAD
     )
     rig.charge_state(4e8)
     rig.fault(DegradingNode(at_s=2.0, duration_s=8.0, node=1))
@@ -197,7 +198,7 @@ def suspect_standby(name):
     # First verdict consumes the spare, the second finds none and spreads.
     rig = Rig(
         name, 3,
-        reschedule=ReschedulePolicy(standby_nodes=1, mode=MODE_STANDBY),
+        standby=1, reschedule=MODE_STANDBY,
         ramp=True,
     )
     rig.charge_state(4e8)
@@ -208,7 +209,7 @@ def suspect_standby(name):
 
 
 def suspect_refused(name):
-    rig = Rig(name, 2, reschedule=ReschedulePolicy(mode=MODE_NONE))
+    rig = Rig(name, 2, reschedule=MODE_NONE)
     rig.at(2.0, "apply_suspect_migration", 0, spurious=True)
     return rig.record(4.0)
 
@@ -246,11 +247,11 @@ def fatal_crash_before_completion(name):
 
 
 def slow_node_at_the_detection_boundary(name):
-    # Below / equal to / above detection_timeout_s (2.0): only the last
+    # Below / equal to / above DETECTION_TIMEOUT_S (2.0): only the last
     # two are replaced by a standby.
     rig = Rig(
         name, 4, saturate=True,
-        reschedule=ReschedulePolicy(standby_nodes=3, mode=MODE_STANDBY),
+        standby=3, reschedule=MODE_STANDBY,
     )
     rig.charge_state(4e8)
     rig.fault(SlowNode(at_s=2.0, duration_s=1.0, nodes=1, factor=0.4))
@@ -262,7 +263,7 @@ def slow_node_at_the_detection_boundary(name):
 def scale_out_on_a_spare_then_scale_in(name):
     rig = Rig(
         name, 2,
-        reschedule=ReschedulePolicy(standby_nodes=2, mode=MODE_STANDBY),
+        standby=2, reschedule=MODE_STANDBY,
         ramp=True,
     )
     rig.charge_state(4e8)
@@ -440,7 +441,7 @@ class TestBehaviourTheGoldenWouldNotExplain:
         # inside that pause finds no worker serving.
         rig = Rig(
             name, 1,
-            reschedule=ReschedulePolicy(standby_nodes=1, mode=MODE_STANDBY),
+            standby=1, reschedule=MODE_STANDBY,
         )
         rig.fault(NodeCrash(at_s=2.0))
         rig.fault(NodeCrash(at_s=3.0))
@@ -460,7 +461,7 @@ class TestBehaviourTheGoldenWouldNotExplain:
         # while, then serves.
         rig = Rig(
             name, 3,
-            reschedule=ReschedulePolicy(standby_nodes=1, mode=MODE_STANDBY),
+            standby=1, reschedule=MODE_STANDBY,
         )
         rig.charge_state(4e8)
         rig.fault(NodeCrash(at_s=3.0, nodes=2))
@@ -512,18 +513,23 @@ class TestBehaviourTheGoldenWouldNotExplain:
         assert entry["delta"] == -departed
 
     @pytest.mark.parametrize("name", ["storm", "heron"])
-    def test_an_outage_of_zero_seconds_anchors_no_admission_ramp(self, name):
+    def test_an_outage_of_zero_seconds_anchors_no_admission_ramp(
+        self, name, monkeypatch
+    ):
         # Every term of the tuple-replay recovery pause configured away:
         # the restart costs nothing, so admission must not be throttled
         # to the ramp floor "after" it.  (Between two ticks, so the
         # bounced worker is back before capacity is next read.)
-        instant = CheckpointSpec(
-            detection_timeout_s=0.0, restart_base_s=0.0,
-            rebalance_base_s=0.0, replay_cost_factor=0.0,
-        )
+        for constant in (
+            "DETECTION_TIMEOUT_S", "RESTART_BASE_S",
+            "REBALANCE_BASE_S", "REPLAY_COST_FACTOR",
+        ):
+            monkeypatch.setattr(checkpoint_model, constant, 0.0)
 
         def ingested(restart):
-            rig = Rig(name, 2, checkpoint=instant, ramp=True, saturate=True)
+            rig = Rig(
+                name, 2, checkpoint=CheckpointSpec(), ramp=True, saturate=True
+            )
             assert rig.engine.degradation.readmission_ramp_s > 0.0
             if restart:
                 rig.fault(ProcessRestart(at_s=1.02, nodes=1))

@@ -63,17 +63,18 @@ class TestSpilling:
         assert b.cost_multiplier == 2.5
         assert b.spilled_bytes == pytest.approx(b.budget_bytes * 0.2)
 
+    def test_in_memory_bytes(self):
+        # What spills is what exceeds the budget: the rest stays resident.
+        b = backend(can_spill=True)
+        b.charge(b.budget_bytes * 1.5)
+        assert b.used_bytes - b.spilled_bytes == pytest.approx(b.budget_bytes)
+
     def test_spill_clears_when_released(self):
         b = backend(can_spill=True)
         b.charge(b.budget_bytes * 1.2)
         b.release(b.budget_bytes * 0.5)
         assert not b.spilling
         assert b.cost_multiplier == 1.0
-
-    def test_in_memory_bytes(self):
-        b = backend(can_spill=True)
-        b.charge(b.budget_bytes * 1.5)
-        assert b.in_memory_bytes == pytest.approx(b.budget_bytes)
 
 
 class TestOutOfMemory:

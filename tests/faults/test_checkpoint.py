@@ -2,7 +2,18 @@
 
 import pytest
 
-from repro.faults.checkpoint import CheckpointSpec, RecoverySemantics
+from repro.faults import checkpoint
+from repro.faults.checkpoint import (
+    DETECTION_TIMEOUT_S,
+    REBALANCE_BASE_S,
+    REPLAY_COST_FACTOR,
+    RESTART_BASE_S,
+    CheckpointSpec,
+    RecoverySemantics,
+    recovery_pause_s,
+    restore_s,
+    sync_pause_s,
+)
 from repro.faults.guarantees import DeliveryGuarantee
 from repro.sim.cluster import paper_cluster
 
@@ -17,100 +28,82 @@ class TestValidation:
         with pytest.raises(ValueError):
             CheckpointSpec(interval_s=0.0)
 
-    def test_negative_costs_rejected(self):
-        with pytest.raises(ValueError):
-            CheckpointSpec(detection_timeout_s=-1.0)
-        with pytest.raises(ValueError):
-            CheckpointSpec(replay_cost_factor=-0.1)
-
-    def test_nic_fraction_bounds(self):
-        with pytest.raises(ValueError):
-            CheckpointSpec(restore_nic_fraction=0.0)
-        with pytest.raises(ValueError):
-            CheckpointSpec(restore_nic_fraction=1.5)
-        CheckpointSpec(restore_nic_fraction=1.0)  # ok
-
     def test_guarantee_override_field(self):
         spec = CheckpointSpec(guarantee=DeliveryGuarantee.AT_LEAST_ONCE)
         assert spec.guarantee is DeliveryGuarantee.AT_LEAST_ONCE
 
 
 class TestSteadyState:
-    def test_sync_pause_scales_with_state(self):
-        spec = CheckpointSpec(sync_pause_base_s=0.02, sync_pause_s_per_gb=0.1)
-        assert spec.sync_pause_s(0.0) == pytest.approx(0.02)
-        assert spec.sync_pause_s(2e9) == pytest.approx(0.02 + 0.2)
+    def test_sync_pause_scales_with_state(self, monkeypatch):
+        monkeypatch.setattr(checkpoint, "SYNC_PAUSE_BASE_S", 0.02)
+        monkeypatch.setattr(checkpoint, "SYNC_PAUSE_S_PER_GB", 0.1)
+        assert sync_pause_s(0.0) == pytest.approx(0.02)
+        assert sync_pause_s(2e9) == pytest.approx(0.02 + 0.2)
 
 
 class TestRecoveryPause:
-    def test_restore_time_proportional_to_state_over_nic(self, node):
-        spec = CheckpointSpec(restore_nic_fraction=0.8)
+    def test_restore_time_proportional_to_state_over_nic(
+        self, node, monkeypatch
+    ):
+        monkeypatch.setattr(checkpoint, "RESTORE_NIC_FRACTION", 0.8)
         # 3 surviving workers, 1 Gbit NICs at 80%: 300 MB/s aggregate.
         bandwidth = 3 * node.nic_bytes_per_s * 0.8
-        assert spec.restore_s(600e6, node, 3) == pytest.approx(
-            600e6 / bandwidth
-        )
+        assert restore_s(600e6, node, 3) == pytest.approx(600e6 / bandwidth)
 
     def test_checkpoint_restore_includes_replay_window(self, node):
-        spec = CheckpointSpec()
-        short = spec.recovery_pause_s(
+        short = recovery_pause_s(
             RecoverySemantics.CHECKPOINT_RESTORE,
             state_bytes=0.0, node=node, active_workers=3, workers=4,
             replay_span_s=2.0, lost_fraction=0.25,
         )
-        long = spec.recovery_pause_s(
+        long = recovery_pause_s(
             RecoverySemantics.CHECKPOINT_RESTORE,
             state_bytes=0.0, node=node, active_workers=3, workers=4,
             replay_span_s=10.0, lost_fraction=0.25,
         )
-        assert long - short == pytest.approx(8.0 * spec.replay_cost_factor)
+        assert long - short == pytest.approx(8.0 * REPLAY_COST_FACTOR)
 
     def test_lineage_recompute_scales_with_lost_state_only(self, node):
-        spec = CheckpointSpec()
-        base = spec.recovery_pause_s(
+        base = recovery_pause_s(
             RecoverySemantics.LINEAGE_RECOMPUTE,
             state_bytes=8e9, node=node, active_workers=4, workers=4,
             replay_span_s=10.0, lost_fraction=0.0,
         )
-        half_lost = spec.recovery_pause_s(
+        half_lost = recovery_pause_s(
             RecoverySemantics.LINEAGE_RECOMPUTE,
             state_bytes=8e9, node=node, active_workers=4, workers=4,
             replay_span_s=10.0, lost_fraction=0.5,
         )
         # No replay term; only the lost partitions are recomputed.
-        assert base == pytest.approx(
-            spec.detection_timeout_s + spec.restart_base_s
-        )
+        assert base == pytest.approx(DETECTION_TIMEOUT_S + RESTART_BASE_S)
         assert half_lost > base
 
     def test_tuple_replay_grows_with_cluster_size(self, node):
-        spec = CheckpointSpec()
         kwargs = dict(
             state_bytes=1e9, node=node, replay_span_s=5.0, lost_fraction=0.5
         )
-        small = spec.recovery_pause_s(
+        small = recovery_pause_s(
             RecoverySemantics.TUPLE_REPLAY,
             active_workers=1, workers=2, **kwargs
         )
-        large = spec.recovery_pause_s(
+        large = recovery_pause_s(
             RecoverySemantics.TUPLE_REPLAY,
             active_workers=7, workers=8, **kwargs
         )
         assert large == pytest.approx(
-            spec.detection_timeout_s + spec.rebalance_base_s * 2.0
+            DETECTION_TIMEOUT_S + REBALANCE_BASE_S * 2.0
         )
         assert large > small
 
     def test_tuple_replay_ignores_state_bytes(self, node):
-        spec = CheckpointSpec()
         kwargs = dict(
             node=node, active_workers=3, workers=4,
             replay_span_s=5.0, lost_fraction=0.25,
         )
-        a = spec.recovery_pause_s(
+        a = recovery_pause_s(
             RecoverySemantics.TUPLE_REPLAY, state_bytes=0.0, **kwargs
         )
-        b = spec.recovery_pause_s(
+        b = recovery_pause_s(
             RecoverySemantics.TUPLE_REPLAY, state_bytes=100e9, **kwargs
         )
         assert a == b

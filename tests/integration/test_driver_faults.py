@@ -9,6 +9,7 @@ detection window, and the SUT never sees any of it.
 
 import pytest
 
+from repro.core.driver import REBALANCE_DETECTION_S
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.generator import GeneratorConfig
 from repro.faults.schedule import (
@@ -21,7 +22,7 @@ from repro.workloads.queries import WindowSpec, WindowedAggregationQuery
 
 RATE = 24_000.0
 CRASH_AT = 20.0
-DETECTION_S = 2.0
+DETECTION_S = REBALANCE_DETECTION_S
 
 
 def _spec(events, instances=4, duration_s=60.0, **cfg) -> ExperimentSpec:
@@ -32,9 +33,7 @@ def _spec(events, instances=4, duration_s=60.0, **cfg) -> ExperimentSpec:
         profile=RATE,
         duration_s=duration_s,
         seed=9,
-        generator=GeneratorConfig(
-            instances=instances, rebalance_detection_s=DETECTION_S, **cfg
-        ),
+        generator=GeneratorConfig(instances=instances, **cfg),
         monitor_resources=False,
         faults=FaultSchedule(tuple(events)),
     )

@@ -24,6 +24,7 @@ from repro.faults import (
     QueueDisconnect,
     SlowNode,
 )
+from repro.faults.checkpoint import DETECTION_TIMEOUT_S
 from repro.workloads.queries import WindowSpec, WindowedAggregationQuery
 
 
@@ -231,7 +232,7 @@ class TestDerivedPause:
     def test_detection_time_recorded(self):
         result = run_experiment(fault_spec(faults=[NodeCrash(at_s=70.0)]))
         (m,) = result.recovery
-        assert m.detection_s == CheckpointSpec().detection_timeout_s
+        assert m.detection_s == DETECTION_TIMEOUT_S
 
     def test_checkpoints_pause_only_checkpointing_engines(self):
         flink = run_experiment(fault_spec(faults=[NodeCrash(at_s=70.0)]))

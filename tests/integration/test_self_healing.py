@@ -30,7 +30,7 @@ from repro.faults.schedule import (
     NodeCrash,
     SlowNode,
 )
-from repro.recovery.reschedule import MODE_SPREAD, ReschedulePolicy
+from repro.recovery.reschedule import MODE_SPREAD
 from repro.workloads.queries import WindowSpec, WindowedAggregationQuery
 
 
@@ -94,7 +94,7 @@ class TestLastWorkerCrash:
             make_spec(
                 faults=FaultSchedule((NodeCrash(at_s=30.0, nodes=1),)),
                 workers=4,
-                reschedule=ReschedulePolicy(mode=MODE_SPREAD),
+                reschedule=MODE_SPREAD,
             )
         )
         assert not legacy.failed and not spread.failed

@@ -16,9 +16,10 @@ import pytest
 
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.generator import GeneratorConfig
+from repro.core.throughput import THROUGHPUT_INTERVAL_S
 from repro.engines.storm import StormConfig
 
-MONITOR_INTERVAL_S = 1.0
+MONITOR_INTERVAL_S = THROUGHPUT_INTERVAL_S
 
 
 def stalled_storm_result(stall_duration_s=10.0):
@@ -32,7 +33,6 @@ def stalled_storm_result(stall_duration_s=10.0):
             generator=GeneratorConfig(instances=2),
             monitor_resources=False,
             engine_config=StormConfig(stall_duration_s=stall_duration_s),
-            throughput_interval_s=MONITOR_INTERVAL_S,
         )
     )
 

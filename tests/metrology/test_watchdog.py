@@ -9,7 +9,7 @@ from repro.core.experiment import (
 )
 from repro.core.generator import GeneratorConfig
 from repro.faults.schedule import FaultSchedule, GeneratorCrash
-from repro.metrology import TrialWatchdog, WatchdogSpec
+from repro.metrology import TrialWatchdog, WatchdogSpec, watchdog
 from repro.sim.failures import MeasurementFault, SutFailure
 from repro.workloads.queries import WindowSpec, WindowedAggregationQuery
 
@@ -43,13 +43,11 @@ class TestWatchdogSpec:
             WatchdogSpec(timeout_s=-1.0)
         with pytest.raises(ValueError):
             WatchdogSpec(max_attempts=0)
-        with pytest.raises(ValueError):
-            WatchdogSpec(backoff_factor=0.5)
 
-    def test_backoff_is_capped_exponential(self):
-        spec = WatchdogSpec(
-            backoff_base_s=1.0, backoff_factor=3.0, backoff_cap_s=5.0
-        )
+    def test_backoff_is_capped_exponential(self, monkeypatch):
+        monkeypatch.setattr(watchdog, "BACKOFF_FACTOR", 3.0)
+        monkeypatch.setattr(watchdog, "BACKOFF_CAP_S", 5.0)
+        spec = WatchdogSpec(backoff_base_s=1.0)
         assert spec.backoff_s(0) == 1.0
         assert spec.backoff_s(1) == 3.0
         assert spec.backoff_s(2) == 5.0  # capped, not 9

@@ -63,13 +63,13 @@ class TestTracedTrial:
     def test_exports_complete_traces(self, traced_trial):
         report = traced_trial.observability
         assert report is not None
-        assert len(report.completed_traces) >= 1
+        assert len(report.trace_log.completed) >= 1
 
     def test_span_sum_reproduces_event_time_latency(self, traced_trial):
         """The acceptance criterion: spans decompose Definition 1's
         latency exactly -- their durations telescope to emitted minus
         created within 1e-9 for every complete trace."""
-        completed = traced_trial.observability.completed_traces
+        completed = traced_trial.observability.trace_log.completed
         assert completed
         for trace in completed:
             span_sum = sum(t1 - t0 for _, t0, t1 in trace.spans())
@@ -133,7 +133,7 @@ class TestRendering:
         assert "decomposed" in text
 
     def test_render_trace_accepts_object_and_dict(self, traced_trial):
-        trace = traced_trial.observability.completed_traces[0]
+        trace = traced_trial.observability.trace_log.completed[0]
         from_obj = render_trace(trace)
         from_dict = render_trace(trace.to_dict())
         assert from_obj == from_dict

@@ -44,9 +44,8 @@ class TestConfig:
     def test_default_policies_cover_the_three_corners(self):
         names = [p.name for p in DEFAULT_POLICIES]
         assert names == ["baseline", "shed", "standby"]
-        assert DEFAULT_POLICIES[0].reschedule_policy() is None
-        standby = DEFAULT_POLICIES[2].reschedule_policy()
-        assert standby is not None and standby.standby_nodes == 1
+        assert DEFAULT_POLICIES[0].standby == 0
+        assert DEFAULT_POLICIES[2].standby == 1
 
 
 class TestScheduleGeneration:

@@ -1,13 +1,22 @@
-"""Unit tests for the operator-rescheduling policy layer."""
+"""Unit tests for the operator-rescheduling layer."""
 
 import pytest
 
+from repro.core.experiment import ExperimentSpec
+from repro.faults.checkpoint import DETECTION_TIMEOUT_S
+from repro.recovery import reschedule
 from repro.recovery.reschedule import (
+    MIGRATION_NIC_FRACTION,
     MODE_NONE,
     MODE_SPREAD,
     MODE_STANDBY,
     ReschedulePlan,
-    ReschedulePolicy,
+    migration_pause_s,
+    plan_crash,
+    plan_scale_in,
+    plan_straggler,
+    plan_suspect,
+    resolve_mode,
 )
 from repro.sim.cluster import paper_cluster
 
@@ -16,29 +25,26 @@ NODE = paper_cluster(2).node
 
 class TestPolicyValidation:
     def test_defaults(self):
-        policy = ReschedulePolicy()
-        assert policy.standby_nodes == 0
-        assert policy.mode == MODE_STANDBY
-        assert policy.detection_timeout_s == 2.0
+        # No mode given: a standby pool selects standby promotion,
+        # none keeps the legacy lose-capacity behaviour.
+        assert resolve_mode(None, 0) == MODE_NONE
+        assert resolve_mode(None, 2) == MODE_STANDBY
+        assert resolve_mode(MODE_SPREAD, 2) == MODE_SPREAD
+        assert ExperimentSpec().reschedule is None
 
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):
-            ReschedulePolicy(standby_nodes=-1)
+            ExperimentSpec(standby=-1).cluster()
         with pytest.raises(ValueError):
-            ReschedulePolicy(mode="teleport")
-        with pytest.raises(ValueError):
-            ReschedulePolicy(detection_timeout_s=-1.0)
-        with pytest.raises(ValueError):
-            ReschedulePolicy(migration_nic_fraction=0.0)
-        with pytest.raises(ValueError):
-            ReschedulePolicy(migration_nic_fraction=1.5)
+            resolve_mode("teleport", 0)
 
 
 class TestPlanCrash:
     def test_mode_none_is_legacy(self):
         # Capacity simply vanishes: nothing promoted, nothing migrated,
         # no modelled migration cost.
-        plan = ReschedulePolicy(mode=MODE_NONE).plan_crash(
+        plan = plan_crash(
+            MODE_NONE,
             kill=1, active=4, standbys_left=3, state_bytes=1e9, node=NODE
         )
         assert plan.promoted == 0
@@ -48,15 +54,15 @@ class TestPlanCrash:
         assert not plan.fatal
 
     def test_mode_none_last_worker_fatal(self):
-        plan = ReschedulePolicy(mode=MODE_NONE).plan_crash(
+        plan = plan_crash(
+            MODE_NONE,
             kill=2, active=2, standbys_left=5, state_bytes=1e9, node=NODE
         )
         assert plan.fatal
 
     def test_standby_promotion(self):
-        plan = ReschedulePolicy(
-            standby_nodes=2, mode=MODE_STANDBY
-        ).plan_crash(
+        plan = plan_crash(
+            MODE_STANDBY,
             kill=1, active=4, standbys_left=2, state_bytes=8e8, node=NODE
         )
         assert plan.promoted == 1
@@ -69,9 +75,8 @@ class TestPlanCrash:
     def test_standby_rescues_last_worker(self):
         # The headline scenario: the last worker dies, but a standby
         # exists, so the job survives instead of aborting.
-        plan = ReschedulePolicy(
-            standby_nodes=1, mode=MODE_STANDBY
-        ).plan_crash(
+        plan = plan_crash(
+            MODE_STANDBY,
             kill=2, active=2, standbys_left=1, state_bytes=1e9, node=NODE
         )
         assert not plan.fatal
@@ -80,45 +85,49 @@ class TestPlanCrash:
         assert plan.restored == 1
 
     def test_fatal_when_pool_empty(self):
-        plan = ReschedulePolicy(
-            standby_nodes=1, mode=MODE_STANDBY
-        ).plan_crash(
+        plan = plan_crash(
+            MODE_STANDBY,
             kill=2, active=2, standbys_left=0, state_bytes=1e9, node=NODE
         )
         assert plan.fatal
         assert plan.restored == 0
 
     def test_spread_migrates_without_promotion(self):
-        plan = ReschedulePolicy(mode=MODE_SPREAD).plan_crash(
+        plan = plan_crash(
+            MODE_SPREAD,
             kill=1, active=4, standbys_left=3, state_bytes=8e8, node=NODE
         )
         assert plan.promoted == 0
         assert plan.survivors == 3
         assert plan.migrated_bytes == pytest.approx(2e8)
 
-    def test_migration_pause_scales_with_nic(self):
-        policy = ReschedulePolicy(mode=MODE_SPREAD, migration_nic_fraction=0.5)
-        pause = policy.migration_pause_s(1e9, NODE, receivers=2)
+    def test_migration_pause_scales_with_nic(self, monkeypatch):
+        monkeypatch.setattr(reschedule, "MIGRATION_NIC_FRACTION", 0.5)
+        pause = migration_pause_s(1e9, NODE, receivers=2)
         # bytes / (receivers * nic * fraction)
         assert pause == pytest.approx(1e9 / (2 * NODE.nic_bytes_per_s * 0.5))
         # More receivers pull the state in parallel: shorter pause.
-        assert policy.migration_pause_s(1e9, NODE, receivers=4) < pause
-        assert policy.migration_pause_s(0.0, NODE, receivers=2) == 0.0
+        assert migration_pause_s(1e9, NODE, receivers=4) < pause
+        assert migration_pause_s(0.0, NODE, receivers=2) == 0.0
+        monkeypatch.undo()
+        assert migration_pause_s(1e9, NODE, receivers=2) == pytest.approx(
+            1e9 / (2 * NODE.nic_bytes_per_s * MIGRATION_NIC_FRACTION)
+        )
 
     def test_invalid_plan_inputs_rejected(self):
         with pytest.raises(ValueError):
-            ReschedulePolicy().plan_crash(
-                kill=0, active=2, standbys_left=0, state_bytes=0.0, node=NODE
+            plan_crash(
+                MODE_STANDBY,
+                kill=0, active=2, standbys_left=0, state_bytes=0.0, node=NODE,
             )
         with pytest.raises(ValueError):
-            ReschedulePolicy().plan_crash(
-                kill=1, active=0, standbys_left=0, state_bytes=0.0, node=NODE
+            plan_crash(
+                MODE_STANDBY,
+                kill=1, active=0, standbys_left=0, state_bytes=0.0, node=NODE,
             )
 
 
 class TestPlanStraggler:
-    POLICY = ReschedulePolicy(standby_nodes=1, mode=MODE_STANDBY)
-
     def kwargs(self, **overrides):
         base = dict(
             nodes=1,
@@ -135,43 +144,36 @@ class TestPlanStraggler:
         # Strictly below the failure detector's timeout, nobody notices
         # the straggler -- migrating state for a blip would cost more
         # than riding it out.
-        plan = self.POLICY.plan_straggler(
-            **self.kwargs(duration_s=self.POLICY.detection_timeout_s - 1e-9)
+        plan = plan_straggler(
+            MODE_STANDBY, **self.kwargs(duration_s=DETECTION_TIMEOUT_S - 1e-9)
         )
         assert plan.promoted == 0
         assert plan.migrated_bytes == 0.0
 
     def test_boundary_fault_is_detected(self):
-        # Regression: a fault lasting *exactly* detection_timeout_s was
+        # Regression: a fault lasting *exactly* DETECTION_TIMEOUT_S was
         # waved through (`<=`), contradicting the detector layer's
         # inclusive conviction at elapsed == timeout.  The boundary is
         # detection, so the straggler is replaced.
-        plan = self.POLICY.plan_straggler(
-            **self.kwargs(duration_s=self.POLICY.detection_timeout_s)
+        plan = plan_straggler(
+            MODE_STANDBY, **self.kwargs(duration_s=DETECTION_TIMEOUT_S)
         )
         assert plan.promoted == 1
         assert plan.migrated_bytes > 0.0
 
     def test_detected_straggler_is_replaced(self):
-        plan = self.POLICY.plan_straggler(**self.kwargs())
+        plan = plan_straggler(MODE_STANDBY, **self.kwargs())
         assert plan.promoted == 1
         assert plan.migrated_bytes == pytest.approx(4e8)
         assert plan.migration_pause_s > 0
 
     def test_no_standby_means_ride_it_out(self):
-        plan = self.POLICY.plan_straggler(**self.kwargs(standbys_left=0))
+        plan = plan_straggler(MODE_STANDBY, **self.kwargs(standbys_left=0))
         assert plan.promoted == 0
-
-    def test_opt_out(self):
-        policy = ReschedulePolicy(
-            standby_nodes=1, mode=MODE_STANDBY, migrate_stragglers=False
-        )
-        assert policy.plan_straggler(**self.kwargs()).promoted == 0
 
     def test_non_standby_modes_never_replace(self):
         for mode in (MODE_NONE, MODE_SPREAD):
-            policy = ReschedulePolicy(standby_nodes=1, mode=mode)
-            assert policy.plan_straggler(**self.kwargs()).promoted == 0
+            assert plan_straggler(mode, **self.kwargs()).promoted == 0
 
 
 class TestPlanSuspect:
@@ -181,9 +183,7 @@ class TestPlanSuspect:
         return base
 
     def test_standby_promotion_keeps_headcount(self):
-        plan = ReschedulePolicy(
-            standby_nodes=1, mode=MODE_STANDBY
-        ).plan_suspect(**self.kwargs())
+        plan = plan_suspect(MODE_STANDBY, **self.kwargs())
         assert plan.promoted == 1
         assert plan.survivors == 1
         # One worker's share of state moves, and the pause is real --
@@ -192,29 +192,25 @@ class TestPlanSuspect:
         assert plan.migration_pause_s > 0
 
     def test_spread_shrinks_capacity(self):
-        plan = ReschedulePolicy(mode=MODE_SPREAD).plan_suspect(
-            **self.kwargs(active=3)
-        )
+        plan = plan_suspect(MODE_SPREAD, **self.kwargs(active=3))
         assert plan.promoted == 0
         assert plan.survivors == 2
         assert plan.migrated_bytes > 0
 
     def test_mode_none_declines(self):
-        plan = ReschedulePolicy(mode=MODE_NONE).plan_suspect(**self.kwargs())
+        plan = plan_suspect(MODE_NONE, **self.kwargs())
         assert plan.promoted == 0
         assert plan.survivors == 2
         assert plan.migration_pause_s == 0.0
 
     def test_never_kills_the_last_worker_on_a_suspicion(self):
-        plan = ReschedulePolicy(mode=MODE_SPREAD).plan_suspect(
-            **self.kwargs(active=1)
-        )
+        plan = plan_suspect(MODE_SPREAD, **self.kwargs(active=1))
         assert plan.survivors == 1
         assert not plan.fatal
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
-            ReschedulePolicy().plan_suspect(**self.kwargs(active=0))
+            plan_suspect(MODE_STANDBY, **self.kwargs(active=0))
 
 
 class TestPlanValidation:
@@ -247,12 +243,10 @@ class TestPlanValidation:
 
 
 class TestPlanScaleIn:
-    POLICY = ReschedulePolicy()
-
     def plan(self, **kwargs):
         merged = dict(remove=1, active=4, state_bytes=8e8, node=NODE)
         merged.update(kwargs)
-        return self.POLICY.plan_scale_in(**merged)
+        return plan_scale_in(**merged)
 
     def test_departing_share_drains_to_survivors(self):
         plan = self.plan(remove=1, active=4, state_bytes=8e8)
@@ -261,7 +255,7 @@ class TestPlanScaleIn:
         assert not plan.fatal
         # The victims' share of keyed state: state_bytes * remove/active.
         assert plan.migrated_bytes == pytest.approx(2e8)
-        expected_pause = self.POLICY.migration_pause_s(2e8, NODE, 3)
+        expected_pause = migration_pause_s(2e8, NODE, 3)
         assert plan.migration_pause_s == pytest.approx(expected_pause)
         assert plan.migration_pause_s > 0
 

@@ -64,7 +64,7 @@ class TestRecoveryCost:
         )
         assert cost == 60.0
 
-    def test_standby_nodes_cost_more(self):
+    def test_standby_machines_cost_more(self):
         without = recovery_cost_node_s(2, 24.0, 9.0, 60.0)
         with_standby = recovery_cost_node_s(3, 24.0, 9.0, 60.0)
         assert with_standby > without

@@ -23,23 +23,24 @@ class TestSpec:
         )
 
     def test_events_capacity_at_104_bytes_is_about_1_2M(self, plane):
-        cap = plane.events_capacity_per_s(104)
+        cap = plane.spec.segment_bytes_per_s / 104
         assert cap == pytest.approx(1.202e6, rel=0.01)
 
-    def test_events_capacity_rejects_nonpositive(self, plane):
-        with pytest.raises(ValueError):
-            plane.events_capacity_per_s(0)
+
+def banked(plane):
+    """Capacity banked in the bucket right now (drains it)."""
+    return plane.allocate(float("inf"))
 
 
 class TestTokenBucket:
     def test_initial_burst_available(self, plane):
         # burst_seconds * rate banked at t=0.
-        assert plane.available_bytes == pytest.approx(12.5e6)
+        assert banked(plane) == pytest.approx(12.5e6)
 
     def test_allocate_grants_up_to_available(self, plane):
         granted = plane.allocate(5e6)
         assert granted == pytest.approx(5e6)
-        assert plane.available_bytes == pytest.approx(7.5e6)
+        assert banked(plane) == pytest.approx(7.5e6)
 
     def test_allocate_caps_at_available(self, plane):
         granted = plane.allocate(100e6)
@@ -51,12 +52,12 @@ class TestTokenBucket:
         sim.schedule(0.05, lambda: None)
         sim.run()
         # 0.05 s at 125 MB/s = 6.25 MB banked.
-        assert plane.available_bytes == pytest.approx(6.25e6, rel=1e-6)
+        assert banked(plane) == pytest.approx(6.25e6, rel=1e-6)
 
     def test_bank_is_capped_at_burst(self, sim, plane):
         sim.schedule(10.0, lambda: None)
         sim.run()
-        assert plane.available_bytes == pytest.approx(12.5e6)
+        assert banked(plane) == pytest.approx(12.5e6)
 
     def test_steady_state_rate_is_link_rate(self, sim, plane):
         plane.allocate(12.5e6)  # drain the initial bank
