@@ -11,7 +11,7 @@ with the *unchanged* driver, alongside Flink.
 An engine is a declaration: the base class owns the window pipeline
 (store, close, emit, sink), credit-based backpressure and the
 conservation ledger, so Pipey states only what differs -- its config
-defaults, its cost model and when a closed window's results leave.
+defaults, its registered cost model and when a closed window's results leave.
 
 Everything the driver does (rate-controlled generation, queueing,
 event-time latency at the sink, sustainability judgement) applies to
@@ -26,7 +26,11 @@ from dataclasses import dataclass
 from repro import ExperimentSpec, run_experiment
 from repro.engines import ENGINES
 from repro.engines.base import EngineConfig, StreamingEngine
-from repro.engines.calibration import CostModel
+from repro.engines.calibration import (
+    AGGREGATION,
+    CostModel,
+    register_cost_model,
+)
 from repro.workloads import WindowSpec, WindowedAggregationQuery
 
 
@@ -37,23 +41,25 @@ class PipeyConfig(EngineConfig):
     gc_rate_per_s: float = 0.0
 
 
+# The engine's characterisation, registered for the query it runs (the
+# built-in engines register theirs in repro.engines.calibration).
+register_cost_model(
+    CostModel(
+        engine="pipey",
+        query_kind=AGGREGATION,
+        pipeline_cost_us=50.0,   # 2 workers -> 32e6/50 = 0.64 M/s
+        keyed_cost_us=2.0,
+        bulk_emit_cost_us=0.0,
+        scaling_efficiency={2: 1.0, 4: 0.95, 8: 0.9},
+    )
+)
+
+
 class PipeyEngine(StreamingEngine):
     """A minimal pipelined engine: incremental windows, no frills."""
 
     name = "pipey"
     config_cls = PipeyConfig
-
-    def _resolve_cost_model(self) -> CostModel:
-        # The built-in engines look their characterisation up in the
-        # calibration registry; a custom engine supplies its own.
-        return CostModel(
-            engine="pipey",
-            query_kind=self.query.kind,
-            pipeline_cost_us=50.0,   # 2 workers -> 32e6/50 = 0.64 M/s
-            keyed_cost_us=2.0,
-            bulk_emit_cost_us=0.0,
-            scaling_efficiency={2: 1.0, 4: 0.95, 8: 0.9},
-        )
 
     def _emit_delay(self, closed) -> float:
         # Results leave one unloaded pipeline delay after the close.

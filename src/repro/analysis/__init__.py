@@ -1,9 +1,7 @@
 """Post-processing: statistics, figure series, and the paper's numbers.
 
-- :mod:`repro.analysis.stats` -- trend estimation and robust summaries
+- :mod:`repro.analysis.stats` -- relative errors and robust summaries
   beyond the driver's built-ins.
-- :mod:`repro.analysis.timeseries` -- alignment/resampling helpers for
-  building the paper's figure panels.
 - :mod:`repro.analysis.ascii_plots` -- terminal rendering of series so
   ``repro paper`` and ``repro run`` can show figure shapes without a
   plotting stack.
@@ -25,19 +23,15 @@ from repro.analysis.paper_values import (
     PAPER_TABLE3_JOIN_THROUGHPUT,
     PAPER_TABLE4_JOIN_LATENCY,
 )
-from repro.analysis.stats import relative_error, trend_classification
-from repro.analysis.timeseries import align_series, resample
+from repro.analysis.stats import relative_error
 
 __all__ = [
     "PAPER_TABLE1_AGG_THROUGHPUT",
     "PAPER_TABLE2_AGG_LATENCY",
     "PAPER_TABLE3_JOIN_THROUGHPUT",
     "PAPER_TABLE4_JOIN_LATENCY",
-    "align_series",
     "pareto_front",
     "relative_error",
     "render_series",
-    "resample",
     "sparkline",
-    "trend_classification",
 ]

@@ -55,7 +55,6 @@ from repro.analysis.stats import (
 )
 from repro.autoscale.policy import AutoscaleSpec
 from repro.autoscale.scorecard import single_worker_capacity
-from repro.core.broker import BrokerSpec
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.generator import GeneratorConfig
 from repro.core.latency import EVENT_TIME, PROCESSING_TIME
@@ -1054,7 +1053,7 @@ ABLATION_BROKER = Artifact(
     cells={
         "direct": Trial(agg_spec("flink", 2, profile=0.9e6), headline),
         "brokered": Trial(
-            agg_spec("flink", 2, profile=0.9e6, broker=BrokerSpec()), headline
+            agg_spec("flink", 2, profile=0.9e6, broker=True), headline
         ),
     },
     checks=(

@@ -1,8 +1,7 @@
 """Statistical helpers for judging reproduction quality.
 
 These functions support the shape claims the benchmarks make: relative
-errors against the paper's numbers, trend classification for
-sustainability arguments, and simple robust summaries.
+errors against the paper's numbers and simple robust summaries.
 """
 
 from __future__ import annotations
@@ -10,12 +9,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-
-from repro.core.metrics import TimeSeries
-
-INCREASING = "increasing"
-DECREASING = "decreasing"
-FLAT = "flat"
 
 
 def relative_error(measured: float, reference: float) -> float:
@@ -36,22 +29,6 @@ def within_factor(measured: float, reference: float, factor: float) -> bool:
     if reference <= 0 or measured <= 0:
         return measured == reference
     return reference / factor <= measured <= reference * factor
-
-
-def trend_classification(
-    series: TimeSeries, flat_slope: float = 1e-3
-) -> str:
-    """Classify a series as increasing/decreasing/flat by its LS slope.
-
-    ``flat_slope`` is in value-units per second; pick it relative to the
-    series magnitude (the sustainability test scales it by offered rate).
-    """
-    slope = series.slope_per_s()
-    if slope > flat_slope:
-        return INCREASING
-    if slope < -flat_slope:
-        return DECREASING
-    return FLAT
 
 
 def coefficient_of_variation(values: Sequence[float]) -> float:

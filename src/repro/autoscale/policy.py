@@ -36,6 +36,31 @@ from typing import Optional
 #: Registered policy names (the ``--autoscale`` CLI values).
 POLICY_NAMES = ("threshold", "target")
 
+#: Threshold policy: queue-delay / watermark-lag band above which the
+#: cluster is overloaded.  Half of it is the calm band both policies
+#: require before a scale-in.
+HIGH_DELAY_S = 4.0
+#: Threshold policy: offered/capacity ratio below which (when calm) the
+#: cluster is underloaded.
+LOW_UTILIZATION = 0.4
+#: Threshold policy: backpressure stalling more than this share of the
+#: last sample interval is overload.
+STALL_FRACTION = 0.5
+#: Target policy: the offered/capacity ratio the PID tracks.
+TARGET_UTILIZATION = 0.75
+#: Target policy: PID gains, the error deadband, and the anti-windup
+#: clamp on the integral term.
+KP = 1.0
+KI = 0.1
+KD = 0.0
+DEADBAND = 0.1
+INTEGRAL_CLAMP = 2.0
+#: Consecutive calm samples required before a scale-in fires.
+SETTLE_SAMPLES = 3
+#: Threshold policy: workers added/removed per decision; also the
+#: per-decision clamp on the target policy's PID output.
+STEP_WORKERS = 2
+
 
 @dataclass(frozen=True)
 class AutoscaleSpec:
@@ -49,19 +74,6 @@ class AutoscaleSpec:
     """Scale-out ceiling on the total cluster size."""
     cooldown_s: float = 20.0
     """Minimum simulated time between two scaling decisions."""
-    high_delay_s: float = 4.0
-    """Threshold policy: queue-delay / watermark-lag band above which
-    the cluster is overloaded."""
-    low_utilization: float = 0.4
-    """Threshold policy: offered/capacity ratio below which (when calm)
-    the cluster is underloaded."""
-    target_utilization: float = 0.75
-    """Target policy: the offered/capacity ratio the PID tracks."""
-    settle_samples: int = 3
-    """Consecutive calm samples required before a scale-in fires."""
-    step_workers: int = 2
-    """Threshold policy: workers added/removed per decision; also the
-    per-decision clamp on the target policy's PID output."""
 
     def __post_init__(self) -> None:
         if self.policy not in POLICY_NAMES:
@@ -79,45 +91,12 @@ class AutoscaleSpec:
             )
         if self.cooldown_s < 0:
             raise ValueError(f"cooldown_s must be >= 0, got {self.cooldown_s}")
-        if self.high_delay_s <= 0:
-            raise ValueError(
-                f"high_delay_s must be > 0, got {self.high_delay_s}"
-            )
-        if not 0 < self.low_utilization < 1:
-            raise ValueError(
-                f"low_utilization must be in (0, 1), got {self.low_utilization}"
-            )
-        if not 0 < self.target_utilization < 1:
-            raise ValueError(
-                "target_utilization must be in (0, 1), "
-                f"got {self.target_utilization}"
-            )
-        if self.settle_samples < 1:
-            raise ValueError(
-                f"settle_samples must be >= 1, got {self.settle_samples}"
-            )
-        if self.step_workers < 1:
-            raise ValueError(
-                f"step_workers must be >= 1, got {self.step_workers}"
-            )
 
     def build_policy(self) -> "ScalingPolicy":
         """A fresh (stateful) policy instance for one trial."""
         if self.policy == "threshold":
-            return ThresholdPolicy(
-                high_delay_s=self.high_delay_s,
-                low_utilization=self.low_utilization,
-                cooldown_s=self.cooldown_s,
-                settle_samples=self.settle_samples,
-                step_workers=self.step_workers,
-            )
-        return TargetUtilizationPolicy(
-            target=self.target_utilization,
-            cooldown_s=self.cooldown_s,
-            settle_samples=self.settle_samples,
-            max_step=self.step_workers,
-            calm_delay_s=self.high_delay_s / 2.0,
-        )
+            return ThresholdPolicy(self.cooldown_s)
+        return TargetUtilizationPolicy(self.cooldown_s)
 
 
 @dataclass(frozen=True)
@@ -197,36 +176,22 @@ class ScalingPolicy(ABC):
 class ThresholdPolicy(ScalingPolicy):
     """Reactive bands with hysteresis and cooldown.
 
-    Scale-out: queue delay or watermark lag above ``high_delay_s``, or
-    the engine spent more than half the last sample interval stalled by
-    backpressure.  Overload reacts on the first breaching sample (a
-    flash crowd cannot wait out a settle count) but never inside the
-    cooldown window.
+    Scale-out: queue delay or watermark lag above :data:`HIGH_DELAY_S`,
+    or the engine spent more than :data:`STALL_FRACTION` of the last
+    sample interval stalled by backpressure.  Overload reacts on the
+    first breaching sample (a flash crowd cannot wait out a settle
+    count) but never inside the cooldown window.
 
-    Scale-in: utilization below ``low_utilization`` *and* delay/lag
+    Scale-in: utilization below :data:`LOW_UTILIZATION` *and* delay/lag
     inside the calm band (half the high threshold) for
-    ``settle_samples`` consecutive samples.  The asymmetric bands plus
+    :data:`SETTLE_SAMPLES` consecutive samples.  The asymmetric bands plus
     the universal cooldown are the anti-flapping mechanism: an
     oscillation would need the signals to cross both bands *and* out-wait
     the cooldown each way.
     """
 
-    def __init__(
-        self,
-        *,
-        high_delay_s: float = 4.0,
-        low_utilization: float = 0.4,
-        cooldown_s: float = 20.0,
-        settle_samples: int = 3,
-        step_workers: int = 2,
-        stall_fraction: float = 0.5,
-    ) -> None:
+    def __init__(self, cooldown_s: float) -> None:
         super().__init__(cooldown_s)
-        self.high_delay_s = float(high_delay_s)
-        self.low_utilization = float(low_utilization)
-        self.settle_samples = int(settle_samples)
-        self.step_workers = int(step_workers)
-        self.stall_fraction = float(stall_fraction)
         self._overload_since = float("nan")
         self._underload_since = float("nan")
         self._underload_streak = 0
@@ -239,18 +204,18 @@ class ThresholdPolicy(ScalingPolicy):
         delay = signals.queue_delay_s
         lag = signals.watermark_lag_s
         hot = (
-            (not math.isnan(delay) and delay > self.high_delay_s)
-            or (not math.isnan(lag) and lag > self.high_delay_s)
+            (not math.isnan(delay) and delay > HIGH_DELAY_S)
+            or (not math.isnan(lag) and lag > HIGH_DELAY_S)
             or stalled
         )
-        calm_band = self.high_delay_s / 2.0
+        calm_band = HIGH_DELAY_S / 2.0
         calm = (math.isnan(delay) or delay < calm_band) and (
             math.isnan(lag) or lag < calm_band
         )
         utilization = signals.utilization
         idle = (
             not math.isnan(utilization)
-            and utilization < self.low_utilization
+            and utilization < LOW_UTILIZATION
             and calm
             and not stalled
         )
@@ -275,13 +240,13 @@ class ThresholdPolicy(ScalingPolicy):
         if hot:
             reason = "stall" if stalled else "lag"
             decision = self._commit(
-                now, self.step_workers, reason, self._overload_since
+                now, STEP_WORKERS, reason, self._overload_since
             )
             self._overload_since = float("nan")
             return decision
-        if idle and self._underload_streak >= self.settle_samples:
+        if idle and self._underload_streak >= SETTLE_SAMPLES:
             decision = self._commit(
-                now, -self.step_workers, "idle", self._underload_since
+                now, -STEP_WORKERS, "idle", self._underload_since
             )
             self._underload_since = float("nan")
             self._underload_streak = 0
@@ -289,7 +254,7 @@ class ThresholdPolicy(ScalingPolicy):
         return None
 
     def _stalled_recently(self, signals: ScalingSignals) -> bool:
-        """Did backpressure stall more than ``stall_fraction`` of the
+        """Did backpressure stall more than :data:`STALL_FRACTION` of the
         last inter-sample interval?  (The stall signals are cumulative
         seconds, so the delta over the interval is the duty cycle.)"""
         stall = signals.backpressure_stall_s
@@ -300,53 +265,29 @@ class ThresholdPolicy(ScalingPolicy):
         elapsed = signals.now - prev_now
         if elapsed <= 0:
             return False
-        return (stall - prev_stall) / elapsed > self.stall_fraction
+        return (stall - prev_stall) / elapsed > STALL_FRACTION
 
 
 class TargetUtilizationPolicy(ScalingPolicy):
     """PID-style tracking of offered/capacity toward a target ratio.
 
-    The error is ``utilization - target``; the control output (in
-    worker units: ``active * error / target`` shaped by the PID terms)
-    is clamped to ``max_step`` per decision.  A symmetric ``deadband``
-    around zero error plus the cooldown prevent flapping; the integral
-    term is clamped (anti-windup) so a long overload cannot bank an
-    unbounded scale-in later.
+    The error is ``utilization - TARGET_UTILIZATION``; the control
+    output (in worker units: ``active * error / target`` shaped by the
+    PID terms) is clamped to :data:`STEP_WORKERS` per decision.  A
+    symmetric :data:`DEADBAND` around zero error plus the cooldown
+    prevent flapping; the integral term is clamped (anti-windup) so a
+    long overload cannot bank an unbounded scale-in later.
 
     Utilization is *offered rate* over capacity -- it says nothing about
     backlog already queued.  After a flash crowd the offered rate drops
     while the queues are still full; shrinking then would starve the
     drain.  Scale-in is therefore additionally gated on queue delay and
-    watermark lag being inside ``calm_delay_s`` (mirroring the
-    threshold policy's calm band).
+    watermark lag being inside the threshold policy's calm band (half
+    :data:`HIGH_DELAY_S`).
     """
 
-    def __init__(
-        self,
-        *,
-        target: float = 0.75,
-        kp: float = 1.0,
-        ki: float = 0.1,
-        kd: float = 0.0,
-        deadband: float = 0.1,
-        cooldown_s: float = 20.0,
-        settle_samples: int = 2,
-        max_step: int = 2,
-        integral_clamp: float = 2.0,
-        calm_delay_s: float = 2.0,
-    ) -> None:
+    def __init__(self, cooldown_s: float) -> None:
         super().__init__(cooldown_s)
-        if not 0 < target < 1:
-            raise ValueError(f"target must be in (0, 1), got {target}")
-        self.target = float(target)
-        self.kp = float(kp)
-        self.ki = float(ki)
-        self.kd = float(kd)
-        self.deadband = float(deadband)
-        self.settle_samples = int(settle_samples)
-        self.max_step = int(max_step)
-        self.integral_clamp = float(integral_clamp)
-        self.calm_delay_s = float(calm_delay_s)
         self._integral = 0.0
         self._prev_error = float("nan")
         self._prev_now = float("nan")
@@ -358,20 +299,20 @@ class TargetUtilizationPolicy(ScalingPolicy):
         utilization = signals.utilization
         if math.isnan(utilization):
             return None
-        error = utilization - self.target
+        error = utilization - TARGET_UTILIZATION
         dt = now - self._prev_now if not math.isnan(self._prev_now) else 0.0
         derivative = 0.0
         if dt > 0 and not math.isnan(self._prev_error):
             self._integral += error * dt
             self._integral = max(
-                -self.integral_clamp, min(self.integral_clamp, self._integral)
+                -INTEGRAL_CLAMP, min(INTEGRAL_CLAMP, self._integral)
             )
             derivative = (error - self._prev_error) / dt
         self._prev_error = error
         self._prev_now = now
 
-        control = self.kp * error + self.ki * self._integral + self.kd * derivative
-        if abs(control) <= self.deadband:
+        control = KP * error + KI * self._integral + KD * derivative
+        if abs(control) <= DEADBAND:
             self._breach_since = float("nan")
             self._low_streak = 0
             return None
@@ -385,13 +326,13 @@ class TargetUtilizationPolicy(ScalingPolicy):
             self._low_streak = 0
         if self._in_cooldown(now):
             return None
-        if control < 0 and self._low_streak < self.settle_samples:
+        if control < 0 and self._low_streak < SETTLE_SAMPLES:
             return None
         if control < 0 and not self._calm(signals):
             return None
         workers = max(1, signals.active_workers)
-        raw = control * workers / self.target
-        delta = int(math.copysign(math.ceil(min(abs(raw), self.max_step)), raw))
+        raw = control * workers / TARGET_UTILIZATION
+        delta = int(math.copysign(math.ceil(min(abs(raw), STEP_WORKERS)), raw))
         if delta == 0:
             return None
         decision = self._commit(
@@ -409,6 +350,7 @@ class TargetUtilizationPolicy(ScalingPolicy):
         """No queued backlog evidence: safe to remove capacity."""
         delay = signals.queue_delay_s
         lag = signals.watermark_lag_s
-        return (math.isnan(delay) or delay < self.calm_delay_s) and (
-            math.isnan(lag) or lag < self.calm_delay_s
+        calm_band = HIGH_DELAY_S / 2.0
+        return (math.isnan(delay) or delay < calm_band) and (
+            math.isnan(lag) or lag < calm_band
         )

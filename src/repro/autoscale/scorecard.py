@@ -52,8 +52,8 @@ from repro.grid import (
 )
 from repro.metrology.journal import TrialJournal
 from repro.recovery.chaos import DEFAULT_ENGINES
-from repro.sim.cluster import paper_cluster
-from repro.sim.network import DataPlane, NetworkSpec
+from repro.sim.cluster import ClusterSpec
+from repro.sim.network import DataPlane
 from repro.sim.simulator import Simulator
 from repro.sim.rng import RngRegistry
 from repro.workloads.profiles import DiurnalRate, FlashCrowdRate, RateProfile
@@ -128,9 +128,9 @@ def single_worker_capacity(engine: str) -> float:
     rng = RngRegistry(seed=1)
     instance = engine_class(engine)(
         sim=sim,
-        cluster=paper_cluster(1),
+        cluster=ClusterSpec(1),
         query=WindowedAggregationQuery(),
-        plane=DataPlane(sim, NetworkSpec()),
+        plane=DataPlane(sim),
         rng=rng.stream("capacity-probe"),
     )
     return instance._capacity_events_per_s()

@@ -17,7 +17,6 @@ forwarding capacity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -27,20 +26,18 @@ from repro.core.queues import DriverQueue
 from repro.sim.simulator import PeriodicProcess, Simulator
 
 
-@dataclass(frozen=True)
-class BrokerSpec:
-    """Performance characteristics of the mediator."""
-
-    forward_capacity_events_per_s: float = 0.7e6
-    """Aggregate rate the broker can serve to consumers -- the Yahoo
-    benchmark's observed bottleneck."""
-    persistence_delay_s: float = 0.05
-    """Write-to-log + page-cache latency before an event is consumable."""
-    repartition_fraction: float = 0.5
-    """Fraction of events landing in a partition that does not match the
-    SUT's partitioning and paying an extra forwarding hop."""
-    repartition_delay_s: float = 0.04
-    tick_interval_s: float = 0.05
+#: Aggregate rate the broker can serve to consumers -- the Yahoo
+#: benchmark's observed bottleneck.
+FORWARD_CAPACITY_EVENTS_PER_S = 0.7e6
+#: Write-to-log + page-cache latency before an event is consumable.
+PERSISTENCE_DELAY_S = 0.05
+#: Fraction of events landing in a partition that does not match the
+#: SUT's partitioning and paying an extra forwarding hop.
+REPARTITION_FRACTION = 0.5
+#: The extra hop's delay.
+REPARTITION_DELAY_S = 0.04
+#: Seconds between two forwarding passes.
+TICK_INTERVAL_S = 0.05
 
 
 class BrokerStage:
@@ -57,19 +54,17 @@ class BrokerStage:
         self,
         sim: Simulator,
         downstream: DriverQueue,
-        spec: BrokerSpec,
         share: float = 1.0,
     ) -> None:
         if not 0 < share <= 1:
             raise ValueError(f"share must be in (0, 1], got {share}")
         self.sim = sim
-        self.spec = spec
         self.downstream = downstream
         self.share = share
         self._staged = DriverQueue(name=f"{downstream.name}-broker")
         self.forwarded_weight = 0.0
         self._process: Optional[PeriodicProcess] = sim.every(
-            spec.tick_interval_s, self._forward
+            TICK_INTERVAL_S, self._forward
         )
 
     def push_block(
@@ -84,15 +79,15 @@ class BrokerStage:
 
     def _forward(self, sim: Simulator) -> None:
         budget = (
-            self.spec.forward_capacity_events_per_s
+            FORWARD_CAPACITY_EVENTS_PER_S
             * self.share
-            * self.spec.tick_interval_s
+            * TICK_INTERVAL_S
         )
         # Only events past their persistence (+ repartition) delay may
         # be served; later-generated ones wait a tick.
-        persisted = sim.now + self.spec.persistence_delay_s
-        rerouted_at = persisted + self.spec.repartition_delay_s
-        keep = 1.0 - self.spec.repartition_fraction
+        persisted = sim.now + PERSISTENCE_DELAY_S
+        rerouted_at = persisted + REPARTITION_DELAY_S
+        keep = 1.0 - REPARTITION_FRACTION
         for block in self._staged.pull_blocks(budget):
             # A deterministic share of each cohort's weight pays the
             # extra hop; a trace rides the first non-empty part.

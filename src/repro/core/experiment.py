@@ -21,7 +21,7 @@ from repro.autoscale.metrics import (
 )
 from repro.autoscale.policy import AutoscaleSpec
 from repro.autoscale.rescale import Autoscaler
-from repro.core.broker import BrokerSpec, BrokerStage
+from repro.core.broker import BrokerStage
 from repro.core.criteria import SustainabilityCriteria
 from repro.core.driver import BenchmarkDriver, TrialResult
 from repro.core.generator import GeneratorConfig, build_generator_fleet
@@ -44,8 +44,8 @@ from repro.metrology.watchdog import (
 from repro.obs.context import ObsContext, ObsSpec
 from repro.recovery.degradation import DegradationPolicy
 from repro.sim.clock import ClockSkewSpec
-from repro.sim.cluster import ClusterSpec, paper_cluster
-from repro.sim.network import DataPlane, NetworkSpec
+from repro.sim.cluster import ClusterSpec
+from repro.sim.network import DataPlane
 from repro.sim.resources import ResourceMonitor
 from repro.sim.rng import RngRegistry
 from repro.sim.simulator import Simulator
@@ -67,10 +67,11 @@ class ExperimentSpec:
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     engine_config: Optional[EngineConfig] = None
     monitor_resources: bool = True
-    broker: Optional[BrokerSpec] = None
+    broker: bool = False
     """Insert a message-broker mediator between generators and the SUT
     (the design the paper argues against, Section III-A); used by the
-    broker ablation benchmark."""
+    broker ablation benchmark.  Its characteristics are the constants
+    of :mod:`repro.core.broker`."""
     keep_outputs: bool = False
     """Retain raw output tuples on the trial's collector (correctness
     checks and ablations; costs memory on long runs)."""
@@ -131,10 +132,7 @@ class ExperimentSpec:
         return ConstantRate(float(self.profile))
 
     def cluster(self) -> ClusterSpec:
-        base = paper_cluster(self.workers)
-        if self.standby:
-            return replace(base, standby=self.standby)
-        return base
+        return ClusterSpec(self.workers, standby=self.standby)
 
     def with_rate(self, rate: float) -> "ExperimentSpec":
         """The same experiment at a different constant offered load."""
@@ -168,7 +166,7 @@ def run_experiment(
     sim = Simulator()
     rng = RngRegistry(seed=spec.seed)
     cluster = spec.cluster()
-    plane = DataPlane(sim, NetworkSpec())
+    plane = DataPlane(sim)
     resources = (
         ResourceMonitor(sim, cluster)
         if spec.monitor_resources
@@ -194,7 +192,7 @@ def run_experiment(
     )
     sut_queues = None
     brokers = []
-    if spec.broker is not None:
+    if spec.broker:
         # Interpose the mediator: generators push into broker stages,
         # the SUT reads from the brokers' downstream queues.
         downstreams = []
@@ -206,7 +204,6 @@ def run_experiment(
             stage = BrokerStage(
                 sim=sim,
                 downstream=downstream,
-                spec=spec.broker,
                 share=1.0 / len(generators),
             )
             generator.queue = stage  # type: ignore[assignment]

@@ -157,11 +157,13 @@ def anytime_spec(
     """
     moves_backlog = (
         spec.faults, spec.autoscale, spec.detector, spec.degradation,
-        spec.checkpoint, spec.broker, spec.clock_skew,
+        spec.checkpoint, spec.clock_skew,
         criteria.max_recovery_time_s, criteria.max_lost_weight,
     )
-    sound = all(part is None for part in moves_backlog) and isinstance(
-        spec.rate_profile(), ConstantRate
+    sound = (
+        not spec.broker
+        and all(part is None for part in moves_backlog)
+        and isinstance(spec.rate_profile(), ConstantRate)
     )
     return replace(spec, judged_by=criteria if sound else None)
 

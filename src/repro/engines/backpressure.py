@@ -104,6 +104,17 @@ class CreditBased(BackpressureMechanism):
         return {"credit_limited_s": self.credit_limited_s}
 
 
+#: Storm's spout throttle: the buffer fill at which the spout stops
+#: emitting, and the fill it must drain below to resume.
+HIGH_WATERMARK = 0.9
+LOW_WATERMARK = 0.4
+#: Storm's spout pull rate relative to processing capacity while emitting.
+BURST_FACTOR = 1.5
+#: Storm's base topology-stall length at 2 workers; stalls scale with
+#: ``sqrt(workers / 2)`` -- more executors, longer recovery coordination.
+STALL_DURATION_S = 2.5
+
+
 class OnOffThrottle(BackpressureMechanism):
     """Storm-style watermark throttle (disruptor-queue high/low marks).
 
@@ -155,18 +166,18 @@ class OnOffThrottle(BackpressureMechanism):
 
     @classmethod
     def for_engine(cls, engine) -> "OnOffThrottle":
-        """Storm's throttle: watermarks and burst from the engine
-        config; the stall hazard grows linearly with workers/2, the
+        """Storm's throttle: the module's watermarks and burst; the
+        engine config's stall hazard grows linearly with workers/2, the
         stall length with its square root (more executors, longer
         recovery coordination)."""
         cfg, workers = engine.config, engine.cluster.workers
         return cls(
-            high_watermark=cfg.high_watermark,
-            low_watermark=cfg.low_watermark,
-            burst_factor=cfg.burst_factor,
+            high_watermark=HIGH_WATERMARK,
+            low_watermark=LOW_WATERMARK,
+            burst_factor=BURST_FACTOR,
             stall_rng=engine.rng,
             stall_rate_per_s=cfg.stall_rate_per_s * workers / 2.0,
-            stall_duration_s=cfg.stall_duration_s * (workers / 2.0) ** 0.5,
+            stall_duration_s=STALL_DURATION_S * (workers / 2.0) ** 0.5,
         )
 
     @property

@@ -9,7 +9,7 @@ queues and the sink.
 
 Shared machinery implemented here:
 
-- the engine tick: every ``tick_interval_s`` the engine asks its
+- the engine tick: every :data:`TICK_INTERVAL_S` the engine asks its
   backpressure mechanism for an ingest budget, converts it to bytes,
   asks the data plane for a grant (this is where network saturation
   binds), pulls records from the driver queues through the
@@ -49,14 +49,14 @@ from repro.autoscale.rescale import RescaleSemantics
 from repro.core.batch import RecordBlock, left_sum, records_weight
 from repro.core.queues import QueueSet
 from repro.engines.backpressure import BackpressureMechanism, CreditBased
-from repro.engines.calibration import CostModel, cost_model_for
+from repro.engines.calibration import cost_model_for
 from repro.engines.control import ControlPlane, PauseCause
 from repro.engines.operators.aggregate import aggregation_outputs
 from repro.engines.operators.join import JoinWindowStore, join_window_outputs
 from repro.engines.operators.sink import Sink
 from repro.engines.operators.source import SourceSet
 from repro.engines.operators.window import KeyedWindowStore
-from repro.engines.state import StateBackend, StatePolicy
+from repro.engines.state import StateBackend
 from repro.obs.context import ObsContext
 from repro.recovery.degradation import DegradationPolicy
 from repro.faults.checkpoint import CheckpointSpec, RecoverySemantics
@@ -74,6 +74,9 @@ from repro.workloads.events import (
 )
 from repro.workloads.queries import Query, WindowedJoinQuery
 
+#: Simulated seconds between two engine ticks (every engine).
+TICK_INTERVAL_S = 0.05
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -81,7 +84,6 @@ class EngineConfig:
     engines' configuration parameters is important to get a good
     performance for every system")."""
 
-    tick_interval_s: float = 0.05
     buffer_seconds: float = 1.0
     """Internal buffer capacity expressed in seconds of processing
     capacity -- the paper's "buffer size" knob: small buffers lower
@@ -93,7 +95,6 @@ class EngineConfig:
     gc_pause_mean_s: float = 0.3
     gc_pause_sigma: float = 0.5
     """JVM pause process: Poisson arrivals, lognormal durations."""
-    heap_fraction: float = 0.4
     emit_jitter_sigma: float = 0.0
     """Lognormal sigma of multiplicative jitter on window-emission
     delays (coordination noise; grows with cluster size for Storm)."""
@@ -127,9 +128,9 @@ class StreamingEngine:
     semantics -- see :mod:`repro.autoscale.rescale`."""
     config_cls = EngineConfig
     """The engine's configuration class.  A trial without a config runs
-    on ``config_cls()``; any other config is copied into it field by
-    field, so a plain :class:`EngineConfig` keeps its values and gains
-    the engine's own knobs at their defaults."""
+    on ``config_cls()``; a config of another class is rejected, since
+    copying it over would replace the engine's calibrated defaults
+    with the base class's."""
     backpressure_cls: type = CreditBased
     """The engine's flow-control mechanism, built once per engine by
     ``backpressure_cls.for_engine(engine)``."""
@@ -167,16 +168,13 @@ class StreamingEngine:
         if config is None:
             config = config_cls()
         elif not isinstance(config, config_cls):
-            config = config_cls(**vars(config))
+            raise ValueError(
+                f"{self.name} runs on {config_cls.__name__}, got "
+                f"{type(config).__name__}"
+            )
         self.config = config
-        self.cost: CostModel = self._resolve_cost_model()
-        self.state = StateBackend(
-            cluster,
-            StatePolicy(
-                can_spill=self.supports_spill,
-                heap_fraction=config.heap_fraction,
-            ),
-        )
+        self.cost = cost_model_for(self.name, query.kind)
+        self.state = StateBackend(cluster, can_spill=self.supports_spill)
         self.backpressure: BackpressureMechanism = (
             self.backpressure_cls.for_engine(self)
         )
@@ -210,16 +208,6 @@ class StreamingEngine:
 
     # -- configuration hooks -------------------------------------------------
 
-    def _resolve_cost_model(self) -> CostModel:
-        """Look up this engine's performance characterisation.
-
-        Custom engines (the paper's pluggable-SUT future work) either
-        register a model via
-        :func:`repro.engines.calibration.register_cost_model` or
-        override this hook to return one directly.
-        """
-        return cost_model_for(self.name, self.query.kind)
-
     def _window_store(self):
         """The store this engine's windows fold into and close from,
         built once per engine."""
@@ -234,7 +222,7 @@ class StreamingEngine:
         self.source = SourceSet(queues)
         self.sink = sink
         self._tick_process = self.sim.every(
-            self.config.tick_interval_s, self._tick, start=self.sim.now
+            TICK_INTERVAL_S, self._tick, start=self.sim.now
         )
         self.control.start()
         if self.obs is not None:
@@ -273,7 +261,7 @@ class StreamingEngine:
     def _tick(self, sim: Simulator) -> None:
         if self.failed:
             return
-        dt = self.config.tick_interval_s
+        dt = TICK_INTERVAL_S
         control = self.control
         try:
             if control.paused(sim.now) or self._gc_pause_begins(dt):

@@ -144,7 +144,14 @@ class CostModel:
 _MODELS: Dict[Tuple[str, str], CostModel] = {}
 
 
-def _register(model: CostModel) -> None:
+def register_cost_model(model: CostModel) -> None:
+    """Register the performance characterisation of an engine.
+
+    Part of the pluggable-SUT interface: an engine with
+    ``name="myengine"`` becomes benchmarkable once a model is registered
+    for each query kind it supports.  The built-in models below, and
+    the extension engines' models, are registered the same way.
+    """
     _MODELS[(model.engine, model.query_kind)] = model
 
 
@@ -158,7 +165,7 @@ def _register(model: CostModel) -> None:
 # so in bulk") -- bulk cost tuned to yield Table II's ~1.4 s 2-node avg.
 # Storm buffers whole tuples in window state with no spill-to-disk
 # (Experiment 3: "Otherwise, we encountered memory exceptions").
-_register(
+register_cost_model(
     CostModel(
         engine="storm",
         query_kind=AGGREGATION,
@@ -175,7 +182,7 @@ _register(
 # issues and topology stalls on larger clusters (Experiment 2).
 # cost(2) = 32e6/0.14e6 = 228.6 us.  The naive join buffers both input
 # windows fully (very heavy per-event state).
-_register(
+register_cost_model(
     CostModel(
         engine="storm",
         query_kind=JOIN,
@@ -195,7 +202,7 @@ _register(
 # 0.53/0.64 = 0.83 of its unskewed capacity).
 # Mini-batch jobs evaluate windows from batch-level partial aggregates;
 # there is no per-window bulk pass (costs are inside the batch job).
-_register(
+register_cost_model(
     CostModel(
         engine="spark",
         query_kind=AGGREGATION,
@@ -213,7 +220,7 @@ _register(
 # eff(4) = 0.63/0.72 = 0.875; eff(8) = 0.94/1.44 = 0.653.
 # Under skew the join "exhibits very high latencies" but survives --
 # memory pressure is modelled through the heavier per-event state.
-_register(
+register_cost_model(
     CostModel(
         engine="spark",
         query_kind=JOIN,
@@ -234,7 +241,7 @@ _register(
 # Experiment 4: 0.48 M/s single-key => keyed = 1e6/0.48e6 = 2.083 us.
 # Aggregates are computed on the fly (incremental) => no bulk pass and
 # tiny per-event state (per-key accumulators only).
-_register(
+register_cost_model(
     CostModel(
         engine="flink",
         query_kind=AGGREGATION,
@@ -254,7 +261,7 @@ _register(
 # Join state buffers both windows (Experiment 4: under single-key skew
 # "Flink often becomes unresponsive" -- single-slot keyed stage plus
 # state blow-up).
-_register(
+register_cost_model(
     CostModel(
         engine="flink",
         query_kind=JOIN,
@@ -265,17 +272,6 @@ _register(
         state_bytes_per_event=180.0,
     )
 )
-
-
-def register_cost_model(model: CostModel) -> None:
-    """Register the performance characterisation of a custom engine.
-
-    Part of the pluggable-SUT interface: a user-supplied engine with
-    ``name="myengine"`` becomes benchmarkable once a model is registered
-    for each query kind it supports (or it can override
-    ``StreamingEngine._resolve_cost_model`` instead).
-    """
-    _register(model)
 
 
 def cost_model_for(engine: str, query_kind: str) -> CostModel:

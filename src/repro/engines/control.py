@@ -383,7 +383,6 @@ class ControlPlane:
                     active=active,
                     standbys_left=self.spares,
                     state_bytes=engine.state.used_bytes,
-                    node=engine.cluster.node,
                 )
                 fatal, migration_s = plan.fatal, plan.migration_pause_s
         detection_s = DETECTION_TIMEOUT_S
@@ -423,7 +422,6 @@ class ControlPlane:
         pause = recovery_pause_s(
             engine.recovery_semantics,
             state_bytes=engine.state.used_bytes,
-            node=engine.cluster.node,
             active_workers=self.active,
             workers=engine.cluster.workers,
             replay_span_s=max(0.0, self.sim.now - self.last_checkpoint_s),
@@ -473,7 +471,6 @@ class ControlPlane:
             standbys_left=self.spares,
             state_bytes=engine.state.used_bytes,
             active=active,
-            node=engine.cluster.node,
         )
         replaced = plan.promoted
         riding = nodes - replaced
@@ -507,7 +504,6 @@ class ControlPlane:
             active=active,
             standbys_left=self.spares,
             state_bytes=engine.state.used_bytes,
-            node=engine.cluster.node,
         )
         if plan.promoted == 0 and plan.survivors == active:
             return None
@@ -622,9 +618,7 @@ class ControlPlane:
             return
         moved_fraction = nodes / (engine.cluster.workers + nodes)
         migrated = max(0.0, engine.state.used_bytes) * moved_fraction
-        migration_s = migration_pause_s(
-            migrated, engine.cluster.node, nodes
-        )
+        migration_s = migration_pause_s(migrated, nodes)
         pause = self._cutover(entry, moved_fraction, migrated, migration_s)
         self.sim.schedule(pause, self._complete_scale_out, nodes, entry)
 
@@ -680,7 +674,6 @@ class ControlPlane:
             remove=victims,
             active=self.active,
             state_bytes=engine.state.used_bytes,
-            node=engine.cluster.node,
         )
         pause = self._cutover(
             entry,

@@ -20,13 +20,7 @@ from repro.engines import ENGINES
 from repro.engines.ext.heron import HeronEngine
 from repro.engines.ext.samza import SamzaEngine
 
+ENGINES.setdefault("heron", HeronEngine)
+ENGINES.setdefault("samza", SamzaEngine)
 
-def register_extension_engines() -> None:
-    """Add Heron and Samza to the engine registry (idempotent)."""
-    ENGINES.setdefault("heron", HeronEngine)
-    ENGINES.setdefault("samza", SamzaEngine)
-
-
-register_extension_engines()
-
-__all__ = ["HeronEngine", "SamzaEngine", "register_extension_engines"]
+__all__ = ["HeronEngine", "SamzaEngine"]

@@ -23,12 +23,38 @@ from dataclasses import dataclass, replace
 
 from repro.autoscale.rescale import STYLE_REBALANCE, RescaleSemantics
 from repro.engines.backpressure import CreditBased
-from repro.engines.calibration import CostModel, cost_model_for
+from repro.engines.calibration import (
+    QUERY_KINDS,
+    CostModel,
+    cost_model_for,
+    register_cost_model,
+)
 from repro.engines.storm import StormConfig, StormEngine
 from repro.recovery.degradation import DegradationPolicy
 
 #: Assumed per-tuple overhead reduction relative to Storm 1.0.2.
 HERON_COST_FACTOR = 0.65
+
+
+def _heron_model(storm: CostModel) -> CostModel:
+    """Storm's characterisation with Heron's per-tuple savings."""
+    return replace(
+        storm,
+        engine="heron",
+        pipeline_cost_us=storm.pipeline_cost_us * HERON_COST_FACTOR,
+        keyed_cost_us=storm.keyed_cost_us * HERON_COST_FACTOR,
+        bulk_emit_cost_us=storm.bulk_emit_cost_us * HERON_COST_FACTOR,
+        # Container isolation removes some of Storm's cross-worker
+        # coordination loss (assumption).
+        scaling_efficiency={
+            workers: min(1.0, eff * 1.1)
+            for workers, eff in storm.scaling_efficiency.items()
+        },
+    )
+
+
+for _kind in QUERY_KINDS:
+    register_cost_model(_heron_model(cost_model_for("storm", _kind)))
 
 
 @dataclass(frozen=True)
@@ -68,19 +94,3 @@ class HeronEngine(StormEngine):
     # container scheduler keeps the naive join from stalling the whole
     # topology; it is merely slow.
     naive_join_stalls = False
-
-    def _resolve_cost_model(self) -> CostModel:
-        storm = cost_model_for("storm", self.query.kind)
-        return replace(
-            storm,
-            engine="heron",
-            pipeline_cost_us=storm.pipeline_cost_us * HERON_COST_FACTOR,
-            keyed_cost_us=storm.keyed_cost_us * HERON_COST_FACTOR,
-            bulk_emit_cost_us=storm.bulk_emit_cost_us * HERON_COST_FACTOR,
-            # Container isolation removes some of Storm's cross-worker
-            # coordination loss (assumption).
-            scaling_efficiency={
-                workers: min(1.0, eff * 1.1)
-                for workers, eff in storm.scaling_efficiency.items()
-            },
-        )

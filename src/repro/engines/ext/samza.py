@@ -27,25 +27,51 @@ from dataclasses import dataclass
 
 from repro.autoscale.rescale import STYLE_REPARTITION, RescaleSemantics
 from repro.engines.base import EngineConfig, StreamingEngine
-from repro.engines.calibration import CostModel
+from repro.engines.calibration import (
+    AGGREGATION,
+    JOIN,
+    CostModel,
+    register_cost_model,
+)
 from repro.faults.checkpoint import RecoverySemantics
 from repro.faults.guarantees import DeliveryGuarantee
 from repro.recovery.degradation import DegradationPolicy
+
+#: Window results become visible at the next task commit.
+COMMIT_INTERVAL_S = 0.5
+
+# Assumptions: heavier per-event cost than Flink (serde through the
+# log), lighter than Storm; RocksDB makes the keyed stage costlier but
+# large state cheap.
+register_cost_model(
+    CostModel(
+        engine="samza",
+        query_kind=AGGREGATION,
+        pipeline_cost_us=38.0,
+        keyed_cost_us=4.0,
+        bulk_emit_cost_us=0.0,
+        scaling_efficiency={2: 1.0, 4: 0.9, 8: 0.78},
+        state_bytes_per_event=24.0,
+    )
+)
+register_cost_model(
+    CostModel(
+        engine="samza",
+        query_kind=JOIN,
+        pipeline_cost_us=46.0,
+        keyed_cost_us=10.0,
+        bulk_emit_cost_us=14.0,
+        scaling_efficiency={2: 1.0, 4: 0.85, 8: 0.7},
+        state_bytes_per_event=120.0,
+    )
+)
 
 
 @dataclass(frozen=True)
 class SamzaConfig(EngineConfig):
     """Samza defaults (extension; assumptions, not calibration)."""
 
-    tick_interval_s: float = 0.05
-    buffer_seconds: float = 1.0
-    pipeline_delay_s: float = 0.05
-    gc_rate_per_s: float = 0.02
-    gc_pause_mean_s: float = 0.3
-    gc_pause_sigma: float = 0.5
     emit_jitter_sigma: float = 0.15
-    commit_interval_s: float = 0.5
-    """Window results become visible at the next task commit."""
 
 
 class SamzaEngine(StreamingEngine):
@@ -75,37 +101,11 @@ class SamzaEngine(StreamingEngine):
         shed="newest", max_queue_delay_s=8.0, readmission_ramp_s=3.0
     )
 
-    def _resolve_cost_model(self) -> CostModel:
-        # Assumptions: heavier per-event cost than Flink (serde through
-        # the log), lighter than Storm; RocksDB makes the keyed stage
-        # costlier but large state cheap.
-        if self.query.kind == "aggregation":
-            return CostModel(
-                engine="samza",
-                query_kind="aggregation",
-                pipeline_cost_us=38.0,
-                keyed_cost_us=4.0,
-                bulk_emit_cost_us=0.0,
-                scaling_efficiency={2: 1.0, 4: 0.9, 8: 0.78},
-                state_bytes_per_event=24.0,
-            )
-        return CostModel(
-            engine="samza",
-            query_kind="join",
-            pipeline_cost_us=46.0,
-            keyed_cost_us=10.0,
-            bulk_emit_cost_us=14.0,
-            scaling_efficiency={2: 1.0, 4: 0.85, 8: 0.7},
-            state_bytes_per_event=120.0,
-        )
-
     def _emit_delay(self, closed) -> float:
         # Output becomes visible at the next task commit; a join pays its
         # bulk probe (jittered) on top.  Aggregates draw no jitter.
         delay = self.config.pipeline_delay_s
-        interval = self.config.commit_interval_s
-        if interval > 0:
-            delay += interval - self.sim.now % interval
+        delay += COMMIT_INTERVAL_S - self.sim.now % COMMIT_INTERVAL_S
         if self._is_join:
             delay += self.cost.bulk_emit_delay_s(
                 closed.total_weight, self.cluster

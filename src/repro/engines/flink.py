@@ -51,10 +51,7 @@ class FlinkConfig(EngineConfig):
     (tuple-at-a-time semantics); modest, infrequent JVM pauses (Flink's
     runtime manages most memory off-heap)."""
 
-    tick_interval_s: float = 0.05
     buffer_seconds: float = 0.5
-    pipeline_delay_s: float = 0.05
-    gc_rate_per_s: float = 0.02
     gc_pause_mean_s: float = 0.25
     gc_pause_sigma: float = 0.6
     emit_jitter_sigma: float = 0.25

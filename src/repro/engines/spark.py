@@ -46,6 +46,52 @@ from repro.faults.guarantees import DeliveryGuarantee
 from repro.recovery.degradation import DegradationPolicy
 
 
+#: Block interval for RDD partitioning; #partitions per mini-batch is
+#: bounded by batch_interval / block_interval (Section VI-A).
+BLOCK_INTERVAL_S = 0.2
+#: DAG-scheduler delay: a base plus occasional spikes (Figure 11).
+SCHEDULER_BASE_DELAY_S = 0.15
+SCHEDULER_SPIKE_RATE_PER_S = 0.01
+SCHEDULER_SPIKE_MEAN_S = 0.8
+#: Fixed per-job stage-coordination overhead (blocking barriers).
+JOB_OVERHEAD_S = 0.2
+#: Job processing rate relative to steady-state ingest capacity:
+#: burst = capacity * (base + per_worker * (workers - 2)); the growth
+#: with workers is the better RDD partitioning the paper credits for
+#: Spark's latency *decreasing* with cluster size (Table II).
+BURST_FACTOR_BASE = 1.33
+BURST_FACTOR_PER_WORKER = 0.045
+#: Per-stored-event cost of caching/recomputing windowed state per batch
+#: when no inverse-reduce function is supplied.
+CACHE_COST_US_PER_EVENT = 3.0
+#: Beyond this many waiting jobs the trial is hopeless; ingest is choked
+#: hard by the controller anyway.
+MAX_QUEUED_JOBS = 8
+#: Join jobs (CoGroupedRDD + Mapped/FlatMappedValuesRDD stages) run
+#: closer to the batch-interval limit than aggregations.
+JOIN_BURST_FACTOR = 1.10
+#: Lognormal sigma on join-job durations: the CoGroup stages wait on
+#: stragglers across partitions, so a meaningful share of join jobs
+#: overruns the batch interval even at sustainable load -- "the
+#: additional latency is due to tuples' waiting in the queue"
+#: (Experiment 2's Spark discussion).
+JOIN_DURATION_JITTER_SIGMA = 0.18
+#: Within-batch shaping of the receiver pull rate: blocks fill eagerly
+#: right after a batch fires and the block queue backs off as the batch
+#: ages (+/- this fraction around the mean) -- Figure 9b's batch-cadence
+#: fluctuation.
+RECEIVER_MODULATION = 0.12
+#: A batch's job closes windows ending up to this far beyond the
+#: ingestion watermark captured at the batch boundary.  Real DStream
+#: windows are batch-aligned: the batch ending at t computes windows
+#: ending at t even though the receiver observed events a fraction of a
+#: tick earlier.  Without slack, every window would slip into the next
+#: batch.  When the system lags by more than the slack, windows defer
+#: to later batches -- which is how queueing shows up in event-time
+#: latency.
+WATERMARK_SLACK_S = 0.6
+
+
 @dataclass(frozen=True)
 class SparkConfig(EngineConfig):
     """Spark-specific knobs on top of the common engine config.
@@ -55,63 +101,17 @@ class SparkConfig(EngineConfig):
     overrides keep the engine's characteristics.
     """
 
-    tick_interval_s: float = 0.05
     buffer_seconds: float = 8.0  # blocks of the current batch live in memory
     pipeline_delay_s: float = 0.1
     gc_rate_per_s: float = 0.025
     gc_pause_mean_s: float = 0.35
-    gc_pause_sigma: float = 0.5
     emit_jitter_sigma: float = 0.08
     batch_interval_s: float = 4.0
     """The paper's batch size: "We use a four second batch-size for
     Spark, as it can sustain the maximum throughput with this
     configuration" (Experiment 1)."""
-    block_interval_s: float = 0.2
-    """Block interval for RDD partitioning; #partitions per mini-batch is
-    bounded by batch_interval / block_interval (Section VI-A)."""
-    scheduler_base_delay_s: float = 0.15
-    scheduler_spike_rate_per_s: float = 0.01
-    scheduler_spike_mean_s: float = 0.8
-    """DAG-scheduler delay: a base plus occasional spikes (Figure 11)."""
-    job_overhead_s: float = 0.2
-    """Fixed per-job stage-coordination overhead (blocking barriers)."""
-    burst_factor_base: float = 1.33
-    burst_factor_per_worker: float = 0.045
-    """Job processing rate relative to steady-state ingest capacity:
-    burst = capacity * (base + per_worker * (workers - 2)); the growth
-    with workers is the better RDD partitioning the paper credits for
-    Spark's latency *decreasing* with cluster size (Table II)."""
-    cache_cost_us_per_event: float = 3.0
-    """Per-stored-event cost of caching/recomputing windowed state per
-    batch when no inverse-reduce function is supplied."""
     inverse_reduce: bool = False
     """The paper's Inverse Reduce Function fix (Experiment 3)."""
-    max_queued_jobs: int = 8
-    """Beyond this many waiting jobs the trial is hopeless; ingest is
-    choked hard by the controller anyway."""
-    join_burst_factor: float = 1.10
-    """Join jobs (CoGroupedRDD + Mapped/FlatMappedValuesRDD stages) run
-    closer to the batch-interval limit than aggregations."""
-    join_duration_jitter_sigma: float = 0.18
-    """Lognormal sigma on join-job durations: the CoGroup stages wait on
-    stragglers across partitions, so a meaningful share of join jobs
-    overruns the batch interval even at sustainable load -- "the
-    additional latency is due to tuples' waiting in the queue"
-    (Experiment 2's Spark discussion)."""
-    receiver_modulation: float = 0.12
-    """Within-batch shaping of the receiver pull rate: blocks fill
-    eagerly right after a batch fires and the block queue backs off as
-    the batch ages (+/- this fraction around the mean) -- Figure 9b's
-    batch-cadence fluctuation."""
-    watermark_slack_s: float = 0.6
-    """A batch's job closes windows ending up to this far beyond the
-    ingestion watermark captured at the batch boundary.  Real DStream
-    windows are batch-aligned: the batch ending at t computes windows
-    ending at t even though the receiver observed events a fraction of a
-    tick earlier.  Without slack, every window would slip into the next
-    batch.  When the system lags by more than the slack, windows defer
-    to later batches -- which is how queueing shows up in event-time
-    latency."""
 
 
 class _SparkJob:
@@ -240,12 +240,10 @@ class SparkEngine(StreamingEngine):
 
     def _modulate_ingest_budget(self, budget: float, dt: float) -> float:
         cfg: SparkConfig = self.config
-        if cfg.receiver_modulation <= 0:
-            return budget
         phase = (self.sim.now % cfg.batch_interval_s) / cfg.batch_interval_s
         # First half of the batch: eager block filling; second half: the
         # block queue backs off.  Mean multiplier is 1.0.
-        factor = 1.0 + cfg.receiver_modulation * (1.0 if phase < 0.5 else -1.0)
+        factor = 1.0 + RECEIVER_MODULATION * (1.0 if phase < 0.5 else -1.0)
         return budget * factor
 
     # -- receiving ----------------------------------------------------------
@@ -312,7 +310,7 @@ class SparkEngine(StreamingEngine):
             sched_delay=self._sample_scheduler_delay(),
         )
         self._job_queue.append(job)
-        if len(self._job_queue) >= cfg.max_queued_jobs:
+        if len(self._job_queue) >= MAX_QUEUED_JOBS:
             # The DStream job queue is saturated: the controller slams
             # the receiver rate so the scheduler can drain (the paper's
             # "queued mini-batch jobs will increase over time" failure
@@ -324,14 +322,14 @@ class SparkEngine(StreamingEngine):
 
     def _sample_scheduler_delay(self) -> float:
         cfg: SparkConfig = self.config
-        delay = cfg.scheduler_base_delay_s * float(
+        delay = SCHEDULER_BASE_DELAY_S * float(
             self.rng.lognormal(-0.02, 0.2)
         )
         # Occasional spikes; more likely with a loaded scheduler.
-        spike_p = cfg.scheduler_spike_rate_per_s * cfg.batch_interval_s
+        spike_p = SCHEDULER_SPIKE_RATE_PER_S * cfg.batch_interval_s
         spike_p *= 1.0 + len(self._job_queue)
         if self.rng.random() < min(0.5, spike_p):
-            delay += float(self.rng.exponential(cfg.scheduler_spike_mean_s))
+            delay += float(self.rng.exponential(SCHEDULER_SPIKE_MEAN_S))
         # Queued jobs inflate coordination time.
         delay *= 1.0 + 0.4 * len(self._job_queue)
         return delay
@@ -359,13 +357,13 @@ class SparkEngine(StreamingEngine):
             self.cluster, self._hot_fraction
         )
         if self._is_join:
-            burst = capacity * cfg.join_burst_factor
+            burst = capacity * JOIN_BURST_FACTOR
         else:
             burst = capacity * (
-                cfg.burst_factor_base
-                + cfg.burst_factor_per_worker * (self.cluster.workers - 2)
+                BURST_FACTOR_BASE
+                + BURST_FACTOR_PER_WORKER * (self.cluster.workers - 2)
             )
-        duration = cfg.job_overhead_s + job.volume / max(burst, 1.0)
+        duration = JOB_OVERHEAD_S + job.volume / max(burst, 1.0)
         if not self._is_join and not cfg.inverse_reduce:
             # Recompute/cache the windowed state over the whole retained
             # volume -- the Experiment 3 pathology.
@@ -375,11 +373,9 @@ class SparkEngine(StreamingEngine):
                 * 1e6
                 * self.cost.efficiency(self.cluster.workers)
             )
-            duration += stored * cfg.cache_cost_us_per_event / budget_us_per_s
+            duration += stored * CACHE_COST_US_PER_EVENT / budget_us_per_s
         duration *= self.state.cost_multiplier
-        sigma = (
-            cfg.join_duration_jitter_sigma if self._is_join else 0.06
-        )
+        sigma = JOIN_DURATION_JITTER_SIGMA if self._is_join else 0.06
         duration *= float(self.rng.lognormal(-(sigma**2) / 2.0, sigma))
         return duration
 
@@ -400,7 +396,7 @@ class SparkEngine(StreamingEngine):
         # Close windows the batch was responsible for: up to the batch
         # boundary, provided ingestion is within the slack of it.
         effective_watermark = min(
-            job.watermark + cfg.watermark_slack_s,
+            job.watermark + WATERMARK_SLACK_S,
             job.batch_end + 1e-9,
         ) - cfg.allowed_lateness_s
         emit_time = self.sim.now

@@ -19,22 +19,14 @@ budget.  When the budget is exceeded it either raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.sim.cluster import ClusterSpec
 from repro.sim.failures import OutOfMemory
 
-
-@dataclass(frozen=True)
-class StatePolicy:
-    """How an engine's operator state behaves under memory pressure."""
-
-    can_spill: bool
-    heap_fraction: float = 0.4
-    """Fraction of worker RAM available for operator state (the rest is
-    the engine runtime, buffers, and JVM overhead)."""
-    spill_slowdown: float = 2.5
-    """Multiplier on per-event processing cost while spilling."""
+#: Fraction of worker RAM available for operator state (the rest is the
+#: engine runtime, buffers, and JVM overhead).
+HEAP_FRACTION = 0.4
+#: Multiplier on per-event processing cost while spilling.
+SPILL_SLOWDOWN = 2.5
 
 
 class StateBackend:
@@ -43,12 +35,14 @@ class StateBackend:
     The engine charges bytes when it buffers data (window contents,
     cached RDDs, join build sides) and releases them when windows close
     or caches are evicted.  ``cost_multiplier`` is 1.0 in memory and
-    ``spill_slowdown`` while any state is spilled.
+    :data:`SPILL_SLOWDOWN` while any state is spilled.  ``can_spill``
+    says whether state beyond the budget spills to disk or, past the
+    OOM headroom, kills the engine.
     """
 
-    def __init__(self, cluster: ClusterSpec, policy: StatePolicy) -> None:
-        self._policy = policy
-        self.budget_bytes = cluster.worker_ram_bytes * policy.heap_fraction
+    def __init__(self, cluster: ClusterSpec, can_spill: bool) -> None:
+        self.can_spill = can_spill
+        self.budget_bytes = cluster.worker_ram_bytes * HEAP_FRACTION
         self.used_bytes = 0.0
         self.spilled_bytes = 0.0
         self.peak_bytes = 0.0
@@ -57,22 +51,13 @@ class StateBackend:
         non-spilling engine even before the gradual pressure would."""
 
     @property
-    def policy(self) -> StatePolicy:
-        return self._policy
-
-    def set_policy(self, policy: StatePolicy) -> None:
-        """Swap the memory policy (e.g. a user-supplied spillable
-        structure replacing Storm's default in-memory window state)."""
-        self._policy = policy
-
-    @property
     def spilling(self) -> bool:
         return self.spilled_bytes > 0
 
     @property
     def cost_multiplier(self) -> float:
         """Per-event cost multiplier given current memory pressure."""
-        return self._policy.spill_slowdown if self.spilling else 1.0
+        return SPILL_SLOWDOWN if self.spilling else 1.0
 
     def charge(self, nbytes: float, at_time: float = float("nan")) -> None:
         """Account ``nbytes`` of new state; may spill or raise OutOfMemory."""
@@ -82,7 +67,7 @@ class StateBackend:
         self.peak_bytes = max(self.peak_bytes, self.used_bytes)
         if self.used_bytes <= self.budget_bytes:
             return
-        if not self._policy.can_spill:
+        if not self.can_spill:
             if self.used_bytes > self.budget_bytes * self.oom_headroom:
                 raise OutOfMemory(
                     f"operator state {self.used_bytes / 1e9:.2f} GB exceeds "

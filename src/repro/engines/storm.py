@@ -29,7 +29,7 @@ Architectural traits reproduced (from the paper's analysis):
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Deque, Dict, List
 
 from repro.autoscale.rescale import STYLE_REBALANCE, RescaleSemantics
@@ -39,12 +39,29 @@ from repro.core.batch import (
     fold_add,
     fold_sub,
 )
+from repro.engines import backpressure
 from repro.engines.backpressure import OnOffThrottle
 from repro.engines.base import EngineConfig, StreamingEngine
 from repro.faults.checkpoint import RecoverySemantics
 from repro.faults.guarantees import DeliveryGuarantee
 from repro.recovery.degradation import DegradationPolicy
 from repro.sim.failures import TopologyStalled
+
+
+#: The spout polls the queues every this many engine ticks, pulling the
+#: accumulated budget in one burst -- the strongly fluctuating data pull
+#: rate of Figure 9a.
+SPOUT_PULL_PERIOD_TICKS = 6
+#: An ingest-rate jump beyond this multiple of the smoothed rate is a
+#: surge; Storm's immature backpressure risks stalling the topology on
+#: surges (Experiment 5: "Storm is the most susceptible system for
+#: fluctuating workloads").
+SURGE_FACTOR = 2.5
+SURGE_COOLDOWN_S = 60.0
+#: Surges below this absolute rate never stall (startup noise).
+SURGE_MIN_RATE = 1e4
+#: The naive join is only stable up to this many workers.
+NAIVE_JOIN_STABLE_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -56,21 +73,11 @@ class StormConfig(EngineConfig):
     the engine's characteristics.
     """
 
-    tick_interval_s: float = 0.05
-    buffer_seconds: float = 1.0
     pipeline_delay_s: float = 0.08
     gc_rate_per_s: float = 0.03
     gc_pause_mean_s: float = 0.45
     gc_pause_sigma: float = 0.6
     emit_jitter_sigma: float = 0.35
-    burst_factor: float = 1.5
-    """Spout pull rate relative to processing capacity while emitting."""
-    spout_pull_period_ticks: int = 6
-    """The spout polls the queues every this many engine ticks, pulling
-    the accumulated budget in one burst -- the strongly fluctuating data
-    pull rate of Figure 9a."""
-    high_watermark: float = 0.9
-    low_watermark: float = 0.4
     coordination_delay_base_s: float = 0.4
     """Mean extra emission delay at 2 workers; grows linearly with
     workers/2 (worker/executor coordination, Table II's latency growth
@@ -78,18 +85,8 @@ class StormConfig(EngineConfig):
     stall_rate_per_s: float = 0.02
     """Topology-stall hazard per second while the internal queues are
     more than half full."""
-    stall_duration_s: float = 2.5
-    """Base stall length at 2 workers; actual stalls scale with
-    sqrt(workers/2) -- more executors, longer recovery coordination."""
-    surge_factor: float = 2.5
-    """An ingest-rate jump beyond this multiple of the smoothed rate is a
-    surge; Storm's immature backpressure risks stalling the topology on
-    surges (Experiment 5: "Storm is the most susceptible system for
-    fluctuating workloads")."""
     surge_stall_prob: float = 0.6
-    surge_cooldown_s: float = 60.0
-    surge_min_rate: float = 1e4
-    """Surges below this absolute rate never stall (startup noise)."""
+    """Chance that a surge (:data:`SURGE_FACTOR`) stalls the topology."""
     emit_jitter_per_worker: float = 0.05
     """Extra lognormal sigma on window-evaluation time per worker above
     two: coordination across more executors makes the occasional window
@@ -97,8 +94,6 @@ class StormConfig(EngineConfig):
     (5.7 s at 2 nodes to 17.7 s at 8 nodes in Table II) come from."""
     advanced_state: bool = False
     """User-supplied spillable window state (Experiment 3's workaround)."""
-    naive_join_stable_workers: int = 2
-    """The naive join is only stable up to this many workers."""
 
 
 class StormEngine(StreamingEngine):
@@ -128,7 +123,7 @@ class StormEngine(StreamingEngine):
     )
     naive_join_stalls = True
     """Experiment 2: the naive join is unstable beyond
-    ``naive_join_stable_workers``."""
+    :data:`NAIVE_JOIN_STABLE_WORKERS`."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -143,9 +138,9 @@ class StormEngine(StreamingEngine):
         self._pull_budget_banked = 0.0
         self._ingest_rate_ema = 0.0
         self._surge_cooldown_until = 0.0
-        # The user-supplied spillable structure changes the state policy.
+        # The user-supplied spillable structure lets window state spill.
         if self.config.advanced_state:
-            self.state.set_policy(replace(self.state.policy, can_spill=True))
+            self.state.can_spill = True
 
     def _emit_jitter(self) -> float:
         cfg: StormConfig = self.config
@@ -162,8 +157,7 @@ class StormEngine(StreamingEngine):
     def _modulate_ingest_budget(self, budget: float, dt: float) -> float:
         # The spout polls in bursts: budget banks up between polls and
         # is released all at once -- Figure 9a's fluctuating pull rate.
-        cfg: StormConfig = self.config
-        period = max(1, cfg.spout_pull_period_ticks)
+        period = SPOUT_PULL_PERIOD_TICKS
         self._tick_counter += 1
         self._pull_budget_banked += budget
         if self._tick_counter % period != 0:
@@ -201,8 +195,7 @@ class StormEngine(StreamingEngine):
         # per poll (a block's minimum event time is its uniform event
         # time), counting the poll's blocks; the inflight ledger
         # advances by strict left folds over each block's cohort weights.
-        cfg: StormConfig = self.config
-        period = max(1, cfg.spout_pull_period_ticks)
+        period = SPOUT_PULL_PERIOD_TICKS
         weight = self._tick_ingest_weight
         self._detect_surge(weight / (dt * period), dt * period)
         if blocks:
@@ -222,8 +215,8 @@ class StormEngine(StreamingEngine):
             self._ingest_rate_ema = rate
             return
         surging = (
-            rate > cfg.surge_factor * self._ingest_rate_ema
-            and rate > cfg.surge_min_rate
+            rate > SURGE_FACTOR * self._ingest_rate_ema
+            and rate > SURGE_MIN_RATE
             and self.sim.now >= self._surge_cooldown_until
         )
         if surging and self.rng.random() < cfg.surge_stall_prob:
@@ -231,10 +224,10 @@ class StormEngine(StreamingEngine):
             # wedges while re-balancing to the new rate.
             self.backpressure.force_stall(
                 2.0
-                * cfg.stall_duration_s
+                * backpressure.STALL_DURATION_S
                 * (self.cluster.workers / 2.0) ** 0.5
             )
-            self._surge_cooldown_until = self.sim.now + cfg.surge_cooldown_s
+            self._surge_cooldown_until = self.sim.now + SURGE_COOLDOWN_S
             # The stall flushes the smoothed estimate: on resume the
             # spout re-learns the new rate instead of chain-stalling.
             self._ingest_rate_ema = rate
@@ -312,10 +305,9 @@ class StormEngine(StreamingEngine):
 
     def _check_naive_join_health(self) -> None:
         """Experiment 2: the naive join is unstable beyond 2 workers."""
-        cfg: StormConfig = self.config
         if not (self._is_join and self.naive_join_stalls):
             return
-        if self.cluster.workers <= cfg.naive_join_stable_workers:
+        if self.cluster.workers <= NAIVE_JOIN_STABLE_WORKERS:
             return
         # On larger clusters the per-worker imbalance of the naive join
         # stalls the topology once meaningful state accumulates.

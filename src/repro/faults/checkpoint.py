@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.faults.guarantees import DeliveryGuarantee
-from repro.sim.cluster import NodeSpec
+from repro.sim.cluster import NIC_BYTES_PER_S
 
 
 class RecoverySemantics(enum.Enum):
@@ -117,14 +117,12 @@ def sync_pause_s(state_bytes: float) -> float:
 # -- recovery ----------------------------------------------------------------
 
 
-def restore_s(
-    state_bytes: float, node: NodeSpec, active_workers: int
-) -> float:
+def restore_s(state_bytes: float, active_workers: int) -> float:
     """Time to pull ``state_bytes`` of checkpoint state back onto the
     surviving workers' NICs."""
     bandwidth = (
         max(1, active_workers)
-        * node.nic_bytes_per_s
+        * NIC_BYTES_PER_S
         * RESTORE_NIC_FRACTION
     )
     return max(0.0, state_bytes) / bandwidth
@@ -134,7 +132,6 @@ def recovery_pause_s(
     semantics: RecoverySemantics,
     *,
     state_bytes: float,
-    node: NodeSpec,
     active_workers: int,
     workers: int,
     replay_span_s: float,
@@ -151,7 +148,7 @@ def recovery_pause_s(
         return (
             DETECTION_TIMEOUT_S
             + RESTART_BASE_S
-            + restore_s(state_bytes, node, active_workers)
+            + restore_s(state_bytes, active_workers)
             + max(0.0, replay_span_s) * REPLAY_COST_FACTOR
         )
     if semantics is RecoverySemantics.LINEAGE_RECOMPUTE:

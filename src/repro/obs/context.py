@@ -30,14 +30,13 @@ class ObsSpec:
 
     ``trace_sample_rate`` is 1-in-N over generator cohorts; 0 disables
     tracing.  ``metrics_interval_s`` is the registry sampling period.
-    ``max_traces`` bounds trace memory; ``max_export`` bounds the JSON
-    payload.
+    Trace memory and the JSON payload are bounded by
+    :data:`~repro.obs.trace.MAX_TRACES` and
+    :data:`~repro.obs.trace.MAX_EXPORT`.
     """
 
     trace_sample_rate: int = 0
     metrics_interval_s: float = 1.0
-    max_traces: int = 100_000
-    max_export: int = 200
 
     def __post_init__(self) -> None:
         if self.trace_sample_rate < 0:
@@ -62,7 +61,7 @@ class ObsContext:
     def __init__(self, spec: ObsSpec) -> None:
         self.spec = spec
         self.registry = MetricsRegistry(interval_s=spec.metrics_interval_s)
-        self.trace_log = TraceLog(max_traces=spec.max_traces)
+        self.trace_log = TraceLog()
         self.sampler: Optional[TraceSampler] = (
             TraceSampler(spec.trace_sample_rate, self.trace_log)
             if spec.tracing_enabled
@@ -105,7 +104,5 @@ class ObsReport:
             "trace_sample_rate": self.spec.trace_sample_rate,
             "metrics_interval_s": self.spec.metrics_interval_s,
             "metrics": self.registry.to_dict(),
-            "tracing": self.trace_log.to_dict(
-                max_export=self.spec.max_export
-            ),
+            "tracing": self.trace_log.to_dict(),
         }

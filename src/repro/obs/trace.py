@@ -208,6 +208,12 @@ class TraceSampler:
         self._counter = self.sample_rate - countdown
 
 
+#: Traces a log keeps (bounds trace memory; later starts only count).
+MAX_TRACES = 100_000
+#: Completed traces a log's JSON payload carries in full.
+MAX_EXPORT = 200
+
+
 class TraceLog:
     """Driver-side store of every started trace plus timeline events.
 
@@ -217,7 +223,7 @@ class TraceLog:
     latency excursion in a trace points at the fault that caused it.
     """
 
-    def __init__(self, max_traces: int = 100_000) -> None:
+    def __init__(self, max_traces: int = MAX_TRACES) -> None:
         self.max_traces = max_traces
         self.started: List[EventTrace] = []
         self.completed: List[EventTrace] = []
@@ -259,7 +265,7 @@ class TraceLog:
     def completed_count(self) -> int:
         return len(self.completed)
 
-    def to_dict(self, max_export: int = 200) -> Dict[str, Any]:
+    def to_dict(self, max_export: int = MAX_EXPORT) -> Dict[str, Any]:
         """JSON payload: counts, timeline events, and up to
         ``max_export`` completed traces (full mark/span detail)."""
         return {

@@ -22,7 +22,7 @@ makes the same argument for sustained-load benchmarks).
   disappears.
 - **Admission ramp** (``readmission_ramp_s``): after a recovery or
   migration pause ends, the ingest budget is scaled from
-  ``ramp_floor`` back to 1.0 linearly over the ramp window.  A zero
+  :data:`RAMP_FLOOR` back to 1.0 linearly over the ramp window.  A zero
   ramp reproduces the legacy step re-admission.
 """
 
@@ -39,6 +39,9 @@ SHED_NEWEST = "newest"
 
 SHED_MODES = (SHED_NONE, SHED_OLDEST, SHED_NEWEST)
 
+#: Admission fraction at the instant a pause ends, when ramping.
+RAMP_FLOOR = 0.25
+
 
 @dataclass(frozen=True)
 class DegradationPolicy:
@@ -53,8 +56,6 @@ class DegradationPolicy:
     readmission_ramp_s: float = 0.0
     """After a recovery pause, ramp the ingest budget back to full over
     this window.  Zero is a step (the legacy behaviour)."""
-    ramp_floor: float = 0.25
-    """Admission fraction at the instant a pause ends, when ramping."""
 
     def __post_init__(self) -> None:
         if self.shed not in SHED_MODES:
@@ -68,10 +69,6 @@ class DegradationPolicy:
         if self.readmission_ramp_s < 0:
             raise ValueError(
                 f"readmission_ramp_s must be >= 0, got {self.readmission_ramp_s}"
-            )
-        if not 0 <= self.ramp_floor <= 1:
-            raise ValueError(
-                f"ramp_floor must be in [0, 1], got {self.ramp_floor}"
             )
 
     @property
@@ -111,7 +108,7 @@ class DegradationPolicy:
         if elapsed >= self.readmission_ramp_s:
             return 1.0
         if elapsed < 0:
-            return self.ramp_floor
-        return self.ramp_floor + (1.0 - self.ramp_floor) * (
+            return RAMP_FLOOR
+        return RAMP_FLOOR + (1.0 - RAMP_FLOOR) * (
             elapsed / self.readmission_ramp_s
         )

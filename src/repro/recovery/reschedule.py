@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.faults.checkpoint import DETECTION_TIMEOUT_S
-from repro.sim.cluster import NodeSpec
+from repro.sim.cluster import NIC_BYTES_PER_S
 
 #: Legacy behaviour: no standbys are promoted and nothing is spread --
 #: capacity is simply gone; losing every worker fails the trial.
@@ -119,13 +119,11 @@ def resolve_mode(mode: Optional[str], standby: int) -> str:
     return mode
 
 
-def migration_pause_s(
-    migrated_bytes: float, node: NodeSpec, receivers: int
-) -> float:
+def migration_pause_s(migrated_bytes: float, receivers: int) -> float:
     """Time to move ``migrated_bytes`` onto ``receivers`` nodes' NICs."""
     if migrated_bytes <= 0 or receivers <= 0:
         return 0.0
-    bandwidth = receivers * node.nic_bytes_per_s * MIGRATION_NIC_FRACTION
+    bandwidth = receivers * NIC_BYTES_PER_S * MIGRATION_NIC_FRACTION
     return migrated_bytes / bandwidth
 
 
@@ -136,7 +134,6 @@ def plan_crash(
     active: int,
     standbys_left: int,
     state_bytes: float,
-    node: NodeSpec,
 ) -> ReschedulePlan:
     """Place the slots of ``kill`` dead workers (out of ``active``)."""
     if kill <= 0 or active <= 0:
@@ -166,7 +163,7 @@ def plan_crash(
             fatal=survivors <= 0,
         )
     migrated = max(0.0, state_bytes) * (kill / active)
-    pause = migration_pause_s(migrated, node, survivors + promoted)
+    pause = migration_pause_s(migrated, survivors + promoted)
     return ReschedulePlan(
         promoted=promoted,
         survivors=survivors,
@@ -181,7 +178,6 @@ def plan_scale_in(
     remove: int,
     active: int,
     state_bytes: float,
-    node: NodeSpec,
 ) -> ReschedulePlan:
     """Plan a *voluntary* departure of ``remove`` workers.
 
@@ -202,7 +198,7 @@ def plan_scale_in(
         )
     survivors = active - remove
     migrated = max(0.0, state_bytes) * (remove / active)
-    pause = migration_pause_s(migrated, node, survivors)
+    pause = migration_pause_s(migrated, survivors)
     return ReschedulePlan(
         promoted=0,
         survivors=survivors,
@@ -220,7 +216,6 @@ def plan_straggler(
     standbys_left: int,
     state_bytes: float,
     active: int,
-    node: NodeSpec,
 ) -> ReschedulePlan:
     """Decide whether to replace ``nodes`` stragglers with standbys.
 
@@ -251,7 +246,7 @@ def plan_straggler(
     if promoted <= 0 or active <= 0:
         return no_migration
     migrated = max(0.0, state_bytes) * (promoted / active)
-    pause = migration_pause_s(migrated, node, promoted)
+    pause = migration_pause_s(migrated, promoted)
     return ReschedulePlan(
         promoted=promoted,
         survivors=active,
@@ -267,7 +262,6 @@ def plan_suspect(
     active: int,
     standbys_left: int,
     state_bytes: float,
-    node: NodeSpec,
 ) -> ReschedulePlan:
     """Plan the eviction of one *suspected* (but possibly healthy)
     worker, on a failure detector's verdict (:mod:`repro.detect`).
@@ -305,7 +299,7 @@ def plan_suspect(
         # a suspicion; the mode declines instead.
         return refuse
     migrated = max(0.0, state_bytes) * (1.0 / active)
-    pause = migration_pause_s(migrated, node, receivers)
+    pause = migration_pause_s(migrated, receivers)
     return ReschedulePlan(
         promoted=promoted,
         survivors=survivors,

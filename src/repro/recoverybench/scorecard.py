@@ -23,7 +23,6 @@ from repro.core.generator import GeneratorConfig
 from repro.detect.plane import DETECTOR_KINDS
 import repro.engines.ext  # noqa: F401  (registers heron/samza in ENGINES)
 from repro.engines import engine_class
-from repro.engines.base import EngineConfig
 from repro.faults.checkpoint import CheckpointSpec
 from repro.faults.schedule import (
     FaultEvent,
@@ -185,7 +184,9 @@ def frontier_spec(
         duration_s=config.duration_s,
         seed=config.seed,
         generator=GeneratorConfig(instances=config.generator_instances),
-        engine_config=EngineConfig(gc_rate_per_s=0.0, emit_jitter_sigma=0.0),
+        engine_config=engine_class(engine).config_cls(
+            gc_rate_per_s=0.0, emit_jitter_sigma=0.0
+        ),
         monitor_resources=False,
         faults=FaultSchedule(
             (fault_event(FRONTIER_KIND, config.fault_at_s),)

@@ -7,9 +7,9 @@ benchmark framework and the engine models run:
   periodic processes).
 - :mod:`repro.sim.rng` -- named, seeded random-number streams so that every
   component draws from an independent, reproducible source.
-- :mod:`repro.sim.cluster` -- node and cluster specifications mirroring the
-  paper's testbed (16-core / 16 GB / 1 Gb/s nodes, dedicated master, equal
-  numbers of worker and driver nodes).
+- :mod:`repro.sim.cluster` -- the paper's testbed (16-core / 16 GB /
+  1 Gb/s nodes, dedicated master, equal numbers of worker and driver
+  nodes) and the cluster size of a trial.
 - :mod:`repro.sim.network` -- the data-plane model (per-node NICs plus a
   shared generator-to-SUT segment) whose saturation produces the paper's
   observed ~1.2 M events/s network bound.
@@ -19,14 +19,14 @@ benchmark framework and the engine models run:
   out-of-memory, topology stalls) used by the failure rules of Section VI-A.
 """
 
-from repro.sim.cluster import ClusterSpec, NodeSpec, paper_cluster
+from repro.sim.cluster import ClusterSpec
 from repro.sim.failures import (
     ConnectionDropped,
     OutOfMemory,
     SutFailure,
     TopologyStalled,
 )
-from repro.sim.network import DataPlane, NetworkSpec
+from repro.sim.network import DataPlane
 from repro.sim.resources import ResourceMonitor, ResourceSample
 from repro.sim.rng import RngRegistry
 from repro.sim.simulator import EventHandle, PeriodicProcess, Simulator
@@ -36,8 +36,6 @@ __all__ = [
     "ConnectionDropped",
     "DataPlane",
     "EventHandle",
-    "NetworkSpec",
-    "NodeSpec",
     "OutOfMemory",
     "PeriodicProcess",
     "ResourceMonitor",
@@ -46,5 +44,4 @@ __all__ = [
     "Simulator",
     "SutFailure",
     "TopologyStalled",
-    "paper_cluster",
 ]

@@ -1,4 +1,4 @@
-"""Node and cluster specifications.
+"""The testbed: node hardware and cluster deployment.
 
 The paper's testbed (Section VI-A): 20 nodes, each a 2.40 GHz Intel Xeon
 E5620 with 16 cores and 16 GB RAM, connected at 1 Gb/s; a dedicated
@@ -6,38 +6,27 @@ master for the streaming system and an *equal* number of worker and
 driver nodes (2, 4, and 8).  Data generator and queue pairs live on the
 driver nodes; no driver instance shares a machine with the SUT.
 
-:func:`paper_cluster` builds exactly that deployment for a given worker
-count.
+Every node is that machine, so its hardware is module constants; a
+:class:`ClusterSpec` says only how many workers run the SUT and how
+many hot spares stand by.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List
 
-
-@dataclass(frozen=True)
-class NodeSpec:
-    """Hardware description of a single machine."""
-
-    cores: int = 16
-    ram_gb: float = 16.0
-    nic_gbps: float = 1.0
-    clock_ghz: float = 2.40
-
-    @property
-    def nic_bytes_per_s(self) -> float:
-        """NIC capacity in bytes/second (1 Gb/s -> 125 MB/s)."""
-        return self.nic_gbps * 1e9 / 8.0
-
-    @property
-    def ram_bytes(self) -> float:
-        return self.ram_gb * 1024**3
+#: Cores per node.
+NODE_CORES = 16
+#: RAM per node in bytes (16 GB).
+NODE_RAM_BYTES = 16.0 * 1024**3
+#: NIC capacity per node in bytes/second (1 Gb/s -> 125 MB/s).
+NIC_BYTES_PER_S = 1.0 * 1e9 / 8.0
 
 
 @dataclass(frozen=True)
 class ClusterSpec:
-    """A deployment: master + workers (SUT) + drivers (generator/queues).
+    """A deployment: master + workers (SUT) + as many drivers.
 
     ``workers`` is the paper's "n-node" figure of merit: a "2-node"
     experiment means 2 worker nodes running the SUT plus 2 driver nodes
@@ -45,9 +34,6 @@ class ClusterSpec:
     """
 
     workers: int
-    drivers: int
-    node: NodeSpec = field(default_factory=NodeSpec)
-    has_dedicated_master: bool = True
     standby: int = 0
     """Hot spare worker nodes provisioned but idle: they run no
     operators (and contribute no capacity, cores, or NIC ingress) until
@@ -57,48 +43,27 @@ class ClusterSpec:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"need at least 1 worker, got {self.workers}")
-        if self.drivers < 1:
-            raise ValueError(f"need at least 1 driver, got {self.drivers}")
         if self.standby < 0:
             raise ValueError(f"standby must be >= 0, got {self.standby}")
 
     @property
     def worker_cores(self) -> int:
         """Total cores available to the SUT."""
-        return self.workers * self.node.cores
+        return self.workers * NODE_CORES
 
     @property
     def worker_ram_bytes(self) -> float:
         """Total RAM available to the SUT across worker nodes."""
-        return self.workers * self.node.ram_bytes
+        return self.workers * NODE_RAM_BYTES
 
     def with_workers(self, workers: int) -> "ClusterSpec":
         """This deployment resized to ``workers`` worker nodes.
 
         Used by the autoscaler on every completed rescale: the rest of
-        the deployment (drivers, master, node hardware) is fixed for the
+        the deployment (drivers, master, standby pool) is fixed for the
         trial -- elasticity only moves the worker count.
         """
         return replace(self, workers=workers)
-
-    def describe(self) -> str:
-        return (
-            f"{self.workers}-node cluster "
-            f"({self.workers} workers + {self.drivers} drivers"
-            f"{f' + {self.standby} standby' if self.standby else ''}"
-            f"{' + master' if self.has_dedicated_master else ''}, "
-            f"{self.node.cores} cores / {self.node.ram_gb:g} GB / "
-            f"{self.node.nic_gbps:g} Gb/s per node)"
-        )
-
-
-def paper_cluster(workers: int) -> ClusterSpec:
-    """The ICDE'18 paper's deployment for a given worker count (2, 4, 8).
-
-    Any positive worker count is accepted so sweeps can explore other
-    sizes, but the paper's tables use 2, 4 and 8.
-    """
-    return ClusterSpec(workers=workers, drivers=workers, node=NodeSpec())
 
 
 PAPER_CLUSTER_SIZES: List[int] = [2, 4, 8]

@@ -18,27 +18,15 @@ granularity observe the same average bandwidth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.sim.simulator import Simulator
 
-
-@dataclass(frozen=True)
-class NetworkSpec:
-    """Static description of the data plane.
-
-    ``segment_gbps`` is the shared generator-to-SUT bottleneck; the
-    paper's testbed is 1 Gb/s.  ``burst_seconds`` bounds how much unused
-    capacity can be banked -- enough for sub-second pull bursts (Storm's
-    spout polls in batches) while keeping the average at the line rate.
-    """
-
-    segment_gbps: float = 1.0
-    burst_seconds: float = 0.5
-
-    @property
-    def segment_bytes_per_s(self) -> float:
-        return self.segment_gbps * 1e9 / 8.0
+#: The shared generator-to-SUT bottleneck in bytes/second; the paper's
+#: testbed is 1 Gb/s.
+SEGMENT_BYTES_PER_S = 1.0 * 1e9 / 8.0
+#: Seconds of unused capacity the segment can bank -- enough for
+#: sub-second pull bursts (Storm's spout polls in batches) while keeping
+#: the average at the line rate.
+BURST_SECONDS = 0.5
 
 
 class DataPlane:
@@ -50,10 +38,9 @@ class DataPlane:
     backpressure the paper observes for Flink at 4+ nodes).
     """
 
-    def __init__(self, sim: Simulator, spec: NetworkSpec) -> None:
+    def __init__(self, sim: Simulator) -> None:
         self._sim = sim
-        self.spec = spec
-        self._available = spec.segment_bytes_per_s * spec.burst_seconds
+        self._available = SEGMENT_BYTES_PER_S * BURST_SECONDS
         self._last_refill = sim.now
         self.total_ingest_bytes = 0.0
         self.total_result_bytes = 0.0
@@ -62,9 +49,9 @@ class DataPlane:
         now = self._sim.now
         elapsed = now - self._last_refill
         if elapsed > 0:
-            cap = self.spec.segment_bytes_per_s * self.spec.burst_seconds
+            cap = SEGMENT_BYTES_PER_S * BURST_SECONDS
             self._available = min(
-                cap, self._available + elapsed * self.spec.segment_bytes_per_s
+                cap, self._available + elapsed * SEGMENT_BYTES_PER_S
             )
             self._last_refill = now
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.sim.cluster import ClusterSpec
+from repro.sim.cluster import NODE_CORES, ClusterSpec
 from repro.sim.simulator import Simulator
 
 #: Simulated seconds between two CPU/network samples of a trial's
@@ -85,7 +85,7 @@ class ResourceMonitor:
                 self._network_bytes[n] += share
 
     def _sample(self, sim: Simulator) -> None:
-        interval_core_seconds = self.sample_interval * self._cluster.node.cores
+        interval_core_seconds = self.sample_interval * NODE_CORES
         for node in range(self._cluster.workers):
             cpu_pct = 100.0 * self._cpu_core_seconds[node] / interval_core_seconds
             self.samples.append(

@@ -23,23 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-UNIFORM = "uniform"
-EXPONENTIAL = "exponential"
-DISTRIBUTIONS = (UNIFORM, EXPONENTIAL)
-
 
 @dataclass(frozen=True)
 class DisorderSpec:
     """How much of the stream arrives late, and by how much.
 
     ``fraction`` of every generation tick's weight is emitted with an
-    event-time lag sampled from the configured distribution, capped at
-    ``max_delay_s`` (bounded disorder, the common real-world contract).
+    event-time lag drawn uniformly from ``(0, max_delay_s]`` (bounded
+    disorder, the common real-world contract).
     """
 
     fraction: float = 0.1
     max_delay_s: float = 2.0
-    distribution: str = UNIFORM
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.fraction <= 1.0:
@@ -48,18 +43,7 @@ class DisorderSpec:
             raise ValueError(
                 f"max_delay_s must be positive, got {self.max_delay_s}"
             )
-        if self.distribution not in DISTRIBUTIONS:
-            raise ValueError(
-                f"distribution must be one of {DISTRIBUTIONS}, "
-                f"got {self.distribution!r}"
-            )
 
     def sample_delay(self, rng: np.random.Generator) -> float:
         """Draw one event-time lag in (0, max_delay_s]."""
-        if self.distribution == UNIFORM:
-            return float(rng.uniform(0.0, self.max_delay_s))
-        # Exponential with mean max_delay/3, truncated at the bound:
-        # most stragglers are mildly late, a few push the limit.
-        return float(
-            min(self.max_delay_s, rng.exponential(self.max_delay_s / 3.0))
-        )
+        return float(rng.uniform(0.0, self.max_delay_s))

@@ -3,16 +3,11 @@
 import pytest
 
 from repro.analysis.stats import (
-    DECREASING,
-    FLAT,
-    INCREASING,
     coefficient_of_variation,
     iqr,
     relative_error,
-    trend_classification,
     within_factor,
 )
-from repro.core.metrics import TimeSeries
 
 
 class TestRelativeError:
@@ -40,20 +35,6 @@ class TestWithinFactor:
     def test_nonpositive_values(self):
         assert within_factor(0.0, 0.0, 2.0)
         assert not within_factor(0.0, 1.0, 2.0)
-
-
-class TestTrendClassification:
-    def test_increasing(self):
-        ts = TimeSeries(times=[0.0, 1.0, 2.0], values=[0.0, 1.0, 2.0])
-        assert trend_classification(ts) == INCREASING
-
-    def test_decreasing(self):
-        ts = TimeSeries(times=[0.0, 1.0, 2.0], values=[2.0, 1.0, 0.0])
-        assert trend_classification(ts) == DECREASING
-
-    def test_flat(self):
-        ts = TimeSeries(times=[0.0, 1.0, 2.0], values=[1.0, 1.0, 1.0])
-        assert trend_classification(ts) == FLAT
 
 
 class TestDispersion:

@@ -1,50 +1,9 @@
-"""Unit tests for time-series helpers and ASCII rendering."""
+"""Unit tests for ASCII rendering."""
 
 import pytest
 
 from repro.analysis.ascii_plots import render_panels, render_series, sparkline
-from repro.analysis.timeseries import (
-    align_series,
-    resample,
-)
 from repro.core.metrics import TimeSeries
-
-
-class TestResample:
-    def test_step_interpolation(self):
-        ts = TimeSeries(times=[0.0, 2.0], values=[1.0, 5.0])
-        out = resample(ts, 1.0)
-        assert out.times.tolist() == [0.0, 1.0, 2.0]
-        assert out.values.tolist() == [1.0, 1.0, 5.0]
-
-    def test_empty(self):
-        assert len(resample(TimeSeries(), 1.0)) == 0
-
-    def test_invalid_step(self):
-        with pytest.raises(ValueError):
-            resample(TimeSeries(), 0.0)
-
-    def test_custom_start(self):
-        ts = TimeSeries(times=[1.0, 3.0], values=[1.0, 3.0])
-        out = resample(ts, 1.0, start=0.0)
-        assert out.times[0] == 0.0
-        assert out.values[0] == 1.0  # clamped to first sample
-
-
-class TestAlign:
-    def test_shared_grid(self):
-        a = TimeSeries(times=[0.0, 4.0], values=[1.0, 2.0])
-        b = TimeSeries(times=[2.0, 6.0], values=[3.0, 4.0])
-        aligned = align_series({"a": a, "b": b}, step_s=2.0)
-        assert aligned["a"].times[0] == 0.0
-        assert aligned["b"].times[0] == 0.0
-
-    def test_empty_member_kept_empty(self):
-        aligned = align_series(
-            {"a": TimeSeries(times=[0.0], values=[1.0]), "b": TimeSeries()},
-            step_s=1.0,
-        )
-        assert len(aligned["b"]) == 0
 
 
 class TestSparkline:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.autoscale import policy as policy_module
 from repro.autoscale.policy import (
     POLICY_NAMES,
     AutoscaleSpec,
@@ -53,16 +54,6 @@ class TestAutoscaleSpec:
             AutoscaleSpec(min_workers=4, max_workers=3)
         with pytest.raises(ValueError):
             AutoscaleSpec(cooldown_s=-1.0)
-        with pytest.raises(ValueError):
-            AutoscaleSpec(high_delay_s=0.0)
-        with pytest.raises(ValueError):
-            AutoscaleSpec(low_utilization=1.5)
-        with pytest.raises(ValueError):
-            AutoscaleSpec(target_utilization=0.0)
-        with pytest.raises(ValueError):
-            AutoscaleSpec(settle_samples=0)
-        with pytest.raises(ValueError):
-            AutoscaleSpec(step_workers=0)
 
     def test_spec_is_picklable_key_material(self):
         # Scorecard fingerprints repr() the config; specs must be
@@ -81,32 +72,40 @@ class TestScalingSignals:
         assert math.isnan(signals(0.0, offered=1.0, capacity=0.0).utilization)
 
 
-class TestThresholdPolicy:
-    def make(self, **kwargs):
-        defaults = dict(
-            high_delay_s=4.0,
-            low_utilization=0.4,
-            cooldown_s=10.0,
-            settle_samples=2,
-            step_workers=2,
-        )
-        defaults.update(kwargs)
-        return ThresholdPolicy(**defaults)
+@pytest.fixture
+def make(monkeypatch):
+    """Build ``policy_cls`` with ``cooldown_s``; every other keyword
+    patches the policy module's constant of that (upper-cased) name."""
 
-    def test_scale_out_on_first_hot_sample(self):
-        policy = self.make()
+    def build(policy_cls, cooldown_s=10.0, **constants):
+        for name, value in constants.items():
+            monkeypatch.setattr(policy_module, name.upper(), value)
+        return policy_cls(cooldown_s)
+
+    return build
+
+
+class TestThresholdPolicy:
+    @pytest.fixture
+    def make(self, make):
+        return lambda **kwargs: make(
+            ThresholdPolicy, **{"settle_samples": 2, **kwargs}
+        )
+
+    def test_scale_out_on_first_hot_sample(self, make):
+        policy = make()
         decision = policy.decide(signals(1.0, delay=5.0))
         assert decision is not None
         assert decision.delta == 2
         assert decision.reason == "lag"
         assert decision.detect_s == 0.0
 
-    def test_watermark_lag_also_triggers(self):
-        decision = self.make().decide(signals(1.0, lag=9.0))
+    def test_watermark_lag_also_triggers(self, make):
+        decision = make().decide(signals(1.0, lag=9.0))
         assert decision is not None and decision.delta > 0
 
-    def test_cooldown_blocks_second_decision(self):
-        policy = self.make(cooldown_s=10.0)
+    def test_cooldown_blocks_second_decision(self, make):
+        policy = make(cooldown_s=10.0)
         assert policy.decide(signals(1.0, delay=5.0)) is not None
         assert policy.decide(signals(2.0, delay=50.0)) is None
         assert policy.decide(signals(10.9, delay=50.0)) is None
@@ -115,16 +114,16 @@ class TestThresholdPolicy:
         # The wait inside the cooldown is charged to detection.
         assert late.detect_s == pytest.approx(11.1 - 2.0)
 
-    def test_stall_duty_cycle_triggers(self):
-        policy = self.make()
+    def test_stall_duty_cycle_triggers(self, make):
+        policy = make()
         # Cumulative stall seconds: 0.9 s stalled out of a 1 s interval.
         assert policy.decide(signals(1.0, stall=0.0)) is None
         decision = policy.decide(signals(2.0, stall=0.9))
         assert decision is not None
         assert decision.reason == "stall"
 
-    def test_scale_in_requires_settle_streak(self):
-        policy = self.make(settle_samples=3, cooldown_s=0.0)
+    def test_scale_in_requires_settle_streak(self, make):
+        policy = make(settle_samples=3, cooldown_s=0.0)
         idle = dict(delay=0.1, lag=0.1, offered=10.0, capacity=100.0)
         assert policy.decide(signals(1.0, **idle)) is None
         assert policy.decide(signals(2.0, **idle)) is None
@@ -134,31 +133,29 @@ class TestThresholdPolicy:
         assert decision.reason == "idle"
         assert decision.detect_s == pytest.approx(2.0)
 
-    def test_scale_in_blocked_outside_calm_band(self):
+    def test_scale_in_blocked_outside_calm_band(self, make):
         # Low utilization but queue delay above the calm band (half the
         # high threshold): the backlog drain must not be starved.
-        policy = self.make(settle_samples=1, cooldown_s=0.0)
+        policy = make(settle_samples=1, cooldown_s=0.0)
         busy = dict(delay=3.0, offered=10.0, capacity=100.0)
         assert policy.decide(signals(1.0, **busy)) is None
         assert policy.decide(signals(2.0, **busy)) is None
 
-    def test_no_evidence_no_decision(self):
-        policy = self.make(cooldown_s=0.0, settle_samples=1)
+    def test_no_evidence_no_decision(self, make):
+        policy = make(cooldown_s=0.0, settle_samples=1)
         for t in range(1, 20):
             assert policy.decide(signals(float(t))) is None
 
 
 class TestTargetUtilizationPolicy:
-    def make(self, **kwargs):
-        defaults = dict(
-            target=0.75, cooldown_s=10.0, settle_samples=2, max_step=2,
-            calm_delay_s=2.0,
+    @pytest.fixture
+    def make(self, make):
+        return lambda **kwargs: make(
+            TargetUtilizationPolicy, **{"settle_samples": 2, **kwargs}
         )
-        defaults.update(kwargs)
-        return TargetUtilizationPolicy(**defaults)
 
-    def test_above_target_scales_out(self):
-        policy = self.make()
+    def test_above_target_scales_out(self, make):
+        policy = make()
         hot = dict(offered=150.0, capacity=100.0, workers=2)
         decision = policy.decide(signals(1.0, **hot))
         assert decision is not None
@@ -167,16 +164,16 @@ class TestTargetUtilizationPolicy:
         # Second breach lands inside the cooldown.
         assert policy.decide(signals(2.0, **hot)) is None
 
-    def test_step_clamped(self):
-        policy = self.make(max_step=2)
+    def test_step_clamped(self, make):
+        policy = make(step_workers=2)
         # Error of 10x target on 8 workers asks for far more than 2.
         hot = dict(offered=1000.0, capacity=100.0, workers=8)
         decision = policy.decide(signals(1.0, **hot))
         assert decision is not None
         assert decision.delta == 2
 
-    def test_below_target_debounced_then_scales_in(self):
-        policy = self.make(cooldown_s=0.0, settle_samples=3)
+    def test_below_target_debounced_then_scales_in(self, make):
+        policy = make(cooldown_s=0.0, settle_samples=3)
         cold = dict(offered=10.0, capacity=100.0, workers=4, delay=0.0, lag=0.0)
         assert policy.decide(signals(1.0, **cold)) is None
         assert policy.decide(signals(2.0, **cold)) is None
@@ -185,11 +182,11 @@ class TestTargetUtilizationPolicy:
         assert decision.delta < 0
         assert decision.reason == "below-target"
 
-    def test_scale_in_blocked_while_backlogged(self):
+    def test_scale_in_blocked_while_backlogged(self, make):
         # The flash-crowd aftermath: offered rate collapsed, queues
         # still deep.  Utilization alone says shrink; the calm gate
         # must veto it.
-        policy = self.make(cooldown_s=0.0, settle_samples=1)
+        policy = make(cooldown_s=0.0, settle_samples=1)
         draining = dict(offered=10.0, capacity=100.0, workers=4, delay=9.0)
         for t in range(1, 10):
             assert policy.decide(signals(float(t), **draining)) is None
@@ -197,14 +194,14 @@ class TestTargetUtilizationPolicy:
         calm = dict(offered=10.0, capacity=100.0, workers=4, delay=0.1)
         assert policy.decide(signals(10.0, **calm)) is not None
 
-    def test_deadband_holds(self):
-        policy = self.make(cooldown_s=0.0, settle_samples=1)
+    def test_deadband_holds(self, make):
+        policy = make(cooldown_s=0.0, settle_samples=1)
         near = dict(offered=74.0, capacity=100.0, workers=2, delay=0.0)
         for t in range(1, 10):
             assert policy.decide(signals(float(t), **near)) is None
 
-    def test_unknown_utilization_holds(self):
-        policy = self.make(cooldown_s=0.0)
+    def test_unknown_utilization_holds(self, make):
+        policy = make(cooldown_s=0.0)
         assert policy.decide(signals(1.0, delay=50.0)) is None
 
 
@@ -238,33 +235,34 @@ class TestNoFlapping:
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_decisions_respect_cooldown(self, series, cooldown, dt, threshold):
-        if threshold:
-            policy = ThresholdPolicy(cooldown_s=cooldown, settle_samples=1)
-        else:
-            policy = TargetUtilizationPolicy(
-                cooldown_s=cooldown, settle_samples=1
-            )
-        decided_at = []
-        for i, (delay, lag, stall, offered, capacity, workers) in enumerate(
-            series
-        ):
-            now = (i + 1) * dt
-            decision = policy.decide(
-                signals(
-                    now,
-                    delay=delay,
-                    lag=lag,
-                    stall=stall,
-                    offered=offered,
-                    capacity=capacity,
-                    workers=workers,
+        with pytest.MonkeyPatch.context() as patch:
+            # Scale-ins fire on the first calm sample: the most
+            # decisions a series can produce.
+            patch.setattr(policy_module, "SETTLE_SAMPLES", 1)
+            if threshold:
+                policy = ThresholdPolicy(cooldown)
+            else:
+                policy = TargetUtilizationPolicy(cooldown)
+            decided_at = []
+            for i, signal in enumerate(series):
+                delay, lag, stall, offered, capacity, workers = signal
+                now = (i + 1) * dt
+                decision = policy.decide(
+                    signals(
+                        now,
+                        delay=delay,
+                        lag=lag,
+                        stall=stall,
+                        offered=offered,
+                        capacity=capacity,
+                        workers=workers,
+                    )
                 )
-            )
-            if decision is not None:
-                assert decision.delta != 0
-                decided_at.append(now)
-        for earlier, later in zip(decided_at, decided_at[1:]):
-            assert later - earlier >= cooldown - 1e-9
+                if decision is not None:
+                    assert decision.delta != 0
+                    decided_at.append(now)
+            for earlier, later in zip(decided_at, decided_at[1:]):
+                assert later - earlier >= cooldown - 1e-9
 
     @given(
         cooldown=st.floats(0.0, 5.0),
@@ -276,17 +274,21 @@ class TestNoFlapping:
     ):
         # Alternate overload/idle every sample: opposite-signed
         # decisions must still be >= cooldown apart.
-        policy = ThresholdPolicy(cooldown_s=cooldown, settle_samples=1)
-        last = None
-        for i in range(40):
-            now = float(i)
-            if i % 2 == (seed % 2):
-                s = signals(now, delay=50.0)
-            else:
-                s = signals(now, delay=0.0, offered=1.0, capacity=100.0)
-            decision = policy.decide(s)
-            if decision is None:
-                continue
-            if last is not None and decision.delta * last[1] < 0:
-                assert now - last[0] >= cooldown - 1e-9
-            last = (now, decision.delta)
+        with pytest.MonkeyPatch.context() as patch:
+            # Scale-ins fire on the first calm sample: the most
+            # decisions a series can produce.
+            patch.setattr(policy_module, "SETTLE_SAMPLES", 1)
+            policy = ThresholdPolicy(cooldown)
+            last = None
+            for i in range(40):
+                now = float(i)
+                if i % 2 == (seed % 2):
+                    s = signals(now, delay=50.0)
+                else:
+                    s = signals(now, delay=0.0, offered=1.0, capacity=100.0)
+                decision = policy.decide(s)
+                if decision is None:
+                    continue
+                if last is not None and decision.delta * last[1] < 0:
+                    assert now - last[0] >= cooldown - 1e-9
+                last = (now, decision.delta)

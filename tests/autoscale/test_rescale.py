@@ -16,8 +16,8 @@ from repro.autoscale.rescale import (
 from repro.engines import engine_class
 from repro.faults.checkpoint import sync_pause_s
 from repro.faults.schedule import NodeCrash
-from repro.sim.cluster import paper_cluster
-from repro.sim.network import DataPlane, NetworkSpec
+from repro.sim.cluster import ClusterSpec
+from repro.sim.network import DataPlane
 from repro.sim.rng import RngRegistry
 from repro.sim.simulator import Simulator
 from repro.workloads.queries import WindowedAggregationQuery
@@ -27,9 +27,9 @@ def make_engine(name="flink", workers=2, standby=0):
     sim = Simulator()
     engine = engine_class(name)(
         sim=sim,
-        cluster=replace(paper_cluster(workers), standby=standby),
+        cluster=ClusterSpec(workers, standby=standby),
         query=WindowedAggregationQuery(),
-        plane=DataPlane(sim, NetworkSpec()),
+        plane=DataPlane(sim),
         rng=RngRegistry(0).stream("rescale-test"),
     )
     return sim, engine

@@ -3,7 +3,8 @@ argues against; kept for the ablation that reproduces its bottleneck)."""
 
 import pytest
 
-from repro.core.broker import BrokerSpec, BrokerStage
+from repro.core import broker
+from repro.core.broker import BrokerStage
 from repro.core.queues import DriverQueue
 from repro.sim.simulator import Simulator
 
@@ -11,19 +12,14 @@ from tests.cohorts import cohort, expand
 
 
 @pytest.fixture
-def rig():
+def rig(monkeypatch):
+    monkeypatch.setattr(broker, "FORWARD_CAPACITY_EVENTS_PER_S", 1000.0)
+    monkeypatch.setattr(broker, "PERSISTENCE_DELAY_S", 0.1)
+    monkeypatch.setattr(broker, "REPARTITION_FRACTION", 0.5)
+    monkeypatch.setattr(broker, "REPARTITION_DELAY_S", 0.2)
     sim = Simulator()
     downstream = DriverQueue("q")
-    stage = BrokerStage(
-        sim,
-        downstream,
-        BrokerSpec(
-            forward_capacity_events_per_s=1000.0,
-            persistence_delay_s=0.1,
-            repartition_fraction=0.5,
-            repartition_delay_s=0.2,
-        ),
-    )
+    stage = BrokerStage(sim, downstream)
     return sim, downstream, stage
 
 
@@ -80,20 +76,20 @@ class TestForwarding:
     def test_invalid_share_rejected(self):
         sim = Simulator()
         with pytest.raises(ValueError):
-            BrokerStage(sim, DriverQueue("q"), BrokerSpec(), share=0.0)
+            BrokerStage(sim, DriverQueue("q"), share=0.0)
 
 
 class TestBrokeredExperiment:
-    def test_broker_caps_sut_ingest(self):
-        from repro.core.broker import BrokerSpec
+    def test_broker_caps_sut_ingest(self, monkeypatch):
         from repro.core.experiment import ExperimentSpec, run_experiment
 
+        monkeypatch.setattr(broker, "FORWARD_CAPACITY_EVENTS_PER_S", 0.5e6)
         spec = ExperimentSpec(
             engine="flink",
             profile=0.9e6,
             workers=2,
             duration_s=60.0,
-            broker=BrokerSpec(forward_capacity_events_per_s=0.5e6),
+            broker=True,
             monitor_resources=False,
         )
         result = run_experiment(spec)

@@ -9,7 +9,7 @@ from repro.engines.calibration import (
     cost_model_for,
     registered_models,
 )
-from repro.sim.cluster import paper_cluster
+from repro.sim.cluster import ClusterSpec
 
 
 class TestRegistry:
@@ -24,7 +24,7 @@ class TestRegistry:
 
     def test_unknown_lookup_rejected(self):
         with pytest.raises(ValueError):
-            cost_model_for("samza", AGGREGATION)
+            cost_model_for("apex", AGGREGATION)
         with pytest.raises(ValueError):
             cost_model_for("flink", "cep")
 
@@ -45,13 +45,13 @@ class TestCalibratedCapacities:
     )
     def test_aggregation_cpu_capacity(self, engine, workers, expected):
         model = cost_model_for(engine, AGGREGATION)
-        cap = model.cpu_capacity_events_per_s(paper_cluster(workers))
+        cap = model.cpu_capacity_events_per_s(ClusterSpec(workers))
         assert cap == pytest.approx(expected, rel=0.02)
 
     def test_flink_cpu_capacity_exceeds_network_bound(self):
         model = cost_model_for("flink", AGGREGATION)
         for workers in (2, 4, 8):
-            cap = model.cpu_capacity_events_per_s(paper_cluster(workers))
+            cap = model.cpu_capacity_events_per_s(ClusterSpec(workers))
             assert cap > 1.202e6  # the 1 Gb/s wire limit binds instead
 
     @pytest.mark.parametrize(
@@ -66,12 +66,12 @@ class TestCalibratedCapacities:
     )
     def test_join_cpu_capacity(self, engine, workers, expected):
         model = cost_model_for(engine, JOIN)
-        cap = model.cpu_capacity_events_per_s(paper_cluster(workers))
+        cap = model.cpu_capacity_events_per_s(ClusterSpec(workers))
         assert cap == pytest.approx(expected, rel=0.02)
 
     def test_storm_naive_join_2node(self):
         model = cost_model_for("storm", JOIN)
-        cap = model.cpu_capacity_events_per_s(paper_cluster(2))
+        cap = model.cpu_capacity_events_per_s(ClusterSpec(2))
         assert cap == pytest.approx(0.14e6, rel=0.02)
 
 
@@ -90,29 +90,29 @@ class TestSkew:
 
     def test_flink_skew_capacity_does_not_scale(self):
         model = cost_model_for("flink", AGGREGATION)
-        cap2 = model.skew_capacity_events_per_s(paper_cluster(2), 1.0)
-        cap8 = model.skew_capacity_events_per_s(paper_cluster(8), 1.0)
+        cap2 = model.skew_capacity_events_per_s(ClusterSpec(2), 1.0)
+        cap8 = model.skew_capacity_events_per_s(ClusterSpec(8), 1.0)
         assert cap2 == pytest.approx(cap8)
         assert cap2 == pytest.approx(0.48e6, rel=0.01)
 
     def test_spark_skew_capacity_scales(self):
         model = cost_model_for("spark", AGGREGATION)
-        cap4 = model.skew_capacity_events_per_s(paper_cluster(4), 1.0)
+        cap4 = model.skew_capacity_events_per_s(ClusterSpec(4), 1.0)
         # Paper Experiment 4: 0.53 M/s at 4 nodes (0.83 * 0.64).
         assert cap4 == pytest.approx(0.53e6, rel=0.02)
-        cap8 = model.skew_capacity_events_per_s(paper_cluster(8), 1.0)
+        cap8 = model.skew_capacity_events_per_s(ClusterSpec(8), 1.0)
         assert cap8 > cap4
 
     def test_mild_skew_does_not_bind(self):
         model = cost_model_for("flink", AGGREGATION)
-        base = model.cpu_capacity_events_per_s(paper_cluster(2))
-        mild = model.skew_capacity_events_per_s(paper_cluster(2), 0.05)
+        base = model.cpu_capacity_events_per_s(ClusterSpec(2))
+        mild = model.skew_capacity_events_per_s(ClusterSpec(2), 0.05)
         assert mild == pytest.approx(base)
 
     def test_zero_hot_fraction_is_base(self):
         model = cost_model_for("storm", AGGREGATION)
-        base = model.cpu_capacity_events_per_s(paper_cluster(4))
-        assert model.skew_capacity_events_per_s(paper_cluster(4), 0.0) == base
+        base = model.cpu_capacity_events_per_s(ClusterSpec(4))
+        assert model.skew_capacity_events_per_s(ClusterSpec(4), 0.0) == base
 
 
 class TestInterpolation:
@@ -134,16 +134,16 @@ class TestInterpolation:
 class TestBulkDelay:
     def test_zero_cost_zero_delay(self):
         model = cost_model_for("flink", AGGREGATION)
-        assert model.bulk_emit_delay_s(1e6, paper_cluster(2)) == 0.0
+        assert model.bulk_emit_delay_s(1e6, ClusterSpec(2)) == 0.0
 
     def test_delay_proportional_to_volume(self):
         model = cost_model_for("storm", AGGREGATION)
-        d1 = model.bulk_emit_delay_s(1e6, paper_cluster(2))
-        d2 = model.bulk_emit_delay_s(2e6, paper_cluster(2))
+        d1 = model.bulk_emit_delay_s(1e6, ClusterSpec(2))
+        d2 = model.bulk_emit_delay_s(2e6, ClusterSpec(2))
         assert d2 == pytest.approx(2 * d1)
 
     def test_delay_shrinks_with_cluster(self):
         model = cost_model_for("flink", JOIN)
-        d2 = model.bulk_emit_delay_s(1e6, paper_cluster(2))
-        d8 = model.bulk_emit_delay_s(1e6, paper_cluster(8))
+        d2 = model.bulk_emit_delay_s(1e6, ClusterSpec(2))
+        d8 = model.bulk_emit_delay_s(1e6, ClusterSpec(8))
         assert d8 < d2

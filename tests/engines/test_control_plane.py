@@ -20,7 +20,6 @@ import hashlib
 import json
 import os
 import pathlib
-from dataclasses import replace
 
 import pytest
 
@@ -45,9 +44,9 @@ from repro.recovery.reschedule import (
     MODE_SPREAD,
     MODE_STANDBY,
 )
-from repro.sim.cluster import paper_cluster
+from repro.sim.cluster import ClusterSpec
 from repro.sim.failures import SutFailure
-from repro.sim.network import DataPlane, NetworkSpec
+from repro.sim.network import DataPlane
 from repro.sim.rng import RngRegistry
 from repro.sim.simulator import Simulator
 from repro.workloads.queries import WindowedAggregationQuery
@@ -83,9 +82,9 @@ class Rig:
         self.sim = Simulator()
         self.engine = cls(
             sim=self.sim,
-            cluster=replace(paper_cluster(workers), standby=standby),
+            cluster=ClusterSpec(workers, standby=standby),
             query=WindowedAggregationQuery(),
-            plane=DataPlane(self.sim, NetworkSpec()),
+            plane=DataPlane(self.sim),
             rng=RngRegistry(0).stream("control-plane"),
             checkpoint=checkpoint,
             reschedule=reschedule,

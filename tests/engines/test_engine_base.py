@@ -6,10 +6,11 @@ import pytest
 
 from repro.core.queues import DriverQueue, QueueSet
 from repro.engines.base import EngineConfig, StreamingEngine
-from repro.engines.calibration import CostModel
+from repro.engines.calibration import CostModel, register_cost_model
 from repro.engines.operators.sink import Sink
-from repro.sim.cluster import paper_cluster
-from repro.sim.network import DataPlane, NetworkSpec
+from repro.sim.cluster import ClusterSpec
+from repro.sim import network
+from repro.sim.network import DataPlane
 from repro.sim.rng import RngRegistry
 from repro.sim.simulator import Simulator
 from repro.workloads.queries import WindowSpec, WindowedAggregationQuery
@@ -22,6 +23,18 @@ class RecordingConfig(EngineConfig):
     gc_rate_per_s: float = 0.0
 
 
+register_cost_model(
+    CostModel(
+        engine="recording",
+        query_kind="aggregation",
+        pipeline_cost_us=100.0,  # 2 workers -> 0.32 M/s
+        keyed_cost_us=0.0,
+        bulk_emit_cost_us=0.0,
+        scaling_efficiency={2: 1.0},
+    )
+)
+
+
 class RecordingEngine(StreamingEngine):
     """Minimal concrete engine for exercising the base machinery."""
 
@@ -32,16 +45,6 @@ class RecordingEngine(StreamingEngine):
         super().__init__(*args, **kwargs)
         self.processed = []
 
-    def _resolve_cost_model(self) -> CostModel:
-        return CostModel(
-            engine="recording",
-            query_kind=self.query.kind,
-            pipeline_cost_us=100.0,  # 2 workers -> 0.32 M/s
-            keyed_cost_us=0.0,
-            bulk_emit_cost_us=0.0,
-            scaling_efficiency={2: 1.0},
-        )
-
     def _process_batch(self, blocks, dt):
         self.processed.extend(expand(blocks))
 
@@ -49,10 +52,10 @@ class RecordingEngine(StreamingEngine):
 @pytest.fixture
 def rig():
     sim = Simulator()
-    plane = DataPlane(sim, NetworkSpec())
+    plane = DataPlane(sim)
     engine = RecordingEngine(
         sim=sim,
-        cluster=paper_cluster(2),
+        cluster=ClusterSpec(2),
         query=WindowedAggregationQuery(window=WindowSpec(4, 2)),
         plane=plane,
         rng=RngRegistry(0).stream("engine"),
@@ -103,11 +106,12 @@ class TestIngestion:
         # Ingest rate ~ capacity * elapsed (within tick granularity).
         assert engine.ingested_weight <= 0.34e6 * 2.0
 
-    def test_ingest_capped_by_network(self, rig):
+    def test_ingest_capped_by_network(self, rig, monkeypatch):
         sim, engine, queue, queues, sink = rig
         # A CPU-cheap engine against a slow wire: 10 MB/s at 104 B/event
         # allows ~96 k events/s.
-        engine.plane = DataPlane(sim, NetworkSpec(segment_gbps=0.08))
+        monkeypatch.setattr(network, "SEGMENT_BYTES_PER_S", 0.08e9 / 8.0)
+        engine.plane = DataPlane(sim)
         engine.cost = CostModel(
             engine="recording",
             query_kind="aggregation",

@@ -1,16 +1,19 @@
 """Tests for the extension engines (Heron, Samza -- paper future work)."""
 
+import importlib
+
 import pytest
 
-import repro.engines.ext  # noqa: F401  (registers the engines)
+import repro.engines.ext
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.generator import GeneratorConfig
 from repro.engines import ENGINES, engine_class
 from repro.engines.base import EngineConfig
-from repro.engines.ext.heron import HERON_COST_FACTOR, HeronConfig, HeronEngine
+from repro.engines.storm import StormConfig
+from repro.engines.ext.heron import HERON_COST_FACTOR, HeronEngine
 from repro.engines.ext.samza import SamzaEngine
-from repro.sim.cluster import paper_cluster
-from repro.sim.network import DataPlane, NetworkSpec
+from repro.sim.cluster import ClusterSpec
+from repro.sim.network import DataPlane
 from repro.sim.rng import RngRegistry
 from repro.sim.simulator import Simulator
 from repro.workloads.queries import (
@@ -41,37 +44,28 @@ class TestRegistration:
         assert engine_class("samza") is SamzaEngine
 
     def test_registration_idempotent(self):
-        from repro.engines.ext import register_extension_engines
-
-        register_extension_engines()
-        register_extension_engines()
+        importlib.reload(repro.engines.ext)
+        importlib.reload(repro.engines.ext)
         assert ENGINES["heron"] is HeronEngine
+        assert ENGINES["samza"] is SamzaEngine
 
 
 class TestHeron:
-    def test_plain_config_runs_on_heron_defaults(self):
-        """A plain EngineConfig keeps its own values and gains Heron's
-        knobs -- not Storm's, which Heron's are there to replace."""
+    @pytest.mark.parametrize("config_cls", [EngineConfig, StormConfig])
+    def test_foreign_config_is_rejected(self, config_cls):
+        """Copying a base or Storm config over Heron's would replace
+        Heron's defaults with those of the other class."""
         sim = Simulator()
-        engine = HeronEngine(
-            sim=sim,
-            cluster=paper_cluster(2),
-            query=WindowedAggregationQuery(window=WindowSpec(4, 2)),
-            plane=DataPlane(sim, NetworkSpec()),
-            rng=RngRegistry(0).stream("e"),
-            config=EngineConfig(gc_rate_per_s=0.0, emit_jitter_sigma=0.0),
-        )
-        heron = HeronConfig()
-        assert isinstance(engine.config, HeronConfig)
-        assert engine.config.gc_rate_per_s == 0.0
-        assert engine.config.emit_jitter_sigma == 0.0
-        for knob in (
-            "coordination_delay_base_s",
-            "emit_jitter_per_worker",
-            "stall_rate_per_s",
-            "surge_stall_prob",
-        ):
-            assert getattr(engine.config, knob) == getattr(heron, knob), knob
+        names = f"HeronConfig.*{config_cls.__name__}"
+        with pytest.raises(ValueError, match=names):
+            HeronEngine(
+                sim=sim,
+                cluster=ClusterSpec(2),
+                query=WindowedAggregationQuery(window=WindowSpec(4, 2)),
+                plane=DataPlane(sim),
+                rng=RngRegistry(0).stream("e"),
+                config=config_cls(gc_rate_per_s=0.0),
+            )
 
     def test_runs_and_emits(self):
         result = run_experiment(spec("heron"))
@@ -82,6 +76,10 @@ class TestHeron:
         from repro.engines.calibration import cost_model_for
 
         storm = cost_model_for("storm", "aggregation")
+        heron = cost_model_for("heron", "aggregation")
+        assert heron.pipeline_cost_us == (
+            storm.pipeline_cost_us * HERON_COST_FACTOR
+        )
         result = run_experiment(spec("heron", duration_s=30.0))
         assert result.engine == "heron"
         # Lower per-tuple cost => higher capacity at the same size: a

@@ -6,10 +6,10 @@ from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.generator import GeneratorConfig
 from repro.engines.backpressure import CreditBased, OnOffThrottle, RateController
 from repro.engines.flink import FlinkEngine
-from repro.engines.spark import SparkConfig, SparkEngine
+from repro.engines.spark import BLOCK_INTERVAL_S, SparkConfig, SparkEngine
 from repro.engines.storm import StormConfig, StormEngine
-from repro.sim.cluster import paper_cluster
-from repro.sim.network import DataPlane, NetworkSpec
+from repro.sim.cluster import ClusterSpec
+from repro.sim.network import DataPlane
 from repro.sim.rng import RngRegistry
 from repro.sim.simulator import Simulator
 from repro.workloads.queries import (
@@ -23,9 +23,9 @@ def build(engine_cls, query=None, workers=2, config=None):
     sim = Simulator()
     return engine_cls(
         sim=sim,
-        cluster=paper_cluster(workers),
+        cluster=ClusterSpec(workers),
         query=query or WindowedAggregationQuery(window=WindowSpec(4, 2)),
-        plane=DataPlane(sim, NetworkSpec()),
+        plane=DataPlane(sim),
         rng=RngRegistry(0).stream("e"),
         resources=None,
         config=config,
@@ -61,11 +61,11 @@ class TestStormConstruction:
     def test_no_spill_by_default(self):
         assert not StormEngine.supports_spill
         engine = build(StormEngine)
-        assert not engine.state.policy.can_spill
+        assert not engine.state.can_spill
 
     def test_advanced_state_enables_spill(self):
         engine = build(StormEngine, config=StormConfig(advanced_state=True))
-        assert engine.state.policy.can_spill
+        assert engine.state.can_spill
 
     def test_emit_jitter_sigma_grows_with_workers(self):
         import numpy as np
@@ -76,11 +76,11 @@ class TestStormConstruction:
         draws_big = [big._emit_jitter() for _ in range(2000)]
         assert np.std(np.log(draws_big)) > np.std(np.log(draws_small))
 
-    def test_generic_config_upgraded_to_storm_config(self):
+    def test_generic_config_rejected(self):
         from repro.engines.base import EngineConfig
 
-        engine = build(StormEngine, config=EngineConfig())
-        assert isinstance(engine.config, StormConfig)
+        with pytest.raises(ValueError, match="StormConfig.*EngineConfig"):
+            build(StormEngine, config=EngineConfig())
 
 
 class TestSparkConstruction:
@@ -95,15 +95,15 @@ class TestSparkConstruction:
         assert SparkEngine._align_up(3.2, 4.0) == pytest.approx(4.0)
         assert SparkEngine._align_up(4.0, 4.0) == pytest.approx(8.0)
 
-    def test_generic_config_upgraded_to_spark_config(self):
+    def test_generic_config_rejected(self):
         from repro.engines.base import EngineConfig
 
-        engine = build(SparkEngine, config=EngineConfig())
-        assert isinstance(engine.config, SparkConfig)
+        with pytest.raises(ValueError, match="SparkConfig.*EngineConfig"):
+            build(SparkEngine, config=EngineConfig())
 
     def test_partitions_bounded_by_intervals(self):
-        cfg = SparkConfig(batch_interval_s=4.0, block_interval_s=0.2)
-        assert cfg.batch_interval_s / cfg.block_interval_s == pytest.approx(20)
+        cfg = SparkConfig(batch_interval_s=4.0)
+        assert cfg.batch_interval_s / BLOCK_INTERVAL_S == pytest.approx(20)
 
 
 class TestSparkJobDynamics:

@@ -2,25 +2,20 @@
 
 import pytest
 
-from repro.engines.state import StateBackend, StatePolicy
-from repro.sim.cluster import paper_cluster
+from repro.engines import state
+from repro.engines.state import StateBackend
+from repro.sim.cluster import ClusterSpec
 from repro.sim.failures import OutOfMemory
 
 
-def backend(can_spill, heap_fraction=0.4, workers=2, slowdown=2.5):
-    return StateBackend(
-        paper_cluster(workers),
-        StatePolicy(
-            can_spill=can_spill,
-            heap_fraction=heap_fraction,
-            spill_slowdown=slowdown,
-        ),
-    )
+def backend(can_spill, workers=2):
+    return StateBackend(ClusterSpec(workers), can_spill=can_spill)
 
 
 class TestBudget:
-    def test_budget_from_cluster_ram(self):
-        b = backend(can_spill=True, heap_fraction=0.5, workers=2)
+    def test_budget_from_cluster_ram(self, monkeypatch):
+        monkeypatch.setattr(state, "HEAP_FRACTION", 0.5)
+        b = backend(can_spill=True, workers=2)
         assert b.budget_bytes == pytest.approx(0.5 * 2 * 16 * 1024**3)
 
     def test_charge_and_release(self):
@@ -101,7 +96,9 @@ class TestOutOfMemory:
             pytest.fail("expected OutOfMemory")
 
     def test_set_policy_switches_to_spillable(self):
+        # Storm's user-supplied spillable state sets the flag after
+        # construction.
         b = backend(can_spill=False)
-        b.set_policy(StatePolicy(can_spill=True))
+        b.can_spill = True
         b.charge(b.budget_bytes * 2)
         assert b.spilling

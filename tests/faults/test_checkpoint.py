@@ -15,12 +15,7 @@ from repro.faults.checkpoint import (
     sync_pause_s,
 )
 from repro.faults.guarantees import DeliveryGuarantee
-from repro.sim.cluster import paper_cluster
-
-
-@pytest.fixture
-def node():
-    return paper_cluster(4).node
+from repro.sim.cluster import NIC_BYTES_PER_S
 
 
 class TestValidation:
@@ -42,45 +37,43 @@ class TestSteadyState:
 
 
 class TestRecoveryPause:
-    def test_restore_time_proportional_to_state_over_nic(
-        self, node, monkeypatch
-    ):
+    def test_restore_time_proportional_to_state_over_nic(self, monkeypatch):
         monkeypatch.setattr(checkpoint, "RESTORE_NIC_FRACTION", 0.8)
         # 3 surviving workers, 1 Gbit NICs at 80%: 300 MB/s aggregate.
-        bandwidth = 3 * node.nic_bytes_per_s * 0.8
-        assert restore_s(600e6, node, 3) == pytest.approx(600e6 / bandwidth)
+        bandwidth = 3 * NIC_BYTES_PER_S * 0.8
+        assert restore_s(600e6, 3) == pytest.approx(600e6 / bandwidth)
 
-    def test_checkpoint_restore_includes_replay_window(self, node):
+    def test_checkpoint_restore_includes_replay_window(self):
         short = recovery_pause_s(
             RecoverySemantics.CHECKPOINT_RESTORE,
-            state_bytes=0.0, node=node, active_workers=3, workers=4,
+            state_bytes=0.0, active_workers=3, workers=4,
             replay_span_s=2.0, lost_fraction=0.25,
         )
         long = recovery_pause_s(
             RecoverySemantics.CHECKPOINT_RESTORE,
-            state_bytes=0.0, node=node, active_workers=3, workers=4,
+            state_bytes=0.0, active_workers=3, workers=4,
             replay_span_s=10.0, lost_fraction=0.25,
         )
         assert long - short == pytest.approx(8.0 * REPLAY_COST_FACTOR)
 
-    def test_lineage_recompute_scales_with_lost_state_only(self, node):
+    def test_lineage_recompute_scales_with_lost_state_only(self):
         base = recovery_pause_s(
             RecoverySemantics.LINEAGE_RECOMPUTE,
-            state_bytes=8e9, node=node, active_workers=4, workers=4,
+            state_bytes=8e9, active_workers=4, workers=4,
             replay_span_s=10.0, lost_fraction=0.0,
         )
         half_lost = recovery_pause_s(
             RecoverySemantics.LINEAGE_RECOMPUTE,
-            state_bytes=8e9, node=node, active_workers=4, workers=4,
+            state_bytes=8e9, active_workers=4, workers=4,
             replay_span_s=10.0, lost_fraction=0.5,
         )
         # No replay term; only the lost partitions are recomputed.
         assert base == pytest.approx(DETECTION_TIMEOUT_S + RESTART_BASE_S)
         assert half_lost > base
 
-    def test_tuple_replay_grows_with_cluster_size(self, node):
+    def test_tuple_replay_grows_with_cluster_size(self):
         kwargs = dict(
-            state_bytes=1e9, node=node, replay_span_s=5.0, lost_fraction=0.5
+            state_bytes=1e9, replay_span_s=5.0, lost_fraction=0.5
         )
         small = recovery_pause_s(
             RecoverySemantics.TUPLE_REPLAY,
@@ -95,9 +88,9 @@ class TestRecoveryPause:
         )
         assert large > small
 
-    def test_tuple_replay_ignores_state_bytes(self, node):
+    def test_tuple_replay_ignores_state_bytes(self):
         kwargs = dict(
-            node=node, active_workers=3, workers=4,
+            active_workers=3, workers=4,
             replay_span_s=5.0, lost_fraction=0.25,
         )
         a = recovery_pause_s(

@@ -5,9 +5,10 @@ generators that feeds the driver queues, so its bytes get their own
 golden: one short seeded trial per case below, each hashed over its
 sink table (every float by ``float.hex``), latency summaries, ingest
 rate and diagnostics.  The cases cover every engine, the join, a broker
-that caps the SUT, the two ``repartition_fraction`` edges (one of the
-two hops empty) and a disordered stream.  Regenerate after an
-*intentional* change with::
+that caps the SUT, the two ``REPARTITION_FRACTION`` edges (one of the
+two hops empty) and a disordered stream; a case that needs other broker
+characteristics patches the constants of :mod:`repro.core.broker`.
+Regenerate after an *intentional* change with::
 
     REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest \
         tests/integration/test_broker_digest.py
@@ -23,7 +24,8 @@ import pytest
 
 import repro.engines.ext  # noqa: F401  (registers heron/samza)
 from repro.core.batch import RecordBlock
-from repro.core.broker import BrokerSpec, BrokerStage
+from repro.core import broker
+from repro.core.broker import BrokerStage
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.generator import GeneratorConfig
 from repro.core.queues import DriverQueue
@@ -43,7 +45,8 @@ WINDOW = WindowSpec(4.0, 2.0)
 
 
 def brokered(engine="flink", query=None, profile=30_000.0, generator=None,
-             **broker) -> ExperimentSpec:
+             **constants):
+    """One case: its spec and the broker constants it runs under."""
     return ExperimentSpec(
         engine=engine,
         query=query or WindowedAggregationQuery(window=WINDOW),
@@ -54,8 +57,8 @@ def brokered(engine="flink", query=None, profile=30_000.0, generator=None,
         generator=generator or GeneratorConfig(instances=2),
         monitor_resources=False,
         keep_outputs=True,
-        broker=BrokerSpec(**broker),
-    )
+        broker=True,
+    ), constants
 
 
 CASES = {
@@ -64,13 +67,13 @@ CASES = {
         for engine in ("flink", "storm", "spark", "samza", "heron")
     },
     "flink_join_persist": brokered(
-        query=WindowedJoinQuery(window=WINDOW), persistence_delay_s=0.2
+        query=WindowedJoinQuery(window=WINDOW), PERSISTENCE_DELAY_S=0.2
     ),
     "flink_capped": brokered(
-        profile=100_000.0, forward_capacity_events_per_s=50_000.0
+        profile=100_000.0, FORWARD_CAPACITY_EVENTS_PER_S=50_000.0
     ),
-    "flink_direct_only": brokered(repartition_fraction=0.0),
-    "flink_rerouted_only": brokered(repartition_fraction=1.0),
+    "flink_direct_only": brokered(REPARTITION_FRACTION=0.0),
+    "flink_rerouted_only": brokered(REPARTITION_FRACTION=1.0),
     "storm_disorder": brokered(
         "storm",
         generator=GeneratorConfig(
@@ -102,11 +105,15 @@ def trial_digest(result) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def run_case(spec, constants) -> str:
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in constants.items():
+            patch.setattr(broker, name, value)
+        return trial_digest(run_experiment(spec))
+
+
 def test_brokered_trials_match_goldens():
-    actual = {
-        name: trial_digest(run_experiment(spec))
-        for name, spec in CASES.items()
-    }
+    actual = {name: run_case(*case) for name, case in CASES.items()}
     if os.environ.get("REGEN_GOLDEN"):
         GOLDEN_PATH.write_text(
             json.dumps(actual, indent=2, sort_keys=True) + "\n"
@@ -115,20 +122,17 @@ def test_brokered_trials_match_goldens():
     assert actual == json.loads(GOLDEN_PATH.read_text())
 
 
-def test_overflow_admits_a_prefix_and_forwarded_weight_counts_it():
+def test_overflow_admits_a_prefix_and_forwarded_weight_counts_it(
+    monkeypatch,
+):
     """A downstream overflow admits the cohorts that fit; the broker's
     ``forwarded_weight`` ledger agrees with what the queue took."""
+    monkeypatch.setattr(broker, "FORWARD_CAPACITY_EVENTS_PER_S", 1e6)
+    monkeypatch.setattr(broker, "PERSISTENCE_DELAY_S", 0.1)
+    monkeypatch.setattr(broker, "REPARTITION_FRACTION", 0.0)
     sim = Simulator()
     downstream = DriverQueue("q", capacity_weight=10.0)
-    stage = BrokerStage(
-        sim,
-        downstream,
-        BrokerSpec(
-            forward_capacity_events_per_s=1e6,
-            persistence_delay_s=0.1,
-            repartition_fraction=0.0,
-        ),
-    )
+    stage = BrokerStage(sim, downstream)
     stage.push_block(
         RecordBlock(np.arange(4), np.array([3.0, 4.0, 5.0, 6.0]), 1.0, 0.0,
                     "purchases"),

@@ -9,7 +9,7 @@ import pytest
 
 import repro.engines.ext  # noqa: F401  (registers heron/samza)
 from repro.cli import main as cli_main
-from repro.core.broker import BrokerSpec
+from repro.core import broker
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.generator import GeneratorConfig
 from repro.core.sustainable import assess, find_sustainable_throughput
@@ -40,20 +40,16 @@ def spec(**overrides):
 
 
 class TestBrokerComposition:
-    def test_brokered_join_preserves_semantics(self):
+    def test_brokered_join_preserves_semantics(self, monkeypatch):
         """The mediator delays both streams; join outputs still appear
         and latency carries the broker delay."""
         direct = run_experiment(
             spec(query=WindowedJoinQuery(window=SMALL_WINDOW))
         )
+        monkeypatch.setattr(broker, "FORWARD_CAPACITY_EVENTS_PER_S", 1e6)
+        monkeypatch.setattr(broker, "PERSISTENCE_DELAY_S", 0.2)
         brokered = run_experiment(
-            spec(
-                query=WindowedJoinQuery(window=SMALL_WINDOW),
-                broker=BrokerSpec(
-                    forward_capacity_events_per_s=1e6,
-                    persistence_delay_s=0.2,
-                ),
-            )
+            spec(query=WindowedJoinQuery(window=SMALL_WINDOW), broker=True)
         )
         assert not brokered.failed
         assert len(brokered.collector) > 0
@@ -62,10 +58,11 @@ class TestBrokerComposition:
             > direct.event_latency.mean + 0.1
         )
 
-    def test_broker_under_capacity_is_transparent_to_throughput(self):
-        brokered = run_experiment(
-            spec(broker=BrokerSpec(forward_capacity_events_per_s=1e6))
-        )
+    def test_broker_under_capacity_is_transparent_to_throughput(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(broker, "FORWARD_CAPACITY_EVENTS_PER_S", 1e6)
+        brokered = run_experiment(spec(broker=True))
         assert brokered.mean_ingest_rate == pytest.approx(30_000.0, rel=0.1)
 
 

@@ -16,8 +16,8 @@ hash and leaves the other two alone.  The cases cover both queries on
 every engine, disorder with and without allowed lateness, Storm's
 spillable state, Spark's inverse reduce, four-worker clusters, the two
 modelled stalls (Storm's naive join beyond two workers, Flink's skewed
-join), every engine given a plain :class:`EngineConfig`, and Storm and
-Heron at the paper's rate (0.3 M ev/s, 120 s, two seeds), overloaded
+join), every engine run on the base :class:`EngineConfig` values, and
+Storm and Heron at the paper's rate (0.3 M ev/s, 120 s, two seeds), overloaded
 (1.6 M ev/s, 40 s) and under it (Storm at 0.2 M ev/s, 120 s).
 Regenerate after an *intentional* change with::
 
@@ -35,6 +35,7 @@ import pytest
 import repro.engines.ext  # noqa: F401  (registers heron/samza)
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.generator import GeneratorConfig
+from repro.engines import engine_class
 from repro.engines.base import EngineConfig
 from repro.engines.ext.samza import SamzaConfig
 from repro.engines.flink import FlinkConfig
@@ -58,6 +59,9 @@ JOIN = WindowedJoinQuery(window=WINDOW)
 PAPER_WINDOW = WindowSpec(8.0, 4.0)
 PAPER_AGG = WindowedAggregationQuery(window=PAPER_WINDOW)
 PAPER_JOIN = WindowedJoinQuery(window=PAPER_WINDOW)
+#: The base config's values with GC and emit jitter off, run on each
+#: engine's own config class.
+PLAIN = vars(EngineConfig(gc_rate_per_s=0.0, emit_jitter_sigma=0.0))
 DISORDER = GeneratorConfig(
     instances=2, disorder=DisorderSpec(fraction=0.2, max_delay_s=2.0)
 )
@@ -119,10 +123,7 @@ CASES = {
     ),
     **{
         f"{engine}_plain_config": trial(
-            engine,
-            engine_config=EngineConfig(
-                gc_rate_per_s=0.0, emit_jitter_sigma=0.0
-            ),
+            engine, engine_config=engine_class(engine).config_cls(**PLAIN)
         )
         for engine in ENGINES
     },

@@ -17,24 +17,25 @@ import pytest
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.generator import GeneratorConfig
 from repro.core.throughput import THROUGHPUT_INTERVAL_S
-from repro.engines.storm import StormConfig
+from repro.engines import backpressure
 
 MONITOR_INTERVAL_S = THROUGHPUT_INTERVAL_S
 
 
 def stalled_storm_result(stall_duration_s=10.0):
-    return run_experiment(
-        ExperimentSpec(
-            engine="storm",
-            workers=2,
-            profile=0.6e6,
-            duration_s=120.0,
-            seed=11,
-            generator=GeneratorConfig(instances=2),
-            monitor_resources=False,
-            engine_config=StormConfig(stall_duration_s=stall_duration_s),
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(backpressure, "STALL_DURATION_S", stall_duration_s)
+        return run_experiment(
+            ExperimentSpec(
+                engine="storm",
+                workers=2,
+                profile=0.6e6,
+                duration_s=120.0,
+                seed=11,
+                generator=GeneratorConfig(instances=2),
+                monitor_resources=False,
+            )
         )
-    )
 
 
 def longest_zero_run(series) -> int:

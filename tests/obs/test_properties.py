@@ -23,7 +23,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.engines.ext  # noqa: F401  (registers heron/samza)
-from repro.core.broker import BrokerSpec
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.generator import GeneratorConfig
 from repro.faults.schedule import (
@@ -136,7 +135,7 @@ class TestTraceProperties:
             duration_s=30.0,
             generator=GeneratorConfig(instances=2),
             monitor_resources=False,
-            broker=BrokerSpec(),
+            broker=True,
             observability=ObsSpec(trace_sample_rate=50),
         )
         log = run_experiment(spec).observability.trace_log

@@ -33,7 +33,7 @@ from repro.engines.ext.heron import HeronEngine
 from repro.engines.ext.samza import SamzaEngine
 from repro.engines.flink import FlinkEngine
 from repro.engines.spark import SparkEngine
-from repro.engines.storm import StormConfig, StormEngine
+from repro.engines.storm import SPOUT_PULL_PERIOD_TICKS, StormEngine
 
 from tests.oracle.stores import (
     OracleBatchPartials,
@@ -90,8 +90,7 @@ class _RecordAtATimeStorm(_OracleWindows):
         # at processing capacity in _on_tick_end.  Pulls arrive in
         # periodic bursts, so the surge detector sees the per-poll
         # average rate, not the instantaneous burst.
-        cfg: StormConfig = self.config
-        period = max(1, cfg.spout_pull_period_ticks)
+        period = SPOUT_PULL_PERIOD_TICKS
         weight = self._tick_ingest_weight
         self._detect_surge(weight / (dt * period), dt * period)
         if records:

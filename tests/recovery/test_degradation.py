@@ -28,8 +28,6 @@ class TestPolicyValidation:
             DegradationPolicy(max_queue_delay_s=0.0)
         with pytest.raises(ValueError):
             DegradationPolicy(readmission_ramp_s=-1.0)
-        with pytest.raises(ValueError):
-            DegradationPolicy(ramp_floor=1.5)
 
 
 class TestShedExcess:
@@ -53,9 +51,7 @@ class TestShedExcess:
 
 
 class TestAdmissionFraction:
-    POLICY = DegradationPolicy(
-        shed=SHED_OLDEST, readmission_ramp_s=4.0, ramp_floor=0.25
-    )
+    POLICY = DegradationPolicy(shed=SHED_OLDEST, readmission_ramp_s=4.0)
 
     def test_no_ramp_configured(self):
         assert DegradationPolicy().admission_fraction(3.0, 2.0) == 1.0

@@ -18,9 +18,7 @@ from repro.recovery.reschedule import (
     plan_suspect,
     resolve_mode,
 )
-from repro.sim.cluster import paper_cluster
-
-NODE = paper_cluster(2).node
+from repro.sim.cluster import NIC_BYTES_PER_S
 
 
 class TestPolicyValidation:
@@ -45,7 +43,7 @@ class TestPlanCrash:
         # no modelled migration cost.
         plan = plan_crash(
             MODE_NONE,
-            kill=1, active=4, standbys_left=3, state_bytes=1e9, node=NODE
+            kill=1, active=4, standbys_left=3, state_bytes=1e9
         )
         assert plan.promoted == 0
         assert plan.survivors == 3
@@ -56,14 +54,14 @@ class TestPlanCrash:
     def test_mode_none_last_worker_fatal(self):
         plan = plan_crash(
             MODE_NONE,
-            kill=2, active=2, standbys_left=5, state_bytes=1e9, node=NODE
+            kill=2, active=2, standbys_left=5, state_bytes=1e9
         )
         assert plan.fatal
 
     def test_standby_promotion(self):
         plan = plan_crash(
             MODE_STANDBY,
-            kill=1, active=4, standbys_left=2, state_bytes=8e8, node=NODE
+            kill=1, active=4, standbys_left=2, state_bytes=8e8
         )
         assert plan.promoted == 1
         assert plan.survivors == 3
@@ -77,7 +75,7 @@ class TestPlanCrash:
         # exists, so the job survives instead of aborting.
         plan = plan_crash(
             MODE_STANDBY,
-            kill=2, active=2, standbys_left=1, state_bytes=1e9, node=NODE
+            kill=2, active=2, standbys_left=1, state_bytes=1e9
         )
         assert not plan.fatal
         assert plan.promoted == 1
@@ -87,7 +85,7 @@ class TestPlanCrash:
     def test_fatal_when_pool_empty(self):
         plan = plan_crash(
             MODE_STANDBY,
-            kill=2, active=2, standbys_left=0, state_bytes=1e9, node=NODE
+            kill=2, active=2, standbys_left=0, state_bytes=1e9
         )
         assert plan.fatal
         assert plan.restored == 0
@@ -95,7 +93,7 @@ class TestPlanCrash:
     def test_spread_migrates_without_promotion(self):
         plan = plan_crash(
             MODE_SPREAD,
-            kill=1, active=4, standbys_left=3, state_bytes=8e8, node=NODE
+            kill=1, active=4, standbys_left=3, state_bytes=8e8
         )
         assert plan.promoted == 0
         assert plan.survivors == 3
@@ -103,27 +101,27 @@ class TestPlanCrash:
 
     def test_migration_pause_scales_with_nic(self, monkeypatch):
         monkeypatch.setattr(reschedule, "MIGRATION_NIC_FRACTION", 0.5)
-        pause = migration_pause_s(1e9, NODE, receivers=2)
+        pause = migration_pause_s(1e9, receivers=2)
         # bytes / (receivers * nic * fraction)
-        assert pause == pytest.approx(1e9 / (2 * NODE.nic_bytes_per_s * 0.5))
+        assert pause == pytest.approx(1e9 / (2 * NIC_BYTES_PER_S * 0.5))
         # More receivers pull the state in parallel: shorter pause.
-        assert migration_pause_s(1e9, NODE, receivers=4) < pause
-        assert migration_pause_s(0.0, NODE, receivers=2) == 0.0
+        assert migration_pause_s(1e9, receivers=4) < pause
+        assert migration_pause_s(0.0, receivers=2) == 0.0
         monkeypatch.undo()
-        assert migration_pause_s(1e9, NODE, receivers=2) == pytest.approx(
-            1e9 / (2 * NODE.nic_bytes_per_s * MIGRATION_NIC_FRACTION)
+        assert migration_pause_s(1e9, receivers=2) == pytest.approx(
+            1e9 / (2 * NIC_BYTES_PER_S * MIGRATION_NIC_FRACTION)
         )
 
     def test_invalid_plan_inputs_rejected(self):
         with pytest.raises(ValueError):
             plan_crash(
                 MODE_STANDBY,
-                kill=0, active=2, standbys_left=0, state_bytes=0.0, node=NODE,
+                kill=0, active=2, standbys_left=0, state_bytes=0.0,
             )
         with pytest.raises(ValueError):
             plan_crash(
                 MODE_STANDBY,
-                kill=1, active=0, standbys_left=0, state_bytes=0.0, node=NODE,
+                kill=1, active=0, standbys_left=0, state_bytes=0.0,
             )
 
 
@@ -135,7 +133,6 @@ class TestPlanStraggler:
             standbys_left=1,
             state_bytes=8e8,
             active=2,
-            node=NODE,
         )
         base.update(overrides)
         return base
@@ -178,7 +175,7 @@ class TestPlanStraggler:
 
 class TestPlanSuspect:
     def kwargs(self, **overrides):
-        base = dict(active=2, standbys_left=1, state_bytes=8e8, node=NODE)
+        base = dict(active=2, standbys_left=1, state_bytes=8e8)
         base.update(overrides)
         return base
 
@@ -244,7 +241,7 @@ class TestPlanValidation:
 
 class TestPlanScaleIn:
     def plan(self, **kwargs):
-        merged = dict(remove=1, active=4, state_bytes=8e8, node=NODE)
+        merged = dict(remove=1, active=4, state_bytes=8e8)
         merged.update(kwargs)
         return plan_scale_in(**merged)
 
@@ -255,7 +252,7 @@ class TestPlanScaleIn:
         assert not plan.fatal
         # The victims' share of keyed state: state_bytes * remove/active.
         assert plan.migrated_bytes == pytest.approx(2e8)
-        expected_pause = migration_pause_s(2e8, NODE, 3)
+        expected_pause = migration_pause_s(2e8, 3)
         assert plan.migration_pause_s == pytest.approx(expected_pause)
         assert plan.migration_pause_s > 0
 

@@ -3,11 +3,15 @@
 import json
 import math
 
+from repro.core.experiment import run_experiment
+from repro.engines.base import EngineConfig
+from repro.engines.storm import StormConfig
 from repro.recoverybench.frontier import (
     FrontierPoint,
     frontier_points,
     point_from_digest,
 )
+from repro.recoverybench.scorecard import RecoverConfig, frontier_spec
 
 NAN = float("nan")
 
@@ -94,3 +98,20 @@ class TestFrontierPoints:
 
     def test_empty_sweep(self):
         assert frontier_points([]) == []
+
+
+class TestFrontierSpec:
+    def test_storm_frontier_runs_on_storm_calibration(self):
+        """A frontier trial keeps the engine's own defaults: Storm's
+        0.08 s pipeline delay, not the base config's 0.05 s (a plain
+        ``EngineConfig`` used to be copied over them), with GC and emit
+        jitter off."""
+        engines = []
+        spec = frontier_spec("storm", 5.0, RecoverConfig(seed=17))
+        run_experiment(spec, driver_hook=lambda d: engines.append(d.engine))
+        config = engines[0].config
+        assert isinstance(config, StormConfig)
+        assert config.pipeline_delay_s == StormConfig.pipeline_delay_s
+        assert config.pipeline_delay_s != EngineConfig.pipeline_delay_s
+        assert config.gc_rate_per_s == 0.0
+        assert config.emit_jitter_sigma == 0.0

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim.network import DataPlane, NetworkSpec
+from repro.sim import network
+from repro.sim.network import SEGMENT_BYTES_PER_S, DataPlane
 from repro.sim.simulator import Simulator
 
 
@@ -12,18 +13,18 @@ def sim():
 
 
 @pytest.fixture
-def plane(sim):
-    return DataPlane(sim, NetworkSpec(segment_gbps=1.0, burst_seconds=0.1))
+def plane(sim, monkeypatch):
+    # A 0.1 s bank keeps the bucket arithmetic below round.
+    monkeypatch.setattr(network, "BURST_SECONDS", 0.1)
+    return DataPlane(sim)
 
 
 class TestSpec:
     def test_segment_bytes_per_s(self):
-        assert NetworkSpec(segment_gbps=1.0).segment_bytes_per_s == pytest.approx(
-            125e6
-        )
+        assert SEGMENT_BYTES_PER_S == pytest.approx(125e6)
 
-    def test_events_capacity_at_104_bytes_is_about_1_2M(self, plane):
-        cap = plane.spec.segment_bytes_per_s / 104
+    def test_events_capacity_at_104_bytes_is_about_1_2M(self):
+        cap = SEGMENT_BYTES_PER_S / 104
         assert cap == pytest.approx(1.202e6, rel=0.01)
 
 

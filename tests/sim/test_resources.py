@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.cluster import paper_cluster
+from repro.sim.cluster import ClusterSpec
 from repro.sim.resources import ResourceMonitor
 from repro.sim.simulator import Simulator
 
@@ -14,7 +14,7 @@ def sim():
 
 @pytest.fixture
 def monitor(sim):
-    return ResourceMonitor(sim, paper_cluster(2), sample_interval_s=5.0)
+    return ResourceMonitor(sim, ClusterSpec(2), sample_interval_s=5.0)
 
 
 class TestSampling:

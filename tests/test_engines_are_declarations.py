@@ -4,11 +4,11 @@
 and the configuration, closes windows, and derives the conservation
 ledger and the late-drop count from the store.  An engine module that
 constructs a window store, asks whether its query is a join to pick
-one, defines one of the hooks that became class attributes (or the
-ledger), or spells out ``late_dropped_weight`` has started restating the
-base again.  And the record-at-a-time fallback (``materialize_all`` ->
-``_process``) lives in ``tests/oracle``: no module in ``src/`` names
-either.  Same ``ast`` walk as ``test_one_queue_item_kind.py``.
+one, defines one of the hooks that became class attributes or
+registered cost models (or the ledger), or spells out
+``late_dropped_weight`` has started restating the base again.  And the
+record-at-a-time fallback (``materialize_all`` -> ``_process``) lives
+in ``tests/oracle``: no module in ``src/`` names either.  Same ``ast`` walk as ``test_one_queue_item_kind.py``.
 """
 
 import ast
@@ -24,6 +24,7 @@ ENGINE_MODULES = (
 )
 STORES = {"KeyedWindowStore", "JoinWindowStore"}
 DECLARED = {
+    "_resolve_cost_model",
     "default_config",
     "supports_spill",
     "recommended_degradation",

@@ -6,7 +6,7 @@ import repro.engines.ext  # noqa: F401  (registers heron/samza)
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.generator import GeneratorConfig
 from repro.sim.rng import RngRegistry
-from repro.workloads.disorder import EXPONENTIAL, UNIFORM, DisorderSpec
+from repro.workloads.disorder import DisorderSpec
 from repro.workloads.queries import WindowSpec, WindowedAggregationQuery
 
 
@@ -23,12 +23,9 @@ class TestDisorderSpec:
             DisorderSpec(fraction=1.5)
         with pytest.raises(ValueError):
             DisorderSpec(max_delay_s=0.0)
-        with pytest.raises(ValueError):
-            DisorderSpec(distribution="pareto")
 
-    @pytest.mark.parametrize("dist", [UNIFORM, EXPONENTIAL])
-    def test_delays_bounded(self, dist):
-        spec = DisorderSpec(max_delay_s=2.0, distribution=dist)
+    def test_delays_bounded(self):
+        spec = DisorderSpec(max_delay_s=2.0)
         rng = RngRegistry(1).stream("d")
         for _ in range(500):
             delay = spec.sample_delay(rng)
