@@ -130,8 +130,8 @@ class SeedLatencyCollector:
         times, values, _ = self._arrays(kind, start_time)
         return seed_binned(times, values, bin_s)
 
-    def trend_slope(self, kind=EVENT_TIME, start_time=0.0, bin_s=5.0):
-        t, v = self.binned_series(kind, bin_s=bin_s, start_time=start_time)
+    def trend_slope(self, start_time=0.0, bin_s=5.0):
+        t, v = self.binned_series(EVENT_TIME, bin_s=bin_s, start_time=start_time)
         ts = TimeSeries(times=t, values=v)
         return ts.slope_per_s()
 
@@ -179,7 +179,7 @@ def metrology_pass(collector, warmup: float, bin_s: float):
     ev = collector.summary(EVENT_TIME, warmup)
     pr = collector.summary(PROCESSING_TIME, warmup)
     binned = collector.binned_series(EVENT_TIME, bin_s=bin_s, start_time=warmup)
-    slope = collector.trend_slope(EVENT_TIME, start_time=warmup, bin_s=bin_s)
+    slope = collector.trend_slope(start_time=warmup, bin_s=bin_s)
     return ev, pr, binned, slope
 
 

@@ -122,7 +122,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--quick", action="store_true",
-        help="CI smoke: 60 simulated seconds, 5 repeats",
+        help="CI smoke: 180 simulated seconds, 7 repeats",
     )
     parser.add_argument(
         "--check", action="store_true",
@@ -133,11 +133,11 @@ def main(argv=None) -> int:
         help="relative overhead gate for --check (default: 0.05)",
     )
     args = parser.parse_args(argv)
-    # Sub-second baselines make a 5% gate flaky; 60 simulated seconds
-    # (~1s wall) over 5 interleaved rounds is the smallest reliable
-    # configuration.
-    duration = 60.0 if args.quick else args.duration
-    repeats = 5 if args.quick else args.repeats
+    # Sub-second baselines make a 5% gate flaky; 180 simulated seconds
+    # (~1s of wall time for ``off`` on a 2-core host) over 7 interleaved
+    # rounds is the smallest reliable configuration.
+    duration = 180.0 if args.quick else args.duration
+    repeats = 7 if args.quick else args.repeats
 
     configs = [
         ("off", None),

@@ -24,10 +24,13 @@ def summary_to_dict(summary: StatSummary) -> Dict[str, Any]:
     return summary.to_dict()
 
 
+#: Bin width (s) of the latency series an exported trial embeds.
+SERIES_BIN_S = 5.0
+
+
 def trial_to_dict(
     result: TrialResult,
     include_series: bool = False,
-    series_bin_s: float = 5.0,
 ) -> Dict[str, Any]:
     """Serialise one trial.
 
@@ -61,10 +64,10 @@ def trial_to_dict(
         payload["observability"] = result.observability.to_dict()
     if include_series:
         event = result.collector.binned_series(
-            EVENT_TIME, bin_s=series_bin_s, start_time=result.warmup_s
+            EVENT_TIME, bin_s=SERIES_BIN_S, start_time=result.warmup_s
         )
         proc = result.collector.binned_series(
-            PROCESSING_TIME, bin_s=series_bin_s, start_time=result.warmup_s
+            PROCESSING_TIME, bin_s=SERIES_BIN_S, start_time=result.warmup_s
         )
         ingest = result.throughput.ingest_series
         occupancy = result.throughput.occupancy_series

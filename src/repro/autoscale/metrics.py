@@ -13,8 +13,9 @@ re-sustaining the offered load, decomposed the way an SRE would bill it:
   capacity came from the standby pool);
 - **migrate**: the cutover pause (engine style pause + NIC-bounded state
   migration);
-- **catch-up**: capacity online -> the watermark lag back inside the
-  sustain band for ``settle_samples`` consecutive registry samples.
+- **catch-up**: capacity online -> the watermark lag back within
+  :data:`LAG_BOUND_S` for :data:`CATCHUP_SETTLE_SAMPLES` consecutive
+  registry samples.
 
 Detection runs on the sampled ``driver.watermark_lag_s`` series -- the
 same deterministic obs-registry signal the policies themselves read, so
@@ -98,27 +99,30 @@ class RescaleMetrics:
         )
 
 
+#: Watermark lag (s) a rescaled trial must get back within to count as
+#: caught up.
+LAG_BOUND_S = 2.0
+#: Consecutive in-bound lag samples that make a catch-up settled.
+CATCHUP_SETTLE_SAMPLES = 2
+
+
 def compute_rescale_metrics(
     rescale_log: Sequence[Dict[str, Any]],
     lag_times: Sequence[float],
     lag_values: Sequence[float],
     duration_s: float,
-    *,
-    lag_bound_s: float = 2.0,
-    settle_samples: int = 2,
 ) -> List[RescaleMetrics]:
     """Measure every event in ``rescale_log``.
 
     ``lag_times``/``lag_values`` are the sampled
     ``driver.watermark_lag_s`` series.  An event's catch-up ends at the
     first sample at-or-after capacity-online where the lag stays within
-    ``lag_bound_s`` for ``settle_samples`` consecutive samples; the scan
+    :data:`LAG_BOUND_S` for :data:`CATCHUP_SETTLE_SAMPLES` consecutive
+    samples; the scan
     stops at the next event's decision (its own disturbance) or the
     trial end, whichever is earlier -- past that, the event never
     re-sustained and its open-ended legs are NaN.
     """
-    if settle_samples < 1:
-        raise ValueError(f"settle_samples must be >= 1, got {settle_samples}")
     metrics: List[RescaleMetrics] = []
     nan = float("nan")
     for index, entry in enumerate(rescale_log):
@@ -140,8 +144,6 @@ def compute_rescale_metrics(
                 lag_values,
                 start=float(online),
                 horizon=horizon,
-                bound=lag_bound_s,
-                settle=settle_samples,
             )
             catchup = resustain_at - float(online)
         detect = float(entry.get("detect_s", 0.0))
@@ -176,11 +178,10 @@ def _first_settled(
     *,
     start: float,
     horizon: float,
-    bound: float,
-    settle: int,
 ) -> float:
-    """First sample time >= ``start`` opening ``settle`` consecutive
-    in-bound samples (all before ``horizon``); NaN if none."""
+    """First sample time >= ``start`` opening
+    :data:`CATCHUP_SETTLE_SAMPLES` consecutive samples within
+    :data:`LAG_BOUND_S` (all before ``horizon``); NaN if none."""
     streak = 0
     opened = float("nan")
     for t, v in zip(times, values):
@@ -188,11 +189,11 @@ def _first_settled(
             continue
         if t > horizon:
             break
-        if v <= bound:
+        if v <= LAG_BOUND_S:
             if streak == 0:
                 opened = float(t)
             streak += 1
-            if streak >= settle:
+            if streak >= CATCHUP_SETTLE_SAMPLES:
                 return opened
         else:
             streak = 0

@@ -12,7 +12,7 @@ profile, starting from a deliberately small cluster.  Offered load is
 parameterized *relative to the engine's own single-worker capacity*
 (derived from its cost model -- a pure function of the config), so
 every engine sees the same relative overload: a flash crowd at
-``peak_fraction`` times what one worker sustains.  Absolute rates would
+:data:`PEAK_FRACTION` times what one worker sustains.  Absolute rates would
 make the weakest engine drown while the strongest never scales.
 
 Invariants checked on every cell (the shared grid checks plus bounds):
@@ -41,6 +41,7 @@ from repro.core.generator import GeneratorConfig
 import repro.engines.ext  # noqa: F401  (registers heron/samza in ENGINES)
 from repro.engines import engine_class
 from repro.grid import (
+    GENERATOR_INSTANCES,
     GridReport,
     canonical_json,
     check_invariants,
@@ -62,6 +63,15 @@ from repro.workloads.queries import WindowedAggregationQuery
 #: The two workload shapes every (engine, policy) cell is driven with.
 PROFILE_NAMES = ("diurnal", "flash-crowd")
 
+#: Trough offered load, as a fraction of the engine's single-worker
+#: sustained capacity.
+BASE_FRACTION = 0.4
+#: Crest offered load, same units: above 1.0 (else nothing ever needs
+#: to scale) and within what ``max_workers`` sustains.
+PEAK_FRACTION = 2.0
+#: Length of the flash crowd's one burst.
+SPIKE_DURATION_S = 25.0
+
 
 @dataclass(frozen=True)
 class ElasticityConfig:
@@ -77,39 +87,18 @@ class ElasticityConfig:
     min_workers: int = 1
     max_workers: int = 6
     cooldown_s: float = 12.0
-    base_fraction: float = 0.4
-    """Trough offered load, as a fraction of the engine's single-worker
-    sustained capacity."""
-    peak_fraction: float = 2.0
-    """Crest offered load, same units.  Must exceed 1.0 (else nothing
-    ever needs to scale) and stay within what ``max_workers`` sustains."""
-    spike_duration_s: float = 25.0
-    generator_instances: int = 2
-    latency_bound_s: float = 20.0
-    """End-of-trial queue backlog age tolerated on surviving cells."""
 
     def __post_init__(self) -> None:
         require_axis("engine", self.engines)
         require_axis("policy", self.policies, POLICY_NAMES)
         require_axis("profile", self.profiles, PROFILE_NAMES)
-        if self.duration_s <= 0:
-            raise ValueError(f"duration_s must be > 0, got {self.duration_s}")
+        if not SPIKE_DURATION_S < self.duration_s:
+            raise ValueError(
+                f"duration_s must exceed the {SPIKE_DURATION_S:g} s "
+                f"spike, got {self.duration_s}"
+            )
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if not 0 < self.base_fraction <= 1:
-            raise ValueError(
-                f"base_fraction must be in (0, 1], got {self.base_fraction}"
-            )
-        if self.peak_fraction <= 1:
-            raise ValueError(
-                "peak_fraction must exceed 1 (one worker's capacity), "
-                f"got {self.peak_fraction}"
-            )
-        if not 0 < self.spike_duration_s < self.duration_s:
-            raise ValueError(
-                "spike_duration_s must be in (0, duration_s), "
-                f"got {self.spike_duration_s}"
-            )
 
     def autoscale_spec(self, policy: str) -> AutoscaleSpec:
         return AutoscaleSpec(
@@ -141,8 +130,8 @@ def profile_for(
 ) -> RateProfile:
     """The rate profile for one cell, scaled to the engine's capacity."""
     capacity = single_worker_capacity(engine)
-    base = config.base_fraction * capacity
-    peak = config.peak_fraction * capacity
+    base = BASE_FRACTION * capacity
+    peak = PEAK_FRACTION * capacity
     if name == "diurnal":
         # One full "day" compressed into the trial: trough at both ends,
         # crest mid-trial, so the tail drains and scales back in.
@@ -154,7 +143,7 @@ def profile_for(
         spike=peak,
         horizon_s=config.duration_s / 2.0,
         spikes=1,
-        spike_duration_s=config.spike_duration_s,
+        spike_duration_s=SPIKE_DURATION_S,
         seed=config.seed,
     )
 
@@ -169,7 +158,7 @@ def _trial_spec(
         profile=profile_for(profile_name, engine, config),
         duration_s=config.duration_s,
         seed=config.seed,
-        generator=GeneratorConfig(instances=config.generator_instances),
+        generator=GeneratorConfig(instances=GENERATOR_INSTANCES),
         monitor_resources=False,
         autoscale=config.autoscale_spec(policy),
     )
@@ -180,12 +169,7 @@ def check_elasticity_invariants(
 ) -> List[str]:
     """Grid invariants (ledgers, guarantees, bounded end backlog) plus
     the autoscale-specific ones (cluster stays inside the bounds)."""
-    violations = check_invariants(
-        result,
-        label,
-        workers=config.max_workers,
-        latency_bound_s=config.latency_bound_s,
-    )
+    violations = check_invariants(result, label, workers=config.max_workers)
     workers_end = result.diagnostics.get("cluster_workers", float("nan"))
     if workers_end == workers_end and not (
         config.min_workers <= workers_end <= config.max_workers
@@ -375,8 +359,8 @@ class ElasticityReport(GridReport):
             "min_workers": self.config.min_workers,
             "max_workers": self.config.max_workers,
             "cooldown_s": self.config.cooldown_s,
-            "base_fraction": self.config.base_fraction,
-            "peak_fraction": self.config.peak_fraction,
+            "base_fraction": BASE_FRACTION,
+            "peak_fraction": PEAK_FRACTION,
             "profiles": list(self.config.profiles),
             "scorecards": {
                 f"{engine}/{policy}": card.to_dict()

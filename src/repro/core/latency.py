@@ -41,8 +41,8 @@ EVENT_TIME = "event_time"
 PROCESSING_TIME = "processing_time"
 LATENCY_KINDS = (EVENT_TIME, PROCESSING_TIME)
 
-# Rows per columnar chunk; 32768 rows x 4 cols x 8 B = 1 MiB per chunk.
-DEFAULT_CHUNK_ROWS = 32768
+#: Rows per columnar chunk; 32768 rows x 4 cols x 8 B = 1 MiB per chunk.
+CHUNK_ROWS = 32768
 
 # Column indices of the consolidated (4, N) sample matrix.
 _EMIT, _EVENT_LAT, _PROC_LAT, _WEIGHT = range(4)
@@ -64,12 +64,8 @@ class LatencyCollector:
     def __init__(
         self,
         keep_outputs: bool = False,
-        chunk_rows: int = DEFAULT_CHUNK_ROWS,
         skew: Optional["SkewModel"] = None,
     ) -> None:
-        if chunk_rows < 1:
-            raise ValueError("chunk_rows must be >= 1")
-        self._chunk_rows = int(chunk_rows)
         # Optional measurement-plane clock model: latency samples pass
         # through skewed clocks (see repro.metrology.skew).  The emit
         # column keeps TRUE time -- binning/warmup cuts stay exact; only
@@ -128,7 +124,7 @@ class LatencyCollector:
             self._count += len(outputs)
             self._dirty = True
             self._summary_cache.clear()
-            if len(self._stage_emit) >= self._chunk_rows:
+            if len(self._stage_emit) >= CHUNK_ROWS:
                 self._flush_stage()
         if self.keep_outputs:
             self.outputs.extend(outputs)
@@ -250,9 +246,10 @@ class LatencyCollector:
         self._summary_cache[key] = result
         return result
 
-    def series(self, kind: str = EVENT_TIME, start_time: float = 0.0) -> TimeSeries:
-        """Raw (emit_time, latency) series -- the dots of Figures 4/5."""
-        times, values, _ = self._arrays(kind, start_time)
+    def series(self) -> TimeSeries:
+        """Raw (emit_time, event-time latency) series -- the dots of
+        Figures 4/5."""
+        times, values, _ = self._arrays(EVENT_TIME, 0.0)
         return TimeSeries.from_arrays(
             times, values, copy=True, assume_sorted=self._emit_monotonic
         )
@@ -278,12 +275,15 @@ class LatencyCollector:
         return view.binned(bin_s, agg=agg)
 
     def trend_slope(
-        self, kind: str = EVENT_TIME, start_time: float = 0.0, bin_s: float = 5.0
+        self, start_time: float = 0.0, bin_s: float = 5.0
     ) -> float:
-        """Slope of binned latency over time (s of latency per s).
+        """Slope of binned event-time latency over time (s of latency
+        per s).
 
         A persistently positive slope is Definition 5's "continuously
         increasing event-time latency" -- the unsustainability signal.
         """
-        binned = self.binned_series(kind, bin_s=bin_s, start_time=start_time)
+        binned = self.binned_series(
+            EVENT_TIME, bin_s=bin_s, start_time=start_time
+        )
         return binned.slope_per_s()

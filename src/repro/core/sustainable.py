@@ -55,7 +55,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.core.criteria import SustainabilityCriteria
 from repro.core.driver import TrialResult
 from repro.core.experiment import ExperimentSpec, run_experiment, runner_for
-from repro.core.latency import EVENT_TIME
 from repro.metrology.journal import MISSING, TrialJournal
 from repro.metrology.watchdog import WatchdogSpec
 from repro.sched.pool import TrialScheduler, TrialTask
@@ -100,7 +99,7 @@ def assess(
             f"oldest queued event is {queue_delay:.1f}s old at end "
             f"(> {criteria.max_queue_delay_s:.1f}s)"
         )
-    latency_slope = result.collector.trend_slope(EVENT_TIME, start_time=start)
+    latency_slope = result.collector.trend_slope(start_time=start)
     if latency_slope > criteria.max_latency_slope:
         reasons.append(
             f"event-time latency increases at {latency_slope:.3f} s/s "
@@ -593,11 +592,10 @@ def aimed_cell(
 
 def _sweep_cell_task(payload) -> dict:
     """Scheduler worker body: one full (serial) search for one cell."""
-    spec, high_rate, low_rate, rel_tol, criteria, max_trials, watchdog = payload
+    spec, high_rate, rel_tol, criteria, max_trials, watchdog = payload
     search = find_sustainable_throughput(
         spec,
         high_rate=high_rate,
-        low_rate=low_rate,
         rel_tol=rel_tol,
         criteria=criteria,
         max_trials=max_trials,
@@ -614,7 +612,6 @@ def _sweep_cell_task(payload) -> dict:
 def sweep_sustainable_rates(
     cells,
     high_rate: float,
-    low_rate: float = 0.0,
     rel_tol: float = 0.05,
     criteria: SustainabilityCriteria = SustainabilityCriteria(),
     max_trials: int = 12,
@@ -639,8 +636,7 @@ def sweep_sustainable_rates(
             key=key,
             fn=_sweep_cell_task,
             payload=(
-                spec, high_rate, low_rate, rel_tol, criteria, max_trials,
-                watchdog,
+                spec, high_rate, rel_tol, criteria, max_trials, watchdog
             ),
         )
         for key, spec in cells

@@ -36,6 +36,10 @@ THROUGHPUT_INTERVAL_S = 1.0
 """Simulated seconds between two samples of a trial's throughput
 monitor."""
 
+QUEUE_DELAY_TAIL_FRACTION = 0.25
+"""Final fraction of a run over which :meth:`ThroughputMonitor.
+queue_delay_at_end` averages the oldest queued event's age."""
+
 
 class ThroughputMonitor:
     """Periodic sampler of the driver queues.
@@ -58,17 +62,13 @@ class ThroughputMonitor:
         self,
         sim: Simulator,
         queues: QueueSet,
-        interval_s: float = THROUGHPUT_INTERVAL_S,
         on_sample: Optional[Callable[[Simulator], None]] = None,
     ) -> None:
         """``on_sample`` (if given) runs at the end of every sampling
         tick, after the four series took their sample -- it sees the
         current sample and costs no simulator event of its own."""
-        if interval_s <= 0:
-            raise ValueError("interval_s must be positive")
         self._sim = sim
         self._queues = queues
-        self.interval_s = interval_s
         self._on_sample = on_sample
         self.ingest_series = TimeSeries()
         self.offered_series = TimeSeries()
@@ -77,17 +77,17 @@ class ThroughputMonitor:
         self._last_pulled = queues.total_pulled_weight
         self._last_pushed = queues.total_pushed_weight
         self._process: Optional[PeriodicProcess] = sim.every(
-            interval_s, self._sample
+            THROUGHPUT_INTERVAL_S, self._sample
         )
 
     def _sample(self, sim: Simulator) -> None:
         pulled = self._queues.total_pulled_weight
         pushed = self._queues.total_pushed_weight
         self.ingest_series.append(
-            sim.now, (pulled - self._last_pulled) / self.interval_s
+            sim.now, (pulled - self._last_pulled) / THROUGHPUT_INTERVAL_S
         )
         self.offered_series.append(
-            sim.now, (pushed - self._last_pushed) / self.interval_s
+            sim.now, (pushed - self._last_pushed) / THROUGHPUT_INTERVAL_S
         )
         self.occupancy_series.append(sim.now, self._queues.total_queued_weight)
         self.queue_delay_series.append(
@@ -112,7 +112,7 @@ class ThroughputMonitor:
         """Driver-side metrology counters for TrialResult.diagnostics."""
         return {
             "monitor.samples": float(self.sample_count),
-            "monitor.interval_s": float(self.interval_s),
+            "monitor.interval_s": float(THROUGHPUT_INTERVAL_S),
         }
 
     def mean_ingest_rate(self, start_time: float = 0.0) -> float:
@@ -125,14 +125,14 @@ class ThroughputMonitor:
         """Queue growth in events/s -- the backlog trend."""
         return self._queues_window(self.occupancy_series, start_time).slope_per_s()
 
-    def queue_delay_at_end(self, tail_fraction: float = 0.25) -> float:
+    def queue_delay_at_end(self) -> float:
         """Mean oldest-event age over the final fraction of the run."""
         series = self.queue_delay_series
         if not len(series):
             return 0.0
         t0 = series.times[0]
         t1 = series.times[-1]
-        cut = t1 - (t1 - t0) * tail_fraction
+        cut = t1 - (t1 - t0) * QUEUE_DELAY_TAIL_FRACTION
         tail = series.window(cut)
         return tail.mean() if len(tail) else 0.0
 
@@ -157,7 +157,7 @@ class ThroughputMonitor:
         ages = self.queue_delay_series
         if len(ages) < horizon:
             return False
-        if ages.times[-1] < warmup_s + horizon * self.interval_s:
+        if ages.times[-1] < warmup_s + horizon * THROUGHPUT_INTERVAL_S:
             return False
         recent = ages.values[-horizon:]
         if not (recent > criteria.max_queue_delay_s).all():

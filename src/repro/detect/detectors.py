@@ -17,11 +17,12 @@ Three contracts ship:
 - :class:`PhiAccrualDetector` -- Hayashibara et al.'s phi-accrual
   detector: suspicion is a continuous value ``phi = -log10(P(a
   heartbeat this late or later))`` under a normal model of the node's
-  recent inter-arrival history, convicted at ``threshold``.
-- :class:`QuorumDetector` -- k-of-n: each of ``observers`` independent
-  control-plane observers runs its own timeout; the node is suspected
-  only when at least ``k`` agree.  An asymmetric partition that blinds
-  fewer than ``k`` observers cannot split it.
+  recent inter-arrival history, convicted at :data:`PHI_THRESHOLD`.
+- :class:`QuorumDetector` -- k-of-n: each of :data:`OBSERVERS`
+  independent control-plane observers runs its own timeout; the node is
+  suspected only when at least :data:`QUORUM_K` agree.  An asymmetric
+  partition that blinds fewer than ``QUORUM_K`` observers cannot split
+  it.
 
 All detectors clamp negative elapsed times to zero: the plane
 timestamps arrivals with their (jittered) network delay, so an arrival
@@ -43,6 +44,8 @@ PHI_WINDOW = 64
 PHI_MIN_STD_S = 0.02
 #: Cap of the phi-accrual model's deviation.
 PHI_MAX_STD_S = 0.1
+#: Intervals a phi-accrual detector needs before it suspects anything.
+PHI_MIN_HISTORY = 3
 #: Independent control-plane observers of the quorum detector.
 OBSERVERS = 3
 #: Observers that must agree before the quorum detector suspects.
@@ -109,43 +112,20 @@ class PhiAccrualDetector(FailureDetector):
     """Adaptive accrual detection over inter-arrival history
     (observer 0 only; quorum composition is a separate detector).
 
-    ``min_std_s`` floors the sample deviation so that a perfectly
-    regular heartbeat stream does not make the detector infinitely
-    trigger-happy; ``max_std_s`` caps it so a slowly degrading stream
-    cannot dilate the model fast enough to hide inside it (unbounded
-    variance adaptation is exactly how accrual detectors go blind to
-    fail-slow ramps -- production implementations bound the history for
-    the same reason).  ``min_history`` arrivals are required before any
-    suspicion (a cold detector stays silent rather than guessing).
+    :data:`PHI_MIN_STD_S` floors the sample deviation so that a
+    perfectly regular heartbeat stream does not make the detector
+    infinitely trigger-happy; :data:`PHI_MAX_STD_S` caps it so a slowly
+    degrading stream cannot dilate the model fast enough to hide inside
+    it (unbounded variance adaptation is exactly how accrual detectors
+    go blind to fail-slow ramps -- production implementations bound the
+    history for the same reason).  :data:`PHI_MIN_HISTORY` intervals are
+    required before any suspicion (a cold detector stays silent rather
+    than guessing).
     """
 
     name = "phi"
 
-    def __init__(
-        self,
-        threshold: float = PHI_THRESHOLD,
-        window: int = PHI_WINDOW,
-        min_std_s: float = PHI_MIN_STD_S,
-        max_std_s: float = PHI_MAX_STD_S,
-        min_history: int = 3,
-    ) -> None:
-        if threshold <= 0:
-            raise ValueError(f"threshold must be positive, got {threshold}")
-        if window < 2:
-            raise ValueError(f"window must be >= 2, got {window}")
-        if min_std_s <= 0:
-            raise ValueError(f"min_std_s must be positive, got {min_std_s}")
-        if max_std_s < min_std_s:
-            raise ValueError(
-                f"max_std_s must be >= min_std_s, got {max_std_s}"
-            )
-        if min_history < 2:
-            raise ValueError(f"min_history must be >= 2, got {min_history}")
-        self.threshold = threshold
-        self.window = window
-        self.min_std_s = min_std_s
-        self.max_std_s = max_std_s
-        self.min_history = min_history
+    def __init__(self) -> None:
         self._last_seen: Dict[int, float] = {}
         self._intervals: Dict[int, Deque[float]] = {}
 
@@ -155,7 +135,7 @@ class PhiAccrualDetector(FailureDetector):
         prev = self._last_seen.get(node)
         if prev is not None and arrival_s > prev:
             history = self._intervals.setdefault(
-                node, deque(maxlen=self.window)
+                node, deque(maxlen=PHI_WINDOW)
             )
             history.append(arrival_s - prev)
         if prev is None or arrival_s > prev:
@@ -165,16 +145,16 @@ class PhiAccrualDetector(FailureDetector):
         """Current suspicion level for ``node`` (0.0 when cold)."""
         last = self._last_seen.get(node)
         history = self._intervals.get(node)
-        if last is None or history is None or len(history) < self.min_history:
+        if last is None or history is None or len(history) < PHI_MIN_HISTORY:
             return 0.0
         n = len(history)
         mean = sum(history) / n
         var = sum((x - mean) ** 2 for x in history) / n
-        std = min(max(math.sqrt(var), self.min_std_s), self.max_std_s)
+        std = min(max(math.sqrt(var), PHI_MIN_STD_S), PHI_MAX_STD_S)
         return _phi(max(0.0, now_s - last), mean, std)
 
     def suspect(self, node: int, now_s: float) -> bool:
-        return self.phi(node, now_s) >= self.threshold
+        return self.phi(node, now_s) >= PHI_THRESHOLD
 
     def forget(self, node: int) -> None:
         self._last_seen.pop(node, None)
@@ -182,28 +162,18 @@ class PhiAccrualDetector(FailureDetector):
 
 
 class QuorumDetector(FailureDetector):
-    """``k``-of-``observers`` timeout agreement."""
+    """:data:`QUORUM_K`-of-:data:`OBSERVERS` timeout agreement."""
 
     name = "quorum"
 
-    def __init__(
-        self, timeout_s: float, observers: int = OBSERVERS, k: int = QUORUM_K
-    ) -> None:
+    def __init__(self, timeout_s: float) -> None:
         if timeout_s <= 0:
             raise ValueError(f"timeout_s must be positive, got {timeout_s}")
-        if observers < 1:
-            raise ValueError(f"observers must be >= 1, got {observers}")
-        if not 1 <= k <= observers:
-            raise ValueError(
-                f"k must be in [1, observers={observers}], got {k}"
-            )
         self.timeout_s = timeout_s
-        self.observers = observers
-        self.k = k
         self._last_seen: Dict[Tuple[int, int], float] = {}
 
     def observe(self, node: int, observer: int, arrival_s: float) -> None:
-        if not 0 <= observer < self.observers:
+        if not 0 <= observer < OBSERVERS:
             return
         key = (node, observer)
         prev = self._last_seen.get(key)
@@ -212,14 +182,14 @@ class QuorumDetector(FailureDetector):
 
     def suspect(self, node: int, now_s: float) -> bool:
         votes = 0
-        for observer in range(self.observers):
+        for observer in range(OBSERVERS):
             last = self._last_seen.get((node, observer))
             if last is None:
                 continue
             if max(0.0, now_s - last) >= self.timeout_s:
                 votes += 1
-        return votes >= self.k
+        return votes >= QUORUM_K
 
     def forget(self, node: int) -> None:
-        for observer in range(self.observers):
+        for observer in range(OBSERVERS):
             self._last_seen.pop((node, observer), None)

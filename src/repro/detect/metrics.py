@@ -31,6 +31,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.faults.metrics import BASELINE_WINDOW_S, MIN_BAND_S, SETTLE_BINS
+
 
 def _round_6dp(value: float) -> Optional[float]:
     """JSON-safe float: NaN/inf become None, else round to 6 *decimal
@@ -123,37 +125,34 @@ def latency_band_reentered(
     *,
     baseline_end_s: float,
     clear_s: float,
-    baseline_window_s: float = 30.0,
-    min_band_s: float = 0.5,
-    settle_bins: int = 2,
 ) -> Optional[bool]:
     """Did binned event-time latency re-enter the pre-fault band after
     ``clear_s``?
 
     Uses the same band construction as
     :func:`repro.faults.metrics.compute_recovery_metrics`: mean of the
-    ``baseline_window_s`` before ``baseline_end_s`` plus
-    ``max(2*std, 0.25*|mean|, min_band_s)``, re-entry sustained for
-    ``settle_bins`` consecutive bins.  Returns None when there is no
+    ``BASELINE_WINDOW_S`` before ``baseline_end_s`` plus
+    ``max(2*std, 0.25*|mean|, MIN_BAND_S)``, re-entry sustained for
+    ``SETTLE_BINS`` consecutive bins.  Returns None when there is no
     baseline or no post-clear data to judge (the caller must not flag
     metastability on missing evidence).
     """
     base = [
         lat
         for t, lat in zip(times_s, latencies_s)
-        if baseline_end_s - baseline_window_s <= t < baseline_end_s
+        if baseline_end_s - BASELINE_WINDOW_S <= t < baseline_end_s
     ]
     if not base:
         return None
     mean = sum(base) / len(base)
     var = sum((x - mean) ** 2 for x in base) / len(base)
-    band = mean + max(2.0 * math.sqrt(var), 0.25 * abs(mean), min_band_s)
+    band = mean + max(2.0 * math.sqrt(var), 0.25 * abs(mean), MIN_BAND_S)
     post = [lat for t, lat in zip(times_s, latencies_s) if t >= clear_s]
     if not post:
         return None
     run = 0
     for lat in post:
         run = run + 1 if lat <= band else 0
-        if run >= settle_bins:
+        if run >= SETTLE_BINS:
             return True
     return False

@@ -70,6 +70,7 @@ from repro.detect.metrics import (
     latency_band_reentered,
 )
 from repro.faults.checkpoint import DETECTION_TIMEOUT_S
+from repro.faults.metrics import BIN_S
 from repro.faults.schedule import (
     AsymmetricPartition,
     DegradingNode,
@@ -437,7 +438,7 @@ class DetectionPlane:
                 max(e.detect_end_s - self._grace_s for e in self._episodes),
                 self._migration_until,
             )
-            binned = result.collector.binned_series(EVENT_TIME, bin_s=1.0)
+            binned = result.collector.binned_series(EVENT_TIME, bin_s=BIN_S)
             reentered = latency_band_reentered(
                 list(binned.times),
                 list(binned.values),

@@ -113,47 +113,39 @@ BURST_FACTOR = 1.5
 #: Storm's base topology-stall length at 2 workers; stalls scale with
 #: ``sqrt(workers / 2)`` -- more executors, longer recovery coordination.
 STALL_DURATION_S = 2.5
+#: Buffer fill above which Storm's stall hazard applies.
+STALL_FILL_THRESHOLD = 0.6
+#: Hazard-free time after a stall ends: the post-stall drain keeps the
+#: queues loaded, and without it every stall would chain into the next.
+STALL_COOLDOWN_S = 120.0
 
 
 class OnOffThrottle(BackpressureMechanism):
     """Storm-style watermark throttle (disruptor-queue high/low marks).
 
-    While *on*, the spout pulls at ``burst_factor`` times the processing
-    capacity; when the internal buffer passes the high watermark the
-    spout stops emitting entirely until the buffer drains below the low
-    watermark.  The result is the oscillating ingest of Figure 9a.
+    While *on*, the spout pulls at :data:`BURST_FACTOR` times the
+    processing capacity; when the internal buffer passes
+    :data:`HIGH_WATERMARK` the spout stops emitting entirely until the
+    buffer drains below :data:`LOW_WATERMARK`.  The result is the
+    oscillating ingest of Figure 9a.
 
-    With ``stall_rng`` set, sustained operation close to the high
-    watermark occasionally triggers a topology stall (the paper: "With
-    high workloads, it is possible that the backpressure stalls the
-    topology, causing spouts to stop emitting tuples"), modelled as a
-    multi-second zero-ingest period.
+    With ``stall_rng`` set, sustained operation above
+    :data:`STALL_FILL_THRESHOLD` occasionally triggers a topology stall
+    (the paper: "With high workloads, it is possible that the
+    backpressure stalls the topology, causing spouts to stop emitting
+    tuples"), modelled as a multi-second zero-ingest period.
     """
 
     def __init__(
         self,
-        high_watermark: float = 0.9,
-        low_watermark: float = 0.4,
-        burst_factor: float = 1.3,
         stall_rng: Optional[np.random.Generator] = None,
         stall_rate_per_s: float = 0.0,
-        stall_duration_s: float = 4.0,
-        stall_fill_threshold: float = 0.6,
-        stall_cooldown_s: float = 120.0,
+        stall_duration_s: float = STALL_DURATION_S,
     ) -> None:
-        if not 0 < low_watermark < high_watermark <= 1.0:
-            raise ValueError(
-                f"need 0 < low < high <= 1, got ({low_watermark}, {high_watermark})"
-            )
-        self.high_watermark = high_watermark
-        self.low_watermark = low_watermark
-        self.burst_factor = burst_factor
         self._emitting = True
         self._stall_rng = stall_rng
         self.stall_rate_per_s = stall_rate_per_s
         self.stall_duration_s = stall_duration_s
-        self.stall_fill_threshold = stall_fill_threshold
-        self.stall_cooldown_s = stall_cooldown_s
         self._hazard_suppressed_until = -1.0
         self._stalled_until = -1.0
         self._now = 0.0
@@ -166,15 +158,11 @@ class OnOffThrottle(BackpressureMechanism):
 
     @classmethod
     def for_engine(cls, engine) -> "OnOffThrottle":
-        """Storm's throttle: the module's watermarks and burst; the
-        engine config's stall hazard grows linearly with workers/2, the
-        stall length with its square root (more executors, longer
-        recovery coordination)."""
+        """Storm's throttle: the engine config's stall hazard grows
+        linearly with workers/2, the stall length with its square root
+        (more executors, longer recovery coordination)."""
         cfg, workers = engine.config, engine.cluster.workers
         return cls(
-            high_watermark=HIGH_WATERMARK,
-            low_watermark=LOW_WATERMARK,
-            burst_factor=BURST_FACTOR,
             stall_rng=engine.rng,
             stall_rate_per_s=cfg.stall_rate_per_s * workers / 2.0,
             stall_duration_s=STALL_DURATION_S * (workers / 2.0) ** 0.5,
@@ -230,11 +218,11 @@ class OnOffThrottle(BackpressureMechanism):
         if self.stalled:
             return 0.0
         fill = buffered_events / max(buffer_capacity_events, 1e-9)
-        if self._emitting and fill >= self.high_watermark:
+        if self._emitting and fill >= HIGH_WATERMARK:
             self._emitting = False
-        elif not self._emitting and fill <= self.low_watermark:
+        elif not self._emitting and fill <= LOW_WATERMARK:
             self._emitting = True
-        if fill > self.stall_fill_threshold:
+        if fill > STALL_FILL_THRESHOLD:
             # Loaded internal queues are the risky regime: the stall
             # hazard applies for as long as the disruptor queues stay
             # loaded, which is why Storm's latency tails grow with load
@@ -242,7 +230,7 @@ class OnOffThrottle(BackpressureMechanism):
             self._maybe_stall(dt)
         if not self._emitting or self.stalled:
             return 0.0
-        grant = self.burst_factor * capacity_events_per_s * dt
+        grant = BURST_FACTOR * capacity_events_per_s * dt
         headroom = max(0.0, buffer_capacity_events - buffered_events)
         return min(grant, headroom)
 
@@ -250,8 +238,6 @@ class OnOffThrottle(BackpressureMechanism):
         if self._stall_rng is None or self.stall_rate_per_s <= 0:
             return
         if self._now < self._hazard_suppressed_until:
-            # Post-stall drain keeps the queues loaded; without a
-            # hazard cooldown every stall would chain into the next.
             return
         p = min(1.0, self.stall_rate_per_s * max(dt, 1e-3))
         if self._stall_rng.random() < p:
@@ -262,8 +248,22 @@ class OnOffThrottle(BackpressureMechanism):
         self._stalled_until = self._now + (
             self.stall_duration_s if duration_s is None else duration_s
         )
-        self._hazard_suppressed_until = self._stalled_until + self.stall_cooldown_s
+        self._hazard_suppressed_until = self._stalled_until + STALL_COOLDOWN_S
         self.stall_count += 1
+
+
+#: Spark's rate limit before the first overrun: uncapped.
+INITIAL_RATE = float("inf")
+#: Factor applied to the achievable rate after an overrun.
+DECREASE_FACTOR = 0.97
+#: Factor the limit grows by after a batch that finished early.
+INCREASE_FACTOR = 1.10
+#: Floor of the rate limit, events/s.
+MIN_RATE = 1000.0
+#: Receivers briefly ingest slightly above the steady-state processing
+#: capacity (into blocks); the controller then corrects.  This bounds
+#: the initial over-ingestion of Figure 11.
+RECEIVER_HEADROOM = 1.05
 
 
 class RateController(BackpressureMechanism):
@@ -277,26 +277,11 @@ class RateController(BackpressureMechanism):
     is exactly the sluggishness the paper describes for Spark.
     """
 
-    def __init__(
-        self,
-        batch_interval_s: float,
-        initial_rate: float = float("inf"),
-        decrease_factor: float = 0.97,
-        increase_factor: float = 1.10,
-        min_rate: float = 1000.0,
-        receiver_headroom: float = 1.05,
-    ) -> None:
+    def __init__(self, batch_interval_s: float) -> None:
         if batch_interval_s <= 0:
             raise ValueError("batch_interval_s must be positive")
         self.batch_interval_s = batch_interval_s
-        self.rate_limit = initial_rate
-        self.decrease_factor = decrease_factor
-        self.increase_factor = increase_factor
-        self.min_rate = min_rate
-        self.receiver_headroom = receiver_headroom
-        """Receivers can briefly ingest slightly above the steady-state
-        processing capacity (into blocks); the controller then corrects.
-        This bounds the initial over-ingestion of Figure 11."""
+        self.rate_limit = INITIAL_RATE
         self.adjustments = 0
         self.rate_limited_s = 0.0
         """Simulated time during which the controller's rate limit (not
@@ -315,7 +300,7 @@ class RateController(BackpressureMechanism):
         buffer_capacity_events: float,
     ) -> float:
         headroom = max(0.0, buffer_capacity_events - buffered_events)
-        ceiling = capacity_events_per_s * self.receiver_headroom
+        ceiling = capacity_events_per_s * RECEIVER_HEADROOM
         limit_grant = self.rate_limit * dt
         if limit_grant < min(ceiling * dt, headroom):
             self.rate_limited_s += dt
@@ -345,11 +330,9 @@ class RateController(BackpressureMechanism):
                 self.batch_interval_s / max(processing_time_s, 1e-9)
             )
             self.rate_limit = max(
-                self.min_rate, min(self.rate_limit, target) * self.decrease_factor
+                MIN_RATE, min(self.rate_limit, target) * DECREASE_FACTOR
             )
         else:
             if self.rate_limit == float("inf"):
                 return
-            self.rate_limit = max(
-                self.min_rate, self.rate_limit * self.increase_factor
-            )
+            self.rate_limit = max(MIN_RATE, self.rate_limit * INCREASE_FACTOR)

@@ -30,8 +30,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.core.batch import RecordBlock, as_block, fold_add
-from repro.core.records import OutputRecord, Record
+from repro.core.batch import RecordBlock, fold_add
+from repro.core.records import OutputRecord
 from repro.engines.operators.window import (
     WindowCols,
     WindowContents,
@@ -97,10 +97,6 @@ class BatchPartialAggregator:
         self._cols: Dict[int, WindowCols] = {}
         self._traces: Dict[int, List] = {}
         self.batch_weight = 0.0
-
-    def add(self, record: Record) -> int:
-        """Fold one record in: :meth:`add_block` over a block of one."""
-        return self.add_block(as_block(record))
 
     def add_block(self, block: RecordBlock) -> int:
         n_cohorts = len(block)

@@ -23,8 +23,8 @@ from typing import List
 
 import numpy as np
 
-from repro.core.batch import RecordBlock, as_block, fold_add
-from repro.core.records import ADS, PURCHASES, OutputRecord, Record
+from repro.core.batch import RecordBlock, fold_add
+from repro.core.records import ADS, PURCHASES, OutputRecord
 from repro.engines.operators.window import KeyedWindowStore, WindowContents
 from repro.workloads.queries import WindowSpec
 
@@ -36,10 +36,6 @@ class JoinWindowStore:
         self.window = window
         self.purchases = KeyedWindowStore(window, key_space_hint)
         self.ads = KeyedWindowStore(window, key_space_hint)
-
-    def add(self, record: Record) -> int:
-        """Route one record: :meth:`add_block` over a block of one."""
-        return self.add_block(as_block(record))
 
     def add_block(self, block: RecordBlock) -> int:
         """Route a block to its side's store; returns keyed updates."""

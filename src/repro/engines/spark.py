@@ -2,13 +2,12 @@
 
 Architectural traits reproduced (from the paper's analysis):
 
-- **Mini-batch (DStream) execution**: events are received into blocks
-  (``block_interval``) and processed in jobs fired every
-  ``batch_interval`` (the paper uses 4 s, "as it can sustain the maximum
-  throughput with this configuration").  All tuples of a batch share
-  their fate, which is why Spark's latencies are the highest but the
-  *tightest* of the three engines (Table II: "the tuples within the same
-  batch have similar latencies").
+- **Mini-batch (DStream) execution**: events are received and
+  processed in jobs fired every ``batch_interval`` (the paper uses 4 s,
+  "as it can sustain the maximum throughput with this configuration").
+  All tuples of a batch share their fate, which is why Spark's latencies
+  are the highest but the *tightest* of the three engines (Table II:
+  "the tuples within the same batch have similar latencies").
 - **DAG scheduler**: jobs run serially per output; "coordination and
   pipelining mini-batch jobs and their stages creates extra overhead";
   the scheduler delay couples with ingest spikes (Figure 11).
@@ -35,7 +34,7 @@ from typing import Deque, Dict, List, Optional
 
 from repro.autoscale.rescale import STYLE_MICRO_BATCH, RescaleSemantics
 from repro.core.batch import RecordBlock, fold_add, left_sum
-from repro.engines.backpressure import RateController
+from repro.engines.backpressure import MIN_RATE, RateController
 from repro.engines.base import EngineConfig, StreamingEngine
 from repro.engines.operators.aggregate import (
     BatchPartialAggregator,
@@ -46,9 +45,6 @@ from repro.faults.guarantees import DeliveryGuarantee
 from repro.recovery.degradation import DegradationPolicy
 
 
-#: Block interval for RDD partitioning; #partitions per mini-batch is
-#: bounded by batch_interval / block_interval (Section VI-A).
-BLOCK_INTERVAL_S = 0.2
 #: DAG-scheduler delay: a base plus occasional spikes (Figure 11).
 SCHEDULER_BASE_DELAY_S = 0.15
 SCHEDULER_SPIKE_RATE_PER_S = 0.01
@@ -316,7 +312,7 @@ class SparkEngine(StreamingEngine):
             # "queued mini-batch jobs will increase over time" failure
             # mode, pre-empted).
             self.backpressure.rate_limit = max(
-                self.backpressure.min_rate, self.backpressure.rate_limit * 0.5
+                MIN_RATE, self.backpressure.rate_limit * 0.5
             )
         self._maybe_start_job()
 

@@ -12,7 +12,7 @@ Per fault event (Vogel et al. 2024, Section IV):
   even reacts (a property of the fault-tolerance configuration);
 - **recovery time** -- from the injection to the first return of
   binned event-time latency into the pre-fault baseline band, sustained
-  for ``settle_bins`` consecutive bins.  Event-time latency (not
+  for :data:`SETTLE_BINS` consecutive bins.  Event-time latency (not
   processing-time) is the right signal: during catch-up the engine
   processes *old* events fast, so processing-time latency looks healthy
   while the user-visible staleness is still recovering;
@@ -37,6 +37,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.driver import TrialResult
 
 NAN = float("nan")
+
+#: Width (s) of the event-time latency bins recovery is judged on.
+BIN_S = 1.0
+#: Pre-fault seconds the baseline latency band is drawn from.
+BASELINE_WINDOW_S = 30.0
+#: Floor (s) of the band's width above the baseline mean.
+MIN_BAND_S = 0.5
+#: Consecutive in-band bins that make a return to the band sustained.
+SETTLE_BINS = 2
 
 
 @dataclass(frozen=True)
@@ -199,31 +208,24 @@ def _percentile(values: np.ndarray, q: float) -> float:
 def compute_recovery_metrics(
     result: "TrialResult",
     fault_log: Sequence[Mapping[str, float]],
-    bin_s: float = 1.0,
-    baseline_window_s: float = 30.0,
-    min_band_s: float = 0.5,
-    settle_bins: int = 2,
 ) -> List[RecoveryMetrics]:
     """Compute per-fault recovery metrics from one trial's series.
 
     ``fault_log`` is the engine's injection log (kind, time, derived
     pause, guarantee accounting per event).  The baseline band for each
-    fault is ``baseline_mean + max(2 * std, 0.25 * |mean|, min_band_s)``
-    over the ``baseline_window_s`` seconds before the injection; a fault
-    is *recovered* at the first bin inside the band with the following
-    ``settle_bins - 1`` bins also inside it.  The scan horizon for each
-    fault ends at the next fault's injection (overlapping recoveries
-    attribute each latency excursion to the fault that caused it).
+    fault is ``baseline_mean + max(2 * std, 0.25 * |mean|, MIN_BAND_S)``
+    over the :data:`BASELINE_WINDOW_S` seconds before the injection, in
+    :data:`BIN_S` bins; a fault is *recovered* at the first bin inside
+    the band with the following ``SETTLE_BINS - 1`` bins also inside it.
+    The scan horizon for each fault ends at the next fault's injection
+    (overlapping recoveries attribute each latency excursion to the
+    fault that caused it).
     """
-    if bin_s <= 0:
-        raise ValueError("bin_s must be positive")
-    if settle_bins < 1:
-        raise ValueError("settle_bins must be >= 1")
     entries = sorted(fault_log, key=lambda e: e["at_s"])
     if not entries:
         return []
-    binned = result.collector.binned_series(EVENT_TIME, bin_s=bin_s)
-    raw = result.collector.series(EVENT_TIME)
+    binned = result.collector.binned_series(EVENT_TIME, bin_s=BIN_S)
+    raw = result.collector.series()
     ingest = result.throughput.ingest_series
     metrics: List[RecoveryMetrics] = []
     for i, entry in enumerate(entries):
@@ -233,12 +235,14 @@ def compute_recovery_metrics(
             if i + 1 < len(entries)
             else result.duration_s
         )
-        baseline = binned.window(max(0.0, fault_t - baseline_window_s), fault_t)
+        baseline = binned.window(
+            max(0.0, fault_t - BASELINE_WINDOW_S), fault_t
+        )
         if len(baseline):
             base_mean = baseline.mean()
             base_std = float(np.std(baseline.values))
             band = base_mean + max(
-                2.0 * base_std, 0.25 * abs(base_mean), min_band_s
+                2.0 * base_std, 0.25 * abs(base_mean), MIN_BAND_S
             )
         else:
             base_mean = NAN
@@ -251,15 +255,15 @@ def compute_recovery_metrics(
             times = post.times
             inside = values <= band
             for j in range(inside.size):
-                stop = min(j + settle_bins, inside.size)
+                stop = min(j + SETTLE_BINS, inside.size)
                 if bool(inside[j:stop].all()):
-                    recovery_end = float(times[j]) + bin_s
+                    recovery_end = float(times[j]) + BIN_S
                     recovery_time = max(0.0, recovery_end - fault_t)
                     break
         catchup_span = ingest.window(fault_t, recovery_end)
         catchup = catchup_span.max() if len(catchup_span) else NAN
         baseline_p99 = _percentile(
-            raw.window(max(0.0, fault_t - baseline_window_s), fault_t).values,
+            raw.window(max(0.0, fault_t - BASELINE_WINDOW_S), fault_t).values,
             99.0,
         )
         post_p99 = (

@@ -70,6 +70,15 @@ def canonical_json(payload: Dict[str, object]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+# -- what every grid trial shares -------------------------------------------
+
+#: Load-generator instances of every grid trial.
+GENERATOR_INSTANCES = 2
+
+#: Queue backlog age (s) tolerated at the end of a *surviving* grid
+#: trial -- the bounded post-recovery latency invariant.
+LATENCY_BOUND_S = 20.0
+
 # -- invariants -------------------------------------------------------------
 
 #: Ledger imbalance tolerated, relative to the trial's total weight
@@ -85,13 +94,13 @@ _GUARANTEE_RULES = {
 
 
 def check_invariants(
-    result: TrialResult, label: str, *, workers: int, latency_bound_s: float
+    result: TrialResult, label: str, *, workers: int
 ) -> List[str]:
     """The invariants every grid trial must satisfy, failed or not;
     returns violation strings.  ``workers`` is the largest cluster the
     trial could have had (the structural bound on a migration cascade);
-    ``latency_bound_s`` is the queue backlog age tolerated at the end
-    of a *surviving* trial."""
+    a *surviving* trial may end with at most :data:`LATENCY_BOUND_S` of
+    queue backlog."""
     violations: List[str] = []
     d = result.diagnostics
     scale = max(1.0, d.get("conservation.ingested", 0.0))
@@ -145,11 +154,11 @@ def check_invariants(
         )
     if not result.failed:
         end_delay = result.throughput.queue_delay_at_end()
-        if end_delay > latency_bound_s:
+        if end_delay > LATENCY_BOUND_S:
             violations.append(
                 f"{label}: post-recovery backlog unbounded -- oldest "
                 f"queued event is {end_delay:.1f}s old at trial end "
-                f"(> {latency_bound_s:g}s)"
+                f"(> {LATENCY_BOUND_S:g}s)"
             )
         if result.failure_time == result.failure_time:
             violations.append(

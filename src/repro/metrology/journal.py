@@ -198,19 +198,18 @@ class TrialJournal:
                 added += 1
         return added
 
-    def merge_shards(self, remove: bool = True) -> int:
-        """Fold every on-disk shard into this journal and (by default)
-        delete the shard files; returns the number of new entries."""
+    def merge_shards(self) -> int:
+        """Fold every on-disk shard into this journal and delete the
+        shard files; returns the number of new entries."""
         added = 0
         merged_any = False
         for shard in self.shard_paths():
             added += self.absorb(shard)
             merged_any = True
-            if remove:
-                shard.unlink()
+            shard.unlink()
         if added:
             self._flush()
-        elif merged_any and remove and self._entries:
+        elif merged_any and self._entries:
             # Shards held nothing new, but they are gone now -- make
             # sure the parent journal holding their content is durable.
             self._flush()

@@ -223,15 +223,14 @@ class TraceLog:
     latency excursion in a trace points at the fault that caused it.
     """
 
-    def __init__(self, max_traces: int = MAX_TRACES) -> None:
-        self.max_traces = max_traces
+    def __init__(self) -> None:
         self.started: List[EventTrace] = []
         self.completed: List[EventTrace] = []
         self.events: List[Dict[str, Any]] = []
         self.overflow = 0
 
     def on_start(self, trace: EventTrace) -> None:
-        if len(self.started) >= self.max_traces:
+        if len(self.started) >= MAX_TRACES:
             self.overflow += 1
             return
         self.started.append(trace)
@@ -265,14 +264,14 @@ class TraceLog:
     def completed_count(self) -> int:
         return len(self.completed)
 
-    def to_dict(self, max_export: int = MAX_EXPORT) -> Dict[str, Any]:
+    def to_dict(self) -> Dict[str, Any]:
         """JSON payload: counts, timeline events, and up to
-        ``max_export`` completed traces (full mark/span detail)."""
+        :data:`MAX_EXPORT` completed traces (full mark/span detail)."""
         return {
             "started": self.started_count,
             "completed": self.completed_count,
             "dropped": sum(1 for t in self.started if t.dropped),
             "overflow": self.overflow,
             "events": list(self.events),
-            "traces": [t.to_dict() for t in self.completed[:max_export]],
+            "traces": [t.to_dict() for t in self.completed[:MAX_EXPORT]],
         }

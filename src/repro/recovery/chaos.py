@@ -61,6 +61,7 @@ from repro.faults.schedule import (
     SlowNode,
 )
 from repro.grid import (
+    GENERATOR_INSTANCES,
     GridReport,
     canonical_json,
     check_invariants,
@@ -99,6 +100,10 @@ DEFAULT_POLICIES: Tuple[ChaosPolicy, ...] = (
 )
 
 
+#: The most faults one round's schedule draws (at least one).
+MAX_FAULTS_PER_ROUND = 3
+
+
 @dataclass(frozen=True)
 class ChaosConfig:
     """One chaos soak: engines x policies x seeded rounds."""
@@ -110,11 +115,6 @@ class ChaosConfig:
     duration_s: float = 60.0
     rate: float = 30_000.0
     workers: int = 2
-    generator_instances: int = 2
-    max_faults_per_round: int = 3
-    latency_bound_s: float = 20.0
-    """Queue backlog age tolerated at the end of a *surviving* trial --
-    the bounded post-recovery latency invariant."""
     driver_faults: bool = True
     """Mix driver-side faults (generator crash, queue loss, slow driver
     node) into the random schedules alongside the SUT faults -- the
@@ -134,8 +134,6 @@ class ChaosConfig:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         require_axis("engine", self.engines)
         require_axis("policy", self.policies)
-        if self.max_faults_per_round < 1:
-            raise ValueError("max_faults_per_round must be >= 1")
         if self.detector is not None:
             require_axis("detector", (self.detector,), DETECTOR_KINDS)
 
@@ -159,7 +157,7 @@ def random_fault_schedule(
     :meth:`~repro.faults.schedule.FaultSchedule.validate_against`'s
     same-node overlap rejections.
     """
-    count = int(rng.integers(1, config.max_faults_per_round + 1))
+    count = int(rng.integers(1, MAX_FAULTS_PER_ROUND + 1))
     times = np.sort(
         rng.uniform(0.25 * config.duration_s, 0.75 * config.duration_s, count)
     )
@@ -183,7 +181,7 @@ def random_fault_schedule(
             events.append(
                 GeneratorCrash(
                     at_s=at_s,
-                    instance=int(rng.integers(0, config.generator_instances)),
+                    instance=int(rng.integers(0, GENERATOR_INSTANCES)),
                 )
             )
         elif kind == "queueloss":
@@ -191,7 +189,7 @@ def random_fault_schedule(
                 DriverQueueLoss(
                     at_s=at_s,
                     queue_index=int(
-                        rng.integers(0, config.generator_instances)
+                        rng.integers(0, GENERATOR_INSTANCES)
                     ),
                 )
             )
@@ -199,7 +197,7 @@ def random_fault_schedule(
             events.append(
                 DriverNodeSlow(
                     at_s=at_s,
-                    instance=int(rng.integers(0, config.generator_instances)),
+                    instance=int(rng.integers(0, GENERATOR_INSTANCES)),
                     factor=float(round(rng.uniform(0.3, 0.8), 3)),
                     duration_s=float(round(rng.uniform(4.0, 10.0), 3)),
                 )
@@ -255,7 +253,7 @@ def random_fault_schedule(
                 QueueDisconnect(
                     at_s=at_s,
                     queue_index=int(
-                        rng.integers(0, config.generator_instances)
+                        rng.integers(0, GENERATOR_INSTANCES)
                     ),
                     duration_s=float(round(rng.uniform(2.0, 6.0), 3)),
                 )
@@ -586,7 +584,7 @@ def _trial_spec(
         profile=config.rate,
         duration_s=config.duration_s,
         seed=seed,
-        generator=GeneratorConfig(instances=config.generator_instances),
+        generator=GeneratorConfig(instances=GENERATOR_INSTANCES),
         monitor_resources=False,
         faults=schedule,
         standby=policy.standby,
@@ -647,12 +645,7 @@ def _chaos_cell_task(payload) -> Dict[str, object]:
         seed=round_seed(config.seed, round_index),
     )
     result = run_experiment(spec)
-    violations = check_invariants(
-        result,
-        label,
-        workers=config.workers,
-        latency_bound_s=config.latency_bound_s,
-    )
+    violations = check_invariants(result, label, workers=config.workers)
     return trial_digest(result, violations)
 
 

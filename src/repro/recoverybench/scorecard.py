@@ -34,6 +34,7 @@ from repro.faults.schedule import (
     SlowNode,
 )
 from repro.grid import (
+    GENERATOR_INSTANCES,
     GridReport,
     canonical_json,
     check_invariants,
@@ -76,6 +77,10 @@ DEFAULT_INTERVALS = (2.5, 5.0, 10.0, 20.0, 40.0)
 #: + replay-since-checkpoint) without entangling reschedule mechanics.
 FRONTIER_KIND = "restart"
 
+#: Injection instant as a fraction of the trial: late enough for a
+#: clean baseline window, early enough to observe the full recovery.
+FAULT_FRACTION = 0.4
+
 
 @dataclass(frozen=True)
 class RecoverConfig:
@@ -92,12 +97,6 @@ class RecoverConfig:
     workers: int = 2
     """SUT cluster size (>= 2 so a crash under mode "none" leaves a
     survivor to measure instead of a failed trial)."""
-    generator_instances: int = 2
-    fault_fraction: float = 0.4
-    """Injection instant as a fraction of the trial: late enough for a
-    clean baseline window, early enough to observe the full recovery."""
-    latency_bound_s: float = 20.0
-    """End-of-trial queue backlog age tolerated on surviving cells."""
     detector: Optional[str] = None
     """Failure-detector kind (``timeout`` / ``phi`` / ``quorum``) driving
     suspect migrations on every cell; ``None`` keeps the pre-existing
@@ -116,16 +115,12 @@ class RecoverConfig:
             raise ValueError(f"duration_s must be > 0, got {self.duration_s}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if not 0.0 < self.fault_fraction < 1.0:
-            raise ValueError(
-                f"fault_fraction must be in (0, 1), got {self.fault_fraction}"
-            )
         if self.detector is not None:
             require_axis("detector", (self.detector,), DETECTOR_KINDS)
 
     @property
     def fault_at_s(self) -> float:
-        return float(round(self.duration_s * self.fault_fraction, 3))
+        return float(round(self.duration_s * FAULT_FRACTION, 3))
 
     def billed_nodes(self, policy: str) -> int:
         """Nodes paid for by the cell: workers plus hot standbys (the
@@ -159,7 +154,7 @@ def _grid_spec(
         profile=config.rate,
         duration_s=config.duration_s,
         seed=config.seed,
-        generator=GeneratorConfig(instances=config.generator_instances),
+        generator=GeneratorConfig(instances=GENERATOR_INSTANCES),
         monitor_resources=False,
         faults=FaultSchedule((fault_event(kind, config.fault_at_s),)),
         standby=standby,
@@ -183,7 +178,7 @@ def frontier_spec(
         profile=config.rate,
         duration_s=config.duration_s,
         seed=config.seed,
-        generator=GeneratorConfig(instances=config.generator_instances),
+        generator=GeneratorConfig(instances=GENERATOR_INSTANCES),
         engine_config=engine_class(engine).config_cls(
             gc_rate_per_s=0.0, emit_jitter_sigma=0.0
         ),
@@ -216,12 +211,7 @@ def _grid_cell_task(payload) -> Dict[str, object]:
     config, engine, policy, kind = payload
     label = _grid_label(engine, policy, kind)
     result = run_experiment(_grid_spec(engine, policy, kind, config))
-    violations = check_invariants(
-        result,
-        label,
-        workers=config.workers,
-        latency_bound_s=config.latency_bound_s,
-    )
+    violations = check_invariants(result, label, workers=config.workers)
     digest = _base_digest(result, config, violations)
     fault = digest["fault"] or {}
     recovery_time = fault.get("recovery_time_s")
@@ -258,12 +248,7 @@ def frontier_digest(
 ) -> Dict[str, object]:
     """One finished frontier trial, reduced: its fault's recovery, the
     checkpoint overhead fraction, and its invariant violations."""
-    violations = check_invariants(
-        result,
-        label,
-        workers=config.workers,
-        latency_bound_s=config.latency_bound_s,
-    )
+    violations = check_invariants(result, label, workers=config.workers)
     digest = _base_digest(result, config, violations)
     d = result.diagnostics
     digest.update(

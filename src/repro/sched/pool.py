@@ -116,6 +116,13 @@ class _Worker:
         self.dead = False
 
 
+#: Seconds the parent waits on the result queue before it checks for
+#: dead workers.
+POLL_INTERVAL_S = 0.1
+#: Seconds a worker gets to exit at shutdown before it is terminated.
+JOIN_TIMEOUT_S = 5.0
+
+
 class TrialScheduler:
     """Fan independent trial cells over ``workers`` processes.
 
@@ -128,15 +135,11 @@ class TrialScheduler:
         self,
         workers: int = 1,
         journal: Optional[TrialJournal] = None,
-        poll_interval_s: float = 0.1,
-        join_timeout_s: float = 5.0,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = int(workers)
         self.journal = journal
-        self.poll_interval_s = float(poll_interval_s)
-        self.join_timeout_s = float(join_timeout_s)
 
     def run(
         self,
@@ -227,7 +230,7 @@ class TrialScheduler:
             while outstanding:
                 try:
                     kind, index, key, value = result_queue.get(
-                        timeout=self.poll_interval_s
+                        timeout=POLL_INTERVAL_S
                     )
                 except queue_module.Empty:
                     self._reap(pool, todo, idle)
@@ -306,11 +309,11 @@ class TrialScheduler:
             for worker in pool:
                 worker.task_queue.put(None)
         for worker in pool:
-            worker.process.join(timeout=self.join_timeout_s)
+            worker.process.join(timeout=JOIN_TIMEOUT_S)
         for worker in pool:
             if worker.process.is_alive():  # pragma: no cover - defensive
                 worker.process.terminate()
-                worker.process.join(timeout=self.join_timeout_s)
+                worker.process.join(timeout=JOIN_TIMEOUT_S)
         for worker in pool:
             worker.task_queue.close()
             worker.task_queue.cancel_join_thread()

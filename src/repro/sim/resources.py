@@ -39,20 +39,13 @@ class ResourceMonitor:
 
     Engines call :meth:`add_cpu` / :meth:`add_network` continuously; a
     periodic process snapshots the accumulators every
-    ``sample_interval`` seconds.  Usage is attributed uniformly across
-    worker nodes unless the engine reports per-node skew explicitly
-    (single-key workloads concentrate keyed work on one node).
+    :data:`RESOURCE_INTERVAL_S` seconds.  Usage is attributed uniformly
+    across worker nodes.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        cluster: ClusterSpec,
-        sample_interval_s: float = RESOURCE_INTERVAL_S,
-    ) -> None:
+    def __init__(self, sim: Simulator, cluster: ClusterSpec) -> None:
         self._sim = sim
         self._cluster = cluster
-        self.sample_interval = float(sample_interval_s)
         self._cpu_core_seconds: Dict[int, float] = {
             n: 0.0 for n in range(cluster.workers)
         }
@@ -60,32 +53,26 @@ class ResourceMonitor:
             n: 0.0 for n in range(cluster.workers)
         }
         self.samples: List[ResourceSample] = []
-        self._process = sim.every(self.sample_interval, self._sample)
+        self._process = sim.every(RESOURCE_INTERVAL_S, self._sample)
 
-    def add_cpu(self, core_seconds: float, node: int = -1) -> None:
-        """Record consumed CPU time; ``node=-1`` spreads across workers."""
+    def add_cpu(self, core_seconds: float) -> None:
+        """Record consumed CPU time, spread across workers."""
         if core_seconds < 0:
             raise ValueError("core_seconds must be >= 0")
-        if node >= 0:
-            self._cpu_core_seconds[node % self._cluster.workers] += core_seconds
-        else:
-            share = core_seconds / self._cluster.workers
-            for n in self._cpu_core_seconds:
-                self._cpu_core_seconds[n] += share
+        share = core_seconds / self._cluster.workers
+        for n in self._cpu_core_seconds:
+            self._cpu_core_seconds[n] += share
 
-    def add_network(self, transferred_bytes: float, node: int = -1) -> None:
-        """Record bytes moved; ``node=-1`` spreads across workers."""
+    def add_network(self, transferred_bytes: float) -> None:
+        """Record bytes moved, spread across workers."""
         if transferred_bytes < 0:
             raise ValueError("transferred_bytes must be >= 0")
-        if node >= 0:
-            self._network_bytes[node % self._cluster.workers] += transferred_bytes
-        else:
-            share = transferred_bytes / self._cluster.workers
-            for n in self._network_bytes:
-                self._network_bytes[n] += share
+        share = transferred_bytes / self._cluster.workers
+        for n in self._network_bytes:
+            self._network_bytes[n] += share
 
     def _sample(self, sim: Simulator) -> None:
-        interval_core_seconds = self.sample_interval * NODE_CORES
+        interval_core_seconds = RESOURCE_INTERVAL_S * NODE_CORES
         for node in range(self._cluster.workers):
             cpu_pct = 100.0 * self._cpu_core_seconds[node] / interval_core_seconds
             self.samples.append(

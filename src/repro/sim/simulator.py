@@ -61,8 +61,8 @@ class Simulator:
     1.5
     """
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         # (time, seq, event): seq is unique, so ordering is decided by
         # the first two fields in C and the event is never compared.
         self._heap: List[Tuple[float, int, _Event]] = []

@@ -75,9 +75,7 @@ class TestAutoscaledTrial:
                 assert m.to_workers >= 1.0
 
     def test_ledgers_balance_through_scale_events(self, result):
-        violations = check_invariants(
-            result, "autoscaled", workers=6, latency_bound_s=20.0
-        )
+        violations = check_invariants(result, "autoscaled", workers=6)
         assert violations == []
 
     def test_cost_billed(self, result):
@@ -167,9 +165,7 @@ class TestRescaleMetrics:
     def test_settle_needs_consecutive_samples(self):
         times = [30.0, 32.0, 34.0, 36.0, 38.0]
         values = [0.5, 10.0, 0.5, 0.5, 0.5]
-        (m,) = compute_rescale_metrics(
-            self.LOG, times, values, 60.0, settle_samples=2
-        )
+        (m,) = compute_rescale_metrics(self.LOG, times, values, 60.0)
         # The lone in-bound sample at 30 does not count; the streak
         # opening at 34 does.
         assert m.catchup_s == pytest.approx(34.0 - 28.5)

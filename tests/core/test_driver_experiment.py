@@ -57,9 +57,11 @@ class TestRunExperiment:
     def test_warmup_excluded_from_summary(self):
         result = run_experiment(small_spec())
         assert result.warmup_s == pytest.approx(7.5)
-        series = result.collector.series(start_time=0.0)
+        series = result.collector.series()
         assert min(series.times) < result.warmup_s  # outputs exist in warmup
-        post = result.collector.series(start_time=result.warmup_s)
+        post = result.collector.binned_series(
+            bin_s=1.0, start_time=result.warmup_s
+        )
         assert min(post.times) >= result.warmup_s
 
     def test_deterministic_given_seed(self):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import latency
 from repro.core.latency import EVENT_TIME, PROCESSING_TIME, LatencyCollector
 from repro.core.records import OutputRecord
 
@@ -63,7 +64,7 @@ class TestSeries:
         c = LatencyCollector()
         c.collect([out(10.0, 9.0, 9.0)])
         c.collect([out(20.0, 15.0, 15.0)])
-        series = c.series(EVENT_TIME)
+        series = c.series()
         assert series.times.tolist() == [10.0, 20.0]
         assert series.values.tolist() == [1.0, 5.0]
 
@@ -79,13 +80,13 @@ class TestSeries:
         # Latency grows 1 second per second of emission time: overload.
         for t in range(0, 100, 5):
             c.collect([out(float(t), 0.0, 0.0)])
-        assert c.trend_slope(EVENT_TIME) == pytest.approx(1.0, rel=0.05)
+        assert c.trend_slope() == pytest.approx(1.0, rel=0.05)
 
     def test_trend_slope_flat_when_stable(self):
         c = LatencyCollector()
         for t in range(0, 100, 5):
             c.collect([out(float(t), t - 2.0, t - 1.0)])
-        assert abs(c.trend_slope(EVENT_TIME)) < 0.01
+        assert abs(c.trend_slope()) < 0.01
 
     def test_binned_series_is_weight_aware(self):
         """Regression: a heavy join cohort must dominate its bin's mean,
@@ -132,15 +133,16 @@ class TestHotPath:
         assert second is not first
         assert second.count == 2
 
-    def test_chunk_rollover_preserves_all_samples(self):
-        c = LatencyCollector(chunk_rows=8)
+    def test_chunk_rollover_preserves_all_samples(self, monkeypatch):
+        monkeypatch.setattr(latency, "CHUNK_ROWS", 8)
+        c = LatencyCollector()
         for t in range(30):
             c.collect([out(float(t), float(t) - 1.0, float(t) - 0.5)])
         assert len(c) == 30
         s = c.summary(EVENT_TIME)
         assert s.count == 30
         assert s.mean == pytest.approx(1.0)
-        series = c.series(EVENT_TIME)
+        series = c.series()
         assert series.times.tolist() == [float(t) for t in range(30)]
 
     def test_perf_counters_exposed(self):
@@ -158,7 +160,3 @@ class TestHotPath:
         assert counters["collector.collect_calls"] == 1.0
         assert counters["collector.memory_bytes"] > 0.0
         assert counters["collector.consolidations"] >= 1.0
-
-    def test_invalid_chunk_rows_rejected(self):
-        with pytest.raises(ValueError):
-            LatencyCollector(chunk_rows=0)

@@ -52,7 +52,7 @@ def synthetic_result(
     sim = Simulator()
     queue = DriverQueue("q")
     queues = QueueSet([queue])
-    monitor = ThroughputMonitor(sim, queues, interval_s=1.0)
+    monitor = ThroughputMonitor(sim, queues)
 
     def step(s):
         t = s.now

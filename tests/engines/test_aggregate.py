@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.batch import as_block
 from repro.core.records import Record
 from repro.engines.operators.aggregate import (
     BatchPartialAggregator,
@@ -55,7 +56,7 @@ class TestAggregationOutputs:
 class TestBatchPartials:
     def test_partials_per_window_per_key(self):
         agg = BatchPartialAggregator(WindowSpec(8, 4))
-        agg.add(rec(1, 10.0, 9.0))  # windows 3 (end 12) and 4 (end 16)
+        agg.add_block(as_block(rec(1, 10.0, 9.0)))  # windows 3 (end 12) and 4 (end 16)
         partials = agg.drain()
         assert set(partials) == {3, 4}
         assert partials[3].n == 1
@@ -64,15 +65,15 @@ class TestBatchPartials:
 
     def test_drain_resets(self):
         agg = BatchPartialAggregator(WindowSpec(4, 4))
-        agg.add(rec(1, 1.0, 1.0))
+        agg.add_block(as_block(rec(1, 1.0, 1.0)))
         agg.drain()
         assert agg.batch_weight == 0.0
         assert agg.drain() == {}
 
     def test_batch_weight_accumulates(self):
         agg = BatchPartialAggregator(WindowSpec(4, 4))
-        agg.add(rec(1, 1.0, 1.0, weight=2.0))
-        agg.add(rec(2, 1.0, 1.5, weight=3.0))
+        agg.add_block(as_block(rec(1, 1.0, 1.0, weight=2.0)))
+        agg.add_block(as_block(rec(2, 1.0, 1.5, weight=3.0)))
         assert agg.batch_weight == pytest.approx(5.0)
 
 
@@ -98,7 +99,7 @@ class TestMerger:
         for batch_events in (events[:3], events[3:]):
             agg = BatchPartialAggregator(window)
             for e in batch_events:
-                agg.add(rec(e.key, e.value, e.event_time, e.weight))
+                agg.add_block(as_block(rec(e.key, e.value, e.event_time, e.weight)))
             merger.absorb(agg.drain())
         merged = {c.index: c for c in merger.pop_ready(1e9)}
         for idx in list(direct.open_indices()):
@@ -114,8 +115,8 @@ class TestMerger:
     def test_pop_ready_only_closed_windows(self):
         merger = WindowedPartialMerger(WindowSpec(4, 4))
         agg = BatchPartialAggregator(WindowSpec(4, 4))
-        agg.add(rec(1, 1.0, 1.0))   # window 1 ends at 4
-        agg.add(rec(1, 1.0, 5.0))   # window 2 ends at 8
+        agg.add_block(as_block(rec(1, 1.0, 1.0)))   # window 1 ends at 4
+        agg.add_block(as_block(rec(1, 1.0, 5.0)))   # window 2 ends at 8
         merger.absorb(agg.drain())
         ready = merger.pop_ready(4.0)
         assert [c.index for c in ready] == [1]
@@ -125,11 +126,11 @@ class TestMerger:
         window = WindowSpec(4, 4)
         merger = WindowedPartialMerger(window)
         agg = BatchPartialAggregator(window)
-        agg.add(rec(1, 1.0, 1.0))
+        agg.add_block(as_block(rec(1, 1.0, 1.0)))
         merger.absorb(agg.drain())
         merger.pop_ready(4.0)
         # A straggler for window 1 arrives after it was emitted.
-        agg.add(rec(1, 99.0, 2.0))
+        agg.add_block(as_block(rec(1, 99.0, 2.0)))
         merger.absorb(agg.drain())
         assert merger.open_window_count == 0
         assert merger.stored_weight() == 0.0
@@ -138,13 +139,13 @@ class TestMerger:
         window = WindowSpec(4, 4)
         merger = WindowedPartialMerger(window)
         agg = BatchPartialAggregator(window)
-        agg.add(rec(1, 1.0, 5.0, weight=2.0))   # window 2
+        agg.add_block(as_block(rec(1, 1.0, 5.0, weight=2.0)))   # window 2
         merger.absorb(agg.drain())
         assert [c.index for c in merger.pop_ready(8.0)] == [2]
         # Window 1 never held anything; both its partials arrive after
         # the frontier passed it.
         for weight in (3.0, 0.5):
-            agg.add(rec(1, 9.0, 2.0, weight=weight))
+            agg.add_block(as_block(rec(1, 9.0, 2.0, weight=weight)))
             merger.absorb(agg.drain())
         assert merger.pop_ready(8.0) == []
         assert merger.dropped_weight == 3.5
@@ -154,7 +155,7 @@ class TestMerger:
     def test_stored_weight(self):
         merger = WindowedPartialMerger(WindowSpec(8, 4))
         agg = BatchPartialAggregator(WindowSpec(8, 4))
-        agg.add(rec(1, 1.0, 9.0, weight=2.0))  # 2 windows
+        agg.add_block(as_block(rec(1, 1.0, 9.0, weight=2.0)))  # 2 windows
         merger.absorb(agg.drain())
         assert merger.stored_weight() == pytest.approx(4.0)
 

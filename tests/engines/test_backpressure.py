@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from repro.engines.backpressure import (
+    BURST_FACTOR,
+    MIN_RATE,
+    STALL_DURATION_S,
     CreditBased,
     OnOffThrottle,
     RateController,
 )
+from repro.engines.storm import StormConfig
 
 
 class TestCreditBased:
@@ -33,24 +37,29 @@ class TestCreditBased:
 
 class TestOnOffThrottle:
     def test_bursts_above_capacity_while_on(self):
-        bp = OnOffThrottle(burst_factor=1.3)
+        bp = OnOffThrottle()
         grant = bp.ingest_budget(1.0, 1000.0, 0.0, 10_000.0)
-        assert grant == pytest.approx(1300.0)
+        assert grant == pytest.approx(BURST_FACTOR * 1000.0)
 
     def test_stops_at_high_watermark(self):
-        bp = OnOffThrottle(high_watermark=0.9, low_watermark=0.4)
+        bp = OnOffThrottle()
         assert bp.ingest_budget(1.0, 1000.0, 9500.0, 10_000.0) == 0.0
         assert not bp.emitting
 
     def test_stays_off_until_low_watermark(self):
-        bp = OnOffThrottle(high_watermark=0.9, low_watermark=0.4)
+        bp = OnOffThrottle()
         bp.ingest_budget(1.0, 1000.0, 9500.0, 10_000.0)  # trips off
         assert bp.ingest_budget(1.0, 1000.0, 5000.0, 10_000.0) == 0.0
         assert bp.ingest_budget(1.0, 1000.0, 3000.0, 10_000.0) > 0.0
         assert bp.emitting
 
     def test_oscillation_cycle(self):
-        bp = OnOffThrottle()
+        # What ``for_engine`` passes for Storm on 2 workers.
+        bp = OnOffThrottle(
+            stall_rng=np.random.default_rng(0),
+            stall_rate_per_s=StormConfig().stall_rate_per_s,
+            stall_duration_s=STALL_DURATION_S,
+        )
         buffered = 0.0
         capacity, cap_buf = 100.0, 100.0
         grants = []
@@ -58,13 +67,11 @@ class TestOnOffThrottle:
             g = bp.ingest_budget(0.1, capacity, buffered, cap_buf)
             grants.append(g)
             buffered = max(0.0, buffered + g - capacity * 0.1)
+        # The first grant, from an empty buffer, is Storm's burst.
+        assert grants[0] == BURST_FACTOR * capacity * 0.1 == 15.0
         # The throttle alternates: some zero-grants and some burst grants.
         assert any(g == 0.0 for g in grants[50:])
         assert any(g > 0.0 for g in grants[50:])
-
-    def test_invalid_watermarks_rejected(self):
-        with pytest.raises(ValueError):
-            OnOffThrottle(high_watermark=0.3, low_watermark=0.5)
 
     def test_stall_blocks_ingest(self):
         rng = np.random.default_rng(0)
@@ -134,7 +141,7 @@ class TestOnOffThrottleStallAccounting:
         assert bp.stalled_s == pytest.approx(2.0)
 
     def test_off_time_accounted_separately_from_stall(self):
-        bp = OnOffThrottle(high_watermark=0.9, low_watermark=0.4)
+        bp = OnOffThrottle()
         bp.ingest_budget(1.0, 1000.0, 9500.0, 10_000.0)  # trips off
         bp.ingest_budget(1.0, 1000.0, 8000.0, 10_000.0)  # stays off 1 s
         bp.ingest_budget(1.0, 1000.0, 3000.0, 10_000.0)  # back on
@@ -156,7 +163,8 @@ class TestBackpressureMetrics:
         assert bp.metrics() == {"credit_limited_s": 1.0}
 
     def test_rate_controller_reports_limited_time_and_finite_limit(self):
-        rc = RateController(batch_interval_s=4.0, initial_rate=500.0)
+        rc = RateController(batch_interval_s=4.0)
+        rc.rate_limit = 500.0
         rc.ingest_budget(1.0, 1000.0, 0.0, 1e9)  # limit-bound
         metrics = rc.metrics()
         assert metrics["rate_limited_s"] == 1.0
@@ -174,21 +182,24 @@ class TestRateController:
         assert grant == pytest.approx(1050.0)  # capacity * headroom
 
     def test_overrun_decreases_limit(self):
-        rc = RateController(batch_interval_s=4.0, initial_rate=100_000.0)
+        rc = RateController(batch_interval_s=4.0)
+        rc.rate_limit = 100_000.0
         rc.on_batch_complete(
             processing_time_s=5.0, batch_events=400_000.0, queued_jobs=0
         )
         assert rc.rate_limit < 100_000.0
 
     def test_queued_jobs_decrease_limit(self):
-        rc = RateController(batch_interval_s=4.0, initial_rate=100_000.0)
+        rc = RateController(batch_interval_s=4.0)
+        rc.rate_limit = 100_000.0
         rc.on_batch_complete(
             processing_time_s=3.0, batch_events=400_000.0, queued_jobs=3
         )
         assert rc.rate_limit < 100_000.0
 
     def test_underrun_increases_limit(self):
-        rc = RateController(batch_interval_s=4.0, initial_rate=100_000.0)
+        rc = RateController(batch_interval_s=4.0)
+        rc.rate_limit = 100_000.0
         rc.on_batch_complete(
             processing_time_s=2.0, batch_events=400_000.0, queued_jobs=0
         )
@@ -202,17 +213,17 @@ class TestRateController:
         assert rc.rate_limit == float("inf")
 
     def test_min_rate_floor(self):
-        rc = RateController(
-            batch_interval_s=4.0, initial_rate=2000.0, min_rate=1500.0
-        )
+        rc = RateController(batch_interval_s=4.0)
+        rc.rate_limit = 2000.0
         for _ in range(50):
             rc.on_batch_complete(
                 processing_time_s=40.0, batch_events=8000.0, queued_jobs=5
             )
-        assert rc.rate_limit == 1500.0
+        assert rc.rate_limit == MIN_RATE
 
     def test_adjustments_counted(self):
-        rc = RateController(batch_interval_s=4.0, initial_rate=1000.0)
+        rc = RateController(batch_interval_s=4.0)
+        rc.rate_limit = 1000.0
         rc.on_batch_complete(2.0, 100.0, 0)
         rc.on_batch_complete(5.0, 100.0, 0)
         assert rc.adjustments == 2

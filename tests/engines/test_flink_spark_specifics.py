@@ -6,7 +6,7 @@ from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.generator import GeneratorConfig
 from repro.engines.backpressure import CreditBased, OnOffThrottle, RateController
 from repro.engines.flink import FlinkEngine
-from repro.engines.spark import BLOCK_INTERVAL_S, SparkConfig, SparkEngine
+from repro.engines.spark import SparkConfig, SparkEngine
 from repro.engines.storm import StormConfig, StormEngine
 from repro.sim.cluster import ClusterSpec
 from repro.sim.network import DataPlane
@@ -100,10 +100,6 @@ class TestSparkConstruction:
 
         with pytest.raises(ValueError, match="SparkConfig.*EngineConfig"):
             build(SparkEngine, config=EngineConfig())
-
-    def test_partitions_bounded_by_intervals(self):
-        cfg = SparkConfig(batch_interval_s=4.0)
-        assert cfg.batch_interval_s / BLOCK_INTERVAL_S == pytest.approx(20)
 
 
 class TestSparkJobDynamics:

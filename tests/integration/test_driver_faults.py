@@ -100,9 +100,7 @@ class TestGeneratorCrash:
         result, _ = crashed
         # Windows keep closing after the crash: outputs exist whose
         # emit time is well past the crash + window span.
-        from repro.core.latency import EVENT_TIME
-
-        series = result.collector.series(EVENT_TIME)
+        series = result.collector.series()
         assert series.times.max() > CRASH_AT + 20.0
 
     def test_overprovision_shortfall_is_first_class(self):

@@ -7,6 +7,7 @@ reproduce them exactly.
 
 import pytest
 
+from repro.core.batch import as_block
 from repro.core.records import ADS, PURCHASES, Record
 from repro.engines.operators.aggregate import aggregation_outputs
 from repro.engines.operators.join import JoinWindowStore, join_window_outputs
@@ -99,7 +100,7 @@ class TestFigure2Join:
 
     def build_store(self):
         store = JoinWindowStore(WindowSpec(605.0, 605.0))
-        store.add(
+        store.add_block(as_block(
             Record(
                 key=self.KEY,
                 value=0.0,
@@ -107,9 +108,9 @@ class TestFigure2Join:
                 stream=ADS,
                 ingest_time=601.0,
             )
-        )
+        ))
         for time, price in [(580.0, 10.0), (550.0, 20.0), (600.0, 30.0)]:
-            store.add(
+            store.add_block(as_block(
                 Record(
                     key=self.KEY,
                     value=price,
@@ -117,7 +118,7 @@ class TestFigure2Join:
                     stream=PURCHASES,
                     ingest_time=601.0,
                 )
-            )
+            ))
         return store
 
     def test_window_maxima(self):

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.generator import GeneratorConfig
-from repro.core.latency import EVENT_TIME, PROCESSING_TIME
+from repro.core.latency import PROCESSING_TIME
 from repro.workloads.queries import (
     WindowSpec,
     WindowedAggregationQuery,
@@ -95,8 +95,10 @@ class TestEventVsProcessingTime:
                 ),
             )
         )
-        event_slope = run.collector.trend_slope(EVENT_TIME, run.warmup_s)
-        proc_slope = run.collector.trend_slope(PROCESSING_TIME, run.warmup_s)
+        event_slope = run.collector.trend_slope(run.warmup_s)
+        proc_slope = run.collector.binned_series(
+            PROCESSING_TIME, start_time=run.warmup_s
+        ).slope_per_s()
         assert event_slope > 0.2
         assert proc_slope < event_slope / 3
         assert run.event_latency.mean > 3 * run.processing_latency.mean

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.obs import trace as trace_module
 from repro.obs.trace import (
     CREATED,
     EMITTED,
@@ -142,8 +143,9 @@ class TestTraceSampler:
 
 
 class TestTraceLog:
-    def test_overflow_bounds_memory(self):
-        log = TraceLog(max_traces=2)
+    def test_overflow_bounds_memory(self, monkeypatch):
+        monkeypatch.setattr(trace_module, "MAX_TRACES", 2)
+        log = TraceLog()
         sampler = TraceSampler(1, log)
         for k in range(5):
             maybe_trace(sampler, k, "purchases", 1.0, 0.0)
@@ -167,7 +169,8 @@ class TestTraceLog:
         assert inside.annotations[0]["nodes"] == 1
         assert outside.annotations == []
 
-    def test_to_dict_caps_exported_traces(self):
+    def test_to_dict_caps_exported_traces(self, monkeypatch):
+        monkeypatch.setattr(trace_module, "MAX_EXPORT", 2)
         log = TraceLog()
         for i in range(5):
             trace = make_trace(trace_id=i)
@@ -175,6 +178,6 @@ class TestTraceLog:
             trace.mark(EMITTED, 1.0)
             log.on_start(trace)
             log.on_complete(trace)
-        payload = log.to_dict(max_export=2)
+        payload = log.to_dict()
         assert payload["completed"] == 5
         assert len(payload["traces"]) == 2

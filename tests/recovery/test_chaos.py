@@ -14,6 +14,7 @@ from repro.faults.schedule import FaultSchedule
 from repro.grid import check_invariants
 from repro.metrology import TrialJournal
 from repro.metrology.journal import shard_path
+from repro.recovery import chaos
 from repro.recovery.chaos import (
     DEFAULT_POLICIES,
     ChaosConfig,
@@ -38,8 +39,6 @@ class TestConfig:
             ChaosConfig(engines=())
         with pytest.raises(ValueError):
             ChaosConfig(policies=())
-        with pytest.raises(ValueError):
-            ChaosConfig(max_faults_per_round=0)
 
     def test_default_policies_cover_the_three_corners(self):
         names = [p.name for p in DEFAULT_POLICIES]
@@ -57,7 +56,7 @@ class TestScheduleGeneration:
             rng = np.random.default_rng(seed)
             schedule = random_fault_schedule(rng, config)
             assert isinstance(schedule, FaultSchedule)
-            assert 1 <= len(schedule.events) <= config.max_faults_per_round
+            assert 1 <= len(schedule.events) <= chaos.MAX_FAULTS_PER_ROUND
             schedule.validate_against(config.duration_s)
 
     def test_same_rng_state_same_schedule(self):
@@ -270,9 +269,7 @@ class TestInvariantChecker:
                 "duplicated_weight": 0.0,
             }
 
-        violations = check_invariants(
-            Forged(), "forged", workers=2, latency_bound_s=20.0
-        )
+        violations = check_invariants(Forged(), "forged", workers=2)
         assert any("lost" in v for v in violations)
 
     def test_detects_ledger_imbalance(self):
@@ -296,9 +293,7 @@ class TestInvariantChecker:
                 "duplicated_weight": 0.0,
             }
 
-        violations = check_invariants(
-            Forged(), "forged", workers=2, latency_bound_s=20.0
-        )
+        violations = check_invariants(Forged(), "forged", workers=2)
         assert any("ingest ledger" in v for v in violations)
 
     def test_cascade_bound_follows_the_real_cluster_size(self):
@@ -321,9 +316,7 @@ class TestInvariantChecker:
         def cascade(workers):
             return [
                 v
-                for v in check_invariants(
-                    Forged(), "forged", workers=workers, latency_bound_s=20.0
-                )
+                for v in check_invariants(Forged(), "forged", workers=workers)
                 if "cascade depth" in v
             ]
 
@@ -451,7 +444,11 @@ class TestRecoveryDecompositionColumns:
 
 
 class TestGrayDraws:
-    CONFIG = ChaosConfig(seed=0, rounds=1, gray_faults=True, max_faults_per_round=5)
+    CONFIG = ChaosConfig(seed=0, rounds=1, gray_faults=True)
+
+    @pytest.fixture(autouse=True)
+    def five_faults_per_round(self, monkeypatch):
+        monkeypatch.setattr(chaos, "MAX_FAULTS_PER_ROUND", 5)
 
     def test_gray_kinds_mixed_into_the_draw(self):
         kinds = set()
@@ -472,7 +469,7 @@ class TestGrayDraws:
             schedule.validate_against(self.CONFIG.duration_s)
 
     def test_gray_off_by_default(self):
-        config = ChaosConfig(seed=0, rounds=1, max_faults_per_round=5)
+        config = ChaosConfig(seed=0, rounds=1)
         for seed in range(40):
             schedule = random_fault_schedule(
                 np.random.default_rng(seed), config

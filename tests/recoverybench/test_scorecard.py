@@ -42,8 +42,6 @@ class TestConfig:
             RecoverConfig(duration_s=0.0)
         with pytest.raises(ValueError):
             RecoverConfig(workers=0)
-        with pytest.raises(ValueError):
-            RecoverConfig(fault_fraction=1.0)
 
     def test_fault_instant_and_billing(self):
         config = RecoverConfig(duration_s=60.0, workers=2)

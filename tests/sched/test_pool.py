@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.metrology.journal import TrialJournal, shard_path
-from repro.sched import TaskFailed, TrialScheduler, TrialTask
+from repro.sched import TaskFailed, TrialScheduler, TrialTask, pool
 
 from tests.sched import tasks as bodies
 
@@ -70,7 +70,7 @@ class TestPool:
         with pytest.raises(TaskFailed, match="exploded on purpose"):
             scheduler.run(mixed)
 
-    def test_killed_worker_cell_is_rerun(self, tmp_path):
+    def test_killed_worker_cell_is_rerun(self, tmp_path, monkeypatch):
         # One cell SIGKILLs its worker (once).  The parent must notice
         # the corpse, re-enqueue the in-flight cell, and finish the
         # whole grid on the survivors.
@@ -83,7 +83,8 @@ class TestPool:
             )
             for i in range(6)
         ]
-        results = TrialScheduler(workers=3, poll_interval_s=0.05).run(tasks)
+        monkeypatch.setattr(pool, "POLL_INTERVAL_S", 0.05)
+        results = TrialScheduler(workers=3).run(tasks)
         assert results == expected(6)
         assert marker.exists()
 

@@ -48,7 +48,8 @@ class TestScheduling:
         assert sim.now == 3.5
 
     def test_schedule_at_absolute_time(self):
-        sim = Simulator(start_time=10.0)
+        sim = Simulator()
+        sim.run_until(10.0)
         fired = []
         sim.schedule_at(12.0, fired.append, "x")
         sim.run()
@@ -61,7 +62,8 @@ class TestScheduling:
             sim.schedule(-0.1, lambda: None)
 
     def test_schedule_in_past_rejected(self):
-        sim = Simulator(start_time=5.0)
+        sim = Simulator()
+        sim.run_until(5.0)
         with pytest.raises(SimulationError):
             sim.schedule_at(4.9, lambda: None)
 
@@ -167,7 +169,8 @@ class TestRunUntil:
         assert sim.pending == 0
 
     def test_run_until_past_is_rejected(self):
-        sim = Simulator(start_time=3.0)
+        sim = Simulator()
+        sim.run_until(3.0)
         with pytest.raises(SimulationError):
             sim.run_until(2.0)
 
