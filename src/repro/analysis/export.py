@@ -28,15 +28,9 @@ def summary_to_dict(summary: StatSummary) -> Dict[str, Any]:
 SERIES_BIN_S = 5.0
 
 
-def trial_to_dict(
-    result: TrialResult,
-    include_series: bool = False,
-) -> Dict[str, Any]:
-    """Serialise one trial.
-
-    With ``include_series`` the binned latency series and the throughput
-    series are embedded (larger but figure-ready).
-    """
+def trial_to_dict(result: TrialResult) -> Dict[str, Any]:
+    """Serialise one trial, with its binned latency series and its
+    throughput series embedded (figure-ready)."""
     payload: Dict[str, Any] = {
         "engine": result.engine,
         "workers": result.workers,
@@ -62,33 +56,32 @@ def trial_to_dict(
         payload["attempts"] = [a.to_dict() for a in result.attempts]
     if result.observability is not None:
         payload["observability"] = result.observability.to_dict()
-    if include_series:
-        event = result.collector.binned_series(
-            EVENT_TIME, bin_s=SERIES_BIN_S, start_time=result.warmup_s
-        )
-        proc = result.collector.binned_series(
-            PROCESSING_TIME, bin_s=SERIES_BIN_S, start_time=result.warmup_s
-        )
-        ingest = result.throughput.ingest_series
-        occupancy = result.throughput.occupancy_series
-        payload["series"] = {
-            "event_latency": {
-                "t": event.times.tolist(),
-                "v": event.values.tolist(),
-            },
-            "processing_latency": {
-                "t": proc.times.tolist(),
-                "v": proc.values.tolist(),
-            },
-            "ingest_rate": {
-                "t": ingest.times.tolist(),
-                "v": ingest.values.tolist(),
-            },
-            "queue_occupancy": {
-                "t": occupancy.times.tolist(),
-                "v": occupancy.values.tolist(),
-            },
-        }
+    event = result.collector.binned_series(
+        EVENT_TIME, bin_s=SERIES_BIN_S, start_time=result.warmup_s
+    )
+    proc = result.collector.binned_series(
+        PROCESSING_TIME, bin_s=SERIES_BIN_S, start_time=result.warmup_s
+    )
+    ingest = result.throughput.ingest_series
+    occupancy = result.throughput.occupancy_series
+    payload["series"] = {
+        "event_latency": {
+            "t": event.times.tolist(),
+            "v": event.values.tolist(),
+        },
+        "processing_latency": {
+            "t": proc.times.tolist(),
+            "v": proc.values.tolist(),
+        },
+        "ingest_rate": {
+            "t": ingest.times.tolist(),
+            "v": ingest.values.tolist(),
+        },
+        "queue_occupancy": {
+            "t": occupancy.times.tolist(),
+            "v": occupancy.values.tolist(),
+        },
+    }
     return payload
 
 

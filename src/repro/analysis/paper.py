@@ -88,7 +88,11 @@ from repro.recoverybench.scorecard import (
 from repro.sched.pool import TrialScheduler, TrialTask
 from repro.workloads.disorder import DisorderSpec
 from repro.workloads.keys import SingleKey
-from repro.workloads.profiles import FlashCrowdRate, fig6_profile
+from repro.workloads.profiles import (
+    FIG6_DURATION_S,
+    FlashCrowdRate,
+    fig6_profile,
+)
 from repro.workloads.queries import (
     LARGE_WINDOW,
     PAPER_DEFAULT_WINDOW,
@@ -730,8 +734,7 @@ FIG5 = Artifact(
 
 # -- Figures 6-11 --------------------------------------------------------------
 
-FIG6_DURATION_S = 300.0
-FIG6_PROFILE = fig6_profile(FIG6_DURATION_S)
+FIG6_PROFILE = fig6_profile()
 FIG6_CELLS: Dict[str, Cell] = {
     f"{engine} {kind}": Trial(
         spec_of(engine, 8, profile=FIG6_PROFILE, duration_s=FIG6_DURATION_S),
@@ -1652,9 +1655,7 @@ def _table(artifact: Artifact, cells: Mapping[str, Any]) -> Optional[str]:
             for key, cell in cells.items()
             if cell is not None
         }
-        return latency_table(
-            artifact.title, measured, paper=paper, workers=WORKER_SWEEP
-        )
+        return latency_table(artifact.title, measured, paper=paper)
     rates = {
         _engine_workers(key): cells[key]["rate"]
         for key in searched

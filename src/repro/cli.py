@@ -762,7 +762,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         print(render_obs_dashboard(result.observability))
     if args.output:
-        path = write_json(trial_to_dict(result, include_series=True), args.output)
+        path = write_json(trial_to_dict(result), args.output)
         print(f"  wrote {path}")
     return 1 if result.failed else 0
 

@@ -56,16 +56,17 @@ def latency_table(
     title: str,
     measured: Mapping[Tuple[str, int], StatSummary],
     paper: Optional[Mapping[Tuple[str, int], Tuple[float, ...]]] = None,
-    workers: Sequence[int] = (2, 4, 8),
 ) -> str:
     """Render a Table II / Table IV style latency-statistics table.
 
     ``measured`` maps (row label, workers) to a :class:`StatSummary`;
-    row labels are e.g. ``"flink"`` and ``"flink(90%)"``.  ``paper``
+    row labels are e.g. ``"flink"`` and ``"flink(90%)"``, each with one
+    row per measured cluster size, smallest first.  ``paper``
     optionally maps the same keys to the published
     (avg, min, max, q90, q95, q99) tuples.
     """
     labels = sorted({label for label, _ in measured})
+    workers = sorted({w for _, w in measured})
     lines = [title, "rows: avg min max (q90, q95, q99), seconds"]
     for label in labels:
         for w in workers:

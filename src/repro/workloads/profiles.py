@@ -279,8 +279,13 @@ class FlashCrowdRate(RateProfile):
         return self.base
 
 
-def fig6_profile(duration_s: float = 300.0) -> FluctuatingRate:
-    """The exact Experiment 5 profile: 0.84 M/s -> 0.28 M/s -> 0.84 M/s.
+FIG6_DURATION_S = 300.0
+"""Simulated seconds of the Experiment 5 run (Figure 6)."""
+
+
+def fig6_profile() -> FluctuatingRate:
+    """The exact Experiment 5 profile: 0.84 M/s -> 0.28 M/s -> 0.84 M/s
+    over :data:`FIG6_DURATION_S`.
 
     The paper does not give the phase boundaries; we drop at one third
     and recover at two thirds of the run, which reproduces the published
@@ -289,6 +294,6 @@ def fig6_profile(duration_s: float = 300.0) -> FluctuatingRate:
     return FluctuatingRate(
         high=0.84e6,
         low=0.28e6,
-        drop_at=duration_s / 3.0,
-        recover_at=2.0 * duration_s / 3.0,
+        drop_at=FIG6_DURATION_S / 3.0,
+        recover_at=2.0 * FIG6_DURATION_S / 3.0,
     )

@@ -61,15 +61,14 @@ class TestExport:
         assert d["engine"] == "flink"
         assert d["failure"] is None
         assert d["event_latency"]["count"] > 0
-        assert "series" not in d
 
     def test_trial_dict_with_series(self, small_trial):
-        d = trial_to_dict(small_trial, include_series=True)
+        d = trial_to_dict(small_trial)
         assert len(d["series"]["ingest_rate"]["t"]) > 0
         assert len(d["series"]["event_latency"]["t"]) > 0
 
     def test_trial_dict_is_json_serialisable(self, small_trial):
-        text = json.dumps(trial_to_dict(small_trial, include_series=True))
+        text = json.dumps(trial_to_dict(small_trial))
         assert "flink" in text
 
     def test_write_json_creates_parents(self, tmp_path, small_trial):

@@ -39,11 +39,18 @@ class TestLatencyTable:
         table = latency_table(
             "Table II",
             measured={("flink", 2): summary, ("flink(90%)", 2): summary},
-            workers=(2,),
         )
         assert "flink" in table
         assert "flink(90%)" in table
         assert "2.00" in table
+
+    def test_rows_follow_the_measured_cluster_sizes(self):
+        summary = weighted_summary([1.0])
+        table = latency_table(
+            "T", measured={("flink", 8): summary, ("flink", 2): summary}
+        )
+        rows = table.splitlines()[2:]
+        assert [row.split()[1] for row in rows] == ["2-node", "8-node"]
 
     def test_paper_reference_appended(self):
         summary = weighted_summary([1.0])
@@ -51,7 +58,6 @@ class TestLatencyTable:
             "T",
             measured={("flink", 2): summary},
             paper={("flink", 2): (0.5, 0.004, 12.3, 1.4, 2.2, 5.2)},
-            workers=(2,),
         )
         assert "paper:" in table
         assert "12" in table

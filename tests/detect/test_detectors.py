@@ -7,6 +7,7 @@ from repro.detect import (
     QuorumDetector,
     TimeoutDetector,
 )
+from repro.detect import detectors
 from repro.detect.detectors import OBSERVERS
 
 
@@ -144,9 +145,12 @@ class TestQuorumDetector:
         det.observe(0, OBSERVERS, 12.4)  # not a registered observer
         assert det.suspect(0, 12.5)
 
-    def test_forget_drops_all_observers(self):
+    def test_forget_drops_all_observers(self, monkeypatch):
+        # At k=1 a single observer timestamp that forget() left behind
+        # would convict the node, so this checks every observer is gone.
+        monkeypatch.setattr(detectors, "QUORUM_K", 1)
         det = QuorumDetector(timeout_s=2.0)
-        for obs in range(3):
+        for obs in range(OBSERVERS):
             det.observe(0, obs, 10.0)
         det.forget(0)
         assert not det.suspect(0, 100.0)

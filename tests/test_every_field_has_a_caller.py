@@ -28,8 +28,9 @@ public function and method under ``src/``.  A parameter counts as
 passed when the calls to it from those files feed it more than one
 value: by keyword, by position, or through a ``*`` / ``**`` splat
 (which counts as any value).  A call that leaves it out feeds the
-default; a call that passes an upper-case module constant feeds that
-constant.  Entry points, callbacks, presentation knobs and workload
+default; a call that passes an upper-case module constant or a literal
+feeds that one value, so a parameter every caller sets to the same
+literal is single-valued too.  Entry points, callbacks, presentation knobs and workload
 shapes are on the commented :data:`FREE_PARAMETERS` list.
 """
 
@@ -210,14 +211,11 @@ FREE_PARAMETERS = {
     "analysis/ascii_plots.py::render_obs_dashboard:width",
     "analysis/ascii_plots.py::render_obs_dashboard:max_traces",
     "core/report.py::shape_check:detail",
-    "core/report.py::latency_table:workers",
     # Workload shapes: a key distribution's own parameter, printed in
-    # its repr and compared by value, and the Experiment 5 profile's
-    # length.
+    # its repr and compared by value.
     "workloads/keys.py::NormalKeys.__init__:spread_fraction",
     "workloads/keys.py::ZipfKeys.__init__:exponent",
     "workloads/keys.py::SingleKey.__init__:key",
-    "workloads/profiles.py::fig6_profile:duration_s",
 }
 
 SRC = ROOT / "src" / "repro"
@@ -358,10 +356,19 @@ def named_calls():
                     yield name, call
 
 
+def is_literal(node: ast.expr) -> bool:
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return False
+    return True
+
+
 def single_valued_parameters():
     """Every defaulted parameter of a public callable that no call under
     ``src/``, ``examples/`` or ``benchmarks/`` feeds two values: each
-    call leaves it at its default or passes one module constant."""
+    call leaves it at its default or passes one module constant or one
+    literal."""
     calls = list(named_calls())
     for qualname, fn, offset, names in public_callables():
         params = list(defaulted_parameters(fn))
@@ -387,6 +394,7 @@ def single_valued_parameters():
             if param not in splatted and len(values) < 2 and all(
                 ast.dump(value) == ast.dump(default)
                 or (isinstance(value, ast.Name) and value.id.isupper())
+                or is_literal(value)
                 for value in values
             ):
                 yield f"{qualname}:{param}"

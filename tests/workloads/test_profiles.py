@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.workloads import profiles
 from repro.workloads.profiles import (
     ConstantRate,
     DiurnalRate,
@@ -77,13 +78,14 @@ class TestFluctuatingRate:
 
 class TestFig6Profile:
     def test_paper_rates(self):
-        p = fig6_profile(duration_s=300.0)
+        p = fig6_profile()
         assert p.rate_at(0.0) == pytest.approx(0.84e6)
         assert p.rate_at(150.0) == pytest.approx(0.28e6)
         assert p.rate_at(250.0) == pytest.approx(0.84e6)
 
-    def test_phase_boundaries_at_thirds(self):
-        p = fig6_profile(duration_s=90.0)
+    def test_phase_boundaries_at_thirds(self, monkeypatch):
+        monkeypatch.setattr(profiles, "FIG6_DURATION_S", 90.0)
+        p = fig6_profile()
         assert p.drop_at == pytest.approx(30.0)
         assert p.recover_at == pytest.approx(60.0)
 

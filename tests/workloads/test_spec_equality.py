@@ -20,7 +20,7 @@ PROFILES = {
     profiles.ConstantRate: lambda: profiles.ConstantRate(0.3e6),
     profiles.ScaledRate: lambda: profiles.ConstantRate(0.3e6).scaled(0.9),
     profiles.StepRate: lambda: profiles.StepRate([(0.0, 1e5), (20.0, 3e5)]),
-    profiles.FluctuatingRate: lambda: profiles.fig6_profile(120.0),
+    profiles.FluctuatingRate: lambda: profiles.fig6_profile(),
     profiles.DiurnalRate: lambda: profiles.DiurnalRate(1e5, 4e5, 60.0),
     profiles.FlashCrowdRate: lambda: profiles.FlashCrowdRate(
         1e5, 4e5, horizon_s=120.0, spikes=3, seed=5
