@@ -29,13 +29,19 @@ scalar left-fold loops they stand for:
 
 A strict fold is latency-bound and cannot be made faster, only rarer,
 so the hot path keeps a fold budget: *a strict left fold runs only
-where its result is observed and has not been computed already* (the
-per-stage table is in DESIGN.md section 14).
+where its result is observed and has not been computed already for the
+same start and the same immutable array* (the per-stage table is in
+DESIGN.md section 14).  The second half is the fold memo below: the
+generator hands out one read-only weights array for as long as its
+per-tick weight is unchanged, nothing writes into a block's weights
+(splits and sheds copy), and push, pull, source and ingest fold the
+same array from the same start again and again.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import math
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,33 +50,78 @@ from repro.core.records import Record
 #: Same epsilon as the scalar pull/drain ladders.
 _EPS = 1e-9
 
+#: Entries the fold memo holds before it starts over.  Each entry holds
+#: its array, so the memo keeps at most this many arrays alive; a
+#: constant-rate trial's entries share a handful of them.
+MEMO_SIZE = 1024
+#: Memo operations: the two folds and ``consume_front``'s whole-block
+#: countdown (a separate entry: it is only stored when the block fits).
+_ADD, _SUB, _TAKE = 1, 2, 3
+_memo: Dict[Tuple[int, float, int], Tuple[np.ndarray, float]] = {}
+
+
+def _memo_key(op: int, start: float, values: np.ndarray):
+    """The memo key of folding ``values`` from ``start``, or None when
+    ``values`` may still change.
+
+    Only an array whose data owner is a read-only ndarray is admitted
+    (a writable array, or a read-only view of a writable base, is not:
+    its contents can move under the same identity).  The entry holds
+    the array, so its ``id`` cannot be reused while the entry lives.
+    Equal starts are the same double except for the two zeros, whose
+    sign the key keeps apart.
+    """
+    owner = values.base
+    if owner is None:
+        owner = values
+    elif type(owner) is not np.ndarray or owner.base is not None:
+        return None
+    if owner.flags.writeable:
+        return None
+    if start == 0.0 and math.copysign(1.0, start) < 0.0:
+        op = -op
+    return (op, start, id(values))
+
+
+def _remember(key, values: np.ndarray, result: float) -> None:
+    if len(_memo) >= MEMO_SIZE:
+        _memo.clear()
+    _memo[key] = (values, result)
+
+
+def _fold(op: int, ufunc, start: float, values: np.ndarray) -> float:
+    n = len(values)
+    if n == 0:
+        return float(start)
+    key = _memo_key(op, start, values)
+    if key is not None:
+        hit = _memo.get(key)
+        if hit is not None:
+            return hit[1]
+    buf = np.empty(n + 1)
+    buf[0] = start
+    buf[1:] = values
+    ufunc.accumulate(buf, out=buf)
+    result = float(buf[-1])
+    if key is not None:
+        _remember(key, values, result)
+    return result
+
 
 def fold_add(start: float, values: np.ndarray) -> float:
     """``start + values[0] + values[1] + ...`` as a strict left fold.
 
     Bitwise equal to the scalar loop ``for v in values: start += v``
-    (``np.add.accumulate`` is sequential, not pairwise).
+    (``np.add.accumulate`` is sequential, not pairwise).  Memoised by
+    start and array for read-only arrays.
     """
-    n = len(values)
-    if n == 0:
-        return float(start)
-    buf = np.empty(n + 1)
-    buf[0] = start
-    buf[1:] = values
-    np.add.accumulate(buf, out=buf)
-    return float(buf[-1])
+    return _fold(_ADD, np.add, start, values)
 
 
 def fold_sub(start: float, values: np.ndarray) -> float:
-    """``start - values[0] - values[1] - ...`` as a strict left fold."""
-    n = len(values)
-    if n == 0:
-        return float(start)
-    buf = np.empty(n + 1)
-    buf[0] = start
-    buf[1:] = values
-    np.subtract.accumulate(buf, out=buf)
-    return float(buf[-1])
+    """``start - values[0] - values[1] - ...`` as a strict left fold
+    (memoised like :func:`fold_add`)."""
+    return _fold(_SUB, np.subtract, start, values)
 
 
 def left_sum(values):
@@ -163,13 +214,15 @@ class RecordBlock:
     def take_prefix(self, count: int) -> "RecordBlock":
         """The first ``count`` whole cohorts as a new block.
 
-        Weights are copied (they are mutated in place by splits); keys
-        never are, so the prefix keeps a view of this block's key array
-        and a columnar store can recognise the catalog behind it.
+        Both columns are views: nothing writes into a block's arrays
+        (a split or a shed writes on a copy), so the prefix keeps this
+        block's key array -- a columnar store recognises the catalog
+        behind it -- and its weights, which the fold memo recognises
+        when they are the generator's read-only ones.
         """
         return RecordBlock(
             self.keys[:count],
-            self.weights[:count].copy(),
+            self.weights[:count],
             value=self.value,
             event_time=self.event_time,
             stream=self.stream,
@@ -283,6 +336,13 @@ def consume_front(
     n = len(weights)
     if n == 0:
         return None, budget, True
+    # A block that fitted this budget before fits it again, leaving the
+    # same remainder.
+    key = _memo_key(_TAKE, budget, weights)
+    if key is not None:
+        hit = _memo.get(key)
+        if hit is not None:
+            return block.take_all(), hit[1], True
     # acc[i] = budget remaining before cohort i (strict sequential fold,
     # so acc[i+1] = acc[i] - w[i] is the exact scalar subtraction).
     acc = np.empty(n + 1)
@@ -293,7 +353,10 @@ def consume_front(
     # negative once a cohort overshoots (fl(a - b) < 0 iff a < b): two
     # reads decide whether the whole block fits.
     if acc[n - 1] > _EPS and acc[n] >= 0.0:
-        return block.take_all(), float(acc[n]), True
+        left = float(acc[n])
+        if key is not None:
+            _remember(key, weights, left)
+        return block.take_all(), left, True
     before = acc[:-1]
     violation = (before <= _EPS) | (weights > before)
     j = int(np.nonzero(violation)[0][0])
@@ -305,14 +368,19 @@ def consume_front(
         block._advance(j)
         return taken, float(before[j]), False
     # Split cohort j: the taken part gets the remaining budget exactly.
+    # Both parts write on their own copies: the weights may be an
+    # emitted (read-only) array or shared with an earlier prefix.
     split_w = float(before[j])
     taken = block.take_prefix(j + 1)
+    taken.weights = taken.weights.copy()
     taken.weights[j] = split_w
     # Remainder: cohort j survives at reduced weight, trace gone (it
     # left with the first part, the scalar split convention).
-    block.weights[j] = block.weights[j] - split_w
+    rest = weights[j:].copy()
+    rest[0] = rest[0] - split_w
     block.traces = [(i, t) for i, t in block.traces if i > j]
     block._advance(j)
+    block.weights = rest
     # Scalar: ``remaining -= taken.weight`` with taken.weight == the
     # remaining budget -- exactly zero.
     return taken, 0.0, False

@@ -117,6 +117,9 @@ class BrokerStage:
             index = np.cumsum(positive) - 1
             traces = [(int(index[i]), trace) for i, trace in traces]
             keys, weights = keys[positive], weights[positive]
+        # Read-only like the generator's: the delivery's overflow
+        # pre-check and its push fold it once (the fold memo).
+        weights.flags.writeable = False
         part = RecordBlock(
             keys,
             weights,

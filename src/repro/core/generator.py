@@ -104,6 +104,10 @@ class DataGenerator:
         # Emission is one RecordBlock per (stream, tick) over the
         # positive-mass key/mass columns.
         self._dense_keys, self._dense_mass = query.keys.support()
+        # The last emitted weights column and the per-tick weight it was
+        # made for: reused (read-only) while that weight is unchanged.
+        self._emitted_weight: Optional[float] = None
+        self._emitted: Optional[np.ndarray] = None
         self._mean_price = (MIN_GEM_PACK_PRICE + MAX_GEM_PACK_PRICE) / 2.0
         self._is_join = isinstance(query, WindowedJoinQuery)
         self._purchases_share = (
@@ -190,15 +194,21 @@ class DataGenerator:
     def _emit_dense(self, stream: str, weight: float, now: float) -> None:
         """One block per (stream, tick) over the positive-mass catalog.
 
-        The weights column is the element-wise ``weight * mass`` product
-        and the sampler interaction replays a per-cohort 1-in-N
-        countdown exactly -- including the overflow quirk, where the
-        overflowing cohort's trace is taken *before* the push raises and
-        the final ``sync`` is never reached (the counter stays stale on
-        a dropped trial).
+        The weights column is the element-wise ``weight * mass`` product,
+        read-only and handed out again for as long as ``weight`` is
+        unchanged (a constant rate emits one array per instance), so the
+        fold memo of :mod:`repro.core.batch` recognises it.  The sampler
+        interaction replays a per-cohort 1-in-N countdown exactly --
+        including the overflow quirk, where the overflowing cohort's
+        trace is taken *before* the push raises and the final ``sync``
+        is never reached (the counter stays stale on a dropped trial).
         """
         value = self._mean_price if stream == PURCHASES else 0.0
-        weights = weight * self._dense_mass
+        if weight != self._emitted_weight:
+            self._emitted = weight * self._dense_mass
+            self._emitted.flags.writeable = False
+            self._emitted_weight = weight
+        weights = self._emitted
         sampler = self.sampler
         n = len(weights)
         block_traces = []
@@ -207,10 +217,14 @@ class DataGenerator:
         if sampler is not None:
             due = sampler.due_in()
             rate = sampler.sample_rate
-            overflow = self.queue.overflow_index(weights)
             # Hits at the countdown's zero crossings, truncated at the
-            # cohort whose push would abort the emission.
-            limit = n if overflow is None else min(n, overflow + 1)
+            # cohort whose push would abort the emission; a block the
+            # countdown does not reach needs no overflow pre-check.
+            limit = n
+            if due <= n:
+                overflow = self.queue.overflow_index(weights)
+                if overflow is not None:
+                    limit = min(n, overflow + 1)
             for h in range(due - 1, limit, rate):
                 trace = sampler.take(
                     int(self._dense_keys[h]), stream, float(weights[h]), now

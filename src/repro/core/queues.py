@@ -91,17 +91,26 @@ class DriverQueue:
         return self._last_pulled_event_time
 
     def _occupancy_fold(self, weights: np.ndarray):
-        """``(acc, over)``: ``acc[i]`` is the occupancy once the first
-        ``i`` cohorts are pushed (the per-cohort pushes' strict left fold),
-        ``over`` the first cohort exceeding capacity, None if all fit."""
+        """``(occupancy, over)`` of pushing cohorts of ``weights`` in
+        order (the per-cohort pushes' strict left fold): ``occupancy``
+        once every cohort before the first overflowing one is pushed,
+        and ``over`` = ``(index, occupancy it would reach)`` of that
+        cohort, None if all fit.
+
+        Cohort weights are positive, so the whole block's fold -- a
+        memoised :func:`~repro.core.batch.fold_add` -- decides "no
+        overflow" alone; only an overflow, which ends the trial, folds
+        cohort by cohort to find the culprit.
+        """
+        total = fold_add(self._queued_weight, weights)
+        if total <= self.capacity_weight:
+            return total, None
         acc = np.empty(len(weights) + 1)
         acc[0] = self._queued_weight
         acc[1:] = weights
         np.add.accumulate(acc, out=acc)
-        # Cohort weights are positive: the last entry is the largest.
-        if acc[-1] <= self.capacity_weight:
-            return acc, None
-        return acc, int(np.nonzero(acc[1:] > self.capacity_weight)[0][0])
+        over = int(np.nonzero(acc[1:] > self.capacity_weight)[0][0])
+        return float(acc[over]), (over, float(acc[over + 1]))
 
     def overflow_index(self, weights: np.ndarray) -> Optional[int]:
         """Index of the first cohort whose push would overflow, or None.
@@ -115,7 +124,8 @@ class DriverQueue:
             return 0
         if self.capacity_weight == float("inf") or len(weights) == 0:
             return None
-        return self._occupancy_fold(weights)[1]
+        over = self._occupancy_fold(weights)[1]
+        return None if over is None else over[0]
 
     def push_block(
         self, block: RecordBlock, at_time: float = float("nan")
@@ -138,17 +148,17 @@ class DriverQueue:
         if n == 0:
             return
         push_time = at_time if at_time == at_time else block.event_time
-        # The overflow pre-check *is* the occupancy fold: acc[admit] is
-        # the new occupancy, acc[over + 1] what cohort `over` would reach.
-        acc, over = self._occupancy_fold(block.weights)
-        admit = n if over is None else over
+        # The overflow pre-check *is* the occupancy fold (and, after the
+        # sampler's `overflow_index` on the same array, a memo hit).
+        occupancy, over = self._occupancy_fold(block.weights)
+        admit = n if over is None else over[0]
         if admit:
             admitted = block if over is None else block.take_prefix(admit)
             self._items.append(admitted)
             self._push_times.append(push_time)
             for _, trace in admitted.traces:
                 trace.mark("enqueued", push_time)
-            self._queued_weight = float(acc[admit])
+            self._queued_weight = occupancy
             self.pushed_weight = fold_add(
                 self.pushed_weight, admitted.weights
             )
@@ -158,7 +168,7 @@ class DriverQueue:
             self.dropped = True
             raise ConnectionDropped(
                 f"queue {self.name} overflowed "
-                f"({float(acc[over + 1]):.0f} events > "
+                f"({over[1]:.0f} events > "
                 f"capacity {self.capacity_weight:.0f})",
                 at_time=at_time,
             )
@@ -252,7 +262,11 @@ class DriverQueue:
                         self._push_times.pop()
                 dropped = w
             else:
-                victim.weights[edge] = victim.weights[edge] - remaining
+                # Copy on write: the weights may be an emitted
+                # (read-only) array or shared with a pulled prefix.
+                trimmed = victim.weights.copy()
+                trimmed[edge] = trimmed[edge] - remaining
+                victim.weights = trimmed
                 dropped = remaining
             self._queued_weight -= dropped
             self.shed_weight += dropped

@@ -604,15 +604,9 @@ class StreamingEngine:
         registry.gauge("engine.capacity_events_per_s").bind(
             self._capacity_events_per_s
         )
-        bp = self.backpressure
-        for key in bp.metrics():
-            registry.gauge(f"bp.{key}").bind(
-                lambda k=key: bp.metrics().get(k, 0.0)
-            )
-        for key in self.conservation():
-            registry.gauge(f"conservation.{key}").bind(
-                lambda k=key: self.conservation().get(k, 0.0)
-            )
+        # One ledger evaluation per sample serves all of its gauges.
+        registry.bind_gauges("bp.", self.backpressure.metrics)
+        registry.bind_gauges("conservation.", self.conservation)
 
     def conservation(self) -> Dict[str, float]:
         """Per-operator weight-conservation ledger (all in event weight,

@@ -169,6 +169,7 @@ class MetricsRegistry:
         self.series: Dict[str, TimeSeries] = {}
         self.sample_count = 0
         self._sample_hooks: List[Any] = []
+        self._sampling = False
 
     # -- instrument factories (get-or-create) ---------------------------
 
@@ -190,6 +191,31 @@ class MetricsRegistry:
             inst = self.histograms[name] = Histogram(name, **kwargs)
         return inst
 
+    def bind_gauges(
+        self, prefix: str, read: Callable[[], Dict[str, float]]
+    ) -> None:
+        """Bind one gauge ``prefix + key`` per key of ``read()``.
+
+        :meth:`sample` evaluates ``read`` once for all of them (it may
+        fold a whole ledger); a read outside a sample (:meth:`latest`)
+        evaluates it afresh.
+        """
+        sampled_at: Optional[int] = None
+        sampled: Dict[str, float] = {}
+
+        def values() -> Dict[str, float]:
+            nonlocal sampled_at, sampled
+            if not self._sampling:
+                return read()
+            if sampled_at != self.sample_count:
+                sampled_at, sampled = self.sample_count, read()
+            return sampled
+
+        for key in read():
+            self.gauge(prefix + key).bind(
+                lambda k=key: values().get(k, 0.0)
+            )
+
     # -- sampling -------------------------------------------------------
 
     def sample(self, now: float) -> None:
@@ -200,11 +226,15 @@ class MetricsRegistry:
             if series is None:
                 series = self.series[name] = TimeSeries()
             series.append(now, counter.value)
-        for name, gauge in self.gauges.items():
-            series = self.series.get(name)
-            if series is None:
-                series = self.series[name] = TimeSeries()
-            series.append(now, gauge.read())
+        self._sampling = True
+        try:
+            for name, gauge in self.gauges.items():
+                series = self.series.get(name)
+                if series is None:
+                    series = self.series[name] = TimeSeries()
+                series.append(now, gauge.read())
+        finally:
+            self._sampling = False
         for hook in self._sample_hooks:
             hook(now)
 

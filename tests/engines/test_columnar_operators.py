@@ -424,16 +424,19 @@ class TestBlocksCarryTheirCatalog:
     def test_take_prefix_and_consume_front_do_not_copy_keys(self):
         catalog = np.arange(6, dtype=np.int64)
         blk = block(catalog, [1.0] * 6, event_time=1.0)
+        weights = blk.weights
         assert blk.keys is catalog
         prefix = blk.take_prefix(2)
         assert prefix.keys.base is catalog
-        prefix.weights[0] = 9.0  # weights are private to the prefix
-        assert blk.weights[0] == 1.0
+        assert prefix.weights.base is weights  # a clean prefix is a view
         taken, budget, emptied = consume_front(blk, 2.5)
         assert (taken.keys.base is catalog, emptied, budget) == (True, False, 0.0)
         assert taken.weights.tolist() == [1.0, 1.0, 0.5]
         assert blk.keys.base is catalog and blk.keys.tolist() == [2, 3, 4, 5]
         assert blk.weights.tolist() == [0.5, 1.0, 1.0, 1.0]
+        # The split wrote on copies: the prefix still sees whole cohorts.
+        assert weights.tolist() == [1.0] * 6
+        assert prefix.weights.tolist() == [1.0, 1.0]
 
     def test_whole_take_moves_both_arrays(self):
         catalog = np.arange(4, dtype=np.int64)

@@ -96,3 +96,28 @@ class TestMetricsRegistry:
     def test_invalid_interval_rejected(self):
         with pytest.raises(ValueError, match="interval_s"):
             MetricsRegistry(interval_s=0.0)
+
+    def test_bound_gauges_read_once_per_sample_and_afresh_outside(self):
+        reg = MetricsRegistry()
+        ledger = {"a": 1.0, "b": 2.0}
+        reads = []
+
+        def read():
+            reads.append(dict(ledger))
+            return dict(ledger)
+
+        reg.bind_gauges("ledger.", read)
+        assert reg.names() == ["ledger.a", "ledger.b"]
+        reads.clear()
+        reg.sample(1.0)
+        ledger.update(a=5.0, b=6.0)
+        reg.sample(2.0)
+        assert len(reads) == 2  # one evaluation per sample, not per gauge
+        assert reg.series["ledger.a"].values.tolist() == [1.0, 5.0]
+        assert reg.series["ledger.b"].values.tolist() == [2.0, 6.0]
+        # Outside a sample every read is fresh, never the last snapshot.
+        ledger.update(a=7.0)
+        assert reg.latest("ledger.a") == 7.0
+        assert reg.to_dict()["final"] == {"ledger.a": 7.0, "ledger.b": 6.0}
+        del ledger["b"]
+        assert reg.latest("ledger.b") == 0.0
