@@ -202,6 +202,8 @@ class DataGenerator:
         including the overflow quirk, where the overflowing cohort's
         trace is taken *before* the push raises and the final ``sync``
         is never reached (the counter stays stale on a dropped trial).
+        An emission the countdown does not reach costs one ``skip``,
+        which steps the counter before the push.
         """
         value = self._mean_price if stream == PURCHASES else 0.0
         if weight != self._emitted_weight:
@@ -213,18 +215,15 @@ class DataGenerator:
         n = len(weights)
         block_traces = []
         last_hit = -1
-        due = 0
-        if sampler is not None:
-            due = sampler.due_in()
+        due = 0 if sampler is None else sampler.skip(n)
+        if due:
             rate = sampler.sample_rate
             # Hits at the countdown's zero crossings, truncated at the
-            # cohort whose push would abort the emission; a block the
-            # countdown does not reach needs no overflow pre-check.
+            # cohort whose push would abort the emission.
             limit = n
-            if due <= n:
-                overflow = self.queue.overflow_index(weights)
-                if overflow is not None:
-                    limit = min(n, overflow + 1)
+            overflow = self.queue.overflow_index(weights)
+            if overflow is not None:
+                limit = min(n, overflow + 1)
             for h in range(due - 1, limit, rate):
                 trace = sampler.take(
                     int(self._dense_keys[h]), stream, float(weights[h]), now
@@ -243,7 +242,7 @@ class DataGenerator:
         # On overflow this raises ConnectionDropped after admitting the
         # prefix, and the sync below is skipped.
         self.queue.push_block(block, at_time=now)
-        if sampler is not None:
+        if due:
             if last_hit >= 0:
                 sampler.sync(rate - (n - 1 - last_hit))
             else:

@@ -354,7 +354,12 @@ class StreamingEngine:
     def _emit(self, outputs) -> None:
         """Deliver closed-window outputs (scheduled after their delay)."""
         assert self.sink is not None
-        weight = left_sum(o.weight for o in outputs)
+        # ``left_sum`` written out: Storm calls this once per output, and
+        # a generator here and in ``Sink.emit`` per output took a tenth
+        # of a 4 096-key Storm trial.
+        weight = 0
+        for output in outputs:
+            weight += output.weight
         self._account_emission(weight)
         self.sink.emit(outputs, self._result_bytes_per_output_weight)
 

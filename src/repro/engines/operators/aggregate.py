@@ -35,6 +35,7 @@ from repro.core.records import OutputRecord
 from repro.engines.operators.window import (
     WindowCols,
     WindowContents,
+    chained_weight,
     close_window,
 )
 from repro.workloads.queries import WindowSpec
@@ -235,10 +236,7 @@ class WindowedPartialMerger:
     def stored_weight(self) -> float:
         """Weight held across open windows: one chained strict left fold
         over (window insertion order, key first-touch order)."""
-        total = 0.0
-        for cols in self._window_state.values():
-            total = fold_add(total, cols.weights[: cols.n])
-        return total
+        return chained_weight(self._window_state.values())
 
     @property
     def open_window_count(self) -> int:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from repro.core.batch import left_sum
 from repro.core.records import OutputRecord
 
 Collector = Callable[[List[OutputRecord]], None]
@@ -35,7 +34,10 @@ class Sink:
         if not outputs:
             return
         self.emitted_tuples += len(outputs)
-        weight = left_sum(o.weight for o in outputs)
+        # ``left_sum`` written out (Storm emits one output per call).
+        weight = 0
+        for output in outputs:
+            weight += output.weight
         self.emitted_weight += weight
         self.emitted_bytes += weight * bytes_per_tuple
         if self._collector is not None:

@@ -31,8 +31,9 @@ accumulators, and the conformance goldens were generated by it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -82,11 +83,17 @@ class WindowCols:
     it stays compact, but a key of 10**9 would allocate 8 GB per window
     and a negative key is rejected (it would wrap to another key's
     slot).
+
+    ``version`` counts the writes to the columns (``add_cohorts``,
+    ``lose_fraction_fold``, ``merge``; the columns are written nowhere
+    else), so :meth:`weight_fold` can hand back its last fold while
+    nothing has changed.
     """
 
     __slots__ = (
         "n", "keys", "values", "weights", "max_et", "max_pt", "_slot_table",
-        "_run_keys", "_run_start",
+        "_run_keys", "_run_start", "version", "_fold_version", "_fold_start",
+        "_fold_result",
     )
 
     def __init__(self, key_space_hint: int = 64) -> None:
@@ -102,6 +109,11 @@ class WindowCols:
         # the consecutive slots _run_start.. in catalog order.
         self._run_keys: Optional[np.ndarray] = None
         self._run_start = 0
+        self.version = 0
+        # The last weight_fold: the version and start it folded at.
+        self._fold_version = -1
+        self._fold_start = 0.0
+        self._fold_result = 0.0
 
     def _ensure_key_space(self, max_key: int) -> None:
         if max_key < len(self._slot_table):
@@ -200,6 +212,7 @@ class WindowCols:
         """
         if len(keys) == 0:
             return
+        self.version += 1
         at = self._locate(keys)
         if isinstance(at, int):
             # One cohort on a known slot: scalar reads and writes instead
@@ -240,6 +253,7 @@ class WindowCols:
         n = self.n
         if n == 0:
             return lost
+        self.version += 1
         keep = 1.0 - fraction
         lost = fold_add(lost, self.weights[:n] * fraction)
         self.weights[:n] *= keep
@@ -256,6 +270,7 @@ class WindowCols:
         n = other.n
         if n == 0:
             return
+        self.version += 1
         at = self._locate(other.keys[:n])
         if isinstance(at, int):
             at = slice(at, at + 1)
@@ -264,9 +279,41 @@ class WindowCols:
         self.max_et[at] = np.maximum(self.max_et[at], other.max_et[:n])
         self.max_pt[at] = np.maximum(self.max_pt[at], other.max_pt[:n])
 
+    def weight_fold(self, start: float) -> float:
+        """``fold_add(start, weights)``: the strict left fold of the
+        weights in slot order, chained on ``start``.
+
+        Folded once per change: while ``version`` and ``start`` are those
+        of the last call (the two zeros count as different starts), the
+        last result is the same fold over the same bytes, and is
+        returned as it is.
+        """
+        last = self._fold_start
+        if (
+            self._fold_version == self.version
+            and start == last
+            and (start != 0.0 or math.copysign(1.0, start)
+                 == math.copysign(1.0, last))
+        ):
+            return self._fold_result
+        result = fold_add(start, self.weights[: self.n])
+        self._fold_version = self.version
+        self._fold_start = start
+        self._fold_result = result
+        return result
+
     def total_weight(self) -> float:
         """Strict left fold of the weights, in slot order."""
-        return fold_add(0.0, self.weights[: self.n])
+        return self.weight_fold(0.0)
+
+
+def chained_weight(windows: Iterable[WindowCols]) -> float:
+    """Weight held across ``windows``: one chained strict left fold over
+    (window order, slot order), each window folded once per change."""
+    total = 0.0
+    for cols in windows:
+        total = cols.weight_fold(total)
+    return total
 
 
 def close_window(
@@ -451,10 +498,7 @@ class KeyedWindowStore:
         One chained strict left fold over (window insertion order, key
         insertion order).
         """
-        total = 0.0
-        for cols in self._windows.values():
-            total = fold_add(total, cols.weights[: cols.n])
-        return total
+        return chained_weight(self._windows.values())
 
     def lose_fraction(self, fraction: float) -> float:
         """Discard a fraction of all open window contents.

@@ -279,6 +279,14 @@ class StormEngine(StreamingEngine):
         return watermark
 
     def _close_window(self, index: int) -> None:
+        """Close one window and stream its outputs out one by one.
+
+        Output ``i`` of ``n`` leaves ``pipeline_delay_s + spread *
+        (i + 1) / n`` after the close, each through its own ``_emit``
+        at its own time; the run is one
+        :meth:`~repro.sim.simulator.Simulator.schedule_series`, which
+        fires them exactly as one event per output would.
+        """
         cfg: StormConfig = self.config
         closed = self._store.close(index, at_time=self.sim.now)
         stored = closed.total_weight
@@ -298,10 +306,14 @@ class StormEngine(StreamingEngine):
             self._store.stored_weight() + self._inflight_weight
         )
         n = len(probe_outputs)
+        now = self.sim.now
+        times, batches = [], []
         for i, output in enumerate(probe_outputs):
             delay = base_delay + spread * (i + 1) / max(n, 1)
-            output.emit_time = self.sim.now + delay
-            self.sim.schedule(delay, self._emit, [output])
+            output.emit_time = now + delay
+            times.append(output.emit_time)
+            batches.append([output])
+        self.sim.schedule_series(times, self._emit, batches)
 
     def _check_naive_join_health(self) -> None:
         """Experiment 2: the naive join is unstable beyond 2 workers."""

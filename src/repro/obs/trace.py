@@ -185,11 +185,24 @@ class TraceSampler:
     # ``due_in()`` once, takes the cohorts at the countdown's zero
     # crossings and ``sync``s the counter back afterwards -- the same
     # decisions as stepping it cohort by cohort (the per-cohort
-    # reference is ``maybe_trace`` in ``tests/oracle/kernels.py``).
+    # reference is ``maybe_trace`` in ``tests/oracle/kernels.py``).  An
+    # emission the countdown does not reach makes one ``skip`` call.
 
     def due_in(self) -> int:
         """Cohorts left until the next sampled one (always >= 1)."""
         return self.sample_rate - self._counter
+
+    def skip(self, n: int) -> int:
+        """``due_in()`` when one of the next ``n`` cohorts is sampled.
+
+        Otherwise none is: the counter steps past all ``n`` (what
+        ``sync(due_in() - n)`` would leave) and the result is 0.
+        """
+        due = self.sample_rate - self._counter
+        if due > n:
+            self._counter += n
+            return 0
+        return due
 
     def take(
         self, key: int, stream: str, weight: float, event_time: float

@@ -9,15 +9,18 @@ order, and all randomness is drawn from seeded streams
 
 The simulated clock is a float in **seconds**.  Components that need a
 regular heartbeat (e.g. a generator producing a cohort of events every
-tick) register a :class:`PeriodicProcess` via :meth:`Simulator.every`.
+tick) register a :class:`PeriodicProcess` via :meth:`Simulator.every`;
+a run of one-offs known up front (Storm's per-key window outputs) is one
+:meth:`Simulator.schedule_series`.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 
 class SimulationError(RuntimeError):
@@ -68,7 +71,10 @@ class Simulator:
         self._heap: List[Tuple[float, int, _Event]] = []
         self._seq = itertools.count()
         self._live: dict[int, _Event] = {}
+        self._series_left = 0
         self._running = False
+        # The time bound of the loop in progress (read while _running).
+        self._until = math.inf
 
     @property
     def now(self) -> float:
@@ -77,8 +83,9 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of events still scheduled (excluding cancelled ones)."""
-        return len(self._live)
+        """Number of events still scheduled (excluding cancelled ones),
+        unfired series items included."""
+        return len(self._live) + self._series_left
 
     def schedule(
         self, delay: float, callback: Callable[..., None], *args: Any
@@ -101,6 +108,86 @@ class Simulator:
         heapq.heappush(self._heap, (time, seq, event))
         self._live[seq] = event
         return EventHandle(time=time, seq=seq)
+
+    def schedule_series(
+        self,
+        times: Sequence[float],
+        callback: Callable[[Any], None],
+        items: Sequence[Any],
+    ) -> None:
+        """Schedule ``callback(items[i])`` at ``times[i]`` for every ``i``.
+
+        Fires exactly as ``schedule_at(times[i], callback, items[i])`` in
+        a loop would: the series reserves that loop's ``n`` consecutive
+        sequence numbers, so ties with other events break the same way
+        and every event scheduled later keeps its number.  It holds one
+        heap entry.  After item ``i`` fires, item ``i + 1`` runs at once,
+        without a heap round trip, when the loop is still running, its
+        time is within the loop's bound (:meth:`run_until`'s ``time``;
+        :meth:`run` has none, a bare :meth:`step` never runs on) and its
+        (time, seq) sorts before the heap top's -- a cancelled top
+        included, which only sends the item back to the heap.  Otherwise
+        the item goes back to the heap under its reserved number.
+        ``times`` must be non-decreasing and start at or after ``now``;
+        a series cannot be cancelled.
+        """
+        n = len(times)
+        if len(items) != n:
+            raise SimulationError(
+                f"series of {n} times has {len(items)} items"
+            )
+        if n == 0:
+            return
+        if times[0] < self._now:
+            raise SimulationError(
+                f"cannot schedule at t={times[0]:.6f} < now={self._now:.6f}"
+            )
+        for i in range(1, n):
+            if times[i] < times[i - 1]:
+                raise SimulationError(
+                    f"series times decrease at item {i}: "
+                    f"{times[i]:.6f} < {times[i - 1]:.6f}"
+                )
+        first = next(self._seq)
+        self._seq = itertools.count(first + n)
+        self._series_left += n
+        self._push_series((times, callback, items, first), 0)
+
+    def _push_series(self, series: tuple, i: int) -> None:
+        """Put item ``i`` of ``series`` (times, callback, items, first
+        seq) on the heap under its reserved seq."""
+        times, _, _, first = series
+        time, seq = times[i], first + i
+        event = _Event(time, seq, self._fire_series, (series, i))
+        heapq.heappush(self._heap, (time, seq, event))
+
+    def _fire_series(self, series: tuple, i: int) -> None:
+        """Fire item ``i``, then every next item that would be the next
+        event anyway (:meth:`schedule_series`'s rule)."""
+        times, callback, items, first = series
+        n = len(times)
+        heap = self._heap
+        while True:
+            self._series_left -= 1
+            try:
+                callback(items[i])
+            except BaseException:
+                # The rest stays scheduled, as separate events would.
+                if i + 1 < n:
+                    self._push_series(series, i + 1)
+                raise
+            i += 1
+            if i == n:
+                return
+            time = times[i]
+            if not self._running or time > self._until:
+                break
+            if heap:
+                top = heap[0]
+                if time > top[0] or (time == top[0] and first + i > top[1]):
+                    break
+            self._now = time
+        self._push_series(series, i)
 
     def cancel(self, handle: Optional[EventHandle]) -> bool:
         """Cancel a scheduled event.  Returns True if it was still pending."""
@@ -149,6 +236,7 @@ class Simulator:
 
     def run(self) -> None:
         """Run until no events remain."""
+        self._until = math.inf
         self._running = True
         try:
             while self._running and self.step():
@@ -162,6 +250,7 @@ class Simulator:
             raise SimulationError(
                 f"run_until({time:.6f}) is before now={self._now:.6f}"
             )
+        self._until = time
         self._running = True
         try:
             while self._running and self._heap:

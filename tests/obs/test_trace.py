@@ -114,10 +114,10 @@ class TestTraceSampler:
         ),
     )
     def test_batched_countdown_equals_per_cohort_path(self, rate, batches):
-        """The generator's countdown (due_in/take/sync) must make
-        bit-identical sampling decisions to the per-cohort reference
-        ``maybe_trace``, for any rate and any batch segmentation of the
-        cohort sequence."""
+        """The generator's countdown (skip, or due_in/take/sync when
+        the batch is reached) must make bit-identical sampling decisions
+        to the per-cohort reference ``maybe_trace``, for any rate and any
+        batch segmentation of the cohort sequence."""
         ref_sampler = TraceSampler(rate, TraceLog())
         fast_sampler = TraceSampler(rate, TraceLog())
         ref_hits, fast_hits = [], []
@@ -127,7 +127,11 @@ class TestTraceSampler:
                     maybe_trace(ref_sampler, i, "purchases", 1.0, 0.0)
                     is not None
                 )
-            countdown = fast_sampler.due_in()
+            countdown = fast_sampler.skip(batch)
+            if not countdown:
+                fast_hits.extend([False] * batch)
+                continue
+            assert countdown == fast_sampler.due_in()
             for i in range(batch):
                 countdown -= 1
                 if countdown == 0:
