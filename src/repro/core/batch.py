@@ -31,11 +31,15 @@ A strict fold is latency-bound and cannot be made faster, only rarer,
 so the hot path keeps a fold budget: *a strict left fold runs only
 where its result is observed and has not been computed already for the
 same start and the same immutable array* (the per-stage table is in
-DESIGN.md section 14).  The second half is the fold memo below: the
-generator hands out one read-only weights array for as long as its
-per-tick weight is unchanged, nothing writes into a block's weights
-(splits and sheds copy), and push, pull, source and ingest fold the
-same array from the same start again and again.
+DESIGN.md section 14).  The second half is the fold memo below: the key
+distribution hands every generator instance that emits an equal
+per-tick weight one and the same read-only weights column
+(``KeyDistribution.column``), nothing writes into a block's weights
+(splits and sheds copy), and push, pull, source and ingest of every
+instance fold the same array from the same start again and again.
+Window columns are writable and never enter this memo; while a window
+has only ever added one such column it is answered by content instead
+(``WindowCols.weight_fold``).
 """
 
 from __future__ import annotations

@@ -102,12 +102,9 @@ class DataGenerator:
         self.sampler = sampler
         self.generated_weight = 0.0
         # Emission is one RecordBlock per (stream, tick) over the
-        # positive-mass key/mass columns.
-        self._dense_keys, self._dense_mass = query.keys.support()
-        # The last emitted weights column and the per-tick weight it was
-        # made for: reused (read-only) while that weight is unchanged.
-        self._emitted_weight: Optional[float] = None
-        self._emitted: Optional[np.ndarray] = None
+        # positive-mass key catalog; the weights column comes from the
+        # key distribution, shared by the fleet.
+        self._dense_keys = query.keys.support()[0]
         self._mean_price = (MIN_GEM_PACK_PRICE + MAX_GEM_PACK_PRICE) / 2.0
         self._is_join = isinstance(query, WindowedJoinQuery)
         self._purchases_share = (
@@ -195,9 +192,10 @@ class DataGenerator:
         """One block per (stream, tick) over the positive-mass catalog.
 
         The weights column is the element-wise ``weight * mass`` product,
-        read-only and handed out again for as long as ``weight`` is
-        unchanged (a constant rate emits one array per instance), so the
-        fold memo of :mod:`repro.core.batch` recognises it.  The sampler
+        read-only, from :meth:`~repro.workloads.keys.KeyDistribution.column`:
+        every instance emitting an equal weight hands out the same array
+        (a constant rate emits one per fleet), so the fold memo of
+        :mod:`repro.core.batch` recognises it.  The sampler
         interaction replays a per-cohort 1-in-N countdown exactly --
         including the overflow quirk, where the overflowing cohort's
         trace is taken *before* the push raises and the final ``sync``
@@ -206,11 +204,7 @@ class DataGenerator:
         which steps the counter before the push.
         """
         value = self._mean_price if stream == PURCHASES else 0.0
-        if weight != self._emitted_weight:
-            self._emitted = weight * self._dense_mass
-            self._emitted.flags.writeable = False
-            self._emitted_weight = weight
-        weights = self._emitted
+        weights = self.query.keys.column(weight)
         sampler = self.sampler
         n = len(weights)
         block_traces = []

@@ -354,14 +354,14 @@ class StreamingEngine:
     def _emit(self, outputs) -> None:
         """Deliver closed-window outputs (scheduled after their delay)."""
         assert self.sink is not None
-        # ``left_sum`` written out: Storm calls this once per output, and
-        # a generator here and in ``Sink.emit`` per output took a tenth
-        # of a 4 096-key Storm trial.
+        # ``left_sum`` written out, once for the plane and the sink: Storm
+        # calls this once per output, and a generator per output took a
+        # tenth of a 4 096-key Storm trial.
         weight = 0
         for output in outputs:
             weight += output.weight
         self._account_emission(weight)
-        self.sink.emit(outputs, self._result_bytes_per_output_weight)
+        self.sink.emit(outputs, weight, self._result_bytes_per_output_weight)
 
     def _update_state_usage(self, stored_weight: float) -> None:
         """Reconcile the state backend with the current buffered volume."""

@@ -29,15 +29,20 @@ class Sink:
     def attach(self, collector: Collector) -> None:
         self._collector = collector
 
-    def emit(self, outputs: List[OutputRecord], bytes_per_tuple: float) -> None:
-        """Emit a bundle of output tuples produced at the same instant."""
+    def emit(
+        self,
+        outputs: List[OutputRecord],
+        weight: float,
+        bytes_per_tuple: float,
+    ) -> None:
+        """Emit a bundle of output tuples produced at the same instant.
+
+        ``weight`` is the outputs' total weight, ``left_sum`` of their
+        weights in order (the emitting engine has folded it already).
+        """
         if not outputs:
             return
         self.emitted_tuples += len(outputs)
-        # ``left_sum`` written out (Storm emits one output per call).
-        weight = 0
-        for output in outputs:
-            weight += output.weight
         self.emitted_weight += weight
         self.emitted_bytes += weight * bytes_per_tuple
         if self._collector is not None:

@@ -41,6 +41,15 @@ from repro.core.batch import RecordBlock, as_block, fold_add
 from repro.core.records import Record
 from repro.workloads.queries import WindowSpec
 
+#: Entries the run fold table holds before it starts over.  Each entry
+#: holds its (keys, weights) pair; a constant-rate trial's entries share
+#: one or two pairs.
+RUN_FOLDS_SIZE = 1024
+#: ``(count, start) -> ((keys, weights), fold)``: the fold from ``start``
+#: of the weights column that ``count`` writes of one whole read-only
+#: pair leave in a fresh window (a -0.0 start keys as ``-count``).
+_run_folds: Dict[tuple, tuple] = {}
+
 
 @dataclass
 class WindowContents:
@@ -88,12 +97,22 @@ class WindowCols:
     ``lose_fraction_fold``, ``merge``; the columns are written nowhere
     else), so :meth:`weight_fold` can hand back its last fold while
     nothing has changed.
+
+    A window whose every write so far was ``add_cohorts`` of one whole
+    (not a view), read-only ``(keys, weights)`` pair -- a catalog and
+    one emitted column -- holds ``count`` times those weights, added
+    in the same order: its weights column is a pure function of
+    ``(pair, count)``.  While that run lasts, :meth:`weight_fold` looks
+    its folds up by content in one module-level table shared by every
+    window (twin join sides, and the windows of a constant rate, which
+    hold at age *a* what the window before held at age *a*).  Any
+    other write ends the run for the rest of the window's life.
     """
 
     __slots__ = (
         "n", "keys", "values", "weights", "max_et", "max_pt", "_slot_table",
         "_run_keys", "_run_start", "version", "_fold_version", "_fold_start",
-        "_fold_result",
+        "_fold_result", "_pair", "_count",
     )
 
     def __init__(self, key_space_hint: int = 64) -> None:
@@ -114,6 +133,10 @@ class WindowCols:
         self._fold_version = -1
         self._fold_start = 0.0
         self._fold_result = 0.0
+        # The run's (keys, weights) pair and its length in writes; -1
+        # once a write other than that pair has ended it.
+        self._pair: Optional[tuple] = None
+        self._count = 0
 
     def _ensure_key_space(self, max_key: int) -> None:
         if max_key < len(self._slot_table):
@@ -213,6 +236,20 @@ class WindowCols:
         if len(keys) == 0:
             return
         self.version += 1
+        pair = self._pair
+        if pair is not None and keys is pair[0] and weights is pair[1]:
+            self._count += 1
+        elif (
+            self._count == 0
+            and keys.base is None
+            and weights.base is None
+            and not keys.flags.writeable
+            and not weights.flags.writeable
+        ):
+            self._pair = (keys, weights)
+            self._count = 1
+        else:
+            self._end_run()
         at = self._locate(keys)
         if isinstance(at, int):
             # One cohort on a known slot: scalar reads and writes instead
@@ -254,6 +291,7 @@ class WindowCols:
         if n == 0:
             return lost
         self.version += 1
+        self._end_run()
         keep = 1.0 - fraction
         lost = fold_add(lost, self.weights[:n] * fraction)
         self.weights[:n] *= keep
@@ -271,6 +309,7 @@ class WindowCols:
         if n == 0:
             return
         self.version += 1
+        self._end_run()
         at = self._locate(other.keys[:n])
         if isinstance(at, int):
             at = slice(at, at + 1)
@@ -279,15 +318,37 @@ class WindowCols:
         self.max_et[at] = np.maximum(self.max_et[at], other.max_et[:n])
         self.max_pt[at] = np.maximum(self.max_pt[at], other.max_pt[:n])
 
+    def _end_run(self) -> None:
+        self._pair = None
+        self._count = -1
+
     def weight_fold(self, start: float) -> float:
         """``fold_add(start, weights)``: the strict left fold of the
         weights in slot order, chained on ``start``.
 
-        Folded once per change: while ``version`` and ``start`` are those
-        of the last call (the two zeros count as different starts), the
-        last result is the same fold over the same bytes, and is
-        returned as it is.
+        During a run the fold is looked up by ``(pair, count, start)``
+        in the run fold table, and an entry answers only for the very
+        arrays it holds.  Otherwise it is folded once per change: while
+        ``version`` and ``start`` are those of the last call, the last
+        result is the same fold over the same bytes, and is returned as
+        it is.  Either way the two zeros are different starts.
         """
+        pair = self._pair
+        if pair is not None:
+            count = self._count
+            if start == 0.0 and math.copysign(1.0, start) < 0.0:
+                count = -count
+            key = (count, start)
+            hit = _run_folds.get(key)
+            if hit is not None:
+                held = hit[0]
+                if held[0] is pair[0] and held[1] is pair[1]:
+                    return hit[1]
+            result = fold_add(start, self.weights[: self.n])
+            if len(_run_folds) >= RUN_FOLDS_SIZE:
+                _run_folds.clear()
+            _run_folds[key] = (pair, result)
+            return result
         last = self._fold_start
         if (
             self._fold_version == self.version

@@ -16,9 +16,15 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
+
+#: Emitted weights columns a distribution keeps, oldest dropped first.
+#: Every generator instance emitting a weight in one tick finds the
+#: first one's column: a fleet emits at most a few distinct weights per
+#: tick (one per stream and disorder part, equal shares being equal).
+COLUMN_CACHE_SIZE = 4
 
 
 class KeyDistribution(ABC):
@@ -29,6 +35,7 @@ class KeyDistribution(ABC):
             raise ValueError(f"num_keys must be >= 1, got {num_keys}")
         self.num_keys = int(num_keys)
         self._support: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._columns: Dict[float, np.ndarray] = {}
 
     @abstractmethod
     def pmf(self) -> np.ndarray:
@@ -56,6 +63,30 @@ class KeyDistribution(ABC):
             masses.flags.writeable = False
             self._support = (keys, masses)
         return self._support
+
+    def column(self, weight: float) -> np.ndarray:
+        """The weights column ``weight * masses`` over :meth:`support`,
+        read-only.
+
+        The element-wise product of an equal weight is the same array
+        of doubles, so it is computed once and handed out by reference
+        to every generator instance emitting that weight -- twin
+        instances at equal shares, and the two join streams at a
+        purchases share of one half -- for as long as the entry lives.
+        The fold memo of :mod:`repro.core.batch` and the window fold
+        table of :mod:`repro.engines.operators.window` then answer for
+        all of them.  ``weight`` is positive (two equal positive
+        doubles are the same bits).
+        """
+        columns = self._columns
+        emitted = columns.get(weight)
+        if emitted is None:
+            emitted = weight * self.support()[1]
+            emitted.flags.writeable = False
+            if len(columns) >= COLUMN_CACHE_SIZE:
+                del columns[next(iter(columns))]
+            columns[weight] = emitted
+        return emitted
 
     def hot_fraction(self) -> float:
         """Probability mass of the single most popular key."""
