@@ -30,21 +30,36 @@ scalar left-fold loops they stand for:
 A strict fold is latency-bound and cannot be made faster, only rarer,
 so the hot path keeps a fold budget: *a strict left fold runs only
 where its result is observed and has not been computed already for the
-same start and the same immutable array* (the per-stage table is in
-DESIGN.md section 14).  The second half is the fold memo below: the key
-distribution hands every generator instance that emits an equal
-per-tick weight one and the same read-only weights column
-(``KeyDistribution.column``), nothing writes into a block's weights
-(splits and sheds copy), and push, pull, source and ingest of every
-instance fold the same array from the same start again and again.
-Window columns are writable and never enter this memo; while a window
-has only ever added one such column it is answered by content instead
-(``WindowCols.weight_fold``).
+same start and the same immutable arrays* (the per-stage table is in
+DESIGN.md section 14).  Three tools keep it:
+
+- **The chain fold** (:func:`chain_add` / :func:`chain_sub`): folding
+  ``a`` then ``b`` from ``start`` is one strict fold over their
+  concatenation, so a loop's folds run as one ``accumulate``.  Every
+  strict fold goes through it (:func:`fold_add` is the one-array case).
+- **Owe, then settle** (:class:`OwedSum`): a value that only samplers
+  and diagnostics read -- the queues' pushed and pulled ledgers, the
+  stores' admitted ledger -- appends its arrays and folds them once per
+  read, over everything it owes; a countdown read only after its loop
+  (the pull's occupancy, the source's budget, Storm's in-flight
+  weight) is one chain fold per loop.
+- **The fold memo**: the key distribution hands every generator
+  instance that emits an equal per-tick weight one and the same
+  read-only weights column (``KeyDistribution.column``), nothing writes
+  into a block's weights (splits and sheds copy), and push, pull,
+  source and ingest of every instance -- and the twin ledgers of twin
+  queues -- fold the same arrays from the same start again and again.
+  A chain is memoised by (operation, start, array identities) when
+  every array of it is whole and read-only.  Window columns are
+  writable and never enter this memo; while a window has only ever
+  added one such column it is answered by content instead
+  (``WindowCols.weight_fold``).
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -55,60 +70,91 @@ from repro.core.records import Record
 _EPS = 1e-9
 
 #: Entries the fold memo holds before it starts over.  Each entry holds
-#: its array, so the memo keeps at most this many arrays alive; a
-#: constant-rate trial's entries share a handful of them.
+#: its arrays, so the memo keeps at most this many chains alive; a
+#: constant-rate trial's entries share a handful of arrays.
 MEMO_SIZE = 1024
+#: Weights an :class:`OwedSum` holds before it settles on its own
+#: (64 KB of doubles): what a ledger owes stays bounded however long
+#: nobody reads it.
+OWED_LIMIT = 8192
 #: Memo operations: the two folds and ``consume_front``'s whole-block
 #: countdown (a separate entry: it is only stored when the block fits).
 _ADD, _SUB, _TAKE = 1, 2, 3
-_memo: Dict[Tuple[int, float, int], Tuple[np.ndarray, float]] = {}
+_memo: Dict[tuple, tuple] = {}
 
 
 def _memo_key(op: int, start: float, values: np.ndarray):
     """The memo key of folding ``values`` from ``start``, or None when
     ``values`` may still change.
 
-    Only an array whose data owner is a read-only ndarray is admitted
-    (a writable array, or a read-only view of a writable base, is not:
-    its contents can move under the same identity).  The entry holds
-    the array, so its ``id`` cannot be reused while the entry lives.
-    Equal starts are the same double except for the two zeros, whose
-    sign the key keeps apart.
+    Only a whole (``base is None``) read-only array is admitted -- the
+    same rule as a window run's pair (``WindowCols``).  A writable array
+    can change under the same identity, and a view is a fresh object
+    per split piece, so it would never be asked for again.  The entry
+    holds the array, so its ``id`` cannot be reused while the entry
+    lives.  Equal starts are the same double except for the two zeros,
+    whose sign the key keeps apart.
     """
-    owner = values.base
-    if owner is None:
-        owner = values
-    elif type(owner) is not np.ndarray or owner.base is not None:
-        return None
-    if owner.flags.writeable:
+    if values.base is not None or values.flags.writeable:
         return None
     if start == 0.0 and math.copysign(1.0, start) < 0.0:
         op = -op
     return (op, start, id(values))
 
 
-def _remember(key, values: np.ndarray, result: float) -> None:
+def _remember(key, held, result: float) -> None:
     if len(_memo) >= MEMO_SIZE:
         _memo.clear()
-    _memo[key] = (values, result)
+    _memo[key] = (held, result)
 
 
-def _fold(op: int, ufunc, start: float, values: np.ndarray) -> float:
-    n = len(values)
-    if n == 0:
-        return float(start)
-    key = _memo_key(op, start, values)
+def _fold(op: int, ufunc, start: float, chain) -> float:
+    """The strict left fold of every array of ``chain`` in turn, from
+    ``start``: one ``accumulate`` over their concatenation, which runs
+    the same IEEE operations in the same order as one fold per array.
+
+    Memoised by ``(op, start, identities)`` when every array of the
+    chain is admitted by :func:`_memo_key` (the identities packed as
+    bytes: a settled ledger's chain can hold a hundred arrays); a
+    one-array chain keys as that array alone, so :func:`fold_add` and
+    :func:`chain_add` share entries.
+    """
+    if len(chain) == 1:
+        values = chain[0]
+        n = len(values)
+        if n == 0:
+            return float(start)
+        key = _memo_key(op, start, values)
+    else:
+        n = 0
+        admitted = True
+        for values in chain:
+            n += len(values)
+            if admitted and (
+                values.base is not None or values.flags.writeable
+            ):
+                admitted = False
+        if n == 0:
+            return float(start)
+        key = None
+        if admitted:
+            if start == 0.0 and math.copysign(1.0, start) < 0.0:
+                op = -op
+            key = (op, start, array("Q", map(id, chain)).tobytes())
     if key is not None:
         hit = _memo.get(key)
         if hit is not None:
             return hit[1]
     buf = np.empty(n + 1)
     buf[0] = start
-    buf[1:] = values
+    if len(chain) == 1:
+        buf[1:] = chain[0]
+    else:
+        np.concatenate(chain, out=buf[1:])
     ufunc.accumulate(buf, out=buf)
     result = float(buf[-1])
     if key is not None:
-        _remember(key, values, result)
+        _remember(key, tuple(chain), result)
     return result
 
 
@@ -117,15 +163,79 @@ def fold_add(start: float, values: np.ndarray) -> float:
 
     Bitwise equal to the scalar loop ``for v in values: start += v``
     (``np.add.accumulate`` is sequential, not pairwise).  Memoised by
-    start and array for read-only arrays.
+    start and array for whole read-only arrays.
     """
-    return _fold(_ADD, np.add, start, values)
+    return _fold(_ADD, np.add, start, (values,))
 
 
 def fold_sub(start: float, values: np.ndarray) -> float:
     """``start - values[0] - values[1] - ...`` as a strict left fold
     (memoised like :func:`fold_add`)."""
-    return _fold(_SUB, np.subtract, start, values)
+    return _fold(_SUB, np.subtract, start, (values,))
+
+
+def chain_add(start: float, chain) -> float:
+    """``fold_add`` over each array of ``chain`` in turn, in one
+    ``accumulate``: bitwise equal to
+    ``for a in chain: start = fold_add(start, a)``."""
+    return _fold(_ADD, np.add, start, chain)
+
+
+def chain_sub(start: float, chain) -> float:
+    """``fold_sub`` over each array of ``chain`` in turn, in one
+    ``accumulate`` (the countdown twin of :func:`chain_add`)."""
+    return _fold(_SUB, np.subtract, start, chain)
+
+
+class OwedSum:
+    """A running strict left sum whose terms are owed until it is read.
+
+    :meth:`owe` appends an array of terms; :meth:`settle` folds
+    everything owed onto the value in one :func:`chain_add` and returns
+    it.  The settled value is bitwise the one a ``fold_add`` per array
+    would have left, so a ledger that only samplers and diagnostics
+    read folds once per read, not once per write.  It settles by itself
+    once it owes :data:`OWED_LIMIT` weights.  The owed arrays must not
+    change until they are settled: nothing writes into a block's
+    weights (splits and sheds copy).
+    """
+
+    __slots__ = ("_value", "_owed", "_size")
+
+    def __init__(self, value: float = 0.0) -> None:
+        self._value = value
+        self._owed: List[np.ndarray] = []
+        self._size = 0
+
+    def owe(self, values: np.ndarray) -> None:
+        n = len(values)
+        if n:
+            self._owed.append(values)
+            self._size += n
+            if self._size >= OWED_LIMIT:
+                self.settle()
+
+    def settle(self) -> float:
+        if self._owed:
+            self._value = _fold(_ADD, np.add, self._value, self._owed)
+            self._owed = []
+            self._size = 0
+        return self._value
+
+
+def owed_ledger(name: str, doc: str) -> property:
+    """A float attribute kept as an :class:`OwedSum` in ``_<name>``:
+    reading it settles, assigning it starts a new sum at that value
+    (so ``ledger += x`` is still the scalar ``+=``)."""
+    slot = "_" + name
+
+    def get(self) -> float:
+        return getattr(self, slot).settle()
+
+    def put(self, value: float) -> None:
+        setattr(self, slot, OwedSum(value))
+
+    return property(get, put, doc=doc)
 
 
 def left_sum(values):
@@ -309,10 +419,7 @@ def records_weight(blocks: List[RecordBlock]) -> float:
     Bitwise equal to ``left_sum(r.weight for r in records)`` over
     the expanded cohort sequence (strict left fold, same order).
     """
-    total = 0.0
-    for block in blocks:
-        total = fold_add(total, block.weights)
-    return total
+    return chain_add(0.0, [block.weights for block in blocks])
 
 
 def consume_front(

@@ -23,11 +23,13 @@ from typing import Deque, List, Optional
 import numpy as np
 
 from repro.core.batch import (
+    OwedSum,
     RecordBlock,
+    chain_sub,
     consume_front,
     fold_add,
-    fold_sub,
     left_sum,
+    owed_ledger,
 )
 from repro.sim.failures import ConnectionDropped
 
@@ -38,6 +40,13 @@ class DriverQueue:
     Weights are fractional: a pull may split a cohort so that exactly
     the granted event budget is consumed, preserving total weight.
     """
+
+    pushed_weight = owed_ledger(
+        "pushed", "Weight ever admitted by a push (folded when read)."
+    )
+    pulled_weight = owed_ledger(
+        "pulled", "Weight ever taken by a pull (folded when read)."
+    )
 
     def __init__(
         self,
@@ -57,8 +66,10 @@ class DriverQueue:
         # sustainability criteria reject rates that were sustainable.
         self._push_times: Deque[float] = deque()
         self._queued_weight = 0.0
-        self.pushed_weight = 0.0
-        self.pulled_weight = 0.0
+        # Only samplers and diagnostics read the two throughput ledgers,
+        # so their per-block folds are owed until then.
+        self._pushed = OwedSum()
+        self._pulled = OwedSum()
         self.shed_weight = 0.0
         self.lost_weight = 0.0
         self._frontier_event_time = float("-inf")
@@ -159,9 +170,7 @@ class DriverQueue:
             for _, trace in admitted.traces:
                 trace.mark("enqueued", push_time)
             self._queued_weight = occupancy
-            self.pushed_weight = fold_add(
-                self.pushed_weight, admitted.weights
-            )
+            self._pushed.owe(admitted.weights)
             if block.event_time > self._frontier_event_time:
                 self._frontier_event_time = block.event_time
         if over is not None:
@@ -184,7 +193,7 @@ class DriverQueue:
         ledgers advance by the same strict left folds the per-cohort
         loop would have run.  Nothing reads the occupancy between two
         takes and a drained queue resets it, so its countdown is owed
-        until the loop ends.
+        until the loop ends and then runs as one chained fold.
         """
         if max_weight <= 0:
             return []
@@ -203,9 +212,7 @@ class DriverQueue:
                 remaining = remaining_after
                 break
             owed.append(taken_block.weights)
-            self.pulled_weight = fold_add(
-                self.pulled_weight, taken_block.weights
-            )
+            self._pulled.owe(taken_block.weights)
             remaining = remaining_after
             if taken_block.event_time > self._last_pulled_event_time:
                 self._last_pulled_event_time = taken_block.event_time
@@ -213,8 +220,7 @@ class DriverQueue:
         if not self._items:
             self._queued_weight = 0.0
         else:
-            for weights in owed:
-                self._queued_weight = fold_sub(self._queued_weight, weights)
+            self._queued_weight = chain_sub(self._queued_weight, owed)
             if self._queued_weight < 0.0:
                 self._queued_weight = 0.0
         return pulled

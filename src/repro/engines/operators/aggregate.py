@@ -35,6 +35,7 @@ from repro.core.records import OutputRecord
 from repro.engines.operators.window import (
     WindowCols,
     WindowContents,
+    block_products,
     chained_weight,
     close_window,
 )
@@ -104,6 +105,7 @@ class BatchPartialAggregator:
         if n_cohorts == 0:
             return 0
         first, last = self.window.window_index_range(block.event_time)
+        products = block_products(block)
         windows = 0
         for idx in range(first, last + 1):
             cols = self._cols.get(idx)
@@ -113,7 +115,7 @@ class BatchPartialAggregator:
             cols.add_cohorts(
                 block.keys,
                 block.weights,
-                block.value,
+                products,
                 block.event_time,
                 block.ingest_time,
             )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.core.batch import RecordBlock, fold_sub
+from repro.core.batch import RecordBlock, chain_sub
 from repro.core.queues import QueueSet
 
 
@@ -45,8 +45,8 @@ class SourceSet:
 
         The budget is spread round-robin in small rounds so that one
         deep queue cannot monopolise ingestion (real sources poll their
-        partitions fairly); it counts down by a strict left fold over
-        each batch's cohort weights.
+        partitions fairly); it counts down by one strict left fold over
+        each batch's cohort weights, chained across the batch's blocks.
         """
         if max_weight <= 0:
             return []
@@ -71,9 +71,9 @@ class SourceSet:
                 idle_rounds += 1
                 continue
             idle_rounds = 0
+            remaining = chain_sub(remaining, [b.weights for b in batch])
             for block in batch:
                 block.ingest_time = ingest_time
-                remaining = fold_sub(remaining, block.weights)
                 for _, trace in block.traces:
                     trace.mark("ingested", ingest_time)
                 pulled.append(block)

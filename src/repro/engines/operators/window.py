@@ -37,7 +37,13 @@ from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 import numpy as np
 
-from repro.core.batch import RecordBlock, as_block, fold_add
+from repro.core.batch import (
+    OwedSum,
+    RecordBlock,
+    as_block,
+    fold_add,
+    owed_ledger,
+)
 from repro.core.records import Record
 from repro.workloads.queries import WindowSpec
 
@@ -107,12 +113,19 @@ class WindowCols:
     window (twin join sides, and the windows of a constant rate, which
     hold at age *a* what the window before held at age *a*).  Any
     other write ends the run for the rest of the window's life.
+
+    A slot run's maxima are owed: a write addressed as a slice keeps
+    one pending event-time and one pending ingest-time maximum per
+    (start, stop) span, and :attr:`max_et` / :attr:`max_pt` apply them
+    when read (by :func:`close_window` and :meth:`merge`).  A maximum
+    of times (never NaN, never ``-0.0``) is exact in any order, so
+    scalar and gather writes in between may go straight to the columns.
     """
 
     __slots__ = (
-        "n", "keys", "values", "weights", "max_et", "max_pt", "_slot_table",
-        "_run_keys", "_run_start", "version", "_fold_version", "_fold_start",
-        "_fold_result", "_pair", "_count",
+        "n", "keys", "values", "weights", "_max_et", "_max_pt", "_owed_max",
+        "_slot_table", "_run_keys", "_run_start", "version", "_fold_version",
+        "_fold_start", "_fold_result", "_pair", "_count",
     )
 
     def __init__(self, key_space_hint: int = 64) -> None:
@@ -121,8 +134,11 @@ class WindowCols:
         self.keys = np.zeros(cap, dtype=np.int64)
         self.values = np.zeros(cap)
         self.weights = np.zeros(cap)
-        self.max_et = np.full(cap, float("-inf"))
-        self.max_pt = np.full(cap, float("-inf"))
+        self._max_et = np.full(cap, float("-inf"))
+        self._max_pt = np.full(cap, float("-inf"))
+        # (start, stop) -> [event-time max, ingest-time max] not yet
+        # applied to that slot run of the two columns above.
+        self._owed_max: Dict[tuple, list] = {}
         self._slot_table = np.full(cap, -1, dtype=np.int64)
         # The key catalog (a whole array, never a view) found to occupy
         # the consecutive slots _run_start.. in catalog order.
@@ -137,6 +153,30 @@ class WindowCols:
         # once a write other than that pair has ended it.
         self._pair: Optional[tuple] = None
         self._count = 0
+
+    @property
+    def max_et(self) -> np.ndarray:
+        """Per-slot maximum event time, owed maxima applied."""
+        if self._owed_max:
+            self._settle_maxima()
+        return self._max_et
+
+    @property
+    def max_pt(self) -> np.ndarray:
+        """Per-slot maximum ingest time, owed maxima applied."""
+        if self._owed_max:
+            self._settle_maxima()
+        return self._max_pt
+
+    def _settle_maxima(self) -> None:
+        never = float("-inf")
+        for (start, stop), (event_time, ingest_time) in self._owed_max.items():
+            column = self._max_et[start:stop]
+            np.maximum(column, event_time, out=column)
+            if ingest_time > never:
+                column = self._max_pt[start:stop]
+                np.maximum(column, ingest_time, out=column)
+        self._owed_max = {}
 
     def _ensure_key_space(self, max_key: int) -> None:
         if max_key < len(self._slot_table):
@@ -153,9 +193,9 @@ class WindowCols:
         new_cap = cap
         while new_cap < needed:
             new_cap *= 2
-        for name in ("keys", "values", "weights", "max_et", "max_pt"):
+        for name in ("keys", "values", "weights", "_max_et", "_max_pt"):
             old = getattr(self, name)
-            fill = float("-inf") if name in ("max_et", "max_pt") else 0
+            fill = float("-inf") if name in ("_max_et", "_max_pt") else 0
             grown = np.full(new_cap, fill, dtype=old.dtype)
             grown[: cap] = old
             setattr(self, name, grown)
@@ -205,8 +245,8 @@ class WindowCols:
             # New accumulators start at (0, 0, -inf, -inf).
             self.values[new_slots] = 0.0
             self.weights[new_slots] = 0.0
-            self.max_et[new_slots] = float("-inf")
-            self.max_pt[new_slots] = float("-inf")
+            self._max_et[new_slots] = float("-inf")
+            self._max_pt[new_slots] = float("-inf")
             self.n += count
             slots[fresh] = new_slots
         if self._run_keys is None and base is None and len(keys) > 1:
@@ -222,11 +262,16 @@ class WindowCols:
         self,
         keys: np.ndarray,
         weights: np.ndarray,
-        value: float,
+        products: Optional[np.ndarray],
         event_time: float,
         ingest_time: Optional[float],
     ) -> None:
         """Fold one block's cohorts into this window's accumulators.
+
+        ``products`` is the block's ``value * weights``, computed once
+        for all of its windows, or None when the value is ``0.0``:
+        adding ``+0.0`` leaves every value as it is, since the values
+        column starts at ``+0.0`` and never holds ``-0.0``.
 
         Bitwise equal to ``for each cohort: acc.add(record)`` because
         keys are unique within a block: every slot gets exactly one add
@@ -255,31 +300,41 @@ class WindowCols:
             # One cohort on a known slot: scalar reads and writes instead
             # of a one-element gather/scatter (19.5 -> 7.1 us per record
             # added on its own, two windows each).
-            weight = weights[0]
-            self.values[at] += value * weight
-            self.weights[at] += weight
-            if event_time > self.max_et[at]:
-                self.max_et[at] = event_time
-            if ingest_time is not None and ingest_time > self.max_pt[at]:
-                self.max_pt[at] = ingest_time
+            if products is not None:
+                self.values[at] += products[0]
+            self.weights[at] += weights[0]
+            if event_time > self._max_et[at]:
+                self._max_et[at] = event_time
+            if ingest_time is not None and ingest_time > self._max_pt[at]:
+                self._max_pt[at] = ingest_time
             return
         if isinstance(at, slice):
             # A slot run: update the column views in place -- no gather,
-            # no temporary, no scatter-copy.
-            values, held = self.values[at], self.weights[at]
-            values += value * weights
+            # no temporary, no scatter-copy -- and owe the maxima.
+            if products is not None:
+                values = self.values[at]
+                values += products
+            held = self.weights[at]
             held += weights
-            max_et = self.max_et[at]
-            np.maximum(max_et, event_time, out=max_et)
-            if ingest_time is not None:
-                max_pt = self.max_pt[at]
-                np.maximum(max_pt, ingest_time, out=max_pt)
+            span = (at.start, at.stop)
+            owed = self._owed_max.get(span)
+            if owed is None:
+                self._owed_max[span] = [
+                    event_time,
+                    float("-inf") if ingest_time is None else ingest_time,
+                ]
+                return
+            if event_time > owed[0]:
+                owed[0] = event_time
+            if ingest_time is not None and ingest_time > owed[1]:
+                owed[1] = ingest_time
             return
-        self.values[at] += value * weights
+        if products is not None:
+            self.values[at] += products
         self.weights[at] += weights
-        self.max_et[at] = np.maximum(self.max_et[at], event_time)
+        self._max_et[at] = np.maximum(self._max_et[at], event_time)
         if ingest_time is not None:
-            self.max_pt[at] = np.maximum(self.max_pt[at], ingest_time)
+            self._max_pt[at] = np.maximum(self._max_pt[at], ingest_time)
 
     def lose_fraction_fold(self, lost: float, fraction: float) -> float:
         """Scale every accumulator by ``1 - fraction``; fold the loss.
@@ -315,8 +370,10 @@ class WindowCols:
             at = slice(at, at + 1)
         self.values[at] += other.values[:n]
         self.weights[at] += other.weights[:n]
-        self.max_et[at] = np.maximum(self.max_et[at], other.max_et[:n])
-        self.max_pt[at] = np.maximum(self.max_pt[at], other.max_pt[:n])
+        # This window's own owed maxima may stay owed: max is exact in
+        # any order.
+        self._max_et[at] = np.maximum(self._max_et[at], other.max_et[:n])
+        self._max_pt[at] = np.maximum(self._max_pt[at], other.max_pt[:n])
 
     def _end_run(self) -> None:
         self._pair = None
@@ -366,6 +423,15 @@ class WindowCols:
     def total_weight(self) -> float:
         """Strict left fold of the weights, in slot order."""
         return self.weight_fold(0.0)
+
+
+def block_products(block: RecordBlock) -> Optional[np.ndarray]:
+    """``value * weights`` of a block, once for all of its windows, or
+    None for a value of ``0.0`` (the ads stream), whose products would
+    leave every value as it is (:meth:`WindowCols.add_cohorts`)."""
+    if block.value == 0.0:
+        return None
+    return block.value * block.weights
 
 
 def chained_weight(windows: Iterable[WindowCols]) -> float:
@@ -420,6 +486,12 @@ class KeyedWindowStore:
     (ideal watermark for Flink/Storm, batch alignment for Spark).
     """
 
+    admitted_weight = owed_ledger(
+        "admitted",
+        "Weight folded into open windows, normalised by windows_per_event "
+        "(folded when read: only the conservation ledger reads it).",
+    )
+
     def __init__(self, window: WindowSpec, key_space_hint: int = 64) -> None:
         self.window = window
         self._key_space_hint = key_space_hint
@@ -443,7 +515,7 @@ class KeyedWindowStore:
         #                      + stored_weight()/windows_per_event
         #                      + lost_weight
         # and admitted_weight + dropped_weight == weight ever added.
-        self.admitted_weight = 0.0
+        self._admitted = OwedSum()
         self.closed_weight = 0.0
         self.lost_weight = 0.0
 
@@ -465,6 +537,7 @@ class KeyedWindowStore:
         if n_cohorts == 0:
             return 0
         first, last = self.window.window_index_range(block.event_time)
+        products = block_products(block)
         updates_per = 0
         missed = 0
         first_open: Optional[int] = None
@@ -481,7 +554,7 @@ class KeyedWindowStore:
             cols.add_cohorts(
                 block.keys,
                 block.weights,
-                block.value,
+                products,
                 block.event_time,
                 block.ingest_time,
             )
@@ -499,9 +572,8 @@ class KeyedWindowStore:
             # of exactly 1.0 (no window already closed): w * 1.0 == w
             # bit for bit.
             share = updates_per / self.window.windows_per_event
-            self.admitted_weight = fold_add(
-                self.admitted_weight,
-                block.weights if share == 1.0 else block.weights * share,
+            self._admitted.owe(
+                block.weights if share == 1.0 else block.weights * share
             )
         if block.traces:
             # A trace waits in the *earliest* open window it landed in

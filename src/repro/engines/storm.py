@@ -35,9 +35,9 @@ from typing import Deque, Dict, List
 from repro.autoscale.rescale import STYLE_REBALANCE, RescaleSemantics
 from repro.core.batch import (
     RecordBlock,
+    chain_add,
+    chain_sub,
     consume_front,
-    fold_add,
-    fold_sub,
 )
 from repro.engines import backpressure
 from repro.engines.backpressure import OnOffThrottle
@@ -194,7 +194,7 @@ class StormEngine(StreamingEngine):
         # average rate, not the instantaneous burst.  One tick-min entry
         # per poll (a block's minimum event time is its uniform event
         # time), counting the poll's blocks; the inflight ledger
-        # advances by strict left folds over each block's cohort weights.
+        # advances by one strict left fold chained over the blocks.
         period = SPOUT_PULL_PERIOD_TICKS
         weight = self._tick_ingest_weight
         self._detect_surge(weight / (dt * period), dt * period)
@@ -202,11 +202,10 @@ class StormEngine(StreamingEngine):
             self._inflight_tick_mins.append(
                 [min(b.event_time for b in blocks), len(blocks)]
             )
-        for block in blocks:
-            self._inflight.append(block)
-            self._inflight_weight = fold_add(
-                self._inflight_weight, block.weights
-            )
+        self._inflight.extend(blocks)
+        self._inflight_weight = chain_add(
+            self._inflight_weight, [block.weights for block in blocks]
+        )
 
     def _detect_surge(self, rate: float, dt: float) -> None:
         """A sudden ingest surge may stall the topology (Experiment 5)."""
@@ -237,7 +236,10 @@ class StormEngine(StreamingEngine):
         self._ingest_rate_ema += alpha * (rate - self._ingest_rate_ema)
 
     def _drain_inflight(self, dt: float) -> None:
+        # Nothing reads the inflight ledger during the drain: its
+        # countdown is one chained fold over the drained pieces.
         budget = self._capacity_events_per_s() * dt
+        drained = []
         while self._inflight and budget > 1e-9:
             taken, budget, emptied = consume_front(self._inflight[0], budget)
             if emptied:
@@ -249,11 +251,11 @@ class StormEngine(StreamingEngine):
                     self._inflight_tick_mins.popleft()
             if taken is None or len(taken) == 0:
                 continue
-            self._inflight_weight = fold_sub(
-                self._inflight_weight, taken.weights
-            )
+            drained.append(taken.weights)
             self._store.add_block(taken)
-        self._inflight_weight = max(0.0, self._inflight_weight)
+        self._inflight_weight = max(
+            0.0, chain_sub(self._inflight_weight, drained)
+        )
 
     def _on_tick_end(self, dt: float) -> None:
         self._drain_inflight(dt)

@@ -333,11 +333,11 @@ class TestSlotRuns:
             w = self.weights_for(len(keys), 0.01 * step)
             at = fast._locate(keys) if len(keys) else None
             paths.append("run" if isinstance(at, slice) else "gather")
-            fast.add_cohorts(keys, w, 2.5, 1.0 + step, 2.0 + step)
+            fast.add_cohorts(keys, w, 2.5 * w, 1.0 + step, 2.0 + step)
             other = self.foreign(keys)
             if len(other):
                 assert not isinstance(slow._locate(other), slice)
-            slow.add_cohorts(other, w, 2.5, 1.0 + step, 2.0 + step)
+            slow.add_cohorts(other, w, 2.5 * w, 1.0 + step, 2.0 + step)
         assert fast.n == slow.n
         n = fast.n
         for column in ("keys", "values", "weights", "max_et", "max_pt"):

@@ -65,7 +65,7 @@ def fresh_chain(windows) -> float:
 
 def add(cols: WindowCols, entry) -> None:
     keys, weights = entry
-    cols.add_cohorts(keys, weights, 2.5, 1.0, None)
+    cols.add_cohorts(keys, weights, 2.5 * weights, 1.0, None)
 
 
 col_ops = st.one_of(
@@ -247,7 +247,7 @@ def test_runs_answer_by_content_and_end_on_any_other_write(
             if kind == "add":
                 _, i, name = op
                 keys, weights = pool.pairs[name]
-                cols[i].add_cohorts(keys, weights, 2.5, 1.0, None)
+                cols[i].add_cohorts(keys, weights, 2.5 * weights, 1.0, None)
                 run = runs[i]
                 if name != "shared" and name != "other":
                     runs[i] = None
@@ -301,15 +301,15 @@ def test_twins_and_equal_counts_are_answered_by_the_table(counted_folds):
     weights = frozen(np.arange(1.0, RUN_KEYS + 1) / 10.0)
     purchases, ads, later = (WindowCols(2) for _ in range(3))
     for _ in range(5):
-        purchases.add_cohorts(keys, weights, 2.5, 1.0, None)
-        ads.add_cohorts(keys, weights, 0.0, 1.0, None)
+        purchases.add_cohorts(keys, weights, 2.5 * weights, 1.0, None)
+        ads.add_cohorts(keys, weights, None, 1.0, None)
     first = purchases.weight_fold(0.0)
     assert ads.weight_fold(0.0).hex() == first.hex()
     assert ads.weight_fold(first) == purchases.weight_fold(first)
     assert counted_folds == [0.0, first]
     # A window opened later holds at the same count what they held.
     for _ in range(5):
-        later.add_cohorts(keys, weights, 2.5, 1.0, None)
+        later.add_cohorts(keys, weights, 2.5 * weights, 1.0, None)
     assert later.weight_fold(first) == ads.weight_fold(first)
     assert counted_folds == [0.0, first]
     # The other zero is another start.
@@ -322,8 +322,8 @@ def test_an_entry_answers_only_for_its_own_pair(counted_folds):
     one = frozen(np.full(RUN_KEYS, 0.1))
     two = frozen(np.full(RUN_KEYS, 0.3))
     a, b = WindowCols(2), WindowCols(2)
-    a.add_cohorts(keys, one, 2.5, 1.0, None)
-    b.add_cohorts(keys, two, 2.5, 1.0, None)
+    a.add_cohorts(keys, one, 2.5 * one, 1.0, None)
+    b.add_cohorts(keys, two, 2.5 * two, 1.0, None)
     assert a.weight_fold(0.0).hex() == fold_add(0.0, one.copy()).hex()
     assert b.weight_fold(0.0).hex() == fold_add(0.0, two.copy()).hex()
     assert len(counted_folds) == 2
@@ -336,7 +336,7 @@ def test_views_and_writable_arrays_never_start_a_run(counted_folds):
     for pair in ((keys[1:], weights[1:]), (keys, writable)):
         twins = WindowCols(2), WindowCols(2)
         for cols in twins:
-            cols.add_cohorts(*pair, 2.5, 1.0, None)
+            cols.add_cohorts(*pair, 2.5 * pair[1], 1.0, None)
             cols.weight_fold(0.0)
     assert len(counted_folds) == 4
     assert window._run_folds == {}
